@@ -301,10 +301,6 @@ pub struct IterativeResolver {
     /// Disable to get the naive fixed-order resolver (for ablations: the
     /// flapping-server experiment measures the queries this saves).
     pub penalty_box_enabled: bool,
-    /// Whether observability aggregates ([`obs`](Self::obs)) are recorded.
-    /// On by default; benchmarks disable it to measure the
-    /// instrumentation's own overhead.
-    pub obs_enabled: bool,
     next_id: u16,
     answer_cache: HashMap<(Name, RType), Result<Resolution, ResolveError>>,
     cut_cache: HashMap<Name, Vec<Ipv4Addr>>,
@@ -342,7 +338,6 @@ impl IterativeResolver {
             timeout_us: 2_000_000,
             attempts: 2,
             penalty_box_enabled: true,
-            obs_enabled: true,
             next_id: 1,
             answer_cache: HashMap::new(),
             cut_cache: HashMap::new(),
@@ -471,7 +466,6 @@ impl IterativeResolver {
             timeout_us: self.timeout_us,
             attempts: self.attempts,
             penalty_box_enabled: self.penalty_box_enabled,
-            obs_enabled: self.obs_enabled,
             next_id: self.next_id,
             answer_cache: self.answer_cache.clone(),
             cut_cache: self.cut_cache.clone(),
@@ -534,9 +528,7 @@ impl IterativeResolver {
         }
         if let Some(cached) = self.answer_cache.get(&(name.clone(), rtype)) {
             let cached = cached.clone();
-            if self.obs_enabled {
-                self.obs.answer_cache_hits += 1;
-            }
+            self.obs.answer_cache_hits += 1;
             return cached;
         }
         let result = self.resolve_uncached(net, name, rtype, budget, retries, depth, deps);
@@ -590,11 +582,9 @@ impl IterativeResolver {
         let was_failing = h.fails > 0;
         h.fails = 0;
         h.penalized_until = SimTime::ZERO;
-        if self.obs_enabled {
-            self.obs.srtt_us.record(srtt);
-            if was_failing {
-                self.obs.penalty_exits += 1;
-            }
+        self.obs.srtt_us.record(srtt);
+        if was_failing {
+            self.obs.penalty_exits += 1;
         }
     }
 
@@ -604,7 +594,7 @@ impl IterativeResolver {
         h.fails = h.fails.saturating_add(1);
         let shift = (h.fails - 1).min(PENALTY_MAX_SHIFT);
         h.penalized_until = now.plus_us(PENALTY_BASE_US << shift);
-        if self.obs_enabled && entered {
+        if entered {
             self.obs.penalty_entries += 1;
         }
     }
@@ -825,9 +815,7 @@ impl IterativeResolver {
                     // engine provides one, inline otherwise.
                     for t in &targets {
                         if let Some(shared) = deps.ns_target_a(t) {
-                            if self.obs_enabled {
-                                self.obs.deps_cache_hits += 1;
-                            }
+                            self.obs.deps_cache_hits += 1;
                             addrs.extend(shared);
                         } else if let Ok(res) =
                             self.resolve_inner(net, t, RType::A, budget, retries, depth + 1, deps)

@@ -11,7 +11,6 @@ use ruwhere_ct::{sha256, CtLog};
 use ruwhere_dns::{Message, Name, RData, RType, Rcode, Record};
 use ruwhere_geo::GeoDbBuilder;
 use ruwhere_netsim::{Ipv4Net, RoutingTable};
-use ruwhere_scan::OpenIntelScanner;
 use ruwhere_types::{Country, Date};
 use ruwhere_world::{World, WorldConfig};
 use std::hint::black_box;
@@ -174,18 +173,6 @@ fn bench_resolution(c: &mut Criterion) {
     });
 }
 
-fn bench_sweep(c: &mut Criterion) {
-    // A complete OpenINTEL sweep of a ~500-domain world.
-    let mut world = World::new(WorldConfig::tiny());
-    let mut scanner = OpenIntelScanner::new(&world);
-    let mut g = c.benchmark_group("sweep");
-    g.sample_size(10);
-    g.bench_function("openintel_daily_sweep_tiny", |b| {
-        b.iter(|| black_box(scanner.sweep(&mut world)))
-    });
-    g.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
@@ -193,7 +180,6 @@ criterion_group!(
     bench_routing,
     bench_geo,
     bench_crypto,
-    bench_resolution,
-    bench_sweep
+    bench_resolution
 );
 criterion_main!(benches);

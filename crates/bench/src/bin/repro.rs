@@ -4,8 +4,9 @@
 //! cargo run --release -p ruwhere-bench --bin repro -- [--scale N] [--full] [--out DIR]
 //! ```
 //!
-//! * `--scale N`  world scale denominator (default 1000 ⇒ ≈5 k domains;
-//!   the paper-faithful setting is 100 ⇒ ≈50 k domains, slower).
+//! * `--scale N`  world scale denominator, an integer ≥ 1 (default 1000 ⇒
+//!   ≈5 k domains; the paper-faithful setting is 100 ⇒ ≈50 k domains,
+//!   slower).
 //! * `--full`     simulate the full 2017-06-18 → 2022-05-25 window with
 //!   weekly pre-2022 sweeps (default: 2021-11-01 → 2022-05-25, which
 //!   covers every figure's active region).
@@ -14,34 +15,30 @@
 //!   A/B comparison (IP reconfiguration vs prefix move for the Netnod
 //!   event) as two parallel studies and print the composition around
 //!   2022-03-03 under each model.
-//! * `--bench-sweep FILE`  instead of the full study, measure sweep
-//!   throughput at 1/2/4/8 workers on the pinned CI fixture
-//!   (`RUWHERE_BENCH_DAYS` days per count) and write `FILE`
-//!   (`BENCH_sweep.json`: wall time, queries/sec, NS-cache hit rate).
-//!   Also measures the analysis phase — the single-pass engine walk vs
-//!   the legacy eight-pass per-series fold — and embeds the visit counts
-//!   and wall times as the artifact's `analysis` line.
-//! * `--check-baseline FILE`  after `--bench-sweep`, gate the measured
-//!   throughput against the committed baseline `FILE`: exit 1 if any
-//!   worker count regresses more than 15% in queries/sec.
-//! * `--metrics FILE`  sweep the pinned fixture once with metric
-//!   collection on (`RUWHERE_WORKERS` honored) and write the run-level
-//!   observability export (`METRICS_sweep.json`: per-cause latency
-//!   histograms, per-link transport tables, resolver counters). The file
-//!   is byte-identical for any worker count — CI compares a 1-worker and
-//!   a 4-worker run with `cmp`. Composes with `--bench-sweep`.
+//! * `--metrics FILE`  sweep the first `RUWHERE_BENCH_DAYS` days of the
+//!   tiny fixture world (all of them when unset; `RUWHERE_WORKERS`
+//!   honored) and write the run-level observability export
+//!   (`METRICS_sweep.json`: per-cause latency histograms, per-link
+//!   transport tables, resolver counters). The file is byte-identical for
+//!   any worker count — CI compares a 1-worker and a 4-worker run with
+//!   `cmp`.
 //! * `--report FILE`  run the pinned fixture study (`RUWHERE_BENCH_DAYS`
 //!   honored, `RUWHERE_WORKERS` honored) and write every figure/table
 //!   artifact plus retained sweep stats, engine work counters and the
 //!   full symbol-table dump as one text file. Byte-identical for any
 //!   worker count — CI compares a 1-worker and a 4-worker report with
-//!   `cmp`. Composes with `--bench-sweep` and `--metrics`.
+//!   `cmp`. Composes with `--metrics`.
 //! * `--checkpoint-dir DIR`  persist one durable, checksummed segment per
 //!   sweep day to `DIR` (the flag beats the `RUWHERE_CHECKPOINT_DIR`
 //!   environment variable). Applies to the full study and to `--report`.
 //! * `--resume`  continue an interrupted checkpointed run from its last
 //!   valid segment; damaged tail segments are quarantined and reported.
 //!   The resumed run's output is byte-identical to an uninterrupted one.
+//!
+//! `RUWHERE_BENCH_DAYS`, when set, must be a positive integer: the number
+//! of days in the fixture's daily window (unset means the whole window).
+//! A bad flag value or a bad `RUWHERE_BENCH_DAYS` exits with a usage
+//! message and code 2 before any work starts.
 
 use ruwhere_core::figures;
 use ruwhere_core::{run_study, try_run_study, StudyConfig, StudyResults};
@@ -54,8 +51,6 @@ struct Args {
     full: bool,
     out: Option<std::path::PathBuf>,
     ablation_geolag: bool,
-    bench_sweep: Option<std::path::PathBuf>,
-    check_baseline: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
     report: Option<std::path::PathBuf>,
     checkpoint_dir: Option<std::path::PathBuf>,
@@ -68,8 +63,6 @@ fn parse_args() -> Args {
         full: false,
         out: None,
         ablation_geolag: false,
-        bench_sweep: None,
-        check_baseline: None,
         metrics: None,
         report: None,
         checkpoint_dir: ruwhere_scan::default_checkpoint_dir(),
@@ -79,27 +72,16 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                args.scale = it
+                let v = it
                     .next()
-                    .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("missing value for --scale"));
+                args.scale =
+                    v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+                        usage(&format!("--scale takes an integer >= 1, got {v:?}"))
+                    });
             }
             "--full" => args.full = true,
             "--ablation-geolag" => args.ablation_geolag = true,
-            "--bench-sweep" => {
-                args.bench_sweep = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("missing value for --bench-sweep"))
-                        .into(),
-                );
-            }
-            "--check-baseline" => {
-                args.check_baseline = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("missing value for --check-baseline"))
-                        .into(),
-                );
-            }
             "--metrics" => {
                 args.metrics = Some(
                     it.next()
@@ -142,7 +124,6 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--scale N] [--full] [--out DIR] [--ablation-geolag]\n\
-         \x20            [--bench-sweep FILE [--check-baseline BASELINE]]\n\
          \x20            [--metrics FILE] [--report FILE]\n\
          \x20            [--checkpoint-dir DIR] [--resume]"
     );
@@ -165,74 +146,14 @@ fn run_study_checkpointed(mut cfg: StudyConfig, args: &Args) -> StudyResults {
     }
 }
 
-/// Sweep-throughput benchmark mode: measure, write the artifact, and
-/// optionally gate against the committed baseline.
-fn run_bench_sweep(out: &std::path::Path, baseline: Option<&std::path::Path>) {
-    const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    const TOLERANCE: f64 = 0.15;
-    eprintln!(
-        "bench: sweeping {} days per worker count {:?}…",
-        std::env::var(ruwhere_bench::BENCH_DAYS_ENV)
-            .unwrap_or_else(|_| ruwhere_bench::DEFAULT_BENCH_DAYS.to_string()),
-        WORKER_COUNTS
-    );
-    let rows = ruwhere_bench::bench_sweep(&WORKER_COUNTS);
-    for r in &rows {
-        eprintln!(
-            "  workers={}  wall={:.3}s  {:>8.0} q/s  ns-cache hit rate {:.1}%",
-            r.workers,
-            r.wall_seconds,
-            r.queries_per_sec,
-            100.0 * r.ns_cache_hit_rate
-        );
-    }
-    if let Some(s) = ruwhere_bench::speedup(&rows, 1, 8) {
-        eprintln!("  speedup 1→8 workers: {s:.2}×");
-    }
+/// Metrics-export mode: sweep the fixture world and write the run-level
+/// `METRICS_sweep.json`. Worker count comes from `RUWHERE_WORKERS`
+/// (default: available parallelism); the exported bytes do not depend on
+/// it.
+fn run_metrics_export(out: &std::path::Path, days: Option<i32>) {
     let workers = ruwhere_scan::available_workers();
-    eprintln!("bench: analysis fold ({workers} workers, single-pass vs eight-pass)…");
-    let analysis = ruwhere_bench::bench_analysis(workers);
-    eprintln!(
-        "  single-pass engine: {} record visits ({} dispatches) in {:.3}s",
-        analysis.single_pass_visits, analysis.observer_dispatches, analysis.single_pass_seconds
-    );
-    eprintln!(
-        "  eight-pass baseline: {} record visits in {:.3}s — {:.1}× more visits, {:.2}× slower",
-        analysis.eight_pass_visits,
-        analysis.eight_pass_seconds,
-        analysis.visit_ratio(),
-        analysis.wall_speedup()
-    );
-
-    let json = ruwhere_bench::render_bench_json(&rows, Some(&analysis));
-    std::fs::write(out, &json).expect("write bench artifact");
-    eprintln!("wrote {}", out.display());
-
-    if let Some(baseline_path) = baseline {
-        let baseline_json = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
-        match ruwhere_bench::check_baseline(&rows, &baseline_json, TOLERANCE) {
-            Ok(()) => eprintln!(
-                "baseline check passed (within {:.0}% of {})",
-                TOLERANCE * 100.0,
-                baseline_path.display()
-            ),
-            Err(msg) => {
-                eprintln!("baseline check FAILED:\n{msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Metrics-export mode: sweep the pinned fixture with metric collection
-/// on and write the run-level `METRICS_sweep.json`. Worker count comes
-/// from `RUWHERE_WORKERS` (default: available parallelism); the exported
-/// bytes do not depend on it.
-fn run_metrics_export(out: &std::path::Path) {
-    let workers = ruwhere_scan::available_workers();
-    eprintln!("metrics: sweeping the fixture with {workers} workers, metrics on…");
-    let (metrics, days) = ruwhere_bench::collect_sweep_metrics(workers);
+    eprintln!("metrics: sweeping the fixture with {workers} workers…");
+    let (metrics, days) = ruwhere_bench::collect_sweep_metrics(workers, days);
     let json = ruwhere_bench::render_metrics_json(&metrics, days);
     std::fs::write(out, &json).expect("write metrics artifact");
     eprintln!(
@@ -250,8 +171,8 @@ fn run_metrics_export(out: &std::path::Path) {
 /// determinism contract makes the bytes independent of the worker count
 /// (`RUWHERE_WORKERS` honored) — CI renders a 1-worker and a 4-worker
 /// report and compares them with `cmp`.
-fn run_report_export(out: &std::path::Path, args: &Args) {
-    let cfg = ruwhere_bench::fixture_config();
+fn run_report_export(out: &std::path::Path, days: Option<i32>, args: &Args) {
+    let cfg = ruwhere_bench::fixture_config_for_days(days);
     eprintln!(
         "report: running the pinned fixture study with {} workers…",
         cfg.workers
@@ -331,24 +252,16 @@ fn main() {
     if args.resume && args.checkpoint_dir.is_none() {
         usage("--resume requires --checkpoint-dir DIR (or RUWHERE_CHECKPOINT_DIR)");
     }
-    // Artifact modes compose: any subset of --bench-sweep / --metrics /
-    // --report runs in that order, then exits.
-    let mut artifact_mode = false;
-    if let Some(out) = &args.bench_sweep {
-        run_bench_sweep(out, args.check_baseline.as_deref());
-        artifact_mode = true;
-    } else if args.check_baseline.is_some() {
-        usage("--check-baseline requires --bench-sweep");
-    }
+    let days = ruwhere_bench::bench_days().unwrap_or_else(|e| usage(&e));
+    // Artifact modes compose: --metrics and --report run in that order,
+    // then exit.
     if let Some(m) = &args.metrics {
-        run_metrics_export(m);
-        artifact_mode = true;
+        run_metrics_export(m, days);
     }
     if let Some(rp) = &args.report {
-        run_report_export(rp, &args);
-        artifact_mode = true;
+        run_report_export(rp, days, &args);
     }
-    if artifact_mode {
+    if args.metrics.is_some() || args.report.is_some() {
         return;
     }
     if args.ablation_geolag {

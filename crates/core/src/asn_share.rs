@@ -4,8 +4,7 @@
 //! whose apex A records resolve into that ASN.
 
 use crate::engine::FrameObserver;
-use ruwhere_scan::DailySweep;
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame};
 use ruwhere_types::{Asn, Date};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -27,14 +26,6 @@ impl AsnShareSeries {
     /// Empty series.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Consume one row-form sweep (columnarised through an ephemeral
-    /// interner; the fold itself is the [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
     }
 
     /// Number of domains in `asn` on `date`.
@@ -113,47 +104,39 @@ impl FrameObserver for AsnShareSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, DomainDay, SweepStats};
+    use ruwhere_store::{FrameFixture, Interner, SweepStats};
+    use std::net::Ipv4Addr;
 
-    fn rec(domain: &str, asns: &[u32]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: vec![],
-            apex_addrs: asns
-                .iter()
-                .enumerate()
-                .map(|(i, a)| AddrInfo {
-                    ip: format!("10.0.0.{}", i + 1).parse().unwrap(),
-                    country: None,
-                    asn: Some(Asn(*a)),
-                })
-                .collect(),
+    /// One frame of `(domain, apex ASNs)` records.
+    fn sweep(interner: &Interner, date: Date, recs: &[(&str, &[u32])]) -> SweepFrame {
+        let mut f = FrameFixture::new(date, interner);
+        for (domain, asns) in recs {
+            f.domain(domain);
+            for (i, a) in asns.iter().enumerate() {
+                f.apex_addr(Ipv4Addr::new(10, 0, 0, i as u8 + 1), None, Some(Asn(*a)));
+            }
         }
-    }
-
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
+        f.finish(SweepStats::default())
     }
 
     #[test]
     fn shares() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 3, 8);
         let mut s = AsnShareSeries::new();
-        s.observe(&sweep(
-            d,
-            vec![
-                rec("a.ru", &[16509]),
-                rec("b.ru", &[16509]),
-                rec("c.ru", &[13335]),
-                rec("d.ru", &[]), // unresolved: excluded from the total
-            ],
-        ));
+        s.observe(
+            &sweep(
+                &i,
+                d,
+                &[
+                    ("a.ru", &[16509]),
+                    ("b.ru", &[16509]),
+                    ("c.ru", &[13335]),
+                    ("d.ru", &[]), // unresolved: excluded from the total
+                ],
+            ),
+            &i,
+        );
         assert_eq!(s.total(d), Some(3));
         assert_eq!(s.count(d, Asn(16509)), 2);
         assert!((s.share(d, Asn(16509)).unwrap() - 66.666).abs() < 0.01);
@@ -164,9 +147,10 @@ mod tests {
 
     #[test]
     fn split_hosting_counts_in_both() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 3, 8);
         let mut s = AsnShareSeries::new();
-        s.observe(&sweep(d, vec![rec("a.ru", &[16509, 47846])]));
+        s.observe(&sweep(&i, d, &[("a.ru", &[16509, 47846])]), &i);
         assert_eq!(s.count(d, Asn(16509)), 1);
         assert_eq!(s.count(d, Asn(47846)), 1);
         assert_eq!(s.total(d), Some(1));
@@ -174,23 +158,33 @@ mod tests {
 
     #[test]
     fn duplicate_asn_counts_once() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 3, 8);
         let mut s = AsnShareSeries::new();
-        s.observe(&sweep(d, vec![rec("a.ru", &[16509, 16509])]));
+        s.observe(&sweep(&i, d, &[("a.ru", &[16509, 16509])]), &i);
         assert_eq!(s.count(d, Asn(16509)), 1);
     }
 
     #[test]
     fn top_asns_on_last_date() {
+        let i = Interner::new();
         let mut s = AsnShareSeries::new();
-        s.observe(&sweep(
-            Date::from_ymd(2022, 3, 1),
-            vec![rec("a.ru", &[1]), rec("b.ru", &[1]), rec("c.ru", &[2])],
-        ));
-        s.observe(&sweep(
-            Date::from_ymd(2022, 4, 1),
-            vec![rec("a.ru", &[2]), rec("b.ru", &[2]), rec("c.ru", &[1])],
-        ));
+        s.observe(
+            &sweep(
+                &i,
+                Date::from_ymd(2022, 3, 1),
+                &[("a.ru", &[1]), ("b.ru", &[1]), ("c.ru", &[2])],
+            ),
+            &i,
+        );
+        s.observe(
+            &sweep(
+                &i,
+                Date::from_ymd(2022, 4, 1),
+                &[("a.ru", &[2]), ("b.ru", &[2]), ("c.ru", &[1])],
+            ),
+            &i,
+        );
         assert_eq!(s.top_asns(1), vec![Asn(2)]);
         assert_eq!(s.dates().count(), 2);
     }

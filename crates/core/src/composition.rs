@@ -8,9 +8,8 @@
 //! > geolocating the authoritative name servers for the domain." — §3.1
 
 use crate::engine::FrameObserver;
-use ruwhere_scan::{DailySweep, DomainDay};
-use ruwhere_store::{CountrySym, Interner, InternerSnap, RecordView, SweepFrame, Sym};
-use ruwhere_types::{Country, Date, DomainName};
+use ruwhere_store::{CountrySym, InternerSnap, RecordView, SweepFrame, Sym};
+use ruwhere_types::{Date, DomainName};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,32 +28,12 @@ pub enum Composition {
 }
 
 impl Composition {
-    /// Classify a set of per-address country observations.
+    /// Classify a set of per-address country symbols, deciding
+    /// Russian-ness from the interner snapshot.
     ///
     /// Addresses with unknown geolocation are ignored unless *all* are
     /// unknown (mirroring how the paper handles the "small percentage of
     /// disagreement", footnote 5).
-    pub fn classify<I: IntoIterator<Item = Option<Country>>>(countries: I) -> Composition {
-        let mut russian = 0usize;
-        let mut other = 0usize;
-        for c in countries {
-            match c {
-                Some(c) if c.is_russia() => russian += 1,
-                Some(_) => other += 1,
-                None => {}
-            }
-        }
-        match (russian, other) {
-            (0, 0) => Composition::Unknown,
-            (_, 0) => Composition::Full,
-            (0, _) => Composition::Non,
-            _ => Composition::Partial,
-        }
-    }
-
-    /// Classify per-address country *symbols* — the frame-path twin of
-    /// [`Composition::classify`], deciding Russian-ness from the interner
-    /// snapshot instead of owned [`Country`] values.
     pub fn classify_syms(countries: &[CountrySym], snap: &InternerSnap<'_>) -> Composition {
         let mut russian = 0usize;
         let mut other = 0usize;
@@ -188,7 +167,7 @@ struct FrameScratch {
     filter: Option<Vec<Sym>>,
 }
 
-/// A longitudinal composition accumulator. Feed it one [`DailySweep`] per
+/// A longitudinal composition accumulator. Feed it one [`SweepFrame`] per
 /// measurement day; read out the per-date series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompositionSeries {
@@ -235,30 +214,6 @@ impl CompositionSeries {
             partial_days: BTreeSet::new(),
             scratch: FrameScratch::default(),
         }
-    }
-
-    fn countries_of<'a>(&self, rec: &'a DomainDay) -> impl Iterator<Item = Option<Country>> + 'a {
-        let addrs = match self.kind {
-            InfraKind::NameServers => &rec.ns_addrs,
-            InfraKind::Hosting => &rec.apex_addrs,
-        };
-        addrs.iter().map(|a| a.country)
-    }
-
-    /// Classify one domain record under this series' kind.
-    pub fn classify_record(&self, rec: &DomainDay) -> Composition {
-        Composition::classify(self.countries_of(rec))
-    }
-
-    /// Consume one row-form sweep.
-    ///
-    /// Compatibility path: columnarises the sweep through an ephemeral
-    /// interner and runs the exact same fold as the frame path, so both
-    /// entry points share one implementation.
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
     }
 
     /// Per-date counts, in date order.
@@ -349,69 +304,56 @@ impl FrameObserver for CompositionSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, SweepStats};
-    use ruwhere_types::Asn;
+    use ruwhere_store::{FrameFixture, Interner, SweepStats};
+    use ruwhere_types::{Asn, Country};
+    use std::net::Ipv4Addr;
 
-    fn addr(ip: &str, cc: Option<&str>) -> AddrInfo {
-        AddrInfo {
-            ip: ip.parse().unwrap(),
-            country: cc.map(|c| c.parse().unwrap()),
-            asn: Some(Asn(1)),
+    /// `(domain, NS-address countries, apex-address countries)`.
+    type Rec<'a> = (&'a str, &'a [Option<&'a str>], &'a [Option<&'a str>]);
+
+    fn frame(interner: &Interner, date: Date, recs: &[Rec<'_>], stats: SweepStats) -> SweepFrame {
+        let cc = |c: &Option<&str>| c.map(|c| c.parse().unwrap());
+        let mut f = FrameFixture::new(date, interner);
+        for (domain, ns_cc, apex_cc) in recs {
+            f.domain(domain);
+            for (i, c) in ns_cc.iter().enumerate() {
+                f.ns_addr(Ipv4Addr::new(10, 0, 0, i as u8 + 1), cc(c), Some(Asn(1)));
+            }
+            for (i, c) in apex_cc.iter().enumerate() {
+                f.apex_addr(Ipv4Addr::new(10, 0, 1, i as u8 + 1), cc(c), Some(Asn(1)));
+            }
         }
+        f.finish(stats)
     }
 
-    fn rec(domain: &str, ns_cc: &[Option<&str>], apex_cc: &[Option<&str>]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: ns_cc
-                .iter()
-                .enumerate()
-                .map(|(i, cc)| addr(&format!("10.0.0.{}", i + 1), *cc))
-                .collect(),
-            apex_addrs: apex_cc
-                .iter()
-                .enumerate()
-                .map(|(i, cc)| addr(&format!("10.0.1.{}", i + 1), *cc))
-                .collect(),
-        }
+    fn sweep(interner: &Interner, date: Date, recs: &[Rec<'_>]) -> SweepFrame {
+        frame(interner, date, recs, SweepStats::default())
     }
 
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
-    }
-
-    fn partial_sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats {
-                completeness: ruwhere_scan::Completeness::Partial,
-                ..SweepStats::default()
-            },
-            metrics: Default::default(),
-        }
+    fn partial_sweep(interner: &Interner, date: Date, recs: &[Rec<'_>]) -> SweepFrame {
+        let stats = SweepStats {
+            completeness: ruwhere_store::Completeness::Partial,
+            ..SweepStats::default()
+        };
+        frame(interner, date, recs, stats)
     }
 
     #[test]
     fn imputation_carries_forward_flagged_and_bounded() {
+        let i = Interner::new();
         let d1 = Date::from_ymd(2021, 3, 21);
         let d2 = Date::from_ymd(2021, 3, 22); // outage day
         let mut series = CompositionSeries::new(InfraKind::NameServers);
-        series.observe(&sweep(
-            d1,
-            vec![
-                rec("a.ru", &[Some("RU")], &[]),
-                rec("b.ru", &[Some("US")], &[]),
-            ],
-        ));
+        series.observe(
+            &sweep(
+                &i,
+                d1,
+                &[("a.ru", &[Some("RU")], &[]), ("b.ru", &[Some("US")], &[])],
+            ),
+            &i,
+        );
         // The outage day salvages a single record.
-        series.observe(&partial_sweep(d2, vec![rec("a.ru", &[Some("RU")], &[])]));
+        series.observe(&partial_sweep(&i, d2, &[("a.ru", &[Some("RU")], &[])]), &i);
 
         // Raw view keeps the dip.
         assert_eq!(series.at(d2).unwrap().total(), 1);
@@ -434,66 +376,71 @@ mod tests {
 
     #[test]
     fn classification_rules() {
-        assert_eq!(
-            Composition::classify([Some(Country::RU), Some(Country::RU)]),
-            Composition::Full
+        let i = Interner::new();
+        let classify = |countries: &[Option<Country>]| {
+            let syms: Vec<CountrySym> = countries.iter().map(|&c| i.intern_country(c)).collect();
+            Composition::classify_syms(&syms, &i.snapshot())
+        };
+        let (ru, se, us, de) = (
+            Some(Country::RU),
+            Some(Country::SE),
+            Some(Country::US),
+            Some(Country::DE),
         );
-        assert_eq!(
-            Composition::classify([Some(Country::RU), Some(Country::SE)]),
-            Composition::Partial
-        );
-        assert_eq!(
-            Composition::classify([Some(Country::US), Some(Country::DE)]),
-            Composition::Non
-        );
-        assert_eq!(Composition::classify([]), Composition::Unknown);
-        assert_eq!(Composition::classify([None, None]), Composition::Unknown);
+        assert_eq!(classify(&[ru, ru]), Composition::Full);
+        assert_eq!(classify(&[ru, se]), Composition::Partial);
+        assert_eq!(classify(&[us, de]), Composition::Non);
+        assert_eq!(classify(&[]), Composition::Unknown);
+        assert_eq!(classify(&[None, None]), Composition::Unknown);
         // Unknown geolocations do not poison an otherwise-full set.
-        assert_eq!(
-            Composition::classify([Some(Country::RU), None]),
-            Composition::Full
-        );
+        assert_eq!(classify(&[ru, None]), Composition::Full);
     }
 
     #[test]
     fn series_accumulates_by_kind() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 3, 1);
-        let records = vec![
-            rec("a.ru", &[Some("RU"), Some("RU")], &[Some("US")]),
-            rec("b.ru", &[Some("RU"), Some("SE")], &[Some("RU")]),
-            rec("c.ru", &[Some("US")], &[Some("RU"), Some("NL")]),
-            rec("d.ru", &[], &[]),
-        ];
-        let s = sweep(d, records);
+        let s = sweep(
+            &i,
+            d,
+            &[
+                ("a.ru", &[Some("RU"), Some("RU")], &[Some("US")]),
+                ("b.ru", &[Some("RU"), Some("SE")], &[Some("RU")]),
+                ("c.ru", &[Some("US")], &[Some("RU"), Some("NL")]),
+                ("d.ru", &[], &[]),
+            ],
+        );
 
         let mut ns = CompositionSeries::new(InfraKind::NameServers);
-        ns.observe(&s);
+        ns.observe(&s, &i);
         let c = ns.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (1, 1, 1, 1));
         assert_eq!(c.total(), 4);
         assert_eq!(c.known(), 3);
 
         let mut hosting = CompositionSeries::new(InfraKind::Hosting);
-        hosting.observe(&s);
+        hosting.observe(&s, &i);
         let c = hosting.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (1, 1, 1, 1));
     }
 
     #[test]
     fn filtered_series() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 3, 1);
         let s = sweep(
+            &i,
             d,
-            vec![
-                rec("sanctioned.ru", &[Some("RU")], &[]),
-                rec("ordinary.ru", &[Some("US")], &[]),
+            &[
+                ("sanctioned.ru", &[Some("RU")], &[]),
+                ("ordinary.ru", &[Some("US")], &[]),
             ],
         );
         let mut f = CompositionSeries::filtered(
             InfraKind::NameServers,
             vec!["sanctioned.ru".parse().unwrap()],
         );
-        f.observe(&s);
+        f.observe(&s, &i);
         let c = f.at(d).unwrap();
         assert_eq!(c.total(), 1);
         assert_eq!(c.full, 1);
@@ -503,21 +450,24 @@ mod tests {
     fn percentages_and_extrema() {
         let d1 = Date::from_ymd(2022, 2, 1);
         let d2 = Date::from_ymd(2022, 3, 1);
+        let i = Interner::new();
         let mut series = CompositionSeries::new(InfraKind::NameServers);
-        series.observe(&sweep(
-            d1,
-            vec![
-                rec("a.ru", &[Some("RU")], &[]),
-                rec("b.ru", &[Some("US")], &[]),
-            ],
-        ));
-        series.observe(&sweep(
-            d2,
-            vec![
-                rec("a.ru", &[Some("RU")], &[]),
-                rec("b.ru", &[Some("RU")], &[]),
-            ],
-        ));
+        series.observe(
+            &sweep(
+                &i,
+                d1,
+                &[("a.ru", &[Some("RU")], &[]), ("b.ru", &[Some("US")], &[])],
+            ),
+            &i,
+        );
+        series.observe(
+            &sweep(
+                &i,
+                d2,
+                &[("a.ru", &[Some("RU")], &[]), ("b.ru", &[Some("RU")], &[])],
+            ),
+            &i,
+        );
         let ((fd, fc), (ld, lc)) = series.extrema().unwrap();
         assert_eq!(fd, d1);
         assert_eq!(ld, d2);

@@ -1,10 +1,11 @@
 //! Single-pass analysis engine over columnar sweep frames.
 //!
-//! The study used to walk every [`DailySweep`] once *per series* — eight
-//! full passes over the same records per day. The engine inverts that:
-//! each series implements [`FrameObserver`], and [`AnalysisEngine`]
+//! Each series implements [`FrameObserver`], and [`AnalysisEngine`]
 //! makes **one** walk per [`SweepFrame`], dispatching every record view
-//! to all registered observers under a single interner snapshot.
+//! to all registered observers under a single interner snapshot — one
+//! record visit per record, however many series ride the walk. A lone
+//! series (a test, an example) folds a frame through the provided
+//! [`FrameObserver::observe`] instead.
 //!
 //! # Contract
 //!
@@ -16,11 +17,9 @@
 //!   order, records in frame (zone-snapshot) order, so observers may
 //!   keep per-frame scratch without further synchronisation.
 //!
-//! The engine also counts record visits and observer dispatches, which
-//! is how `repro --bench-sweep` substantiates the "≥2× fewer visits
-//! than the eight-pass baseline" claim in EXPERIMENTS.md.
-//!
-//! [`DailySweep`]: ruwhere_scan::DailySweep
+//! The engine also counts record visits and observer dispatches; `repro
+//! --report` prints them and `studybench` reports them as
+//! `core.record_visits` and `core.observer_dispatches`.
 
 use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame};
 
@@ -39,6 +38,19 @@ pub trait FrameObserver {
 
     /// Called once after the record walk of each frame.
     fn end_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {}
+
+    /// Fold one whole frame into this observer alone: `begin_frame`, every
+    /// record, `end_frame`. `interner` must be the interner that built
+    /// `frame`, and every frame one observer sees must come from that same
+    /// interner (see the module docs).
+    fn observe(&mut self, frame: &SweepFrame, interner: &Interner) {
+        let snap = interner.snapshot();
+        self.begin_frame(frame, &snap);
+        for rec in frame.records() {
+            self.observe_record(&rec, &snap);
+        }
+        self.end_frame(frame, &snap);
+    }
 }
 
 /// Drives all observers through a frame in one record walk, counting
@@ -108,25 +120,11 @@ impl AnalysisEngine {
     }
 }
 
-/// Drive a single observer through one frame — the compatibility shim
-/// behind every series' row-level `observe(&DailySweep)` path, so the
-/// row and frame paths share one fold implementation.
-pub(crate) fn drive_one<O: FrameObserver + ?Sized>(
-    obs: &mut O,
-    frame: &SweepFrame,
-    interner: &Interner,
-) {
-    let snap = interner.snapshot();
-    obs.begin_frame(frame, &snap);
-    for rec in frame.records() {
-        obs.observe_record(&rec, &snap);
-    }
-    obs.end_frame(frame, &snap);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_store::{FrameFixture, SweepStats};
+    use ruwhere_types::Date;
 
     #[derive(Default)]
     struct Counter {
@@ -147,16 +145,18 @@ mod tests {
         }
     }
 
+    fn three_records(interner: &Interner) -> SweepFrame {
+        let mut f = FrameFixture::new(Date::from_ymd(2022, 3, 1), interner);
+        for name in ["a.ru", "b.ru", "c.ru"] {
+            f.domain(name);
+        }
+        f.finish(SweepStats::default())
+    }
+
     #[test]
     fn one_walk_dispatches_to_all_observers() {
-        use ruwhere_store::FrameBuilder;
         let interner = Interner::new();
-        let mut b = FrameBuilder::new("2022-03-01".parse().expect("date"));
-        for name in ["a.ru", "b.ru", "c.ru"] {
-            b.begin_record(interner.intern_name(&name.parse().expect("domain")));
-            b.end_record();
-        }
-        let frame = b.finish(Default::default(), Default::default());
+        let frame = three_records(&interner);
 
         let mut engine = AnalysisEngine::new();
         let (mut x, mut y) = (Counter::default(), Counter::default());
@@ -173,5 +173,15 @@ mod tests {
         total.absorb(&engine);
         total.absorb(&engine);
         assert_eq!(total.record_visits(), 6);
+    }
+
+    #[test]
+    fn observe_folds_one_observer_through_a_frame() {
+        let interner = Interner::new();
+        let frame = three_records(&interner);
+        let mut c = Counter::default();
+        c.observe(&frame, &interner);
+        c.observe(&frame, &interner);
+        assert_eq!((c.begins, c.records, c.ends), (2, 6, 2));
     }
 }

@@ -10,7 +10,6 @@
 //!   the date-A seed set — the paper confirmed registration dates with
 //!   Cisco's Whois API; our registry data plays that role).
 
-use ruwhere_scan::DailySweep;
 use ruwhere_store::{Interner, SweepFrame, Sym};
 use ruwhere_types::{Asn, DomainName};
 use serde::{Deserialize, Serialize};
@@ -43,18 +42,6 @@ pub struct MovementReport {
 }
 
 impl MovementReport {
-    /// Analyze movement for `asn` between `a` (earlier) and `b` (later).
-    ///
-    /// Row-form compatibility path: columnarises both sweeps through an
-    /// ephemeral interner and delegates to
-    /// [`MovementReport::analyze_frames`].
-    pub fn analyze(a: &DailySweep, b: &DailySweep, asn: Asn) -> Self {
-        let interner = Interner::new();
-        let fa = SweepFrame::from_daily_sweep(a, &interner);
-        let fb = SweepFrame::from_daily_sweep(b, &interner);
-        Self::analyze_frames(&fa, &fb, asn, &interner)
-    }
-
     /// Analyze movement for `asn` between frames `a` (earlier) and `b`
     /// (later), both built by `interner`.
     ///
@@ -177,52 +164,46 @@ impl MovementReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, DomainDay, SweepStats};
+    use ruwhere_store::{FrameFixture, SweepStats};
     use ruwhere_types::Date;
+    use std::net::Ipv4Addr;
 
-    fn rec(domain: &str, asns: &[u32]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: vec![],
-            apex_addrs: asns
-                .iter()
-                .enumerate()
-                .map(|(i, a)| AddrInfo {
-                    ip: format!("10.9.0.{}", i + 1).parse().unwrap(),
-                    country: None,
-                    asn: Some(Asn(*a)),
-                })
-                .collect(),
+    /// One frame of `(domain, apex ASNs)` records.
+    fn sweep(interner: &Interner, recs: &[(&str, &[u32])]) -> SweepFrame {
+        let mut f = FrameFixture::new(Date::from_ymd(2022, 3, 8), interner);
+        for (domain, asns) in recs {
+            f.domain(domain);
+            for (i, a) in asns.iter().enumerate() {
+                f.apex_addr(Ipv4Addr::new(10, 9, 0, i as u8 + 1), None, Some(Asn(*a)));
+            }
         }
-    }
-
-    fn sweep(domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date: Date::from_ymd(2022, 3, 8),
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
+        f.finish(SweepStats::default())
     }
 
     #[test]
     fn full_classification() {
-        let a = sweep(vec![
-            rec("stay.ru", &[16509]),
-            rec("move.ru", &[16509]),
-            rec("die.ru", &[16509]),
-            rec("dark.ru", &[16509]),
-            rec("other.ru", &[13335]),
-        ]);
-        let b = sweep(vec![
-            rec("stay.ru", &[16509]),
-            rec("move.ru", &[29802]),
-            rec("dark.ru", &[]),
-            rec("other.ru", &[16509]),   // relocated in
-            rec("freshie.ru", &[16509]), // newly registered
-        ]);
-        let report = MovementReport::analyze(&a, &b, Asn(16509));
+        let i = Interner::new();
+        let a = sweep(
+            &i,
+            &[
+                ("stay.ru", &[16509]),
+                ("move.ru", &[16509]),
+                ("die.ru", &[16509]),
+                ("dark.ru", &[16509]),
+                ("other.ru", &[13335]),
+            ],
+        );
+        let b = sweep(
+            &i,
+            &[
+                ("stay.ru", &[16509]),
+                ("move.ru", &[29802]),
+                ("dark.ru", &[]),
+                ("other.ru", &[16509]),   // relocated in
+                ("freshie.ru", &[16509]), // newly registered
+            ],
+        );
+        let report = MovementReport::analyze_frames(&a, &b, Asn(16509), &i);
         assert_eq!(report.original(), 4);
         assert_eq!(report.remained(), 1);
         assert_eq!(report.relocated(), 1);
@@ -242,39 +223,48 @@ mod tests {
 
     #[test]
     fn split_hosted_remainer() {
+        let i = Interner::new();
         // A domain adding a second provider but keeping the subject ASN
         // counts as remained.
-        let a = sweep(vec![rec("x.ru", &[16509])]);
-        let b = sweep(vec![rec("x.ru", &[16509, 29802])]);
-        let report = MovementReport::analyze(&a, &b, Asn(16509));
+        let a = sweep(&i, &[("x.ru", &[16509])]);
+        let b = sweep(&i, &[("x.ru", &[16509, 29802])]);
+        let report = MovementReport::analyze_frames(&a, &b, Asn(16509), &i);
         assert_eq!(report.remained(), 1);
         assert_eq!(report.relocated(), 0);
     }
 
     #[test]
     fn intra_provider_share() {
-        let a = sweep(vec![
-            rec("g1.ru", &[15169]),
-            rec("g2.ru", &[15169]),
-            rec("g3.ru", &[15169]),
-            rec("g4.ru", &[15169]),
-        ]);
-        let b = sweep(vec![
-            rec("g1.ru", &[396982]),
-            rec("g2.ru", &[396982]),
-            rec("g3.ru", &[396982]),
-            rec("g4.ru", &[24940]),
-        ]);
-        let report = MovementReport::analyze(&a, &b, Asn(15169));
+        let i = Interner::new();
+        let a = sweep(
+            &i,
+            &[
+                ("g1.ru", &[15169]),
+                ("g2.ru", &[15169]),
+                ("g3.ru", &[15169]),
+                ("g4.ru", &[15169]),
+            ],
+        );
+        let b = sweep(
+            &i,
+            &[
+                ("g1.ru", &[396982]),
+                ("g2.ru", &[396982]),
+                ("g3.ru", &[396982]),
+                ("g4.ru", &[24940]),
+            ],
+        );
+        let report = MovementReport::analyze_frames(&a, &b, Asn(15169), &i);
         assert_eq!(report.relocated(), 4);
         assert!((report.relocated_share_to(Asn(396982)) - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn empty_subject() {
-        let a = sweep(vec![rec("a.ru", &[1])]);
-        let b = sweep(vec![rec("a.ru", &[1])]);
-        let report = MovementReport::analyze(&a, &b, Asn(999));
+        let i = Interner::new();
+        let a = sweep(&i, &[("a.ru", &[1])]);
+        let b = sweep(&i, &[("a.ru", &[1])]);
+        let report = MovementReport::analyze_frames(&a, &b, Asn(999), &i);
         assert_eq!(report.original(), 0);
         assert_eq!(report.relocated_share_to(Asn(1)), 0.0);
     }

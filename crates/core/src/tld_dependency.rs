@@ -8,8 +8,7 @@
 
 use crate::composition::{Composition, CompositionCounts};
 use crate::engine::FrameObserver;
-use ruwhere_scan::DailySweep;
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame, TldSym};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame, TldSym};
 use ruwhere_types::Date;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -25,14 +24,6 @@ impl TldDependencySeries {
     /// Empty series.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Consume one row-form sweep (columnarised through an ephemeral
-    /// interner; the fold itself is the [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
     }
 
     /// Per-date counts in date order.
@@ -110,14 +101,6 @@ impl TldUsageSeries {
         Self::default()
     }
 
-    /// Consume one row-form sweep (columnarised through an ephemeral
-    /// interner; the fold itself is the [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
-    }
-
     /// Distinct TLDs ever observed (the paper counts 270).
     pub fn distinct_tlds(&self) -> usize {
         let mut set = std::collections::BTreeSet::new();
@@ -185,65 +168,71 @@ impl FrameObserver for TldUsageSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{DomainDay, SweepStats};
+    use ruwhere_store::{FrameFixture, Interner, SweepStats};
 
-    fn rec(domain: &str, ns: &[&str]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: ns.iter().map(|s| s.parse().unwrap()).collect(),
-            ns_addrs: vec![],
-            apex_addrs: vec![],
+    /// One frame of `(domain, NS host names)` records.
+    fn sweep(interner: &Interner, date: Date, recs: &[(&str, &[&str])]) -> SweepFrame {
+        let mut f = FrameFixture::new(date, interner);
+        for (domain, ns) in recs {
+            f.domain(domain);
+            for host in *ns {
+                f.ns(host);
+            }
         }
-    }
-
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
+        f.finish(SweepStats::default())
     }
 
     #[test]
     fn dependency_classification() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 1, 1);
         let s = sweep(
+            &i,
             d,
-            vec![
-                rec("a.ru", &["ns1.reg.ru", "ns2.reg.ru"]),
-                rec("b.ru", &["ns1.beget.ru", "ns2.beget.pro"]),
-                rec("c.ru", &["alla.ns.cloudflare.com"]),
-                rec("d.xn--p1ai", &["ns1.reg.ru"]),
-                rec("e.ru", &[]),
+            &[
+                ("a.ru", &["ns1.reg.ru", "ns2.reg.ru"]),
+                ("b.ru", &["ns1.beget.ru", "ns2.beget.pro"]),
+                ("c.ru", &["alla.ns.cloudflare.com"]),
+                ("d.xn--p1ai", &["ns1.reg.ru"]),
+                ("e.ru", &[]),
             ],
         );
         let mut series = TldDependencySeries::new();
-        series.observe(&s);
+        series.observe(&s, &i);
         let c = series.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (2, 1, 1, 1));
     }
 
     #[test]
     fn rf_tld_counts_as_russian() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 1, 1);
-        let s = sweep(d, vec![rec("a.ru", &["ns1.dns.xn--p1ai"])]);
+        let s = sweep(&i, d, &[("a.ru", &["ns1.dns.xn--p1ai"])]);
         let mut series = TldDependencySeries::new();
-        series.observe(&s);
+        series.observe(&s, &i);
         assert_eq!(series.at(d).unwrap().full, 1);
     }
 
     #[test]
     fn net_change() {
+        let i = Interner::new();
         let mut series = TldDependencySeries::new();
-        series.observe(&sweep(
-            Date::from_ymd(2022, 1, 1),
-            vec![rec("a.ru", &["ns1.x.ru"]), rec("b.ru", &["ns1.y.com"])],
-        ));
-        series.observe(&sweep(
-            Date::from_ymd(2022, 2, 1),
-            vec![rec("a.ru", &["ns1.x.com"]), rec("b.ru", &["ns1.y.com"])],
-        ));
+        series.observe(
+            &sweep(
+                &i,
+                Date::from_ymd(2022, 1, 1),
+                &[("a.ru", &["ns1.x.ru"]), ("b.ru", &["ns1.y.com"])],
+            ),
+            &i,
+        );
+        series.observe(
+            &sweep(
+                &i,
+                Date::from_ymd(2022, 2, 1),
+                &[("a.ru", &["ns1.x.com"]), ("b.ru", &["ns1.y.com"])],
+            ),
+            &i,
+        );
         let (df, dp, dn) = series.net_change().unwrap();
         assert!((df - -50.0).abs() < 1e-9);
         assert!((dp - 0.0).abs() < 1e-9);
@@ -252,18 +241,20 @@ mod tests {
 
     #[test]
     fn usage_counts_each_domain_once_per_tld() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 1, 1);
         let s = sweep(
+            &i,
             d,
-            vec![
+            &[
                 // Two .ru NS: counts once for .ru.
-                rec("a.ru", &["ns1.reg.ru", "ns2.reg.ru"]),
-                rec("b.ru", &["ns1.beget.ru", "ns2.beget.pro"]),
-                rec("c.ru", &["x.cloudflare.com", "y.cloudflare.com"]),
+                ("a.ru", &["ns1.reg.ru", "ns2.reg.ru"]),
+                ("b.ru", &["ns1.beget.ru", "ns2.beget.pro"]),
+                ("c.ru", &["x.cloudflare.com", "y.cloudflare.com"]),
             ],
         );
         let mut usage = TldUsageSeries::new();
-        usage.observe(&s);
+        usage.observe(&s, &i);
         assert_eq!(usage.share(d, "ru"), Some(100.0 * 2.0 / 3.0));
         assert_eq!(usage.share(d, "pro"), Some(100.0 / 3.0));
         assert_eq!(usage.share(d, "com"), Some(100.0 / 3.0));
@@ -274,13 +265,11 @@ mod tests {
 
     #[test]
     fn shares_can_exceed_100_in_total() {
+        let i = Interner::new();
         let d = Date::from_ymd(2022, 1, 1);
-        let s = sweep(
-            d,
-            vec![rec("a.ru", &["ns1.x.ru", "ns2.x.com", "ns3.x.net"])],
-        );
+        let s = sweep(&i, d, &[("a.ru", &["ns1.x.ru", "ns2.x.com", "ns3.x.net"])]);
         let mut usage = TldUsageSeries::new();
-        usage.observe(&s);
+        usage.observe(&s, &i);
         let sum = usage.share(d, "ru").unwrap()
             + usage.share(d, "com").unwrap()
             + usage.share(d, "net").unwrap();

@@ -8,8 +8,7 @@
 
 use crate::composition::{classify_record_view, Composition, InfraKind};
 use crate::engine::FrameObserver;
-use ruwhere_scan::DailySweep;
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame, Sym};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame, Sym};
 use ruwhere_types::Date;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -23,8 +22,7 @@ const ABSENT: u8 = u8::MAX;
 /// Per-date transition counts plus appearance/disappearance tallies.
 ///
 /// Cross-sweep state is symbol-indexed, so one instance must see frames
-/// from **one** interner (the engine contract); the row path keeps its
-/// own persistent interner for exactly that reason.
+/// from **one** interner (the engine contract).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TransitionFlows {
     kind_series: Option<InfraKind>,
@@ -41,8 +39,6 @@ pub struct TransitionFlows {
     disappeared: BTreeMap<Date, u64>,
     /// Per-frame scratch: `(sym, code)` per record of the current frame.
     cur: Vec<(Sym, u8)>,
-    /// Interner behind the compatibility row path.
-    row_interner: Interner,
 }
 
 fn code(c: Composition) -> u8 {
@@ -70,16 +66,6 @@ impl TransitionFlows {
             kind_series: Some(kind),
             ..Self::default()
         }
-    }
-
-    /// Consume one row-form sweep, in date order (columnarised through the
-    /// instance's own persistent interner; the fold itself is the
-    /// [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = std::mem::take(&mut self.row_interner);
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
-        self.row_interner = interner;
     }
 
     /// Count of `from → to` transitions landing on `date`.
@@ -195,62 +181,61 @@ impl FrameObserver for TransitionFlows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, DomainDay, SweepStats};
+    use ruwhere_store::{FrameFixture, Interner, SweepStats};
     use ruwhere_types::Asn;
+    use std::net::Ipv4Addr;
 
-    fn rec(domain: &str, countries: &[&str]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: countries
-                .iter()
-                .enumerate()
-                .map(|(i, cc)| AddrInfo {
-                    ip: format!("10.0.0.{}", i + 1).parse().unwrap(),
-                    country: Some(cc.parse().unwrap()),
-                    asn: Some(Asn(1)),
-                })
-                .collect(),
-            apex_addrs: vec![],
-        }
-    }
+    /// `(domain, NS-address countries)`.
+    type Rec<'a> = (&'a str, &'a [&'a str]);
 
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
+    fn sweep(interner: &Interner, date: Date, recs: &[Rec<'_>]) -> SweepFrame {
+        let mut f = FrameFixture::new(date, interner);
+        for (domain, countries) in recs {
+            f.domain(domain);
+            for (i, cc) in countries.iter().enumerate() {
+                let ip = Ipv4Addr::new(10, 0, 0, i as u8 + 1);
+                f.ns_addr(ip, Some(cc.parse().unwrap()), Some(Asn(1)));
+            }
         }
+        f.finish(SweepStats::default())
     }
 
     #[test]
     fn flows_track_changes_only() {
+        let i = Interner::new();
         let mut flows = TransitionFlows::new(InfraKind::NameServers);
         let d1 = Date::from_ymd(2022, 3, 2);
         let d2 = Date::from_ymd(2022, 3, 3);
-        flows.observe(&sweep(
-            d1,
-            vec![
-                rec("a.ru", &["RU", "SE"]),
-                rec("b.ru", &["RU", "SE"]),
-                rec("c.ru", &["RU"]),
-                rec("d.ru", &["US"]),
-            ],
-        ));
+        flows.observe(
+            &sweep(
+                &i,
+                d1,
+                &[
+                    ("a.ru", &["RU", "SE"]),
+                    ("b.ru", &["RU", "SE"]),
+                    ("c.ru", &["RU"]),
+                    ("d.ru", &["US"]),
+                ],
+            ),
+            &i,
+        );
         // No transitions recorded for the first sweep.
         assert_eq!(flows.dates().count(), 0);
 
-        flows.observe(&sweep(
-            d2,
-            vec![
-                rec("a.ru", &["RU", "RU"]), // partial → full
-                rec("b.ru", &["RU"]),       // partial → full
-                rec("c.ru", &["RU"]),       // unchanged
-                rec("e.ru", &["RU"]),       // appeared
-                                            // d.ru disappeared
-            ],
-        ));
+        flows.observe(
+            &sweep(
+                &i,
+                d2,
+                &[
+                    ("a.ru", &["RU", "RU"]), // partial → full
+                    ("b.ru", &["RU"]),       // partial → full
+                    ("c.ru", &["RU"]),       // unchanged
+                    ("e.ru", &["RU"]),       // appeared
+                                             // d.ru disappeared
+                ],
+            ),
+            &i,
+        );
         assert_eq!(flows.count(d2, Composition::Partial, Composition::Full), 2);
         assert_eq!(flows.count(d2, Composition::Full, Composition::Partial), 0);
         assert_eq!(flows.appeared(d2), 1);
@@ -262,35 +247,32 @@ mod tests {
 
     #[test]
     fn peak_finds_the_event_day() {
+        let i = Interner::new();
         let mut flows = TransitionFlows::new(InfraKind::NameServers);
-        let days = [
+        let days: [(Date, Vec<Rec>); 3] = [
             (
                 Date::from_ymd(2022, 3, 1),
                 vec![
-                    rec("a.ru", &["RU", "SE"]),
-                    rec("b.ru", &["RU", "SE"]),
-                    rec("c.ru", &["RU", "SE"]),
+                    ("a.ru", &["RU", "SE"]),
+                    ("b.ru", &["RU", "SE"]),
+                    ("c.ru", &["RU", "SE"]),
                 ],
             ),
             (
                 Date::from_ymd(2022, 3, 2),
                 vec![
-                    rec("a.ru", &["RU", "SE"]),
-                    rec("b.ru", &["RU", "SE"]),
-                    rec("c.ru", &["RU"]),
+                    ("a.ru", &["RU", "SE"]),
+                    ("b.ru", &["RU", "SE"]),
+                    ("c.ru", &["RU"]),
                 ],
             ),
             (
                 Date::from_ymd(2022, 3, 3),
-                vec![
-                    rec("a.ru", &["RU"]),
-                    rec("b.ru", &["RU"]),
-                    rec("c.ru", &["RU"]),
-                ],
+                vec![("a.ru", &["RU"]), ("b.ru", &["RU"]), ("c.ru", &["RU"])],
             ),
         ];
         for (d, recs) in days {
-            flows.observe(&sweep(d, recs));
+            flows.observe(&sweep(&i, d, &recs), &i);
         }
         let (peak_date, n) = flows.peak(Composition::Partial, Composition::Full).unwrap();
         assert_eq!(peak_date, Date::from_ymd(2022, 3, 3));

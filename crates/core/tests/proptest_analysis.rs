@@ -3,65 +3,78 @@
 //! up, and movement accounting must conserve domains.
 
 use proptest::prelude::*;
-use ruwhere_core::composition::{Composition, CompositionSeries, InfraKind};
+use ruwhere_core::composition::{classify_record_view, Composition, CompositionSeries, InfraKind};
 use ruwhere_core::movement::{Movement, MovementReport};
-use ruwhere_core::AsnShareSeries;
-use ruwhere_scan::{AddrInfo, DailySweep, DomainDay, SweepStats};
+use ruwhere_core::{AsnShareSeries, FrameObserver};
+use ruwhere_store::{FrameFixture, Interner, SweepFrame, SweepStats};
 use ruwhere_types::{Asn, Country, Date};
+use std::net::Ipv4Addr;
 
 const COUNTRIES: [Option<&str>; 5] = [Some("RU"), Some("US"), Some("DE"), Some("SE"), None];
 
-fn addr(i: usize, cc_idx: usize, asn: u32) -> AddrInfo {
-    AddrInfo {
-        ip: format!("10.{}.{}.{}", asn % 256, i, 1).parse().unwrap(),
-        country: COUNTRIES[cc_idx % COUNTRIES.len()].map(|c| c.parse::<Country>().unwrap()),
-        asn: if asn == 0 { None } else { Some(Asn(asn)) },
-    }
+/// One drawn record, named `prop-<position>.ru`: NS and apex address
+/// counts plus seeds for their countries and ASNs.
+#[derive(Debug, Clone)]
+struct RecSpec {
+    n_ns: usize,
+    n_apex: usize,
+    cc_seed: usize,
+    asn_seed: u32,
 }
 
-prop_compose! {
-    fn arb_record(idx: usize)(
-        n_ns in 0usize..4,
-        n_apex in 0usize..3,
-        cc_seed in any::<usize>(),
-        asn_seed in 0u32..6,
-    ) -> DomainDay {
-        DomainDay {
-            domain: format!("prop-{idx}.ru").parse().unwrap(),
-            ns_names: (0..n_ns).map(|i| format!("ns{i}.prop-{idx}.ru").parse().unwrap()).collect(),
-            ns_addrs: (0..n_ns).map(|i| addr(i, cc_seed.wrapping_add(i), asn_seed + i as u32)).collect(),
-            apex_addrs: (0..n_apex).map(|i| addr(i + 8, cc_seed.wrapping_mul(3).wrapping_add(i), asn_seed * 2 + i as u32)).collect(),
+fn arb_sweep() -> impl Strategy<Value = Vec<RecSpec>> {
+    proptest::collection::vec(
+        (0usize..4, 0usize..3, any::<usize>(), 0u32..6).prop_map(
+            |(n_ns, n_apex, cc_seed, asn_seed)| RecSpec {
+                n_ns,
+                n_apex,
+                cc_seed,
+                asn_seed,
+            },
+        ),
+        1..40,
+    )
+}
+
+fn addr(i: usize, cc_idx: usize, asn: u32) -> (Ipv4Addr, Option<Country>, Option<Asn>) {
+    (
+        Ipv4Addr::new(10, (asn % 256) as u8, i as u8, 1),
+        COUNTRIES[cc_idx % COUNTRIES.len()].map(|c| c.parse().unwrap()),
+        (asn != 0).then_some(Asn(asn)),
+    )
+}
+
+fn frame(interner: &Interner, date: Date, specs: &[RecSpec]) -> SweepFrame {
+    let mut f = FrameFixture::new(date, interner);
+    for (idx, r) in specs.iter().enumerate() {
+        f.domain(&format!("prop-{idx}.ru"));
+        for i in 0..r.n_ns {
+            f.ns(&format!("ns{i}.prop-{idx}.ru"));
+            let (ip, cc, asn) = addr(i, r.cc_seed.wrapping_add(i), r.asn_seed + i as u32);
+            f.ns_addr(ip, cc, asn);
+        }
+        for i in 0..r.n_apex {
+            let cc_idx = r.cc_seed.wrapping_mul(3).wrapping_add(i);
+            let (ip, cc, asn) = addr(i + 8, cc_idx, r.asn_seed * 2 + i as u32);
+            f.apex_addr(ip, cc, asn);
         }
     }
-}
-
-fn arb_sweep(date: Date) -> impl Strategy<Value = DailySweep> {
-    proptest::collection::vec(any::<u8>(), 1..40).prop_flat_map(move |seeds| {
-        let strategies: Vec<_> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, _)| arb_record(i))
-            .collect();
-        strategies.prop_map(move |domains| DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        })
-    })
+    f.finish(SweepStats::default())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn composition_partitions_every_domain(sweep in arb_sweep(Date::from_ymd(2022, 3, 1))) {
+    fn composition_partitions_every_domain(specs in arb_sweep()) {
+        let interner = Interner::new();
+        let sweep = frame(&interner, Date::from_ymd(2022, 3, 1), &specs);
         for kind in [InfraKind::NameServers, InfraKind::Hosting] {
             let mut series = CompositionSeries::new(kind);
-            series.observe(&sweep);
+            series.observe(&sweep, &interner);
             let c = series.at(sweep.date).unwrap();
             // Partition: every domain lands in exactly one bucket.
-            prop_assert_eq!(c.total() as usize, sweep.domains.len());
+            prop_assert_eq!(c.total() as usize, sweep.len());
             prop_assert_eq!(c.known() + c.unknown, c.total());
             // Percentages over the known set sum to 100 (when any known).
             if c.known() > 0 {
@@ -72,28 +85,39 @@ proptest! {
     }
 
     #[test]
-    fn classification_matches_manual_rule(sweep in arb_sweep(Date::from_ymd(2022, 3, 1))) {
-        let series = CompositionSeries::new(InfraKind::NameServers);
-        for rec in &sweep.domains {
-            let ru = rec.ns_addrs.iter().filter(|a| a.country.map(|c| c.is_russia()).unwrap_or(false)).count();
-            let known = rec.ns_addrs.iter().filter(|a| a.country.is_some()).count();
+    fn classification_matches_manual_rule(specs in arb_sweep()) {
+        let interner = Interner::new();
+        let sweep = frame(&interner, Date::from_ymd(2022, 3, 1), &specs);
+        let snap = interner.snapshot();
+        for rec in sweep.records() {
+            let countries: Vec<Option<Country>> = rec
+                .ns_addrs()
+                .countries()
+                .iter()
+                .map(|&c| snap.country(c))
+                .collect();
+            let ru = countries.iter().filter(|c| c.is_some_and(|c| c.is_russia())).count();
+            let known = countries.iter().filter(|c| c.is_some()).count();
             let expected = match (ru, known) {
                 (_, 0) => Composition::Unknown,
                 (r, k) if r == k => Composition::Full,
                 (0, _) => Composition::Non,
                 _ => Composition::Partial,
             };
-            prop_assert_eq!(series.classify_record(rec), expected);
+            prop_assert_eq!(classify_record_view(InfraKind::NameServers, &rec, &snap), expected);
         }
     }
 
     #[test]
     fn movement_conserves_domains(
-        a in arb_sweep(Date::from_ymd(2022, 3, 8)),
-        b in arb_sweep(Date::from_ymd(2022, 5, 25)),
+        a in arb_sweep(),
+        b in arb_sweep(),
         asn in 1u32..8,
     ) {
-        let report = MovementReport::analyze(&a, &b, Asn(asn));
+        let interner = Interner::new();
+        let a = frame(&interner, Date::from_ymd(2022, 3, 8), &a);
+        let b = frame(&interner, Date::from_ymd(2022, 5, 25), &b);
+        let report = MovementReport::analyze_frames(&a, &b, Asn(asn), &interner);
         // Conservation: every original domain has exactly one outcome.
         prop_assert_eq!(
             report.original(),
@@ -113,38 +137,43 @@ proptest! {
 
     #[test]
     fn movement_outcomes_are_consistent_with_sweeps(
-        a in arb_sweep(Date::from_ymd(2022, 3, 8)),
-        b in arb_sweep(Date::from_ymd(2022, 5, 25)),
+        a in arb_sweep(),
+        b in arb_sweep(),
     ) {
+        let interner = Interner::new();
+        let a = frame(&interner, Date::from_ymd(2022, 3, 8), &a);
+        let b = frame(&interner, Date::from_ymd(2022, 5, 25), &b);
         let asn = Asn(2);
-        let report = MovementReport::analyze(&a, &b, asn);
+        let report = MovementReport::analyze_frames(&a, &b, asn, &interner);
+        let snap = interner.snapshot();
         for (domain, outcome) in &report.outcomes {
-            let in_b = b.domains.iter().find(|r| &r.domain == domain);
+            let in_b = b.records().find(|r| snap.name(r.domain_sym()) == domain);
+            let b_asns = in_b.map(|r| r.apex_addrs().asns()).unwrap_or_default();
             match outcome {
                 Movement::Gone => prop_assert!(in_b.is_none()),
-                Movement::Remained => {
-                    prop_assert!(in_b.unwrap().apex_addrs.iter().any(|x| x.asn == Some(asn)));
-                }
+                Movement::Remained => prop_assert!(b_asns.contains(&Some(asn))),
                 Movement::RelocatedTo(dests) => {
                     prop_assert!(!dests.contains(&asn));
                     prop_assert!(!dests.is_empty());
                 }
                 Movement::Unresolved => {
-                    prop_assert!(in_b.unwrap().apex_addrs.iter().all(|x| x.asn.is_none())
-                        || in_b.unwrap().apex_addrs.is_empty());
+                    prop_assert!(in_b.is_some());
+                    prop_assert!(b_asns.iter().all(Option::is_none));
                 }
             }
         }
     }
 
     #[test]
-    fn asn_share_totals_are_bounded(sweep in arb_sweep(Date::from_ymd(2022, 3, 1))) {
+    fn asn_share_totals_are_bounded(specs in arb_sweep()) {
+        let interner = Interner::new();
+        let sweep = frame(&interner, Date::from_ymd(2022, 3, 1), &specs);
         let mut s = AsnShareSeries::new();
-        s.observe(&sweep);
+        s.observe(&sweep, &interner);
         let date = sweep.date;
         let total = s.total(date).unwrap();
         // The denominator counts only resolving domains.
-        let resolving = sweep.domains.iter().filter(|d| !d.apex_addrs.is_empty()).count() as u64;
+        let resolving = sweep.records().filter(|r| r.has_apex_data()).count() as u64;
         prop_assert_eq!(total, resolving);
         // Each individual ASN count is ≤ total; shares are percentages.
         for asn in 0..8u32 {

@@ -195,7 +195,6 @@ pub struct Network {
     faults: FaultPlan,
     stats: NetStats,
     obs: NetObs,
-    obs_enabled: bool,
 }
 
 impl Network {
@@ -213,7 +212,6 @@ impl Network {
             faults: FaultPlan::new(),
             stats: NetStats::default(),
             obs: NetObs::default(),
-            obs_enabled: true,
         }
     }
 
@@ -247,18 +245,6 @@ impl Network {
     pub fn take_obs(&mut self) -> NetObs {
         self.obs.flush();
         std::mem::take(&mut self.obs)
-    }
-
-    /// Enable or disable observability recording (on by default). New
-    /// lanes inherit the setting; disabling lets benchmarks measure the
-    /// instrumentation's own overhead.
-    pub fn set_obs_enabled(&mut self, enabled: bool) {
-        self.obs_enabled = enabled;
-    }
-
-    /// Whether observability recording is enabled.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs_enabled
     }
 
     /// The installed fault plan.
@@ -374,21 +360,15 @@ impl Network {
         };
         if self.lost(seq) {
             self.stats.dropped += 1;
-            if self.obs_enabled {
-                self.obs.hop_dropped(a, b, false);
-            }
+            self.obs.hop_dropped(a, b, false);
             return true; // it was sent; the network ate it
         }
         if self.fault_lost(seq, dgram.src.0, dgram.dst.0) {
             self.stats.dropped += 1;
-            if self.obs_enabled {
-                self.obs.hop_dropped(a, b, true);
-            }
+            self.obs.hop_dropped(a, b, true);
             return true;
         }
-        if self.obs_enabled {
-            self.obs.hop_delivered(a, b, lat);
-        }
+        self.obs.hop_delivered(a, b, lat);
         let at = self.now.plus_us(lat);
         self.schedule(at, Event::Deliver(dgram));
         true
@@ -423,9 +403,7 @@ impl Network {
         // crossed the network (latency was paid) but nothing answers.
         if self.faults.server_down(key.0, key.1, self.now) {
             self.stats.faulted += 1;
-            if self.obs_enabled {
-                self.obs.fault_blackholes += 1;
-            }
+            self.obs.fault_blackholes += 1;
             return;
         }
         let Some(cell) = self.services.get(&key) else {
@@ -444,21 +422,15 @@ impl Network {
             };
             if self.lost(seq) {
                 self.stats.dropped += 1;
-                if self.obs_enabled {
-                    self.obs.hop_dropped(a, b, false);
-                }
+                self.obs.hop_dropped(a, b, false);
                 return;
             }
             if self.fault_lost(seq, dgram.dst.0, dgram.src.0) {
                 self.stats.dropped += 1;
-                if self.obs_enabled {
-                    self.obs.hop_dropped(a, b, true);
-                }
+                self.obs.hop_dropped(a, b, true);
                 return;
             }
-            if self.obs_enabled {
-                self.obs.hop_delivered(a, b, lat);
-            }
+            self.obs.hop_delivered(a, b, lat);
             let at = self.now.plus_us(proc + lat);
             self.schedule(
                 at,
@@ -491,9 +463,8 @@ impl Network {
         for attempt in 0..attempts.max(1) {
             // Fault-window occupancy: was the destination inside an active
             // server-fault window when this attempt was issued?
-            let faulted_at_send = self.obs_enabled
-                && !self.faults.is_empty()
-                && self.faults.server_down(dst.0, dst.1, self.now);
+            let faulted_at_send =
+                !self.faults.is_empty() && self.faults.server_down(dst.0, dst.1, self.now);
             // Fresh ephemeral port per attempt so a late reply to an earlier
             // attempt is not mistaken for this one.
             let port = 49152 + ((self.seq.wrapping_add(u64::from(attempt))) % 16384) as u16;
@@ -505,11 +476,9 @@ impl Network {
             });
             let deadline = self.now.plus_us(timeout_us);
             if let Some(reply) = self.run_until(deadline, me) {
-                if self.obs_enabled {
-                    self.obs
-                        .request_us
-                        .record(self.now.as_micros() - t0.as_micros());
-                }
+                self.obs
+                    .request_us
+                    .record(self.now.as_micros() - t0.as_micros());
                 return Ok(reply);
             }
             if faulted_at_send {
@@ -538,7 +507,6 @@ impl Network {
             seq: 0,
             stats: NetStats::default(),
             obs: NetObs::default(),
-            obs_on: self.obs_enabled,
         }
     }
 
@@ -618,7 +586,6 @@ pub struct Lane<'a> {
     seq: u64,
     stats: NetStats,
     obs: NetObs,
-    obs_on: bool,
 }
 
 impl Lane<'_> {
@@ -721,21 +688,15 @@ impl Lane<'_> {
         let (a, b, lat) = self.hop(src_ip, dst.0, out_seq)?;
         if self.bernoulli("loss", out_seq, self.net.loss_rate) {
             self.stats.dropped += 1;
-            if self.obs_on {
-                self.obs.hop_dropped(a, b, false);
-            }
+            self.obs.hop_dropped(a, b, false);
             return None;
         }
         if self.fault_lost(out_seq, src_ip, dst.0, self.now) {
             self.stats.dropped += 1;
-            if self.obs_on {
-                self.obs.hop_dropped(a, b, true);
-            }
+            self.obs.hop_dropped(a, b, true);
             return None;
         }
-        if self.obs_on {
-            self.obs.hop_delivered(a, b, lat);
-        }
+        self.obs.hop_delivered(a, b, lat);
         let at = self.now.plus_us(lat);
         if at > deadline {
             return None;
@@ -743,9 +704,7 @@ impl Lane<'_> {
         // Arrival at the box: faults first, then the service.
         if self.net.faults.server_down(dst.0, dst.1, at) {
             self.stats.faulted += 1;
-            if self.obs_on {
-                self.obs.fault_blackholes += 1;
-            }
+            self.obs.fault_blackholes += 1;
             return None;
         }
         let cell = self.net.services.get(&dst);
@@ -766,21 +725,15 @@ impl Lane<'_> {
         let (ra, rb, back_lat) = self.hop(dst.0, src_ip, back_seq)?;
         if self.bernoulli("loss", back_seq, self.net.loss_rate) {
             self.stats.dropped += 1;
-            if self.obs_on {
-                self.obs.hop_dropped(ra, rb, false);
-            }
+            self.obs.hop_dropped(ra, rb, false);
             return None;
         }
         if self.fault_lost(back_seq, dst.0, src_ip, at) {
             self.stats.dropped += 1;
-            if self.obs_on {
-                self.obs.hop_dropped(ra, rb, true);
-            }
+            self.obs.hop_dropped(ra, rb, true);
             return None;
         }
-        if self.obs_on {
-            self.obs.hop_delivered(ra, rb, back_lat);
-        }
+        self.obs.hop_delivered(ra, rb, back_lat);
         let back_at = at.plus_us(proc + back_lat);
         if back_at > deadline {
             // Too late: counts as this attempt's timeout.
@@ -813,15 +766,12 @@ impl Transport for Lane<'_> {
             let deadline = self.now.plus_us(timeout_us);
             // Fault-window occupancy: was the destination inside an active
             // server-fault window when this attempt was issued?
-            let faulted_at_send = self.obs_on
-                && !self.net.faults.is_empty()
-                && self.net.faults.server_down(dst.0, dst.1, self.now);
+            let faulted_at_send =
+                !self.net.faults.is_empty() && self.net.faults.server_down(dst.0, dst.1, self.now);
             if let Some(reply) = self.attempt_once(src_ip, dst, payload, deadline) {
-                if self.obs_on {
-                    self.obs
-                        .request_us
-                        .record(self.now.as_micros() - t0.as_micros());
-                }
+                self.obs
+                    .request_us
+                    .record(self.now.as_micros() - t0.as_micros());
                 return Ok(reply);
             }
             self.now = deadline;

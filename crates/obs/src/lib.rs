@@ -13,7 +13,7 @@
 //! addition, which is commutative and associative. A sweep sharded across
 //! N workers therefore produces byte-identical merged metrics for any N —
 //! the same contract the sweep engine already holds for its measurement
-//! output (`DailySweep`), extended to its telemetry.
+//! output (`SweepFrame`), extended to its telemetry.
 //!
 //! Layers:
 //!

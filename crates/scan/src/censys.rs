@@ -1,7 +1,6 @@
 //! Censys-style certificate datasets: CT-log indexing and IP-wide scans.
 
 use crate::error::ScanError;
-use crate::scanner::Scanner;
 use ruwhere_ct::CtLog;
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::{ChainSummary, World, TLS_PORT};
@@ -149,9 +148,8 @@ impl IpScanner {
 
     /// Probe all TLS endpoints at the world's current date.
     ///
-    /// Takes `&mut self` — scanners accumulate run-to-run state (the
-    /// probe total), and the unified [`Scanner`] contract gives every
-    /// pipeline the same shape.
+    /// Takes `&mut self`: the scanner accumulates run-to-run state (the
+    /// probe total).
     pub fn scan(&mut self, world: &mut World) -> IpScanSnapshot {
         let date = world.today();
         let targets = world.network().bound_endpoints(TLS_PORT);
@@ -181,15 +179,6 @@ impl IpScanner {
             endpoints,
             failures,
         }
-    }
-}
-
-impl Scanner for IpScanner {
-    type Snapshot = IpScanSnapshot;
-
-    /// One IP-wide TLS scan — [`IpScanner::scan`].
-    fn run(&mut self, world: &mut World) -> IpScanSnapshot {
-        self.scan(world)
     }
 }
 

@@ -13,10 +13,11 @@
 //! Both scanners observe the world exclusively through the network and
 //! public datasets; neither reads simulation ground truth.
 //!
-//! All pipelines share one failure vocabulary ([`ScanError`], variants
+//! Both pipelines share one failure vocabulary ([`ScanError`], variants
 //! aligned with the per-cause counters of [`SweepStats`]) and one run
-//! shape (the [`Scanner`] trait: `&mut self`, typed snapshot out). The
-//! daily sweep additionally embeds a deterministic observability section
+//! shape: `&mut self` plus the world in, a dated snapshot out
+//! ([`OpenIntelScanner::sweep_frame`], [`IpScanner::scan`]). The daily
+//! sweep additionally embeds a deterministic observability section
 //! ([`SweepMetrics`]) that is byte-identical for any worker count.
 
 #![forbid(unsafe_code)]
@@ -27,7 +28,6 @@ pub mod error;
 pub mod metrics;
 pub mod nscache;
 pub mod openintel;
-pub mod scanner;
 pub mod shard;
 pub mod whois;
 pub mod xfr;
@@ -37,11 +37,10 @@ pub use error::ScanError;
 pub use metrics::SweepMetrics;
 pub use nscache::NsCache;
 pub use openintel::{
-    available_workers, default_checkpoint_dir, AddrInfo, Completeness, DailySweep, DomainDay,
-    OpenIntelScanner, SweepOptions, SweepStats, CHECKPOINT_DIR_ENV, WORKERS_ENV,
+    available_workers, default_checkpoint_dir, Completeness, OpenIntelScanner, SweepOptions,
+    SweepStats, CHECKPOINT_DIR_ENV, WORKERS_ENV,
 };
 pub use ruwhere_store::{Interner, RecordView, SweepFrame};
-pub use scanner::Scanner;
 pub use shard::ShardPlan;
 pub use whois::{ArrivalClassification, WhoisClient};
 pub use xfr::ZoneTransferClient;

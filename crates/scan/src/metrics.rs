@@ -1,7 +1,6 @@
 //! Sweep-level observability — re-exported from [`ruwhere_store`], where
-//! the section lives alongside both sweep representations (the columnar
-//! [`SweepFrame`](ruwhere_store::SweepFrame) and the row-view
-//! [`DailySweep`](ruwhere_store::DailySweep) both carry one).
+//! the section lives alongside the sweep representation it belongs to
+//! (every [`SweepFrame`](ruwhere_store::SweepFrame) carries one).
 //!
 //! The scan crate keeps this module so existing
 //! `ruwhere_scan::metrics::…` paths (and the `fail_key` vocabulary, whose

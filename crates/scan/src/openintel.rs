@@ -51,15 +51,11 @@
 //! the store's determinism rules: the full seed list is interned
 //! *serially, in zone-snapshot order, before any worker starts*, and
 //! names/countries discovered during measurement are interned by the
-//! sequential post-merge frame-build pass. [`OpenIntelScanner::sweep`]
-//! remains as the row-view entry point; it materialises the frame through
-//! [`SweepFrame::to_daily_sweep`], so both views are identical by
-//! construction.
+//! sequential post-merge frame-build pass.
 
 use crate::error::ScanError;
 use crate::metrics::{fail_key, keys, SweepMetrics};
 use crate::nscache::{LookupCost, NsCache};
-use crate::scanner::Scanner;
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
     IterativeResolver, NoDependencyCache, NsDependencyCache, Resolution, ResolveError,
@@ -74,7 +70,7 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-pub use ruwhere_store::{AddrInfo, Completeness, DailySweep, DomainDay, SweepStats};
+pub use ruwhere_store::{Completeness, SweepStats};
 
 /// Environment variable overriding the default sweep worker count.
 pub const WORKERS_ENV: &str = "RUWHERE_WORKERS";
@@ -126,7 +122,6 @@ pub fn available_workers() -> usize {
 pub struct SweepOptions {
     workers: usize,
     partial_threshold: f64,
-    collect_metrics: bool,
     interner: Option<Arc<Interner>>,
     panic_inject: Option<PanicInject>,
 }
@@ -164,13 +159,12 @@ impl Default for SweepOptions {
 
 impl SweepOptions {
     /// Defaults: [`available_workers`] workers (which honors
-    /// `RUWHERE_WORKERS`), a 0.5 salvage threshold, metrics on, and a
-    /// fresh private symbol interner.
+    /// `RUWHERE_WORKERS`), a 0.5 salvage threshold and a fresh private
+    /// symbol interner.
     pub fn new() -> Self {
         SweepOptions {
             workers: available_workers(),
             partial_threshold: 0.5,
-            collect_metrics: true,
             interner: None,
             panic_inject: None,
         }
@@ -188,15 +182,6 @@ impl SweepOptions {
     /// [`Completeness::Partial`]; clamped to `[0, 1]`).
     pub fn partial_threshold(mut self, threshold: f64) -> Self {
         self.partial_threshold = threshold.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Enable or disable metric collection. Disabling empties
-    /// [`DailySweep::metrics`] and skips every instrumentation branch in
-    /// the network engine and resolver — the uninstrumented baseline of
-    /// the overhead benchmark.
-    pub fn collect_metrics(mut self, on: bool) -> Self {
-        self.collect_metrics = on;
         self
     }
 
@@ -280,13 +265,12 @@ impl Tally {
 
 /// Shared, immutable per-sweep context handed to every worker: the
 /// network snapshot, the warmup-primed prototype resolver, the shared NS
-/// cache, the sweep date and the metric-collection switch.
+/// cache and the sweep date.
 struct SweepCtx<'a> {
     net: &'a Network,
     primed: &'a IterativeResolver,
     cache: &'a NsCache,
     date: Date,
-    collect: bool,
     panic_inject: Option<&'a PanicInject>,
 }
 
@@ -314,10 +298,8 @@ impl NsDependencyCache for SharedDeps<'_> {
             Some(cost) => {
                 tally.ns_cache_misses += 1;
                 tally.charge_cost(&cost);
-                if self.ctx.collect {
-                    metrics.net.merge(&cost.net_obs);
-                    metrics.resolver.merge(&cost.resolver_obs);
-                }
+                metrics.net.merge(&cost.net_obs);
+                metrics.resolver.merge(&cost.resolver_obs);
             }
             None => tally.ns_cache_hits += 1,
         }
@@ -405,15 +387,13 @@ fn measure_domain(
     }
     let mut lane = ctx.net.lane(&format!("{}/{}", ctx.date, domain));
     let mut resolver = ctx.primed.fork();
-    if ctx.collect {
-        // Thread the worker's accumulators through this domain's lane and
-        // fork: records land directly in the running totals, avoiding a
-        // per-domain histogram allocation + merge. Every record is a
-        // commutative integer fold, so the totals are byte-identical to
-        // the merge-per-domain formulation.
-        lane.install_obs(std::mem::take(&mut metrics.net));
-        resolver.install_obs(std::mem::take(&mut metrics.resolver));
-    }
+    // Thread the worker's accumulators through this domain's lane and
+    // fork: records land directly in the running totals, avoiding a
+    // per-domain histogram allocation + merge. Every record is a
+    // commutative integer fold, so the totals are byte-identical to
+    // the merge-per-domain formulation.
+    lane.install_obs(std::mem::take(&mut metrics.net));
+    resolver.install_obs(std::mem::take(&mut metrics.resolver));
     let qname = Name::from(domain);
     let deps = SharedDeps {
         ctx,
@@ -429,10 +409,8 @@ fn measure_domain(
                 .filter_map(|n| n.to_domain_name())
                 .collect(),
             Err(e) => {
-                if ctx.collect {
-                    let key = fail_key(ScanError::from(e).category());
-                    ns_span.end(&mut metrics.causes, key, lane.elapsed_us());
-                }
+                let key = fail_key(ScanError::from(e).category());
+                ns_span.end(&mut metrics.causes, key, lane.elapsed_us());
                 Vec::new()
             }
         };
@@ -447,14 +425,12 @@ fn measure_domain(
             Some(cost) => {
                 tally.ns_cache_misses += 1;
                 tally.charge_cost(&cost);
-                if ctx.collect {
-                    // `metrics.net`/`.resolver` are installed in the lane
-                    // and fork right now, so charge the cache-miss obs
-                    // into the deps accumulator merged below.
-                    let mut acc = deps.acc.borrow_mut();
-                    acc.1.net.merge(&cost.net_obs);
-                    acc.1.resolver.merge(&cost.resolver_obs);
-                }
+                // `metrics.net`/`.resolver` are installed in the lane
+                // and fork right now, so charge the cache-miss obs
+                // into the deps accumulator merged below.
+                let mut acc = deps.acc.borrow_mut();
+                acc.1.net.merge(&cost.net_obs);
+                acc.1.resolver.merge(&cost.resolver_obs);
             }
             None => tally.ns_cache_hits += 1,
         }
@@ -467,10 +443,8 @@ fn measure_domain(
     let apex_ips = match resolve_with_retry(&mut resolver, &mut lane, &qname, RType::A, &deps) {
         Ok(res) => res.addresses(),
         Err(e) => {
-            if ctx.collect {
-                let key = fail_key(ScanError::from(e).category());
-                apex_span.end(&mut metrics.causes, key, lane.elapsed_us());
-            }
+            let key = fail_key(ScanError::from(e).category());
+            apex_span.end(&mut metrics.causes, key, lane.elapsed_us());
             Vec::new()
         }
     };
@@ -489,13 +463,11 @@ fn measure_domain(
     tally.virtual_us += lane.elapsed_us();
     tally.max_lane_end_us = tally.max_lane_end_us.max(lane.now().as_micros());
     tally.net.merge(lane.stats());
-    if ctx.collect {
-        metrics.net = lane.take_obs();
-        metrics.resolver = resolver.take_obs();
-        metrics.merge(&deps_metrics);
-        if !ns_names.is_empty() {
-            metrics.causes.record(keys::OK_US, lane.elapsed_us());
-        }
+    metrics.net = lane.take_obs();
+    metrics.resolver = resolver.take_obs();
+    metrics.merge(&deps_metrics);
+    if !ns_names.is_empty() {
+        metrics.causes.record(keys::OK_US, lane.elapsed_us());
     }
 
     Raw {
@@ -514,7 +486,6 @@ fn measure_domain(
 fn lost_shard_output(
     range: std::ops::Range<usize>,
     seeds: &[DomainName],
-    collect: bool,
 ) -> (Vec<Raw>, Tally, SweepMetrics) {
     let mut tally = Tally::default();
     let mut metrics = SweepMetrics::default();
@@ -523,11 +494,9 @@ fn lost_shard_output(
     for idx in range {
         tally.ns_failures += 1;
         tally.apex_failures += 1;
-        if collect {
-            // No lane ran for this record: the loss is an accounting
-            // event, recorded at zero virtual time.
-            metrics.causes.record(lost_key, 0);
-        }
+        // No lane ran for this record: the loss is an accounting
+        // event, recorded at zero virtual time.
+        metrics.causes.record(lost_key, 0);
         raws.push(Raw {
             domain: seeds[idx].clone(),
             ns_names: Vec::new(),
@@ -535,15 +504,13 @@ fn lost_shard_output(
             apex_ips: Vec::new(),
         });
     }
-    if collect {
-        metrics.causes.add(keys::DOMAINS_LOST, raws.len() as u64);
-    }
+    metrics.causes.add(keys::DOMAINS_LOST, raws.len() as u64);
     (raws, tally, metrics)
 }
 
 /// The sweep engine. Owns the prototype resolver, the worker-count knob
 /// and the shared NS-target cache; create once, call
-/// [`OpenIntelScanner::sweep`] per measurement day.
+/// [`OpenIntelScanner::sweep_frame`] per measurement day.
 pub struct OpenIntelScanner {
     resolver: IterativeResolver,
     opts: SweepOptions,
@@ -551,7 +518,7 @@ pub struct OpenIntelScanner {
     interner: Arc<Interner>,
     total_queries: u64,
     /// Per-shard query counts of the most recent sweep. Deliberately a
-    /// scanner-side diagnostic, NOT part of [`DailySweep`]: how queries
+    /// scanner-side diagnostic, NOT part of [`SweepFrame`]: how queries
     /// split across shards depends on the worker count, and everything a
     /// sweep returns must be worker-count-independent.
     last_shard_queries: Vec<u64>,
@@ -604,14 +571,6 @@ impl OpenIntelScanner {
         &self.interner
     }
 
-    /// Run one full sweep at the world's current date and return the row
-    /// view — [`sweep_frame`](OpenIntelScanner::sweep_frame) materialised
-    /// through [`SweepFrame::to_daily_sweep`]. Byte-identical to the frame
-    /// by construction.
-    pub fn sweep(&mut self, world: &mut World) -> DailySweep {
-        self.sweep_frame(world).to_daily_sweep(&self.interner)
-    }
-
     /// Run one full sweep at the world's current date, producing the
     /// native columnar frame.
     ///
@@ -623,10 +582,7 @@ impl OpenIntelScanner {
     /// over the worker pool and merges shard outputs deterministically.
     pub fn sweep_frame(&mut self, world: &mut World) -> SweepFrame {
         let date = world.today();
-        let collect = self.opts.collect_metrics;
         world.publish_tld_zones();
-        world.network_mut().set_obs_enabled(collect);
-        self.resolver.obs_enabled = collect;
         self.resolver.clear_cache();
         self.ns_cache.begin_sweep(date);
         let seeds = world.seed_names();
@@ -690,10 +646,8 @@ impl OpenIntelScanner {
             total.virtual_us = lane.elapsed_us();
             total.max_lane_end_us = lane.now().as_micros();
             total.net = lane.stats();
-            if collect {
-                total_metrics.net.merge(&lane.take_obs());
-                total_metrics.resolver.merge(&primed.take_obs());
-            }
+            total_metrics.net.merge(&lane.take_obs());
+            total_metrics.resolver.merge(&primed.take_obs());
         }
 
         // Fan out: contiguous shards, one scoped worker each, merged back
@@ -712,7 +666,6 @@ impl OpenIntelScanner {
             primed: &primed,
             cache: &self.ns_cache,
             date,
-            collect,
             panic_inject: self.opts.panic_inject.as_ref(),
         };
         let ctx_ref = &ctx;
@@ -770,7 +723,7 @@ impl OpenIntelScanner {
                         }
                         Err(_) => {
                             stats.shards_lost += 1;
-                            shard_outputs.push(lost_shard_output(range, seeds_ref, collect));
+                            shard_outputs.push(lost_shard_output(range, seeds_ref));
                         }
                     }
                 }
@@ -804,9 +757,7 @@ impl OpenIntelScanner {
             .network_mut()
             .advance_to_time(SimTime::ZERO.plus_us(total.max_lane_end_us));
         world.network_mut().absorb_lane_stats(total.net);
-        if collect {
-            world.network_mut().absorb_lane_obs(&total_metrics.net);
-        }
+        world.network_mut().absorb_lane_obs(&total_metrics.net);
 
         // Gap salvage: a day where most NS resolutions failed is not a
         // usable full snapshot (the real pipeline records such days as
@@ -815,20 +766,17 @@ impl OpenIntelScanner {
         // downstream analyses can impute rather than misread the dip as
         // mass domain deletion. Runs post-merge on merged counters, so the
         // classification is worker-count-independent too.
-        if collect && stats.seeded > 0 {
-            // Integer parts-per-million: the exported metric file carries
-            // no floats.
-            total_metrics.causes.add(
-                keys::SALVAGE_NS_FAILURE_PPM,
-                stats.ns_failures * 1_000_000 / stats.seeded,
-            );
+        // Integer parts-per-million: the exported metric file carries no
+        // floats.
+        if let Some(ppm) = (stats.ns_failures * 1_000_000).checked_div(stats.seeded) {
+            total_metrics.causes.add(keys::SALVAGE_NS_FAILURE_PPM, ppm);
         }
-        if collect && stats.shards_retried > 0 {
+        if stats.shards_retried > 0 {
             total_metrics
                 .causes
                 .add(keys::SHARDS_RETRIED, stats.shards_retried);
         }
-        if collect && stats.shards_lost > 0 {
+        if stats.shards_lost > 0 {
             total_metrics
                 .causes
                 .add(keys::SHARDS_LOST, stats.shards_lost);
@@ -839,12 +787,10 @@ impl OpenIntelScanner {
             stats.completeness = Completeness::Partial;
             let before = raw.len();
             raw.retain(|r| !r.ns_ips.is_empty() || !r.apex_ips.is_empty());
-            if collect {
-                total_metrics.causes.incr(keys::SALVAGE_PARTIAL);
-                total_metrics
-                    .causes
-                    .add(keys::SALVAGE_DROPPED, (before - raw.len()) as u64);
-            }
+            total_metrics.causes.incr(keys::SALVAGE_PARTIAL);
+            total_metrics
+                .causes
+                .add(keys::SALVAGE_DROPPED, (before - raw.len()) as u64);
         }
 
         // Frame build: annotation pass (immutable world reads) fused with
@@ -881,15 +827,6 @@ impl OpenIntelScanner {
     }
 }
 
-impl Scanner for OpenIntelScanner {
-    type Snapshot = DailySweep;
-
-    /// One full daily sweep — [`OpenIntelScanner::sweep`].
-    fn run(&mut self, world: &mut World) -> DailySweep {
-        self.sweep(world)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,24 +836,25 @@ mod tests {
     fn sweep_measures_tiny_world() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        let sweep = scanner.sweep(&mut world);
+        let sweep = scanner.sweep_frame(&mut world);
 
         assert_eq!(sweep.date, world.today());
-        assert_eq!(sweep.domains.len() as u64, sweep.stats.seeded);
+        assert_eq!(sweep.len() as u64, sweep.stats.seeded);
         assert!(sweep.stats.seeded > 400);
         // The overwhelming majority of a healthy world resolves.
-        let resolved = sweep.domains.iter().filter(|d| d.has_ns_data()).count();
+        let resolved = sweep.records().filter(|r| r.has_ns_data()).count();
         assert!(
-            resolved as f64 > sweep.domains.len() as f64 * 0.95,
+            resolved as f64 > sweep.len() as f64 * 0.95,
             "only {resolved}/{} resolved",
-            sweep.domains.len()
+            sweep.len()
         );
         // Annotations are present.
-        let with_geo = sweep
-            .domains
+        let apex = &sweep.apex_addrs;
+        let with_geo = apex
+            .countries
             .iter()
-            .flat_map(|d| &d.apex_addrs)
-            .filter(|a| a.country.is_some() && a.asn.is_some())
+            .zip(&apex.asns)
+            .filter(|(c, a)| !c.is_none() && a.is_some())
             .count();
         assert!(with_geo > 0);
         assert!(sweep.stats.queries > 0);
@@ -949,34 +887,21 @@ mod tests {
     }
 
     #[test]
-    fn metrics_can_be_disabled() {
-        let mut world = World::new(WorldConfig::tiny());
-        let mut scanner =
-            OpenIntelScanner::with_options(&world, SweepOptions::new().collect_metrics(false));
-        let sweep = scanner.sweep(&mut world);
-        assert!(sweep.metrics.is_empty(), "disabled metrics must stay empty");
-        // Counters are unaffected: the instrumented and uninstrumented
-        // sweeps measure the same world the same way.
-        assert!(sweep.stats.queries > 0);
-    }
-
-    #[test]
     fn sweep_matches_ground_truth_for_sample() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        let sweep = scanner.sweep(&mut world);
+        let sweep = scanner.sweep_frame(&mut world);
+        let snap = scanner.interner().snapshot();
 
         let mut checked = 0;
-        for rec in sweep.domains.iter().take(50) {
-            if let Some(truth) = world.domain_state(&rec.domain) {
+        for rec in sweep.records().take(50) {
+            let domain = snap.name(rec.domain_sym());
+            if let Some(truth) = world.domain_state(domain) {
                 if rec.has_apex_data() {
+                    let measured = rec.apex_addrs().ips();
                     assert!(
-                        rec.apex_addrs
-                            .iter()
-                            .any(|a| a.ip == truth.hosting.primary_ip),
-                        "{}: measured {:?}, truth {}",
-                        rec.domain,
-                        rec.apex_addrs,
+                        measured.contains(&truth.hosting.primary_ip),
+                        "{domain}: measured {measured:?}, truth {}",
                         truth.hosting.primary_ip
                     );
                     checked += 1;
@@ -990,15 +915,14 @@ mod tests {
     fn consecutive_sweeps_observe_change() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        let s1 = scanner.sweep(&mut world);
+        let s1 = scanner.sweep_frame(&mut world);
         world.advance_to(world.today().add_days(30));
-        let s2 = scanner.sweep(&mut world);
+        let s2 = scanner.sweep_frame(&mut world);
         assert_eq!(s2.date - s1.date, 30);
-        // Churn means the seed sets differ a little.
-        let set1: std::collections::HashSet<_> =
-            s1.domains.iter().map(|d| d.domain.clone()).collect();
-        let set2: std::collections::HashSet<_> =
-            s2.domains.iter().map(|d| d.domain.clone()).collect();
+        // Churn means the seed sets differ a little (one scanner, one
+        // interner: equal symbols mean equal names).
+        let set1: std::collections::HashSet<_> = s1.domains.iter().collect();
+        let set2: std::collections::HashSet<_> = s2.domains.iter().collect();
         assert!(set1 != set2, "thirty days without any churn is implausible");
     }
 
@@ -1008,31 +932,17 @@ mod tests {
             let mut world = World::new(WorldConfig::tiny());
             let mut scanner =
                 OpenIntelScanner::with_options(&world, SweepOptions::new().workers(workers));
-            scanner.sweep(&mut world)
+            let frame = scanner.sweep_frame(&mut world);
+            (frame, scanner.interner().dump())
         };
-        let serial = sweep_with(1);
-        let parallel = sweep_with(4);
+        let (serial, serial_dump) = sweep_with(1);
+        let (parallel, parallel_dump) = sweep_with(4);
+        assert_eq!(serial_dump, parallel_dump, "symbol tables diverged");
         assert_eq!(serial, parallel, "4-worker sweep diverged from 1-worker");
         // The embedded metric sections (histograms, link tables, cause
         // recorders) are equal too — and render to byte-identical JSON.
         assert_eq!(serial.metrics, parallel.metrics);
         assert_eq!(serial.metrics.render_json(), parallel.metrics.render_json());
-    }
-
-    #[test]
-    fn row_view_matches_native_frame() {
-        let sweep_of = |frame_path: bool| {
-            let mut world = World::new(WorldConfig::tiny());
-            let mut scanner = OpenIntelScanner::new(&world);
-            if frame_path {
-                let frame = scanner.sweep_frame(&mut world);
-                assert_eq!(frame.len() as u64, frame.stats.seeded);
-                frame.to_daily_sweep(scanner.interner())
-            } else {
-                scanner.sweep(&mut world)
-            }
-        };
-        assert_eq!(sweep_of(true), sweep_of(false));
     }
 
     #[test]
@@ -1075,14 +985,14 @@ mod tests {
                 &world,
                 SweepOptions::new().workers(2).inject_worker_panic("", 1),
             );
-            scanner.sweep(&mut world)
+            scanner.sweep_frame(&mut world)
         });
         assert_eq!(sweep.stats.shards_retried, 1);
         assert_eq!(sweep.stats.shards_lost, 0);
         assert_eq!(sweep.stats.completeness, Completeness::Full);
-        assert_eq!(sweep.domains.len() as u64, sweep.stats.seeded);
-        let resolved = sweep.domains.iter().filter(|d| d.has_ns_data()).count();
-        assert!(resolved as f64 > sweep.domains.len() as f64 * 0.95);
+        assert_eq!(sweep.len() as u64, sweep.stats.seeded);
+        let resolved = sweep.records().filter(|r| r.has_ns_data()).count();
+        assert!(resolved as f64 > sweep.len() as f64 * 0.95);
         assert_eq!(sweep.metrics.causes.counter(keys::SHARDS_RETRIED), 1);
     }
 
@@ -1099,13 +1009,13 @@ mod tests {
                     .workers(2)
                     .inject_worker_panic("", u32::MAX),
             );
-            scanner.sweep(&mut world)
+            scanner.sweep_frame(&mut world)
         });
         assert_eq!(sweep.stats.shards_lost, 2);
         assert_eq!(sweep.stats.completeness, Completeness::Partial);
         assert_eq!(sweep.stats.ns_failures, sweep.stats.seeded);
         // Salvage drops the empty gap records: nothing measured that day.
-        assert!(sweep.domains.is_empty());
+        assert!(sweep.is_empty());
         let lost = sweep
             .metrics
             .causes
@@ -1131,13 +1041,13 @@ mod tests {
     fn ns_cache_is_rebound_per_sweep_date() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        scanner.sweep(&mut world);
+        scanner.sweep_frame(&mut world);
         let d1 = scanner.ns_cache().date();
         assert_eq!(d1, Some(world.today()));
         let filled = scanner.ns_cache().len();
         assert!(filled > 0, "sweep must populate the NS cache");
         world.advance_to(world.today().add_days(1));
-        scanner.sweep(&mut world);
+        scanner.sweep_frame(&mut world);
         assert_eq!(scanner.ns_cache().date(), Some(world.today()));
         assert_ne!(d1, scanner.ns_cache().date());
     }

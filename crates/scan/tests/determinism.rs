@@ -8,17 +8,15 @@
 use proptest::prelude::*;
 use ruwhere_netsim::fault::{FaultWindow, LinkFault, ServerFault, ServerFaultMode};
 use ruwhere_netsim::SimTime;
-use ruwhere_scan::{DailySweep, OpenIntelScanner, SweepFrame, SweepOptions};
+use ruwhere_scan::{OpenIntelScanner, SweepFrame, SweepOptions};
 use ruwhere_world::{ConflictEvent, FaultTarget, InfraFault, World, WorldConfig};
 use std::net::Ipv4Addr;
 
-/// One measured day in every representation the engine produces: the
-/// columnar frame, the interner's canonical symbol-table dump, and the
-/// row-form sweep derived from both.
+/// One measured day: the columnar frame and the interner's canonical
+/// symbol-table dump that gives its symbols meaning.
 struct Measured {
     frame: SweepFrame,
     interner_dump: String,
-    daily: DailySweep,
 }
 
 /// A randomly drawn measurement day: worker count, background loss, and
@@ -115,11 +113,9 @@ fn sweep_with_workers(spec: &DaySpec, workers: usize) -> Measured {
     let mut scanner = OpenIntelScanner::with_options(&world, SweepOptions::new().workers(workers));
     let frame = scanner.sweep_frame(&mut world);
     let interner_dump = scanner.interner().dump();
-    let daily = frame.to_daily_sweep(scanner.interner());
     Measured {
         frame,
         interner_dump,
-        daily,
     }
 }
 
@@ -137,14 +133,11 @@ proptest! {
         // the merged record order — never of the sharding (DESIGN.md
         // §10), so the whole symbol table dumps byte-identically.
         prop_assert_eq!(&serial.interner_dump, &sharded.interner_dump);
-        // And with identical symbol tables, the columnar frames (domain
-        // syms, offset columns, address/country/ASN columns) are equal
-        // wholesale.
+        // And with identical symbol tables, the columnar frames (date,
+        // stats, domain syms, offset columns, address/country/ASN columns)
+        // are equal wholesale.
         prop_assert_eq!(&serial.frame, &sharded.frame);
-        let (serial, sharded) = (serial.daily, sharded.daily);
-        prop_assert_eq!(serial.date, sharded.date);
-        prop_assert_eq!(serial.stats, sharded.stats);
-        prop_assert_eq!(serial.domains, sharded.domains);
+        let (serial, sharded) = (serial.frame, sharded.frame);
         // The observability section merges associatively over whatever
         // sharding the worker count induced: merged histograms, link
         // tables and cause recorders are equal — and their JSON export is
@@ -163,10 +156,12 @@ fn more_workers_than_useful_is_still_identical() {
         world.network_mut().loss_rate = 0.1;
         let mut scanner =
             OpenIntelScanner::with_options(&world, SweepOptions::new().workers(workers));
-        scanner.sweep(&mut world)
+        let frame = scanner.sweep_frame(&mut world);
+        (frame, scanner.interner().dump())
     };
-    let serial = sweep(1);
-    let wide = sweep(64);
+    let (serial, serial_dump) = sweep(1);
+    let (wide, wide_dump) = sweep(64);
+    assert_eq!(serial_dump, wide_dump);
     assert_eq!(serial, wide);
     assert_eq!(serial.metrics.render_json(), wide.metrics.render_json());
 }

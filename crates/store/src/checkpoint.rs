@@ -48,7 +48,7 @@
 //! name.
 
 use crate::frame::{AddrColumns, SweepFrame};
-use crate::record::{Completeness, SweepStats};
+use crate::stats::{Completeness, SweepStats};
 use crate::sym::{CountrySym, Interner, Sym};
 use crate::SweepMetrics;
 use ruwhere_types::{Asn, Country, Date, DomainName};

@@ -1,8 +1,8 @@
 //! The columnar sweep store: one day's measurement output as
 //! struct-of-arrays over interned symbols.
 //!
-//! A [`SweepFrame`] holds the same information as a [`DailySweep`] but in
-//! six flat columns: a domain-symbol column, an NS-name symbol column and
+//! A [`SweepFrame`] holds one day's records in six flat columns: a
+//! domain-symbol column, an NS-name symbol column and
 //! two [`AddrColumns`] (name-server and apex addresses), each delimited by
 //! a `u32` offset column of length `records + 1`. Record `i` owns the
 //! half-open range `offsets[i]..offsets[i+1]` of the data column.
@@ -19,11 +19,15 @@
 //! Frames are byte-identical for any worker count — the columns are
 //! written by a single post-merge pass in zone-snapshot order, and symbol
 //! assignment follows the rules in [`crate::sym`].
+//!
+//! The sweep engine writes frames through [`FrameBuilder`]; tests and
+//! examples that spell a frame out by hand use [`FrameFixture`], which
+//! interns owned names as it goes.
 
-use crate::record::{AddrInfo, Completeness, DailySweep, DomainDay, SweepStats};
+use crate::stats::{Completeness, SweepStats};
 use crate::sym::{CountrySym, Interner, Sym};
 use crate::SweepMetrics;
-use ruwhere_types::{Asn, Date};
+use ruwhere_types::{Asn, Country, Date, DomainName};
 use std::net::Ipv4Addr;
 
 /// A flat address table: three parallel columns, one entry per resolved
@@ -71,9 +75,9 @@ pub struct SweepFrame {
     pub apex_addr_offsets: Vec<u32>,
     /// Resolved, annotated apex A records.
     pub apex_addrs: AddrColumns,
-    /// Counters (identical to the row view's).
+    /// Counters.
     pub stats: SweepStats,
-    /// Observability section (identical to the row view's).
+    /// Observability section.
     pub metrics: SweepMetrics,
 }
 
@@ -109,62 +113,6 @@ impl SweepFrame {
     pub fn strip_metrics(mut self) -> SweepFrame {
         self.metrics = SweepMetrics::new();
         self
-    }
-
-    /// Materialise the row view. Symbols must come from `interner`.
-    pub fn to_daily_sweep(&self, interner: &Interner) -> DailySweep {
-        let snap = interner.snapshot();
-        let domains = self
-            .records()
-            .map(|rec| {
-                let addrs = |v: &AddrsView<'_>| -> Vec<AddrInfo> {
-                    (0..v.len())
-                        .map(|i| AddrInfo {
-                            ip: v.ips()[i],
-                            country: snap.country(v.countries()[i]),
-                            asn: v.asns()[i],
-                        })
-                        .collect()
-                };
-                DomainDay {
-                    domain: snap.name(rec.domain_sym()).clone(),
-                    ns_names: rec
-                        .ns_name_syms()
-                        .iter()
-                        .map(|&s| snap.name(s).clone())
-                        .collect(),
-                    ns_addrs: addrs(&rec.ns_addrs()),
-                    apex_addrs: addrs(&rec.apex_addrs()),
-                }
-            })
-            .collect();
-        DailySweep {
-            date: self.date,
-            domains,
-            stats: self.stats,
-            metrics: self.metrics.clone(),
-        }
-    }
-
-    /// Build the columnar form of a row sweep, interning every name and
-    /// country in record order. The inverse of
-    /// [`to_daily_sweep`](SweepFrame::to_daily_sweep).
-    pub fn from_daily_sweep(sweep: &DailySweep, interner: &Interner) -> SweepFrame {
-        let mut b = FrameBuilder::new(sweep.date);
-        for rec in &sweep.domains {
-            b.begin_record(interner.intern_name(&rec.domain));
-            for ns in &rec.ns_names {
-                b.push_ns_name(interner.intern_name(ns));
-            }
-            for a in &rec.ns_addrs {
-                b.push_ns_addr(a.ip, interner.intern_country(a.country), a.asn);
-            }
-            for a in &rec.apex_addrs {
-                b.push_apex_addr(a.ip, interner.intern_country(a.country), a.asn);
-            }
-            b.end_record();
-        }
-        b.finish(sweep.stats, sweep.metrics.clone())
     }
 }
 
@@ -253,6 +201,110 @@ impl FrameBuilder {
     }
 }
 
+/// A hand-spelled [`SweepFrame`]: a [`FrameBuilder`] plus the
+/// [`Interner`] its symbols come from, interning owned names and
+/// countries as records are pushed. This is the shared fixture builder of
+/// the workspace's tests and examples; the sweep engine drives
+/// [`FrameBuilder`] directly.
+///
+/// ```
+/// use ruwhere_store::{FrameFixture, Interner, SweepStats};
+/// use ruwhere_types::{Asn, Country, Date};
+///
+/// let interner = Interner::new();
+/// let mut f = FrameFixture::new(Date::from_ymd(2022, 3, 1), &interner);
+/// f.domain("a.ru")
+///     .ns("ns1.reg.ru")
+///     .ns_addr([10, 0, 0, 1].into(), Some(Country::RU), Some(Asn(1)));
+/// f.domain("b.ru"); // a record that resolved nothing
+/// let frame = f.finish(SweepStats::default());
+/// assert_eq!(frame.len(), 2);
+/// assert!(frame.record(0).has_ns_data() && !frame.record(1).has_ns_data());
+/// ```
+#[derive(Debug)]
+pub struct FrameFixture<'a> {
+    interner: &'a Interner,
+    builder: FrameBuilder,
+    open: bool,
+}
+
+impl<'a> FrameFixture<'a> {
+    /// An empty frame for `date` whose symbols come from `interner`.
+    pub fn new(date: Date, interner: &'a Interner) -> FrameFixture<'a> {
+        FrameFixture {
+            interner,
+            builder: FrameBuilder::new(date),
+            open: false,
+        }
+    }
+
+    /// Start the record for `domain`, closing the previous one.
+    ///
+    /// # Panics
+    ///
+    /// If `domain` is not a valid domain name.
+    pub fn domain(&mut self, domain: &str) -> &mut Self {
+        self.close();
+        self.builder
+            .begin_record(self.interner.intern_name(&parse(domain)));
+        self.open = true;
+        self
+    }
+
+    /// Append an NS RRset target to the current record.
+    ///
+    /// # Panics
+    ///
+    /// If `host` is not a valid domain name.
+    pub fn ns(&mut self, host: &str) -> &mut Self {
+        self.builder
+            .push_ns_name(self.interner.intern_name(&parse(host)));
+        self
+    }
+
+    /// Append an annotated name-server address to the current record.
+    pub fn ns_addr(
+        &mut self,
+        ip: Ipv4Addr,
+        country: Option<Country>,
+        asn: Option<Asn>,
+    ) -> &mut Self {
+        let country = self.interner.intern_country(country);
+        self.builder.push_ns_addr(ip, country, asn);
+        self
+    }
+
+    /// Append an annotated apex address to the current record.
+    pub fn apex_addr(
+        &mut self,
+        ip: Ipv4Addr,
+        country: Option<Country>,
+        asn: Option<Asn>,
+    ) -> &mut Self {
+        let country = self.interner.intern_country(country);
+        self.builder.push_apex_addr(ip, country, asn);
+        self
+    }
+
+    /// Close the last record and seal the frame with `stats` and an empty
+    /// metric section.
+    pub fn finish(mut self, stats: SweepStats) -> SweepFrame {
+        self.close();
+        self.builder.finish(stats, SweepMetrics::new())
+    }
+
+    fn close(&mut self) {
+        if std::mem::take(&mut self.open) {
+            self.builder.end_record();
+        }
+    }
+}
+
+fn parse(name: &str) -> DomainName {
+    name.parse()
+        .unwrap_or_else(|e| panic!("invalid fixture domain {name:?}: {e}"))
+}
+
 /// Row-shaped, allocation-free view of one frame record.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
@@ -297,12 +349,12 @@ impl<'a> RecordView<'a> {
         }
     }
 
-    /// Whether any name server resolved (cf. [`DomainDay::has_ns_data`]).
+    /// Whether any name server resolved.
     pub fn has_ns_data(&self) -> bool {
         !self.ns_addrs().is_empty()
     }
 
-    /// Whether the apex resolved (cf. [`DomainDay::has_apex_data`]).
+    /// Whether the apex resolved.
     pub fn has_apex_data(&self) -> bool {
         !self.apex_addrs().is_empty()
     }
@@ -350,145 +402,78 @@ impl<'a> AddrsView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use ruwhere_types::{Country, DomainName};
 
-    fn d(s: &str) -> DomainName {
-        s.parse().expect("test domain")
+    fn ip(last: u8) -> Ipv4Addr {
+        Ipv4Addr::new(10, 0, 0, last)
     }
 
-    fn addr(last: u8, country: Option<Country>, asn: Option<u32>) -> AddrInfo {
-        AddrInfo {
-            ip: Ipv4Addr::new(10, 0, 0, last),
-            country,
-            asn: asn.map(Asn),
-        }
-    }
-
-    fn sample_sweep() -> DailySweep {
-        DailySweep {
-            date: Date::from_ymd(2022, 3, 1),
-            domains: vec![
-                DomainDay {
-                    domain: d("alpha.ru"),
-                    ns_names: vec![d("ns1.host.com"), d("ns2.host.com")],
-                    ns_addrs: vec![addr(1, Some(Country::RU), Some(1)), addr(2, None, None)],
-                    apex_addrs: vec![addr(3, Some(Country::SE), Some(2))],
-                },
-                DomainDay {
-                    domain: d("beta.ru"),
-                    ns_names: vec![],
-                    ns_addrs: vec![],
-                    apex_addrs: vec![],
-                },
-                DomainDay {
-                    domain: d("gamma.com"),
-                    ns_names: vec![d("ns1.host.com")],
-                    ns_addrs: vec![addr(1, Some(Country::RU), Some(1))],
-                    apex_addrs: vec![],
-                },
-            ],
-            stats: SweepStats {
-                seeded: 3,
-                queries: 17,
-                ..SweepStats::default()
-            },
-            metrics: SweepMetrics::new(),
-        }
+    fn sample(interner: &Interner) -> SweepFrame {
+        let mut f = FrameFixture::new(Date::from_ymd(2022, 3, 1), interner);
+        f.domain("alpha.ru")
+            .ns("ns1.host.com")
+            .ns("ns2.host.com")
+            .ns_addr(ip(1), Some(Country::RU), Some(Asn(1)))
+            .ns_addr(ip(2), None, None)
+            .apex_addr(ip(3), Some(Country::SE), Some(Asn(2)));
+        f.domain("beta.ru");
+        f.domain("gamma.com")
+            .ns("ns1.host.com")
+            .ns_addr(ip(1), Some(Country::RU), Some(Asn(1)));
+        f.finish(SweepStats {
+            seeded: 3,
+            queries: 17,
+            ..SweepStats::default()
+        })
     }
 
     #[test]
-    fn round_trips_through_the_columnar_form() {
-        let sweep = sample_sweep();
+    fn record_views_read_back_what_was_pushed() {
         let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
+        let frame = sample(&interner);
         assert_eq!(frame.len(), 3);
-        assert_eq!(frame.stats, sweep.stats);
-        assert_eq!(frame.to_daily_sweep(&interner), sweep);
+        assert_eq!(frame.stats.queries, 17);
+        let snap = interner.snapshot();
+        let names: Vec<String> = frame
+            .records()
+            .map(|r| snap.name(r.domain_sym()).to_string())
+            .collect();
+        assert_eq!(names, ["alpha.ru", "beta.ru", "gamma.com"]);
+
+        let alpha = frame.record(0);
+        assert_eq!(alpha.ns_name_syms().len(), 2);
+        assert!(alpha.has_ns_data() && alpha.has_apex_data());
+        assert_eq!(alpha.ns_addrs().ips(), [ip(1), ip(2)]);
+        let apex = alpha.apex_addrs();
+        assert_eq!(apex.ips(), [ip(3)]);
+        assert_eq!(snap.country(apex.countries()[0]), Some(Country::SE));
+        assert_eq!(apex.asns(), [Some(Asn(2))]);
+
+        let beta = frame.record(1);
+        assert!(beta.ns_name_syms().is_empty());
+        assert!(!beta.has_ns_data() && !beta.has_apex_data());
+
+        // Shared names intern to one symbol.
+        assert_eq!(frame.record(2).ns_name_syms()[0], alpha.ns_name_syms()[0]);
+        assert_eq!(
+            snap.country(frame.record(2).ns_addrs().countries()[0]),
+            Some(Country::RU)
+        );
     }
 
     #[test]
-    fn record_views_match_rows() {
-        let sweep = sample_sweep();
+    fn same_interner_same_frame() {
         let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
-        let snap = interner.snapshot();
-        for (rec, row) in frame.records().zip(&sweep.domains) {
-            assert_eq!(snap.name(rec.domain_sym()), &row.domain);
-            assert_eq!(rec.ns_name_syms().len(), row.ns_names.len());
-            assert_eq!(rec.has_ns_data(), row.has_ns_data());
-            assert_eq!(rec.has_apex_data(), row.has_apex_data());
-            assert_eq!(rec.ns_addrs().ips().len(), row.ns_addrs.len());
-            for (i, a) in row.apex_addrs.iter().enumerate() {
-                let v = rec.apex_addrs();
-                assert_eq!(v.ips()[i], a.ip);
-                assert_eq!(snap.country(v.countries()[i]), a.country);
-                assert_eq!(v.asns()[i], a.asn);
-            }
-        }
+        assert_eq!(sample(&interner), sample(&interner));
     }
 
     #[test]
     fn strip_metrics_keeps_columns() {
-        let mut sweep = sample_sweep();
-        sweep.metrics.resolver.srtt_us.record(1000);
         let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
+        let mut frame = sample(&interner);
+        frame.metrics.resolver.srtt_us.record(1000);
         let stripped = frame.clone().strip_metrics();
         assert!(stripped.metrics.is_empty());
         assert_eq!(stripped.domains, frame.domains);
         assert_eq!(stripped.stats, frame.stats);
-    }
-
-    /// One arbitrary record drawn from small pools (so symbol sharing
-    /// actually happens across records).
-    fn arb_record() -> impl Strategy<Value = DomainDay> {
-        (
-            0usize..12,
-            proptest::collection::vec(0usize..6, 0..4),
-            proptest::collection::vec((0u8..20, 0usize..4, 0usize..4), 0..4),
-            proptest::collection::vec((0u8..20, 0usize..4, 0usize..4), 0..3),
-        )
-            .prop_map(|(dom, nss, ns_addrs, apex_addrs)| {
-                let domains = ["a.ru", "b.ru", "c.com", "d.su", "e.xn--p1ai", "f.org"];
-                let hosts = ["ns1.h.com", "ns2.h.com", "ns.ru"];
-                let countries = [
-                    None,
-                    Some(Country::RU),
-                    Some(Country::SE),
-                    Some(Country::DE),
-                ];
-                let mk = |(ip, c, a): (u8, usize, usize)| AddrInfo {
-                    ip: Ipv4Addr::new(10, 0, 0, ip),
-                    country: countries[c % countries.len()],
-                    asn: if a == 0 { None } else { Some(Asn(a as u32)) },
-                };
-                DomainDay {
-                    domain: d(domains[dom % domains.len()]),
-                    ns_names: nss.iter().map(|&i| d(hosts[i % hosts.len()])).collect(),
-                    ns_addrs: ns_addrs.into_iter().map(mk).collect(),
-                    apex_addrs: apex_addrs.into_iter().map(mk).collect(),
-                }
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn arbitrary_sweeps_round_trip(records in proptest::collection::vec(arb_record(), 0..12)) {
-            let sweep = DailySweep {
-                date: Date::from_ymd(2022, 2, 24),
-                domains: records,
-                stats: SweepStats::default(),
-                metrics: SweepMetrics::new(),
-            };
-            let interner = Interner::new();
-            let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
-            prop_assert_eq!(frame.to_daily_sweep(&interner), sweep);
-            // Rebuilding against a pre-populated interner is stable too.
-            let again = SweepFrame::from_daily_sweep(&frame.to_daily_sweep(&interner), &interner);
-            prop_assert_eq!(again, frame);
-        }
     }
 }

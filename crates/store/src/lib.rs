@@ -14,12 +14,10 @@
 //! - [`SweepFrame`] is the columnar (struct-of-arrays) form of one daily
 //!   sweep: symbol columns plus offset-delimited address ranges, built
 //!   natively by the sweep engine and walked once per sweep by the
-//!   analysis engine.
-//! - [`DailySweep`]/[`DomainDay`] remain as the row-oriented view for
-//!   compatibility and human-facing code; [`SweepFrame::to_daily_sweep`] /
-//!   [`SweepFrame::from_daily_sweep`] convert losslessly.
-//! - [`SweepMetrics`] is the sweep's observability section (unchanged
-//!   semantics; it lives here because both representations carry it).
+//!   analysis engine. [`FrameFixture`] spells a frame out by hand for
+//!   tests and examples.
+//! - [`SweepStats`] and [`SweepMetrics`] are the sweep's counters and
+//!   observability section, carried by every frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,14 +25,14 @@
 pub mod checkpoint;
 pub mod frame;
 pub mod metrics;
-pub mod record;
+pub mod stats;
 pub mod sym;
 
 pub use checkpoint::{
     decode_segment, encode_segment, CheckpointDir, CheckpointError, DayCheckpoint, InternerDelta,
     LoadOutcome, QuarantinedSegment, TableSizes,
 };
-pub use frame::{AddrColumns, AddrsView, FrameBuilder, RecordView, SweepFrame};
+pub use frame::{AddrColumns, AddrsView, FrameBuilder, FrameFixture, RecordView, SweepFrame};
 pub use metrics::{fail_key, keys, SweepMetrics};
-pub use record::{AddrInfo, Completeness, DailySweep, DomainDay, SweepStats};
+pub use stats::{Completeness, SweepStats};
 pub use sym::{CountrySym, Interner, InternerSnap, Sym, SymSet, TldSym};

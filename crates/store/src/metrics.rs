@@ -81,7 +81,8 @@ impl SweepMetrics {
         SweepMetrics::default()
     }
 
-    /// Whether nothing was recorded (metrics collection disabled).
+    /// Whether nothing was recorded (e.g. a frame after
+    /// [`strip_metrics`](crate::SweepFrame::strip_metrics)).
     pub fn is_empty(&self) -> bool {
         self.net == NetObs::default()
             && self.resolver == ResolverObs::default()

@@ -28,13 +28,13 @@ fn main() {
 
     for date in [outage.add_days(-1), outage, outage.add_days(1)] {
         world.advance_to(date);
-        let sweep = scanner.sweep(&mut world);
-        ns.observe(&sweep);
+        let sweep = scanner.sweep_frame(&mut world);
+        ns.observe(&sweep, scanner.interner());
         let s = &sweep.stats;
         println!(
             "{}: {:>3}/{} records  [{}]  timeouts {}  servfails {}  lame {}  retries {}",
             sweep.date,
-            sweep.domains.len(),
+            sweep.len(),
             s.seeded,
             if sweep.is_partial() {
                 "PARTIAL"

@@ -20,9 +20,10 @@ fn main() {
     );
 
     // One full active-DNS sweep: zone-seeded, resolved over the simulated
-    // Internet, geolocation-annotated.
+    // Internet, geolocation-annotated. The frame's names and countries are
+    // symbols into the scanner's interner.
     let mut scanner = OpenIntelScanner::new(&world);
-    let sweep = scanner.sweep(&mut world);
+    let sweep = scanner.sweep_frame(&mut world);
     println!(
         "sweep {}: {} domains seeded, {} DNS queries, {} NS failures",
         sweep.date, sweep.stats.seeded, sweep.stats.queries, sweep.stats.ns_failures,
@@ -30,7 +31,7 @@ fn main() {
 
     // Classify name-server composition (the Figure 1 metric).
     let mut ns = CompositionSeries::new(InfraKind::NameServers);
-    ns.observe(&sweep);
+    ns.observe(&sweep, scanner.interner());
     let c = *ns.at(sweep.date).expect("just observed");
     println!(
         "NS composition: full {:.1}%  partial {:.1}%  non {:.1}%  (of {} domains)",
@@ -42,7 +43,7 @@ fn main() {
 
     // And hosting composition (the §3.1 text metric).
     let mut hosting = CompositionSeries::new(InfraKind::Hosting);
-    hosting.observe(&sweep);
+    hosting.observe(&sweep, scanner.interner());
     let h = hosting.at(sweep.date).expect("just observed");
     println!(
         "hosting composition: full {:.1}%  partial {:.1}%  non {:.1}%",
@@ -53,8 +54,8 @@ fn main() {
 
     // Advance through the invasion and the Netnod event, then re-measure.
     world.advance_to(Date::from_ymd(2022, 3, 5));
-    let sweep2 = scanner.sweep(&mut world);
-    ns.observe(&sweep2);
+    let sweep2 = scanner.sweep_frame(&mut world);
+    ns.observe(&sweep2, scanner.interner());
     let c2 = ns.at(sweep2.date).expect("just observed");
     println!(
         "after 2022-03-05 (post-Netnod): full {:.1}%  partial {:.1}%  non {:.1}%",

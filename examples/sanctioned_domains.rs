@@ -25,8 +25,8 @@ fn main() {
         .collect();
     for date in dates {
         world.advance_to(date);
-        let sweep = scanner.sweep(&mut world);
-        series.observe(&sweep);
+        let sweep = scanner.sweep_frame(&mut world);
+        series.observe(&sweep, scanner.interner());
     }
 
     println!("date        full%   partial%   non%   #sanctioned");
@@ -55,15 +55,17 @@ fn main() {
 
     // Which individual sanctioned domains are still not fully Russian?
     world.publish_tld_zones();
-    let sweep = scanner.sweep(&mut world);
+    let sweep = scanner.sweep_frame(&mut world);
+    let snap = scanner.interner().snapshot();
     let mut holdouts = Vec::new();
-    for rec in &sweep.domains {
-        if !sanctions.is_sanctioned(&rec.domain, sweep.date) {
+    for rec in sweep.records() {
+        let domain = snap.name(rec.domain_sym());
+        if !sanctions.is_sanctioned(domain, sweep.date) {
             continue;
         }
-        let c = Composition::classify(rec.ns_addrs.iter().map(|a| a.country));
+        let c = Composition::classify_syms(rec.ns_addrs().countries(), &snap);
         if !matches!(c, Composition::Full) {
-            holdouts.push((rec.domain.clone(), c));
+            holdouts.push((domain.clone(), c));
         }
     }
     println!("\nholdouts (NS not fully Russian) on {}:", sweep.date);

@@ -14,9 +14,9 @@
 //! // Build a tiny world, sweep it once, classify NS composition.
 //! let mut world = World::new(WorldConfig::tiny());
 //! let mut scanner = OpenIntelScanner::new(&world);
-//! let sweep = scanner.sweep(&mut world);
+//! let sweep = scanner.sweep_frame(&mut world);
 //! let mut fig1 = CompositionSeries::new(InfraKind::NameServers);
-//! fig1.observe(&sweep);
+//! fig1.observe(&sweep, scanner.interner());
 //! let counts = fig1.at(world.today()).unwrap();
 //! assert!(counts.total() > 0);
 //! ```
@@ -49,8 +49,7 @@ pub mod prelude {
         TldUsageSeries,
     };
     pub use ruwhere_scan::{
-        CertDataset, DailySweep, IpScanner, MatchRule, OpenIntelScanner, ScanError, Scanner,
-        SweepMetrics, SweepOptions,
+        CertDataset, IpScanner, MatchRule, OpenIntelScanner, ScanError, SweepMetrics, SweepOptions,
     };
     pub use ruwhere_store::{Interner, SweepFrame};
     pub use ruwhere_types::{

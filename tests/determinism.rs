@@ -59,10 +59,7 @@ fn different_seeds_differ() {
     let mut world2 = World::new(w2);
     let mut s1 = OpenIntelScanner::new(&world1);
     let mut s2 = OpenIntelScanner::new(&world2);
-    let d1 = s1.sweep(&mut world1);
-    let d2 = s2.sweep(&mut world2);
-    assert_ne!(
-        d1.domains, d2.domains,
-        "different seeds must produce different worlds"
-    );
+    let d1 = (s1.sweep_frame(&mut world1), s1.interner().dump());
+    let d2 = (s2.sweep_frame(&mut world2), s2.interner().dump());
+    assert_ne!(d1, d2, "different seeds must produce different worlds");
 }
