@@ -249,14 +249,15 @@ pub fn run_study(cfg: &StudyConfig) -> StudyResults {
 /// checksummed segment after its sweep (frame + interner delta + network
 /// clock — see `ruwhere_store::checkpoint`). With `resume`, the longest
 /// valid prefix of segments is *replayed* instead of re-measured: the
-/// world advances through the same dates (re-running scheduled IP scans
-/// and zone publishes — both deterministic), the interner is re-primed
-/// delta by delta in original order (preserving the seeds-first
-/// symbol-assignment invariant), the network clock is restored day by
-/// day (fault windows anchor to the absolute clock), and every observer
-/// sees the checkpointed frames. A resumed run is therefore
-/// byte-identical — report and interner `dump()` — to an uninterrupted
-/// one, which the crash harness in `crates/bench` asserts.
+/// world advances through the same dates (re-running scheduled IP scans,
+/// which are deterministic, but not zone publishes, which nothing on a
+/// replayed day reads), the interner is re-primed delta by delta in
+/// original order (preserving the seeds-first symbol-assignment
+/// invariant), the network clock is restored day by day (fault windows
+/// anchor to the absolute clock), and every observer sees the
+/// checkpointed frames. A resumed run is therefore byte-identical —
+/// report and interner `dump()` — to an uninterrupted one, which the
+/// crash harness in `crates/bench` asserts.
 pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
     let store = match &cfg.checkpoint_dir {
         Some(dir) => Some(CheckpointDir::open(dir)?),
@@ -358,10 +359,11 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                     }));
                 }
                 // Mirror the replaced sweep's world interactions, in
-                // order: it published the day's zone snapshots
-                // (idempotent), appended to the interner, and advanced
-                // the network clock to its slowest lane's end.
-                world.publish_tld_zones();
+                // order: it appended to the interner and advanced the
+                // network clock to its slowest lane's end. Its zone
+                // publish is not repeated: nothing on a replayed day
+                // reads the RIPN servers (IP scans only probe TLS), and
+                // the next live sweep publishes its own day.
                 ck.interner.replay(&interner)?;
                 world.restore_net_clock_us(ck.net_clock_us);
                 replayed_queries += ck.frame.stats.queries;

@@ -55,14 +55,21 @@ impl ZoneTransferClient {
     /// [`ScanError::Timeout`] / [`ScanError::Unreachable`]; framing and
     /// zone-text failures as [`ScanError::BadPayload`].
     pub fn transfer(&self, world: &mut World, tld: &str) -> Result<Zone, ScanError> {
+        let text = self.transfer_text(world, tld)?;
+        Zone::from_text(&text)
+            .map_err(|e| ScanError::BadPayload(format!("transferred zone failed to parse: {e}")))
+    }
+
+    /// Fetch every chunk of `tld`'s zone and reassemble the master-file
+    /// text.
+    fn transfer_text(&self, world: &mut World, tld: &str) -> Result<String, ScanError> {
         let (total, first) = self.fetch_chunk(world, tld, 0)?;
         let mut text = first;
         for i in 1..total {
             let (_, body) = self.fetch_chunk(world, tld, i)?;
             text.push_str(&body);
         }
-        Zone::from_text(&text)
-            .map_err(|e| ScanError::BadPayload(format!("transferred zone failed to parse: {e}")))
+        Ok(text)
     }
 
     /// Transfer both study zones and extract the seed list (delegated
@@ -85,6 +92,7 @@ impl ZoneTransferClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_types::Date;
     use ruwhere_world::WorldConfig;
 
     #[test]
@@ -125,6 +133,74 @@ mod tests {
         assert_eq!(
             client.transfer(&mut world, "su").unwrap_err(),
             ScanError::Timeout
+        );
+    }
+
+    #[test]
+    fn tld_keys_are_exact() {
+        let mut world = World::new(WorldConfig::tiny());
+        world.publish_tld_zones();
+        let client = ZoneTransferClient::new(&world);
+        // Keys are the registries' TLD strings exactly: no case folding,
+        // no trailing root dot.
+        for tld in ["RU", "ru."] {
+            assert_eq!(
+                client.transfer(&mut world, tld).unwrap_err(),
+                ScanError::Timeout,
+                "{tld}"
+            );
+        }
+    }
+
+    #[test]
+    fn transfer_text_is_the_rendered_snapshot() {
+        let mut world = World::new(WorldConfig::tiny());
+        world.publish_tld_zones();
+        let client = ZoneTransferClient::new(&world);
+        let today = world.today();
+        for i in 0..world.registries().len() {
+            let tld = world.registries()[i].tld().as_str().to_owned();
+            let expected = world.registries()[i].zone_snapshot(today).to_text();
+            let text = client.transfer_text(&mut world, &tld).unwrap();
+            assert_eq!(text, expected, "{tld}");
+        }
+    }
+
+    /// Both zones' SOA serials and their delegated names (sorted), as
+    /// transferred over the wire.
+    fn transferred(client: &ZoneTransferClient, world: &mut World) -> (Vec<u32>, Vec<DomainName>) {
+        let mut serials = Vec::new();
+        for tld in ["ru", "xn--p1ai"] {
+            serials.push(client.transfer(world, tld).unwrap().soa().serial);
+        }
+        (serials, client.seed_names(world).unwrap())
+    }
+
+    #[test]
+    fn transfers_follow_the_last_publish() {
+        let mut world = World::new(WorldConfig::tiny());
+        world.publish_tld_zones();
+        let client = ZoneTransferClient::new(&world);
+        let day = world.today();
+        let serials = |d: Date| vec![d.days_since_epoch() as u32; 2];
+        let old_seeds = world.seed_names();
+        assert_eq!(
+            transferred(&client, &mut world),
+            (serials(day), old_seeds.clone())
+        );
+
+        // Advanced but not yet published: still day D's zones.
+        let later = day.add_days(30);
+        world.advance_to(later);
+        let new_seeds = world.seed_names();
+        assert_ne!(new_seeds, old_seeds, "30 days should churn the zones");
+        assert_eq!(transferred(&client, &mut world), (serials(day), old_seeds));
+
+        // Published: the next transfers are day D+30's zones.
+        world.publish_tld_zones();
+        assert_eq!(
+            transferred(&client, &mut world),
+            (serials(later), new_seeds)
         );
     }
 }

@@ -155,7 +155,7 @@ pub struct World {
     sanctions: SanctionsList,
     scripted_moves: Vec<ScriptedMove>,
     whois_state: Arc<RwLock<Vec<Registry>>>,
-    xfr_state: Arc<RwLock<HashMap<String, Vec<String>>>>,
+    xfr_chunks: XfrChunks,
 
     cas: Vec<CertificateAuthority>,
     ca_specs: Vec<CaSpec>,
@@ -283,7 +283,7 @@ impl World {
             scripted_moves: Vec::new(),
             sanctions: SanctionsList::new(),
             whois_state: Arc::new(RwLock::new(Vec::new())),
-            xfr_state: Arc::new(RwLock::new(HashMap::new())),
+            xfr_chunks: Arc::new(RwLock::new(HashMap::new())),
             registries: vec![
                 Registry::new("ru".parse().expect("static")),
                 Registry::new("рф".parse().expect("static")),
@@ -546,7 +546,13 @@ impl World {
             self.ripn_ip,
             XFR_PORT,
             Box::new(ZoneTransferService {
-                state: Arc::clone(&self.xfr_state),
+                tlds: self
+                    .registries
+                    .iter()
+                    .map(|r| (r.tld().as_str().to_owned(), Name::from(r.tld())))
+                    .collect(),
+                zones: Arc::clone(&self.ripn_zones),
+                chunks: Arc::clone(&self.xfr_chunks),
             }),
         );
 
@@ -1943,43 +1949,22 @@ impl World {
         self.geo.add_snapshot(effective, db);
     }
 
-    /// Install today's TLD zone snapshots into the RIPN server. Call before
-    /// running a measurement sweep.
+    /// Install today's TLD zone snapshots into the RIPN server and
+    /// refresh the WHOIS database.
+    ///
+    /// A measurement sweep (`OpenIntelScanner::sweep_frame`) publishes on
+    /// its own; call this only before talking to the RIPN servers
+    /// directly (a bare resolver, a zone transfer or WHOIS).
+    /// Zone-transfer chunks are rendered from the published zones on the
+    /// first request for each TLD.
     pub fn publish_tld_zones(&mut self) {
         let mut zs = self.ripn_zones.write();
         for r in &self.registries {
             zs.insert(r.zone_snapshot(self.today));
         }
         drop(zs);
+        self.xfr_chunks.write().clear();
         *self.whois_state.write() = self.registries.clone();
-        // Refresh the zone-transfer chunks (the daily zone file the
-        // registry makes available to measurement partners).
-        let mut xfr = HashMap::new();
-        for r in &self.registries {
-            let text = r.zone_snapshot(self.today).to_text();
-            let bytes = text.as_bytes();
-            let mut chunks = Vec::with_capacity(bytes.len() / XFR_CHUNK + 1);
-            let mut start = 0;
-            while start < bytes.len() {
-                // Split on a line boundary at or before the chunk size.
-                let mut end = (start + XFR_CHUNK).min(bytes.len());
-                if end < bytes.len() {
-                    while end > start && bytes[end - 1] != b'\n' {
-                        end -= 1;
-                    }
-                    if end == start {
-                        end = (start + XFR_CHUNK).min(bytes.len());
-                    }
-                }
-                chunks.push(String::from_utf8_lossy(&bytes[start..end]).into_owned());
-                start = end;
-            }
-            if chunks.is_empty() {
-                chunks.push(String::new());
-            }
-            xfr.insert(r.tld().as_str().to_owned(), chunks);
-        }
-        *self.xfr_state.write() = xfr;
     }
 
     /// Address of the registry's zone-transfer service.
@@ -2103,10 +2088,21 @@ enum ZoneHome {
     ExoticVanity(DomainName),
 }
 
+/// Zone-transfer chunks per TLD, shared by the world (which clears them
+/// at publish) and the transfer service (which fills them).
+type XfrChunks = Arc<RwLock<HashMap<String, Vec<String>>>>;
+
 /// Chunked zone transfer (the AXFR-over-TCP analogue): request
 /// `XFR <tld> <chunk>`; response `XFRHDR <total-chunks>\n<payload>`.
+///
+/// Serves the zones last published into the RIPN zone set. A TLD's text
+/// is rendered and chunked on its first request after a publish and
+/// memoised, because a client fetches a transfer chunk by chunk.
 struct ZoneTransferService {
-    state: Arc<RwLock<HashMap<String, Vec<String>>>>,
+    /// Request key (the registry's TLD string) → zone origin.
+    tlds: Vec<(String, Name)>,
+    zones: SharedZoneSet,
+    chunks: XfrChunks,
 }
 
 impl ruwhere_netsim::Service for ZoneTransferService {
@@ -2123,8 +2119,13 @@ impl ruwhere_netsim::Service for ZoneTransferService {
         }
         let tld = parts.next()?;
         let chunk: usize = parts.next()?.parse().ok()?;
-        let state = self.state.read();
-        let chunks = state.get(tld)?;
+        let (key, origin) = self.tlds.iter().find(|(key, _)| key == tld)?;
+        let mut memo = self.chunks.write();
+        if !memo.contains_key(key) {
+            let text = self.zones.read().get(origin)?.to_text();
+            memo.insert(key.clone(), split_zone_text(&text));
+        }
+        let chunks = &memo[key];
         let body = chunks.get(chunk)?;
         Some(format!("XFRHDR {}\n{}", chunks.len(), body).into_bytes())
     }
@@ -2132,6 +2133,33 @@ impl ruwhere_netsim::Service for ZoneTransferService {
     fn processing_us(&self) -> u64 {
         800
     }
+}
+
+/// Split zone text into transfer chunks of at most [`XFR_CHUNK`] bytes,
+/// each ending on a line boundary where one exists. An empty zone text
+/// is one empty chunk.
+fn split_zone_text(text: &str) -> Vec<String> {
+    let bytes = text.as_bytes();
+    let mut chunks = Vec::with_capacity(bytes.len() / XFR_CHUNK + 1);
+    let mut start = 0;
+    while start < bytes.len() {
+        // Split on a line boundary at or before the chunk size.
+        let mut end = (start + XFR_CHUNK).min(bytes.len());
+        if end < bytes.len() {
+            while end > start && bytes[end - 1] != b'\n' {
+                end -= 1;
+            }
+            if end == start {
+                end = (start + XFR_CHUNK).min(bytes.len());
+            }
+        }
+        chunks.push(String::from_utf8_lossy(&bytes[start..end]).into_owned());
+        start = end;
+    }
+    if chunks.is_empty() {
+        chunks.push(String::new());
+    }
+    chunks
 }
 
 /// Port-43 WHOIS over the registry database (see

@@ -54,7 +54,6 @@ fn main() {
     println!("(paper: 34.0% partial on 2022-02-24; 93.8% full by 2022-03-04)");
 
     // Which individual sanctioned domains are still not fully Russian?
-    world.publish_tld_zones();
     let sweep = scanner.sweep_frame(&mut world);
     let snap = scanner.interner().snapshot();
     let mut holdouts = Vec::new();

@@ -105,7 +105,6 @@ fn geolocation_annotation_matches_provider_countries() {
 #[test]
 fn sanctioned_subset_is_measured_completely() {
     let mut world = World::new(WorldConfig::tiny());
-    world.publish_tld_zones();
     let mut scanner = OpenIntelScanner::new(&world);
     let sweep = scanner.sweep_frame(&mut world);
     let snap = scanner.interner().snapshot();
