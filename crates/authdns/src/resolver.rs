@@ -65,11 +65,6 @@ impl Resolution {
             _ => Vec::new(),
         }
     }
-
-    /// Whether this is a positive answer.
-    pub fn is_positive(&self) -> bool {
-        matches!(self, Resolution::Records(_))
-    }
 }
 
 /// One step in a resolution trace (for diagnostics and the
@@ -405,11 +400,6 @@ impl IterativeResolver {
     pub fn clear_cache(&mut self) {
         self.answer_cache.clear();
         self.cut_cache.clear();
-    }
-
-    /// Drop per-server health state too (a cold-started resolver).
-    pub fn clear_health(&mut self) {
-        self.health.clear();
     }
 
     /// Seed the zone-cut cache: start resolutions at or below `cut` from

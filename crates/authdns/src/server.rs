@@ -206,20 +206,8 @@ impl AuthServer {
 }
 
 impl Service for AuthServer {
-    fn handle(&mut self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
+    fn handle(&self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
         self.respond(payload)
-    }
-
-    fn handle_concurrent(
-        &self,
-        payload: &[u8],
-        _src: (Ipv4Addr, u16),
-        _now: SimTime,
-    ) -> Option<Option<Vec<u8>>> {
-        // Every parallel sweep lane walks through the same root and TLD
-        // boxes; answering under shared access keeps them off each
-        // other's critical path.
-        Some(self.respond(payload))
     }
 
     fn processing_us(&self) -> u64 {
@@ -341,7 +329,7 @@ mod tests {
     #[test]
     fn service_behaviors() {
         let zones = shared_zones([example_zone()]);
-        let mut srv = AuthServer::new(Arc::clone(&zones));
+        let srv = AuthServer::new(Arc::clone(&zones));
         let behavior = srv.behavior_handle();
         let q = Message::query(9, name("example.ru"), RType::A)
             .encode()
@@ -379,7 +367,7 @@ mod tests {
     #[test]
     fn service_ignores_garbage_and_responses() {
         let zones = shared_zones([example_zone()]);
-        let mut srv = AuthServer::new(zones);
+        let srv = AuthServer::new(zones);
         let src = ("10.0.0.1".parse().unwrap(), 40000);
         assert!(srv.handle(b"not dns", src, SimTime::ZERO).is_none());
         let q = Message::query(9, name("example.ru"), RType::A);
@@ -393,7 +381,7 @@ mod tests {
     #[test]
     fn zone_updates_visible_through_shared_set() {
         let zones = shared_zones([example_zone()]);
-        let mut srv = AuthServer::new(Arc::clone(&zones));
+        let srv = AuthServer::new(Arc::clone(&zones));
         let src = ("10.0.0.1".parse().unwrap(), 40000);
         let q = Message::query(9, name("example.ru"), RType::A)
             .encode()

@@ -39,7 +39,7 @@ fn soa() -> SoaData {
 struct PoisoningTld;
 
 impl Service for PoisoningTld {
-    fn handle(&mut self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
+    fn handle(&self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
         let query = Message::decode(payload).ok()?;
         let mut resp = Message::response_to(&query, Rcode::NoError);
         resp.flags.aa = false;
@@ -74,7 +74,7 @@ impl Service for PoisoningTld {
 struct Honeypot(Arc<RwLock<u64>>);
 
 impl Service for Honeypot {
-    fn handle(&mut self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
+    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
         *self.0.write() += 1;
         None
     }

@@ -206,15 +206,14 @@ fn run_geolag_ablation(scale: usize) {
     };
     eprintln!("ablation: running both Netnod models in parallel…");
     let t0 = std::time::Instant::now();
-    let (reconf, moved) = crossbeam::thread::scope(|s| {
-        let a = s.spawn(|_| run_study(&build_cfg(false)));
-        let b = s.spawn(|_| run_study(&build_cfg(true)));
+    let (reconf, moved) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_study(&build_cfg(false)));
+        let b = s.spawn(|| run_study(&build_cfg(true)));
         (
             a.join().expect("reconf study"),
             b.join().expect("move study"),
         )
-    })
-    .expect("scope");
+    });
     eprintln!("both studies done in {:.1}s", t0.elapsed().as_secs_f64());
 
     let mut t = ruwhere_core::Table::new(

@@ -25,11 +25,11 @@ fn gated() -> bool {
 }
 
 /// Days per study for the child processes. Enough that a kill lands
-/// mid-run; overridable so CI can pin a cheaper fixture.
+/// mid-run; overridable so CI can pin a cheaper fixture. A malformed
+/// value fails the test rather than falling back to the default.
 fn study_days() -> i32 {
-    std::env::var("RUWHERE_BENCH_DAYS")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    ruwhere_bench::bench_days()
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(5)
 }
 

@@ -6,7 +6,6 @@
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame};
 use ruwhere_types::{Asn, Date};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Longitudinal per-ASN share accumulator.
@@ -14,7 +13,7 @@ use std::collections::BTreeMap;
 /// A domain counts toward every ASN any of its apex A records resolves
 /// into (split-hosted domains count in both, as in the paper's "domains
 /// resolving to Amazon's ASN").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AsnShareSeries {
     days: BTreeMap<Date, BTreeMap<Asn, u64>>,
     totals: BTreeMap<Date, u64>,

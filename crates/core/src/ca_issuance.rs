@@ -2,12 +2,11 @@
 
 use ruwhere_scan::CertDataset;
 use ruwhere_types::{Date, Period};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-CA issuance-day sets (Figure 8: "a green dot indicates the CA
 /// issued at least one certificate on the day").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IssuanceTimeline {
     /// Issuer organization → set of dates with ≥1 issuance.
     pub days: BTreeMap<String, BTreeSet<Date>>,
@@ -37,7 +36,7 @@ impl IssuanceTimeline {
 }
 
 /// One issuer row in the per-period table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodRow {
     /// Issuer organization.
     pub org: String,
@@ -48,14 +47,14 @@ pub struct PeriodRow {
 }
 
 /// Table 1: per-period top issuers plus the "Other CAs" remainder.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PeriodTable {
     /// Period → (top rows, other-count, other-pct, total).
     pub periods: BTreeMap<Period, (Vec<PeriodRow>, u64, f64, u64)>,
 }
 
 /// The complete issuance analysis over one certificate dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CaIssuanceAnalysis {
     /// Per-day, per-org issuance counts.
     per_day: BTreeMap<Date, BTreeMap<String, u64>>,

@@ -10,12 +10,11 @@
 use crate::engine::FrameObserver;
 use ruwhere_store::{CountrySym, InternerSnap, RecordView, SweepFrame, Sym};
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The three-way label (plus `Unknown` for domains that did not resolve or
 /// geolocate at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Composition {
     /// All addresses geolocate to the Russian Federation.
     Full,
@@ -71,7 +70,7 @@ pub fn classify_record_view(
 }
 
 /// Which infrastructure the composition describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InfraKind {
     /// Authoritative name-server addresses (Figures 1 and 5).
     NameServers,
@@ -80,7 +79,7 @@ pub enum InfraKind {
 }
 
 /// Per-date composition counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompositionCounts {
     /// Fully Russian.
     pub full: u64,
@@ -129,7 +128,7 @@ impl CompositionCounts {
 }
 
 /// Domain filter for a composition series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Filter {
     /// Whole population.
     All,
@@ -160,7 +159,7 @@ impl Filter {
 }
 
 /// Per-frame scratch for the observer hooks (reset at `begin_frame`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct FrameScratch {
     counts: CompositionCounts,
     /// Sorted accepted symbols; `None` means no filtering.
@@ -169,7 +168,7 @@ struct FrameScratch {
 
 /// A longitudinal composition accumulator. Feed it one [`SweepFrame`] per
 /// measurement day; read out the per-date series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompositionSeries {
     kind: InfraKind,
     filter: Filter,

@@ -7,14 +7,13 @@
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SymSet};
 use ruwhere_types::{Asn, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Accumulates unique names and networks across all sweeps.
 ///
 /// One instance must be fed frames from **one** interner (the engine
 /// contract) — the symbol seen-set below pre-filters on that assumption.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DatasetStats {
     unique_domains: BTreeSet<DomainName>,
     hosting_asns: BTreeSet<Asn>,

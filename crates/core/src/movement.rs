@@ -12,11 +12,10 @@
 
 use ruwhere_store::{Interner, SweepFrame, Sym};
 use ruwhere_types::{Asn, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Where a domain that left went.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Movement {
     /// Still in the subject ASN on date B.
     Remained,
@@ -29,7 +28,7 @@ pub enum Movement {
 }
 
 /// The full movement report between two sweeps for one ASN.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MovementReport {
     /// The subject network.
     pub asn: Asn,

@@ -3,7 +3,6 @@
 //! Everything the benches and the `repro` binary print goes through these
 //! two small builders so output stays consistent and machine-consumable.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Format a percentage like the paper (two decimals, `%` suffix).
@@ -25,7 +24,7 @@ pub fn format_count(v: u64) -> String {
 }
 
 /// An ASCII table builder.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -119,7 +118,7 @@ impl Table {
 
 /// A TSV time-series / data-series builder (one header line, tab-separated
 /// rows) — trivially plottable.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     name: String,
     columns: Vec<String>,

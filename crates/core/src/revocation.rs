@@ -9,7 +9,6 @@ use ruwhere_ct::OcspResponder;
 use ruwhere_registry::SanctionsList;
 use ruwhere_scan::CertDataset;
 use ruwhere_types::Date;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Validity cutoff: certificates whose validity ended on or before this
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 pub const VALIDITY_CUTOFF: Date = Date::from_ymd(2022, 2, 25);
 
 /// One CA's row in the Table 2 layout.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RevocationRow {
     /// Issuer organization.
     pub org: String,
@@ -44,7 +43,7 @@ impl RevocationRow {
 }
 
 /// The full revocation analysis.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RevocationAnalysis {
     rows: BTreeMap<String, RevocationRow>,
 }

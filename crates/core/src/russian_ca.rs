@@ -10,14 +10,13 @@
 use ruwhere_registry::SanctionsList;
 use ruwhere_scan::{CertDataset, IpScanSnapshot};
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The organization string of the state CA.
 pub const RUSSIAN_CA_ORG: &str = "Russian Trusted Root CA";
 
 /// §4.3 summary.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RussianCaAnalysis {
     /// Unique certificates (by issuer serial) seen in scans with the
     /// Russian CA in their chain.

@@ -10,11 +10,10 @@ use crate::composition::{Composition, CompositionCounts};
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame, TldSym};
 use ruwhere_types::Date;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Longitudinal full/partial/non series over NS-name TLDs (Figure 2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TldDependencySeries {
     days: BTreeMap<Date, CompositionCounts>,
     scratch: CompositionCounts,
@@ -85,7 +84,7 @@ impl FrameObserver for TldDependencySeries {
 /// Longitudinal per-TLD usage: for each date, how many domains delegate to
 /// at least one name server under each TLD (Figure 3 — shares can sum to
 /// more than 100 % because domains use multiple TLDs).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TldUsageSeries {
     days: BTreeMap<Date, BTreeMap<String, u64>>,
     totals: BTreeMap<Date, u64>,

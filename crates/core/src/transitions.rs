@@ -10,7 +10,6 @@ use crate::composition::{classify_record_view, Composition, InfraKind};
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame, Sym};
 use ruwhere_types::Date;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A directed composition transition.
@@ -23,7 +22,7 @@ const ABSENT: u8 = u8::MAX;
 ///
 /// Cross-sweep state is symbol-indexed, so one instance must see frames
 /// from **one** interner (the engine contract).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TransitionFlows {
     kind_series: Option<InfraKind>,
     /// Previous sweep's composition code per domain symbol ([`ABSENT`] if

@@ -2,12 +2,11 @@
 
 use crate::cert::{Certificate, DistinguishedName};
 use ruwhere_types::{Country, Date, DomainName};
-use serde::{Deserialize, Serialize};
 
 /// A CA's current stance toward a class of customers. The paper observes
 /// three policies after the invasion: keep issuing, stop issuing for
 /// `.ru`/`.рф`, and stop issuing *and* revoke sanctioned customers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaPolicy {
     /// Business as usual.
     Issuing,
@@ -16,7 +15,7 @@ pub enum CaPolicy {
 }
 
 /// A certificate authority.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CertificateAuthority {
     /// Issuer Organization string as it appears in the Issuer DN — the key
     /// the paper aggregates by ("Let's Encrypt", "DigiCert", …).

@@ -8,11 +8,10 @@
 
 use crate::hash::{sha256, Digest};
 use ruwhere_types::{Country, Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The subset of an X.509 Distinguished Name we model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DistinguishedName {
     /// Organization (O=) — the paper's "Issuer Organization term from the
     /// Issuer DN field", used to attribute brands to CAs.
@@ -34,7 +33,7 @@ impl fmt::Display for DistinguishedName {
 }
 
 /// A leaf (end-entity) certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Issuer-scoped serial number.
     pub serial: u64,

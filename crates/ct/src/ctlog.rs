@@ -8,10 +8,9 @@
 use crate::cert::Certificate;
 use crate::hash::{sha256, Digest, Sha256};
 use ruwhere_types::Date;
-use serde::{Deserialize, Serialize};
 
 /// One appended entry: the certificate and its log timestamp.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtEntry {
     /// The logged certificate.
     pub cert: Certificate,
@@ -20,7 +19,7 @@ pub struct CtEntry {
 }
 
 /// A Merkle tree head: size + root hash (+ a stand-in signature).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedTreeHead {
     /// Number of leaves.
     pub tree_size: u64,
@@ -69,7 +68,7 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// The log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CtLog {
     name: String,
     entries: Vec<CtEntry>,

@@ -6,11 +6,10 @@
 //! all CAs whose validity ended after February 25, 2022."
 
 use ruwhere_types::Date;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// RFC 5280 revocation reasons (the subset that occurs in practice here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RevocationReason {
     /// No reason given.
     Unspecified,
@@ -27,7 +26,7 @@ pub enum RevocationReason {
 }
 
 /// A revocation record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RevocationEntry {
     /// Revocation date.
     pub date: Date,
@@ -36,7 +35,7 @@ pub struct RevocationEntry {
 }
 
 /// One CA's certificate revocation list.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Crl {
     /// Issuer organization this CRL belongs to.
     pub issuer_org: String,

@@ -3,11 +3,10 @@
 use crate::name::Name;
 use crate::rdata::{RType, Record, CLASS_IN};
 use crate::wire::{Decoder, Encoder, WireError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation code (header OPCODE field). We only speak standard queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Opcode {
     /// Standard query.
     #[default]
@@ -33,7 +32,7 @@ impl Opcode {
 }
 
 /// Response code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rcode {
     /// No error.
     #[default]
@@ -94,7 +93,7 @@ impl fmt::Display for Rcode {
 }
 
 /// Header flag bits (QR, AA, TC, RD, RA) plus opcode and rcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Flags {
     /// Response (vs query).
     pub qr: bool,
@@ -137,7 +136,7 @@ impl Flags {
 }
 
 /// A question section entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name.
     pub name: Name,
@@ -159,7 +158,7 @@ impl fmt::Display for Question {
 }
 
 /// A complete DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction id.
     pub id: u16,

@@ -2,7 +2,6 @@
 
 use crate::wire::{Decoder, Encoder, WireError};
 use ruwhere_types::DomainName;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -24,7 +23,7 @@ const MAX_POINTER_HOPS: usize = 64;
 /// assert!(n.is_subdomain_of(&"example.ru".parse().unwrap()));
 /// assert!(Name::root().is_root());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name {
     labels: Vec<Box<[u8]>>,
 }
@@ -114,16 +113,6 @@ impl Name {
             }
             enc.remember_suffix(key, enc.position());
             let label = &self.labels[i];
-            enc.put_u8(label.len() as u8);
-            enc.put_slice(label);
-        }
-        enc.put_u8(0);
-    }
-
-    /// Encode without compression (used inside RDATA where some historical
-    /// servers choke on pointers; also for deterministic digest input).
-    pub fn encode_uncompressed(&self, enc: &mut Encoder) {
-        for label in &self.labels {
             enc.put_u8(label.len() as u8);
             enc.put_slice(label);
         }

@@ -2,7 +2,6 @@
 
 use crate::name::Name;
 use crate::wire::{Decoder, Encoder, WireError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -10,7 +9,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 pub const CLASS_IN: u16 = 1;
 
 /// Resource-record types we understand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RType {
     /// IPv4 address (RFC 1035).
     A,
@@ -98,7 +97,7 @@ impl fmt::Display for RType {
 }
 
 /// SOA RDATA fields.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SoaData {
     /// Primary name server.
     pub mname: Name,
@@ -117,7 +116,7 @@ pub struct SoaData {
 }
 
 /// Typed RDATA.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -258,7 +257,7 @@ impl RData {
 }
 
 /// A complete resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     /// Owner name.
     pub name: Name,

@@ -5,7 +5,6 @@
 //! names requires random access for compression pointers, so the decoder
 //! keeps the entire message slice).
 
-use bytes::{BufMut, BytesMut};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,7 +58,7 @@ impl std::error::Error for WireError {}
 
 /// Wire encoder with RFC 1035 §4.1.4 name compression.
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Canonical (lowercase) name suffix → offset of its first occurrence.
     /// Only offsets < 0x3FFF are eligible as compression targets.
     names: HashMap<Vec<u8>, u16>,
@@ -69,7 +68,7 @@ impl Encoder {
     /// New encoder with a reasonable initial capacity.
     pub fn new() -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(512),
+            buf: Vec::with_capacity(512),
             names: HashMap::new(),
         }
     }
@@ -81,22 +80,22 @@ impl Encoder {
 
     /// Append a raw byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a big-endian u16.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian u32.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append raw bytes.
     pub fn put_slice(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Patch a previously written u16 (used for RDLENGTH back-patching).
@@ -118,11 +117,10 @@ impl Encoder {
 
     /// Finish encoding, enforcing the size limit.
     pub fn finish(self) -> Result<Vec<u8>, WireError> {
-        let v = self.buf.to_vec();
-        if v.len() > MAX_MESSAGE_SIZE {
-            return Err(WireError::TooBig(v.len()));
+        if self.buf.len() > MAX_MESSAGE_SIZE {
+            return Err(WireError::TooBig(self.buf.len()));
         }
-        Ok(v)
+        Ok(self.buf)
     }
 }
 

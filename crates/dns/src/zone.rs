@@ -7,7 +7,6 @@
 
 use crate::name::Name;
 use crate::rdata::{RData, RType, Record, SoaData};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -36,7 +35,7 @@ pub enum Lookup {
 }
 
 /// An authoritative zone: an origin, a SOA, and records indexed by owner.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: Name,
     soa: SoaData,
@@ -91,11 +90,6 @@ impl Zone {
             self.soa_ttl,
             RData::Soa(self.soa.clone()),
         )
-    }
-
-    /// Mutable access to the serial, bumped by the registry on each snapshot.
-    pub fn set_serial(&mut self, serial: u32) {
-        self.soa.serial = serial;
     }
 
     /// Add a record. Returns `false` (and does not add) if the owner is

@@ -2,7 +2,6 @@
 
 use ruwhere_netsim::{Ipv4Net, Topology};
 use ruwhere_types::Country;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -108,7 +107,7 @@ impl GeoDbBuilder {
 }
 
 /// An immutable geolocation snapshot with `O(log n)` lookups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GeoDb {
     starts: Vec<u32>,
     ends: Vec<u32>,

@@ -2,14 +2,13 @@
 
 use crate::db::GeoDb;
 use ruwhere_types::{Country, Date};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// A time series of [`GeoDb`] snapshots, each effective from its date until
 /// superseded. Mirrors how the paper uses "contemporaneous results from the
 /// IP2location service": lookups are resolved against the snapshot that was
 /// current on the measurement date.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LongitudinalGeoDb {
     /// (effective date, snapshot), sorted by date.
     snapshots: Vec<(Date, GeoDb)>,

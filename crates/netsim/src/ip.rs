@@ -1,6 +1,5 @@
 //! IPv4 CIDR prefixes and sequential address allocation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -14,7 +13,7 @@ use std::str::FromStr;
 /// assert!(!net.contains("198.51.101.1".parse().unwrap()));
 /// assert_eq!(net.size(), 256);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4Net {
     addr: u32,
     prefix_len: u8,
@@ -110,7 +109,7 @@ impl FromStr for Ipv4Net {
 
 /// Sequential address allocator over a prefix, skipping the network and
 /// broadcast addresses for prefixes shorter than /31.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IpAllocator {
     net: Ipv4Net,
     next: u64,

@@ -27,7 +27,7 @@
 //!
 //! struct Upper;
 //! impl Service for Upper {
-//!     fn handle(&mut self, p: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
+//!     fn handle(&self, p: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
 //!         Some(p.to_ascii_uppercase())
 //!     }
 //! }

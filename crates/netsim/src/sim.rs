@@ -11,7 +11,6 @@
 use crate::fault::FaultPlan;
 use crate::obs::NetObs;
 use crate::topology::Topology;
-use parking_lot::RwLock;
 use ruwhere_types::{Asn, SeedTree};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -62,57 +61,20 @@ pub struct Datagram {
 
 /// A request/response server bound to an address and port.
 ///
-/// `Send` is required so the service table can be shared across sweep
-/// worker threads (each endpoint is guarded by its own mutex; see
-/// [`Lane`]).
+/// The service table is shared by every [`Lane`] of a sweep, and lanes run
+/// on different worker threads, so [`handle`](Service::handle) may be
+/// called concurrently. It takes `&self`: an implementer that keeps
+/// mutable state guards it with its own lock or atomics.
 pub trait Service: Send + Sync {
     /// Handle one datagram payload; return the reply payload, or `None` to
     /// stay silent (the client will time out — how a black-holed or
     /// decommissioned server manifests to a scanner).
-    fn handle(&mut self, payload: &[u8], src: (Ipv4Addr, u16), now: SimTime) -> Option<Vec<u8>>;
-
-    /// Shared-access handler for services whose `handle` needs no
-    /// exclusive state (e.g. an authoritative DNS server answering from a
-    /// shared zone set). Returning `Some(reply)` answers under a read
-    /// lock, so parallel sweep lanes querying the same box proceed
-    /// concurrently instead of serializing on its endpoint lock — the
-    /// single TLD server is on every domain's resolution path. Return
-    /// `None` (the default) to fall back to the exclusive
-    /// [`handle`](Service::handle) path; the inner option has `handle`'s
-    /// semantics (`None` = stay silent).
-    fn handle_concurrent(
-        &self,
-        _payload: &[u8],
-        _src: (Ipv4Addr, u16),
-        _now: SimTime,
-    ) -> Option<Option<Vec<u8>>> {
-        None
-    }
+    fn handle(&self, payload: &[u8], src: (Ipv4Addr, u16), now: SimTime) -> Option<Vec<u8>>;
 
     /// Server-side processing delay in microseconds (default 100 µs).
     fn processing_us(&self) -> u64 {
         100
     }
-}
-
-/// Hand a datagram to a bound service: the concurrent read path when the
-/// service supports it, the exclusive write path otherwise. Returns the
-/// reply (or silence) and the service's processing delay.
-fn dispatch(
-    cell: &RwLock<Box<dyn Service>>,
-    payload: &[u8],
-    src: (Ipv4Addr, u16),
-    now: SimTime,
-) -> (Option<Vec<u8>>, u64) {
-    {
-        let svc = cell.read();
-        if let Some(reply) = svc.handle_concurrent(payload, src, now) {
-            return (reply, svc.processing_us());
-        }
-    }
-    let mut svc = cell.write();
-    let reply = svc.handle(payload, src, now);
-    (reply, svc.processing_us())
 }
 
 /// Transport-level failures visible to a client.
@@ -180,7 +142,7 @@ pub trait Transport {
 pub struct Network {
     topo: Topology,
     seed: SeedTree,
-    services: HashMap<(Ipv4Addr, u16), RwLock<Box<dyn Service>>>,
+    services: HashMap<(Ipv4Addr, u16), Box<dyn Service>>,
     queue: BinaryHeap<Reverse<(SimTime, u64)>>,
     pending: HashMap<u64, Event>,
     now: SimTime,
@@ -264,7 +226,7 @@ impl Network {
 
     /// Bind a service to `addr:port`, replacing any previous binding.
     pub fn bind(&mut self, addr: Ipv4Addr, port: u16, service: Box<dyn Service>) {
-        self.services.insert((addr, port), RwLock::new(service));
+        self.services.insert((addr, port), service);
     }
 
     /// Remove the service at `addr:port` (the provider shut the box down).
@@ -406,12 +368,13 @@ impl Network {
             self.obs.fault_blackholes += 1;
             return;
         }
-        let Some(cell) = self.services.get(&key) else {
+        let Some(svc) = self.services.get(&key) else {
             self.stats.unreachable += 1;
             return;
         };
         self.stats.delivered += 1;
-        let (reply, proc) = dispatch(cell, &dgram.payload, dgram.src, self.now);
+        let reply = svc.handle(&dgram.payload, dgram.src, self.now);
+        let proc = svc.processing_us();
         if let Some(payload) = reply {
             let seq = self.next_seq();
             self.stats.sent += 1;
@@ -568,9 +531,9 @@ impl NetStats {
 /// All lanes of a sweep start at the same instant and run *logically
 /// concurrently*: each models one of the many outstanding resolutions an
 /// OpenINTEL-style pipeline keeps in flight. A lane only reads the shared
-/// network (`&Network`); stateful services are reached through their
-/// per-endpoint mutexes, so any number of lanes may be driven from
-/// different threads at once.
+/// network (`&Network`) and services guard their own state (see
+/// [`Service`]), so any number of lanes may be driven from different
+/// threads at once.
 ///
 /// Determinism contract: a lane's entire behaviour (latency, jitter, loss,
 /// fault interaction) depends only on the network snapshot, the lane key
@@ -707,12 +670,12 @@ impl Lane<'_> {
             self.obs.fault_blackholes += 1;
             return None;
         }
-        let cell = self.net.services.get(&dst);
-        let Some(cell) = cell else {
+        let Some(svc) = self.net.services.get(&dst) else {
             self.stats.unreachable += 1;
             return None;
         };
-        let (reply, proc) = dispatch(cell, payload, src, at);
+        let reply = svc.handle(payload, src, at);
+        let proc = svc.processing_us();
         self.stats.delivered += 1;
         // Silent server: wait out the timeout.
         let reply = reply?;
@@ -788,15 +751,12 @@ mod tests {
     use super::*;
     use crate::topology::AsInfo;
     use ruwhere_types::{Asn, Country};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     struct Echo;
     impl Service for Echo {
-        fn handle(
-            &mut self,
-            payload: &[u8],
-            _src: (Ipv4Addr, u16),
-            _now: SimTime,
-        ) -> Option<Vec<u8>> {
+        fn handle(&self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
             let mut v = payload.to_vec();
             v.reverse();
             Some(v)
@@ -805,8 +765,18 @@ mod tests {
 
     struct Silent;
     impl Service for Silent {
-        fn handle(&mut self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
+        fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
             None
+        }
+    }
+
+    /// Counts the requests it sees and answers with the running count.
+    #[derive(Default)]
+    struct Counter(Arc<AtomicU64>);
+    impl Service for Counter {
+        fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
+            let n = self.0.fetch_add(1, Ordering::SeqCst) + 1;
+            Some(n.to_be_bytes().to_vec())
         }
     }
 
@@ -924,21 +894,36 @@ mod tests {
 
     #[test]
     fn stateful_service_sees_all_requests() {
-        struct Counter(u64);
-        impl Service for Counter {
-            fn handle(&mut self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
-                self.0 += 1;
-                Some(self.0.to_be_bytes().to_vec())
-            }
-        }
         let mut net = network();
-        net.bind(SERVER, 80, Box::new(Counter(0)));
+        net.bind(SERVER, 80, Box::new(Counter::default()));
         for expect in 1..=3u64 {
             let r = net
                 .request(CLIENT, (SERVER, 80), b"", 1_000_000, 1)
                 .unwrap();
             assert_eq!(r, expect.to_be_bytes());
         }
+    }
+
+    #[test]
+    fn lanes_on_many_threads_share_one_service() {
+        const K: u64 = 4;
+        const M: u64 = 50;
+        let count = Arc::new(AtomicU64::new(0));
+        let mut net = network();
+        net.bind(SERVER, 80, Box::new(Counter(Arc::clone(&count))));
+        let net = &net;
+        std::thread::scope(|s| {
+            for k in 0..K {
+                s.spawn(move || {
+                    let mut lane = net.lane(&format!("worker-{k}"));
+                    for _ in 0..M {
+                        let reply = lane.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
+                        assert!(reply.is_ok(), "lane {k}: {reply:?}");
+                    }
+                });
+            }
+        });
+        assert_eq!(count.load(Ordering::SeqCst), K * M);
     }
 
     #[test]

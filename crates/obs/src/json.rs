@@ -1,8 +1,7 @@
 //! Deterministic JSON rendering for metric exports.
 //!
-//! The workspace's serde shim is marker-only, so metric files are rendered
-//! by hand — which is also what makes the byte-identical contract easy to
-//! audit: keys appear in fixed (sorted) order and every value is a `u64`,
+//! Metric files are rendered by hand rather than through a serialization
+//! framework, which makes the byte-identical contract easy to audit: keys appear in fixed (sorted) order and every value is a `u64`,
 //! so there is no float formatting or map-ordering nondeterminism anywhere
 //! in an exported file.
 

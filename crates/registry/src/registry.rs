@@ -2,14 +2,13 @@
 
 use ruwhere_dns::{Name, RData, Record, SoaData, Zone};
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Delegation data for one registered domain: its NS set and any glue the
 /// registrant supplied for in-bailiwick name servers.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Delegation {
     /// Name-server host names.
     pub nameservers: Vec<DomainName>,
@@ -18,7 +17,7 @@ pub struct Delegation {
 }
 
 /// One registration in the registry database.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Registration {
     /// First registration date.
     pub registered: Date,
@@ -52,7 +51,7 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// The registry for one ccTLD (`.ru` or `.рф` in this study).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Registry {
     tld: DomainName,
     domains: BTreeMap<DomainName, Registration>,

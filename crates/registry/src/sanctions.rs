@@ -6,11 +6,10 @@
 //! answers which domains are considered sanctioned.
 
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which list an entry came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SanctionSource {
     /// US OFAC Specially Designated Nationals list.
     UsOfacSdn,
@@ -28,7 +27,7 @@ impl std::fmt::Display for SanctionSource {
 }
 
 /// A set of sanctioned domains with listing dates and sources.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SanctionsList {
     /// domain → (first listing date, sources that list it)
     entries: BTreeMap<DomainName, (Date, Vec<SanctionSource>)>,

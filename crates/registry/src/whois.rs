@@ -23,14 +23,13 @@
 
 use crate::registry::Registry;
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The canonical WHOIS port.
 pub const WHOIS_PORT: u16 = 43;
 
 /// A parsed WHOIS answer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WhoisRecord {
     /// The queried domain.
     pub domain: DomainName,

@@ -4,11 +4,10 @@ use crate::error::ScanError;
 use ruwhere_ct::CtLog;
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::{ChainSummary, World, TLS_PORT};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// How a certificate is matched to the study TLDs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchRule {
     /// Paper footnote 6: "either its Common Name (CN) or Subject
     /// Alternative Name (SAN) fields include a domain name under a .ru or
@@ -19,7 +18,7 @@ pub enum MatchRule {
 }
 
 /// One indexed certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertRecord {
     /// CT log timestamp (issuance date in our pipeline).
     pub date: Date,
@@ -37,7 +36,7 @@ pub struct CertRecord {
 }
 
 /// The indexed certificate dataset for an analysis window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CertDataset {
     /// Matched certificates, log order.
     pub records: Vec<CertRecord>,
@@ -94,7 +93,7 @@ impl CertDataset {
 }
 
 /// One IP-wide TLS scan result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IpScanSnapshot {
     /// Scan date.
     pub date: Date,
@@ -113,15 +112,6 @@ impl IpScanSnapshot {
     /// `silent` aggregate.
     pub fn silent(&self) -> u64 {
         self.failures.len() as u64
-    }
-
-    /// Failures of one cause category
-    /// (see [`ScanError::category`]).
-    pub fn failures_by_cause(&self, category: &str) -> u64 {
-        self.failures
-            .iter()
-            .filter(|(_, e)| e.category() == category)
-            .count() as u64
     }
 }
 

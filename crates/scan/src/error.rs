@@ -12,7 +12,6 @@
 
 use ruwhere_authdns::ResolveError;
 use ruwhere_netsim::NetError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A measurement-layer failure, by cause.
@@ -20,7 +19,7 @@ use std::fmt;
 /// The first six variants mirror [`ResolveError`] one-to-one so DNS
 /// failures keep their cause through the scanner layer; the remainder
 /// cover transport and payload failures the non-DNS scanners see.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScanError {
     /// The query (or every retry of it) timed out.
     Timeout,
@@ -67,15 +66,6 @@ impl ScanError {
             ScanError::NotFound => "not_found",
             ScanError::WorkerLost => "worker_lost",
         }
-    }
-
-    /// Whether the failure is transient transport trouble (worth a retry)
-    /// as opposed to a definitive answer about the target.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ScanError::Timeout | ScanError::ServFail | ScanError::BudgetExhausted
-        )
     }
 }
 

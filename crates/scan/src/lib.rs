@@ -25,7 +25,6 @@
 
 pub mod censys;
 pub mod error;
-pub mod metrics;
 pub mod nscache;
 pub mod openintel;
 pub mod shard;
@@ -34,13 +33,12 @@ pub mod xfr;
 
 pub use censys::{CertDataset, CertRecord, IpScanSnapshot, IpScanner, MatchRule};
 pub use error::ScanError;
-pub use metrics::SweepMetrics;
 pub use nscache::NsCache;
 pub use openintel::{
     available_workers, default_checkpoint_dir, Completeness, OpenIntelScanner, SweepOptions,
     SweepStats, CHECKPOINT_DIR_ENV, WORKERS_ENV,
 };
-pub use ruwhere_store::{Interner, RecordView, SweepFrame};
+pub use ruwhere_store::{Interner, RecordView, SweepFrame, SweepMetrics};
 pub use shard::ShardPlan;
 pub use whois::{ArrivalClassification, WhoisClient};
 pub use xfr::ZoneTransferClient;

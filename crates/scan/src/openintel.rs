@@ -54,7 +54,6 @@
 //! sequential post-merge frame-build pass.
 
 use crate::error::ScanError;
-use crate::metrics::{fail_key, keys, SweepMetrics};
 use crate::nscache::{LookupCost, NsCache};
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
@@ -63,6 +62,7 @@ use ruwhere_authdns::{
 use ruwhere_dns::{Name, RType};
 use ruwhere_netsim::{NetStats, Network, SimTime};
 use ruwhere_obs::Recorder;
+use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
 use ruwhere_store::{FrameBuilder, Interner, SweepFrame};
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::World;
@@ -686,21 +686,18 @@ impl OpenIntelScanner {
         };
         let run_range = &run_range;
         type ShardResult = Result<(Vec<Raw>, Tally, SweepMetrics), std::ops::Range<usize>>;
-        let joined: Vec<ShardResult> = crossbeam::thread::scope(|s| {
+        let joined: Vec<ShardResult> = std::thread::scope(|s| {
             let handles: Vec<_> = plan
                 .ranges()
                 .iter()
                 .cloned()
-                .map(|range| (range.clone(), s.spawn(move |_| run_range(range))))
+                .map(|range| (range.clone(), s.spawn(move || run_range(range))))
                 .collect();
             handles
                 .into_iter()
                 .map(|(range, h)| h.join().map_err(|_| range))
                 .collect()
-        })
-        // `scope` only errs when an *unjoined* thread panicked; every
-        // handle above is joined, but degrade rather than abort anyway.
-        .unwrap_or_else(|_| plan.ranges().iter().cloned().map(Err).collect());
+        });
 
         let mut shard_outputs: Vec<(Vec<Raw>, Tally, SweepMetrics)> =
             Vec::with_capacity(joined.len());

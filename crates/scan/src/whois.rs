@@ -10,10 +10,9 @@ use crate::error::ScanError;
 use ruwhere_registry::whois::{parse, WhoisRecord};
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::World;
-use serde::{Deserialize, Serialize};
 
 /// Arrival classification result (the paper's footnote-10 analysis).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArrivalClassification {
     /// Registered after the comparison date: genuinely new names.
     pub newly_registered: Vec<DomainName>,

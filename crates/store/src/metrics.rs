@@ -16,7 +16,6 @@
 use ruwhere_authdns::ResolverObs;
 use ruwhere_netsim::NetObs;
 use ruwhere_obs::{json, Recorder};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// Pipeline-level metric keys (the fixed vocabulary of the `causes`
@@ -62,7 +61,7 @@ pub fn fail_key(category: &str) -> &'static str {
 }
 
 /// One sweep's merged observability section.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepMetrics {
     /// Transport-level aggregates (per-link delays, drop causes,
     /// fault-window occupancy) folded over every measurement lane.

@@ -3,11 +3,9 @@
 //! [`SweepFrame`](crate::SweepFrame), and byte-identical for any worker
 //! count.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a sweep's dataset is complete or was salvaged from a day of
 /// heavy measurement failure (an infrastructure outage, Figure-1 style).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Completeness {
     /// The sweep resolved normally; failures are kept as unknown-bucket
     /// records.
@@ -21,7 +19,7 @@ pub enum Completeness {
 }
 
 /// Aggregate counters for one sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Domains seeded from the zone snapshots.
     pub seeded: u64,

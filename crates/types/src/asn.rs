@@ -1,7 +1,6 @@
 //! Autonomous-system numbers, with constants for the networks the paper
 //! tracks by name.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -14,10 +13,7 @@ use std::str::FromStr;
 /// assert_eq!(Asn::AMAZON.to_string(), "AS16509");
 /// assert_eq!("AS13335".parse::<Asn>().unwrap(), Asn::CLOUDFLARE);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Asn(pub u32);
 
 impl Asn {

@@ -4,7 +4,6 @@
 //! only ever asks "is this address in the Russian Federation?", so a compact
 //! two-byte code is all we need.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -17,7 +16,7 @@ use std::str::FromStr;
 /// assert!(ru.is_russia());
 /// assert_eq!(ru.to_string(), "RU");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Country([u8; 2]);
 
 macro_rules! countries {

@@ -5,7 +5,6 @@
 //! the full `i32` year range. All simulation time in the workspace is
 //! expressed in whole days; sub-day timing lives in `ruwhere-netsim`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -23,8 +22,7 @@ pub const STUDY_END: Date = Date::from_ymd(2022, 5, 25);
 /// assert_eq!(d.succ().to_string(), "2022-02-25");
 /// assert_eq!(Date::from_ymd(2022, 3, 1) - Date::from_ymd(2022, 2, 24), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date(i32);
 
 impl Date {

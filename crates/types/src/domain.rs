@@ -4,9 +4,7 @@
 //! without a trailing dot: `"example.ru"`, `"xn--80ak6aa92e.xn--p1ai"`.
 //! Unicode input is converted label-by-label via punycode/IDNA.
 
-use crate::country::Country;
 use crate::punycode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -33,8 +31,7 @@ pub const MAX_LABEL_LEN: usize = 63;
 /// assert_eq!(idn.tld(), "xn--p1ai");
 /// assert!(idn.is_russian_cctld());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(try_from = "String", into = "String")]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainName(Arc<str>);
 
 /// Errors from [`DomainName`] parsing/validation.
@@ -167,20 +164,6 @@ impl DomainName {
     pub fn prepend(&self, label: &str) -> Result<DomainName, DomainParseError> {
         DomainName::parse(&format!("{label}.{}", self.0))
     }
-
-    /// Crude country inference for the ccTLD itself (not the hosting!).
-    pub fn cctld_country(&self) -> Option<Country> {
-        match self.tld() {
-            "ru" | "xn--p1ai" | "su" => Some(Country::RU),
-            "de" => Some(Country::DE),
-            "nl" => Some(Country::NL),
-            "se" => Some(Country::SE),
-            "us" => Some(Country::US),
-            "uk" => Some(Country::GB),
-            "ua" => Some(Country::UA),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for DomainName {
@@ -194,20 +177,6 @@ impl FromStr for DomainName {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         DomainName::parse(s)
-    }
-}
-
-impl TryFrom<String> for DomainName {
-    type Error = DomainParseError;
-
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        DomainName::parse(&s)
-    }
-}
-
-impl From<DomainName> for String {
-    fn from(d: DomainName) -> String {
-        d.0.to_string()
     }
 }
 
@@ -275,13 +244,6 @@ mod tests {
         let d = DomainName::parse("example.ru").unwrap();
         assert_eq!(d.prepend("ns1").unwrap().as_str(), "ns1.example.ru");
         assert!(d.prepend("bad label").is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip_via_string() {
-        let d = DomainName::parse("пример.рф").unwrap();
-        let s: String = d.clone().into();
-        assert_eq!(DomainName::try_from(s).unwrap(), d);
     }
 
     #[test]

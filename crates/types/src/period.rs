@@ -5,7 +5,6 @@
 //! > pre-sanctions (the period in-between)." — §3.1
 
 use crate::date::Date;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Start of the conflict: the invasion of Ukraine, 2022-02-24.
@@ -18,7 +17,7 @@ pub const CERT_WINDOW_START: Date = Date::from_ymd(2022, 1, 1);
 pub const CERT_WINDOW_END: Date = Date::from_ymd(2022, 5, 15);
 
 /// One of the paper's three phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Period {
     /// Before 2022-02-24.
     PreConflict,

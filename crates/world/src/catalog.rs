@@ -9,18 +9,17 @@
 //! share so that totals are consistent.
 
 use ruwhere_types::{Asn, Country, Date, CONFLICT_START, STUDY_END, STUDY_START};
-use serde::{Deserialize, Serialize};
 
 /// Index into the provider table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProviderId(pub u16);
 
 /// Index into the DNS-plan table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlanId(pub u16);
 
 /// Index into the CA table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CaId(pub u16);
 
 /// A network operator: hosts web servers and/or DNS servers in its ASN.
@@ -39,7 +38,7 @@ pub struct ProviderSpec {
 /// conflict value until that date and only then moves toward `at_end` —
 /// provider exoduses start on announcement dates (Sedo: 2022-03-09), not on
 /// the invasion date.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShareSchedule {
     /// Share at study start (2017-06-18).
     pub at_start: f64,

@@ -2,13 +2,12 @@
 
 use crate::timeline::ConflictEvent;
 use ruwhere_types::{Date, STUDY_END, STUDY_START};
-use serde::{Deserialize, Serialize};
 
 /// All knobs of the simulated ecosystem.
 ///
 /// The defaults reproduce the paper at 1:100 scale. Tests use
 /// [`WorldConfig::tiny`] to keep runtimes low.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Root seed for every stochastic choice.
     pub seed: u64,

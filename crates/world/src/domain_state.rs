@@ -2,11 +2,10 @@
 
 use crate::catalog::{CaId, PlanId, ProviderId};
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// How a domain's authoritative DNS is arranged.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DnsPlan {
     /// On a managed plan from the catalog.
     Managed(PlanId),
@@ -19,7 +18,7 @@ pub enum DnsPlan {
 }
 
 /// Where the domain's web content lives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostingPlan {
     /// Primary hosting provider.
     pub primary: ProviderId,
@@ -31,7 +30,7 @@ pub struct HostingPlan {
 }
 
 /// Per-domain TLS behaviour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TlsProfile {
     /// Preferred CA.
     pub ca: CaId,
@@ -46,7 +45,7 @@ pub struct TlsProfile {
 }
 
 /// Ground truth for one registered domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainState {
     /// The domain.
     pub name: DomainName,

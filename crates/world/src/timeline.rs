@@ -1,10 +1,9 @@
 //! The dated conflict event timeline (§3.2–§4.3 of the paper).
 
 use ruwhere_types::Date;
-use serde::{Deserialize, Serialize};
 
 /// Which piece of DNS infrastructure an [`InfraFault`] takes down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// The `.ru`/`.рф` TLD servers (RIPN / TCI) — the 2021-03-22 outage
     /// behind the Figure-1 dip.
@@ -17,7 +16,7 @@ pub enum FaultTarget {
 
 /// A scheduled infrastructure outage: the named servers black-hole all
 /// queries for `duration_hours` starting at the event date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InfraFault {
     /// What goes down.
     pub target: FaultTarget,
@@ -26,7 +25,7 @@ pub struct InfraFault {
 }
 
 /// One dated event played against the world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictEvent {
     /// 2022-02-24: the invasion. Marks the period boundary; also the start
     /// of elevated, anticipatory churn.

@@ -10,7 +10,6 @@ use parking_lot::RwLock;
 use ruwhere_ct::Certificate;
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::{Date, DomainName};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -19,7 +18,7 @@ use std::sync::Arc;
 pub const TLS_PORT: u16 = 443;
 
 /// The certificate-chain information visible in a banner grab.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainSummary {
     /// Leaf subject common name.
     pub subject_cn: String,
@@ -132,7 +131,7 @@ impl TlsEndpoint {
 }
 
 impl Service for TlsEndpoint {
-    fn handle(&mut self, _payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
+    fn handle(&self, _payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
         self.serving.read().get(&self.addr).map(|c| c.to_banner())
     }
 
@@ -189,7 +188,7 @@ mod tests {
     fn endpoint_serves_current_chain() {
         let serving: ServingMap = Arc::new(RwLock::new(HashMap::new()));
         let addr: Ipv4Addr = "198.51.100.7".parse().unwrap();
-        let mut ep = TlsEndpoint::new(Arc::clone(&serving), addr);
+        let ep = TlsEndpoint::new(Arc::clone(&serving), addr);
         let src = ("10.0.0.1".parse().unwrap(), 55555);
 
         // Nothing served yet: silent (no TLS on this box).

@@ -2107,7 +2107,7 @@ struct ZoneTransferService {
 
 impl ruwhere_netsim::Service for ZoneTransferService {
     fn handle(
-        &mut self,
+        &self,
         payload: &[u8],
         _src: (Ipv4Addr, u16),
         _now: ruwhere_netsim::SimTime,
@@ -2170,7 +2170,7 @@ struct WhoisService {
 
 impl ruwhere_netsim::Service for WhoisService {
     fn handle(
-        &mut self,
+        &self,
         payload: &[u8],
         _src: (Ipv4Addr, u16),
         _now: ruwhere_netsim::SimTime,

@@ -2,28 +2,47 @@
 //! from the study world and print the full referral walk.
 //!
 //! ```sh
-//! cargo run --release --example resolver_trace [name] [type]
+//! cargo run --release --example resolver_trace [name] [A|NS|MX]
 //! # e.g.
 //! cargo run --release --example resolver_trace ns4-cloud.nic.ru A
 //! ```
+//!
+//! Unicode names (`пример.рф`) are converted with IDNA; `.` is the root.
+//! A malformed name or an unsupported type exits 2 with a usage line.
 
 use ruwhere::authdns::{IterativeResolver, TraceEvent};
 use ruwhere::dns::{Name, RType};
 use ruwhere::prelude::*;
 
+fn usage(problem: &str) -> ! {
+    eprintln!("resolver_trace: {problem}\nusage: resolver_trace [name] [A|NS|MX]");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rtype = match args.get(1).map(String::as_str) {
-        Some("NS") | Some("ns") => RType::Ns,
-        Some("MX") | Some("mx") => RType::Mx,
-        _ => RType::A,
+    if args.len() > 2 {
+        usage("too many arguments");
+    }
+    let rtype = match args.get(1).map(|t| t.to_ascii_uppercase()).as_deref() {
+        None | Some("A") => RType::A,
+        Some("NS") => RType::Ns,
+        Some("MX") => RType::Mx,
+        Some(_) => usage(&format!("unsupported type {:?}", args[1])),
     };
+    let arg_name = args.first().map(|s| match s.as_str() {
+        "." => Name::root(),
+        s => match s.parse::<DomainName>() {
+            Ok(d) => Name::from(&d),
+            Err(e) => usage(&format!("invalid name {s:?}: {e}")),
+        },
+    });
 
     let mut world = World::new(WorldConfig::tiny());
     world.publish_tld_zones();
 
-    let qname: Name = match args.first() {
-        Some(s) => s.parse().expect("invalid name"),
+    let qname = match arg_name {
+        Some(name) => name,
         None => {
             // No argument: pick the first seeded domain.
             let d = world
