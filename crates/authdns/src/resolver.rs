@@ -357,9 +357,11 @@ impl IterativeResolver {
         }
     }
 
-    fn record(&mut self, ev: TraceEvent) {
+    /// Record a trace event; `ev` only runs (and allocates) when tracing
+    /// is on.
+    fn record(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(t) = &mut self.trace {
-            t.push(ev);
+            t.push(ev());
         }
     }
 
@@ -492,13 +494,14 @@ impl IterativeResolver {
         let mut budget = self.query_budget;
         let mut retries = self.retry_budget;
         let result = self.resolve_inner(net, name, rtype, &mut budget, &mut retries, 0, deps);
-        let outcome = match &result {
-            Ok(Resolution::Records(r)) => format!("answer ({} records)", r.len()),
-            Ok(Resolution::NxDomain) => "NXDOMAIN".to_owned(),
-            Ok(Resolution::NoData) => "NODATA".to_owned(),
-            Err(e) => format!("error: {e}"),
-        };
-        self.record(TraceEvent::Done { outcome });
+        self.record(|| TraceEvent::Done {
+            outcome: match &result {
+                Ok(Resolution::Records(r)) => format!("answer ({} records)", r.len()),
+                Ok(Resolution::NxDomain) => "NXDOMAIN".to_owned(),
+                Ok(Resolution::NoData) => "NODATA".to_owned(),
+                Err(e) => format!("error: {e}"),
+            },
+        });
         result
     }
 
@@ -537,7 +540,10 @@ impl IterativeResolver {
 
     fn starting_servers(&self, name: &Name) -> Vec<Ipv4Addr> {
         // Deepest cached cut that is an ancestor of `name`.
-        let mut cursor = Some(name.clone());
+        if let Some(addrs) = self.cut_cache.get(name) {
+            return addrs.clone();
+        }
+        let mut cursor = name.parent();
         while let Some(n) = cursor {
             if let Some(addrs) = self.cut_cache.get(&n) {
                 return addrs.clone();
@@ -602,7 +608,7 @@ impl IterativeResolver {
         }
         *budget -= 1;
         self.queries_sent += 1;
-        self.record(TraceEvent::Query {
+        self.record(|| TraceEvent::Query {
             server,
             qname: name.clone(),
             rtype,
@@ -631,7 +637,7 @@ impl IterativeResolver {
             Err(_) => {
                 self.stats.timeouts += 1;
                 self.note_failure(server, net.now());
-                self.record(TraceEvent::Timeout { server });
+                self.record(|| TraceEvent::Timeout { server });
                 Ok(QueryOutcome::Timeout)
             }
             Ok(reply) => {
@@ -643,7 +649,7 @@ impl IterativeResolver {
                 if msg.flags.tc {
                     self.stats.truncated += 1;
                     self.note_failure(server, now);
-                    self.record(TraceEvent::Truncated { server });
+                    self.record(|| TraceEvent::Truncated { server });
                     return Ok(QueryOutcome::Truncated);
                 }
                 match msg.flags.rcode {
@@ -658,7 +664,7 @@ impl IterativeResolver {
                         if lame {
                             self.stats.lame += 1;
                             self.note_failure(server, now);
-                            self.record(TraceEvent::Lame { server });
+                            self.record(|| TraceEvent::Lame { server });
                             Ok(QueryOutcome::Lame)
                         } else {
                             self.note_success(server, now.as_micros() - t0.as_micros());
@@ -668,7 +674,7 @@ impl IterativeResolver {
                     Rcode::ServFail => {
                         self.stats.servfails += 1;
                         self.note_failure(server, now);
-                        self.record(TraceEvent::ServFail { server });
+                        self.record(|| TraceEvent::ServFail { server });
                         Ok(QueryOutcome::ServFail)
                     }
                     _ => {
@@ -758,7 +764,7 @@ impl IterativeResolver {
                     if chain.len() > 16 {
                         return Err(ResolveError::BudgetExhausted);
                     }
-                    self.record(TraceEvent::Cname {
+                    self.record(|| TraceEvent::Cname {
                         target: target.clone(),
                     });
                     current_name = target;
@@ -817,7 +823,7 @@ impl IterativeResolver {
                         }
                     }
                 }
-                self.record(TraceEvent::Referral {
+                self.record(|| TraceEvent::Referral {
                     cut: cut.clone(),
                     glue: glue_accepted,
                     rejected_glue,

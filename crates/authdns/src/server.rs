@@ -53,7 +53,10 @@ impl ZoneSet {
     /// The zone with the deepest origin that is an ancestor of (or equal
     /// to) `qname` — the zone this operator would answer from.
     pub fn find_best(&self, qname: &Name) -> Option<&Zone> {
-        let mut cursor = Some(qname.clone());
+        if let Some(z) = self.zones.get(qname) {
+            return Some(z);
+        }
+        let mut cursor = qname.parent();
         while let Some(n) = cursor {
             if let Some(z) = self.zones.get(&n) {
                 return Some(z);

@@ -1,7 +1,8 @@
 //! Wire-format domain names with compression.
 
-use crate::wire::{Decoder, Encoder, WireError};
+use crate::wire::{Decoder, Encoder, WireError, MAX_POINTER_HOPS};
 use ruwhere_types::DomainName;
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
 
@@ -9,11 +10,15 @@ use std::str::FromStr;
 const MAX_WIRE_LEN: usize = 255;
 /// Maximum label length.
 const MAX_LABEL_LEN: usize = 63;
-/// Safety cap on compression-pointer hops while decoding.
-const MAX_POINTER_HOPS: usize = 64;
 
 /// A DNS name in wire form: a sequence of lowercase labels. The root name
 /// has zero labels.
+///
+/// Stored flat, as one buffer of length-prefixed labels (the RFC 1035
+/// wire encoding without the terminal zero octet), so cloning, decoding
+/// and [`parent`](Self::parent) each cost a single allocation. Equality
+/// and hashing work on those bytes; ordering is label by label, the same
+/// order as comparing the label sequences.
 ///
 /// ```
 /// use ruwhere_dns::Name;
@@ -23,20 +28,23 @@ const MAX_POINTER_HOPS: usize = 64;
 /// assert!(n.is_subdomain_of(&"example.ru".parse().unwrap()));
 /// assert!(Name::root().is_root());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Name {
-    labels: Vec<Box<[u8]>>,
+    /// Length-prefixed lowercase labels, leftmost first, no terminal zero.
+    wire: Box<[u8]>,
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            wire: Box::default(),
+        }
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Build a name from presentation labels. Each label is lowercased and
@@ -46,7 +54,7 @@ impl Name {
         I: IntoIterator<Item = S>,
         S: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut out = [0u8; MAX_WIRE_LEN];
         let mut wire_len = 1usize; // terminal zero octet
         for l in labels {
             let l = l.as_ref();
@@ -56,76 +64,101 @@ impl Name {
             if !l.iter().all(|b| b.is_ascii() && *b != b'.') {
                 return Err(WireError::BadLabel);
             }
+            // Past the limit, keep validating (a later bad label still
+            // decides the error) but stop writing.
+            let at = wire_len - 1;
             wire_len += 1 + l.len();
-            out.push(l.to_ascii_lowercase().into_boxed_slice());
+            if wire_len <= MAX_WIRE_LEN {
+                out[at] = l.len() as u8;
+                out[at + 1..wire_len - 1].copy_from_slice(l);
+                out[at + 1..wire_len - 1].make_ascii_lowercase();
+            }
         }
         if wire_len > MAX_WIRE_LEN {
             return Err(WireError::NameTooLong);
         }
-        Ok(Name { labels: out })
+        Ok(Name {
+            wire: out[..wire_len - 1].into(),
+        })
     }
 
     /// Number of labels.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.label_offsets().count()
     }
 
     /// Iterate over labels (leftmost first).
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
+        self.label_offsets()
+            .map(|at| &self.wire[at + 1..at + 1 + self.wire[at] as usize])
+    }
+
+    /// Offsets of each label's length octet in the wire buffer, leftmost
+    /// first. Every offset starts a suffix of the name.
+    pub(crate) fn label_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let here = at;
+            let len = *self.wire.get(here)?;
+            at += 1 + len as usize;
+            Some(here)
+        })
+    }
+
+    /// The name formed by the labels from wire offset `at` on (a value
+    /// from [`label_offsets`](Self::label_offsets), or the buffer length
+    /// for the root).
+    pub(crate) fn suffix_at(&self, at: usize) -> Name {
+        Name {
+            wire: self.wire[at..].into(),
+        }
     }
 
     /// The parent name (one label removed from the left), or `None` at root.
     pub fn parent(&self) -> Option<Name> {
-        if self.is_root() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let len = *self.wire.first()?;
+        Some(self.suffix_at(1 + len as usize))
     }
 
     /// Whether `self` is equal to or a subdomain of `ancestor`.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        let n = ancestor.labels.len();
-        if self.labels.len() < n {
+        let Some(at) = self.wire.len().checked_sub(ancestor.wire.len()) else {
             return false;
-        }
-        self.labels[self.labels.len() - n..] == ancestor.labels[..]
+        };
+        // The byte suffix must also start on a label boundary.
+        self.wire[at..] == ancestor.wire[..]
+            && (at == self.wire.len() || self.label_offsets().any(|o| o == at))
     }
 
     /// Wire length of this name when encoded without compression.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.wire.len() + 1
     }
 
     /// Encode into `enc`, compressing against (and registering with) the
     /// encoder's suffix table.
     pub fn encode(&self, enc: &mut Encoder) {
-        // Walk suffixes from the full name down; at the first suffix already
-        // present in the table, emit a pointer and stop.
-        for i in 0..self.labels.len() {
-            let key = Self::suffix_key(&self.labels[i..]);
-            if let Some(off) = enc.lookup_suffix(&key) {
-                enc.put_u16(0xC000 | off);
-                return;
-            }
-            enc.remember_suffix(key, enc.position());
-            let label = &self.labels[i];
-            enc.put_u8(label.len() as u8);
-            enc.put_slice(label);
+        // The longest suffix already in the table ends the name with a
+        // pointer; every label before it is written verbatim and its
+        // suffix remembered. The table only ever holds complete names, so
+        // looking all suffixes up before writing finds exactly what
+        // looking each up just before writing its label would.
+        let (written, pointer) = self
+            .label_offsets()
+            .find_map(|at| {
+                enc.lookup_suffix(&self.wire[at..])
+                    .map(|off| (at, Some(off)))
+            })
+            .unwrap_or((self.wire.len(), None));
+        let base = enc.position();
+        for at in self.label_offsets().take_while(|&at| at < written) {
+            enc.remember_suffix(base + at);
         }
-        enc.put_u8(0);
-    }
-
-    fn suffix_key(labels: &[Box<[u8]>]) -> Vec<u8> {
-        let mut key = Vec::new();
-        for l in labels {
-            key.push(l.len() as u8);
-            key.extend_from_slice(l);
+        enc.put_slice(&self.wire[..written]);
+        match pointer {
+            Some(off) => enc.put_u16(0xC000 | off),
+            None => enc.put_u8(0),
         }
-        key
     }
 
     /// Decode a (possibly compressed) name at the decoder's cursor. The
@@ -133,10 +166,9 @@ impl Name {
     /// are followed via random access without moving the cursor there.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let msg = dec.message();
-        let mut labels = Vec::new();
+        let mut out = [0u8; MAX_WIRE_LEN];
         let mut wire_len = 1usize;
         let mut pos = dec.position();
-        let mut jumped = false;
         let mut hops = 0usize;
         let mut end_pos = None;
 
@@ -158,11 +190,14 @@ impl Name {
                     if pos + len > msg.len() {
                         return Err(WireError::Truncated);
                     }
+                    let at = wire_len - 1;
                     wire_len += 1 + len;
                     if wire_len > MAX_WIRE_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    labels.push(msg[pos..pos + len].to_ascii_lowercase().into_boxed_slice());
+                    out[at] = len as u8;
+                    out[at + 1..wire_len - 1].copy_from_slice(&msg[pos..pos + len]);
+                    out[at + 1..wire_len - 1].make_ascii_lowercase();
                     pos += len;
                 }
                 0xC0 => {
@@ -182,15 +217,15 @@ impl Name {
                         return Err(WireError::BadPointer);
                     }
                     pos = target;
-                    jumped = true;
                 }
                 other => return Err(WireError::BadLabelType(other)),
             }
-            let _ = jumped;
         }
 
         dec.seek(end_pos.expect("loop sets end_pos before breaking"))?;
-        Ok(Name { labels })
+        Ok(Name {
+            wire: out[..wire_len - 1].into(),
+        })
     }
 
     /// Convert to the analysis-level [`DomainName`] (fails for the root name
@@ -199,7 +234,49 @@ impl Name {
         if self.is_root() {
             return None;
         }
-        DomainName::parse(&self.to_string()).ok()
+        // Join the labels with dots in place of the length octets. A
+        // non-ASCII byte or a dot inside a label has no hostname spelling
+        // (the presentation form escapes it), so either rejects the name;
+        // `DomainName::parse` rejects every other non-hostname byte.
+        let mut joined = [0u8; MAX_WIRE_LEN];
+        let joined = &mut joined[..self.wire.len() - 1];
+        for at in self.label_offsets() {
+            let len = self.wire[at] as usize;
+            let label = &self.wire[at + 1..at + 1 + len];
+            if !label.iter().all(|&b| b.is_ascii() && b != b'.') {
+                return None;
+            }
+            if at > 0 {
+                joined[at - 1] = b'.';
+            }
+            joined[at..at + len].copy_from_slice(label);
+        }
+        let joined = std::str::from_utf8(joined).expect("checked ASCII");
+        DomainName::parse(joined).ok()
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    /// Label by label, leftmost first — the order of the label sequences,
+    /// which is what zone snapshots and everything derived from them are
+    /// sorted by. (The wire bytes would sort differently: the length
+    /// octet makes `b.` sort before `aa.`.)
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.labels().cmp(other.labels())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Name")
+            .field("labels", &self.labels().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -209,8 +286,8 @@ impl fmt::Display for Name {
         if self.is_root() {
             return f.write_str(".");
         }
-        for l in &self.labels {
-            for &b in l.iter() {
+        for l in self.labels() {
+            for &b in l {
                 if b.is_ascii_graphic() && b != b'.' {
                     write!(f, "{}", b as char)?;
                 } else {

@@ -5,13 +5,14 @@
 //! names requires random access for compression pointers, so the decoder
 //! keeps the entire message slice).
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum DNS message size we accept (EDNS-sized; we do not implement
 /// truncation/TCP fallback — the simulated transport delivers whole
 /// datagrams).
 pub const MAX_MESSAGE_SIZE: usize = 4096;
+/// Safety cap on compression-pointer hops while reading a name.
+pub(crate) const MAX_POINTER_HOPS: usize = 64;
 
 /// Errors produced while decoding (or, rarely, encoding) wire data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,11 +58,16 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Wire encoder with RFC 1035 §4.1.4 name compression.
+///
+/// The compression table is a list of buffer offsets, one per name suffix
+/// written in full; a suffix's bytes are read back from the buffer when it
+/// is looked up. Each suffix is remembered at its first occurrence only,
+/// so pointers always target the earliest copy.
 pub struct Encoder {
     buf: Vec<u8>,
-    /// Canonical (lowercase) name suffix → offset of its first occurrence.
-    /// Only offsets < 0x3FFF are eligible as compression targets.
-    names: HashMap<Vec<u8>, u16>,
+    /// Offsets of remembered name suffixes, in the order written. Only
+    /// offsets ≤ 0x3FFF are eligible as compression targets.
+    names: Vec<u16>,
 }
 
 impl Encoder {
@@ -69,7 +75,8 @@ impl Encoder {
     pub fn new() -> Self {
         Encoder {
             buf: Vec::with_capacity(512),
-            names: HashMap::new(),
+            // Room for the suffixes of a typical reply without regrowing.
+            names: Vec::with_capacity(32),
         }
     }
 
@@ -103,15 +110,59 @@ impl Encoder {
         self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Look up a compression target for a canonical suffix key.
-    pub(crate) fn lookup_suffix(&self, key: &[u8]) -> Option<u16> {
-        self.names.get(key).copied()
+    /// Look up a compression target for a name suffix given as
+    /// length-prefixed lowercase labels without the terminal zero: the
+    /// first remembered offset whose name, read back, equals it.
+    pub(crate) fn lookup_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        self.names
+            .iter()
+            .copied()
+            .find(|&off| self.name_at_equals(off as usize, suffix))
     }
 
-    /// Remember a suffix occurrence for future compression.
-    pub(crate) fn remember_suffix(&mut self, key: Vec<u8>, offset: usize) {
+    /// Remember that a name suffix starts at `offset`. The caller writes
+    /// that suffix in full (ending in a zero octet or a pointer) before
+    /// the next lookup can match it.
+    pub(crate) fn remember_suffix(&mut self, offset: usize) {
         if offset <= 0x3FFF {
-            self.names.entry(key).or_insert(offset as u16);
+            self.names.push(offset as u16);
+        }
+    }
+
+    /// Whether the name written at `pos`, followed through its pointers,
+    /// is exactly `suffix`. Reads are bounds-checked: a name still being
+    /// written runs off the end of the buffer and never matches.
+    fn name_at_equals(&self, mut pos: usize, mut suffix: &[u8]) -> bool {
+        let mut hops = 0;
+        loop {
+            let Some(&len) = self.buf.get(pos) else {
+                return false;
+            };
+            match len & 0xC0 {
+                0x00 if len == 0 => return suffix.is_empty(),
+                0x00 => {
+                    let end = pos + 1 + len as usize;
+                    match self.buf.get(pos..end) {
+                        Some(label) if suffix.starts_with(label) => {
+                            suffix = &suffix[label.len()..];
+                            pos = end;
+                        }
+                        _ => return false,
+                    }
+                }
+                0xC0 => {
+                    let Some(&lo) = self.buf.get(pos + 1) else {
+                        return false;
+                    };
+                    let target = (((len & 0x3F) as usize) << 8) | lo as usize;
+                    hops += 1;
+                    if target >= pos || hops > MAX_POINTER_HOPS {
+                        return false;
+                    }
+                    pos = target;
+                }
+                _ => return false,
+            }
         }
     }
 

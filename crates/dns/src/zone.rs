@@ -10,6 +10,10 @@ use crate::rdata::{RData, RType, Record, SoaData};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Most labels a name can have: 127 one-octet labels fill the 255-octet
+/// wire limit.
+const MAX_LABELS: usize = 127;
+
 /// Outcome of a zone lookup, before message assembly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lookup {
@@ -163,27 +167,34 @@ impl Zone {
         // Check for a zone cut between the origin (exclusive) and qname
         // (inclusive): walk enclosing names from just under the apex down,
         // so the highest (closest-to-apex) delegation wins.
-        let qlabels: Vec<&[u8]> = qname.labels().collect();
-        let depth = qlabels.len() - self.origin.label_count();
+        let mut offsets = [0usize; MAX_LABELS];
+        let mut count = 0;
+        for at in qname.label_offsets() {
+            offsets[count] = at;
+            count += 1;
+        }
+        let depth = count - self.origin.label_count();
         for take in 1..=depth {
-            let cut = Name::from_labels(
-                qlabels[qlabels.len() - self.origin.label_count() - take..]
-                    .iter()
-                    .copied(),
-            )
-            .expect("sub-slice of a valid name");
-            if let Some(recs) = self.records.get(&cut) {
+            let at = offsets[depth - take];
+            let suffix;
+            let cut = if at == 0 {
+                qname
+            } else {
+                suffix = qname.suffix_at(at);
+                &suffix
+            };
+            if let Some(recs) = self.records.get(cut) {
                 let ns: Vec<Record> = recs
                     .iter()
                     .filter(|r| r.data.rtype() == RType::Ns)
                     .cloned()
                     .collect();
-                if !ns.is_empty() && cut != self.origin {
+                if !ns.is_empty() && *cut != self.origin {
                     // Below a delegation — unless the query is *for* the cut
                     // itself with type DS (parent-side type), or the query
                     // is exactly the cut with type NS (we can answer as the
                     // delegating parent: referral is still the norm).
-                    let parent_side = cut == *qname && qtype == RType::Ds;
+                    let parent_side = cut == qname && qtype == RType::Ds;
                     if !parent_side {
                         let glue = self.glue_for(&ns);
                         return Lookup::Delegation { ns, glue };

@@ -460,11 +460,15 @@ impl Network {
     /// snapshot, key, start instant), independent of any other lane and of
     /// which thread drives it. This is the determinism foundation of the
     /// parallel sweep engine.
-    pub fn lane(&self, key: &str) -> Lane<'_> {
+    ///
+    /// The key is hashed as it is formatted, so
+    /// `lane(format_args!("{date}/{domain}"))` draws the same streams as a
+    /// key string with that text, without building the string.
+    pub fn lane(&self, key: fmt::Arguments<'_>) -> Lane<'_> {
         let start = self.now;
         Lane {
             net: self,
-            stream: self.seed.child("lane").child(key),
+            stream: self.seed.child("lane").child_fmt(key),
             start,
             now: start,
             seq: 0,
@@ -915,7 +919,7 @@ mod tests {
         std::thread::scope(|s| {
             for k in 0..K {
                 s.spawn(move || {
-                    let mut lane = net.lane(&format!("worker-{k}"));
+                    let mut lane = net.lane(format_args!("worker-{k}"));
                     for _ in 0..M {
                         let reply = lane.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
                         assert!(reply.is_ok(), "lane {k}: {reply:?}");

@@ -343,7 +343,7 @@ fn resolve_with_retry<T: ruwhere_netsim::Transport>(
 /// with a fresh primed fork — a pure function of the sweep-start snapshot,
 /// so the cached value is identical no matter which worker computes it.
 fn resolve_ns_target(ctx: &SweepCtx<'_>, ns: &DomainName) -> (Vec<Ipv4Addr>, LookupCost) {
-    let mut lane = ctx.net.lane(&format!("ns:{}/{}", ctx.date, ns));
+    let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
     let mut resolver = ctx.primed.fork();
     let ips = match resolve_with_retry(
         &mut resolver,
@@ -385,7 +385,7 @@ fn measure_domain(
     if let Some(inject) = ctx.panic_inject {
         inject.maybe_panic(domain);
     }
-    let mut lane = ctx.net.lane(&format!("{}/{}", ctx.date, domain));
+    let mut lane = ctx.net.lane(format_args!("{}/{}", ctx.date, domain));
     let mut resolver = ctx.primed.fork();
     // Thread the worker's accumulators through this domain's lane and
     // fork: records land directly in the running totals, avoiding a
@@ -615,7 +615,7 @@ impl OpenIntelScanner {
         let mut total_metrics = SweepMetrics::default();
         {
             let net = world.network();
-            let mut lane = net.lane(&format!("{date}/warmup"));
+            let mut lane = net.lane(format_args!("{date}/warmup"));
             let mut tlds: Vec<&str> = seeds.iter().map(|d| d.tld()).collect();
             tlds.sort_unstable();
             tlds.dedup();

@@ -90,6 +90,9 @@ impl DomainName {
         if trimmed.is_empty() {
             return Err(DomainParseError::Empty);
         }
+        if trimmed.is_ascii() {
+            return Self::parse_ascii(trimmed);
+        }
         let mut labels = Vec::new();
         for raw in trimmed.split('.') {
             let ascii = punycode::label_to_ascii(raw)
@@ -102,6 +105,26 @@ impl DomainName {
             return Err(DomainParseError::TooLong);
         }
         Ok(DomainName(joined.into()))
+    }
+
+    /// [`parse`](Self::parse) for all-ASCII input (trailing dot removed):
+    /// punycode passes ASCII labels through lowercased, so lowercase once,
+    /// validate the labels in place and allocate the result once.
+    fn parse_ascii(trimmed: &str) -> Result<Self, DomainParseError> {
+        let lowered;
+        let name = if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = trimmed.to_ascii_lowercase();
+            &lowered
+        } else {
+            trimmed
+        };
+        for label in name.split('.') {
+            validate_ascii_label(label)?;
+        }
+        if name.len() > MAX_NAME_LEN {
+            return Err(DomainParseError::TooLong);
+        }
+        Ok(DomainName(name.into()))
     }
 
     /// The normalized ASCII presentation form (no trailing dot).
@@ -244,6 +267,84 @@ mod tests {
         let d = DomainName::parse("example.ru").unwrap();
         assert_eq!(d.prepend("ns1").unwrap().as_str(), "ns1.example.ru");
         assert!(d.prepend("bad label").is_err());
+    }
+
+    /// `parse` as it was before the all-ASCII fast path.
+    fn parse_via_labels(input: &str) -> Result<DomainName, DomainParseError> {
+        let trimmed = input.strip_suffix('.').unwrap_or(input);
+        if trimmed.is_empty() {
+            return Err(DomainParseError::Empty);
+        }
+        let mut labels = Vec::new();
+        for raw in trimmed.split('.') {
+            let ascii = punycode::label_to_ascii(raw)
+                .map_err(|_| DomainParseError::Punycode(raw.to_owned()))?;
+            validate_ascii_label(&ascii)?;
+            labels.push(ascii);
+        }
+        let joined = labels.join(".");
+        if joined.len() > MAX_NAME_LEN {
+            return Err(DomainParseError::TooLong);
+        }
+        Ok(DomainName(joined.into()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn ascii_fast_path_accepts_and_rejects_alike(
+            parts in proptest::collection::vec(
+                (0usize..12, 0usize..70, proptest::prelude::any::<bool>()),
+                0..6,
+            ),
+            trailing_dot in proptest::prelude::any::<bool>(),
+        ) {
+            // Labels of one repeated character, 0..70 long: empty, short,
+            // at and over the 63-octet limit; names up to and over 253.
+            const CHARS: [&str; 12] = ["a", "Q", "7", "-", "_", " ", "\\", "*", "é", "п", "b", "Z"];
+            let mut input = parts
+                .iter()
+                .map(|&(c, len, edge_hyphen)| {
+                    let label = CHARS[c].repeat(len);
+                    if edge_hyphen { format!("-{label}") } else { label }
+                })
+                .collect::<Vec<_>>()
+                .join(".");
+            if trailing_dot {
+                input.push('.');
+            }
+            proptest::prop_assert_eq!(DomainName::parse(&input), parse_via_labels(&input));
+        }
+    }
+
+    #[test]
+    fn ascii_fast_path_edge_cases() {
+        let l63 = "a".repeat(63);
+        let at_limit = format!("{l63}.{l63}.{l63}.{}", "b".repeat(61));
+        for input in [
+            "",
+            ".",
+            "..",
+            "a..b",
+            "EXAMPLE.RU.",
+            "Ex-Ample.ru",
+            "-x.ru",
+            "x-.RU",
+            "a b.ru",
+            "a\\046b.ru",
+            at_limit.as_str(),
+            &format!("{at_limit}b"),
+            &format!("{at_limit}.B"),
+            &format!("{}.ru", "A".repeat(64)),
+        ] {
+            assert_eq!(
+                DomainName::parse(input),
+                parse_via_labels(input),
+                "{input:?}"
+            );
+        }
+        assert_eq!(DomainName::parse(&at_limit).unwrap().as_str().len(), 253);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -14,12 +15,33 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed.wrapping_mul(FNV_PRIME);
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a::new(seed);
+    h.update(bytes);
+    h.0
+}
+
+/// Streaming FNV-1a state: feeding bytes in pieces hashes exactly like
+/// feeding them at once.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new(seed: u64) -> Self {
+        Fnv1a(FNV_OFFSET ^ seed.wrapping_mul(FNV_PRIME))
     }
-    h
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// splitmix64 finalizer: decorrelates FNV output into a well-mixed seed.
@@ -65,6 +87,17 @@ impl SeedTree {
         }
     }
 
+    /// Derive a named child node from a formatted label without building
+    /// the string: `child_fmt(format_args!(..))` equals
+    /// `child(&format!(..))`.
+    pub fn child_fmt(&self, label: fmt::Arguments<'_>) -> SeedTree {
+        let mut h = Fnv1a::new(self.state);
+        fmt::write(&mut h, label).expect("the hashing writer never fails");
+        SeedTree {
+            state: splitmix64(h.0),
+        }
+    }
+
     /// Derive an indexed child node (e.g. per-domain, per-day).
     pub fn child_idx(&self, index: u64) -> SeedTree {
         SeedTree {
@@ -104,6 +137,26 @@ mod tests {
         assert_eq!(p1.seed(), p2.seed());
         // Different path order gives a different node.
         assert_ne!(root.child("y").child("x").seed(), p1.seed());
+    }
+
+    #[test]
+    fn streamed_child_matches_formatted_child() {
+        use crate::{Date, DomainName};
+        let root = SeedTree::new(7).child("lane");
+        let date = Date::from_ymd(2022, 3, 4);
+        let domain = DomainName::parse("пример.рф").unwrap();
+        assert_eq!(
+            root.child(&format!("{}/{}", date, domain)),
+            root.child_fmt(format_args!("{}/{}", date, domain))
+        );
+        assert_eq!(
+            root.child(&format!("ns:{}/{}", date, domain)),
+            root.child_fmt(format_args!("ns:{}/{}", date, domain))
+        );
+        assert_eq!(
+            root.child(&format!("{date}/warmup")),
+            root.child_fmt(format_args!("{date}/warmup"))
+        );
     }
 
     #[test]
