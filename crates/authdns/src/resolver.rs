@@ -855,6 +855,7 @@ mod tests {
     use ruwhere_dns::{RData, Record, SoaData, Zone};
     use ruwhere_netsim::fault::{FaultWindow, ServerFault, ServerFaultMode};
     use ruwhere_netsim::{AsInfo, Network, Topology};
+    use ruwhere_types::sync::write;
     use ruwhere_types::{Asn, Country, SeedTree};
 
     fn name(s: &str) -> Name {
@@ -1022,7 +1023,7 @@ mod tests {
     fn build_two_ns_world() -> (
         Network,
         IterativeResolver,
-        std::sync::Arc<parking_lot::RwLock<ServerBehavior>>,
+        std::sync::Arc<std::sync::RwLock<ServerBehavior>>,
     ) {
         let (mut net, resolver) = build_world();
         // Give example.ru a second, glued, in-bailiwick NS.
@@ -1165,7 +1166,7 @@ mod tests {
         let (mut net, mut r) = build_world();
         let zones = shared_zones([]);
         let srv = AuthServer::new(zones);
-        *srv.behavior_handle().write() = ServerBehavior::Refused;
+        *write(&srv.behavior_handle()) = ServerBehavior::Refused;
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         let err = r
             .resolve(&mut net, &name("example.ru"), RType::A)
@@ -1187,7 +1188,7 @@ mod tests {
     fn servfail_surfaces_as_servfail() {
         let (mut net, mut r) = build_world();
         let srv = AuthServer::new(shared_zones([]));
-        *srv.behavior_handle().write() = ServerBehavior::ServFail;
+        *write(&srv.behavior_handle()) = ServerBehavior::ServFail;
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         let err = r
             .resolve(&mut net, &name("example.ru"), RType::A)
@@ -1200,7 +1201,7 @@ mod tests {
     fn lame_surfaces_as_lame() {
         let (mut net, mut r) = build_world();
         let srv = AuthServer::new(shared_zones([]));
-        *srv.behavior_handle().write() = ServerBehavior::Lame;
+        *write(&srv.behavior_handle()) = ServerBehavior::Lame;
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         let err = r
             .resolve(&mut net, &name("example.ru"), RType::A)
@@ -1220,7 +1221,7 @@ mod tests {
         ] {
             let (mut net, mut r, _h2) = build_two_ns_world();
             let srv = AuthServer::new(shared_zones([]));
-            *srv.behavior_handle().write() = bad;
+            *write(&srv.behavior_handle()) = bad;
             net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
             let res = r.resolve(&mut net, &name("example.ru"), RType::A).unwrap();
             assert_eq!(res.addresses(), vec![WEB_IP], "no fallback past {bad:?}");
@@ -1231,7 +1232,7 @@ mod tests {
     fn truncated_reply_counts_and_fails_alone() {
         let (mut net, mut r) = build_world();
         let srv = AuthServer::new(shared_zones([]));
-        *srv.behavior_handle().write() = ServerBehavior::Truncated;
+        *write(&srv.behavior_handle()) = ServerBehavior::Truncated;
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         assert!(r.resolve(&mut net, &name("example.ru"), RType::A).is_err());
         assert!(r.stats().truncated > 0);
@@ -1258,7 +1259,7 @@ mod tests {
         // health state in play.
         let run = || {
             let (mut net, mut r, h2) = build_two_ns_world();
-            *h2.write() = ServerBehavior::Silent;
+            *write(&h2) = ServerBehavior::Silent;
             for _ in 0..4 {
                 r.clear_cache();
                 let _ = r.resolve(&mut net, &name("example.ru"), RType::A);

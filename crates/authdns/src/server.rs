@@ -1,12 +1,12 @@
 //! Authoritative server: zone storage and query answering.
 
-use parking_lot::RwLock;
 use ruwhere_dns::zone::Lookup;
 use ruwhere_dns::{Message, Name, Rcode, Zone};
 use ruwhere_netsim::{Service, SimTime};
+use ruwhere_types::sync::read;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A set of zones served by one operator, keyed by origin.
 #[derive(Debug, Default)]
@@ -179,7 +179,7 @@ impl AuthServer {
     /// needs only shared access: zones and behaviour live behind their
     /// own locks.
     fn respond(&self, payload: &[u8]) -> Option<Vec<u8>> {
-        let behavior = *self.behavior.read();
+        let behavior = *read(&self.behavior);
         if behavior == ServerBehavior::Silent {
             return None;
         }
@@ -201,7 +201,7 @@ impl AuthServer {
                 m
             }
             ServerBehavior::Normal | ServerBehavior::Silent => {
-                Self::answer(&self.zones.read(), &query)
+                Self::answer(&read(&self.zones), &query)
             }
         };
         resp.encode().ok()
@@ -231,6 +231,7 @@ pub fn shared_zones<I: IntoIterator<Item = Zone>>(zones: I) -> SharedZoneSet {
 mod tests {
     use super::*;
     use ruwhere_dns::{RData, RType, Record, SoaData};
+    use ruwhere_types::sync::write;
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
@@ -289,7 +290,7 @@ mod tests {
     fn answer_a_query() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("example.ru"), RType::A);
-        let resp = AuthServer::answer(&zones.read(), &q);
+        let resp = AuthServer::answer(&read(&zones), &q);
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert!(resp.flags.aa);
         assert_eq!(resp.answers.len(), 1);
@@ -299,7 +300,7 @@ mod tests {
     fn answer_cname_chases_in_zone() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("www.example.ru"), RType::A);
-        let resp = AuthServer::answer(&zones.read(), &q);
+        let resp = AuthServer::answer(&read(&zones), &q);
         // CNAME plus the chased A record.
         assert_eq!(resp.answers.len(), 2);
         assert_eq!(resp.answers[0].data.rtype(), RType::Cname);
@@ -310,12 +311,12 @@ mod tests {
     fn answer_nxdomain_and_nodata() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("missing.example.ru"), RType::A);
-        let resp = AuthServer::answer(&zones.read(), &q);
+        let resp = AuthServer::answer(&read(&zones), &q);
         assert_eq!(resp.flags.rcode, Rcode::NxDomain);
         assert_eq!(resp.authorities.len(), 1, "negative answers carry the SOA");
 
         let q = Message::query(1, name("example.ru"), RType::Mx);
-        let resp = AuthServer::answer(&zones.read(), &q);
+        let resp = AuthServer::answer(&read(&zones), &q);
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert!(resp.answers.is_empty());
         assert_eq!(resp.authorities.len(), 1);
@@ -325,7 +326,7 @@ mod tests {
     fn answer_refused_outside_authority() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("example.com"), RType::A);
-        let resp = AuthServer::answer(&zones.read(), &q);
+        let resp = AuthServer::answer(&read(&zones), &q);
         assert_eq!(resp.flags.rcode, Rcode::Refused);
     }
 
@@ -342,28 +343,28 @@ mod tests {
         let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::NoError);
 
-        *behavior.write() = ServerBehavior::Refused;
+        *write(&behavior) = ServerBehavior::Refused;
         let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::Refused);
 
-        *behavior.write() = ServerBehavior::ServFail;
+        *write(&behavior) = ServerBehavior::ServFail;
         let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::ServFail);
 
-        *behavior.write() = ServerBehavior::Truncated;
+        *write(&behavior) = ServerBehavior::Truncated;
         let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
         let m = Message::decode(&out).unwrap();
         assert!(m.flags.tc);
         assert!(m.answers.is_empty());
 
-        *behavior.write() = ServerBehavior::Lame;
+        *write(&behavior) = ServerBehavior::Lame;
         let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
         let m = Message::decode(&out).unwrap();
         assert_eq!(m.flags.rcode, Rcode::NoError);
         assert!(!m.flags.aa);
         assert!(m.answers.is_empty() && m.authorities.is_empty());
 
-        *behavior.write() = ServerBehavior::Silent;
+        *write(&behavior) = ServerBehavior::Silent;
         assert!(srv.handle(&q, src, SimTime::ZERO).is_none());
     }
 
@@ -392,7 +393,7 @@ mod tests {
 
         // Mutate the zone from "outside" (the world driver's daily update).
         {
-            let mut g = zones.write();
+            let mut g = write(&zones);
             let z = g.get_mut(&name("example.ru")).unwrap();
             z.remove(&name("example.ru"), Some(RType::A));
             z.add(Record::new(

@@ -3,13 +3,13 @@
 //! cache-poisoning vector) — and the trace facility must expose what
 //! happened.
 
-use parking_lot::RwLock;
 use ruwhere_authdns::{AuthServer, IterativeResolver, RootHint, TraceEvent, ZoneSet};
 use ruwhere_dns::{Message, Name, RData, RType, Rcode, Record, SoaData, Zone};
 use ruwhere_netsim::{AsInfo, Network, Service, SimTime, Topology};
+use ruwhere_types::sync::{read, write};
 use ruwhere_types::{Asn, Country, SeedTree};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 const ROOT_IP: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const POISONER_IP: Ipv4Addr = Ipv4Addr::new(193, 232, 128, 6);
@@ -75,7 +75,7 @@ struct Honeypot(Arc<RwLock<u64>>);
 
 impl Service for Honeypot {
     fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
-        *self.0.write() += 1;
+        *write(&self.0) += 1;
         None
     }
 }
@@ -160,7 +160,7 @@ fn poisoned_glue_is_discarded_and_honeypot_never_contacted() {
         res.addresses(),
         vec!["194.85.90.10".parse::<Ipv4Addr>().unwrap()]
     );
-    assert_eq!(*hits.read(), 0, "the honeypot must never be queried");
+    assert_eq!(*read(&hits), 0, "the honeypot must never be queried");
 
     // The trace shows the referral with exactly one accepted glue record
     // and two rejected.

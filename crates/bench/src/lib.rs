@@ -1,17 +1,14 @@
-//! Shared fixtures for the benchmark harness and the `repro` binary.
+//! The pinned study fixture and the exports of the `repro` binary.
 //!
-//! Building a world and sweeping it is expensive; benches build one shared
-//! fixture per process and measure the per-figure analysis code against it.
 //! The whole-study performance benchmark is `studybench` (see
-//! `BENCHMARK.json`); this crate keeps the pinned fixture, the
+//! `BENCHMARK.json`); this crate keeps the pinned fixture schedule, the
 //! worker-independent `--metrics`/`--report` exports that CI compares
 //! byte-for-byte, and [`render_report`], which `studybench` digests.
 
-use ruwhere_core::{figures, run_study, StudyConfig, StudyResults};
+use ruwhere_core::{figures, StudyConfig, StudyResults};
 use ruwhere_scan::{OpenIntelScanner, SweepMetrics, SweepOptions};
 use ruwhere_types::{Asn, Date};
 use ruwhere_world::{World, WorldConfig};
-use std::sync::OnceLock;
 
 /// Environment variable naming the number of daily-sweep days in the
 /// bench fixture (and in the `--metrics` sweep). Unset means the whole
@@ -35,22 +32,10 @@ pub fn bench_days() -> Result<Option<i32>, String> {
 
 /// The fixture's study configuration: the test schedule (tiny world,
 /// daily sweeps from 2022-02-20), with the daily window trimmed to the
-/// last `$RUWHERE_BENCH_DAYS` days when that variable is set — CI pins it
-/// so bench numbers are comparable across runs; locally it shrinks the
-/// fixture for quick iterations.
-///
-/// # Panics
-///
-/// If [`BENCH_DAYS_ENV`] is set but not a positive integer (see
-/// [`bench_days`]).
-pub fn fixture_config() -> StudyConfig {
-    fixture_config_for_days(bench_days().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// [`fixture_config`] with the daily-window override passed explicitly
-/// instead of read from the environment — for harnesses (e.g. the crash
-/// harness) that pin `RUWHERE_BENCH_DAYS` on child processes and need
-/// the matching sweep schedule in-process.
+/// last `days` days when given. Callers pass [`bench_days`], so
+/// `RUWHERE_BENCH_DAYS` shrinks the fixture; harnesses that pin that
+/// variable on child processes (e.g. the crash harness) pass the same
+/// count to get the matching sweep schedule in-process.
 pub fn fixture_config_for_days(days: Option<i32>) -> StudyConfig {
     let mut cfg = StudyConfig::test_schedule();
     cfg.daily_from = Date::from_ymd(2022, 2, 20);
@@ -62,13 +47,6 @@ pub fn fixture_config_for_days(days: Option<i32>) -> StudyConfig {
             .max(cfg.world.start);
     }
     cfg
-}
-
-/// A cached tiny study spanning the conflict window (see
-/// [`fixture_config`] for the `RUWHERE_BENCH_DAYS` override).
-pub fn fixture() -> &'static StudyResults {
-    static FIXTURE: OnceLock<StudyResults> = OnceLock::new();
-    FIXTURE.get_or_init(|| run_study(&fixture_config()))
 }
 
 /// Sweep the first `days` days of the tiny world (all of them when

@@ -9,7 +9,7 @@
 
 use crate::engine::FrameObserver;
 use ruwhere_store::{CountrySym, InternerSnap, RecordView, SweepFrame, Sym};
-use ruwhere_types::{Date, DomainName};
+use ruwhere_types::Date;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The three-way label (plus `Unknown` for domains that did not resolve or
@@ -132,8 +132,6 @@ impl CompositionCounts {
 enum Filter {
     /// Whole population.
     All,
-    /// A fixed subset.
-    Static(std::collections::BTreeSet<DomainName>),
     /// Domains sanctioned as of each sweep's date (Figure 5's growing
     /// denominator).
     Sanctions(ruwhere_registry::SanctionsList),
@@ -146,7 +144,6 @@ impl Filter {
     fn resolve(&self, date: Date, snap: &InternerSnap<'_>) -> Option<Vec<Sym>> {
         let mut syms: Vec<Sym> = match self {
             Filter::All => return None,
-            Filter::Static(set) => set.iter().filter_map(|d| snap.name_sym(d)).collect(),
             Filter::Sanctions(list) => list
                 .sanctioned_at(date)
                 .into_iter()
@@ -186,17 +183,6 @@ impl CompositionSeries {
         CompositionSeries {
             kind,
             filter: Filter::All,
-            days: BTreeMap::new(),
-            partial_days: BTreeSet::new(),
-            scratch: FrameScratch::default(),
-        }
-    }
-
-    /// Series restricted to a fixed set of `domains`.
-    pub fn filtered(kind: InfraKind, domains: Vec<DomainName>) -> Self {
-        CompositionSeries {
-            kind,
-            filter: Filter::Static(domains.into_iter().collect()),
             days: BTreeMap::new(),
             partial_days: BTreeSet::new(),
             scratch: FrameScratch::default(),
@@ -421,28 +407,6 @@ mod tests {
         hosting.observe(&s, &i);
         let c = hosting.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (1, 1, 1, 1));
-    }
-
-    #[test]
-    fn filtered_series() {
-        let i = Interner::new();
-        let d = Date::from_ymd(2022, 3, 1);
-        let s = sweep(
-            &i,
-            d,
-            &[
-                ("sanctioned.ru", &[Some("RU")], &[]),
-                ("ordinary.ru", &[Some("US")], &[]),
-            ],
-        );
-        let mut f = CompositionSeries::filtered(
-            InfraKind::NameServers,
-            vec!["sanctioned.ru".parse().unwrap()],
-        );
-        f.observe(&s, &i);
-        let c = f.at(d).unwrap();
-        assert_eq!(c.total(), 1);
-        assert_eq!(c.full, 1);
     }
 
     #[test]

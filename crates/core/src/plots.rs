@@ -1,6 +1,6 @@
 //! Gnuplot script generation for the figure series.
 //!
-//! Each [`Series`](crate::report::Series) the study produces is a TSV; the
+//! Each [`Series`] the study produces is a TSV; the
 //! emitters here write a matching gnuplot script so a reproduction run can
 //! be turned into actual figures with `gnuplot fig1.gnuplot`. No plotting
 //! library is linked — the scripts are plain text artifacts.

@@ -1,6 +1,6 @@
 //! Rendering: ASCII tables and TSV series.
 //!
-//! Everything the benches and the `repro` binary print goes through these
+//! Everything the `repro` binary and the examples print goes through these
 //! two small builders so output stays consistent and machine-consumable.
 
 use std::fmt::Write as _;

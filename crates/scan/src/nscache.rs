@@ -24,15 +24,15 @@
 //! measurement pipeline must re-observe everything each day (OpenINTEL
 //! semantics), so yesterday's addresses must never satisfy today's sweep.
 
-use parking_lot::Mutex;
 use ruwhere_netsim::{NetObs, NetStats};
 use ruwhere_obs::Counter;
+use ruwhere_types::sync::lock;
 use ruwhere_types::{Date, DomainName};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Number of independently locked map shards.
 const SHARDS: usize = 16;
@@ -122,7 +122,7 @@ impl NsCache {
     pub fn begin_sweep(&mut self, date: Date) {
         if self.date != Some(date) {
             for shard in &self.shards {
-                shard.lock().clear();
+                lock(shard).clear();
             }
             self.date = Some(date);
         }
@@ -148,7 +148,7 @@ impl NsCache {
 
     /// Number of cached entries (computed or in flight).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -158,11 +158,10 @@ impl NsCache {
 
     /// Peek at a finished entry without computing (tests / diagnostics).
     pub fn peek(&self, name: &DomainName) -> Option<Vec<Ipv4Addr>> {
-        let entry = self.shards[Self::shard_of(name)]
-            .lock()
+        let entry = lock(&self.shards[Self::shard_of(name)])
             .get(name)
             .cloned()?;
-        let slot = entry.slot.lock();
+        let slot = lock(&entry.slot);
         slot.as_ref().map(|v| v.ips.clone())
     }
 
@@ -174,12 +173,12 @@ impl NsCache {
         F: FnOnce() -> (Vec<Ipv4Addr>, LookupCost),
     {
         let entry = {
-            let mut shard = self.shards[Self::shard_of(name)].lock();
+            let mut shard = lock(&self.shards[Self::shard_of(name)]);
             Arc::clone(shard.entry(name.clone()).or_default())
         };
         // Shard lock released: only this name's entry is held during the
         // (potentially long) resolution below.
-        let mut slot = entry.slot.lock();
+        let mut slot = lock(&entry.slot);
         if let Some(v) = slot.as_ref() {
             self.hits.incr();
             return CacheHit {

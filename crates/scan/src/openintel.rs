@@ -964,7 +964,7 @@ mod tests {
     /// injected worker panics don't spray backtraces over test output.
     fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
         static QUIET: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = QUIET.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = ruwhere_types::sync::lock(&QUIET);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let out = f();

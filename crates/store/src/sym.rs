@@ -24,10 +24,11 @@
 //! exists so tests can compare entire symbol tables byte-for-byte across
 //! worker counts.
 
-use parking_lot::RwLock;
+use ruwhere_types::sync::{read, write};
 use ruwhere_types::{Country, DomainName};
 use std::collections::HashMap;
 use std::fmt::Write;
+use std::sync::RwLock;
 
 /// Symbol for an interned name (seed domain or name-server host — one
 /// shared namespace, since NS hosts are domains too).
@@ -143,12 +144,12 @@ impl Interner {
     /// Intern a name (seed domain or NS host), returning its stable
     /// symbol. Idempotent; also interns the name's TLD.
     pub fn intern_name(&self, name: &DomainName) -> Sym {
-        self.inner.write().intern_name(name)
+        write(&self.inner).intern_name(name)
     }
 
     /// Look a name up without interning (`None` if never interned).
     pub fn name_sym(&self, name: &DomainName) -> Option<Sym> {
-        self.inner.read().name_ids.get(name).copied().map(Sym)
+        read(&self.inner).name_ids.get(name).copied().map(Sym)
     }
 
     /// The name behind a symbol (an `Arc` bump, not a string copy).
@@ -156,12 +157,12 @@ impl Interner {
     /// # Panics
     /// If the symbol was not produced by this interner.
     pub fn name(&self, sym: Sym) -> DomainName {
-        self.inner.read().names[sym.index()].clone()
+        read(&self.inner).names[sym.index()].clone()
     }
 
     /// Intern a geolocation answer; `None` maps to [`CountrySym::NONE`].
     pub fn intern_country(&self, country: Option<Country>) -> CountrySym {
-        self.inner.write().intern_country(country)
+        write(&self.inner).intern_country(country)
     }
 
     /// The country behind a symbol (`None` for the sentinel).
@@ -169,41 +170,41 @@ impl Interner {
         if sym.is_none() {
             return None;
         }
-        Some(self.inner.read().countries[sym.0 as usize])
+        Some(read(&self.inner).countries[sym.0 as usize])
     }
 
     /// Number of interned names.
     pub fn names_len(&self) -> usize {
-        self.inner.read().names.len()
+        read(&self.inner).names.len()
     }
 
     /// Number of interned TLDs.
     pub fn tlds_len(&self) -> usize {
-        self.inner.read().tlds.len()
+        read(&self.inner).tlds.len()
     }
 
     /// Number of interned countries (sentinel excluded).
     pub fn countries_len(&self) -> usize {
-        self.inner.read().countries.len()
+        read(&self.inner).countries.len()
     }
 
     /// The interned names from table index `start` on, in symbol order —
     /// the name half of a checkpoint delta (`Arc` bumps, not copies).
     pub fn names_from(&self, start: usize) -> Vec<DomainName> {
-        self.inner.read().names[start..].to_vec()
+        read(&self.inner).names[start..].to_vec()
     }
 
     /// The interned countries from table index `start` on, in symbol
     /// order — the country half of a checkpoint delta.
     pub fn countries_from(&self, start: usize) -> Vec<Country> {
-        self.inner.read().countries[start..].to_vec()
+        read(&self.inner).countries[start..].to_vec()
     }
 
     /// A read guard with borrowing accessors — take one per frame walk
     /// instead of re-locking per record.
     pub fn snapshot(&self) -> InternerSnap<'_> {
         InternerSnap {
-            inner: self.inner.read(),
+            inner: read(&self.inner),
         }
     }
 
@@ -211,7 +212,7 @@ impl Interner {
     /// symbol order. Two interners fed the same sequence produce identical
     /// dumps — the byte-identity oracle the determinism tests compare.
     pub fn dump(&self) -> String {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let mut out = String::new();
         out.push_str("names:\n");
         for (i, n) in inner.names.iter().enumerate() {
@@ -236,7 +237,7 @@ impl Interner {
 
 impl Clone for Interner {
     fn clone(&self) -> Interner {
-        let src = self.inner.read();
+        let src = read(&self.inner);
         Interner {
             inner: RwLock::new(Inner {
                 names: src.names.clone(),

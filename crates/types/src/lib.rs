@@ -20,6 +20,8 @@
 //!   IDNA awareness (`.рф` ⇄ `xn--p1ai`).
 //! * [`SeedTree`] — hierarchical deterministic seed derivation so that every
 //!   simulation and measurement run is bit-reproducible.
+//! * [`sync`] — poison-tolerant `std::sync` lock acquisition, shared by
+//!   every crate that locks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +33,7 @@ pub mod domain;
 pub mod period;
 pub mod punycode;
 pub mod seed;
+pub mod sync;
 
 pub use asn::Asn;
 pub use country::Country;

@@ -6,13 +6,13 @@
 //! served certificate's identifying fields; `ruwhere-scan` parses it back
 //! into a [`ChainSummary`].
 
-use parking_lot::RwLock;
 use ruwhere_ct::Certificate;
 use ruwhere_netsim::{Service, SimTime};
+use ruwhere_types::sync::read;
 use ruwhere_types::{Date, DomainName};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// The port the Censys-style sweep probes.
 pub const TLS_PORT: u16 = 443;
@@ -132,7 +132,7 @@ impl TlsEndpoint {
 
 impl Service for TlsEndpoint {
     fn handle(&self, _payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
-        self.serving.read().get(&self.addr).map(|c| c.to_banner())
+        read(&self.serving).get(&self.addr).map(|c| c.to_banner())
     }
 
     fn processing_us(&self) -> u64 {
@@ -143,6 +143,7 @@ impl Service for TlsEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_types::sync::write;
 
     fn summary() -> ChainSummary {
         ChainSummary {
@@ -194,7 +195,7 @@ mod tests {
         // Nothing served yet: silent (no TLS on this box).
         assert!(ep.handle(b"hello", src, SimTime::ZERO).is_none());
 
-        serving.write().insert(addr, summary());
+        write(&serving).insert(addr, summary());
         let banner = ep.handle(b"hello", src, SimTime::ZERO).unwrap();
         assert_eq!(
             ChainSummary::from_banner(&banner).unwrap().issuer_org,
@@ -204,7 +205,7 @@ mod tests {
         // Certificate rotation is visible immediately.
         let mut rotated = summary();
         rotated.issuer_org = "Russian Trusted Root CA".into();
-        serving.write().insert(addr, rotated);
+        write(&serving).insert(addr, rotated);
         let banner = ep.handle(b"hello", src, SimTime::ZERO).unwrap();
         assert_eq!(
             ChainSummary::from_banner(&banner).unwrap().issuer_org,

@@ -8,7 +8,6 @@ use crate::config::WorldConfig;
 use crate::domain_state::{DnsPlan, DomainState, HostingPlan, TlsProfile};
 use crate::timeline::{ConflictEvent, FaultTarget, InfraFault, Timeline};
 use crate::tls::{ChainSummary, ServingMap, TlsEndpoint, TLS_PORT};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::Rng;
@@ -22,10 +21,11 @@ use ruwhere_netsim::{
     Topology,
 };
 use ruwhere_registry::{Delegation, NameGenerator, Registry, SanctionSource, SanctionsList};
+use ruwhere_types::sync::{read, write};
 use ruwhere_types::{Date, DomainName, Period, SeedTree, CONFLICT_START};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// DNS port.
 const DNS_PORT: u16 = 53;
@@ -508,7 +508,7 @@ impl World {
             }
         }
         {
-            let mut g = self.gtld_zones.write();
+            let mut g = write(&self.gtld_zones);
             for tld in &external {
                 let origin: Name = tld.parse().expect("catalog tlds are valid");
                 root.add(Record::new(
@@ -519,7 +519,7 @@ impl World {
                 g.insert(Zone::new(origin, Self::plan_soa(&gtld_ns), 86_400));
             }
         }
-        self.root_zone.write().insert(root);
+        write(&self.root_zone).insert(root);
         self.net.bind(
             self.root_ip,
             DNS_PORT,
@@ -594,7 +594,7 @@ impl World {
                 ));
             }
         }
-        self.plan_zone_sets[home].write().insert(zone);
+        write(&self.plan_zone_sets[home]).insert(zone);
     }
 
     /// Register the infra domain in its registry (`.ru`) or external TLD
@@ -635,7 +635,7 @@ impl World {
         } else {
             // External TLD: add delegation + glue directly to the TLD zone.
             let tld: Name = parent.tld().parse().expect("valid tld");
-            let mut g = self.gtld_zones.write();
+            let mut g = write(&self.gtld_zones);
             if let Some(zone) = g.get_mut(&tld) {
                 let owner = Name::from(parent);
                 zone.remove(&owner, None);
@@ -870,12 +870,12 @@ impl World {
 
         match zone_home {
             ZoneHome::Plan(plan_i) => {
-                self.plan_zone_sets[plan_i].write().insert(zone);
+                write(&self.plan_zone_sets[plan_i]).insert(zone);
             }
             ZoneHome::SelfHosted => {
                 // AuthServer at the web IP, serving just this zone.
                 let zs: SharedZoneSet = Arc::new(RwLock::new(ZoneSet::new()));
-                zs.write().insert(zone);
+                write(&zs).insert(zone);
                 self.net.bind(
                     state.hosting.primary_ip,
                     DNS_PORT,
@@ -902,15 +902,15 @@ impl World {
                     RData::Ns(Name::from(&ns1)),
                 ));
                 let zs: SharedZoneSet = Arc::new(RwLock::new(ZoneSet::new()));
-                zs.write().insert(zone);
-                zs.write().insert(pzone);
+                write(&zs).insert(zone);
+                write(&zs).insert(pzone);
                 self.net.bind(
                     state.hosting.primary_ip,
                     DNS_PORT,
                     Box::new(AuthServer::new(zs)),
                 );
                 let tld: Name = parent.tld().parse().expect("valid tld");
-                let mut g = self.gtld_zones.write();
+                let mut g = write(&self.gtld_zones);
                 if let Some(tzone) = g.get_mut(&tld) {
                     let powner = Name::from(&parent);
                     tzone.remove(&powner, None);
@@ -964,7 +964,7 @@ impl World {
         let owner = Name::from(name);
         match &state.dns {
             DnsPlan::Managed(p) => {
-                self.plan_zone_sets[p.0 as usize].write().remove(&owner);
+                write(&self.plan_zone_sets[p.0 as usize]).remove(&owner);
                 self.plan_members[p.0 as usize].remove(name);
             }
             DnsPlan::VanityOwn => {
@@ -978,7 +978,7 @@ impl World {
                 let sld = name.labels().next().expect("non-empty");
                 if let Ok(parent) = format!("{sld}-dns.{tld}").parse::<DomainName>() {
                     let tldname: Name = parent.tld().parse().expect("valid");
-                    let mut g = self.gtld_zones.write();
+                    let mut g = write(&self.gtld_zones);
                     if let Some(tzone) = g.get_mut(&tldname) {
                         tzone.remove(&Name::from(&parent), None);
                         if let Ok(ns1) = parent.prepend("ns1") {
@@ -992,11 +992,11 @@ impl World {
         if let Some((sec, ip)) = state.hosting.secondary {
             self.hosting_members[sec.0 as usize].remove(name);
             self.net.unbind(ip, TLS_PORT);
-            self.serving.write().remove(&ip);
+            write(&self.serving).remove(&ip);
         }
         if state.tls.is_some() {
             self.net.unbind(state.hosting.primary_ip, TLS_PORT);
-            self.serving.write().remove(&state.hosting.primary_ip);
+            write(&self.serving).remove(&state.hosting.primary_ip);
             self.tls_pool.remove(name);
         }
         let reg_idx = if name.tld() == "ru" { 0 } else { 1 };
@@ -1459,7 +1459,7 @@ impl World {
                 // Not CT-logged (logs_to_ct = false) — visible to the
                 // IP-wide scan only, via the served chain.
                 let summary = ChainSummary::from_certificate(&cert);
-                let mut serving = self.serving.write();
+                let mut serving = write(&self.serving);
                 for ip in ips {
                     serving.insert(ip, summary.clone());
                 }
@@ -1665,7 +1665,7 @@ impl World {
         // Update zone A record wherever the domain's zone lives.
         match &state.dns {
             DnsPlan::Managed(p) => {
-                let mut zs = self.plan_zone_sets[p.0 as usize].write();
+                let mut zs = write(&self.plan_zone_sets[p.0 as usize]);
                 if let Some(zone) = zs.get_mut(&Name::from(name)) {
                     let owner = Name::from(name);
                     zone.remove(&owner, Some(ruwhere_dns::RType::A));
@@ -1684,9 +1684,9 @@ impl World {
         // TLS endpoint moves with the address.
         if state.tls.is_some() {
             self.net.unbind(old_ip, TLS_PORT);
-            let chain = self.serving.write().remove(&old_ip);
+            let chain = write(&self.serving).remove(&old_ip);
             if let Some(chain) = chain {
-                self.serving.write().insert(new_ip, chain);
+                write(&self.serving).insert(new_ip, chain);
             }
             self.net.bind(
                 new_ip,
@@ -1717,7 +1717,7 @@ impl World {
                 if p.0 as usize == to_plan {
                     return;
                 }
-                self.plan_zone_sets[p.0 as usize].write().remove(&owner);
+                write(&self.plan_zone_sets[p.0 as usize]).remove(&owner);
                 self.plan_members[p.0 as usize].remove(name);
             }
             DnsPlan::VanityOwn => {
@@ -1901,7 +1901,7 @@ impl World {
         // never serve it.
         if let Some(d) = self.domains.get(name).filter(|d| d.tls.is_some()) {
             let summary = ChainSummary::from_certificate(&cert);
-            let mut serving = self.serving.write();
+            let mut serving = write(&self.serving);
             let keeps_russian = |ip: &std::net::Ipv4Addr, s: &HashMap<Ipv4Addr, ChainSummary>| {
                 s.get(ip)
                     .is_some_and(|c| c.chain_contains_org("Russian Trusted Root CA"))
@@ -1958,13 +1958,13 @@ impl World {
     /// Zone-transfer chunks are rendered from the published zones on the
     /// first request for each TLD.
     pub fn publish_tld_zones(&mut self) {
-        let mut zs = self.ripn_zones.write();
+        let mut zs = write(&self.ripn_zones);
         for r in &self.registries {
             zs.insert(r.zone_snapshot(self.today));
         }
         drop(zs);
-        self.xfr_chunks.write().clear();
-        *self.whois_state.write() = self.registries.clone();
+        write(&self.xfr_chunks).clear();
+        *write(&self.whois_state) = self.registries.clone();
     }
 
     /// Address of the registry's zone-transfer service.
@@ -2033,8 +2033,7 @@ impl World {
             }
             // 4. Managed domains have their zone in the plan's zone set.
             if let DnsPlan::Managed(p) = &state.dns {
-                if self.plan_zone_sets[p.0 as usize]
-                    .read()
+                if read(&self.plan_zone_sets[p.0 as usize])
                     .get(&Name::from(name))
                     .is_none()
                 {
@@ -2073,7 +2072,7 @@ impl World {
             ));
         }
         // 5. Serving map points at addresses that are actually bound.
-        for ip in self.serving.read().keys() {
+        for ip in read(&self.serving).keys() {
             if !self.net.is_bound(*ip, TLS_PORT) {
                 problems.push(format!("serving map entry {ip} has no bound endpoint"));
             }
@@ -2120,9 +2119,9 @@ impl ruwhere_netsim::Service for ZoneTransferService {
         let tld = parts.next()?;
         let chunk: usize = parts.next()?.parse().ok()?;
         let (key, origin) = self.tlds.iter().find(|(key, _)| key == tld)?;
-        let mut memo = self.chunks.write();
+        let mut memo = write(&self.chunks);
         if !memo.contains_key(key) {
-            let text = self.zones.read().get(origin)?.to_text();
+            let text = read(&self.zones).get(origin)?.to_text();
             memo.insert(key.clone(), split_zone_text(&text));
         }
         let chunks = &memo[key];
@@ -2176,7 +2175,7 @@ impl ruwhere_netsim::Service for WhoisService {
         _now: ruwhere_netsim::SimTime,
     ) -> Option<Vec<u8>> {
         let query = std::str::from_utf8(payload).ok()?;
-        Some(ruwhere_registry::whois::respond(&self.state.read(), query).into_bytes())
+        Some(ruwhere_registry::whois::respond(&read(&self.state), query).into_bytes())
     }
 
     fn processing_us(&self) -> u64 {
@@ -2302,7 +2301,7 @@ mod tests {
         assert!(w.network().is_bound(state.hosting.primary_ip, TLS_PORT));
         // The zone now answers with the new address.
         if let DnsPlan::Managed(p) = state.dns {
-            let zs = w.plan_zone_sets[p.0 as usize].read();
+            let zs = read(&w.plan_zone_sets[p.0 as usize]);
             let zone = zs.get(&Name::from(&name)).expect("zone present");
             match zone.lookup(&Name::from(&name), ruwhere_dns::RType::A) {
                 ruwhere_dns::zone::Lookup::Answer(recs) => {
@@ -2330,10 +2329,10 @@ mod tests {
             })
             .expect("plan-0 domain exists");
         let owner = Name::from(&name);
-        assert!(w.plan_zone_sets[0].read().get(&owner).is_some());
+        assert!(read(&w.plan_zone_sets[0]).get(&owner).is_some());
         w.move_plan(&name, 5);
-        assert!(w.plan_zone_sets[0].read().get(&owner).is_none());
-        assert!(w.plan_zone_sets[5].read().get(&owner).is_some());
+        assert!(read(&w.plan_zone_sets[0]).get(&owner).is_none());
+        assert!(read(&w.plan_zone_sets[5]).get(&owner).is_some());
         assert!(matches!(
             w.domain_state(&name).unwrap().dns,
             DnsPlan::Managed(PlanId(5))
@@ -2368,8 +2367,7 @@ mod tests {
         assert!(w.domain_state(&name).is_none());
         assert!(!w.network().is_bound(state.hosting.primary_ip, TLS_PORT));
         if let DnsPlan::Managed(p) = state.dns {
-            assert!(w.plan_zone_sets[p.0 as usize]
-                .read()
+            assert!(read(&w.plan_zone_sets[p.0 as usize])
                 .get(&Name::from(&name))
                 .is_none());
         }
