@@ -1,4 +1,4 @@
-//! A deterministic discrete-event network simulator.
+//! A deterministic request/response network simulator.
 //!
 //! The paper's measurement systems (OpenINTEL-style DNS sweeps, Censys-style
 //! TLS scans) are *active* network measurements. To reproduce the mechanism
@@ -9,9 +9,9 @@
 //! * [`routing`] — a bit-trie longest-prefix-match table.
 //! * [`topology`] — an AS-level topology mapping prefixes to autonomous
 //!   systems with countries and deterministic inter-AS latencies.
-//! * [`sim`] — the event core: virtual time, a scheduler, hosts with UDP
-//!   services, and a synchronous client request/response facade used by the
-//!   resolver and the scanners.
+//! * [`sim`] — the transport core: virtual time, UDP-like services, and
+//!   the synchronous request/response exchange the resolver and the
+//!   scanners drive, on the global clock or on a parallel sweep's lanes.
 //! * [`fault`] — scheduled fault injection: server outages, flapping boxes
 //!   and degraded links active during windows of virtual time, replacing
 //!   ad-hoc loss knobs with a declarative, deterministic [`FaultPlan`].
@@ -21,7 +21,7 @@
 //! twice produces byte-identical datasets.
 //!
 //! ```
-//! use ruwhere_netsim::{AsInfo, Datagram, Network, Service, SimTime, Topology};
+//! use ruwhere_netsim::{AsInfo, Network, Service, SimTime, Topology};
 //! use ruwhere_types::{Asn, Country, SeedTree};
 //! use std::net::Ipv4Addr;
 //!
@@ -62,5 +62,5 @@ pub use ip::{IpAllocator, Ipv4Net, PrefixParseError};
 pub use obs::{LinkObs, LinkTable, NetObs};
 pub use routing::RoutingTable;
 pub use ruwhere_obs::Histogram;
-pub use sim::{Datagram, Lane, NetError, NetStats, Network, Service, SimTime, Transport};
+pub use sim::{Lane, NetError, NetStats, Network, Service, SimTime, Transport};
 pub use topology::{AsInfo, Topology};

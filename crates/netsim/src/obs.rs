@@ -171,8 +171,8 @@ impl NetObs {
     }
 
     /// Fold staged delay samples into [`delay_us`](NetObs::delay_us).
-    /// Called by every drain point ([`merge`](NetObs::merge), the lane
-    /// and network `take_obs`), so readers never observe staged samples.
+    /// Called by every drain point ([`merge`](NetObs::merge) and the
+    /// lane's `take_obs`), so readers never observe staged samples.
     pub fn flush(&mut self) {
         for v in self.delay_staging.drain(..) {
             self.delay_us.record(v);

@@ -1,19 +1,22 @@
-//! The discrete-event core: virtual time, scheduled datagram delivery,
-//! services, and a synchronous client facade.
+//! The transport core: virtual time, services, and the synchronous
+//! request/response exchange every client drives.
 //!
 //! All measurement traffic in the workspace is strict request/response
-//! (DNS queries, TLS banner grabs), so the public entry point is
-//! [`Network::request`]: it injects a datagram, then drives the event loop
-//! until the matching reply arrives at the client's ephemeral port or the
-//! timeout expires. Latency, jitter and loss are deterministic functions of
-//! the topology seed and a per-packet sequence number.
+//! (DNS queries, TLS banner grabs), so an exchange is computed directly,
+//! with no event queue: the request's one-way hop, the service's reply and
+//! the reply's hop back, each paying its own latency, jitter and loss
+//! draw. A datagram that would arrive after its attempt's deadline makes
+//! the attempt a timeout and is never delivered later. [`Network::request`]
+//! runs the exchange on the global clock; a [`Lane`] runs the same code on
+//! a clock of its own for parallel sweeps. Latency, jitter and loss are
+//! deterministic functions of the topology seed and a per-packet sequence
+//! number.
 
 use crate::fault::FaultPlan;
 use crate::obs::NetObs;
 use crate::topology::Topology;
 use ruwhere_types::{Asn, SeedTree};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -46,17 +49,6 @@ impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{:06}s", self.0 / 1_000_000, self.0 % 1_000_000)
     }
-}
-
-/// A UDP-like datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Datagram {
-    /// Source address and port.
-    pub src: (Ipv4Addr, u16),
-    /// Destination address and port.
-    pub dst: (Ipv4Addr, u16),
-    /// Payload bytes.
-    pub payload: Vec<u8>,
 }
 
 /// A request/response server bound to an address and port.
@@ -100,28 +92,24 @@ impl std::error::Error for NetError {}
 /// Counters exposed for tests and benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Datagrams injected (requests + replies).
+    /// Packets sent (requests + replies).
     pub sent: u64,
-    /// Datagrams dropped by the loss process.
+    /// Packets dropped by the loss process.
     pub dropped: u64,
-    /// Datagrams delivered to a service or client.
+    /// Packets delivered to a service or client.
     pub delivered: u64,
     /// Requests that found no listening service.
     pub unreachable: u64,
-    /// Datagrams black-holed by an active server fault (outage/flapping).
+    /// Packets black-holed by an active server fault (outage/flapping).
     pub faulted: u64,
-}
-
-enum Event {
-    Deliver(Datagram),
 }
 
 /// A synchronous request/response transport: the interface measurement
 /// clients (the iterative resolver, scanners) drive.
 ///
-/// Implemented by [`Network`] (the serial engine: requests advance the
-/// global virtual clock) and by [`Lane`] (a per-worker view with its own
-/// clock, for parallel sweeps).
+/// Implemented by [`Network`] (requests advance the global virtual clock)
+/// and by [`Lane`] (a per-worker view with its own clock, for parallel
+/// sweeps). Both run the same exchange code.
 pub trait Transport {
     /// Current virtual time on this transport's clock.
     fn now(&self) -> SimTime;
@@ -138,13 +126,12 @@ pub trait Transport {
     ) -> Result<Vec<u8>, NetError>;
 }
 
-/// The simulated network: topology + services + event queue.
+/// The simulated network: topology, services, fault plan and the global
+/// virtual clock.
 pub struct Network {
     topo: Topology,
     seed: SeedTree,
     services: HashMap<(Ipv4Addr, u16), Box<dyn Service>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64)>>,
-    pending: HashMap<u64, Event>,
     now: SimTime,
     seq: u64,
     /// Uniform packet loss probability in [0, 1).
@@ -156,7 +143,6 @@ pub struct Network {
     pub loss_rate: f64,
     faults: FaultPlan,
     stats: NetStats,
-    obs: NetObs,
 }
 
 impl Network {
@@ -166,14 +152,11 @@ impl Network {
             topo,
             seed,
             services: HashMap::new(),
-            queue: BinaryHeap::new(),
-            pending: HashMap::new(),
             now: SimTime::ZERO,
             seq: 0,
             loss_rate: 0.0,
             faults: FaultPlan::new(),
             stats: NetStats::default(),
-            obs: NetObs::default(),
         }
     }
 
@@ -195,18 +178,6 @@ impl Network {
     /// Transport statistics so far.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// Transport observability aggregates recorded so far on the serial
-    /// engine (lanes carry their own; see [`Lane::take_obs`]).
-    pub fn obs(&self) -> &NetObs {
-        &self.obs
-    }
-
-    /// Drain the serial engine's observability aggregates.
-    pub fn take_obs(&mut self) -> NetObs {
-        self.obs.flush();
-        std::mem::take(&mut self.obs)
     }
 
     /// The installed fault plan.
@@ -259,158 +230,16 @@ impl Network {
         v
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Deterministic Bernoulli(loss_rate) draw for packet `seq`.
-    fn lost(&self, seq: u64) -> bool {
-        if self.loss_rate <= 0.0 {
-            return false;
-        }
-        let h = self.seed.child("loss").child_idx(seq).seed();
-        // Map to [0,1) with 53-bit precision.
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.loss_rate
-    }
-
-    /// Deterministic extra-loss draw for packet `seq` on the path `a`↔`b`:
-    /// each active matching link fault contributes an independent Bernoulli
-    /// stream keyed by (fault index, seq).
-    fn fault_lost(&self, seq: u64, a: Ipv4Addr, b: Ipv4Addr) -> bool {
-        if self.faults.is_empty() {
-            return false;
-        }
-        let base = self.seed.child("linkfault").child_idx(seq);
-        self.faults
-            .active_link_faults(a, b, self.now)
-            .any(|(i, f)| {
-                if f.extra_loss <= 0.0 {
-                    return false;
-                }
-                let h = base.child_idx(i as u64).seed();
-                let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-                u < f.extra_loss
-            })
-    }
-
-    /// One-way hop for packet `packet_id`: the AS pair it crosses and its
-    /// latency, `None` if either side is unrouted.
-    fn hop(&self, from: Ipv4Addr, to: Ipv4Addr, packet_id: u64) -> Option<(Asn, Asn, u64)> {
-        let a = self.topo.asn_of(from)?;
-        let b = self.topo.asn_of(to)?;
-        let degraded = self.faults.extra_latency_us(from, to, self.now);
-        let lat = self.topo.latency_us(a, b) + self.topo.jitter_us(a, b, packet_id) + degraded;
-        Some((a, b, lat))
-    }
-
-    fn schedule(&mut self, at: SimTime, ev: Event) {
-        let id = self.next_seq();
-        self.pending.insert(id, ev);
-        self.queue.push(Reverse((at, id)));
-    }
-
-    /// Inject a datagram from `dgram.src` at the current time. Applies the
-    /// loss process and schedules delivery. Returns `false` if the source
-    /// has no route (nothing is scheduled).
-    pub fn send(&mut self, dgram: Datagram) -> bool {
-        let seq = self.next_seq();
-        self.stats.sent += 1;
-        let Some((a, b, lat)) = self.hop(dgram.src.0, dgram.dst.0, seq) else {
-            return false;
-        };
-        if self.lost(seq) {
-            self.stats.dropped += 1;
-            self.obs.hop_dropped(a, b, false);
-            return true; // it was sent; the network ate it
-        }
-        if self.fault_lost(seq, dgram.src.0, dgram.dst.0) {
-            self.stats.dropped += 1;
-            self.obs.hop_dropped(a, b, true);
-            return true;
-        }
-        self.obs.hop_delivered(a, b, lat);
-        let at = self.now.plus_us(lat);
-        self.schedule(at, Event::Deliver(dgram));
-        true
-    }
-
-    /// Process events until `deadline`, watching for a datagram addressed to
-    /// `watch` (a client's ephemeral binding). Returns the matching payload
-    /// if it arrives. Time advances to the arrival or to the deadline.
-    fn run_until(&mut self, deadline: SimTime, watch: (Ipv4Addr, u16)) -> Option<Vec<u8>> {
-        while let Some(&Reverse((at, id))) = self.queue.peek() {
-            if at > deadline {
-                break;
-            }
-            self.queue.pop();
-            let Some(Event::Deliver(dgram)) = self.pending.remove(&id) else {
-                continue;
-            };
-            self.now = at;
-            if dgram.dst == watch {
-                self.stats.delivered += 1;
-                return Some(dgram.payload);
-            }
-            self.deliver_to_service(dgram);
-        }
-        self.now = deadline;
-        None
-    }
-
-    fn deliver_to_service(&mut self, dgram: Datagram) {
-        let key = dgram.dst;
-        // A server fault black-holes the datagram at the box: the packet
-        // crossed the network (latency was paid) but nothing answers.
-        if self.faults.server_down(key.0, key.1, self.now) {
-            self.stats.faulted += 1;
-            self.obs.fault_blackholes += 1;
-            return;
-        }
-        let Some(svc) = self.services.get(&key) else {
-            self.stats.unreachable += 1;
-            return;
-        };
-        self.stats.delivered += 1;
-        let reply = svc.handle(&dgram.payload, dgram.src, self.now);
-        let proc = svc.processing_us();
-        if let Some(payload) = reply {
-            let seq = self.next_seq();
-            self.stats.sent += 1;
-            // Loss/jitter draws are pure functions of `seq`, so looking the
-            // hop up first (for the link key) cannot perturb them.
-            let Some((a, b, lat)) = self.hop(dgram.dst.0, dgram.src.0, seq) else {
-                return;
-            };
-            if self.lost(seq) {
-                self.stats.dropped += 1;
-                self.obs.hop_dropped(a, b, false);
-                return;
-            }
-            if self.fault_lost(seq, dgram.dst.0, dgram.src.0) {
-                self.stats.dropped += 1;
-                self.obs.hop_dropped(a, b, true);
-                return;
-            }
-            self.obs.hop_delivered(a, b, lat);
-            let at = self.now.plus_us(proc + lat);
-            self.schedule(
-                at,
-                Event::Deliver(Datagram {
-                    src: dgram.dst,
-                    dst: dgram.src,
-                    payload,
-                }),
-            );
-        }
-    }
-
     /// Synchronous request/response with retries.
     ///
     /// Each attempt waits `timeout_us`; after `attempts` failures the call
     /// returns [`NetError::Timeout`]. On success, virtual time has advanced
-    /// by the full round trip (plus any failed attempts' timeouts).
+    /// by the full round trip (plus any failed attempts' timeouts). A
+    /// datagram that would arrive after its attempt's deadline is lost to
+    /// that attempt: nothing is left in flight for a later request.
+    ///
+    /// Runs the [`Lane`] exchange on the global clock, drawing latency,
+    /// jitter and loss from the network's global packet sequence.
     pub fn request(
         &mut self,
         src_ip: Ipv4Addr,
@@ -419,36 +248,14 @@ impl Network {
         timeout_us: u64,
         attempts: u32,
     ) -> Result<Vec<u8>, NetError> {
-        if self.topo.asn_of(src_ip).is_none() {
-            return Err(NetError::NoRoute);
-        }
-        let t0 = self.now;
-        for attempt in 0..attempts.max(1) {
-            // Fault-window occupancy: was the destination inside an active
-            // server-fault window when this attempt was issued?
-            let faulted_at_send =
-                !self.faults.is_empty() && self.faults.server_down(dst.0, dst.1, self.now);
-            // Fresh ephemeral port per attempt so a late reply to an earlier
-            // attempt is not mistaken for this one.
-            let port = 49152 + ((self.seq.wrapping_add(u64::from(attempt))) % 16384) as u16;
-            let me = (src_ip, port);
-            self.send(Datagram {
-                src: me,
-                dst,
-                payload: payload.to_vec(),
-            });
-            let deadline = self.now.plus_us(timeout_us);
-            if let Some(reply) = self.run_until(deadline, me) {
-                self.obs
-                    .request_us
-                    .record(self.now.as_micros() - t0.as_micros());
-                return Ok(reply);
-            }
-            if faulted_at_send {
-                self.obs.fault_occupied_us += timeout_us;
-            }
-        }
-        Err(NetError::Timeout)
+        // Only sweep lanes export observability: this lane's is dropped.
+        let mut lane = self.open_lane(self.seed, Draws::Global, self.seq);
+        let reply = lane.request(src_ip, dst, payload, timeout_us, attempts);
+        let (now, seq, stats) = (lane.now, lane.seq, lane.stats);
+        self.now = now;
+        self.seq = seq;
+        self.stats.merge(stats);
+        reply
     }
 
     /// Open a measurement [`Lane`]: an independent virtual clock over this
@@ -465,13 +272,17 @@ impl Network {
     /// `lane(format_args!("{date}/{domain}"))` draws the same streams as a
     /// key string with that text, without building the string.
     pub fn lane(&self, key: fmt::Arguments<'_>) -> Lane<'_> {
-        let start = self.now;
+        self.open_lane(self.seed.child("lane").child_fmt(key), Draws::Keyed, 0)
+    }
+
+    fn open_lane(&self, stream: SeedTree, draws: Draws, seq: u64) -> Lane<'_> {
         Lane {
             net: self,
-            stream: self.seed.child("lane").child_fmt(key),
-            start,
-            now: start,
-            seq: 0,
+            stream,
+            draws,
+            start: self.now,
+            now: self.now,
+            seq,
             stats: NetStats::default(),
             obs: NetObs::default(),
         }
@@ -482,23 +293,11 @@ impl Network {
         self.stats.merge(stats);
     }
 
-    /// Merge a finished lane's observability aggregates into the global
-    /// ones.
-    pub fn absorb_lane_obs(&mut self, obs: &NetObs) {
-        self.obs.merge(obs);
-    }
-
-    /// Advance the global clock to `t` (no-op if `t` is in the past),
-    /// delivering any still-queued datagrams due by then. Used by the sweep
-    /// engine to account the wall-clock of a set of concurrent lanes back
-    /// into the serial timeline.
+    /// Advance the global clock to `t` (no-op if `t` is in the past). Used
+    /// by the sweep engine to account the wall-clock of a set of concurrent
+    /// lanes back into the serial timeline.
     pub fn advance_to_time(&mut self, t: SimTime) {
-        if t <= self.now {
-            return;
-        }
-        // Nobody is watching: every due event is delivered to its service
-        // (or dropped as unreachable) and time lands exactly on `t`.
-        let _ = self.run_until(t, (Ipv4Addr::UNSPECIFIED, 0));
+        self.now = self.now.max(t);
     }
 }
 
@@ -530,6 +329,20 @@ impl NetStats {
     }
 }
 
+/// Where a lane's packet numbers and draws come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Draws {
+    /// A sweep lane's keyed streams: a packet's jitter id is hashed from
+    /// its lane-local sequence number.
+    Keyed,
+    /// The network's global packet sequence, used by [`Network::request`]:
+    /// the jitter id is the sequence number itself, the ephemeral port
+    /// counts attempts, and a datagram that survives its loss draws takes
+    /// one more number when it is scheduled. Every later draw depends on
+    /// this numbering, so changing it changes the outputs.
+    Global,
+}
+
 /// A per-worker view of a [`Network`] with its own virtual clock.
 ///
 /// All lanes of a sweep start at the same instant and run *logically
@@ -541,13 +354,13 @@ impl NetStats {
 ///
 /// Determinism contract: a lane's entire behaviour (latency, jitter, loss,
 /// fault interaction) depends only on the network snapshot, the lane key
-/// and the start instant — never on other lanes or scheduling order.
-/// Unlike the serial engine, a reply that would land after the attempt
-/// deadline is simply a timeout (there is no cross-request event queue for
-/// it to linger in).
+/// and the start instant — never on other lanes or scheduling order. A
+/// datagram that would land after the attempt deadline makes the attempt
+/// a timeout and is never delivered.
 pub struct Lane<'a> {
     net: &'a Network,
     stream: SeedTree,
+    draws: Draws,
     start: SimTime,
     now: SimTime,
     seq: u64,
@@ -572,14 +385,8 @@ impl Lane<'_> {
         self.stats
     }
 
-    /// Observability aggregates accumulated on this lane.
-    pub fn obs(&self) -> &NetObs {
-        &self.obs
-    }
-
     /// Drain this lane's observability aggregates (merge them into a
-    /// per-worker total, and/or back into the network with
-    /// [`Network::absorb_lane_obs`]).
+    /// per-worker total).
     pub fn take_obs(&mut self) -> NetObs {
         self.obs.flush();
         std::mem::take(&mut self.obs)
@@ -624,47 +431,64 @@ impl Lane<'_> {
         })
     }
 
-    /// One-way hop for this lane's packet `seq`: the AS pair it crosses and
-    /// its latency, `None` if either side is unrouted.
-    fn hop(&self, from: Ipv4Addr, to: Ipv4Addr, seq: u64) -> Option<(Asn, Asn, u64)> {
+    /// One-way hop for this lane's packet `seq` sent at `at`: the AS pair
+    /// it crosses and its latency, `None` if either side is unrouted.
+    fn hop(&self, from: Ipv4Addr, to: Ipv4Addr, seq: u64, at: SimTime) -> Option<(Asn, Asn, u64)> {
         let a = self.net.topo.asn_of(from)?;
         let b = self.net.topo.asn_of(to)?;
-        let packet_id = self.stream.child("pkt").child_idx(seq).seed();
-        let degraded = self.net.faults.extra_latency_us(from, to, self.now);
+        let packet_id = match self.draws {
+            Draws::Keyed => self.stream.child("pkt").child_idx(seq).seed(),
+            Draws::Global => seq,
+        };
+        let degraded = self.net.faults.extra_latency_us(from, to, at);
         let lat =
             self.net.topo.latency_us(a, b) + self.net.topo.jitter_us(a, b, packet_id) + degraded;
         Some((a, b, lat))
     }
 
-    /// One request attempt against `dst`. On success advances the lane
-    /// clock to the reply's arrival and returns the payload; on failure
-    /// leaves the clock untouched (the caller burns the attempt timeout).
+    /// Put one datagram `from`→`to` on the wire at `at`: it takes the next
+    /// sequence number, counts as sent and pays its loss draws. Returns
+    /// its one-way latency, or `None` if it is unrouted or lost.
+    fn transmit(&mut self, from: Ipv4Addr, to: Ipv4Addr, at: SimTime) -> Option<u64> {
+        self.seq += 1;
+        let seq = self.seq;
+        self.stats.sent += 1;
+        // Draws are pure functions of the sequence number, so looking the
+        // hop up first (for the link key) cannot perturb them.
+        let (a, b, lat) = self.hop(from, to, seq, at)?;
+        let uniform_loss = self.bernoulli("loss", seq, self.net.loss_rate);
+        if uniform_loss || self.fault_lost(seq, from, to, at) {
+            self.stats.dropped += 1;
+            self.obs.hop_dropped(a, b, !uniform_loss);
+            return None;
+        }
+        self.obs.hop_delivered(a, b, lat);
+        if self.draws == Draws::Global {
+            self.seq += 1;
+        }
+        Some(lat)
+    }
+
+    /// Attempt number `attempt` of a request against `dst`. On success
+    /// advances the lane clock to the reply's arrival and returns the
+    /// payload; on failure leaves the clock untouched (the caller burns
+    /// the attempt timeout).
     fn attempt_once(
         &mut self,
         src_ip: Ipv4Addr,
         dst: (Ipv4Addr, u16),
         payload: &[u8],
+        attempt: u32,
         deadline: SimTime,
     ) -> Option<Vec<u8>> {
-        self.seq += 1;
-        let out_seq = self.seq;
-        self.stats.sent += 1;
-        let src = (src_ip, 49152 + (out_seq % 16384) as u16);
-        // Unrouted destination: nothing is scheduled; the attempt waits out
-        // its timeout, as in the serial engine.
-        let (a, b, lat) = self.hop(src_ip, dst.0, out_seq)?;
-        if self.bernoulli("loss", out_seq, self.net.loss_rate) {
-            self.stats.dropped += 1;
-            self.obs.hop_dropped(a, b, false);
-            return None;
-        }
-        if self.fault_lost(out_seq, src_ip, dst.0, self.now) {
-            self.stats.dropped += 1;
-            self.obs.hop_dropped(a, b, true);
-            return None;
-        }
-        self.obs.hop_delivered(a, b, lat);
-        let at = self.now.plus_us(lat);
+        let port_seq = match self.draws {
+            Draws::Keyed => self.seq + 1,
+            Draws::Global => self.seq + u64::from(attempt),
+        };
+        let src = (src_ip, 49152 + (port_seq % 16384) as u16);
+        // Unrouted destination or lost request: the attempt waits out its
+        // timeout.
+        let at = self.now.plus_us(self.transmit(src_ip, dst.0, self.now)?);
         if at > deadline {
             return None;
         }
@@ -683,25 +507,8 @@ impl Lane<'_> {
         self.stats.delivered += 1;
         // Silent server: wait out the timeout.
         let reply = reply?;
-        // The reply datagram pays its own loss draw and latency. Draws are
-        // pure functions of the sequence number, so looking the hop up
-        // first (for the link key) cannot perturb them.
-        self.seq += 1;
-        let back_seq = self.seq;
-        self.stats.sent += 1;
-        let (ra, rb, back_lat) = self.hop(dst.0, src_ip, back_seq)?;
-        if self.bernoulli("loss", back_seq, self.net.loss_rate) {
-            self.stats.dropped += 1;
-            self.obs.hop_dropped(ra, rb, false);
-            return None;
-        }
-        if self.fault_lost(back_seq, dst.0, src_ip, at) {
-            self.stats.dropped += 1;
-            self.obs.hop_dropped(ra, rb, true);
-            return None;
-        }
-        self.obs.hop_delivered(ra, rb, back_lat);
-        let back_at = at.plus_us(proc + back_lat);
+        // The reply leaves at the request's arrival and pays its own draws.
+        let back_at = at.plus_us(proc + self.transmit(dst.0, src_ip, at)?);
         if back_at > deadline {
             // Too late: counts as this attempt's timeout.
             return None;
@@ -729,13 +536,13 @@ impl Transport for Lane<'_> {
             return Err(NetError::NoRoute);
         }
         let t0 = self.now;
-        for _attempt in 0..attempts.max(1) {
+        for attempt in 0..attempts.max(1) {
             let deadline = self.now.plus_us(timeout_us);
             // Fault-window occupancy: was the destination inside an active
             // server-fault window when this attempt was issued?
             let faulted_at_send =
                 !self.net.faults.is_empty() && self.net.faults.server_down(dst.0, dst.1, self.now);
-            if let Some(reply) = self.attempt_once(src_ip, dst, payload, deadline) {
+            if let Some(reply) = self.attempt_once(src_ip, dst, payload, attempt, deadline) {
                 self.obs
                     .request_us
                     .record(self.now.as_micros() - t0.as_micros());
@@ -1026,6 +833,65 @@ mod tests {
         assert!(elapsed_degraded > u64::from(ok_degraded as u32) * 100_000);
         // Determinism under faults.
         assert_eq!(run(true), (ok_degraded, dropped_degraded, elapsed_degraded));
+    }
+
+    #[test]
+    fn reply_pays_link_latency_of_a_window_opened_in_flight() {
+        use crate::fault::{FaultWindow, LinkFault};
+        // The window opens 1 µs after the send: the request misses it, the
+        // reply leaves at the request's arrival and must pay it.
+        let elapsed = |fault: bool, on_lane: bool| {
+            let mut net = network();
+            net.bind(SERVER, 53, Box::new(Echo));
+            if fault {
+                net.faults_mut().add_link_fault(LinkFault {
+                    prefix: "192.0.2.0/24".parse().unwrap(),
+                    extra_loss: 0.0,
+                    extra_latency_us: 50_000,
+                    window: FaultWindow::from(SimTime(1)),
+                });
+            }
+            if on_lane {
+                let mut lane = net.lane(format_args!("probe"));
+                lane.request(CLIENT, (SERVER, 53), b"q", 1_000_000, 1)
+                    .unwrap();
+                lane.elapsed_us()
+            } else {
+                net.request(CLIENT, (SERVER, 53), b"q", 1_000_000, 1)
+                    .unwrap();
+                net.now().as_micros()
+            }
+        };
+        for on_lane in [false, true] {
+            assert_eq!(
+                elapsed(true, on_lane),
+                elapsed(false, on_lane) + 50_000,
+                "on_lane = {on_lane}"
+            );
+        }
+    }
+
+    #[test]
+    fn late_request_is_never_served() {
+        use crate::fault::{FaultWindow, LinkFault};
+        let count = Arc::new(AtomicU64::new(0));
+        let mut net = network();
+        net.bind(SERVER, 80, Box::new(Counter(Arc::clone(&count))));
+        // Two extra seconds one way against a one-second attempt timeout.
+        net.faults_mut().add_link_fault(LinkFault {
+            prefix: "192.0.2.0/24".parse().unwrap(),
+            extra_loss: 0.0,
+            extra_latency_us: 2_000_000,
+            window: FaultWindow::always(),
+        });
+        let late = net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
+        assert_eq!(late, Err(NetError::Timeout));
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+        net.advance_to_time(net.now().plus_us(10_000_000));
+        let again = net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
+        assert_eq!(again, Err(NetError::Timeout));
+        assert_eq!(count.load(Ordering::SeqCst), 0, "a late request was served");
+        assert_eq!(net.stats().unreachable, 0);
     }
 
     #[test]

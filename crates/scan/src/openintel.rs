@@ -748,13 +748,12 @@ impl OpenIntelScanner {
         self.total_queries += total.queries;
 
         // The world's clock advances to the deterministic end of the
-        // slowest lane, and the lanes' transport counters (and obs
-        // aggregates) fold into the network's globals.
+        // slowest lane, and the lanes' transport counters fold into the
+        // network's globals.
         world
             .network_mut()
             .advance_to_time(SimTime::ZERO.plus_us(total.max_lane_end_us));
         world.network_mut().absorb_lane_stats(total.net);
-        world.network_mut().absorb_lane_obs(&total_metrics.net);
 
         // Gap salvage: a day where most NS resolutions failed is not a
         // usable full snapshot (the real pipeline records such days as

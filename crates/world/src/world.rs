@@ -376,8 +376,9 @@ impl World {
     /// anchor to the absolute clock, so a resumed study must re-advance
     /// it through each replayed day in original order — this is the
     /// replay half of the sweep engine's post-sweep
-    /// `advance_to_time(max lane end)`. Monotonic: a reading at or
-    /// before the current clock is a no-op.
+    /// `advance_to_time(max lane end)`. A plain clock set: nothing is in
+    /// flight between requests. Monotonic: a reading at or before the
+    /// current clock is a no-op.
     pub fn restore_net_clock_us(&mut self, us: u64) {
         self.net
             .advance_to_time(ruwhere_netsim::SimTime::ZERO.plus_us(us));
