@@ -5,7 +5,8 @@
 //!   deepest-origin matching (a hosting provider serves many customer
 //!   zones from the same addresses).
 //! * [`AuthServer`] — a [`ruwhere_netsim::Service`] that answers DNS
-//!   queries from a shared, mutable [`ZoneSet`]; its [`ServerBehavior`]
+//!   queries from a shared, mutable [`ZoneSet`], encoding each reply
+//!   straight from the records the zones hold; its [`ServerBehavior`]
 //!   models provider disengagement (answer normally, answer `REFUSED`, or
 //!   go silent) — the three ways the 2022 exits manifested to scanners.
 //! * [`IterativeResolver`] — referral-chasing resolution from the root,

@@ -752,12 +752,13 @@ impl IterativeResolver {
             // Positive answer?
             if !msg.answers.is_empty() {
                 let has_final = msg.answers.iter().any(|r| r.data.rtype() == rtype);
-                chain.extend(msg.answers.iter().cloned());
+                let first = chain.len();
+                chain.extend(msg.answers);
                 if has_final {
                     return Ok(Resolution::Records(chain));
                 }
                 // Pure CNAME response: chase the last target.
-                if let Some(target) = msg.answers.iter().rev().find_map(|r| match &r.data {
+                if let Some(target) = chain[first..].iter().rev().find_map(|r| match &r.data {
                     RData::Cname(t) => Some(t.clone()),
                     _ => None,
                 }) {

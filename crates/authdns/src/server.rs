@@ -1,17 +1,18 @@
 //! Authoritative server: zone storage and query answering.
 
 use ruwhere_dns::zone::Lookup;
-use ruwhere_dns::{Message, Name, Rcode, Zone};
+use ruwhere_dns::{Flags, Message, Name, RData, Rcode, Record, WireError, Zone};
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock};
 
-/// A set of zones served by one operator, keyed by origin.
+/// A set of zones served by one operator, keyed by origin. Serving only
+/// probes exact origins, so the index is hashed.
 #[derive(Debug, Default)]
 pub struct ZoneSet {
-    zones: BTreeMap<Name, Zone>,
+    zones: HashMap<Name, Zone>,
 }
 
 impl ZoneSet {
@@ -112,69 +113,64 @@ impl AuthServer {
         Arc::clone(&self.behavior)
     }
 
-    /// Answer `query` against the zone set (the wire-independent core).
-    pub fn answer(zones: &ZoneSet, query: &Message) -> Message {
+    /// Answer `query` against the zone set: the reply [`Service::handle`]
+    /// sends for it, decoded. Fails only if the reply does not encode.
+    pub fn answer(zones: &ZoneSet, query: &Message) -> Result<Message, WireError> {
+        Message::decode(&Self::encode_answer(zones, query)?)
+    }
+
+    /// Encode the authoritative reply to `query` straight from the records
+    /// the zones hold: nothing is cloned and no reply [`Message`] is built.
+    fn encode_answer(zones: &ZoneSet, query: &Message) -> Result<Vec<u8>, WireError> {
         let Some(q) = query.questions.first() else {
-            return Message::response_to(query, Rcode::FormErr);
+            return reply(query, Rcode::FormErr, false, NO_RECORDS);
         };
         let Some(zone) = zones.find_best(&q.name) else {
-            return Message::response_to(query, Rcode::Refused);
+            return reply(query, Rcode::Refused, false, NO_RECORDS);
         };
-        let mut resp = Message::response_to(query, Rcode::NoError);
         match zone.lookup(&q.name, q.rtype) {
-            Lookup::Answer(records) => {
-                resp.flags.aa = true;
-                resp.answers = records;
-            }
+            Lookup::Answer(records) => reply(query, Rcode::NoError, true, [&records, &[], &[]]),
             Lookup::Cname(cname) => {
-                resp.flags.aa = true;
                 // Chase in-zone as far as possible, like real servers do.
-                let mut chain = vec![cname.clone()];
-                let mut target = match &cname.data {
-                    ruwhere_dns::RData::Cname(t) => t.clone(),
-                    _ => unreachable!("Lookup::Cname holds a CNAME"),
-                };
+                let mut chain = vec![cname];
+                let mut next = cname;
                 for _ in 0..8 {
-                    match zone.lookup(&target, q.rtype) {
-                        Lookup::Answer(mut recs) => {
-                            chain.append(&mut recs);
+                    let RData::Cname(target) = &next.data else {
+                        unreachable!("Lookup::Cname holds a CNAME");
+                    };
+                    match zone.lookup(target, q.rtype) {
+                        Lookup::Answer(records) => {
+                            chain.extend(records);
                             break;
                         }
-                        Lookup::Cname(next) => {
-                            target = match &next.data {
-                                ruwhere_dns::RData::Cname(t) => t.clone(),
-                                _ => unreachable!(),
-                            };
-                            chain.push(next);
+                        Lookup::Cname(cname) => {
+                            chain.push(cname);
+                            next = cname;
                         }
                         _ => break,
                     }
                 }
-                resp.answers = chain;
+                reply(query, Rcode::NoError, true, [&chain, &[], &[]])
             }
             Lookup::Delegation { ns, glue } => {
-                resp.flags.aa = false;
-                resp.authorities = ns;
-                resp.additionals = glue;
+                reply(query, Rcode::NoError, false, [&[], &ns, &glue])
             }
-            Lookup::NoData => {
-                resp.flags.aa = true;
-                resp.authorities = vec![zone.soa_record()];
-            }
-            Lookup::NxDomain => {
-                resp.flags.aa = true;
-                resp.flags.rcode = Rcode::NxDomain;
-                resp.authorities = vec![zone.soa_record()];
-            }
-            Lookup::OutOfZone => {
-                resp.flags.rcode = Rcode::Refused;
-            }
+            Lookup::NoData => reply(
+                query,
+                Rcode::NoError,
+                true,
+                [&[], &[zone.soa_record()], &[]],
+            ),
+            Lookup::NxDomain => reply(
+                query,
+                Rcode::NxDomain,
+                true,
+                [&[], &[zone.soa_record()], &[]],
+            ),
+            Lookup::OutOfZone => reply(query, Rcode::Refused, false, NO_RECORDS),
         }
-        resp
     }
-}
 
-impl AuthServer {
     /// The full request path (behaviour gate, decode, answer, encode) —
     /// needs only shared access: zones and behaviour live behind their
     /// own locks.
@@ -187,25 +183,41 @@ impl AuthServer {
         if query.is_response() || query.questions.is_empty() {
             return None;
         }
-        let resp = match behavior {
-            ServerBehavior::Refused => Message::response_to(&query, Rcode::Refused),
-            ServerBehavior::ServFail => Message::response_to(&query, Rcode::ServFail),
+        match behavior {
+            ServerBehavior::Refused => reply(&query, Rcode::Refused, false, NO_RECORDS),
+            ServerBehavior::ServFail => reply(&query, Rcode::ServFail, false, NO_RECORDS),
             ServerBehavior::Truncated => {
-                let mut m = Message::response_to(&query, Rcode::NoError);
-                m.flags.tc = true;
-                m
+                let flags = Flags {
+                    tc: true,
+                    ..Flags::response_to(query.flags, Rcode::NoError)
+                };
+                Message::encode_parts(query.id, flags, &query.questions, NO_RECORDS)
             }
-            ServerBehavior::Lame => {
-                let mut m = Message::response_to(&query, Rcode::NoError);
-                m.flags.aa = false;
-                m
-            }
+            ServerBehavior::Lame => reply(&query, Rcode::NoError, false, NO_RECORDS),
             ServerBehavior::Normal | ServerBehavior::Silent => {
-                Self::answer(&read(&self.zones), &query)
+                Self::encode_answer(&read(&self.zones), &query)
             }
-        };
-        resp.encode().ok()
+        }
+        .ok()
     }
+}
+
+/// Empty answer, authority and additional sections.
+const NO_RECORDS: [&[&Record]; 3] = [&[], &[], &[]];
+
+/// Encode a reply to `query` echoing its id and questions, with `rcode`,
+/// the AA bit and the answer, authority and additional sections.
+fn reply(
+    query: &Message,
+    rcode: Rcode,
+    aa: bool,
+    sections: [&[&Record]; 3],
+) -> Result<Vec<u8>, WireError> {
+    let flags = Flags {
+        aa,
+        ..Flags::response_to(query.flags, rcode)
+    };
+    Message::encode_parts(query.id, flags, &query.questions, sections)
 }
 
 impl Service for AuthServer {
@@ -290,7 +302,7 @@ mod tests {
     fn answer_a_query() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("example.ru"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q);
+        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert!(resp.flags.aa);
         assert_eq!(resp.answers.len(), 1);
@@ -300,7 +312,7 @@ mod tests {
     fn answer_cname_chases_in_zone() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("www.example.ru"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q);
+        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
         // CNAME plus the chased A record.
         assert_eq!(resp.answers.len(), 2);
         assert_eq!(resp.answers[0].data.rtype(), RType::Cname);
@@ -311,12 +323,12 @@ mod tests {
     fn answer_nxdomain_and_nodata() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("missing.example.ru"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q);
+        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NxDomain);
         assert_eq!(resp.authorities.len(), 1, "negative answers carry the SOA");
 
         let q = Message::query(1, name("example.ru"), RType::Mx);
-        let resp = AuthServer::answer(&read(&zones), &q);
+        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert!(resp.answers.is_empty());
         assert_eq!(resp.authorities.len(), 1);
@@ -326,7 +338,7 @@ mod tests {
     fn answer_refused_outside_authority() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("example.com"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q);
+        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::Refused);
     }
 

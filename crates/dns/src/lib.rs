@@ -12,8 +12,9 @@
 //! * [`Message`] — full query/response messages with header flags, questions
 //!   and the three record sections.
 //! * [`zone`] — an in-memory zone representation plus a master-file-style
-//!   textual format, used by the registry simulator to publish daily zone
-//!   snapshots and by the authoritative servers to load them.
+//!   textual format, used by the registry simulator to publish the daily
+//!   TLD zones and by the authoritative servers to answer from them
+//!   without copying records.
 //!
 //! Everything round-trips: `decode(encode(m)) == m` is enforced by unit and
 //! property tests, and malformed input never panics — decoding returns

@@ -3,6 +3,7 @@
 use crate::name::Name;
 use crate::rdata::{RType, Record, CLASS_IN};
 use crate::wire::{Decoder, Encoder, WireError};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Operation code (header OPCODE field). We only speak standard queries.
@@ -112,6 +113,18 @@ pub struct Flags {
 }
 
 impl Flags {
+    /// Response flags for `query`: QR set, opcode and RD copied, `rcode`,
+    /// every other bit clear.
+    pub fn response_to(query: Flags, rcode: Rcode) -> Self {
+        Flags {
+            qr: true,
+            opcode: query.opcode,
+            rd: query.rd,
+            rcode,
+            ..Flags::default()
+        }
+    }
+
     fn encode(self) -> u16 {
         (u16::from(self.qr) << 15)
             | (u16::from(self.opcode.code()) << 11)
@@ -194,13 +207,7 @@ impl Message {
     pub fn response_to(query: &Message, rcode: Rcode) -> Self {
         Message {
             id: query.id,
-            flags: Flags {
-                qr: true,
-                opcode: query.flags.opcode,
-                rd: query.flags.rd,
-                rcode,
-                ..Flags::default()
-            },
+            flags: Flags::response_to(query.flags, rcode),
             questions: query.questions.clone(),
             answers: Vec::new(),
             authorities: Vec::new(),
@@ -210,25 +217,39 @@ impl Message {
 
     /// Encode to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
+        Self::encode_parts(
+            self.id,
+            self.flags,
+            &self.questions,
+            [&self.answers, &self.authorities, &self.additionals],
+        )
+    }
+
+    /// Encode a message from its parts, without assembling a [`Message`]:
+    /// the header, the questions, then the answer, authority and
+    /// additional sections in that order. The sections may hold records
+    /// or references to records, so a server can answer straight from
+    /// the zone it holds.
+    pub fn encode_parts<R: Borrow<Record>>(
+        id: u16,
+        flags: Flags,
+        questions: &[Question],
+        sections: [&[R]; 3],
+    ) -> Result<Vec<u8>, WireError> {
         let mut e = Encoder::new();
-        e.put_u16(self.id);
-        e.put_u16(self.flags.encode());
-        e.put_u16(self.questions.len() as u16);
-        e.put_u16(self.answers.len() as u16);
-        e.put_u16(self.authorities.len() as u16);
-        e.put_u16(self.additionals.len() as u16);
-        for q in &self.questions {
+        e.put_u16(id);
+        e.put_u16(flags.encode());
+        e.put_u16(questions.len() as u16);
+        for section in sections {
+            e.put_u16(section.len() as u16);
+        }
+        for q in questions {
             q.name.encode(&mut e);
             e.put_u16(q.rtype.code());
             e.put_u16(CLASS_IN);
         }
-        for r in self
-            .answers
-            .iter()
-            .chain(&self.authorities)
-            .chain(&self.additionals)
-        {
-            r.encode(&mut e);
+        for r in sections.into_iter().flatten() {
+            r.borrow().encode(&mut e);
         }
         e.finish()
     }

@@ -103,7 +103,7 @@ pub struct SoaData {
     pub mname: Name,
     /// Responsible mailbox (encoded as a name).
     pub rname: Name,
-    /// Zone serial number; the registry bumps this on every daily snapshot.
+    /// Zone serial number; the registry bumps this on every daily publish.
     pub serial: u32,
     /// Refresh interval (seconds).
     pub refresh: u32,

@@ -1,34 +1,39 @@
 //! In-memory zones and a master-file-style textual format.
 //!
-//! The registry simulator publishes one [`Zone`] snapshot per day per TLD;
-//! authoritative servers answer from zones; the OpenINTEL-style scanner
-//! seeds its daily sweep from the zone's delegation list — exactly the
-//! data flow of the paper's measurement infrastructure.
+//! The registry simulator publishes one [`Zone`] per TLD and edits it in
+//! place every day; authoritative servers answer from zones, borrowing
+//! the records they send ([`Lookup`]); the OpenINTEL-style scanner seeds
+//! its daily sweep from the zone's delegation list — exactly the data
+//! flow of the paper's measurement infrastructure.
 
 use crate::name::Name;
 use crate::rdata::{RData, RType, Record, SoaData};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Most labels a name can have: 127 one-octet labels fill the 255-octet
 /// wire limit.
 const MAX_LABELS: usize = 127;
 
-/// Outcome of a zone lookup, before message assembly.
+/// Outcome of a zone lookup: the records the reply carries, borrowed from
+/// the zone, so a server encodes them straight to the wire without
+/// cloning any of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup {
+pub enum Lookup<'z> {
     /// Records answering the question directly (owner and type match).
-    Answer(Vec<Record>),
+    /// An apex SOA query answers the zone's own SOA record.
+    Answer(Vec<&'z Record>),
     /// The name is an alias; contains the CNAME record. The caller decides
     /// whether to chase it.
-    Cname(Record),
+    Cname(&'z Record),
     /// The question falls below a zone cut: referral with the cut's NS
     /// records and any in-zone glue.
     Delegation {
         /// NS records at the zone cut.
-        ns: Vec<Record>,
+        ns: Vec<&'z Record>,
         /// A/AAAA glue for in-bailiwick name servers.
-        glue: Vec<Record>,
+        glue: Vec<&'z Record>,
     },
     /// The owner exists but has no records of the queried type.
     NoData,
@@ -38,15 +43,18 @@ pub enum Lookup {
     OutOfZone,
 }
 
-/// An authoritative zone: an origin, a SOA, and records indexed by owner.
+/// An authoritative zone: a SOA record, whose owner is the origin, and
+/// records indexed by owner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
-    origin: Name,
-    soa: SoaData,
-    soa_ttl: u32,
-    /// Owner → records at that owner. BTreeMap keeps snapshots canonical so
-    /// that serialized zones are diffable and runs are reproducible.
-    records: BTreeMap<Name, Vec<Record>>,
+    /// The SOA at the apex, kept as a record so negative answers borrow
+    /// it like any other.
+    soa: Record,
+    /// Owner → records at that owner, in insertion order. Hashed, because
+    /// serving only ever probes exact owners; the readers that need the
+    /// canonical order ([`iter`](Self::iter), [`to_text`](Self::to_text),
+    /// [`delegations`](Self::delegations)) sort owners with `Name::cmp`.
+    records: HashMap<Name, Vec<Record>>,
 }
 
 /// Error from parsing the textual zone format.
@@ -70,42 +78,48 @@ impl Zone {
     /// Create an empty zone.
     pub fn new(origin: Name, soa: SoaData, soa_ttl: u32) -> Self {
         Zone {
-            origin,
-            soa,
-            soa_ttl,
-            records: BTreeMap::new(),
+            soa: Record::new(origin, soa_ttl, RData::Soa(soa)),
+            records: HashMap::new(),
         }
     }
 
     /// The zone origin (apex name).
     pub fn origin(&self) -> &Name {
-        &self.origin
+        &self.soa.name
     }
 
     /// The SOA data.
     pub fn soa(&self) -> &SoaData {
-        &self.soa
+        match &self.soa.data {
+            RData::Soa(soa) => soa,
+            _ => unreachable!("the zone's SOA record holds SOA data"),
+        }
     }
 
     /// The SOA as a full record at the apex.
-    pub fn soa_record(&self) -> Record {
-        Record::new(
-            self.origin.clone(),
-            self.soa_ttl,
-            RData::Soa(self.soa.clone()),
-        )
+    pub fn soa_record(&self) -> &Record {
+        &self.soa
+    }
+
+    /// Stamp a new SOA serial (a registry publishing the day's edits).
+    pub fn set_serial(&mut self, serial: u32) {
+        if let RData::Soa(soa) = &mut self.soa.data {
+            soa.serial = serial;
+        }
     }
 
     /// Add a record. Returns `false` (and does not add) if the owner is
     /// outside the zone.
     pub fn add(&mut self, record: Record) -> bool {
-        if !record.name.is_subdomain_of(&self.origin) {
+        if !record.name.is_subdomain_of(self.origin()) {
             return false;
         }
-        self.records
-            .entry(record.name.clone())
-            .or_default()
-            .push(record);
+        match self.records.get_mut(&record.name) {
+            Some(v) => v.push(record),
+            None => {
+                self.records.insert(record.name.clone(), vec![record]);
+            }
+        }
         true
     }
 
@@ -134,18 +148,30 @@ impl Zone {
         self.records.values().map(Vec::len).sum()
     }
 
+    /// Owners with their records, in canonical (`Name::cmp`) order.
+    fn sorted(&self) -> Vec<(&Name, &[Record])> {
+        let mut owners: Vec<(&Name, &[Record])> = self
+            .records
+            .iter()
+            .map(|(owner, recs)| (owner, recs.as_slice()))
+            .collect();
+        owners.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        owners
+    }
+
     /// Iterate all records in canonical owner order.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
+        self.sorted().into_iter().flat_map(|(_, recs)| recs)
     }
 
     /// Owners that have NS records strictly below the apex — i.e. the
-    /// delegations. For a TLD zone this is the list of registered domains,
-    /// which is exactly what seeds the daily OpenINTEL sweep.
+    /// delegations, in canonical order. For a TLD zone this is the list
+    /// of registered domains, which is exactly what seeds the daily
+    /// OpenINTEL sweep.
     pub fn delegations(&self) -> impl Iterator<Item = &Name> {
-        self.records.iter().filter_map(move |(owner, recs)| {
-            (owner != &self.origin && recs.iter().any(|r| r.data.rtype() == RType::Ns))
-                .then_some(owner)
+        let origin = self.origin();
+        self.sorted().into_iter().filter_map(move |(owner, recs)| {
+            (owner != origin && recs.iter().any(|r| r.data.rtype() == RType::Ns)).then_some(owner)
         })
     }
 
@@ -159,8 +185,9 @@ impl Zone {
 
     /// Authoritative lookup implementing RFC 1034 §4.3.2 zone semantics
     /// (without wildcards or DNSSEC).
-    pub fn lookup(&self, qname: &Name, qtype: RType) -> Lookup {
-        if !qname.is_subdomain_of(&self.origin) {
+    pub fn lookup(&self, qname: &Name, qtype: RType) -> Lookup<'_> {
+        let origin = self.origin();
+        if !qname.is_subdomain_of(origin) {
             return Lookup::OutOfZone;
         }
 
@@ -173,7 +200,7 @@ impl Zone {
             offsets[count] = at;
             count += 1;
         }
-        let depth = count - self.origin.label_count();
+        let depth = count - origin.label_count();
         for take in 1..=depth {
             let at = offsets[depth - take];
             let suffix;
@@ -183,45 +210,40 @@ impl Zone {
                 suffix = qname.suffix_at(at);
                 &suffix
             };
-            if let Some(recs) = self.records.get(cut) {
-                let ns: Vec<Record> = recs
-                    .iter()
-                    .filter(|r| r.data.rtype() == RType::Ns)
-                    .cloned()
-                    .collect();
-                if !ns.is_empty() && *cut != self.origin {
-                    // Below a delegation — unless the query is *for* the cut
-                    // itself with type DS (parent-side type), or the query
-                    // is exactly the cut with type NS (we can answer as the
-                    // delegating parent: referral is still the norm).
-                    let parent_side = cut == qname && qtype == RType::Ds;
-                    if !parent_side {
-                        let glue = self.glue_for(&ns);
-                        return Lookup::Delegation { ns, glue };
-                    }
-                }
+            let Some(recs) = self.records.get(cut) else {
+                continue;
+            };
+            // Below a delegation — unless the query is *for* the cut
+            // itself with type DS (parent-side type). A query for exactly
+            // the cut with type NS refers too: referral is still the norm
+            // for a delegating parent.
+            let ns: Vec<&Record> = recs
+                .iter()
+                .filter(|r| r.data.rtype() == RType::Ns)
+                .collect();
+            let parent_side = take == depth && qtype == RType::Ds;
+            if !ns.is_empty() && !parent_side {
+                let glue = self.glue_for(&ns);
+                return Lookup::Delegation { ns, glue };
             }
         }
 
-        if qname == &self.origin && qtype == RType::Soa {
-            return Lookup::Answer(vec![self.soa_record()]);
+        if qname == origin && qtype == RType::Soa {
+            return Lookup::Answer(vec![&self.soa]);
         }
         match self.records.get(qname) {
             // The apex always exists (it carries the SOA), so a miss there
             // is NoData, not NXDOMAIN.
-            None if qname == &self.origin => Lookup::NoData,
+            None if qname == origin => Lookup::NoData,
             None => Lookup::NxDomain,
             Some(recs) => {
-                let matching: Vec<Record> = recs
-                    .iter()
-                    .filter(|r| r.data.rtype() == qtype)
-                    .cloned()
-                    .collect();
+                let matching: Vec<&Record> =
+                    recs.iter().filter(|r| r.data.rtype() == qtype).collect();
                 if !matching.is_empty() {
                     return Lookup::Answer(matching);
                 }
                 if let Some(cname) = recs.iter().find(|r| r.data.rtype() == RType::Cname) {
-                    return Lookup::Cname(cname.clone());
+                    return Lookup::Cname(cname);
                 }
                 Lookup::NoData
             }
@@ -229,15 +251,14 @@ impl Zone {
     }
 
     /// Collect A/AAAA glue present in this zone for the given NS targets.
-    pub fn glue_for(&self, ns: &[Record]) -> Vec<Record> {
+    fn glue_for(&self, ns: &[&Record]) -> Vec<&Record> {
         let mut glue = Vec::new();
         for r in ns {
             if let RData::Ns(target) = &r.data {
                 if let Some(recs) = self.records.get(target) {
                     glue.extend(
                         recs.iter()
-                            .filter(|g| matches!(g.data.rtype(), RType::A | RType::Aaaa))
-                            .cloned(),
+                            .filter(|g| matches!(g.data.rtype(), RType::A | RType::Aaaa)),
                     );
                 }
             }
@@ -248,10 +269,10 @@ impl Zone {
     /// Serialize to the textual zone format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("$ORIGIN {}\n", self.origin));
-        out.push_str(&format!("{}\n", self.soa_record()));
+        let _ = writeln!(out, "$ORIGIN {}", self.origin());
+        let _ = writeln!(out, "{}", self.soa);
         for r in self.iter() {
-            out.push_str(&format!("{r}\n"));
+            let _ = writeln!(out, "{r}");
         }
         out
     }

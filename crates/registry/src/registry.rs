@@ -12,7 +12,8 @@ use std::net::Ipv4Addr;
 pub struct Delegation {
     /// Name-server host names.
     pub nameservers: Vec<DomainName>,
-    /// Glue A records for name servers under the delegated domain itself.
+    /// Glue A records for name servers at or under the delegated domain
+    /// itself ([`Registry::set_delegation`] rejects any other host).
     pub glue: BTreeMap<DomainName, Vec<Ipv4Addr>>,
 }
 
@@ -36,6 +37,9 @@ pub enum RegistryError {
     AlreadyRegistered,
     /// The name is not registered.
     NotRegistered,
+    /// A delegation supplied glue for a host that is neither the delegated
+    /// name nor under it.
+    GlueOutOfBailiwick,
 }
 
 impl fmt::Display for RegistryError {
@@ -44,6 +48,9 @@ impl fmt::Display for RegistryError {
             RegistryError::WrongTld => write!(f, "name is not under this TLD"),
             RegistryError::AlreadyRegistered => write!(f, "name already registered"),
             RegistryError::NotRegistered => write!(f, "name not registered"),
+            RegistryError::GlueOutOfBailiwick => {
+                write!(f, "glue host is outside the delegated name")
+            }
         }
     }
 }
@@ -58,6 +65,10 @@ pub struct Registry {
     /// Cumulative count of every name ever registered (the paper reports
     /// 11.7 M unique names over the study window against ~5 M live).
     ever_registered: u64,
+    /// Names whose registration changed since the last publish, in the
+    /// order they were touched (repeats allowed). `None` until the first
+    /// publish starts recording, so building a registry records nothing.
+    changes: Option<Vec<DomainName>>,
 }
 
 impl Registry {
@@ -67,6 +78,7 @@ impl Registry {
             tld,
             domains: BTreeMap::new(),
             ever_registered: 0,
+            changes: None,
         }
     }
 
@@ -94,6 +106,7 @@ impl Registry {
         if self.domains.contains_key(&name) {
             return Err(RegistryError::AlreadyRegistered);
         }
+        self.touch(&name);
         self.domains.insert(
             name,
             Registration {
@@ -113,28 +126,51 @@ impl Registry {
             .get_mut(name)
             .ok_or(RegistryError::NotRegistered)?;
         reg.expires = reg.expires.add_days((365 * years) as i32);
-        Ok(reg.expires)
+        let expires = reg.expires;
+        self.touch(name);
+        Ok(expires)
     }
 
     /// Delete `name` immediately (registrant action).
     pub fn delete(&mut self, name: &DomainName) -> Result<Registration, RegistryError> {
-        self.domains
+        let reg = self
+            .domains
             .remove(name)
-            .ok_or(RegistryError::NotRegistered)
+            .ok_or(RegistryError::NotRegistered)?;
+        self.touch(name);
+        Ok(reg)
     }
 
-    /// Replace the delegation for `name`.
+    /// Replace the delegation for `name`. Glue is accepted only for hosts
+    /// equal to `name` or under it, so every glue owner in the zone
+    /// belongs to exactly one delegation.
     pub fn set_delegation(
         &mut self,
         name: &DomainName,
         delegation: Delegation,
     ) -> Result<(), RegistryError> {
+        let in_bailiwick = |host: &DomainName| {
+            host.as_str()
+                .strip_suffix(name.as_str())
+                .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
+        };
+        if !delegation.glue.keys().all(in_bailiwick) {
+            return Err(RegistryError::GlueOutOfBailiwick);
+        }
         let reg = self
             .domains
             .get_mut(name)
             .ok_or(RegistryError::NotRegistered)?;
         reg.delegation = delegation;
+        self.touch(name);
         Ok(())
+    }
+
+    /// Note that `name`'s registration changed, once recording is on.
+    fn touch(&mut self, name: &DomainName) {
+        if let Some(changes) = &mut self.changes {
+            changes.push(name.clone());
+        }
     }
 
     /// The registration record for `name`.
@@ -173,6 +209,7 @@ impl Registry {
             .collect();
         for n in &expired {
             self.domains.remove(n);
+            self.touch(n);
         }
         expired
     }
@@ -185,7 +222,7 @@ impl Registry {
         let soa = SoaData {
             mname: Name::from_labels(["a", "dns", "ripn", "net"]).expect("static labels"),
             rname: Name::from_labels(["hostmaster", "ripn", "net"]).expect("static labels"),
-            serial: date.days_since_epoch() as u32,
+            serial: zone_serial(date),
             refresh: 86_400,
             retry: 14_400,
             expire: 2_592_000,
@@ -193,25 +230,78 @@ impl Registry {
         };
         let mut zone = Zone::new(origin, soa, 86_400);
         for (name, reg) in &self.domains {
-            if reg.delegation.nameservers.is_empty() {
-                continue; // registered but not delegated: not in the zone
-            }
-            let owner = Name::from(name);
-            for ns in &reg.delegation.nameservers {
-                zone.add(Record::new(
-                    owner.clone(),
-                    345_600,
-                    RData::Ns(Name::from(ns)),
-                ));
-            }
-            for (host, addrs) in &reg.delegation.glue {
-                let glue_owner = Name::from(host);
-                for addr in addrs {
-                    zone.add(Record::new(glue_owner.clone(), 345_600, RData::A(*addr)));
-                }
-            }
+            add_delegation(&mut zone, name, &reg.delegation);
         }
         zone
+    }
+
+    /// Start recording the names each change touches. The first publish
+    /// calls this after installing [`zone_snapshot`](Self::zone_snapshot)
+    /// and a copy of the registry; later publishes then go through
+    /// [`publish_changes`](Self::publish_changes).
+    pub fn record_changes(&mut self) {
+        self.changes.get_or_insert_with(Vec::new);
+    }
+
+    /// Bring a publication up to date with this registry as of `date`, in
+    /// O(changes): stamp `zone`'s serial and, for every name touched since
+    /// the last publish, replace that name's NS and glue records in `zone`
+    /// and its entry in `published`.
+    ///
+    /// `zone` and `published` must be this registry as of the last
+    /// publish: its [`zone_snapshot`](Self::zone_snapshot) and a copy of
+    /// it, both kept current by earlier calls. The copy also supplies each
+    /// name's old delegation, whose glue must go. Afterwards `zone` equals
+    /// `self.zone_snapshot(date)` and `published` answers every lookup as
+    /// `self` does. Recording must have been started with
+    /// [`record_changes`](Self::record_changes).
+    pub fn publish_changes(&mut self, date: Date, zone: &mut Zone, published: &mut Registry) {
+        zone.set_serial(zone_serial(date));
+        let mut names = self.changes.take().unwrap_or_default();
+        names.sort_unstable();
+        names.dedup();
+        for name in &names {
+            zone.remove(&Name::from(name), None);
+            if let Some(old) = published.domains.remove(name) {
+                for host in old.delegation.glue.keys() {
+                    zone.remove(&Name::from(host), None);
+                }
+            }
+            if let Some(reg) = self.domains.get(name) {
+                add_delegation(zone, name, &reg.delegation);
+                published.domains.insert(name.clone(), reg.clone());
+            }
+        }
+        published.ever_registered = self.ever_registered;
+        names.clear();
+        self.changes = Some(names);
+    }
+}
+
+/// A zone serial encoding `date`, so consecutive snapshots are ordered.
+fn zone_serial(date: Date) -> u32 {
+    date.days_since_epoch() as u32
+}
+
+/// Add `name`'s NS RRset and glue to `zone` — nothing when the name is
+/// registered but not delegated.
+fn add_delegation(zone: &mut Zone, name: &DomainName, delegation: &Delegation) {
+    if delegation.nameservers.is_empty() {
+        return;
+    }
+    let owner = Name::from(name);
+    for ns in &delegation.nameservers {
+        zone.add(Record::new(
+            owner.clone(),
+            345_600,
+            RData::Ns(Name::from(ns)),
+        ));
+    }
+    for (host, addrs) in &delegation.glue {
+        let glue_owner = Name::from(host);
+        for addr in addrs {
+            zone.add(Record::new(glue_owner.clone(), 345_600, RData::A(*addr)));
+        }
     }
 }
 
@@ -320,6 +410,37 @@ mod tests {
         assert_eq!(delegs, vec!["delegated.ru."]);
         // 2 NS + 1 glue A.
         assert_eq!(zone.record_count(), 3);
+    }
+
+    #[test]
+    fn glue_must_be_in_bailiwick() {
+        let mut r = registry();
+        r.register(d("example.ru"), Date::from_ymd(2020, 1, 1), 1)
+            .unwrap();
+        let delegation = |host: &str| Delegation {
+            nameservers: vec![d(host)],
+            glue: BTreeMap::from([(d(host), vec!["198.51.100.1".parse().unwrap()])]),
+        };
+        assert_eq!(
+            r.set_delegation(&d("example.ru"), delegation("ns1.example.ru")),
+            Ok(())
+        );
+        assert_eq!(
+            r.set_delegation(&d("example.ru"), delegation("example.ru")),
+            Ok(())
+        );
+        for host in ["ns.other.ru", "ns.notexample.ru"] {
+            assert_eq!(
+                r.set_delegation(&d("example.ru"), delegation(host)),
+                Err(RegistryError::GlueOutOfBailiwick),
+                "{host}"
+            );
+        }
+        // A rejected delegation leaves the last accepted one in place.
+        assert_eq!(
+            r.get(&d("example.ru")).unwrap().delegation,
+            delegation("example.ru")
+        );
     }
 
     #[test]

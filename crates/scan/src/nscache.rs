@@ -174,7 +174,10 @@ impl NsCache {
     {
         let entry = {
             let mut shard = lock(&self.shards[Self::shard_of(name)]);
-            Arc::clone(shard.entry(name.clone()).or_default())
+            match shard.get(name) {
+                Some(entry) => Arc::clone(entry),
+                None => Arc::clone(shard.entry(name.clone()).or_default()),
+            }
         };
         // Shard lock released: only this name's entry is held during the
         // (potentially long) resolution below.

@@ -1950,8 +1950,16 @@ impl World {
         self.geo.add_snapshot(effective, db);
     }
 
-    /// Install today's TLD zone snapshots into the RIPN server and
-    /// refresh the WHOIS database.
+    /// Publish today's TLD zones into the RIPN server and refresh the
+    /// WHOIS database, so both serve the registries as of today until the
+    /// next publish.
+    ///
+    /// The first publish installs full [`Registry::zone_snapshot`]s and a
+    /// copy of the registries for WHOIS, and starts the registries
+    /// recording what they touch. Every later publish edits the served
+    /// zones and the WHOIS copy in place
+    /// ([`Registry::publish_changes`]), at a cost that grows with the
+    /// names changed since the last publish, not with the population.
     ///
     /// A measurement sweep (`OpenIntelScanner::sweep_frame`) publishes on
     /// its own; call this only before talking to the RIPN servers
@@ -1959,13 +1967,27 @@ impl World {
     /// Zone-transfer chunks are rendered from the published zones on the
     /// first request for each TLD.
     pub fn publish_tld_zones(&mut self) {
-        let mut zs = write(&self.ripn_zones);
-        for r in &self.registries {
-            zs.insert(r.zone_snapshot(self.today));
+        let mut zones = write(&self.ripn_zones);
+        let mut whois = write(&self.whois_state);
+        if whois.is_empty() {
+            // The first publish: nothing is served yet.
+            for r in &self.registries {
+                zones.insert(r.zone_snapshot(self.today));
+            }
+            *whois = self.registries.clone();
+            self.registries
+                .iter_mut()
+                .for_each(Registry::record_changes);
+        } else {
+            for (live, published) in self.registries.iter_mut().zip(whois.iter_mut()) {
+                let zone = zones
+                    .get_mut(&Name::from(live.tld()))
+                    .expect("the first publish installed every TLD zone");
+                live.publish_changes(self.today, zone, published);
+            }
         }
-        drop(zs);
+        drop((zones, whois));
         write(&self.xfr_chunks).clear();
-        *write(&self.whois_state) = self.registries.clone();
     }
 
     /// Address of the registry's zone-transfer service.
