@@ -10,12 +10,15 @@
 //! distinct [`ResolveError`] variants so the measurement layer can count
 //! failure causes instead of lumping everything into "timeout".
 
-use ruwhere_dns::{Message, Name, RData, RType, Rcode, Record};
+use ruwhere_dns::{
+    Message, MessageView, Name, NameSlice, RData, RType, Rcode, Record, RecordView, MAX_NAME_LEN,
+};
 use ruwhere_netsim::{SimTime, Transport};
 use ruwhere_obs::Histogram;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A root name-server hint: where resolution starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +30,13 @@ pub struct RootHint {
 }
 
 /// Outcome of a successful resolution exchange.
+///
+/// Cloning is cheap: a positive answer's records are shared, so the
+/// answer cache hands out the same records it keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resolution {
     /// Positive answer: the full answer section (CNAME chain included).
-    Records(Vec<Record>),
+    Records(Arc<[Record]>),
     /// Authoritative denial: the name does not exist.
     NxDomain,
     /// The name exists but has no records of the queried type.
@@ -256,10 +262,9 @@ impl Default for ServerHealth {
 /// This trait is the seam; the resolver stays ignorant of lanes and
 /// worker pools.
 pub trait NsDependencyCache {
-    /// Addresses for NS target `name`, served or computed centrally.
-    /// `Some(vec![])` means "centrally resolved to nothing" (do not retry
-    /// inline); `None` delegates back to inline resolution.
-    fn ns_target_a(&self, name: &Name) -> Option<Vec<Ipv4Addr>>;
+    /// Addresses for NS target `name`, served or computed centrally and
+    /// shared, not copied. `None` delegates back to inline resolution.
+    fn ns_target_a(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>>;
 }
 
 /// The no-op hook: every dependency resolves inline, as a stand-alone
@@ -267,7 +272,7 @@ pub trait NsDependencyCache {
 pub struct NoDependencyCache;
 
 impl NsDependencyCache for NoDependencyCache {
-    fn ns_target_a(&self, _name: &Name) -> Option<Vec<Ipv4Addr>> {
+    fn ns_target_a(&self, _name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
         None
     }
 }
@@ -282,7 +287,7 @@ impl NsDependencyCache for NoDependencyCache {
 /// by sweep boundary.
 pub struct IterativeResolver {
     client_ip: Ipv4Addr,
-    roots: Vec<RootHint>,
+    roots: Arc<[RootHint]>,
     /// Max queries for one `resolve` call.
     pub query_budget: u32,
     /// Max *failed* queries one `resolve` call may absorb before giving
@@ -297,19 +302,54 @@ pub struct IterativeResolver {
     /// flapping-server experiment measures the queries this saves).
     pub penalty_box_enabled: bool,
     next_id: u16,
-    answer_cache: HashMap<(Name, RType), Result<Resolution, ResolveError>>,
-    cut_cache: HashMap<Name, Vec<Ipv4Addr>>,
+    /// Keyed by [`QuestionKey`] bytes, so a lookup probes with a key built
+    /// on the stack. Keys and answers are shared with forks, not copied.
+    answer_cache: HashMap<Arc<[u8]>, Result<Resolution, ResolveError>>,
+    /// Probed with each borrowed suffix of a name, deepest first.
+    cut_cache: HashMap<Name, Arc<[Ipv4Addr]>>,
     health: HashMap<Ipv4Addr, ServerHealth>,
+    /// Wire buffers reused by every exchange: the encoded query and the
+    /// reply the transport writes. A resolution walk takes the reply
+    /// buffer out while it reads the reply in place.
+    query: Vec<u8>,
+    reply: Vec<u8>,
+    /// Candidate servers of the current walk step, sorted in place.
+    servers: Vec<Ipv4Addr>,
     queries_sent: u64,
     stats: ResolverStats,
     obs: ResolverObs,
     trace: Option<Vec<TraceEvent>>,
 }
 
+/// An answer-cache key: the question's type code, then its name's flat
+/// wire labels, built on the stack.
+struct QuestionKey {
+    bytes: [u8; 2 + MAX_NAME_LEN],
+    len: usize,
+}
+
+impl QuestionKey {
+    fn new(name: &NameSlice, rtype: RType) -> Self {
+        let wire = name.wire();
+        let mut bytes = [0u8; 2 + MAX_NAME_LEN];
+        bytes[..2].copy_from_slice(&rtype.code().to_be_bytes());
+        bytes[2..2 + wire.len()].copy_from_slice(wire);
+        QuestionKey {
+            bytes,
+            len: 2 + wire.len(),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Classification of one query exchange.
-enum QueryOutcome {
-    /// A usable response (NoError or NXDOMAIN, not truncated, not lame).
-    Usable(Message),
+enum QueryOutcome<'r> {
+    /// A usable response (NoError or NXDOMAIN, not truncated, not lame),
+    /// read in place from the reply buffer.
+    Usable(MessageView<'r>),
     /// Transport timeout.
     Timeout,
     /// SERVFAIL rcode.
@@ -327,7 +367,7 @@ impl IterativeResolver {
     pub fn new(client_ip: Ipv4Addr, roots: Vec<RootHint>) -> Self {
         IterativeResolver {
             client_ip,
-            roots,
+            roots: roots.into(),
             query_budget: 64,
             retry_budget: 8,
             timeout_us: 2_000_000,
@@ -337,6 +377,9 @@ impl IterativeResolver {
             answer_cache: HashMap::new(),
             cut_cache: HashMap::new(),
             health: HashMap::new(),
+            query: Vec::new(),
+            reply: Vec::new(),
+            servers: Vec::new(),
             queries_sent: 0,
             stats: ResolverStats::default(),
             obs: ResolverObs::default(),
@@ -414,7 +457,7 @@ impl IterativeResolver {
     /// record) must plant the cut explicitly. No-op for empty `addrs`.
     pub fn seed_cut(&mut self, cut: Name, addrs: Vec<Ipv4Addr>) {
         if !addrs.is_empty() {
-            self.cut_cache.insert(cut, addrs);
+            self.cut_cache.insert(cut, addrs.into());
         }
     }
 
@@ -452,7 +495,7 @@ impl IterativeResolver {
             .collect();
         IterativeResolver {
             client_ip: self.client_ip,
-            roots: self.roots.clone(),
+            roots: Arc::clone(&self.roots),
             query_budget: self.query_budget,
             retry_budget: self.retry_budget,
             timeout_us: self.timeout_us,
@@ -462,6 +505,11 @@ impl IterativeResolver {
             answer_cache: self.answer_cache.clone(),
             cut_cache: self.cut_cache.clone(),
             health,
+            // Sized like the prototype's, which have grown to fit the
+            // exchanges it made, so a fork's buffers never regrow.
+            query: Vec::with_capacity(self.query.capacity()),
+            reply: Vec::with_capacity(self.reply.capacity()),
+            servers: Vec::with_capacity(self.servers.capacity()),
             queries_sent: 0,
             stats: ResolverStats::default(),
             obs: ResolverObs::default(),
@@ -475,7 +523,7 @@ impl IterativeResolver {
     pub fn resolve<T: Transport>(
         &mut self,
         net: &mut T,
-        name: &Name,
+        name: &NameSlice,
         rtype: RType,
     ) -> Result<Resolution, ResolveError> {
         self.resolve_with_cache(net, name, rtype, &NoDependencyCache)
@@ -487,7 +535,7 @@ impl IterativeResolver {
     pub fn resolve_with_cache<T: Transport>(
         &mut self,
         net: &mut T,
-        name: &Name,
+        name: &NameSlice,
         rtype: RType,
         deps: &dyn NsDependencyCache,
     ) -> Result<Resolution, ResolveError> {
@@ -509,7 +557,7 @@ impl IterativeResolver {
     fn resolve_inner<T: Transport>(
         &mut self,
         net: &mut T,
-        name: &Name,
+        name: &NameSlice,
         rtype: RType,
         budget: &mut u32,
         retries: &mut u32,
@@ -519,12 +567,31 @@ impl IterativeResolver {
         if depth > 6 {
             return Err(ResolveError::BudgetExhausted);
         }
-        if let Some(cached) = self.answer_cache.get(&(name.clone(), rtype)) {
+        let key = QuestionKey::new(name, rtype);
+        if let Some(cached) = self.answer_cache.get(key.as_bytes()) {
             let cached = cached.clone();
             self.obs.answer_cache_hits += 1;
             return cached;
         }
-        let result = self.resolve_uncached(net, name, rtype, budget, retries, depth, deps);
+        // The walk reads replies in place from the reply buffer and sorts
+        // candidates in the server buffer, so it owns both while it runs.
+        // A nested walk (an out-of-bailiwick NS lookup) finds them empty
+        // and grows its own; whichever walk finishes last keeps its pair.
+        let mut reply = std::mem::take(&mut self.reply);
+        let mut servers = std::mem::take(&mut self.servers);
+        let result = self.resolve_uncached(
+            net,
+            name,
+            rtype,
+            budget,
+            retries,
+            depth,
+            deps,
+            &mut reply,
+            &mut servers,
+        );
+        self.reply = reply;
+        self.servers = servers;
         // Cache everything except transient failures: timeouts and
         // SERVFAILs may clear within the sweep, and budget exhaustion is a
         // property of this call's budget, not of the name.
@@ -533,41 +600,35 @@ impl IterativeResolver {
             Err(ResolveError::Timeout | ResolveError::ServFail | ResolveError::BudgetExhausted)
         ) {
             self.answer_cache
-                .insert((name.clone(), rtype), result.clone());
+                .insert(key.as_bytes().into(), result.clone());
         }
         result
     }
 
-    fn starting_servers(&self, name: &Name) -> Vec<Ipv4Addr> {
-        // Deepest cached cut that is an ancestor of `name`.
-        if let Some(addrs) = self.cut_cache.get(name) {
-            return addrs.clone();
+    /// Fill `servers` with the addresses of the deepest cached cut that is
+    /// an ancestor of (or equal to) `name`, or with the roots.
+    fn starting_servers(&self, name: &NameSlice, servers: &mut Vec<Ipv4Addr>) {
+        servers.clear();
+        match name.suffixes().find_map(|n| self.cut_cache.get(n)) {
+            Some(addrs) => servers.extend_from_slice(addrs),
+            None => servers.extend(self.roots.iter().map(|r| r.addr)),
         }
-        let mut cursor = name.parent();
-        while let Some(n) = cursor {
-            if let Some(addrs) = self.cut_cache.get(&n) {
-                return addrs.clone();
-            }
-            cursor = n.parent();
-        }
-        self.roots.iter().map(|r| r.addr).collect()
     }
 
-    /// Candidate servers in query order: healthy before penalized, faster
-    /// (smoothed RTT) before slower, original order as the tiebreak.
-    /// Penalized servers stay in the list — if everything else fails they
-    /// are still tried, so a penalty can never cause a false failure.
-    fn order_servers(&self, servers: &[Ipv4Addr], now: SimTime) -> Vec<Ipv4Addr> {
+    /// Sort candidate servers into query order: healthy before penalized,
+    /// faster (smoothed RTT) before slower, original order as the
+    /// tiebreak. Penalized servers stay in the list — if everything else
+    /// fails they are still tried, so a penalty can never cause a false
+    /// failure.
+    fn order_servers(&self, servers: &mut [Ipv4Addr], now: SimTime) {
         if !self.penalty_box_enabled {
-            return servers.to_vec();
+            return;
         }
-        let mut ordered = servers.to_vec();
-        ordered.sort_by_key(|addr| {
+        servers.sort_by_key(|addr| {
             let h = self.health.get(addr).copied().unwrap_or_default();
             let penalized = h.penalized_until > now;
             (penalized, h.srtt_us)
         });
-        ordered
     }
 
     fn note_success(&mut self, server: Ipv4Addr, rtt_us: u64) {
@@ -595,14 +656,17 @@ impl IterativeResolver {
         }
     }
 
-    fn send_query<T: Transport>(
+    /// Send one query for `name`/`rtype` to `server` and classify the
+    /// exchange; a usable reply is read in place from `reply`.
+    fn send_query<'r, T: Transport>(
         &mut self,
         net: &mut T,
         server: Ipv4Addr,
-        name: &Name,
+        name: &NameSlice,
         rtype: RType,
         budget: &mut u32,
-    ) -> Result<QueryOutcome, ResolveError> {
+        reply: &'r mut Vec<u8>,
+    ) -> Result<QueryOutcome<'r>, ResolveError> {
         if *budget == 0 {
             return Err(ResolveError::BudgetExhausted);
         }
@@ -610,13 +674,13 @@ impl IterativeResolver {
         self.queries_sent += 1;
         self.record(|| TraceEvent::Query {
             server,
-            qname: name.clone(),
+            qname: name.to_owned(),
             rtype,
         });
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let query = Message::query(id, name.clone(), rtype);
-        let bytes = query.encode().map_err(|_| ResolveError::BadResponse)?;
+        Message::encode_query(id, name, rtype, &mut self.query)
+            .map_err(|_| ResolveError::BadResponse)?;
         // A penalized server gets one transport attempt, not the full
         // retry schedule: we are probing whether it recovered, not
         // betting the query's latency budget on it.
@@ -627,99 +691,115 @@ impl IterativeResolver {
                 .is_some_and(|h| h.penalized_until > net.now());
         let attempts = if penalized { 1 } else { self.attempts };
         let t0 = net.now();
-        match net.request(
+        let sent = net.request(
             self.client_ip,
             (server, 53),
-            &bytes,
+            &self.query,
             self.timeout_us,
             attempts,
-        ) {
-            Err(_) => {
-                self.stats.timeouts += 1;
-                self.note_failure(server, net.now());
-                self.record(|| TraceEvent::Timeout { server });
-                Ok(QueryOutcome::Timeout)
-            }
-            Ok(reply) => {
-                let msg = Message::decode(&reply).map_err(|_| ResolveError::BadResponse)?;
-                if msg.id != id || !msg.is_response() {
-                    return Err(ResolveError::BadResponse);
-                }
-                let now = net.now();
-                if msg.flags.tc {
-                    self.stats.truncated += 1;
+            reply,
+        );
+        if sent.is_err() {
+            self.stats.timeouts += 1;
+            self.note_failure(server, net.now());
+            self.record(|| TraceEvent::Timeout { server });
+            return Ok(QueryOutcome::Timeout);
+        }
+        let msg = MessageView::parse(reply).map_err(|_| ResolveError::BadResponse)?;
+        if msg.id() != id || !msg.is_response() {
+            return Err(ResolveError::BadResponse);
+        }
+        let flags = msg.flags();
+        let now = net.now();
+        if flags.tc {
+            self.stats.truncated += 1;
+            self.note_failure(server, now);
+            self.record(|| TraceEvent::Truncated { server });
+            return Ok(QueryOutcome::Truncated);
+        }
+        match flags.rcode {
+            Rcode::NoError | Rcode::NxDomain => {
+                // Lame delegation: the server answered, but
+                // non-authoritatively, with nothing to act on — it does
+                // not actually serve the zone.
+                let lame = flags.rcode == Rcode::NoError
+                    && !flags.aa
+                    && msg.answers().len() == 0
+                    && !msg.authorities().any(|r| r.rtype() == RType::Ns);
+                if lame {
+                    self.stats.lame += 1;
                     self.note_failure(server, now);
-                    self.record(|| TraceEvent::Truncated { server });
-                    return Ok(QueryOutcome::Truncated);
+                    self.record(|| TraceEvent::Lame { server });
+                    Ok(QueryOutcome::Lame)
+                } else {
+                    self.note_success(server, now.as_micros() - t0.as_micros());
+                    Ok(QueryOutcome::Usable(msg))
                 }
-                match msg.flags.rcode {
-                    Rcode::NoError | Rcode::NxDomain => {
-                        // Lame delegation: the server answered, but
-                        // non-authoritatively, with nothing to act on —
-                        // it does not actually serve the zone.
-                        let lame = msg.flags.rcode == Rcode::NoError
-                            && !msg.flags.aa
-                            && msg.answers.is_empty()
-                            && !msg.authorities.iter().any(|r| r.data.rtype() == RType::Ns);
-                        if lame {
-                            self.stats.lame += 1;
-                            self.note_failure(server, now);
-                            self.record(|| TraceEvent::Lame { server });
-                            Ok(QueryOutcome::Lame)
-                        } else {
-                            self.note_success(server, now.as_micros() - t0.as_micros());
-                            Ok(QueryOutcome::Usable(msg))
-                        }
-                    }
-                    Rcode::ServFail => {
-                        self.stats.servfails += 1;
-                        self.note_failure(server, now);
-                        self.record(|| TraceEvent::ServFail { server });
-                        Ok(QueryOutcome::ServFail)
-                    }
-                    _ => {
-                        // REFUSED and friends: a deliberate answer, not a
-                        // broken box — no penalty, but not usable either.
-                        Ok(QueryOutcome::Refused)
-                    }
-                }
+            }
+            Rcode::ServFail => {
+                self.stats.servfails += 1;
+                self.note_failure(server, now);
+                self.record(|| TraceEvent::ServFail { server });
+                Ok(QueryOutcome::ServFail)
+            }
+            _ => {
+                // REFUSED and friends: a deliberate answer, not a broken
+                // box — no penalty, but not usable either.
+                Ok(QueryOutcome::Refused)
             }
         }
     }
 
+    /// One resolution walk: from the deepest cached cut, follow referrals
+    /// and CNAMEs until an answer, reading every reply in place from
+    /// `reply` and sorting candidates in `servers`. Only the records of a
+    /// positive answer and each new cut are copied out.
     #[allow(clippy::too_many_arguments)]
     fn resolve_uncached<T: Transport>(
         &mut self,
         net: &mut T,
-        qname: &Name,
+        qname: &NameSlice,
         rtype: RType,
         budget: &mut u32,
         retries: &mut u32,
         depth: u32,
         deps: &dyn NsDependencyCache,
+        reply: &mut Vec<u8>,
+        servers: &mut Vec<Ipv4Addr>,
     ) -> Result<Resolution, ResolveError> {
-        let mut current_name = qname.clone();
+        // The CNAME target being chased, once there is one.
+        let mut alias: Option<Name> = None;
         let mut chain: Vec<Record> = Vec::new();
-        let mut servers = self.starting_servers(&current_name);
+        self.starting_servers(qname, servers);
         let mut saw_refusal = false;
         let mut saw_timeout = false;
         let mut saw_servfail = false;
         let mut saw_lame = false;
 
         for _step in 0..24 {
+            let current: &NameSlice = alias.as_deref().unwrap_or(qname);
             // Try candidate servers, best-health first, until one gives a
             // usable response. Each failure burns a retry token; when the
             // budget is gone the resolution fails fast instead of walking
             // the rest of a dead NS set.
-            let ordered = self.order_servers(&servers, net.now());
-            let mut response = None;
-            for &server in &ordered {
-                let outcome = self.send_query(net, server, &current_name, rtype, budget)?;
-                match outcome {
-                    QueryOutcome::Usable(msg) => {
-                        response = Some(msg);
-                        break;
-                    }
+            self.order_servers(servers, net.now());
+            let mut tried = 0;
+            let msg = loop {
+                let Some(&server) = servers.get(tried) else {
+                    // Classify by the most specific protocol-visible cause.
+                    return Err(if saw_lame {
+                        ResolveError::Lame
+                    } else if saw_servfail {
+                        ResolveError::ServFail
+                    } else if saw_refusal && !saw_timeout {
+                        ResolveError::Refused
+                    } else {
+                        ResolveError::Timeout
+                    });
+                };
+                tried += 1;
+                match self.send_query(net, server, current, rtype, budget, reply)? {
+                    QueryOutcome::Usable(msg) => break msg,
                     QueryOutcome::Timeout => saw_timeout = true,
                     QueryOutcome::ServFail => saw_servfail = true,
                     QueryOutcome::Lame => saw_lame = true,
@@ -731,119 +811,103 @@ impl IterativeResolver {
                     return Err(ResolveError::BudgetExhausted);
                 }
                 *retries -= 1;
-            }
-            let Some(msg) = response else {
-                // Classify by the most specific protocol-visible cause.
-                return Err(if saw_lame {
-                    ResolveError::Lame
-                } else if saw_servfail {
-                    ResolveError::ServFail
-                } else if saw_refusal && !saw_timeout {
-                    ResolveError::Refused
-                } else {
-                    ResolveError::Timeout
-                });
             };
+            let flags = msg.flags();
 
-            if msg.flags.rcode == Rcode::NxDomain {
+            if flags.rcode == Rcode::NxDomain {
                 return Ok(Resolution::NxDomain);
             }
 
             // Positive answer?
-            if !msg.answers.is_empty() {
-                let has_final = msg.answers.iter().any(|r| r.data.rtype() == rtype);
-                let first = chain.len();
-                chain.extend(msg.answers);
+            if msg.answers().len() > 0 {
+                let has_final = msg.answers().any(|r| r.rtype() == rtype);
+                chain.extend(msg.answers().map(|r| r.to_record()));
                 if has_final {
-                    return Ok(Resolution::Records(chain));
+                    return Ok(Resolution::Records(chain.into()));
                 }
                 // Pure CNAME response: chase the last target.
-                if let Some(target) = chain[first..].iter().rev().find_map(|r| match &r.data {
-                    RData::Cname(t) => Some(t.clone()),
-                    _ => None,
-                }) {
+                if let Some(target) = msg
+                    .answers()
+                    .filter(|r| r.rtype() == RType::Cname)
+                    .last()
+                    .and_then(|r| r.target())
+                {
                     if chain.len() > 16 {
                         return Err(ResolveError::BudgetExhausted);
                     }
+                    let target = target.to_name();
                     self.record(|| TraceEvent::Cname {
                         target: target.clone(),
                     });
-                    current_name = target;
-                    servers = self.starting_servers(&current_name);
+                    self.starting_servers(&target, servers);
+                    alias = Some(target);
                     continue;
                 }
-                return Ok(Resolution::Records(chain));
+                return Ok(Resolution::Records(chain.into()));
             }
 
             // Referral?
-            let ns_records: Vec<&Record> = msg
-                .authorities
-                .iter()
-                .filter(|r| r.data.rtype() == RType::Ns)
-                .collect();
-            if !ns_records.is_empty() && !msg.flags.aa {
-                let cut = ns_records[0].name.clone();
-                let targets: Vec<Name> = ns_records
-                    .iter()
-                    .filter_map(|r| match &r.data {
-                        RData::Ns(t) => Some(t.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                // Bailiwick check: only accept glue whose owner is one of
-                // the referral's NS targets. Anything else in the
-                // additional section (cache-poisoning style extras) is
-                // discarded and, if needed, resolved independently.
-                let mut rejected_glue = 0usize;
-                let mut addrs: Vec<Ipv4Addr> = Vec::new();
-                for r in &msg.additionals {
-                    if let RData::A(ip) = &r.data {
-                        if targets.contains(&r.name) {
-                            addrs.push(*ip);
-                        } else {
-                            rejected_glue += 1;
-                        }
-                    }
-                }
-                let glue_accepted = addrs.len();
-                if addrs.is_empty() {
-                    // Out-of-bailiwick NS: resolve their addresses —
-                    // centrally through the dependency cache when the
-                    // engine provides one, inline otherwise.
-                    for t in &targets {
-                        if let Some(shared) = deps.ns_target_a(t) {
-                            self.obs.deps_cache_hits += 1;
-                            addrs.extend(shared);
-                        } else if let Ok(res) =
-                            self.resolve_inner(net, t, RType::A, budget, retries, depth + 1, deps)
-                        {
-                            addrs.extend(res.addresses());
-                        }
-                        if addrs.len() >= 4 {
-                            break;
-                        }
-                    }
-                }
-                self.record(|| TraceEvent::Referral {
-                    cut: cut.clone(),
-                    glue: glue_accepted,
-                    rejected_glue,
-                });
-                if addrs.is_empty() {
-                    return Err(ResolveError::NoNameservers);
-                }
-                self.cut_cache.insert(cut, addrs.clone());
-                servers = addrs;
-                continue;
-            }
-
-            // Authoritative empty answer: NoData.
-            if msg.flags.aa {
+            let is_ns = |r: &RecordView<'_>| r.rtype() == RType::Ns;
+            let Some(first_ns) = msg.authorities().find(is_ns) else {
+                // Authoritative empty answer: NoData. Anything else is
+                // neither answer, referral, nor authoritative denial, yet
+                // not lame-shaped either (send_query screens those out).
+                return if flags.aa {
+                    Ok(Resolution::NoData)
+                } else {
+                    Err(ResolveError::BadResponse)
+                };
+            };
+            if flags.aa {
                 return Ok(Resolution::NoData);
             }
-            // Neither answer, referral, nor authoritative denial, yet not
-            // lame-shaped either (send_query screens those out).
-            return Err(ResolveError::BadResponse);
+            let targets = msg.authorities().filter(is_ns).filter_map(|r| r.target());
+            // Bailiwick check: only accept glue whose owner is one of the
+            // referral's NS targets. Anything else in the additional
+            // section (cache-poisoning style extras) is discarded and, if
+            // needed, resolved independently.
+            let mut rejected_glue = 0usize;
+            servers.clear();
+            for r in msg.additionals() {
+                if let Some(ip) = r.a() {
+                    if targets.clone().any(|t| t == r.owner()) {
+                        servers.push(ip);
+                    } else {
+                        rejected_glue += 1;
+                    }
+                }
+            }
+            let glue_accepted = servers.len();
+            if servers.is_empty() {
+                // Out-of-bailiwick NS: resolve their addresses — centrally
+                // through the dependency cache when the engine provides
+                // one, inline otherwise.
+                let mut buf = [0u8; MAX_NAME_LEN];
+                for t in targets {
+                    let t = t.lowercase_into(&mut buf);
+                    if let Some(shared) = deps.ns_target_a(t) {
+                        self.obs.deps_cache_hits += 1;
+                        servers.extend_from_slice(&shared);
+                    } else if let Ok(res) =
+                        self.resolve_inner(net, t, RType::A, budget, retries, depth + 1, deps)
+                    {
+                        servers.extend(res.addresses());
+                    }
+                    if servers.len() >= 4 {
+                        break;
+                    }
+                }
+            }
+            let cut = first_ns.owner().to_name();
+            self.record(|| TraceEvent::Referral {
+                cut: cut.clone(),
+                glue: glue_accepted,
+                rejected_glue,
+            });
+            if servers.is_empty() {
+                return Err(ResolveError::NoNameservers);
+            }
+            self.cut_cache.insert(cut, servers.as_slice().into());
         }
         Err(ResolveError::BudgetExhausted)
     }

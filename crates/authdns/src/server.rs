@@ -1,7 +1,10 @@
 //! Authoritative server: zone storage and query answering.
 
 use ruwhere_dns::zone::Lookup;
-use ruwhere_dns::{Flags, Message, Name, RData, Rcode, Record, WireError, Zone};
+use ruwhere_dns::{
+    Flags, Message, MessageView, Name, NameSlice, RData, Rcode, Record, WireError, Zone,
+    MAX_NAME_LEN,
+};
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
 use std::collections::HashMap;
@@ -53,18 +56,8 @@ impl ZoneSet {
 
     /// The zone with the deepest origin that is an ancestor of (or equal
     /// to) `qname` — the zone this operator would answer from.
-    pub fn find_best(&self, qname: &Name) -> Option<&Zone> {
-        if let Some(z) = self.zones.get(qname) {
-            return Some(z);
-        }
-        let mut cursor = qname.parent();
-        while let Some(n) = cursor {
-            if let Some(z) = self.zones.get(&n) {
-                return Some(z);
-            }
-            cursor = n.parent();
-        }
-        None
+    pub fn find_best(&self, qname: &NameSlice) -> Option<&Zone> {
+        qname.suffixes().find_map(|n| self.zones.get(n))
     }
 }
 
@@ -114,22 +107,35 @@ impl AuthServer {
     }
 
     /// Answer `query` against the zone set: the reply [`Service::handle`]
-    /// sends for it, decoded. Fails only if the reply does not encode.
+    /// sends for it, decoded. Fails only if the query or the reply does
+    /// not encode.
     pub fn answer(zones: &ZoneSet, query: &Message) -> Result<Message, WireError> {
-        Message::decode(&Self::encode_answer(zones, query)?)
+        let query = query.encode()?;
+        let mut reply = Vec::new();
+        Self::encode_answer(zones, &MessageView::parse(&query)?, &mut reply)?;
+        Message::decode(&reply)
     }
 
-    /// Encode the authoritative reply to `query` straight from the records
-    /// the zones hold: nothing is cloned and no reply [`Message`] is built.
-    fn encode_answer(zones: &ZoneSet, query: &Message) -> Result<Vec<u8>, WireError> {
-        let Some(q) = query.questions.first() else {
-            return reply(query, Rcode::FormErr, false, NO_RECORDS);
+    /// Encode the authoritative reply to `query` into `out` straight from
+    /// the records the zones hold: nothing is cloned and no reply
+    /// [`Message`] is built.
+    fn encode_answer(
+        zones: &ZoneSet,
+        query: &MessageView<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        let Some(q) = query.questions().next() else {
+            return reply(query, Rcode::FormErr, false, NO_RECORDS, out);
         };
-        let Some(zone) = zones.find_best(&q.name) else {
-            return reply(query, Rcode::Refused, false, NO_RECORDS);
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let qname = q.name.lowercase_into(&mut buf);
+        let Some(zone) = zones.find_best(qname) else {
+            return reply(query, Rcode::Refused, false, NO_RECORDS, out);
         };
-        match zone.lookup(&q.name, q.rtype) {
-            Lookup::Answer(records) => reply(query, Rcode::NoError, true, [&records, &[], &[]]),
+        match zone.lookup(qname, q.rtype) {
+            Lookup::Answer(records) => {
+                reply(query, Rcode::NoError, true, [&records, &[], &[]], out)
+            }
             Lookup::Cname(cname) => {
                 // Chase in-zone as far as possible, like real servers do.
                 let mut chain = vec![cname];
@@ -140,7 +146,7 @@ impl AuthServer {
                     };
                     match zone.lookup(target, q.rtype) {
                         Lookup::Answer(records) => {
-                            chain.extend(records);
+                            chain.extend(records.iter().copied());
                             break;
                         }
                         Lookup::Cname(cname) => {
@@ -150,79 +156,90 @@ impl AuthServer {
                         _ => break,
                     }
                 }
-                reply(query, Rcode::NoError, true, [&chain, &[], &[]])
+                reply(query, Rcode::NoError, true, [&chain, &[], &[]], out)
             }
             Lookup::Delegation { ns, glue } => {
-                reply(query, Rcode::NoError, false, [&[], &ns, &glue])
+                reply(query, Rcode::NoError, false, [&[], &ns, &glue], out)
             }
             Lookup::NoData => reply(
                 query,
                 Rcode::NoError,
                 true,
                 [&[], &[zone.soa_record()], &[]],
+                out,
             ),
             Lookup::NxDomain => reply(
                 query,
                 Rcode::NxDomain,
                 true,
                 [&[], &[zone.soa_record()], &[]],
+                out,
             ),
-            Lookup::OutOfZone => reply(query, Rcode::Refused, false, NO_RECORDS),
+            Lookup::OutOfZone => reply(query, Rcode::Refused, false, NO_RECORDS, out),
         }
     }
 
-    /// The full request path (behaviour gate, decode, answer, encode) —
-    /// needs only shared access: zones and behaviour live behind their
-    /// own locks.
-    fn respond(&self, payload: &[u8]) -> Option<Vec<u8>> {
+    /// The full request path (behaviour gate, parse, answer, encode into
+    /// `out`) — needs only shared access: zones and behaviour live behind
+    /// their own locks. Returns whether a reply was written.
+    fn respond(&self, payload: &[u8], out: &mut Vec<u8>) -> bool {
         let behavior = *read(&self.behavior);
         if behavior == ServerBehavior::Silent {
-            return None;
+            return false;
         }
-        let query = Message::decode(payload).ok()?;
-        if query.is_response() || query.questions.is_empty() {
-            return None;
+        let Ok(query) = MessageView::parse(payload) else {
+            return false;
+        };
+        if query.is_response() || query.questions().len() == 0 {
+            return false;
         }
         match behavior {
-            ServerBehavior::Refused => reply(&query, Rcode::Refused, false, NO_RECORDS),
-            ServerBehavior::ServFail => reply(&query, Rcode::ServFail, false, NO_RECORDS),
+            ServerBehavior::Refused => reply(&query, Rcode::Refused, false, NO_RECORDS, out),
+            ServerBehavior::ServFail => reply(&query, Rcode::ServFail, false, NO_RECORDS, out),
             ServerBehavior::Truncated => {
                 let flags = Flags {
                     tc: true,
-                    ..Flags::response_to(query.flags, Rcode::NoError)
+                    ..Flags::response_to(query.flags(), Rcode::NoError)
                 };
-                Message::encode_parts(query.id, flags, &query.questions, NO_RECORDS)
+                query.encode_reply(flags, NO_RECORDS, out)
             }
-            ServerBehavior::Lame => reply(&query, Rcode::NoError, false, NO_RECORDS),
+            ServerBehavior::Lame => reply(&query, Rcode::NoError, false, NO_RECORDS, out),
             ServerBehavior::Normal | ServerBehavior::Silent => {
-                Self::encode_answer(&read(&self.zones), &query)
+                Self::encode_answer(&read(&self.zones), &query, out)
             }
         }
-        .ok()
+        .is_ok()
     }
 }
 
 /// Empty answer, authority and additional sections.
 const NO_RECORDS: [&[&Record]; 3] = [&[], &[], &[]];
 
-/// Encode a reply to `query` echoing its id and questions, with `rcode`,
-/// the AA bit and the answer, authority and additional sections.
+/// Encode into `out` a reply to `query` echoing its id and questions, with
+/// `rcode`, the AA bit and the answer, authority and additional sections.
 fn reply(
-    query: &Message,
+    query: &MessageView<'_>,
     rcode: Rcode,
     aa: bool,
     sections: [&[&Record]; 3],
-) -> Result<Vec<u8>, WireError> {
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
     let flags = Flags {
         aa,
-        ..Flags::response_to(query.flags, rcode)
+        ..Flags::response_to(query.flags(), rcode)
     };
-    Message::encode_parts(query.id, flags, &query.questions, sections)
+    query.encode_reply(flags, sections, out)
 }
 
 impl Service for AuthServer {
-    fn handle(&self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
-        self.respond(payload)
+    fn handle(
+        &self,
+        payload: &[u8],
+        _src: (Ipv4Addr, u16),
+        _now: SimTime,
+        reply: &mut Vec<u8>,
+    ) -> bool {
+        self.respond(payload, reply)
     }
 
     fn processing_us(&self) -> u64 {
@@ -244,6 +261,14 @@ mod tests {
     use super::*;
     use ruwhere_dns::{RData, RType, Record, SoaData};
     use ruwhere_types::sync::write;
+
+    /// The service's reply to `query`, if any.
+    fn serve(srv: &AuthServer, query: &[u8]) -> Option<Vec<u8>> {
+        let src = ("10.0.0.1".parse().unwrap(), 40000);
+        let mut out = Vec::new();
+        srv.handle(query, src, SimTime::ZERO, &mut out)
+            .then_some(out)
+    }
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
@@ -350,55 +375,50 @@ mod tests {
         let q = Message::query(9, name("example.ru"), RType::A)
             .encode()
             .unwrap();
-        let src = ("10.0.0.1".parse().unwrap(), 40000);
 
-        let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
+        let out = serve(&srv, &q).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::NoError);
 
         *write(&behavior) = ServerBehavior::Refused;
-        let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
+        let out = serve(&srv, &q).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::Refused);
 
         *write(&behavior) = ServerBehavior::ServFail;
-        let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
+        let out = serve(&srv, &q).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::ServFail);
 
         *write(&behavior) = ServerBehavior::Truncated;
-        let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
+        let out = serve(&srv, &q).unwrap();
         let m = Message::decode(&out).unwrap();
         assert!(m.flags.tc);
         assert!(m.answers.is_empty());
 
         *write(&behavior) = ServerBehavior::Lame;
-        let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
+        let out = serve(&srv, &q).unwrap();
         let m = Message::decode(&out).unwrap();
         assert_eq!(m.flags.rcode, Rcode::NoError);
         assert!(!m.flags.aa);
         assert!(m.answers.is_empty() && m.authorities.is_empty());
 
         *write(&behavior) = ServerBehavior::Silent;
-        assert!(srv.handle(&q, src, SimTime::ZERO).is_none());
+        assert!(serve(&srv, &q).is_none());
     }
 
     #[test]
     fn service_ignores_garbage_and_responses() {
         let zones = shared_zones([example_zone()]);
         let srv = AuthServer::new(zones);
-        let src = ("10.0.0.1".parse().unwrap(), 40000);
-        assert!(srv.handle(b"not dns", src, SimTime::ZERO).is_none());
+        assert!(serve(&srv, b"not dns").is_none());
         let q = Message::query(9, name("example.ru"), RType::A);
         let mut resp = Message::response_to(&q, Rcode::NoError);
         resp.flags.qr = true;
-        assert!(srv
-            .handle(&resp.encode().unwrap(), src, SimTime::ZERO)
-            .is_none());
+        assert!(serve(&srv, &resp.encode().unwrap()).is_none());
     }
 
     #[test]
     fn zone_updates_visible_through_shared_set() {
         let zones = shared_zones([example_zone()]);
         let srv = AuthServer::new(Arc::clone(&zones));
-        let src = ("10.0.0.1".parse().unwrap(), 40000);
         let q = Message::query(9, name("example.ru"), RType::A)
             .encode()
             .unwrap();
@@ -414,7 +434,7 @@ mod tests {
                 RData::A("198.51.100.99".parse().unwrap()),
             ));
         }
-        let out = srv.handle(&q, src, SimTime::ZERO).unwrap();
+        let out = serve(&srv, &q).unwrap();
         let resp = Message::decode(&out).unwrap();
         assert_eq!(
             resp.answers[0].data,

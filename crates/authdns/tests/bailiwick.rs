@@ -39,8 +39,10 @@ fn soa() -> SoaData {
 struct PoisoningTld;
 
 impl Service for PoisoningTld {
-    fn handle(&self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
-        let query = Message::decode(payload).ok()?;
+    fn handle(&self, payload: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, out: &mut Vec<u8>) -> bool {
+        let Ok(query) = Message::decode(payload) else {
+            return false;
+        };
         let mut resp = Message::response_to(&query, Rcode::NoError);
         resp.flags.aa = false;
         resp.authorities.push(Record::new(
@@ -66,7 +68,13 @@ impl Service for PoisoningTld {
             3600,
             RData::A(HONEYPOT_IP),
         ));
-        resp.encode().ok()
+        match resp.encode() {
+            Ok(bytes) => {
+                out.extend_from_slice(&bytes);
+                true
+            }
+            Err(_) => false,
+        }
     }
 }
 
@@ -74,9 +82,9 @@ impl Service for PoisoningTld {
 struct Honeypot(Arc<RwLock<u64>>);
 
 impl Service for Honeypot {
-    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
+    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, _o: &mut Vec<u8>) -> bool {
         *write(&self.0) += 1;
-        None
+        false
     }
 }
 

@@ -5,12 +5,16 @@
 //! pipeline:
 //!
 //! * [`Name`] — wire-format domain names with RFC 1035 §4.1.4 message
-//!   compression on encode and pointer-chasing (with loop protection) on
-//!   decode.
+//!   compression on encode, and [`NameSlice`], their borrowed form, which
+//!   name-keyed maps are probed with.
 //! * [`Record`] / [`RData`] — resource records: A, AAAA, NS, CNAME, SOA, MX,
 //!   TXT, DS.
 //! * [`Message`] — full query/response messages with header flags, questions
 //!   and the three record sections.
+//! * [`MessageView`] — the one decoder: it validates a message in a single
+//!   pass (pointer chasing with loop protection included) and then reads
+//!   it in place, copying out only the names and records a caller keeps.
+//!   [`Message::decode`] is `MessageView::parse` plus `to_message`.
 //! * [`zone`] — an in-memory zone representation plus a master-file-style
 //!   textual format, used by the registry simulator to publish the daily
 //!   TLD zones and by the authoritative servers to answer from them
@@ -34,17 +38,20 @@
 //! assert_eq!(Message::decode(&wire).unwrap(), resp);
 //! ```
 
-#![forbid(unsafe_code)]
+// The only unsafe code is the `&[u8]` → `&NameSlice` cast in `name.rs`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod message;
 pub mod name;
 pub mod rdata;
+pub mod view;
 pub mod wire;
 pub mod zone;
 
 pub use message::{Flags, Message, Opcode, Question, Rcode};
-pub use name::Name;
+pub use name::{Name, NameSlice, MAX_NAME_LEN};
 pub use rdata::{RData, RType, Record, SoaData, CLASS_IN};
+pub use view::{MessageView, NameView, QuestionView, Questions, RecordView, Records};
 pub use wire::{WireError, MAX_MESSAGE_SIZE};
 pub use zone::{Zone, ZoneDiff, ZoneParseError};

@@ -1,8 +1,9 @@
 //! DNS messages: header, question, and record sections.
 
-use crate::name::Name;
+use crate::name::{Name, NameSlice};
 use crate::rdata::{RType, Record, CLASS_IN};
-use crate::wire::{Decoder, Encoder, WireError};
+use crate::view::MessageView;
+use crate::wire::{Encoder, WireError};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -113,6 +114,14 @@ pub struct Flags {
 }
 
 impl Flags {
+    /// Flags of a standard recursive query: RD set, every other bit clear.
+    fn query() -> Self {
+        Flags {
+            rd: true,
+            ..Flags::default()
+        }
+    }
+
     /// Response flags for `query`: QR set, opcode and RD copied, `rcode`,
     /// every other bit clear.
     pub fn response_to(query: Flags, rcode: Rcode) -> Self {
@@ -135,7 +144,7 @@ impl Flags {
             | u16::from(self.rcode.code())
     }
 
-    fn decode(bits: u16) -> Self {
+    pub(crate) fn decode(bits: u16) -> Self {
         Flags {
             qr: bits & 0x8000 != 0,
             opcode: Opcode::from_code((bits >> 11) as u8),
@@ -192,10 +201,7 @@ impl Message {
     pub fn query(id: u16, name: Name, rtype: RType) -> Self {
         Message {
             id,
-            flags: Flags {
-                rd: true,
-                ..Flags::default()
-            },
+            flags: Flags::query(),
             questions: vec![Question::new(name, rtype)],
             answers: Vec::new(),
             authorities: Vec::new(),
@@ -217,88 +223,77 @@ impl Message {
 
     /// Encode to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        Self::encode_parts(
+        let mut out = Vec::new();
+        let sections = [&self.answers, &self.authorities, &self.additionals];
+        encode_message(
+            &mut out,
             self.id,
             self.flags,
-            &self.questions,
-            [&self.answers, &self.authorities, &self.additionals],
-        )
+            self.questions.len(),
+            sections.map(Vec::as_slice),
+            |enc| {
+                for q in &self.questions {
+                    put_question(enc, &q.name, q.rtype);
+                }
+            },
+        )?;
+        Ok(out)
     }
 
-    /// Encode a message from its parts, without assembling a [`Message`]:
-    /// the header, the questions, then the answer, authority and
-    /// additional sections in that order. The sections may hold records
-    /// or references to records, so a server can answer straight from
-    /// the zone it holds.
-    pub fn encode_parts<R: Borrow<Record>>(
+    /// Encode the standard recursive query [`Message::query`] builds,
+    /// straight into `out`, without building the [`Message`].
+    pub fn encode_query(
         id: u16,
-        flags: Flags,
-        questions: &[Question],
-        sections: [&[R]; 3],
-    ) -> Result<Vec<u8>, WireError> {
-        let mut e = Encoder::new();
-        e.put_u16(id);
-        e.put_u16(flags.encode());
-        e.put_u16(questions.len() as u16);
-        for section in sections {
-            e.put_u16(section.len() as u16);
-        }
-        for q in questions {
-            q.name.encode(&mut e);
-            e.put_u16(q.rtype.code());
-            e.put_u16(CLASS_IN);
-        }
-        for r in sections.into_iter().flatten() {
-            r.borrow().encode(&mut e);
-        }
-        e.finish()
+        name: &NameSlice,
+        rtype: RType,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        encode_message(out, id, Flags::query(), 1, [&[] as &[Record]; 3], |enc| {
+            put_question(enc, name, rtype)
+        })
     }
 
     /// Decode from wire bytes; rejects trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut d = Decoder::new(buf);
-        let id = d.get_u16()?;
-        let flags = Flags::decode(d.get_u16()?);
-        let qd = d.get_u16()? as usize;
-        let an = d.get_u16()? as usize;
-        let ns = d.get_u16()? as usize;
-        let ar = d.get_u16()? as usize;
-
-        let mut questions = Vec::with_capacity(qd.min(32));
-        for _ in 0..qd {
-            let name = Name::decode(&mut d)?;
-            let code = d.get_u16()?;
-            let rtype = RType::from_code(code).ok_or(WireError::UnknownType(code))?;
-            let _class = d.get_u16()?;
-            questions.push(Question { name, rtype });
-        }
-        let read_section = |n: usize, d: &mut Decoder<'_>| -> Result<Vec<Record>, WireError> {
-            let mut v = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                v.push(Record::decode(d)?);
-            }
-            Ok(v)
-        };
-        let answers = read_section(an, &mut d)?;
-        let authorities = read_section(ns, &mut d)?;
-        let additionals = read_section(ar, &mut d)?;
-        if d.remaining() != 0 {
-            return Err(WireError::TrailingBytes(d.remaining()));
-        }
-        Ok(Message {
-            id,
-            flags,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        Ok(MessageView::parse(buf)?.to_message())
     }
 
     /// Whether this message is a response.
     pub fn is_response(&self) -> bool {
         self.flags.qr
     }
+}
+
+/// Encode a message into `out`: the header, `qdcount` questions written
+/// by `questions`, then the answer, authority and additional sections in
+/// that order.
+pub(crate) fn encode_message<R: Borrow<Record>>(
+    out: &mut Vec<u8>,
+    id: u16,
+    flags: Flags,
+    qdcount: usize,
+    sections: [&[R]; 3],
+    questions: impl FnOnce(&mut Encoder<'_>),
+) -> Result<(), WireError> {
+    let mut e = Encoder::new(out);
+    e.put_u16(id);
+    e.put_u16(flags.encode());
+    e.put_u16(qdcount as u16);
+    for section in sections {
+        e.put_u16(section.len() as u16);
+    }
+    questions(&mut e);
+    for r in sections.into_iter().flatten() {
+        r.borrow().encode(&mut e);
+    }
+    e.finish()
+}
+
+/// Write one question entry.
+pub(crate) fn put_question(enc: &mut Encoder<'_>, name: &NameSlice, rtype: RType) {
+    name.encode(enc);
+    enc.put_u16(rtype.code());
+    enc.put_u16(CLASS_IN);
 }
 
 #[cfg(test)]
@@ -317,6 +312,9 @@ mod tests {
         assert_eq!(Message::decode(&buf).unwrap(), q);
         assert!(!q.is_response());
         assert!(q.flags.rd);
+        let mut direct = vec![0xAA; 100];
+        Message::encode_query(0x1234, &name("example.ru"), RType::Ns, &mut direct).unwrap();
+        assert_eq!(direct, buf);
     }
 
     #[test]
@@ -404,14 +402,7 @@ mod tests {
     #[test]
     fn section_count_lies_rejected() {
         // Header claims one question but provides none.
-        let mut e = Encoder::new();
-        e.put_u16(1);
-        e.put_u16(0);
-        e.put_u16(1); // qdcount
-        e.put_u16(0);
-        e.put_u16(0);
-        e.put_u16(0);
-        let buf = e.finish().unwrap();
+        let buf = [0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
         assert_eq!(Message::decode(&buf), Err(WireError::Truncated));
     }
 

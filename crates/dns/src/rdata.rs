@@ -1,7 +1,7 @@
 //! Resource records and RDATA.
 
 use crate::name::Name;
-use crate::wire::{Decoder, Encoder, WireError};
+use crate::wire::Encoder;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -155,7 +155,7 @@ impl RData {
     ///
     /// Names inside RDATA are encoded with compression for NS/CNAME/SOA/MX,
     /// matching common server behaviour.
-    pub fn encode(&self, enc: &mut Encoder) {
+    pub fn encode(&self, enc: &mut Encoder<'_>) {
         match self {
             RData::A(ip) => enc.put_slice(&ip.octets()),
             RData::Aaaa(ip) => enc.put_slice(&ip.octets()),
@@ -190,70 +190,6 @@ impl RData {
             }
         }
     }
-
-    /// Decode RDATA of type `rtype` occupying exactly `rdlen` bytes at the
-    /// decoder's cursor.
-    pub fn decode(dec: &mut Decoder<'_>, rtype: RType, rdlen: usize) -> Result<Self, WireError> {
-        let end = dec.position() + rdlen;
-        if end > dec.message().len() {
-            return Err(WireError::Truncated);
-        }
-        let data = match rtype {
-            RType::A => {
-                if rdlen != 4 {
-                    return Err(WireError::BadRdataLength);
-                }
-                let o = dec.get_slice(4)?;
-                RData::A(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
-            }
-            RType::Aaaa => {
-                if rdlen != 16 {
-                    return Err(WireError::BadRdataLength);
-                }
-                let o = dec.get_slice(16)?;
-                let mut a = [0u8; 16];
-                a.copy_from_slice(o);
-                RData::Aaaa(Ipv6Addr::from(a))
-            }
-            RType::Ns => RData::Ns(Name::decode(dec)?),
-            RType::Cname => RData::Cname(Name::decode(dec)?),
-            RType::Soa => RData::Soa(SoaData {
-                mname: Name::decode(dec)?,
-                rname: Name::decode(dec)?,
-                serial: dec.get_u32()?,
-                refresh: dec.get_u32()?,
-                retry: dec.get_u32()?,
-                expire: dec.get_u32()?,
-                minimum: dec.get_u32()?,
-            }),
-            RType::Mx => RData::Mx(dec.get_u16()?, Name::decode(dec)?),
-            RType::Txt => {
-                let mut strings = Vec::new();
-                while dec.position() < end {
-                    let len = dec.get_u8()? as usize;
-                    if dec.position() + len > end {
-                        return Err(WireError::BadRdataLength);
-                    }
-                    strings.push(dec.get_slice(len)?.to_vec());
-                }
-                RData::Txt(strings)
-            }
-            RType::Ds => {
-                if rdlen < 4 {
-                    return Err(WireError::BadRdataLength);
-                }
-                let tag = dec.get_u16()?;
-                let alg = dec.get_u8()?;
-                let dt = dec.get_u8()?;
-                let digest = dec.get_slice(rdlen - 4)?.to_vec();
-                RData::Ds(tag, alg, dt, digest)
-            }
-        };
-        if dec.position() != end {
-            return Err(WireError::BadRdataLength);
-        }
-        Ok(data)
-    }
 }
 
 /// A complete resource record.
@@ -274,7 +210,7 @@ impl Record {
     }
 
     /// Encode the full record (owner, type, class, TTL, RDLENGTH, RDATA).
-    pub fn encode(&self, enc: &mut Encoder) {
+    pub fn encode(&self, enc: &mut Encoder<'_>) {
         self.name.encode(enc);
         enc.put_u16(self.data.rtype().code());
         enc.put_u16(CLASS_IN);
@@ -285,18 +221,6 @@ impl Record {
         self.data.encode(enc);
         let rdlen = enc.position() - start;
         enc.patch_u16(len_at, rdlen as u16);
-    }
-
-    /// Decode one record at the decoder's cursor.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let name = Name::decode(dec)?;
-        let code = dec.get_u16()?;
-        let rtype = RType::from_code(code).ok_or(WireError::UnknownType(code))?;
-        let _class = dec.get_u16()?;
-        let ttl = dec.get_u32()?;
-        let rdlen = dec.get_u16()? as usize;
-        let data = RData::decode(dec, rtype, rdlen)?;
-        Ok(Record { name, ttl, data })
     }
 }
 
@@ -339,15 +263,35 @@ impl fmt::Display for Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Message, WireError};
+
+    /// `buf` holding one answer record, behind a header that says so.
+    fn as_answer(record: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0, 0, 0x80, 0, 0, 0, 0, 1, 0, 0, 0, 0];
+        buf.extend_from_slice(record);
+        buf
+    }
+
+    /// The bytes `build` writes into a fresh encoder.
+    fn encode(build: impl FnOnce(&mut Encoder<'_>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut e = Encoder::new(&mut buf);
+        build(&mut e);
+        e.finish().unwrap();
+        buf
+    }
+
+    fn decode_one(record: &[u8]) -> Result<Record, WireError> {
+        Message::decode(&as_answer(record)).map(|m| m.answers[0].clone())
+    }
 
     fn roundtrip(r: &Record) -> Record {
-        let mut e = Encoder::new();
-        r.encode(&mut e);
-        let buf = e.finish().unwrap();
-        let mut d = Decoder::new(&buf);
-        let got = Record::decode(&mut d).unwrap();
-        assert_eq!(d.remaining(), 0, "record left trailing bytes");
-        got
+        let msg = Message {
+            answers: vec![r.clone()],
+            ..Message::query(0, Name::root(), RType::A)
+        };
+        let mut back = Message::decode(&msg.encode().unwrap()).unwrap();
+        back.answers.pop().unwrap()
     }
 
     fn name(s: &str) -> Name {
@@ -406,44 +350,41 @@ mod tests {
     #[test]
     fn rdata_length_validation() {
         // A record claiming 5 bytes of A RDATA.
-        let mut e = Encoder::new();
-        name("x.ru").encode(&mut e);
-        e.put_u16(RType::A.code());
-        e.put_u16(CLASS_IN);
-        e.put_u32(60);
-        e.put_u16(5);
-        e.put_slice(&[1, 2, 3, 4, 5]);
-        let buf = e.finish().unwrap();
-        let mut d = Decoder::new(&buf);
-        assert_eq!(Record::decode(&mut d), Err(WireError::BadRdataLength));
+        let buf = encode(|e| {
+            name("x.ru").encode(e);
+            e.put_u16(RType::A.code());
+            e.put_u16(CLASS_IN);
+            e.put_u32(60);
+            e.put_u16(5);
+            e.put_slice(&[1, 2, 3, 4, 5]);
+        });
+        assert_eq!(decode_one(&buf), Err(WireError::BadRdataLength));
     }
 
     #[test]
     fn unknown_type_is_error() {
-        let mut e = Encoder::new();
-        name("x.ru").encode(&mut e);
-        e.put_u16(99);
-        e.put_u16(CLASS_IN);
-        e.put_u32(60);
-        e.put_u16(0);
-        let buf = e.finish().unwrap();
-        let mut d = Decoder::new(&buf);
-        assert_eq!(Record::decode(&mut d), Err(WireError::UnknownType(99)));
+        let buf = encode(|e| {
+            name("x.ru").encode(e);
+            e.put_u16(99);
+            e.put_u16(CLASS_IN);
+            e.put_u32(60);
+            e.put_u16(0);
+        });
+        assert_eq!(decode_one(&buf), Err(WireError::UnknownType(99)));
     }
 
     #[test]
     fn txt_inner_length_checked() {
         // TXT rdlen 3 but inner string claims 10 bytes.
-        let mut e = Encoder::new();
-        name("x.ru").encode(&mut e);
-        e.put_u16(RType::Txt.code());
-        e.put_u16(CLASS_IN);
-        e.put_u32(60);
-        e.put_u16(3);
-        e.put_slice(&[10, b'a', b'b']);
-        let buf = e.finish().unwrap();
-        let mut d = Decoder::new(&buf);
-        assert_eq!(Record::decode(&mut d), Err(WireError::BadRdataLength));
+        let buf = encode(|e| {
+            name("x.ru").encode(e);
+            e.put_u16(RType::Txt.code());
+            e.put_u16(CLASS_IN);
+            e.put_u32(60);
+            e.put_u16(3);
+            e.put_slice(&[10, b'a', b'b']);
+        });
+        assert_eq!(decode_one(&buf), Err(WireError::BadRdataLength));
     }
 
     #[test]
@@ -484,13 +425,16 @@ mod tests {
     #[test]
     fn names_in_rdata_compress_against_owner() {
         let r = Record::new(name("example.ru"), 3600, RData::Ns(name("ns1.example.ru")));
-        let mut e = Encoder::new();
-        r.encode(&mut e);
-        let buf = e.finish().unwrap();
+        let buf = encode(|e| r.encode(e));
         // ns1.example.ru should encode as "ns1" + pointer: 1+3+2 = 6 bytes.
         // Full record: name(12) + type(2)+class(2)+ttl(4)+rdlen(2) + 6.
         assert_eq!(buf.len(), 12 + 10 + 6);
-        let mut d = Decoder::new(&buf);
-        assert_eq!(Record::decode(&mut d).unwrap(), r);
+        // Behind a 12-byte header the pointer targets shift by 12.
+        let mut shifted = Vec::new();
+        let mut e = Encoder::new(&mut shifted);
+        e.put_slice(&[0; 12]);
+        r.encode(&mut e);
+        e.finish().unwrap();
+        assert_eq!(decode_one(&shifted[12..]).unwrap(), r);
     }
 }

@@ -1,9 +1,8 @@
-//! Low-level wire encoding/decoding primitives.
-//!
-//! [`Encoder`] owns the output buffer and the name-compression table;
-//! [`Decoder`] is a bounds-checked cursor over the full message (decoding
-//! names requires random access for compression pointers, so the decoder
-//! keeps the entire message slice).
+//! Low-level wire primitives: the error type, size limits and the
+//! [`Encoder`], which writes a message into a caller-owned buffer and
+//! keeps the name-compression table. Reading is done by
+//! [`MessageView`](crate::MessageView), which validates a message in
+//! place.
 
 use std::fmt;
 
@@ -57,26 +56,41 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Name suffixes the compression table holds without allocating; a
+/// reply with more distinct suffixes spills the rest to the heap.
+const INLINE_SUFFIXES: usize = 32;
+
 /// Wire encoder with RFC 1035 §4.1.4 name compression.
 ///
+/// Writes into a caller-owned buffer, which it clears first: a caller
+/// that keeps one buffer and encodes message after message into it
+/// reuses its capacity and allocates nothing.
+///
 /// The compression table is a list of buffer offsets, one per name suffix
-/// written in full; a suffix's bytes are read back from the buffer when it
-/// is looked up. Each suffix is remembered at its first occurrence only,
-/// so pointers always target the earliest copy.
-pub struct Encoder {
-    buf: Vec<u8>,
-    /// Offsets of remembered name suffixes, in the order written. Only
-    /// offsets ≤ 0x3FFF are eligible as compression targets.
-    names: Vec<u16>,
+/// written in full, each with the suffix's length; a suffix's bytes are
+/// read back from the buffer when a lookup of the same length meets it.
+/// Each suffix is remembered at its first occurrence only, so pointers
+/// always target the earliest copy.
+pub struct Encoder<'b> {
+    buf: &'b mut Vec<u8>,
+    /// Remembered name suffixes as (offset, flat length), in the order
+    /// written: the first [`INLINE_SUFFIXES`] here, the rest in
+    /// `spilled`. Only offsets ≤ 0x3FFF are eligible as compression
+    /// targets.
+    inline: [(u16, u8); INLINE_SUFFIXES],
+    inline_len: usize,
+    spilled: Vec<(u16, u8)>,
 }
 
-impl Encoder {
-    /// New encoder with a reasonable initial capacity.
-    pub fn new() -> Self {
+impl<'b> Encoder<'b> {
+    /// Encoder writing a new message into `buf`, which it clears.
+    pub fn new(buf: &'b mut Vec<u8>) -> Self {
+        buf.clear();
         Encoder {
-            buf: Vec::with_capacity(512),
-            // Room for the suffixes of a typical reply without regrowing.
-            names: Vec::with_capacity(32),
+            buf,
+            inline: [(0, 0); INLINE_SUFFIXES],
+            inline_len: 0,
+            spilled: Vec::new(),
         }
     }
 
@@ -114,18 +128,29 @@ impl Encoder {
     /// length-prefixed lowercase labels without the terminal zero: the
     /// first remembered offset whose name, read back, equals it.
     pub(crate) fn lookup_suffix(&self, suffix: &[u8]) -> Option<u16> {
-        self.names
+        self.inline[..self.inline_len]
             .iter()
-            .copied()
-            .find(|&off| self.name_at_equals(off as usize, suffix))
+            .chain(&self.spilled)
+            .find(|&&(off, len)| {
+                usize::from(len) == suffix.len() && self.name_at_equals(off as usize, suffix)
+            })
+            .map(|&(off, _)| off)
     }
 
-    /// Remember that a name suffix starts at `offset`. The caller writes
+    /// Remember that a name suffix of flat length `len` (length-prefixed
+    /// labels, no terminal zero) starts at `offset`. The caller writes
     /// that suffix in full (ending in a zero octet or a pointer) before
     /// the next lookup can match it.
-    pub(crate) fn remember_suffix(&mut self, offset: usize) {
-        if offset <= 0x3FFF {
-            self.names.push(offset as u16);
+    pub(crate) fn remember_suffix(&mut self, offset: usize, len: usize) {
+        if offset > 0x3FFF {
+            return;
+        }
+        let entry = (offset as u16, len as u8);
+        if self.inline_len < INLINE_SUFFIXES {
+            self.inline[self.inline_len] = entry;
+            self.inline_len += 1;
+        } else {
+            self.spilled.push(entry);
         }
     }
 
@@ -166,108 +191,12 @@ impl Encoder {
         }
     }
 
-    /// Finish encoding, enforcing the size limit.
-    pub fn finish(self) -> Result<Vec<u8>, WireError> {
+    /// Finish encoding, enforcing the size limit. On `Err` the buffer
+    /// holds the oversized message.
+    pub fn finish(self) -> Result<(), WireError> {
         if self.buf.len() > MAX_MESSAGE_SIZE {
             return Err(WireError::TooBig(self.buf.len()));
         }
-        Ok(self.buf)
-    }
-}
-
-impl Default for Encoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Bounds-checked decoding cursor over a complete message.
-pub struct Decoder<'a> {
-    msg: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// New decoder over `msg`.
-    pub fn new(msg: &'a [u8]) -> Self {
-        Decoder { msg, pos: 0 }
-    }
-
-    /// Full message slice (for pointer chasing).
-    pub fn message(&self) -> &'a [u8] {
-        self.msg
-    }
-
-    /// Current cursor position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
-        self.msg.len() - self.pos
-    }
-
-    /// Advance the cursor by `n`.
-    pub fn skip(&mut self, n: usize) -> Result<(), WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        self.pos += n;
-        Ok(())
-    }
-
-    /// Read one byte.
-    pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        if self.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        let v = self.msg[self.pos];
-        self.pos += 1;
-        Ok(v)
-    }
-
-    /// Read a big-endian u16.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        if self.remaining() < 2 {
-            return Err(WireError::Truncated);
-        }
-        let v = u16::from_be_bytes([self.msg[self.pos], self.msg[self.pos + 1]]);
-        self.pos += 2;
-        Ok(v)
-    }
-
-    /// Read a big-endian u32.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        if self.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let v = u32::from_be_bytes([
-            self.msg[self.pos],
-            self.msg[self.pos + 1],
-            self.msg[self.pos + 2],
-            self.msg[self.pos + 3],
-        ]);
-        self.pos += 4;
-        Ok(v)
-    }
-
-    /// Read `n` raw bytes.
-    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.msg[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Move the cursor to an absolute position (bounds-checked).
-    pub fn seek(&mut self, pos: usize) -> Result<(), WireError> {
-        if pos > self.msg.len() {
-            return Err(WireError::Truncated);
-        }
-        self.pos = pos;
         Ok(())
     }
 }
@@ -278,12 +207,13 @@ mod tests {
 
     #[test]
     fn encoder_basics() {
-        let mut e = Encoder::new();
+        let mut out = vec![0xFF; 3];
+        let mut e = Encoder::new(&mut out);
         e.put_u8(0xAB);
         e.put_u16(0x1234);
         e.put_u32(0xDEADBEEF);
         e.put_slice(b"xyz");
-        let out = e.finish().unwrap();
+        e.finish().unwrap();
         assert_eq!(
             out,
             [0xAB, 0x12, 0x34, 0xDE, 0xAD, 0xBE, 0xEF, b'x', b'y', b'z']
@@ -292,30 +222,36 @@ mod tests {
 
     #[test]
     fn patching() {
-        let mut e = Encoder::new();
+        let mut out = Vec::new();
+        let mut e = Encoder::new(&mut out);
         e.put_u16(0);
         let at = 0;
         e.put_slice(b"abc");
         e.patch_u16(at, 3);
-        assert_eq!(e.finish().unwrap(), [0, 3, b'a', b'b', b'c']);
+        e.finish().unwrap();
+        assert_eq!(out, [0, 3, b'a', b'b', b'c']);
     }
 
     #[test]
-    fn decoder_bounds() {
-        let data = [1u8, 2, 3];
-        let mut d = Decoder::new(&data);
-        assert_eq!(d.get_u16().unwrap(), 0x0102);
-        assert_eq!(d.remaining(), 1);
-        assert_eq!(d.get_u16(), Err(WireError::Truncated));
-        assert_eq!(d.get_u8().unwrap(), 3);
-        assert_eq!(d.get_u8(), Err(WireError::Truncated));
-        assert!(d.seek(3).is_ok());
-        assert_eq!(d.seek(4), Err(WireError::Truncated));
+    fn suffix_table_spills_past_its_inline_slots() {
+        let mut out = Vec::new();
+        let mut e = Encoder::new(&mut out);
+        for i in 0..INLINE_SUFFIXES + 8 {
+            let at = e.position();
+            e.put_slice(&[2, b'a' + (i % 26) as u8, b'0' + (i / 26) as u8, 0]);
+            e.remember_suffix(at, 3);
+        }
+        // The last name written is only in the spilled part of the table.
+        let last = INLINE_SUFFIXES + 7;
+        let suffix = [2, b'a' + (last % 26) as u8, b'0' + (last / 26) as u8];
+        assert_eq!(e.lookup_suffix(&suffix), Some(4 * last as u16));
+        assert_eq!(e.lookup_suffix(&[2, b'z', b'9']), None);
     }
 
     #[test]
     fn size_limit() {
-        let mut e = Encoder::new();
+        let mut out = Vec::new();
+        let mut e = Encoder::new(&mut out);
         e.put_slice(&vec![0u8; MAX_MESSAGE_SIZE + 1]);
         assert!(matches!(e.finish(), Err(WireError::TooBig(_))));
     }

@@ -6,7 +6,7 @@
 //! its daily sweep from the zone's delegation list — exactly the data
 //! flow of the paper's measurement infrastructure.
 
-use crate::name::Name;
+use crate::name::{Name, NameSlice};
 use crate::rdata::{RData, RType, Record, SoaData};
 use std::collections::HashMap;
 use std::fmt;
@@ -23,7 +23,7 @@ const MAX_LABELS: usize = 127;
 pub enum Lookup<'z> {
     /// Records answering the question directly (owner and type match).
     /// An apex SOA query answers the zone's own SOA record.
-    Answer(Vec<&'z Record>),
+    Answer(Refs<'z>),
     /// The name is an alias; contains the CNAME record. The caller decides
     /// whether to chase it.
     Cname(&'z Record),
@@ -31,9 +31,9 @@ pub enum Lookup<'z> {
     /// records and any in-zone glue.
     Delegation {
         /// NS records at the zone cut.
-        ns: Vec<&'z Record>,
+        ns: Refs<'z>,
         /// A/AAAA glue for in-bailiwick name servers.
-        glue: Vec<&'z Record>,
+        glue: Refs<'z>,
     },
     /// The owner exists but has no records of the queried type.
     NoData,
@@ -42,6 +42,72 @@ pub enum Lookup<'z> {
     /// The question is not within this zone's authority at all.
     OutOfZone,
 }
+
+/// References a [`Refs`] keeps without allocating.
+const INLINE_REFS: usize = 8;
+
+/// The record references of a [`Lookup`]: up to eight are kept inline,
+/// more spill to the heap, so answering an ordinary question allocates
+/// nothing. Dereferences to a slice.
+#[derive(Clone)]
+pub struct Refs<'z>(RefsRepr<'z>);
+
+#[derive(Clone)]
+enum RefsRepr<'z> {
+    /// `refs[..len]` are the references; the rest repeat the first.
+    Inline {
+        len: usize,
+        refs: [&'z Record; INLINE_REFS],
+    },
+    Heap(Vec<&'z Record>),
+}
+
+impl<'z> FromIterator<&'z Record> for Refs<'z> {
+    fn from_iter<I: IntoIterator<Item = &'z Record>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Refs(RefsRepr::Heap(Vec::new()));
+        };
+        let mut refs = [first; INLINE_REFS];
+        let mut len = 1;
+        while let Some(r) = iter.next() {
+            if len == INLINE_REFS {
+                let mut spilled = refs.to_vec();
+                spilled.push(r);
+                spilled.extend(iter);
+                return Refs(RefsRepr::Heap(spilled));
+            }
+            refs[len] = r;
+            len += 1;
+        }
+        Refs(RefsRepr::Inline { len, refs })
+    }
+}
+
+impl<'z> std::ops::Deref for Refs<'z> {
+    type Target = [&'z Record];
+
+    fn deref(&self) -> &[&'z Record] {
+        match &self.0 {
+            RefsRepr::Inline { len, refs } => &refs[..*len],
+            RefsRepr::Heap(v) => v,
+        }
+    }
+}
+
+impl fmt::Debug for Refs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Refs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Refs<'_> {}
 
 /// An authoritative zone: a SOA record, whose owner is the origin, and
 /// records indexed by owner.
@@ -185,7 +251,9 @@ impl Zone {
 
     /// Authoritative lookup implementing RFC 1034 §4.3.2 zone semantics
     /// (without wildcards or DNSSEC).
-    pub fn lookup(&self, qname: &Name, qtype: RType) -> Lookup<'_> {
+    /// Takes the borrowed form of the name, so a server can look up a name
+    /// it copied out of a query onto the stack.
+    pub fn lookup(&self, qname: &NameSlice, qtype: RType) -> Lookup<'_> {
         let origin = self.origin();
         if !qname.is_subdomain_of(origin) {
             return Lookup::OutOfZone;
@@ -202,14 +270,7 @@ impl Zone {
         }
         let depth = count - origin.label_count();
         for take in 1..=depth {
-            let at = offsets[depth - take];
-            let suffix;
-            let cut = if at == 0 {
-                qname
-            } else {
-                suffix = qname.suffix_at(at);
-                &suffix
-            };
+            let cut = qname.suffix(offsets[depth - take]);
             let Some(recs) = self.records.get(cut) else {
                 continue;
             };
@@ -217,7 +278,7 @@ impl Zone {
             // itself with type DS (parent-side type). A query for exactly
             // the cut with type NS refers too: referral is still the norm
             // for a delegating parent.
-            let ns: Vec<&Record> = recs
+            let ns: Refs = recs
                 .iter()
                 .filter(|r| r.data.rtype() == RType::Ns)
                 .collect();
@@ -228,17 +289,17 @@ impl Zone {
             }
         }
 
-        if qname == origin && qtype == RType::Soa {
-            return Lookup::Answer(vec![&self.soa]);
+        let at_apex = qname == &**origin;
+        if at_apex && qtype == RType::Soa {
+            return Lookup::Answer(std::iter::once(&self.soa).collect());
         }
         match self.records.get(qname) {
             // The apex always exists (it carries the SOA), so a miss there
             // is NoData, not NXDOMAIN.
-            None if qname == origin => Lookup::NoData,
+            None if at_apex => Lookup::NoData,
             None => Lookup::NxDomain,
             Some(recs) => {
-                let matching: Vec<&Record> =
-                    recs.iter().filter(|r| r.data.rtype() == qtype).collect();
+                let matching: Refs = recs.iter().filter(|r| r.data.rtype() == qtype).collect();
                 if !matching.is_empty() {
                     return Lookup::Answer(matching);
                 }
@@ -251,19 +312,15 @@ impl Zone {
     }
 
     /// Collect A/AAAA glue present in this zone for the given NS targets.
-    fn glue_for(&self, ns: &[&Record]) -> Vec<&Record> {
-        let mut glue = Vec::new();
-        for r in ns {
-            if let RData::Ns(target) = &r.data {
-                if let Some(recs) = self.records.get(target) {
-                    glue.extend(
-                        recs.iter()
-                            .filter(|g| matches!(g.data.rtype(), RType::A | RType::Aaaa)),
-                    );
-                }
-            }
-        }
-        glue
+    fn glue_for<'z>(&'z self, ns: &[&'z Record]) -> Refs<'z> {
+        ns.iter()
+            .filter_map(|r| match &r.data {
+                RData::Ns(target) => self.records.get(target),
+                _ => None,
+            })
+            .flatten()
+            .filter(|g| matches!(g.data.rtype(), RType::A | RType::Aaaa))
+            .collect()
     }
 
     /// Serialize to the textual zone format.
@@ -493,6 +550,23 @@ mod tests {
         let z = tld_zone();
         let delegs: Vec<String> = z.delegations().map(|n| n.to_string()).collect();
         assert_eq!(delegs, vec!["example.ru.", "other.ru."]);
+    }
+
+    #[test]
+    fn large_answers_spill_in_order() {
+        let mut z = tld_zone();
+        let ips: Vec<std::net::Ipv4Addr> = (1..=11).map(|i| [192, 0, 2, i].into()).collect();
+        for ip in &ips {
+            z.add(Record::new(name("many.ru"), 60, RData::A(*ip)));
+        }
+        match z.lookup(&name("many.ru"), RType::A) {
+            Lookup::Answer(recs) => {
+                let got: Vec<RData> = recs.iter().map(|r| r.data.clone()).collect();
+                let want: Vec<RData> = ips.iter().map(|ip| RData::A(*ip)).collect();
+                assert_eq!(got, want);
+            }
+            other => panic!("expected answer, got {other:?}"),
+        }
     }
 
     #[test]

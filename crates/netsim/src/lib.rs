@@ -12,6 +12,11 @@
 //! * [`sim`] — the transport core: virtual time, UDP-like services, and
 //!   the synchronous request/response exchange the resolver and the
 //!   scanners drive, on the global clock or on a parallel sweep's lanes.
+//!   The client owns the reply buffer: [`Transport::request`] hands it to
+//!   the [`Service`], which writes its reply straight into it, so a client
+//!   that keeps one buffer exchanges datagrams without allocating. On
+//!   `Ok` the buffer holds the reply; after an `Err` its contents are
+//!   unspecified.
 //! * [`fault`] — scheduled fault injection: server outages, flapping boxes
 //!   and degraded links active during windows of virtual time, replacing
 //!   ad-hoc loss knobs with a declarative, deterministic [`FaultPlan`].
@@ -27,8 +32,9 @@
 //!
 //! struct Upper;
 //! impl Service for Upper {
-//!     fn handle(&self, p: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
-//!         Some(p.to_ascii_uppercase())
+//!     fn handle(&self, p: &[u8], _src: (Ipv4Addr, u16), _now: SimTime, reply: &mut Vec<u8>) -> bool {
+//!         reply.extend(p.iter().map(u8::to_ascii_uppercase));
+//!         true
 //!     }
 //! }
 //!
@@ -40,9 +46,9 @@
 //!
 //! let mut net = Network::new(topo, SeedTree::new(1).child("net"));
 //! net.bind("192.0.2.7".parse().unwrap(), 7, Box::new(Upper));
-//! let reply = net
-//!     .request("10.0.0.1".parse().unwrap(), ("192.0.2.7".parse().unwrap(), 7), b"ping", 1_000_000, 1)
-//!     .unwrap();
+//! let mut reply = Vec::new();
+//! let (client, server) = ("10.0.0.1".parse().unwrap(), ("192.0.2.7".parse().unwrap(), 7));
+//! net.request(client, server, b"ping", 1_000_000, 1, &mut reply).unwrap();
 //! assert_eq!(reply, b"PING");
 //! assert!(net.now().as_micros() > 0); // latency was paid
 //! ```

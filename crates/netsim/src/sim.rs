@@ -58,10 +58,21 @@ impl fmt::Display for SimTime {
 /// called concurrently. It takes `&self`: an implementer that keeps
 /// mutable state guards it with its own lock or atomics.
 pub trait Service: Send + Sync {
-    /// Handle one datagram payload; return the reply payload, or `None` to
-    /// stay silent (the client will time out — how a black-holed or
-    /// decommissioned server manifests to a scanner).
-    fn handle(&self, payload: &[u8], src: (Ipv4Addr, u16), now: SimTime) -> Option<Vec<u8>>;
+    /// Handle one datagram payload, writing the reply payload into
+    /// `reply` (which arrives empty) and returning `true`; or return
+    /// `false` to stay silent (the client will time out — how a
+    /// black-holed or decommissioned server manifests to a scanner), in
+    /// which case whatever was written is discarded.
+    ///
+    /// `reply` is the client's buffer, reused from request to request, so
+    /// a service that writes its reply into it directly allocates nothing.
+    fn handle(
+        &self,
+        payload: &[u8],
+        src: (Ipv4Addr, u16),
+        now: SimTime,
+        reply: &mut Vec<u8>,
+    ) -> bool;
 
     /// Server-side processing delay in microseconds (default 100 µs).
     fn processing_us(&self) -> u64 {
@@ -115,7 +126,8 @@ pub trait Transport {
     fn now(&self) -> SimTime;
 
     /// Synchronous request/response with retries (see
-    /// [`Network::request`] for the semantics).
+    /// [`Network::request`] for the semantics). On `Ok` the reply payload
+    /// is in `reply`; after an `Err` its contents are unspecified.
     fn request(
         &mut self,
         src_ip: Ipv4Addr,
@@ -123,7 +135,8 @@ pub trait Transport {
         payload: &[u8],
         timeout_us: u64,
         attempts: u32,
-    ) -> Result<Vec<u8>, NetError>;
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NetError>;
 }
 
 /// The simulated network: topology, services, fault plan and the global
@@ -233,10 +246,12 @@ impl Network {
     /// Synchronous request/response with retries.
     ///
     /// Each attempt waits `timeout_us`; after `attempts` failures the call
-    /// returns [`NetError::Timeout`]. On success, virtual time has advanced
-    /// by the full round trip (plus any failed attempts' timeouts). A
-    /// datagram that would arrive after its attempt's deadline is lost to
-    /// that attempt: nothing is left in flight for a later request.
+    /// returns [`NetError::Timeout`]. On success the reply payload is in
+    /// `reply`, and virtual time has advanced by the full round trip (plus
+    /// any failed attempts' timeouts). After an `Err` the contents of
+    /// `reply` are unspecified. A datagram that would arrive after its
+    /// attempt's deadline is lost to that attempt: nothing is left in
+    /// flight for a later request.
     ///
     /// Runs the [`Lane`] exchange on the global clock, drawing latency,
     /// jitter and loss from the network's global packet sequence.
@@ -247,15 +262,16 @@ impl Network {
         payload: &[u8],
         timeout_us: u64,
         attempts: u32,
-    ) -> Result<Vec<u8>, NetError> {
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NetError> {
         // Only sweep lanes export observability: this lane's is dropped.
         let mut lane = self.open_lane(self.seed, Draws::Global, self.seq);
-        let reply = lane.request(src_ip, dst, payload, timeout_us, attempts);
+        let result = lane.request(src_ip, dst, payload, timeout_us, attempts, reply);
         let (now, seq, stats) = (lane.now, lane.seq, lane.stats);
         self.now = now;
         self.seq = seq;
         self.stats.merge(stats);
-        reply
+        result
     }
 
     /// Open a measurement [`Lane`]: an independent virtual clock over this
@@ -278,7 +294,9 @@ impl Network {
     fn open_lane(&self, stream: SeedTree, draws: Draws, seq: u64) -> Lane<'_> {
         Lane {
             net: self,
-            stream,
+            pkt: stream.child("pkt"),
+            loss: stream.child("loss"),
+            linkfault: stream.child("linkfault"),
             draws,
             start: self.now,
             now: self.now,
@@ -313,8 +331,9 @@ impl Transport for Network {
         payload: &[u8],
         timeout_us: u64,
         attempts: u32,
-    ) -> Result<Vec<u8>, NetError> {
-        Network::request(self, src_ip, dst, payload, timeout_us, attempts)
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NetError> {
+        Network::request(self, src_ip, dst, payload, timeout_us, attempts, reply)
     }
 }
 
@@ -359,7 +378,11 @@ enum Draws {
 /// a timeout and is never delivered.
 pub struct Lane<'a> {
     net: &'a Network,
-    stream: SeedTree,
+    /// The lane stream's children for packet ids, uniform loss and
+    /// link-fault loss, derived once when the lane opens.
+    pkt: SeedTree,
+    loss: SeedTree,
+    linkfault: SeedTree,
     draws: Draws,
     start: SimTime,
     now: SimTime,
@@ -401,62 +424,55 @@ impl Lane<'_> {
         self.obs = obs;
     }
 
-    /// Deterministic Bernoulli draw for this lane's packet `seq` against
-    /// probability `p`.
-    fn bernoulli(&self, label: &str, seq: u64, p: f64) -> bool {
+    /// Deterministic uniform-loss draw for this lane's packet `seq`.
+    fn uniformly_lost(&self, seq: u64) -> bool {
+        let p = self.net.loss_rate;
         if p <= 0.0 {
             return false;
         }
-        let h = self.stream.child(label).child_idx(seq).seed();
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        u < p
+        unit(self.loss.child_idx(seq).seed()) < p
     }
 
     /// Whether packet `seq` on the path `a`→`b` is eaten by an active link
     /// fault's extra-loss process (the uniform loss process is a separate
-    /// [`bernoulli`](Lane::bernoulli) draw, so drops can be attributed to
-    /// their cause).
+    /// draw, so drops can be attributed to their cause).
     fn fault_lost(&self, seq: u64, a: Ipv4Addr, b: Ipv4Addr, at: SimTime) -> bool {
         if self.net.faults.is_empty() {
             return false;
         }
-        let base = self.stream.child("linkfault").child_idx(seq);
+        let base = self.linkfault.child_idx(seq);
         self.net.faults.active_link_faults(a, b, at).any(|(i, f)| {
-            if f.extra_loss <= 0.0 {
-                return false;
-            }
-            let h = base.child_idx(i as u64).seed();
-            let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-            u < f.extra_loss
+            f.extra_loss > 0.0 && unit(base.child_idx(i as u64).seed()) < f.extra_loss
         })
-    }
-
-    /// One-way hop for this lane's packet `seq` sent at `at`: the AS pair
-    /// it crosses and its latency, `None` if either side is unrouted.
-    fn hop(&self, from: Ipv4Addr, to: Ipv4Addr, seq: u64, at: SimTime) -> Option<(Asn, Asn, u64)> {
-        let a = self.net.topo.asn_of(from)?;
-        let b = self.net.topo.asn_of(to)?;
-        let packet_id = match self.draws {
-            Draws::Keyed => self.stream.child("pkt").child_idx(seq).seed(),
-            Draws::Global => seq,
-        };
-        let degraded = self.net.faults.extra_latency_us(from, to, at);
-        let lat =
-            self.net.topo.latency_us(a, b) + self.net.topo.jitter_us(a, b, packet_id) + degraded;
-        Some((a, b, lat))
     }
 
     /// Put one datagram `from`→`to` on the wire at `at`: it takes the next
     /// sequence number, counts as sent and pays its loss draws. Returns
-    /// its one-way latency, or `None` if it is unrouted or lost.
-    fn transmit(&mut self, from: Ipv4Addr, to: Ipv4Addr, at: SimTime) -> Option<u64> {
+    /// its one-way latency, or `None` if it is unrouted (`path` is
+    /// `None`) or lost.
+    fn transmit(
+        &mut self,
+        from: Ipv4Addr,
+        to: Ipv4Addr,
+        at: SimTime,
+        path: Option<Path>,
+    ) -> Option<u64> {
         self.seq += 1;
         let seq = self.seq;
         self.stats.sent += 1;
-        // Draws are pure functions of the sequence number, so looking the
-        // hop up first (for the link key) cannot perturb them.
-        let (a, b, lat) = self.hop(from, to, seq, at)?;
-        let uniform_loss = self.bernoulli("loss", seq, self.net.loss_rate);
+        let Path {
+            from: a,
+            to: b,
+            base_us,
+        } = path?;
+        let packet_id = match self.draws {
+            Draws::Keyed => self.pkt.child_idx(seq).seed(),
+            Draws::Global => seq,
+        };
+        let lat = base_us
+            + self.net.topo.jitter_us(a, b, packet_id)
+            + self.net.faults.extra_latency_us(from, to, at);
+        let uniform_loss = self.uniformly_lost(seq);
         if uniform_loss || self.fault_lost(seq, from, to, at) {
             self.stats.dropped += 1;
             self.obs.hop_dropped(a, b, !uniform_loss);
@@ -469,54 +485,94 @@ impl Lane<'_> {
         Some(lat)
     }
 
-    /// Attempt number `attempt` of a request against `dst`. On success
-    /// advances the lane clock to the reply's arrival and returns the
-    /// payload; on failure leaves the clock untouched (the caller burns
-    /// the attempt timeout).
+    /// Attempt number `attempt` of `req`. On success writes the reply into
+    /// `reply` and advances the lane clock to its arrival; on failure
+    /// leaves the clock untouched (the caller burns the attempt timeout).
     fn attempt_once(
         &mut self,
-        src_ip: Ipv4Addr,
-        dst: (Ipv4Addr, u16),
-        payload: &[u8],
+        req: &Request<'_>,
         attempt: u32,
         deadline: SimTime,
-    ) -> Option<Vec<u8>> {
+        reply: &mut Vec<u8>,
+    ) -> Option<()> {
         let port_seq = match self.draws {
             Draws::Keyed => self.seq + 1,
             Draws::Global => self.seq + u64::from(attempt),
         };
-        let src = (src_ip, 49152 + (port_seq % 16384) as u16);
+        let (dst_ip, port) = req.dst;
+        let src = (req.src_ip, 49152 + (port_seq % 16384) as u16);
         // Unrouted destination or lost request: the attempt waits out its
         // timeout.
-        let at = self.now.plus_us(self.transmit(src_ip, dst.0, self.now)?);
+        let at = self
+            .now
+            .plus_us(self.transmit(req.src_ip, dst_ip, self.now, req.path)?);
         if at > deadline {
             return None;
         }
         // Arrival at the box: faults first, then the service.
-        if self.net.faults.server_down(dst.0, dst.1, at) {
+        if self.net.faults.server_down(dst_ip, port, at) {
             self.stats.faulted += 1;
             self.obs.fault_blackholes += 1;
             return None;
         }
-        let Some(svc) = self.net.services.get(&dst) else {
+        let Some(svc) = self.net.services.get(&req.dst) else {
             self.stats.unreachable += 1;
             return None;
         };
-        let reply = svc.handle(payload, src, at);
+        reply.clear();
+        let answered = svc.handle(req.payload, src, at, reply);
         let proc = svc.processing_us();
         self.stats.delivered += 1;
         // Silent server: wait out the timeout.
-        let reply = reply?;
-        // The reply leaves at the request's arrival and pays its own draws.
-        let back_at = at.plus_us(proc + self.transmit(dst.0, src_ip, at)?);
+        if !answered {
+            return None;
+        }
+        // The reply leaves at the request's arrival, over the same path
+        // reversed, and pays its own draws.
+        let reverse = req.path.map(Path::reversed);
+        let back_at = at.plus_us(proc + self.transmit(dst_ip, req.src_ip, at, reverse)?);
         if back_at > deadline {
             // Too late: counts as this attempt's timeout.
             return None;
         }
         self.now = back_at;
         self.stats.delivered += 1;
-        Some(reply)
+        Some(())
     }
+}
+
+/// The uniform draw in `[0, 1)` a 64-bit hash stands for.
+fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One direction of a request's AS-level path: the AS pair a datagram
+/// crosses and the pair's base latency. Latency is symmetric, so the
+/// reply leg reuses it.
+#[derive(Debug, Clone, Copy)]
+struct Path {
+    from: Asn,
+    to: Asn,
+    base_us: u64,
+}
+
+impl Path {
+    fn reversed(self) -> Path {
+        Path {
+            from: self.to,
+            to: self.from,
+            base_us: self.base_us,
+        }
+    }
+}
+
+/// What one request keeps fixed across its attempts, looked up once.
+struct Request<'p> {
+    src_ip: Ipv4Addr,
+    dst: (Ipv4Addr, u16),
+    payload: &'p [u8],
+    /// The request leg's path; `None` if the destination is unrouted.
+    path: Option<Path>,
 }
 
 impl Transport for Lane<'_> {
@@ -531,10 +587,23 @@ impl Transport for Lane<'_> {
         payload: &[u8],
         timeout_us: u64,
         attempts: u32,
-    ) -> Result<Vec<u8>, NetError> {
-        if self.net.topo.asn_of(src_ip).is_none() {
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NetError> {
+        let topo = &self.net.topo;
+        let Some(from) = topo.asn_of(src_ip) else {
             return Err(NetError::NoRoute);
-        }
+        };
+        let path = topo.asn_of(dst.0).map(|to| Path {
+            from,
+            to,
+            base_us: topo.latency_us(from, to),
+        });
+        let req = Request {
+            src_ip,
+            dst,
+            payload,
+            path,
+        };
         let t0 = self.now;
         for attempt in 0..attempts.max(1) {
             let deadline = self.now.plus_us(timeout_us);
@@ -542,11 +611,11 @@ impl Transport for Lane<'_> {
             // server-fault window when this attempt was issued?
             let faulted_at_send =
                 !self.net.faults.is_empty() && self.net.faults.server_down(dst.0, dst.1, self.now);
-            if let Some(reply) = self.attempt_once(src_ip, dst, payload, attempt, deadline) {
+            if self.attempt_once(&req, attempt, deadline, reply).is_some() {
                 self.obs
                     .request_us
                     .record(self.now.as_micros() - t0.as_micros());
-                return Ok(reply);
+                return Ok(());
             }
             self.now = deadline;
             if faulted_at_send {
@@ -567,17 +636,16 @@ mod tests {
 
     struct Echo;
     impl Service for Echo {
-        fn handle(&self, payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
-            let mut v = payload.to_vec();
-            v.reverse();
-            Some(v)
+        fn handle(&self, p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, out: &mut Vec<u8>) -> bool {
+            out.extend(p.iter().rev());
+            true
         }
     }
 
     struct Silent;
     impl Service for Silent {
-        fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
-            None
+        fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, _o: &mut Vec<u8>) -> bool {
+            false
         }
     }
 
@@ -585,9 +653,10 @@ mod tests {
     #[derive(Default)]
     struct Counter(Arc<AtomicU64>);
     impl Service for Counter {
-        fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
+        fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, out: &mut Vec<u8>) -> bool {
             let n = self.0.fetch_add(1, Ordering::SeqCst) + 1;
-            Some(n.to_be_bytes().to_vec())
+            out.extend_from_slice(&n.to_be_bytes());
+            true
         }
     }
 
@@ -616,8 +685,8 @@ mod tests {
         let mut net = network();
         net.bind(SERVER, 53, Box::new(Echo));
         let t0 = net.now();
-        let reply = net
-            .request(CLIENT, (SERVER, 53), b"abc", 5_000_000, 1)
+        let mut reply = Vec::new();
+        net.request(CLIENT, (SERVER, 53), b"abc", 5_000_000, 1, &mut reply)
             .unwrap();
         assert_eq!(reply, b"cba");
         // Time advanced by a plausible RTT (2 one-way latencies + proc).
@@ -631,7 +700,7 @@ mod tests {
         let mut net = network();
         let t0 = net.now();
         let err = net
-            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 2)
+            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 2, &mut Vec::new())
             .unwrap_err();
         assert_eq!(err, NetError::Timeout);
         assert_eq!(net.now().as_micros() - t0.as_micros(), 2_000_000);
@@ -643,7 +712,7 @@ mod tests {
         let mut net = network();
         net.bind(SERVER, 53, Box::new(Silent));
         let err = net
-            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 1)
+            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 1, &mut Vec::new())
             .unwrap_err();
         assert_eq!(err, NetError::Timeout);
         assert_eq!(net.stats().delivered, 1);
@@ -654,7 +723,14 @@ mod tests {
         let mut net = network();
         net.bind(SERVER, 53, Box::new(Echo));
         let err = net
-            .request(Ipv4Addr::new(203, 0, 113, 1), (SERVER, 53), b"x", 1_000, 1)
+            .request(
+                Ipv4Addr::new(203, 0, 113, 1),
+                (SERVER, 53),
+                b"x",
+                1_000,
+                1,
+                &mut Vec::new(),
+            )
             .unwrap_err();
         assert_eq!(err, NetError::NoRoute);
     }
@@ -665,12 +741,12 @@ mod tests {
         net.bind(SERVER, 53, Box::new(Echo));
         assert!(net.is_bound(SERVER, 53));
         assert!(net
-            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 1)
+            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 1, &mut Vec::new())
             .is_ok());
         assert!(net.unbind(SERVER, 53));
         assert!(!net.unbind(SERVER, 53));
         assert!(net
-            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 1)
+            .request(CLIENT, (SERVER, 53), b"x", 1_000_000, 1, &mut Vec::new())
             .is_err());
     }
 
@@ -682,7 +758,10 @@ mod tests {
             net.bind(SERVER, 53, Box::new(Echo));
             let mut ok = 0u64;
             for _ in 0..200 {
-                if net.request(CLIENT, (SERVER, 53), b"q", 200_000, 3).is_ok() {
+                if net
+                    .request(CLIENT, (SERVER, 53), b"q", 200_000, 3, &mut Vec::new())
+                    .is_ok()
+                {
                     ok += 1;
                 }
             }
@@ -707,9 +786,9 @@ mod tests {
     fn stateful_service_sees_all_requests() {
         let mut net = network();
         net.bind(SERVER, 80, Box::new(Counter::default()));
+        let mut r = Vec::new();
         for expect in 1..=3u64 {
-            let r = net
-                .request(CLIENT, (SERVER, 80), b"", 1_000_000, 1)
+            net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1, &mut r)
                 .unwrap();
             assert_eq!(r, expect.to_be_bytes());
         }
@@ -728,7 +807,8 @@ mod tests {
                 s.spawn(move || {
                     let mut lane = net.lane(format_args!("worker-{k}"));
                     for _ in 0..M {
-                        let reply = lane.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
+                        let reply =
+                            lane.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1, &mut Vec::new());
                         assert!(reply.is_ok(), "lane {k}: {reply:?}");
                     }
                 });
@@ -756,12 +836,14 @@ mod tests {
             window: FaultWindow::between(SimTime(1_000_000), SimTime(11_000_000)),
         });
         // Before the window: healthy.
-        assert!(net.request(CLIENT, (SERVER, 53), b"a", 500_000, 1).is_ok());
+        assert!(net
+            .request(CLIENT, (SERVER, 53), b"a", 500_000, 1, &mut Vec::new())
+            .is_ok());
         // Burn time into the window via timeouts, observing the outage.
         let mut failures = 0;
         while net.now().as_micros() < 11_000_000 {
             if net
-                .request(CLIENT, (SERVER, 53), b"b", 1_000_000, 1)
+                .request(CLIENT, (SERVER, 53), b"b", 1_000_000, 1, &mut Vec::new())
                 .is_err()
             {
                 failures += 1;
@@ -770,7 +852,9 @@ mod tests {
         assert!(failures > 5, "outage produced only {failures} timeouts");
         assert!(net.stats().faulted > 0);
         // After the window: healthy again, no rebind needed.
-        assert!(net.request(CLIENT, (SERVER, 53), b"c", 500_000, 2).is_ok());
+        assert!(net
+            .request(CLIENT, (SERVER, 53), b"c", 500_000, 2, &mut Vec::new())
+            .is_ok());
     }
 
     #[test]
@@ -789,7 +873,10 @@ mod tests {
             });
             let mut outcomes = Vec::new();
             for _ in 0..20 {
-                outcomes.push(net.request(CLIENT, (SERVER, 53), b"q", 500_000, 1).is_ok());
+                outcomes.push(
+                    net.request(CLIENT, (SERVER, 53), b"q", 500_000, 1, &mut Vec::new())
+                        .is_ok(),
+                );
             }
             (outcomes, net.stats())
         };
@@ -817,7 +904,10 @@ mod tests {
             }
             let mut ok = 0u64;
             for _ in 0..200 {
-                if net.request(CLIENT, (SERVER, 53), b"q", 400_000, 1).is_ok() {
+                if net
+                    .request(CLIENT, (SERVER, 53), b"q", 400_000, 1, &mut Vec::new())
+                    .is_ok()
+                {
                     ok += 1;
                 }
             }
@@ -853,11 +943,11 @@ mod tests {
             }
             if on_lane {
                 let mut lane = net.lane(format_args!("probe"));
-                lane.request(CLIENT, (SERVER, 53), b"q", 1_000_000, 1)
+                lane.request(CLIENT, (SERVER, 53), b"q", 1_000_000, 1, &mut Vec::new())
                     .unwrap();
                 lane.elapsed_us()
             } else {
-                net.request(CLIENT, (SERVER, 53), b"q", 1_000_000, 1)
+                net.request(CLIENT, (SERVER, 53), b"q", 1_000_000, 1, &mut Vec::new())
                     .unwrap();
                 net.now().as_micros()
             }
@@ -884,11 +974,11 @@ mod tests {
             extra_latency_us: 2_000_000,
             window: FaultWindow::always(),
         });
-        let late = net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
+        let late = net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1, &mut Vec::new());
         assert_eq!(late, Err(NetError::Timeout));
         assert_eq!(count.load(Ordering::SeqCst), 0);
         net.advance_to_time(net.now().plus_us(10_000_000));
-        let again = net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1);
+        let again = net.request(CLIENT, (SERVER, 80), b"", 1_000_000, 1, &mut Vec::new());
         assert_eq!(again, Err(NetError::Timeout));
         assert_eq!(count.load(Ordering::SeqCst), 0, "a late request was served");
         assert_eq!(net.stats().unreachable, 0);
@@ -907,7 +997,10 @@ mod tests {
             net.bind(SERVER, 53, Box::new(Echo));
             let mut ok = 0u64;
             for _ in 0..300 {
-                if net.request(CLIENT, (SERVER, 53), b"q", 200_000, 3).is_ok() {
+                if net
+                    .request(CLIENT, (SERVER, 53), b"q", 200_000, 3, &mut Vec::new())
+                    .is_ok()
+                {
                     ok += 1;
                 }
             }

@@ -90,3 +90,38 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reply leg of an exchange reuses the request leg's base latency,
+    /// which is sound only because the AS-pair latency is symmetric.
+    #[test]
+    fn latency_is_symmetric(
+        seed in any::<u64>(),
+        ases in proptest::collection::vec((any::<u32>(), any::<bool>()), 1..8),
+        registered in proptest::collection::vec(any::<bool>(), 8),
+    ) {
+        use ruwhere_netsim::{AsInfo, Topology};
+        use ruwhere_types::{Asn, Country, SeedTree};
+        let mut topo = Topology::new(SeedTree::new(seed));
+        for (i, &(asn, ru)) in ases.iter().enumerate() {
+            // Some ASes stay unregistered: latency must not need them to be.
+            if registered[i] {
+                topo.add_as(AsInfo {
+                    asn: Asn(asn),
+                    org: format!("AS{asn}"),
+                    country: if ru { Country::RU } else { Country::NL },
+                });
+            }
+        }
+        for &(a, _) in &ases {
+            for &(b, _) in &ases {
+                prop_assert_eq!(
+                    topo.latency_us(Asn(a), Asn(b)),
+                    topo.latency_us(Asn(b), Asn(a))
+                );
+            }
+        }
+    }
+}

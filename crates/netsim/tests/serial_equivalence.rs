@@ -137,9 +137,10 @@ impl Serial {
             return;
         };
         self.stats.delivered += 1;
-        let reply = svc.handle(&dgram.payload, dgram.src, self.now);
+        let mut payload = Vec::new();
+        let answered = svc.handle(&dgram.payload, dgram.src, self.now, &mut payload);
         let proc = svc.processing_us();
-        if let Some(payload) = reply {
+        if answered {
             let back = Datagram {
                 src: dgram.dst,
                 dst: dgram.src,
@@ -187,18 +188,18 @@ impl Serial {
 /// Replies with the source port, the arrival instant and the payload.
 struct Stamp;
 impl Service for Stamp {
-    fn handle(&self, payload: &[u8], src: (Ipv4Addr, u16), now: SimTime) -> Option<Vec<u8>> {
-        let mut v = src.1.to_be_bytes().to_vec();
+    fn handle(&self, payload: &[u8], src: (Ipv4Addr, u16), now: SimTime, v: &mut Vec<u8>) -> bool {
+        v.extend_from_slice(&src.1.to_be_bytes());
         v.extend_from_slice(&now.as_micros().to_be_bytes());
         v.extend_from_slice(payload);
-        Some(v)
+        true
     }
 }
 
 struct Silent;
 impl Service for Silent {
-    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
-        None
+    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, _v: &mut Vec<u8>) -> bool {
+        false
     }
 }
 
@@ -206,12 +207,9 @@ impl Service for Silent {
 #[derive(Default)]
 struct Counter(AtomicU64);
 impl Service for Counter {
-    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime) -> Option<Vec<u8>> {
-        Some(
-            (self.0.fetch_add(1, Ordering::SeqCst) + 1)
-                .to_be_bytes()
-                .to_vec(),
-        )
+    fn handle(&self, _p: &[u8], _s: (Ipv4Addr, u16), _n: SimTime, v: &mut Vec<u8>) -> bool {
+        v.extend_from_slice(&(self.0.fetch_add(1, Ordering::SeqCst) + 1).to_be_bytes());
+        true
     }
     fn processing_us(&self) -> u64 {
         5_000
@@ -361,7 +359,10 @@ proptest! {
             let src = if unrouted == 0 { UNROUTED_CLIENT } else { CLIENT };
             let timeout_us = MIN_TIMEOUT_US + timeout;
             let payload = (i as u32).to_be_bytes();
-            let got = net.request(src, TARGETS[target], &payload, timeout_us, attempts);
+            let mut reply = Vec::new();
+            let got = net
+                .request(src, TARGETS[target], &payload, timeout_us, attempts, &mut reply)
+                .map(|()| reply);
             let want = serial.request(src, TARGETS[target], &payload, timeout_us, attempts);
             prop_assert_eq!(&got, &want, "call {}: {:?}", i, calls[i]);
             prop_assert_eq!(net.now(), serial.now, "call {}", i);

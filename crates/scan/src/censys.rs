@@ -145,6 +145,7 @@ impl IpScanner {
         let targets = world.network().bound_endpoints(TLS_PORT);
         let mut endpoints = Vec::new();
         let mut failures = Vec::new();
+        let mut banner = Vec::new();
         for addr in targets {
             self.probes_sent += 1;
             match world.network_mut().request(
@@ -153,8 +154,9 @@ impl IpScanner {
                 b"CLIENT-HELLO",
                 1_500_000,
                 2,
+                &mut banner,
             ) {
-                Ok(banner) => match ChainSummary::from_banner(&banner) {
+                Ok(()) => match ChainSummary::from_banner(&banner) {
                     Some(chain) => endpoints.push((addr, chain)),
                     None => failures.push((
                         addr,

@@ -24,6 +24,7 @@
 //! measurement pipeline must re-observe everything each day (OpenINTEL
 //! semantics), so yesterday's addresses must never satisfy today's sweep.
 
+use ruwhere_dns::{Name, NameSlice};
 use ruwhere_netsim::{NetObs, NetStats};
 use ruwhere_obs::Counter;
 use ruwhere_types::sync::lock;
@@ -67,10 +68,11 @@ pub struct LookupCost {
     pub resolver_obs: ruwhere_authdns::ResolverObs,
 }
 
-/// One computed entry: the resolved addresses (sorted, deduplicated).
+/// One computed entry: the host's spelling and its resolved addresses.
 #[derive(Debug, Clone)]
 struct CacheValue {
-    ips: Vec<Ipv4Addr>,
+    host: DomainName,
+    ips: Arc<[Ipv4Addr]>,
 }
 
 /// An entry cell: the per-name lock that serialises compute-once.
@@ -81,8 +83,11 @@ struct Entry {
 
 /// Outcome of a cache lookup.
 pub struct CacheHit {
-    /// The resolved NS-target addresses.
-    pub ips: Vec<Ipv4Addr>,
+    /// The NS host's name as a [`DomainName`], converted once per sweep.
+    pub host: DomainName,
+    /// The resolved NS-target addresses, shared with the cache: a hit
+    /// copies nothing.
+    pub ips: Arc<[Ipv4Addr]>,
     /// `Some(cost)` iff this call computed the entry (a miss); the caller
     /// must account the cost into its sweep counters exactly then.
     pub computed: Option<LookupCost>,
@@ -92,7 +97,9 @@ pub struct CacheHit {
 /// never serves across a date boundary.
 pub struct NsCache {
     date: Option<Date>,
-    shards: Vec<Mutex<HashMap<DomainName, Arc<Entry>>>>,
+    /// Keyed by the NS host's wire name, so a lookup probes with the name
+    /// a referral or an answer record carries, borrowed.
+    shards: Vec<Mutex<HashMap<Name, Arc<Entry>>>>,
     /// Lock-free sweep-scoped hit counter, bumped by whichever worker
     /// thread hits — a live progress diagnostic that needs no lane or
     /// tally plumbing. The authoritative (worker-count-independent)
@@ -157,26 +164,35 @@ impl NsCache {
     }
 
     /// Peek at a finished entry without computing (tests / diagnostics).
-    pub fn peek(&self, name: &DomainName) -> Option<Vec<Ipv4Addr>> {
+    pub fn peek(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
         let entry = lock(&self.shards[Self::shard_of(name)])
             .get(name)
             .cloned()?;
         let slot = lock(&entry.slot);
-        slot.as_ref().map(|v| v.ips.clone())
+        slot.as_ref().map(|v| Arc::clone(&v.ips))
     }
 
     /// Read-through lookup: return the cached addresses for `name`, or
-    /// compute them with `compute` (exactly once across all workers; other
-    /// callers for the same name block until the value is ready).
-    pub fn get_or_compute<F>(&self, name: &DomainName, compute: F) -> CacheHit
+    /// compute them with `compute`, which is handed the name as a
+    /// [`DomainName`] (exactly once across all workers; other callers for
+    /// the same name block until the value is ready).
+    ///
+    /// A name with no hostname spelling ([`NameSlice::to_domain_name`]
+    /// fails) is not cached: the lookup returns `None` and counts neither
+    /// a hit nor a miss.
+    pub fn get_or_compute<F>(&self, name: &NameSlice, compute: F) -> Option<CacheHit>
     where
-        F: FnOnce() -> (Vec<Ipv4Addr>, LookupCost),
+        F: FnOnce(&DomainName) -> (Vec<Ipv4Addr>, LookupCost),
     {
+        let mut host = None;
         let entry = {
             let mut shard = lock(&self.shards[Self::shard_of(name)]);
             match shard.get(name) {
                 Some(entry) => Arc::clone(entry),
-                None => Arc::clone(shard.entry(name.clone()).or_default()),
+                None => {
+                    host = Some(name.to_domain_name()?);
+                    Arc::clone(shard.entry(name.to_owned()).or_default())
+                }
             }
         };
         // Shard lock released: only this name's entry is held during the
@@ -184,21 +200,33 @@ impl NsCache {
         let mut slot = lock(&entry.slot);
         if let Some(v) = slot.as_ref() {
             self.hits.incr();
-            return CacheHit {
-                ips: v.ips.clone(),
+            return Some(CacheHit {
+                host: v.host.clone(),
+                ips: Arc::clone(&v.ips),
                 computed: None,
-            };
+            });
         }
-        let (ips, cost) = compute();
-        *slot = Some(CacheValue { ips: ips.clone() });
+        // Only names with a spelling get an entry; an empty one left by a
+        // panicked computation is spelled again here.
+        let host = match host {
+            Some(host) => host,
+            None => name.to_domain_name()?,
+        };
+        let (ips, cost) = compute(&host);
+        let value = CacheValue {
+            host,
+            ips: ips.into(),
+        };
+        *slot = Some(value.clone());
         self.misses.incr();
-        CacheHit {
-            ips,
+        Some(CacheHit {
+            host: value.host,
+            ips: value.ips,
             computed: Some(cost),
-        }
+        })
     }
 
-    fn shard_of(name: &DomainName) -> usize {
+    fn shard_of(name: &NameSlice) -> usize {
         let mut h = DefaultHasher::new();
         name.hash(&mut h);
         (h.finish() as usize) % SHARDS
@@ -215,7 +243,7 @@ impl Default for NsCache {
 mod tests {
     use super::*;
 
-    fn name(s: &str) -> DomainName {
+    fn name(s: &str) -> Name {
         s.parse().unwrap()
     }
 
@@ -227,20 +255,29 @@ mod tests {
     fn computes_exactly_once() {
         let mut cache = NsCache::new();
         cache.begin_sweep(Date::from_ymd(2022, 3, 1));
-        let first = cache.get_or_compute(&name("ns1.hoster.ru"), || {
-            (
-                vec![ip(1)],
-                LookupCost {
-                    queries: 3,
-                    ..LookupCost::default()
-                },
-            )
-        });
-        assert_eq!(first.ips, vec![ip(1)]);
+        let first = cache
+            .get_or_compute(&name("ns1.hoster.ru"), |_| {
+                (
+                    vec![ip(1)],
+                    LookupCost {
+                        queries: 3,
+                        ..LookupCost::default()
+                    },
+                )
+            })
+            .unwrap();
+        assert_eq!(*first.ips, [ip(1)]);
         assert!(first.computed.is_some(), "first lookup must compute");
-        let second =
-            cache.get_or_compute(&name("ns1.hoster.ru"), || panic!("cached entry recomputed"));
-        assert_eq!(second.ips, vec![ip(1)]);
+        let second = cache
+            .get_or_compute(&name("ns1.hoster.ru"), |_| {
+                panic!("cached entry recomputed")
+            })
+            .unwrap();
+        assert_eq!(*second.ips, [ip(1)]);
+        assert!(
+            Arc::ptr_eq(&first.ips, &second.ips),
+            "a hit shares the entry"
+        );
         assert!(second.computed.is_none(), "second lookup must hit");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
@@ -249,10 +286,10 @@ mod tests {
     fn counters_reset_per_sweep() {
         let mut cache = NsCache::new();
         cache.begin_sweep(Date::from_ymd(2022, 3, 1));
-        cache.get_or_compute(&name("ns1.hoster.ru"), || {
+        cache.get_or_compute(&name("ns1.hoster.ru"), |_| {
             (vec![ip(1)], LookupCost::default())
         });
-        cache.get_or_compute(&name("ns1.hoster.ru"), || panic!("cached"));
+        cache.get_or_compute(&name("ns1.hoster.ru"), |_| panic!("cached"));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         cache.begin_sweep(Date::from_ymd(2022, 3, 2));
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
@@ -262,21 +299,26 @@ mod tests {
     fn never_serves_across_a_day_boundary() {
         let mut cache = NsCache::new();
         cache.begin_sweep(Date::from_ymd(2022, 3, 1));
-        cache.get_or_compute(&name("ns1.hoster.ru"), || {
+        cache.get_or_compute(&name("ns1.hoster.ru"), |_| {
             (vec![ip(1)], LookupCost::default())
         });
-        assert_eq!(cache.peek(&name("ns1.hoster.ru")), Some(vec![ip(1)]));
+        assert_eq!(
+            cache.peek(&name("ns1.hoster.ru")).as_deref(),
+            Some(&[ip(1)][..])
+        );
         assert_eq!(cache.len(), 1);
 
         // The next measurement day starts: everything is re-observed.
         cache.begin_sweep(Date::from_ymd(2022, 3, 2));
         assert!(cache.is_empty(), "day boundary must clear the cache");
         assert_eq!(cache.peek(&name("ns1.hoster.ru")), None);
-        let relookup = cache.get_or_compute(&name("ns1.hoster.ru"), || {
-            (vec![ip(2)], LookupCost::default())
-        });
+        let relookup = cache
+            .get_or_compute(&name("ns1.hoster.ru"), |_| {
+                (vec![ip(2)], LookupCost::default())
+            })
+            .unwrap();
         assert!(relookup.computed.is_some(), "new day must recompute");
-        assert_eq!(relookup.ips, vec![ip(2)]);
+        assert_eq!(*relookup.ips, [ip(2)]);
     }
 
     #[test]
@@ -284,7 +326,7 @@ mod tests {
         let mut cache = NsCache::new();
         let d = Date::from_ymd(2022, 3, 1);
         cache.begin_sweep(d);
-        cache.get_or_compute(&name("ns1.hoster.ru"), || {
+        cache.get_or_compute(&name("ns1.hoster.ru"), |_| {
             (vec![ip(1)], LookupCost::default())
         });
         cache.begin_sweep(d);
@@ -299,7 +341,7 @@ mod tests {
         cache.begin_sweep(Date::from_ymd(2022, 3, 1));
         let cache = &cache;
         let computes = AtomicU64::new(0);
-        let names: Vec<DomainName> = (0..40)
+        let names: Vec<Name> = (0..40)
             .map(|i| name(&format!("ns{}.hoster.ru", i % 5)))
             .collect();
         std::thread::scope(|s| {
@@ -307,11 +349,13 @@ mod tests {
                 let computes = &computes;
                 s.spawn(move || {
                     for n in chunk {
-                        let hit = cache.get_or_compute(n, || {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            (vec![ip(9)], LookupCost::default())
-                        });
-                        assert_eq!(hit.ips, vec![ip(9)]);
+                        let hit = cache
+                            .get_or_compute(n, |_| {
+                                computes.fetch_add(1, Ordering::SeqCst);
+                                (vec![ip(9)], LookupCost::default())
+                            })
+                            .unwrap();
+                        assert_eq!(*hit.ips, [ip(9)]);
                     }
                 });
             }
@@ -322,5 +366,24 @@ mod tests {
             "one compute per unique name"
         );
         assert_eq!(cache.len(), 5);
+    }
+
+    #[test]
+    fn hosts_without_a_hostname_spelling_are_not_cached() {
+        let mut cache = NsCache::new();
+        cache.begin_sweep(Date::from_ymd(2022, 3, 1));
+        let odd = Name::from_labels([&b"bad host"[..], b"ru"]).unwrap();
+        assert!(cache
+            .get_or_compute(&odd, |_| panic!("no lane key"))
+            .is_none());
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 0));
+        let hit = cache
+            .get_or_compute(&name("ns1.hoster.ru"), |host| {
+                assert_eq!(host.as_str(), "ns1.hoster.ru");
+                (vec![ip(3)], LookupCost::default())
+            })
+            .unwrap();
+        assert_eq!(hit.host.as_str(), "ns1.hoster.ru");
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 }

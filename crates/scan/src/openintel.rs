@@ -59,7 +59,7 @@ use crate::shard::ShardPlan;
 use ruwhere_authdns::{
     IterativeResolver, NoDependencyCache, NsDependencyCache, Resolution, ResolveError,
 };
-use ruwhere_dns::{Name, RType};
+use ruwhere_dns::{Name, NameSlice, RData, RType, Record};
 use ruwhere_netsim::{NetStats, Network, SimTime};
 use ruwhere_obs::Recorder;
 use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
@@ -286,12 +286,13 @@ struct SharedDeps<'a> {
 }
 
 impl NsDependencyCache for SharedDeps<'_> {
-    fn ns_target_a(&self, name: &Name) -> Option<Vec<Ipv4Addr>> {
-        let ns = name.to_domain_name()?;
+    fn ns_target_a(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
+        // A name with no hostname spelling has no lane key: resolve it
+        // inline.
         let hit = self
             .ctx
             .cache
-            .get_or_compute(&ns, || resolve_ns_target(self.ctx, &ns));
+            .get_or_compute(name, |ns| resolve_ns_target(self.ctx, name, ns))?;
         let mut acc = self.acc.borrow_mut();
         let (tally, metrics) = &mut *acc;
         match hit.computed {
@@ -327,7 +328,7 @@ impl NsDependencyCache for SharedDeps<'_> {
 fn resolve_with_retry<T: ruwhere_netsim::Transport>(
     resolver: &mut IterativeResolver,
     lane: &mut T,
-    qname: &Name,
+    qname: &NameSlice,
     rtype: RType,
     deps: &dyn NsDependencyCache,
 ) -> Result<Resolution, ResolveError> {
@@ -339,19 +340,19 @@ fn resolve_with_retry<T: ruwhere_netsim::Transport>(
     }
 }
 
-/// Resolve one NS-target host to addresses on its own `(date, name)` lane
-/// with a fresh primed fork — a pure function of the sweep-start snapshot,
-/// so the cached value is identical no matter which worker computes it.
-fn resolve_ns_target(ctx: &SweepCtx<'_>, ns: &DomainName) -> (Vec<Ipv4Addr>, LookupCost) {
+/// Resolve one NS-target host (`name`, spelled `ns`) to addresses on its
+/// own `(date, ns)` lane with a fresh primed fork — a pure function of the
+/// sweep-start snapshot, so the cached value is identical no matter which
+/// worker computes it.
+fn resolve_ns_target(
+    ctx: &SweepCtx<'_>,
+    name: &NameSlice,
+    ns: &DomainName,
+) -> (Vec<Ipv4Addr>, LookupCost) {
     let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
     let mut resolver = ctx.primed.fork();
-    let ips = match resolve_with_retry(
-        &mut resolver,
-        &mut lane,
-        &Name::from(ns),
-        RType::A,
-        &NoDependencyCache,
-    ) {
+    let ips = match resolve_with_retry(&mut resolver, &mut lane, name, RType::A, &NoDependencyCache)
+    {
         Ok(res) => res.addresses(),
         Err(_) => Vec::new(),
     };
@@ -401,26 +402,31 @@ fn measure_domain(
     };
 
     let ns_span = Recorder::span(lane.elapsed_us());
-    let ns_names: Vec<DomainName> =
-        match resolve_with_retry(&mut resolver, &mut lane, &qname, RType::Ns, &deps) {
-            Ok(res) => res
-                .ns_targets()
-                .iter()
-                .filter_map(|n| n.to_domain_name())
-                .collect(),
-            Err(e) => {
-                let key = fail_key(ScanError::from(e).category());
-                ns_span.end(&mut metrics.causes, key, lane.elapsed_us());
-                Vec::new()
-            }
-        };
-    if ns_names.is_empty() {
-        tally.ns_failures += 1;
-    }
-
+    let ns_answer = resolve_with_retry(&mut resolver, &mut lane, &qname, RType::Ns, &deps);
+    let ns_records: &[Record] = match &ns_answer {
+        Ok(Resolution::Records(records)) => records,
+        Ok(_) => &[],
+        Err(e) => {
+            let key = fail_key(ScanError::from(*e).category());
+            ns_span.end(&mut metrics.causes, key, lane.elapsed_us());
+            &[]
+        }
+    };
+    // NS hosts with a hostname spelling, each looked up (and spelled) once
+    // per sweep through the shared cache.
+    let mut ns_names: Vec<DomainName> = Vec::with_capacity(ns_records.len());
     let mut ns_ips: Vec<Ipv4Addr> = Vec::new();
-    for ns in &ns_names {
-        let hit = ctx.cache.get_or_compute(ns, || resolve_ns_target(ctx, ns));
+    for r in ns_records {
+        let RData::Ns(name) = &r.data else {
+            continue;
+        };
+        let Some(hit) = ctx
+            .cache
+            .get_or_compute(name, |ns| resolve_ns_target(ctx, name, ns))
+        else {
+            continue;
+        };
+        ns_names.push(hit.host);
         match hit.computed {
             Some(cost) => {
                 tally.ns_cache_misses += 1;
@@ -434,10 +440,13 @@ fn measure_domain(
             }
             None => tally.ns_cache_hits += 1,
         }
-        ns_ips.extend(hit.ips);
+        ns_ips.extend_from_slice(&hit.ips);
     }
     ns_ips.sort_unstable();
     ns_ips.dedup();
+    if ns_names.is_empty() {
+        tally.ns_failures += 1;
+    }
 
     let apex_span = Recorder::span(lane.elapsed_us());
     let apex_ips = match resolve_with_retry(&mut resolver, &mut lane, &qname, RType::A, &deps) {

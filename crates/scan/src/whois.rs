@@ -45,9 +45,10 @@ impl WhoisClient {
     pub fn lookup(&self, world: &mut World, domain: &DomainName) -> Result<WhoisRecord, ScanError> {
         let server = world.whois_server();
         let query = format!("{}\r\n", domain.as_str());
-        let reply = world
+        let mut reply = Vec::new();
+        world
             .network_mut()
-            .request(self.src, server, query.as_bytes(), 2_000_000, 2)
+            .request(self.src, server, query.as_bytes(), 2_000_000, 2, &mut reply)
             .map_err(ScanError::from)?;
         let text = String::from_utf8(reply)
             .map_err(|_| ScanError::BadPayload("non-UTF-8 WHOIS reply".to_owned()))?;

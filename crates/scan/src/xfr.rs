@@ -35,9 +35,10 @@ impl ZoneTransferClient {
         let bad_frame = || ScanError::BadPayload("malformed zone transfer frame".to_owned());
         let server = world.xfr_server();
         let req = format!("XFR {tld} {chunk}");
-        let reply = world
+        let mut reply = Vec::new();
+        world
             .network_mut()
-            .request(self.src, server, req.as_bytes(), 3_000_000, 2)
+            .request(self.src, server, req.as_bytes(), 3_000_000, 2, &mut reply)
             .map_err(ScanError::from)?;
         let text = String::from_utf8(reply).map_err(|_| bad_frame())?;
         let (header, body) = text.split_once('\n').ok_or_else(bad_frame)?;

@@ -50,8 +50,11 @@ static GLOBAL: Counting = Counting;
 /// Flat names and the in-buffer compression table brought the count from
 /// about 134 to about 44. Answers borrowed from the zone and encoded
 /// straight to the wire, with zones published by editing them in place,
-/// brought it from 44.2 to 33.8; the bound sits just above that.
-const MAX_ALLOCATIONS_PER_QUERY: f64 = 40.0;
+/// brought it from 44.2 to 33.8. Replies read in place, wire buffers the
+/// client reuses, inline lookup results, borrowed cache probes and shared
+/// cached answers brought it from 33.8 to 8.96; the bound is that count
+/// rounded up.
+const MAX_ALLOCATIONS_PER_QUERY: f64 = 9.0;
 
 #[test]
 fn sweep_allocations_per_query_stay_within_budget() {

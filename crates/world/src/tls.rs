@@ -131,8 +131,18 @@ impl TlsEndpoint {
 }
 
 impl Service for TlsEndpoint {
-    fn handle(&self, _payload: &[u8], _src: (Ipv4Addr, u16), _now: SimTime) -> Option<Vec<u8>> {
-        read(&self.serving).get(&self.addr).map(|c| c.to_banner())
+    fn handle(
+        &self,
+        _payload: &[u8],
+        _src: (Ipv4Addr, u16),
+        _now: SimTime,
+        reply: &mut Vec<u8>,
+    ) -> bool {
+        let Some(chain) = read(&self.serving).get(&self.addr).map(|c| c.to_banner()) else {
+            return false;
+        };
+        reply.extend_from_slice(&chain);
+        true
     }
 
     fn processing_us(&self) -> u64 {
@@ -191,12 +201,17 @@ mod tests {
         let addr: Ipv4Addr = "198.51.100.7".parse().unwrap();
         let ep = TlsEndpoint::new(Arc::clone(&serving), addr);
         let src = ("10.0.0.1".parse().unwrap(), 55555);
+        let probe = |ep: &TlsEndpoint| {
+            let mut banner = Vec::new();
+            ep.handle(b"hello", src, SimTime::ZERO, &mut banner)
+                .then_some(banner)
+        };
 
         // Nothing served yet: silent (no TLS on this box).
-        assert!(ep.handle(b"hello", src, SimTime::ZERO).is_none());
+        assert!(probe(&ep).is_none());
 
         write(&serving).insert(addr, summary());
-        let banner = ep.handle(b"hello", src, SimTime::ZERO).unwrap();
+        let banner = probe(&ep).unwrap();
         assert_eq!(
             ChainSummary::from_banner(&banner).unwrap().issuer_org,
             "Let's Encrypt"
@@ -206,7 +221,7 @@ mod tests {
         let mut rotated = summary();
         rotated.issuer_org = "Russian Trusted Root CA".into();
         write(&serving).insert(addr, rotated);
-        let banner = ep.handle(b"hello", src, SimTime::ZERO).unwrap();
+        let banner = probe(&ep).unwrap();
         assert_eq!(
             ChainSummary::from_banner(&banner).unwrap().issuer_org,
             "Russian Trusted Root CA"

@@ -2127,13 +2127,9 @@ struct ZoneTransferService {
     chunks: XfrChunks,
 }
 
-impl ruwhere_netsim::Service for ZoneTransferService {
-    fn handle(
-        &self,
-        payload: &[u8],
-        _src: (Ipv4Addr, u16),
-        _now: ruwhere_netsim::SimTime,
-    ) -> Option<Vec<u8>> {
+impl ZoneTransferService {
+    /// Write the requested chunk into `reply`; `None` for a bad request.
+    fn respond(&self, payload: &[u8], reply: &mut Vec<u8>) -> Option<()> {
         let text = std::str::from_utf8(payload).ok()?;
         let mut parts = text.split_whitespace();
         if parts.next()? != "XFR" {
@@ -2149,7 +2145,21 @@ impl ruwhere_netsim::Service for ZoneTransferService {
         }
         let chunks = &memo[key];
         let body = chunks.get(chunk)?;
-        Some(format!("XFRHDR {}\n{}", chunks.len(), body).into_bytes())
+        reply.extend_from_slice(format!("XFRHDR {}\n", chunks.len()).as_bytes());
+        reply.extend_from_slice(body.as_bytes());
+        Some(())
+    }
+}
+
+impl ruwhere_netsim::Service for ZoneTransferService {
+    fn handle(
+        &self,
+        payload: &[u8],
+        _src: (Ipv4Addr, u16),
+        _now: ruwhere_netsim::SimTime,
+        reply: &mut Vec<u8>,
+    ) -> bool {
+        self.respond(payload, reply).is_some()
     }
 
     fn processing_us(&self) -> u64 {
@@ -2196,9 +2206,15 @@ impl ruwhere_netsim::Service for WhoisService {
         payload: &[u8],
         _src: (Ipv4Addr, u16),
         _now: ruwhere_netsim::SimTime,
-    ) -> Option<Vec<u8>> {
-        let query = std::str::from_utf8(payload).ok()?;
-        Some(ruwhere_registry::whois::respond(&read(&self.state), query).into_bytes())
+        reply: &mut Vec<u8>,
+    ) -> bool {
+        let Ok(query) = std::str::from_utf8(payload) else {
+            return false;
+        };
+        reply.extend_from_slice(
+            ruwhere_registry::whois::respond(&read(&self.state), query).as_bytes(),
+        );
+        true
     }
 
     fn processing_us(&self) -> u64 {
