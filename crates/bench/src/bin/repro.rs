@@ -42,7 +42,7 @@
 
 use ruwhere_core::figures;
 use ruwhere_core::{run_study, try_run_study, StudyConfig, StudyResults};
-use ruwhere_types::{Asn, Date};
+use ruwhere_types::Date;
 use ruwhere_world::WorldConfig;
 use std::io::Write;
 
@@ -296,104 +296,7 @@ fn main() {
         results.certs.len()
     );
 
-    let mut artifacts: Vec<(String, String)> = Vec::new();
-    let end = results
-        .retained
-        .keys()
-        .next_back()
-        .copied()
-        .expect("study retained sweeps");
-
-    artifacts.push((
-        "dataset_stats".into(),
-        figures::dataset_table(&results).render(),
-    ));
-    artifacts.push((
-        "fig1_series".into(),
-        figures::fig1_series(&results).render(),
-    ));
-    artifacts.push((
-        "fig1_summary".into(),
-        figures::fig1_summary(&results).render(),
-    ));
-    artifacts.push((
-        "hosting_summary".into(),
-        figures::hosting_summary(&results).render(),
-    ));
-    artifacts.push((
-        "fig2_series".into(),
-        figures::fig2_series(&results).render(),
-    ));
-    artifacts.push((
-        "fig2_summary".into(),
-        figures::fig2_summary(&results).render(),
-    ));
-    artifacts.push((
-        "fig3_series".into(),
-        figures::fig3_series(&results).render(),
-    ));
-    artifacts.push((
-        "fig3_summary".into(),
-        figures::fig3_summary(&results).render(),
-    ));
-    artifacts.push((
-        "fig4_series".into(),
-        figures::fig4_series(&results).render(),
-    ));
-    artifacts.push((
-        "fig5_series".into(),
-        figures::fig5_series(&results).render(),
-    ));
-    artifacts.push((
-        "fig5_summary".into(),
-        figures::fig5_summary(&results).render(),
-    ));
-
-    if let Some((t, _)) = figures::movement_table(
-        &results,
-        Asn::AMAZON,
-        "Figure 6",
-        Date::from_ymd(2022, 3, 8),
-        end,
-        ">50% relocated, 43% remained, 574 new + 988 relocated in",
-    ) {
-        artifacts.push(("fig6_amazon".into(), t.render()));
-    }
-    if let Some((t, _)) = figures::movement_table(
-        &results,
-        Asn::SEDO,
-        "Figure 7",
-        Date::from_ymd(2022, 3, 8),
-        end,
-        "98% relocated, 2.7k remained, 311 in",
-    ) {
-        artifacts.push(("fig7_sedo".into(), t.render()));
-    }
-    artifacts.push((
-        "provider_actions".into(),
-        figures::provider_actions_table(&results).render(),
-    ));
-
-    let (fig8, _) = figures::fig8_table(&results);
-    artifacts.push(("fig8_ca_timelines".into(), fig8.render()));
-    artifacts.push(("tab1_issuance".into(), figures::table1(&results).render()));
-    artifacts.push((
-        "cert_volume".into(),
-        figures::cert_volume_table(&results).render(),
-    ));
-    artifacts.push(("tab2_revocation".into(), figures::table2(&results).render()));
-    if let Some(t) = figures::russian_ca_table(&results) {
-        artifacts.push(("sec4_3_russian_ca".into(), t.render()));
-    }
-    artifacts.push((
-        "transition_flows".into(),
-        figures::transition_table(&results).render(),
-    ));
-    artifacts.push((
-        "sec6_discussion".into(),
-        figures::discussion_table(&results).render(),
-    ));
-
+    let artifacts = ruwhere_bench::paper_artifacts(&results, true);
     for (id, text) in &artifacts {
         println!("=== {id} ===");
         println!("{text}");

@@ -85,14 +85,13 @@ pub fn render_metrics_json(metrics: &SweepMetrics, days: i32) -> String {
     out
 }
 
-/// Render every paper artifact the study can produce, plus the retained
-/// sweeps' aggregate stats, the engine's work counters and the full
-/// symbol-table dump, as one text document. The content is a pure
-/// function of the study output, and the determinism contract makes that
-/// output byte-identical for any worker count — CI renders a 1-worker
-/// and a 4-worker report and compares them with `cmp`.
-pub fn render_report(r: &StudyResults) -> String {
-    let mut artifacts: Vec<(&str, String)> = vec![
+/// Every paper artifact the study can produce, as `(id, text)` pairs in
+/// report order: the dataset table, Figures 1–8, Tables 1–2 and the
+/// §3–§6 tables. With `paper_notes`, the Figure 6 and 7 titles also quote
+/// the paper's own numbers, for a reader comparing the two; the report
+/// that digests pin renders them without.
+pub fn paper_artifacts(r: &StudyResults, paper_notes: bool) -> Vec<(&'static str, String)> {
+    let mut artifacts = vec![
         ("dataset_stats", figures::dataset_table(r).render()),
         ("fig1_series", figures::fig1_series(r).render()),
         ("fig1_summary", figures::fig1_summary(r).render()),
@@ -105,13 +104,18 @@ pub fn render_report(r: &StudyResults) -> String {
         ("fig5_series", figures::fig5_series(r).render()),
         ("fig5_summary", figures::fig5_summary(r).render()),
     ];
+    let note = |text| if paper_notes { text } else { "" };
     let end = r.retained.keys().next_back().copied();
     let start = Date::from_ymd(2022, 3, 8);
     if let Some(end) = end {
-        if let Some((t, _)) = figures::movement_table(r, Asn::AMAZON, "Figure 6", start, end, "") {
+        let amazon = note(">50% relocated, 43% remained, 574 new + 988 relocated in");
+        if let Some((t, _)) =
+            figures::movement_table(r, Asn::AMAZON, "Figure 6", start, end, amazon)
+        {
             artifacts.push(("fig6_amazon", t.render()));
         }
-        if let Some((t, _)) = figures::movement_table(r, Asn::SEDO, "Figure 7", start, end, "") {
+        let sedo = note("98% relocated, 2.7k remained, 311 in");
+        if let Some((t, _)) = figures::movement_table(r, Asn::SEDO, "Figure 7", start, end, sedo) {
             artifacts.push(("fig7_sedo", t.render()));
         }
     }
@@ -129,6 +133,18 @@ pub fn render_report(r: &StudyResults) -> String {
     }
     artifacts.push(("transition_flows", figures::transition_table(r).render()));
     artifacts.push(("sec6_discussion", figures::discussion_table(r).render()));
+    artifacts
+}
+
+/// Render every paper artifact the study can produce
+/// ([`paper_artifacts`], without paper notes), plus the retained sweeps'
+/// aggregate stats, the engine's work counters and the full symbol-table
+/// dump, as one text document. The content is a pure function of the
+/// study output, and the determinism contract makes that output
+/// byte-identical for any worker count — CI renders a 1-worker and a
+/// 4-worker report and compares them with `cmp`.
+pub fn render_report(r: &StudyResults) -> String {
+    let mut artifacts = paper_artifacts(r, false);
 
     let mut stats = String::new();
     for (date, frame) in &r.retained {

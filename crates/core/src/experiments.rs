@@ -332,7 +332,10 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
     // interrupted process); added to the live scanner's own count so
     // `total_queries` matches an uninterrupted run exactly.
     let mut replayed_queries: u64 = 0;
-    for (i, &date) in sweep_dates.iter().enumerate() {
+    let sweeps_run = cfg
+        .stop_after_sweeps
+        .map_or(sweep_dates.len(), |n| n.min(sweep_dates.len()));
+    for (i, &date) in sweep_dates.iter().enumerate().take(sweeps_run) {
         world.advance_to(date);
         // Run any IP scans scheduled on or before this sweep date. These
         // re-run during replay too — they are a deterministic function of
@@ -416,9 +419,6 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                 replayed_queries + scanner.queries_sent()
             );
         }
-        if cfg.stop_after_sweeps.is_some_and(|n| i + 1 >= n) {
-            break;
-        }
     }
 
     // Certificate analyses over the paper's window.
@@ -451,9 +451,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         dataset,
         transitions,
         total_queries: replayed_queries + scanner.queries_sent(),
-        sweeps_run: cfg
-            .stop_after_sweeps
-            .map_or(sweep_dates.len(), |n| n.min(sweep_dates.len())),
+        sweeps_run,
     })
 }
 

@@ -106,12 +106,12 @@ fn segment_count(dir: &PathBuf) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Interrupt after 1–4 of the 5 study days at one worker count,
+    /// Interrupt after 0–4 of the 5 study days at one worker count,
     /// resume at another: report-level output is byte-identical to the
     /// uninterrupted 1-worker baseline.
     #[test]
     fn interrupted_resumed_run_is_byte_identical(
-        stop in 1usize..5,
+        stop in 0usize..5,
         w_interrupt_idx in 0usize..3,
         w_resume_idx in 0usize..3,
     ) {
@@ -137,6 +137,21 @@ proptest! {
         prop_assert_eq!(segment_count(&dir), 5, "resume must complete the chain");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Stopping after zero days runs none: no segment is written and no
+/// frame is observed.
+#[test]
+fn stop_after_zero_sweeps_runs_no_day() {
+    let dir = tmp_dir("stop-zero");
+    let mut cfg = shrunk_config(1);
+    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.stop_after_sweeps = Some(0);
+    let r = try_run_study(&cfg).expect("zero-day run");
+    assert_eq!(r.sweeps_run, 0);
+    assert_eq!(segment_count(&dir), 0);
+    assert_eq!(r.analysis.frames(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A corrupted mid-chain segment is quarantined (typed, reported), the

@@ -54,4 +54,4 @@ pub use name::{Name, NameSlice, MAX_NAME_LEN};
 pub use rdata::{RData, RType, Record, SoaData, CLASS_IN};
 pub use view::{MessageView, NameView, QuestionView, Questions, RecordView, Records};
 pub use wire::{WireError, MAX_MESSAGE_SIZE};
-pub use zone::{Zone, ZoneDiff, ZoneParseError};
+pub use zone::Zone;

@@ -73,21 +73,6 @@ impl RType {
             RType::Ds => "DS",
         }
     }
-
-    /// Parse a zone-file mnemonic (case-insensitive).
-    pub fn from_mnemonic(s: &str) -> Option<RType> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "A" => RType::A,
-            "NS" => RType::Ns,
-            "CNAME" => RType::Cname,
-            "SOA" => RType::Soa,
-            "MX" => RType::Mx,
-            "TXT" => RType::Txt,
-            "AAAA" => RType::Aaaa,
-            "DS" => RType::Ds,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for RType {
@@ -400,10 +385,8 @@ mod tests {
             RType::Ds,
         ] {
             assert_eq!(RType::from_code(t.code()), Some(t));
-            assert_eq!(RType::from_mnemonic(t.mnemonic()), Some(t));
         }
         assert_eq!(RType::from_code(0), None);
-        assert_eq!(RType::from_mnemonic("PTR"), None);
     }
 
     #[test]

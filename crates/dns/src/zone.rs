@@ -123,23 +123,6 @@ pub struct Zone {
     records: HashMap<Name, Vec<Record>>,
 }
 
-/// Error from parsing the textual zone format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZoneParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description of the problem.
-    pub reason: String,
-}
-
-impl fmt::Display for ZoneParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "zone parse error at line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ZoneParseError {}
-
 impl Zone {
     /// Create an empty zone.
     pub fn new(origin: Name, soa: SoaData, soa_ttl: u32) -> Self {
@@ -241,14 +224,6 @@ impl Zone {
         })
     }
 
-    /// NS records at a specific owner.
-    pub fn ns_at(&self, owner: &Name) -> Vec<&Record> {
-        self.records
-            .get(owner)
-            .map(|v| v.iter().filter(|r| r.data.rtype() == RType::Ns).collect())
-            .unwrap_or_default()
-    }
-
     /// Authoritative lookup implementing RFC 1034 §4.3.2 zone semantics
     /// (without wildcards or DNSSEC).
     /// Takes the borrowed form of the name, so a server can look up a name
@@ -333,159 +308,6 @@ impl Zone {
         }
         out
     }
-
-    /// Parse the textual zone format produced by [`Zone::to_text`].
-    pub fn from_text(text: &str) -> Result<Zone, ZoneParseError> {
-        let err = |line: usize, reason: &str| ZoneParseError {
-            line,
-            reason: reason.to_owned(),
-        };
-        let mut origin: Option<Name> = None;
-        let mut zone: Option<Zone> = None;
-
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.split(';').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("$ORIGIN") {
-                origin = Some(
-                    rest.trim()
-                        .parse()
-                        .map_err(|_| err(lineno, "bad $ORIGIN name"))?,
-                );
-                continue;
-            }
-            let record = parse_record_line(line).map_err(|reason| err(lineno, &reason))?;
-            match (&mut zone, &record.data) {
-                (None, RData::Soa(soa)) => {
-                    let origin = origin.clone().unwrap_or_else(|| record.name.clone());
-                    if record.name != origin {
-                        return Err(err(lineno, "SOA owner differs from $ORIGIN"));
-                    }
-                    zone = Some(Zone::new(origin, soa.clone(), record.ttl));
-                }
-                (None, _) => return Err(err(lineno, "first record must be SOA")),
-                (Some(z), _) => {
-                    if !z.add(record) {
-                        return Err(err(lineno, "record out of zone"));
-                    }
-                }
-            }
-        }
-        zone.ok_or_else(|| err(0, "empty zone (no SOA)"))
-    }
-}
-
-/// Parse one zone-file line in the format emitted by `Record`'s `Display`.
-fn parse_record_line(line: &str) -> Result<Record, String> {
-    let mut tok = line.split_whitespace();
-    let name: Name = tok
-        .next()
-        .ok_or("missing owner")?
-        .parse()
-        .map_err(|e| format!("bad owner: {e}"))?;
-    let ttl: u32 = tok
-        .next()
-        .ok_or("missing ttl")?
-        .parse()
-        .map_err(|_| "bad ttl".to_owned())?;
-    let class = tok.next().ok_or("missing class")?;
-    if !class.eq_ignore_ascii_case("IN") {
-        return Err(format!("unsupported class {class}"));
-    }
-    let rtype =
-        RType::from_mnemonic(tok.next().ok_or("missing type")?).ok_or("unknown record type")?;
-    let rest: Vec<&str> = tok.collect();
-    let p = |s: &str| -> Result<Name, String> { s.parse().map_err(|e| format!("bad name: {e}")) };
-
-    let data = match rtype {
-        RType::A => RData::A(
-            rest.first()
-                .ok_or("missing address")?
-                .parse()
-                .map_err(|_| "bad IPv4 address".to_owned())?,
-        ),
-        RType::Aaaa => RData::Aaaa(
-            rest.first()
-                .ok_or("missing address")?
-                .parse()
-                .map_err(|_| "bad IPv6 address".to_owned())?,
-        ),
-        RType::Ns => RData::Ns(p(rest.first().ok_or("missing NS target")?)?),
-        RType::Cname => RData::Cname(p(rest.first().ok_or("missing CNAME target")?)?),
-        RType::Mx => {
-            if rest.len() < 2 {
-                return Err("MX needs preference and target".into());
-            }
-            RData::Mx(
-                rest[0]
-                    .parse()
-                    .map_err(|_| "bad MX preference".to_owned())?,
-                p(rest[1])?,
-            )
-        }
-        RType::Soa => {
-            if rest.len() < 7 {
-                return Err("SOA needs 7 fields".into());
-            }
-            let nums: Result<Vec<u32>, _> = rest[2..7].iter().map(|s| s.parse::<u32>()).collect();
-            let nums = nums.map_err(|_| "bad SOA numeric field".to_owned())?;
-            RData::Soa(SoaData {
-                mname: p(rest[0])?,
-                rname: p(rest[1])?,
-                serial: nums[0],
-                refresh: nums[1],
-                retry: nums[2],
-                expire: nums[3],
-                minimum: nums[4],
-            })
-        }
-        RType::Txt => {
-            let joined = rest.join(" ");
-            let mut strings = Vec::new();
-            let mut cur = String::new();
-            let mut in_quotes = false;
-            for c in joined.chars() {
-                match (c, in_quotes) {
-                    ('"', false) => in_quotes = true,
-                    ('"', true) => {
-                        in_quotes = false;
-                        strings.push(std::mem::take(&mut cur).into_bytes());
-                    }
-                    (_, true) => cur.push(c),
-                    (_, false) => {}
-                }
-            }
-            if in_quotes {
-                return Err("unterminated TXT string".into());
-            }
-            RData::Txt(strings)
-        }
-        RType::Ds => {
-            if rest.len() < 4 {
-                return Err("DS needs 4 fields".into());
-            }
-            let digest_hex = rest[3];
-            if !digest_hex.len().is_multiple_of(2) {
-                return Err("odd-length DS digest".into());
-            }
-            let digest: Result<Vec<u8>, _> = (0..digest_hex.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&digest_hex[i..i + 2], 16))
-                .collect();
-            RData::Ds(
-                rest[0].parse().map_err(|_| "bad DS key tag".to_owned())?,
-                rest[1].parse().map_err(|_| "bad DS algorithm".to_owned())?,
-                rest[2]
-                    .parse()
-                    .map_err(|_| "bad DS digest type".to_owned())?,
-                digest.map_err(|_| "bad DS digest hex".to_owned())?,
-            )
-        }
-    };
-    Ok(Record { name, ttl, data })
 }
 
 #[cfg(test)]
@@ -650,173 +472,5 @@ mod tests {
         assert_eq!(z.remove(&name("example.ru"), Some(RType::Ns)), 2);
         assert_eq!(z.lookup(&name("example.ru"), RType::Ns), Lookup::NxDomain);
         assert_eq!(z.remove(&name("nothing.ru"), None), 0);
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let z = tld_zone();
-        let text = z.to_text();
-        let back = Zone::from_text(&text).unwrap();
-        assert_eq!(back, z);
-    }
-
-    #[test]
-    fn text_roundtrip_all_rdata() {
-        let soa = tld_zone().soa().clone();
-        let mut z = Zone::new(name("example.ru"), soa, 3600);
-        z.add(Record::new(
-            name("example.ru"),
-            60,
-            RData::A("192.0.2.2".parse().unwrap()),
-        ));
-        z.add(Record::new(
-            name("example.ru"),
-            60,
-            RData::Aaaa("2001:db8::2".parse().unwrap()),
-        ));
-        z.add(Record::new(
-            name("example.ru"),
-            60,
-            RData::Mx(10, name("mx.example.ru")),
-        ));
-        z.add(Record::new(
-            name("example.ru"),
-            60,
-            RData::Txt(vec![b"v=spf1 -all".to_vec()]),
-        ));
-        z.add(Record::new(
-            name("example.ru"),
-            60,
-            RData::Ds(7, 8, 2, vec![0xDE, 0xAD]),
-        ));
-        z.add(Record::new(
-            name("www.example.ru"),
-            60,
-            RData::Cname(name("example.ru")),
-        ));
-        let back = Zone::from_text(&z.to_text()).unwrap();
-        assert_eq!(back, z);
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(Zone::from_text("").is_err());
-        assert!(Zone::from_text("$ORIGIN ru.\nexample.ru. 60 IN A 192.0.2.1\n").is_err());
-        let bad = "$ORIGIN ru.\nru. 86400 IN SOA a. b. 1 2 3 4 5\nexample.ru. x IN A 192.0.2.1\n";
-        let e = Zone::from_text(bad).unwrap_err();
-        assert_eq!(e.line, 3);
-    }
-
-    #[test]
-    fn comments_and_blanks_ignored() {
-        let text = "\n; a comment\n$ORIGIN ru.\nru. 86400 IN SOA a. b. 1 2 3 4 5 ; inline\n\nexample.ru. 60 IN NS ns.example.ru. ; deleg\n";
-        let z = Zone::from_text(text).unwrap();
-        assert_eq!(z.record_count(), 1);
-    }
-}
-
-/// The delegation-level difference between two zone snapshots — how
-/// registries publish daily change sets, and how a measurement pipeline
-/// can separate newly registered names from lapsed ones without WHOIS.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ZoneDiff {
-    /// Delegations present in `new` but not `old`.
-    pub added: Vec<Name>,
-    /// Delegations present in `old` but not `new`.
-    pub removed: Vec<Name>,
-    /// Delegations whose NS RRset changed.
-    pub changed: Vec<Name>,
-}
-
-impl ZoneDiff {
-    /// Compute the delegation diff between two snapshots of the same zone.
-    pub fn between(old: &Zone, new: &Zone) -> ZoneDiff {
-        let ns_sets = |z: &Zone| -> std::collections::BTreeMap<Name, Vec<String>> {
-            z.delegations()
-                .map(|owner| {
-                    let mut targets: Vec<String> =
-                        z.ns_at(owner).iter().map(|r| r.to_string()).collect();
-                    targets.sort();
-                    (owner.clone(), targets)
-                })
-                .collect()
-        };
-        let o = ns_sets(old);
-        let n = ns_sets(new);
-        let mut diff = ZoneDiff::default();
-        for (owner, set) in &n {
-            match o.get(owner) {
-                None => diff.added.push(owner.clone()),
-                Some(old_set) if old_set != set => diff.changed.push(owner.clone()),
-                Some(_) => {}
-            }
-        }
-        for owner in o.keys() {
-            if !n.contains_key(owner) {
-                diff.removed.push(owner.clone());
-            }
-        }
-        diff
-    }
-
-    /// Whether nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.changed.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod diff_tests {
-    use super::*;
-    use crate::rdata::RData;
-
-    fn name(s: &str) -> Name {
-        s.parse().unwrap()
-    }
-
-    fn soa() -> SoaData {
-        SoaData {
-            mname: name("m.invalid"),
-            rname: name("r.invalid"),
-            serial: 1,
-            refresh: 1,
-            retry: 1,
-            expire: 1,
-            minimum: 60,
-        }
-    }
-
-    fn zone(delegs: &[(&str, &str)]) -> Zone {
-        let mut z = Zone::new(name("ru"), soa(), 3600);
-        for (owner, target) in delegs {
-            z.add(Record::new(name(owner), 3600, RData::Ns(name(target))));
-        }
-        z
-    }
-
-    #[test]
-    fn diff_detects_all_change_kinds() {
-        let old = zone(&[
-            ("a.ru", "ns1.x.ru"),
-            ("b.ru", "ns1.x.ru"),
-            ("c.ru", "ns1.x.ru"),
-        ]);
-        let new = zone(&[
-            ("a.ru", "ns1.x.ru"),
-            ("b.ru", "ns2.y.com"),
-            ("d.ru", "ns1.x.ru"),
-        ]);
-        let diff = ZoneDiff::between(&old, &new);
-        assert_eq!(diff.added, vec![name("d.ru")]);
-        assert_eq!(diff.removed, vec![name("c.ru")]);
-        assert_eq!(diff.changed, vec![name("b.ru")]);
-        assert!(!diff.is_empty());
-    }
-
-    #[test]
-    fn identical_zones_diff_empty() {
-        let a = zone(&[("a.ru", "ns1.x.ru")]);
-        let b = zone(&[("a.ru", "ns1.x.ru")]);
-        assert!(ZoneDiff::between(&a, &b).is_empty());
     }
 }

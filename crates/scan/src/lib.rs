@@ -29,7 +29,6 @@ pub mod nscache;
 pub mod openintel;
 pub mod shard;
 pub mod whois;
-pub mod xfr;
 
 pub use censys::{CertDataset, CertRecord, IpScanSnapshot, IpScanner, MatchRule};
 pub use error::ScanError;
@@ -41,4 +40,3 @@ pub use openintel::{
 pub use ruwhere_store::{Interner, RecordView, SweepFrame, SweepMetrics};
 pub use shard::ShardPlan;
 pub use whois::{ArrivalClassification, WhoisClient};
-pub use xfr::ZoneTransferClient;

@@ -26,7 +26,6 @@
 
 use ruwhere_dns::{Name, NameSlice};
 use ruwhere_netsim::{NetObs, NetStats};
-use ruwhere_obs::Counter;
 use ruwhere_types::sync::lock;
 use ruwhere_types::{Date, DomainName};
 use std::collections::hash_map::DefaultHasher;
@@ -100,14 +99,6 @@ pub struct NsCache {
     /// Keyed by the NS host's wire name, so a lookup probes with the name
     /// a referral or an answer record carries, borrowed.
     shards: Vec<Mutex<HashMap<Name, Arc<Entry>>>>,
-    /// Lock-free sweep-scoped hit counter, bumped by whichever worker
-    /// thread hits — a live progress diagnostic that needs no lane or
-    /// tally plumbing. The authoritative (worker-count-independent)
-    /// counts remain the per-worker tallies merged into
-    /// [`SweepStats`](crate::SweepStats).
-    hits: Counter,
-    /// Lock-free sweep-scoped miss (= compute) counter.
-    misses: Counter,
 }
 
 impl NsCache {
@@ -116,15 +107,12 @@ impl NsCache {
         NsCache {
             date: None,
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
         }
     }
 
     /// Bind the cache to a sweep date, clearing every entry if the date
-    /// differs from the previous sweep's, and zeroing the hit/miss
-    /// counters (they are per-sweep diagnostics). Must be called before
-    /// workers start; the borrow rules enforce it (`&mut self` here,
+    /// differs from the previous sweep's. Must be called before workers
+    /// start; the borrow rules enforce it (`&mut self` here,
     /// `&self` from workers).
     pub fn begin_sweep(&mut self, date: Date) {
         if self.date != Some(date) {
@@ -133,19 +121,6 @@ impl NsCache {
             }
             self.date = Some(date);
         }
-        self.hits.reset();
-        self.misses.reset();
-    }
-
-    /// Lookups served from cache since [`begin_sweep`](Self::begin_sweep).
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Lookups that computed an entry since
-    /// [`begin_sweep`](Self::begin_sweep).
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
     }
 
     /// The date the cache currently serves, if any.
@@ -178,7 +153,7 @@ impl NsCache {
     /// the same name block until the value is ready).
     ///
     /// A name with no hostname spelling ([`NameSlice::to_domain_name`]
-    /// fails) is not cached: the lookup returns `None` and counts neither
+    /// fails) is not cached: the lookup returns `None`, which is neither
     /// a hit nor a miss.
     pub fn get_or_compute<F>(&self, name: &NameSlice, compute: F) -> Option<CacheHit>
     where
@@ -199,7 +174,6 @@ impl NsCache {
         // (potentially long) resolution below.
         let mut slot = lock(&entry.slot);
         if let Some(v) = slot.as_ref() {
-            self.hits.incr();
             return Some(CacheHit {
                 host: v.host.clone(),
                 ips: Arc::clone(&v.ips),
@@ -218,7 +192,6 @@ impl NsCache {
             ips: ips.into(),
         };
         *slot = Some(value.clone());
-        self.misses.incr();
         Some(CacheHit {
             host: value.host,
             ips: value.ips,
@@ -279,20 +252,6 @@ mod tests {
             "a hit shares the entry"
         );
         assert!(second.computed.is_none(), "second lookup must hit");
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn counters_reset_per_sweep() {
-        let mut cache = NsCache::new();
-        cache.begin_sweep(Date::from_ymd(2022, 3, 1));
-        cache.get_or_compute(&name("ns1.hoster.ru"), |_| {
-            (vec![ip(1)], LookupCost::default())
-        });
-        cache.get_or_compute(&name("ns1.hoster.ru"), |_| panic!("cached"));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        cache.begin_sweep(Date::from_ymd(2022, 3, 2));
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
@@ -376,7 +335,7 @@ mod tests {
         assert!(cache
             .get_or_compute(&odd, |_| panic!("no lane key"))
             .is_none());
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 0));
+        assert!(cache.is_empty());
         let hit = cache
             .get_or_compute(&name("ns1.hoster.ru"), |host| {
                 assert_eq!(host.as_str(), "ns1.hoster.ru");
@@ -384,6 +343,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(hit.host.as_str(), "ns1.hoster.ru");
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert!(hit.computed.is_some(), "a spelled name computes");
     }
 }

@@ -54,7 +54,7 @@
 //! sequential post-merge frame-build pass.
 
 use crate::error::ScanError;
-use crate::nscache::{LookupCost, NsCache};
+use crate::nscache::{CacheHit, LookupCost, NsCache};
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
     IterativeResolver, NoDependencyCache, NsDependencyCache, Resolution, ResolveError,
@@ -112,16 +112,18 @@ pub fn available_workers() -> usize {
         .unwrap_or(1)
 }
 
+/// Fraction of seeded domains whose NS resolution must fail before a
+/// sweep is marked [`Completeness::Partial`] (the gap-salvage threshold).
+const PARTIAL_THRESHOLD: f64 = 0.5;
+
 /// Sweep-engine configuration, built fluently and handed to
 /// [`OpenIntelScanner::with_options`].
 ///
-/// Replaces the old `set_workers` / `set_partial_threshold` mutators: a
-/// scanner's configuration is fixed at construction, so a long-lived
+/// A scanner's configuration is fixed at construction, so a long-lived
 /// scanner cannot change semantics between sweeps of one experiment.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     workers: usize,
-    partial_threshold: f64,
     interner: Option<Arc<Interner>>,
     panic_inject: Option<PanicInject>,
 }
@@ -159,12 +161,10 @@ impl Default for SweepOptions {
 
 impl SweepOptions {
     /// Defaults: [`available_workers`] workers (which honors
-    /// `RUWHERE_WORKERS`), a 0.5 salvage threshold and a fresh private
-    /// symbol interner.
+    /// `RUWHERE_WORKERS`) and a fresh private symbol interner.
     pub fn new() -> Self {
         SweepOptions {
             workers: available_workers(),
-            partial_threshold: 0.5,
             interner: None,
             panic_inject: None,
         }
@@ -174,14 +174,6 @@ impl SweepOptions {
     /// over the `RUWHERE_WORKERS` environment override.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Set the partial-sweep salvage threshold (fraction of seeded
-    /// domains whose NS resolution must fail before the day is marked
-    /// [`Completeness::Partial`]; clamped to `[0, 1]`).
-    pub fn partial_threshold(mut self, threshold: f64) -> Self {
-        self.partial_threshold = threshold.clamp(0.0, 1.0);
         self
     }
 
@@ -285,25 +277,35 @@ struct SharedDeps<'a> {
     acc: RefCell<(Tally, SweepMetrics)>,
 }
 
-impl NsDependencyCache for SharedDeps<'_> {
-    fn ns_target_a(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
-        // A name with no hostname spelling has no lane key: resolve it
-        // inline.
+impl SharedDeps<'_> {
+    /// Look `name` up in the shared cache and count the hit or miss; a
+    /// miss also charges its cost and observability into this domain's
+    /// accumulator. `None` for a name with no hostname spelling.
+    fn lookup(&self, name: &NameSlice) -> Option<CacheHit> {
         let hit = self
             .ctx
             .cache
             .get_or_compute(name, |ns| resolve_ns_target(self.ctx, name, ns))?;
         let mut acc = self.acc.borrow_mut();
         let (tally, metrics) = &mut *acc;
-        match hit.computed {
+        match &hit.computed {
             Some(cost) => {
                 tally.ns_cache_misses += 1;
-                tally.charge_cost(&cost);
+                tally.charge_cost(cost);
                 metrics.net.merge(&cost.net_obs);
                 metrics.resolver.merge(&cost.resolver_obs);
             }
             None => tally.ns_cache_hits += 1,
         }
+        Some(hit)
+    }
+}
+
+impl NsDependencyCache for SharedDeps<'_> {
+    fn ns_target_a(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
+        // A name with no hostname spelling has no lane key: resolve it
+        // inline.
+        let hit = self.lookup(name)?;
         if hit.ips.is_empty() {
             // The one-shot central resolution failed (its lane drew bad
             // loss). Don't condemn every domain behind this host to the
@@ -420,26 +422,13 @@ fn measure_domain(
         let RData::Ns(name) = &r.data else {
             continue;
         };
-        let Some(hit) = ctx
-            .cache
-            .get_or_compute(name, |ns| resolve_ns_target(ctx, name, ns))
-        else {
+        // `metrics.net`/`.resolver` are installed in the lane and fork
+        // right now, so a miss is charged into the deps accumulator,
+        // merged below.
+        let Some(hit) = deps.lookup(name) else {
             continue;
         };
         ns_names.push(hit.host);
-        match hit.computed {
-            Some(cost) => {
-                tally.ns_cache_misses += 1;
-                tally.charge_cost(&cost);
-                // `metrics.net`/`.resolver` are installed in the lane
-                // and fork right now, so charge the cache-miss obs
-                // into the deps accumulator merged below.
-                let mut acc = deps.acc.borrow_mut();
-                acc.1.net.merge(&cost.net_obs);
-                acc.1.resolver.merge(&cost.resolver_obs);
-            }
-            None => tally.ns_cache_hits += 1,
-        }
         ns_ips.extend_from_slice(&hit.ips);
     }
     ns_ips.sort_unstable();
@@ -526,11 +515,6 @@ pub struct OpenIntelScanner {
     ns_cache: NsCache,
     interner: Arc<Interner>,
     total_queries: u64,
-    /// Per-shard query counts of the most recent sweep. Deliberately a
-    /// scanner-side diagnostic, NOT part of [`SweepFrame`]: how queries
-    /// split across shards depends on the worker count, and everything a
-    /// sweep returns must be worker-count-independent.
-    last_shard_queries: Vec<u64>,
 }
 
 impl OpenIntelScanner {
@@ -552,21 +536,12 @@ impl OpenIntelScanner {
             ns_cache: NsCache::new(),
             interner,
             total_queries: 0,
-            last_shard_queries: Vec::new(),
         }
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.opts.workers
-    }
-
-    /// Queries each shard of the most recent sweep sent, in shard order.
-    /// Worker-count-dependent by construction (a load-balance
-    /// diagnostic); the worker-count-independent total is
-    /// [`SweepStats::queries`].
-    pub fn last_shard_queries(&self) -> &[u64] {
-        &self.last_shard_queries
     }
 
     /// The shared NS-target cache (diagnostics/tests).
@@ -583,10 +558,11 @@ impl OpenIntelScanner {
     /// Run one full sweep at the world's current date, producing the
     /// native columnar frame.
     ///
-    /// Publishes fresh TLD zone snapshots (the daily zone transfer), clears
-    /// resolver caches and rebinds the NS cache to the day (a new
-    /// measurement day re-observes everything), interns the seed list (in
-    /// zone-snapshot order — the symbol-determinism anchor), warms a
+    /// Publishes today's TLD zones, clears resolver caches and rebinds
+    /// the NS cache to the day (a new measurement day re-observes
+    /// everything), interns the seed list ([`World::seed_names`]: the
+    /// registry's zone file, shared out of band as in paper §2) in
+    /// zone-snapshot order — the symbol-determinism anchor —, warms a
     /// prototype resolver on the TLD cuts, then fans the seed list out
     /// over the worker pool and merges shard outputs deterministically.
     pub fn sweep_frame(&mut self, world: &mut World) -> SweepFrame {
@@ -736,7 +712,6 @@ impl OpenIntelScanner {
             }
         }
 
-        self.last_shard_queries = shard_outputs.iter().map(|(_, t, _)| t.queries).collect();
         let mut raw: Vec<Raw> = Vec::with_capacity(seeds.len());
         for (raws, tally, metrics) in shard_outputs {
             total.merge(&tally);
@@ -786,9 +761,7 @@ impl OpenIntelScanner {
                 .causes
                 .add(keys::SHARDS_LOST, stats.shards_lost);
         }
-        if stats.seeded > 0
-            && stats.ns_failures as f64 / stats.seeded as f64 > self.opts.partial_threshold
-        {
+        if stats.seeded > 0 && stats.ns_failures as f64 / stats.seeded as f64 > PARTIAL_THRESHOLD {
             stats.completeness = Completeness::Partial;
             let before = raw.len();
             raw.retain(|r| !r.ns_ips.is_empty() || !r.apex_ips.is_empty());
@@ -869,11 +842,6 @@ mod tests {
         assert!(sweep.stats.ns_cache_hits > 0);
         assert!(sweep.stats.ns_cache_misses > 0);
         assert!(sweep.stats.ns_cache_hits + sweep.stats.ns_cache_misses >= sweep.stats.seeded);
-        // The cache's lock-free counters agree with the merged tallies
-        // (warmup deps-lookups also route through the tally, so the
-        // counter totals match exactly).
-        assert_eq!(scanner.ns_cache().hits(), sweep.stats.ns_cache_hits);
-        assert_eq!(scanner.ns_cache().misses(), sweep.stats.ns_cache_misses);
         // The metrics section observed the sweep: every delivered packet
         // left a delay sample, every resolved exchange an SRTT sample.
         assert!(sweep.metrics.net.delay_us.count() > 0);
@@ -883,12 +851,6 @@ mod tests {
             sweep.metrics.causes.histogram(keys::OK_US).unwrap().count()
                 >= sweep.stats.seeded - sweep.stats.ns_failures
         );
-        // Per-shard diagnostics cover the configured worker count and sum
-        // to (at most) the sweep total (warmup queries are charged to the
-        // sweep, not to any shard).
-        assert_eq!(scanner.last_shard_queries().len(), scanner.workers());
-        let shard_sum: u64 = scanner.last_shard_queries().iter().sum();
-        assert!(shard_sum > 0 && shard_sum <= sweep.stats.queries);
     }
 
     #[test]

@@ -31,10 +31,6 @@ use std::sync::{Arc, RwLock};
 const DNS_PORT: u16 = 53;
 /// WHOIS port.
 const WHOIS_PORT: u16 = ruwhere_registry::WHOIS_PORT;
-/// Zone-transfer service port (AXFR-over-TCP analogue).
-pub const XFR_PORT: u16 = 10053;
-/// Zone-transfer chunk payload size in bytes.
-pub const XFR_CHUNK: usize = 3000;
 /// Daily probability a sanctioned domain obtains a certificate ("testing
 /// different CAs", §4.2).
 const SANCTIONED_DAILY_ISSUE: f64 = 0.012;
@@ -155,7 +151,6 @@ pub struct World {
     sanctions: SanctionsList,
     scripted_moves: Vec<ScriptedMove>,
     whois_state: Arc<RwLock<Vec<Registry>>>,
-    xfr_chunks: XfrChunks,
 
     cas: Vec<CertificateAuthority>,
     ca_specs: Vec<CaSpec>,
@@ -283,7 +278,6 @@ impl World {
             scripted_moves: Vec::new(),
             sanctions: SanctionsList::new(),
             whois_state: Arc::new(RwLock::new(Vec::new())),
-            xfr_chunks: Arc::new(RwLock::new(HashMap::new())),
             registries: vec![
                 Registry::new("ru".parse().expect("static")),
                 Registry::new("рф".parse().expect("static")),
@@ -541,19 +535,6 @@ impl World {
             WHOIS_PORT,
             Box::new(WhoisService {
                 state: Arc::clone(&self.whois_state),
-            }),
-        );
-        self.net.bind(
-            self.ripn_ip,
-            XFR_PORT,
-            Box::new(ZoneTransferService {
-                tlds: self
-                    .registries
-                    .iter()
-                    .map(|r| (r.tld().as_str().to_owned(), Name::from(r.tld())))
-                    .collect(),
-                zones: Arc::clone(&self.ripn_zones),
-                chunks: Arc::clone(&self.xfr_chunks),
             }),
         );
 
@@ -1963,9 +1944,7 @@ impl World {
     ///
     /// A measurement sweep (`OpenIntelScanner::sweep_frame`) publishes on
     /// its own; call this only before talking to the RIPN servers
-    /// directly (a bare resolver, a zone transfer or WHOIS).
-    /// Zone-transfer chunks are rendered from the published zones on the
-    /// first request for each TLD.
+    /// directly (a bare resolver or WHOIS).
     pub fn publish_tld_zones(&mut self) {
         let mut zones = write(&self.ripn_zones);
         let mut whois = write(&self.whois_state);
@@ -1986,13 +1965,6 @@ impl World {
                 live.publish_changes(self.today, zone, published);
             }
         }
-        drop((zones, whois));
-        write(&self.xfr_chunks).clear();
-    }
-
-    /// Address of the registry's zone-transfer service.
-    pub fn xfr_server(&self) -> (Ipv4Addr, u16) {
-        (self.ripn_ip, XFR_PORT)
     }
 
     /// Address of the registry's WHOIS service (port 43 protocol over the
@@ -2108,90 +2080,6 @@ enum ZoneHome {
     Plan(usize),
     SelfHosted,
     ExoticVanity(DomainName),
-}
-
-/// Zone-transfer chunks per TLD, shared by the world (which clears them
-/// at publish) and the transfer service (which fills them).
-type XfrChunks = Arc<RwLock<HashMap<String, Vec<String>>>>;
-
-/// Chunked zone transfer (the AXFR-over-TCP analogue): request
-/// `XFR <tld> <chunk>`; response `XFRHDR <total-chunks>\n<payload>`.
-///
-/// Serves the zones last published into the RIPN zone set. A TLD's text
-/// is rendered and chunked on its first request after a publish and
-/// memoised, because a client fetches a transfer chunk by chunk.
-struct ZoneTransferService {
-    /// Request key (the registry's TLD string) → zone origin.
-    tlds: Vec<(String, Name)>,
-    zones: SharedZoneSet,
-    chunks: XfrChunks,
-}
-
-impl ZoneTransferService {
-    /// Write the requested chunk into `reply`; `None` for a bad request.
-    fn respond(&self, payload: &[u8], reply: &mut Vec<u8>) -> Option<()> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut parts = text.split_whitespace();
-        if parts.next()? != "XFR" {
-            return None;
-        }
-        let tld = parts.next()?;
-        let chunk: usize = parts.next()?.parse().ok()?;
-        let (key, origin) = self.tlds.iter().find(|(key, _)| key == tld)?;
-        let mut memo = write(&self.chunks);
-        if !memo.contains_key(key) {
-            let text = read(&self.zones).get(origin)?.to_text();
-            memo.insert(key.clone(), split_zone_text(&text));
-        }
-        let chunks = &memo[key];
-        let body = chunks.get(chunk)?;
-        reply.extend_from_slice(format!("XFRHDR {}\n", chunks.len()).as_bytes());
-        reply.extend_from_slice(body.as_bytes());
-        Some(())
-    }
-}
-
-impl ruwhere_netsim::Service for ZoneTransferService {
-    fn handle(
-        &self,
-        payload: &[u8],
-        _src: (Ipv4Addr, u16),
-        _now: ruwhere_netsim::SimTime,
-        reply: &mut Vec<u8>,
-    ) -> bool {
-        self.respond(payload, reply).is_some()
-    }
-
-    fn processing_us(&self) -> u64 {
-        800
-    }
-}
-
-/// Split zone text into transfer chunks of at most [`XFR_CHUNK`] bytes,
-/// each ending on a line boundary where one exists. An empty zone text
-/// is one empty chunk.
-fn split_zone_text(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut chunks = Vec::with_capacity(bytes.len() / XFR_CHUNK + 1);
-    let mut start = 0;
-    while start < bytes.len() {
-        // Split on a line boundary at or before the chunk size.
-        let mut end = (start + XFR_CHUNK).min(bytes.len());
-        if end < bytes.len() {
-            while end > start && bytes[end - 1] != b'\n' {
-                end -= 1;
-            }
-            if end == start {
-                end = (start + XFR_CHUNK).min(bytes.len());
-            }
-        }
-        chunks.push(String::from_utf8_lossy(&bytes[start..end]).into_owned());
-        start = end;
-    }
-    if chunks.is_empty() {
-        chunks.push(String::new());
-    }
-    chunks
 }
 
 /// Port-43 WHOIS over the registry database (see
