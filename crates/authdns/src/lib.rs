@@ -16,7 +16,9 @@
 //!   per-server health (smoothed RTT + exponential-backoff penalty box),
 //!   a per-resolution retry budget, and cause-specific failures
 //!   ([`resolver::ResolveError`]) with cumulative counters
-//!   ([`ResolverStats`]) for the measurement layer.
+//!   ([`ResolverStats`]) for the measurement layer. A primed resolver
+//!   [freezes](IterativeResolver::freeze) into a shared [`PrimedBase`]
+//!   that per-worker [overlays](IterativeResolver::overlay) read through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +27,7 @@ pub mod resolver;
 pub mod server;
 
 pub use resolver::{
-    IterativeResolver, NoDependencyCache, NsDependencyCache, Resolution, ResolveError, ResolverObs,
-    ResolverStats, RootHint, TraceEvent,
+    IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase, Resolution, ResolveError,
+    ResolverObs, ResolverStats, RootHint, TraceEvent,
 };
 pub use server::{AuthServer, ServerBehavior, SharedZoneSet, ZoneSet};

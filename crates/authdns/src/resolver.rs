@@ -15,7 +15,7 @@ use ruwhere_dns::{
 };
 use ruwhere_netsim::{SimTime, Transport};
 use ruwhere_obs::Histogram;
-use std::collections::HashMap;
+use ruwhere_types::FastMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -186,13 +186,14 @@ pub struct ResolverStats {
     pub retries_spent: u64,
 }
 
-/// Observability aggregates for one resolver (or one per-domain fork).
+/// Observability aggregates for one resolver (or one domain's turn on an
+/// overlay).
 ///
-/// Like [`ResolverStats`] these are monotone and zeroed on
-/// [`fork`](IterativeResolver::fork), so a fork's aggregates are exactly
-/// one domain's resolution behaviour. All fields merge by addition
-/// (histograms bucket-wise), so per-fork instances fold into sweep totals
-/// independent of worker count.
+/// Like [`ResolverStats`] these are monotone and zeroed by
+/// [`reset`](IterativeResolver::reset), so an overlay's aggregates after
+/// a reset are exactly one domain's resolution behaviour. All fields merge
+/// by addition (histograms bucket-wise), so per-domain instances fold into
+/// sweep totals independent of worker count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResolverObs {
     /// Smoothed-RTT estimate (µs), sampled after every successful
@@ -277,14 +278,62 @@ impl NsDependencyCache for NoDependencyCache {
     }
 }
 
+/// A resolver's learned state: answers, zone cuts and server health.
+#[derive(Default)]
+struct Caches {
+    /// Keyed by [`QuestionKey`] bytes, so a lookup probes with a key built
+    /// on the stack. Keys and answers are shared, not copied.
+    answers: FastMap<Arc<[u8]>, Result<Resolution, ResolveError>>,
+    /// Probed with each borrowed suffix of a name, deepest first.
+    cuts: FastMap<Name, Arc<[Ipv4Addr]>>,
+    health: FastMap<Ipv4Addr, ServerHealth>,
+}
+
+impl Caches {
+    fn clear(&mut self) {
+        self.answers.clear();
+        self.cuts.clear();
+        self.health.clear();
+    }
+}
+
+/// A primed resolver, frozen by [`IterativeResolver::freeze`]: the
+/// read-only layer that [overlay](IterativeResolver::overlay) resolvers
+/// read through, shared behind an [`Arc`].
+///
+/// It holds the primed answers and zone cuts, the learned SRTT of every
+/// server with all penalty-box state cleared, and the next query id, plus
+/// the settings every overlay starts with.
+pub struct PrimedBase {
+    caches: Caches,
+    next_id: u16,
+    client_ip: Ipv4Addr,
+    roots: Arc<[RootHint]>,
+    query_budget: u32,
+    retry_budget: u32,
+    timeout_us: u64,
+    attempts: u32,
+    penalty_box_enabled: bool,
+}
+
 /// An iterative resolver bound to a client address.
 ///
 /// Caches positive/negative answers and zone-cut server addresses for the
-/// lifetime of the cache (the scanner clears it at each daily sweep, so
+/// lifetime of the cache (a sweep primes a fresh resolver every day, so
 /// every day re-observes the infrastructure, like OpenINTEL's daily runs).
 /// Server *health* state survives [`clear_cache`](Self::clear_cache):
 /// like a real resolver's infra cache, it expires by (virtual) time, not
 /// by sweep boundary.
+///
+/// # Overlays
+///
+/// A sweep resolves every domain from the same primed state. It primes one
+/// resolver, [`freeze`](Self::freeze)s it into a shared [`PrimedBase`],
+/// and gives each worker an [`overlay`](Self::overlay) over that base. An
+/// overlay reads its own entry first, then the base's, and writes only its
+/// own. [`reset`](Self::reset) between domains empties the overlay's own
+/// layer (keeping its capacity), so each domain sees exactly the primed
+/// state plus its own writes, without the primed tables ever being copied.
 pub struct IterativeResolver {
     client_ip: Ipv4Addr,
     roots: Arc<[RootHint]>,
@@ -302,12 +351,10 @@ pub struct IterativeResolver {
     /// flapping-server experiment measures the queries this saves).
     pub penalty_box_enabled: bool,
     next_id: u16,
-    /// Keyed by [`QuestionKey`] bytes, so a lookup probes with a key built
-    /// on the stack. Keys and answers are shared with forks, not copied.
-    answer_cache: HashMap<Arc<[u8]>, Result<Resolution, ResolveError>>,
-    /// Probed with each borrowed suffix of a name, deepest first.
-    cut_cache: HashMap<Name, Arc<[Ipv4Addr]>>,
-    health: HashMap<Ipv4Addr, ServerHealth>,
+    /// This resolver's own layer: everything it learned itself.
+    own: Caches,
+    /// The frozen layer under `own`, for an overlay.
+    base: Option<Arc<PrimedBase>>,
     /// Wire buffers reused by every exchange: the encoded query and the
     /// reply the transport writes. A resolution walk takes the reply
     /// buffer out while it reads the reply in place.
@@ -374,9 +421,8 @@ impl IterativeResolver {
             attempts: 2,
             penalty_box_enabled: true,
             next_id: 1,
-            answer_cache: HashMap::new(),
-            cut_cache: HashMap::new(),
-            health: HashMap::new(),
+            own: Caches::default(),
+            base: None,
             query: Vec::new(),
             reply: Vec::new(),
             servers: Vec::new(),
@@ -424,8 +470,8 @@ impl IterativeResolver {
         &self.obs
     }
 
-    /// Drain the observability aggregates (merge a fork's into per-worker
-    /// totals).
+    /// Drain the observability aggregates (merge a domain's into
+    /// per-worker totals).
     pub fn take_obs(&mut self) -> ResolverObs {
         std::mem::take(&mut self.obs)
     }
@@ -433,18 +479,20 @@ impl IterativeResolver {
     /// Hand an already-populated aggregate to this resolver to keep
     /// recording into. Paired with [`take_obs`](Self::take_obs) this lets
     /// a sweep worker thread one accumulator through a sequence of
-    /// short-lived forks instead of allocating (and merging) a fresh
-    /// histogram per fork — every recorded operation is a commutative
-    /// integer fold, so the result is identical either way.
+    /// domains instead of allocating (and merging) a fresh histogram per
+    /// domain — every recorded operation is a commutative integer fold, so
+    /// the result is identical either way.
     pub fn install_obs(&mut self, obs: ResolverObs) {
         self.obs = obs;
     }
 
-    /// Drop all cached answers and zone cuts (start of a new daily sweep).
-    /// Server health is kept: it expires by virtual time instead.
+    /// Drop this resolver's own cached answers and zone cuts. Server
+    /// health is kept: it expires by virtual time instead. An overlay
+    /// still reads its base's entries; [`reset`](Self::reset) is the
+    /// between-domains reset.
     pub fn clear_cache(&mut self) {
-        self.answer_cache.clear();
-        self.cut_cache.clear();
+        self.own.answers.clear();
+        self.own.cuts.clear();
     }
 
     /// Seed the zone-cut cache: start resolutions at or below `cut` from
@@ -457,64 +505,130 @@ impl IterativeResolver {
     /// record) must plant the cut explicitly. No-op for empty `addrs`.
     pub fn seed_cut(&mut self, cut: Name, addrs: Vec<Ipv4Addr>) {
         if !addrs.is_empty() {
-            self.cut_cache.insert(cut, addrs.into());
+            self.own.cuts.insert(cut, addrs.into());
         }
     }
 
-    /// A worker-scoped copy of this resolver: same configuration and a
-    /// *snapshot* of the current caches and learned SRTT estimates, with
-    /// all counters zeroed, transient penalty-box state dropped, and no
-    /// trace.
+    /// Freeze this resolver into the shared read-only base of a sweep's
+    /// [overlays](Self::overlay): its caches, its learned SRTT estimates,
+    /// its next query id and its settings. Counters, trace and buffers
+    /// are dropped.
     ///
-    /// The parallel sweep engine forks one resolver per domain from a
-    /// warmup-primed prototype, so every domain starts its resolution from
-    /// an identical, sharding-independent state — the core of the
-    /// N-workers ≡ 1-worker determinism contract. Counter diffs of a fork
-    /// are exactly that domain's measurement cost.
+    /// Penalty boxes are cleared, not frozen: every domain's lane restarts
+    /// at the sweep base instant, so a penalty picked up during warmup
+    /// would never expire from any lane's point of view, turning one
+    /// unlucky warmup timeout into a sweep-wide `attempts=1` degradation.
+    /// SRTT stays — it is a rate estimate, not backoff state — so server
+    /// ordering stays warm.
     ///
-    /// Penalty boxes are reset (not copied) because every fork's lane
-    /// restarts at the sweep base instant: a penalty the prototype picked
-    /// up during warmup would never expire from any lane's point of view,
-    /// turning one unlucky warmup timeout into a sweep-wide `attempts=1`
-    /// degradation. SRTT survives — it is a rate estimate, not backoff
-    /// state — so server ordering stays warm.
-    pub fn fork(&self) -> IterativeResolver {
-        let health = self
-            .health
-            .iter()
-            .map(|(&ip, h)| {
-                (
-                    ip,
-                    ServerHealth {
-                        srtt_us: h.srtt_us,
-                        fails: 0,
-                        penalized_until: SimTime::ZERO,
-                    },
-                )
-            })
-            .collect();
-        IterativeResolver {
+    /// # Panics
+    /// If this resolver is itself an overlay: freeze the resolver a sweep
+    /// primed, built by [`new`](Self::new).
+    pub fn freeze(mut self) -> Arc<PrimedBase> {
+        assert!(
+            self.base.is_none(),
+            "only a resolver built by `new` can be frozen"
+        );
+        for h in self.own.health.values_mut() {
+            h.fails = 0;
+            h.penalized_until = SimTime::ZERO;
+        }
+        Arc::new(PrimedBase {
+            caches: self.own,
+            next_id: self.next_id,
             client_ip: self.client_ip,
-            roots: Arc::clone(&self.roots),
+            roots: self.roots,
             query_budget: self.query_budget,
             retry_budget: self.retry_budget,
             timeout_us: self.timeout_us,
             attempts: self.attempts,
             penalty_box_enabled: self.penalty_box_enabled,
-            next_id: self.next_id,
-            answer_cache: self.answer_cache.clone(),
-            cut_cache: self.cut_cache.clone(),
-            health,
-            // Sized like the prototype's, which have grown to fit the
-            // exchanges it made, so a fork's buffers never regrow.
-            query: Vec::with_capacity(self.query.capacity()),
-            reply: Vec::with_capacity(self.reply.capacity()),
-            servers: Vec::with_capacity(self.servers.capacity()),
+        })
+    }
+
+    /// A resolver layered over `base`: the base's settings and next query
+    /// id, an empty own layer, zeroed counters and no trace. It resolves
+    /// exactly as the frozen resolver would have with its penalty boxes
+    /// cleared, and never writes to the base.
+    pub fn overlay(base: &Arc<PrimedBase>) -> IterativeResolver {
+        IterativeResolver {
+            client_ip: base.client_ip,
+            roots: Arc::clone(&base.roots),
+            query_budget: base.query_budget,
+            retry_budget: base.retry_budget,
+            timeout_us: base.timeout_us,
+            attempts: base.attempts,
+            penalty_box_enabled: base.penalty_box_enabled,
+            next_id: base.next_id,
+            own: Caches::default(),
+            base: Some(Arc::clone(base)),
+            query: Vec::new(),
+            reply: Vec::new(),
+            servers: Vec::new(),
             queries_sent: 0,
             stats: ResolverStats::default(),
             obs: ResolverObs::default(),
             trace: None,
         }
+    }
+
+    /// Return to the state [`overlay`](Self::overlay) (or, without a base,
+    /// [`new`](Self::new)) built: empty own caches and health, zeroed
+    /// counters and observability, no trace, and the next query id the
+    /// base froze. Maps and buffers keep their capacity, and the settings
+    /// are kept.
+    ///
+    /// The parallel sweep engine resets a worker's overlay before each
+    /// domain, so every domain starts from the identical primed state
+    /// whichever worker runs it — the core of the N-workers ≡ 1-worker
+    /// determinism contract — and the counters after a domain are exactly
+    /// that domain's measurement cost.
+    pub fn reset(&mut self) {
+        self.own.clear();
+        self.next_id = self.base.as_ref().map_or(1, |b| b.next_id);
+        self.queries_sent = 0;
+        self.stats = ResolverStats::default();
+        self.obs = ResolverObs::default();
+        self.trace = None;
+    }
+
+    /// The cached answer for `key`: this resolver's own, else its base's.
+    fn cached_answer(&self, key: &[u8]) -> Option<&Result<Resolution, ResolveError>> {
+        self.own
+            .answers
+            .get(key)
+            .or_else(|| self.base.as_ref()?.caches.answers.get(key))
+    }
+
+    /// The cached servers of cut `name`: this resolver's own, else its
+    /// base's.
+    fn cached_cut(&self, name: &NameSlice) -> Option<&Arc<[Ipv4Addr]>> {
+        self.own
+            .cuts
+            .get(name)
+            .or_else(|| self.base.as_ref()?.caches.cuts.get(name))
+    }
+
+    /// The health of `server`: this resolver's own record, else its
+    /// base's, else the never-probed default.
+    fn health_of(&self, server: Ipv4Addr) -> ServerHealth {
+        self.own
+            .health
+            .get(&server)
+            .or_else(|| self.base.as_ref()?.caches.health.get(&server))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// This resolver's own health record for `server`, started from
+    /// [`health_of`](Self::health_of) on first write.
+    fn health_mut(&mut self, server: Ipv4Addr) -> &mut ServerHealth {
+        let base = self.base.as_deref();
+        self.own.health.entry(server).or_insert_with(|| {
+            base.and_then(|b| b.caches.health.get(&server))
+                .copied()
+                .unwrap_or_default()
+        })
     }
 
     /// Resolve `name`/`rtype`, driving the simulated network (either the
@@ -568,7 +682,7 @@ impl IterativeResolver {
             return Err(ResolveError::BudgetExhausted);
         }
         let key = QuestionKey::new(name, rtype);
-        if let Some(cached) = self.answer_cache.get(key.as_bytes()) {
+        if let Some(cached) = self.cached_answer(key.as_bytes()) {
             let cached = cached.clone();
             self.obs.answer_cache_hits += 1;
             return cached;
@@ -599,7 +713,8 @@ impl IterativeResolver {
             result,
             Err(ResolveError::Timeout | ResolveError::ServFail | ResolveError::BudgetExhausted)
         ) {
-            self.answer_cache
+            self.own
+                .answers
                 .insert(key.as_bytes().into(), result.clone());
         }
         result
@@ -609,7 +724,7 @@ impl IterativeResolver {
     /// an ancestor of (or equal to) `name`, or with the roots.
     fn starting_servers(&self, name: &NameSlice, servers: &mut Vec<Ipv4Addr>) {
         servers.clear();
-        match name.suffixes().find_map(|n| self.cut_cache.get(n)) {
+        match name.suffixes().find_map(|n| self.cached_cut(n)) {
             Some(addrs) => servers.extend_from_slice(addrs),
             None => servers.extend(self.roots.iter().map(|r| r.addr)),
         }
@@ -624,15 +739,15 @@ impl IterativeResolver {
         if !self.penalty_box_enabled {
             return;
         }
-        servers.sort_by_key(|addr| {
-            let h = self.health.get(addr).copied().unwrap_or_default();
+        servers.sort_by_key(|&addr| {
+            let h = self.health_of(addr);
             let penalized = h.penalized_until > now;
             (penalized, h.srtt_us)
         });
     }
 
     fn note_success(&mut self, server: Ipv4Addr, rtt_us: u64) {
-        let h = self.health.entry(server).or_default();
+        let h = self.health_mut(server);
         // EWMA with 1/8 gain, like classic TCP SRTT.
         h.srtt_us = h.srtt_us - h.srtt_us / 8 + rtt_us / 8;
         let srtt = h.srtt_us;
@@ -646,7 +761,7 @@ impl IterativeResolver {
     }
 
     fn note_failure(&mut self, server: Ipv4Addr, now: SimTime) {
-        let h = self.health.entry(server).or_default();
+        let h = self.health_mut(server);
         let entered = h.fails == 0;
         h.fails = h.fails.saturating_add(1);
         let shift = (h.fails - 1).min(PENALTY_MAX_SHIFT);
@@ -684,11 +799,8 @@ impl IterativeResolver {
         // A penalized server gets one transport attempt, not the full
         // retry schedule: we are probing whether it recovered, not
         // betting the query's latency budget on it.
-        let penalized = self.penalty_box_enabled
-            && self
-                .health
-                .get(&server)
-                .is_some_and(|h| h.penalized_until > net.now());
+        let penalized =
+            self.penalty_box_enabled && self.health_of(server).penalized_until > net.now();
         let attempts = if penalized { 1 } else { self.attempts };
         let t0 = net.now();
         let sent = net.request(
@@ -907,7 +1019,7 @@ impl IterativeResolver {
             if servers.is_empty() {
                 return Err(ResolveError::NoNameservers);
             }
-            self.cut_cache.insert(cut, servers.as_slice().into());
+            self.own.cuts.insert(cut, servers.as_slice().into());
         }
         Err(ResolveError::BudgetExhausted)
     }
@@ -1212,6 +1324,57 @@ mod tests {
         r.clear_cache();
         r.resolve(&mut net, &name("example.ru"), RType::A).unwrap();
         assert!(r.queries_sent() > after_second + 1);
+    }
+
+    #[test]
+    fn overlays_read_the_frozen_base_and_write_only_their_own() {
+        let (mut net, mut primed) = build_world();
+        primed
+            .resolve(&mut net, &name("example.ru"), RType::A)
+            .unwrap();
+        let base = primed.freeze();
+
+        let mut first = IterativeResolver::overlay(&base);
+        // The primed answer comes from the base, without a query.
+        let res = first.resolve(&mut net, &name("example.ru"), RType::A);
+        assert_eq!(res.unwrap().addresses(), vec![WEB_IP]);
+        assert_eq!(first.queries_sent(), 0);
+        assert_eq!(first.obs().answer_cache_hits, 1);
+        // A new name starts at the base's example.ru cut: one query.
+        first
+            .resolve(&mut net, &name("www.example.ru"), RType::A)
+            .unwrap();
+        assert_eq!(first.queries_sent(), 1);
+
+        // The first overlay's answer never reached the base: a second
+        // overlay, and the first after a reset, ask again.
+        let mut second = IterativeResolver::overlay(&base);
+        second
+            .resolve(&mut net, &name("www.example.ru"), RType::A)
+            .unwrap();
+        assert_eq!(second.queries_sent(), 1);
+        first.reset();
+        assert_eq!(first.queries_sent(), 0);
+        first
+            .resolve(&mut net, &name("www.example.ru"), RType::A)
+            .unwrap();
+        assert_eq!(first.queries_sent(), 1);
+    }
+
+    #[test]
+    fn freezing_clears_penalties_but_keeps_server_order() {
+        let (mut net, mut primed, _h2) = build_two_ns_world();
+        net.unbind(HOSTER_DNS_IP, 53);
+        primed
+            .resolve(&mut net, &name("example.ru"), RType::A)
+            .unwrap();
+        assert!(primed.health_of(HOSTER_DNS_IP).penalized_until > SimTime::ZERO);
+        let srtt = primed.health_of(HOSTER_DNS2_IP).srtt_us;
+        assert_ne!(srtt, SRTT_DEFAULT_US);
+        let overlay = IterativeResolver::overlay(&primed.freeze());
+        let dead = overlay.health_of(HOSTER_DNS_IP);
+        assert_eq!((dead.fails, dead.penalized_until), (0, SimTime::ZERO));
+        assert_eq!(overlay.health_of(HOSTER_DNS2_IP).srtt_us, srtt);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use ruwhere_dns::{
 };
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
-use std::collections::HashMap;
+use ruwhere_types::FastMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock};
 
@@ -15,7 +15,7 @@ use std::sync::{Arc, RwLock};
 /// probes exact origins, so the index is hashed.
 #[derive(Debug, Default)]
 pub struct ZoneSet {
-    zones: HashMap<Name, Zone>,
+    zones: FastMap<Name, Zone>,
 }
 
 impl ZoneSet {

@@ -8,7 +8,7 @@
 
 use crate::name::{Name, NameSlice};
 use crate::rdata::{RData, RType, Record, SoaData};
-use std::collections::HashMap;
+use ruwhere_types::FastMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -120,7 +120,7 @@ pub struct Zone {
     /// serving only ever probes exact owners; the readers that need the
     /// canonical order ([`iter`](Self::iter), [`to_text`](Self::to_text),
     /// [`delegations`](Self::delegations)) sort owners with `Name::cmp`.
-    records: HashMap<Name, Vec<Record>>,
+    records: FastMap<Name, Vec<Record>>,
 }
 
 impl Zone {
@@ -128,7 +128,7 @@ impl Zone {
     pub fn new(origin: Name, soa: SoaData, soa_ttl: u32) -> Self {
         Zone {
             soa: Record::new(origin, soa_ttl, RData::Soa(soa)),
-            records: HashMap::new(),
+            records: FastMap::default(),
         }
     }
 

@@ -15,8 +15,7 @@
 use crate::fault::FaultPlan;
 use crate::obs::NetObs;
 use crate::topology::Topology;
-use ruwhere_types::{Asn, SeedTree};
-use std::collections::HashMap;
+use ruwhere_types::{Asn, FastMap, SeedTree};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -144,7 +143,7 @@ pub trait Transport {
 pub struct Network {
     topo: Topology,
     seed: SeedTree,
-    services: HashMap<(Ipv4Addr, u16), Box<dyn Service>>,
+    services: FastMap<(Ipv4Addr, u16), Box<dyn Service>>,
     now: SimTime,
     seq: u64,
     /// Uniform packet loss probability in [0, 1).
@@ -164,7 +163,7 @@ impl Network {
         Network {
             topo,
             seed,
-            services: HashMap::new(),
+            services: FastMap::default(),
             now: SimTime::ZERO,
             seq: 0,
             loss_rate: 0.0,

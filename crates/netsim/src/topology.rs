@@ -6,8 +6,7 @@
 
 use crate::ip::Ipv4Net;
 use crate::routing::RoutingTable;
-use ruwhere_types::{Asn, Country, SeedTree};
-use std::collections::HashMap;
+use ruwhere_types::{Asn, Country, FastMap, SeedTree};
 use std::net::Ipv4Addr;
 
 /// Registration facts about one autonomous system.
@@ -25,7 +24,7 @@ pub struct AsInfo {
 #[derive(Debug, Clone)]
 pub struct Topology {
     seed: SeedTree,
-    ases: HashMap<Asn, AsInfo>,
+    ases: FastMap<Asn, AsInfo>,
     fib: RoutingTable<Asn>,
     prefixes: Vec<(Ipv4Net, Asn)>,
 }
@@ -35,7 +34,7 @@ impl Topology {
     pub fn new(seed: SeedTree) -> Self {
         Topology {
             seed,
-            ases: HashMap::new(),
+            ases: FastMap::default(),
             fib: RoutingTable::new(),
             prefixes: Vec::new(),
         }

@@ -13,9 +13,10 @@
 //! one:
 //!
 //! 1. *Values are sharding-independent.* An entry is computed on its own
-//!    measurement lane keyed by `(date, ns-name)`, from a warmup-primed
-//!    resolver fork — a pure function of the sweep-start snapshot, no
-//!    matter which worker computes it or when.
+//!    measurement lane keyed by `(date, ns-name)`, from a freshly reset
+//!    overlay over the warmup-primed resolver base — a pure function of
+//!    the sweep-start snapshot, no matter which worker computes it or
+//!    when.
 //! 2. *Costs are charged exactly once.* The computing worker (and only
 //!    it) accounts the entry's query/latency cost, so summed sweep
 //!    counters do not depend on the worker count.
@@ -26,16 +27,20 @@
 
 use ruwhere_dns::{Name, NameSlice};
 use ruwhere_netsim::{NetObs, NetStats};
+use ruwhere_types::hash::FastState;
 use ruwhere_types::sync::lock;
-use ruwhere_types::{Date, DomainName};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use ruwhere_types::{Date, DomainName, FastMap};
+use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked map shards.
 const SHARDS: usize = 16;
+
+/// Where a name's shard index sits in its hash: above the low bits a
+/// shard's table takes its bucket from, below the top seven it keeps as
+/// tags, so names that share a shard still spread over its buckets.
+const SHARD_SHIFT: u32 = 52;
 
 /// The measurement cost of computing one cache entry, charged to the
 /// worker that computed it.
@@ -57,13 +62,11 @@ pub struct LookupCost {
     pub net: NetStats,
     /// The lane's end instant in microseconds (for sweep wall-clock).
     pub lane_end_us: u64,
-    /// Transport observability of the entry's lane (empty when metric
-    /// collection is off). Charged into the sweep's
-    /// [`SweepMetrics`](crate::SweepMetrics) exactly once, alongside the
-    /// scalar cost.
+    /// Transport observability of the entry's lane. Charged into the
+    /// sweep's [`SweepMetrics`](crate::SweepMetrics) exactly once,
+    /// alongside the scalar cost.
     pub net_obs: NetObs,
-    /// Resolver observability of the entry's fork (empty when metric
-    /// collection is off).
+    /// Resolver observability of the entry's resolution.
     pub resolver_obs: ruwhere_authdns::ResolverObs,
 }
 
@@ -98,7 +101,7 @@ pub struct NsCache {
     date: Option<Date>,
     /// Keyed by the NS host's wire name, so a lookup probes with the name
     /// a referral or an answer record carries, borrowed.
-    shards: Vec<Mutex<HashMap<Name, Arc<Entry>>>>,
+    shards: Vec<Mutex<FastMap<Name, Arc<Entry>>>>,
 }
 
 impl NsCache {
@@ -106,7 +109,7 @@ impl NsCache {
     pub fn new() -> Self {
         NsCache {
             date: None,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -199,10 +202,10 @@ impl NsCache {
         })
     }
 
+    /// The shard for `name`, from the same hash its shard's table
+    /// probes with (every [`FastState`] in a process hashes alike).
     fn shard_of(name: &NameSlice) -> usize {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        (h.finish() as usize) % SHARDS
+        (FastState::default().hash_one(name) >> SHARD_SHIFT) as usize % SHARDS
     }
 }
 
@@ -325,6 +328,15 @@ mod tests {
             "one compute per unique name"
         );
         assert_eq!(cache.len(), 5);
+    }
+
+    #[test]
+    fn hosts_differing_in_one_label_use_every_shard() {
+        let mut used = [0usize; SHARDS];
+        for i in 0..256 {
+            used[NsCache::shard_of(&name(&format!("ns{i}.hoster.ru")))] += 1;
+        }
+        assert!(used.iter().all(|&n| n > 0), "shard use {used:?}");
     }
 
     #[test]

@@ -25,16 +25,24 @@
 //!    the sweep base instant, so loss, jitter and fault windows for a
 //!    domain are a pure function of the network snapshot and the key —
 //!    never of which worker ran it or when.
-//! 2. *Warmup-primed resolver forks.* A prototype resolver resolves each
-//!    TLD's NS set once (serially, before workers start); every per-domain
-//!    resolver is a [`fork`](ruwhere_authdns::IterativeResolver::fork) of
-//!    that primed snapshot with zeroed counters. Every domain therefore
-//!    starts from identical caches and server-health state regardless of
-//!    shard assignment.
+//! 2. *Overlays over one frozen primed base.* A resolver resolves each
+//!    TLD's NS set once (serially, before workers start) and is then
+//!    [frozen](ruwhere_authdns::IterativeResolver::freeze) into a shared,
+//!    read-only [`PrimedBase`]: its answers and cuts, its SRTT estimates
+//!    with penalty boxes cleared, and its next query id. Each worker owns
+//!    an [overlay](ruwhere_authdns::IterativeResolver::overlay) that reads
+//!    its own entries first, then the base's, and writes only its own; it
+//!    is [reset](ruwhere_authdns::IterativeResolver::reset) before every
+//!    domain (own maps emptied with their capacity kept, counters zeroed,
+//!    query id rewound). Every domain therefore starts from identical
+//!    caches and server-health state regardless of shard assignment or of
+//!    the domains its worker measured before, and the primed tables are
+//!    never copied.
 //! 3. *Exactly-once shared NS cache.* NS-target A lookups go through the
 //!    shared, sharded, date-scoped [`crate::nscache::NsCache`]; an entry
 //!    is computed once per sweep, on its own lane keyed by `(date,
-//!    ns-name)` from a fresh primed fork, and its query cost is charged
+//!    ns-name)` from a freshly reset overlay of its own (the lookup runs
+//!    nested inside a domain's walk), and its query cost is charged
 //!    exactly once. Which worker computes is scheduling-dependent; the
 //!    value and the summed counters are not.
 //!
@@ -49,21 +57,23 @@
 //! (struct-of-arrays) sweep representation from [`ruwhere_store`] —
 //! built by [`OpenIntelScanner::sweep_frame`]. Symbol assignment follows
 //! the store's determinism rules: the full seed list is interned
-//! *serially, in zone-snapshot order, before any worker starts*, and
-//! names/countries discovered during measurement are interned by the
-//! sequential post-merge frame-build pass.
+//! *serially, in zone-snapshot order, before any worker starts* (workers
+//! carry each seed's symbol through to its record), and names/countries
+//! discovered during measurement are interned by the sequential
+//! post-merge frame-build pass, under one interner lock.
 
 use crate::error::ScanError;
 use crate::nscache::{CacheHit, LookupCost, NsCache};
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
-    IterativeResolver, NoDependencyCache, NsDependencyCache, Resolution, ResolveError,
+    IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase, Resolution, ResolveError,
+    RootHint,
 };
 use ruwhere_dns::{Name, NameSlice, RData, RType, Record};
 use ruwhere_netsim::{NetStats, Network, SimTime};
 use ruwhere_obs::Recorder;
 use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
-use ruwhere_store::{FrameBuilder, Interner, SweepFrame};
+use ruwhere_store::{FrameBuilder, Interner, SweepFrame, Sym};
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::World;
 use std::cell::RefCell;
@@ -203,7 +213,8 @@ impl SweepOptions {
 
 /// Raw (pre-annotation) resolution output for one domain.
 struct Raw {
-    domain: DomainName,
+    /// The seed's symbol, assigned by the serial seed pass.
+    domain: Sym,
     ns_names: Vec<DomainName>,
     ns_ips: Vec<Ipv4Addr>,
     apex_ips: Vec<Ipv4Addr>,
@@ -256,36 +267,46 @@ impl Tally {
 }
 
 /// Shared, immutable per-sweep context handed to every worker: the
-/// network snapshot, the warmup-primed prototype resolver, the shared NS
+/// network snapshot, the frozen warmup-primed resolver base, the shared NS
 /// cache and the sweep date.
 struct SweepCtx<'a> {
     net: &'a Network,
-    primed: &'a IterativeResolver,
+    primed: &'a Arc<PrimedBase>,
     cache: &'a NsCache,
     date: Date,
     panic_inject: Option<&'a PanicInject>,
 }
 
-/// The sweep's [`NsDependencyCache`] implementation: routes the
-/// resolver's internal out-of-bailiwick NS-target A lookups through the
-/// shared sweep cache, so each hoster name server resolves exactly once
-/// per sweep instead of once per customer domain. Costs and hit/miss
-/// counts accumulate in a per-domain cell and are folded into the
-/// worker's tally (and metric section) after each domain.
+/// The sweep's [`NsDependencyCache`] implementation, one per worker:
+/// routes the resolver's internal out-of-bailiwick NS-target A lookups
+/// through the shared sweep cache, so each hoster name server resolves
+/// exactly once per sweep instead of once per customer domain. A miss
+/// resolves on the worker's second overlay (the domain's own is mid-walk),
+/// and hit/miss counts and miss costs accumulate here across the worker's
+/// domains, folded into its shard totals once at the end — every field
+/// merges commutatively, so the totals are the same as per-domain folds.
 struct SharedDeps<'a> {
     ctx: &'a SweepCtx<'a>,
+    ns_resolver: RefCell<IterativeResolver>,
     acc: RefCell<(Tally, SweepMetrics)>,
 }
 
-impl SharedDeps<'_> {
+impl<'a> SharedDeps<'a> {
+    fn new(ctx: &'a SweepCtx<'a>) -> Self {
+        SharedDeps {
+            ctx,
+            ns_resolver: RefCell::new(IterativeResolver::overlay(ctx.primed)),
+            acc: RefCell::default(),
+        }
+    }
+
     /// Look `name` up in the shared cache and count the hit or miss; a
-    /// miss also charges its cost and observability into this domain's
+    /// miss also charges its cost and observability into the worker's
     /// accumulator. `None` for a name with no hostname spelling.
     fn lookup(&self, name: &NameSlice) -> Option<CacheHit> {
-        let hit = self
-            .ctx
-            .cache
-            .get_or_compute(name, |ns| resolve_ns_target(self.ctx, name, ns))?;
+        let hit = self.ctx.cache.get_or_compute(name, |ns| {
+            resolve_ns_target(self.ctx, &mut self.ns_resolver.borrow_mut(), name, ns)
+        })?;
         let mut acc = self.acc.borrow_mut();
         let (tally, metrics) = &mut *acc;
         match &hit.computed {
@@ -343,18 +364,18 @@ fn resolve_with_retry<T: ruwhere_netsim::Transport>(
 }
 
 /// Resolve one NS-target host (`name`, spelled `ns`) to addresses on its
-/// own `(date, ns)` lane with a fresh primed fork — a pure function of the
-/// sweep-start snapshot, so the cached value is identical no matter which
-/// worker computes it.
+/// own `(date, ns)` lane with a freshly reset overlay — a pure function of
+/// the sweep-start snapshot, so the cached value is identical no matter
+/// which worker computes it.
 fn resolve_ns_target(
     ctx: &SweepCtx<'_>,
+    resolver: &mut IterativeResolver,
     name: &NameSlice,
     ns: &DomainName,
 ) -> (Vec<Ipv4Addr>, LookupCost) {
     let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
-    let mut resolver = ctx.primed.fork();
-    let ips = match resolve_with_retry(&mut resolver, &mut lane, name, RType::A, &NoDependencyCache)
-    {
+    resolver.reset();
+    let ips = match resolve_with_retry(resolver, &mut lane, name, RType::A, &NoDependencyCache) {
         Ok(res) => res.addresses(),
         Err(_) => Vec::new(),
     };
@@ -375,36 +396,36 @@ fn resolve_ns_target(
 }
 
 /// Measure one domain: NS set, NS-target addresses (through the shared
-/// cache), apex A — all on the domain's own `(date, domain)` lane with a
-/// fresh primed fork. Failure latencies are recorded per cause into the
-/// worker's metric section; the span clock is the lane's virtual time, so
-/// the recorded values are as deterministic as the measurement itself.
+/// cache), apex A — all on the domain's own `(date, domain)` lane with the
+/// worker's overlay `resolver`, reset first. Failure latencies are
+/// recorded per cause into the worker's metric section; the span clock is
+/// the lane's virtual time, so the recorded values are as deterministic as
+/// the measurement itself.
 fn measure_domain(
     domain: &DomainName,
-    ctx: &SweepCtx<'_>,
+    sym: Sym,
+    resolver: &mut IterativeResolver,
+    deps: &SharedDeps<'_>,
     tally: &mut Tally,
     metrics: &mut SweepMetrics,
 ) -> Raw {
+    let ctx = deps.ctx;
     if let Some(inject) = ctx.panic_inject {
         inject.maybe_panic(domain);
     }
     let mut lane = ctx.net.lane(format_args!("{}/{}", ctx.date, domain));
-    let mut resolver = ctx.primed.fork();
+    resolver.reset();
     // Thread the worker's accumulators through this domain's lane and
-    // fork: records land directly in the running totals, avoiding a
+    // resolver: records land directly in the running totals, avoiding a
     // per-domain histogram allocation + merge. Every record is a
     // commutative integer fold, so the totals are byte-identical to
     // the merge-per-domain formulation.
     lane.install_obs(std::mem::take(&mut metrics.net));
     resolver.install_obs(std::mem::take(&mut metrics.resolver));
     let qname = Name::from(domain);
-    let deps = SharedDeps {
-        ctx,
-        acc: RefCell::new((Tally::default(), SweepMetrics::default())),
-    };
 
     let ns_span = Recorder::span(lane.elapsed_us());
-    let ns_answer = resolve_with_retry(&mut resolver, &mut lane, &qname, RType::Ns, &deps);
+    let ns_answer = resolve_with_retry(resolver, &mut lane, &qname, RType::Ns, deps);
     let ns_records: &[Record] = match &ns_answer {
         Ok(Resolution::Records(records)) => records,
         Ok(_) => &[],
@@ -422,9 +443,9 @@ fn measure_domain(
         let RData::Ns(name) = &r.data else {
             continue;
         };
-        // `metrics.net`/`.resolver` are installed in the lane and fork
-        // right now, so a miss is charged into the deps accumulator,
-        // merged below.
+        // `metrics.net`/`.resolver` are installed in the lane and resolver
+        // right now, so a miss is charged into the worker's deps
+        // accumulator, folded in when the shard ends.
         let Some(hit) = deps.lookup(name) else {
             continue;
         };
@@ -438,7 +459,7 @@ fn measure_domain(
     }
 
     let apex_span = Recorder::span(lane.elapsed_us());
-    let apex_ips = match resolve_with_retry(&mut resolver, &mut lane, &qname, RType::A, &deps) {
+    let apex_ips = match resolve_with_retry(resolver, &mut lane, &qname, RType::A, deps) {
         Ok(res) => res.addresses(),
         Err(e) => {
             let key = fail_key(ScanError::from(e).category());
@@ -450,8 +471,6 @@ fn measure_domain(
         tally.apex_failures += 1;
     }
 
-    let (deps_tally, deps_metrics) = deps.acc.into_inner();
-    tally.merge(&deps_tally);
     tally.queries += resolver.queries_sent();
     let causes = resolver.stats();
     tally.timeouts += causes.timeouts;
@@ -463,13 +482,12 @@ fn measure_domain(
     tally.net.merge(lane.stats());
     metrics.net = lane.take_obs();
     metrics.resolver = resolver.take_obs();
-    metrics.merge(&deps_metrics);
     if !ns_names.is_empty() {
         metrics.causes.record(keys::OK_US, lane.elapsed_us());
     }
 
     Raw {
-        domain: domain.clone(),
+        domain: sym,
         ns_names,
         ns_ips,
         apex_ips,
@@ -483,7 +501,7 @@ fn measure_domain(
 /// gone — the gap is explicit, never silently half-reported.
 fn lost_shard_output(
     range: std::ops::Range<usize>,
-    seeds: &[DomainName],
+    syms: &[Sym],
 ) -> (Vec<Raw>, Tally, SweepMetrics) {
     let mut tally = Tally::default();
     let mut metrics = SweepMetrics::default();
@@ -496,7 +514,7 @@ fn lost_shard_output(
         // event, recorded at zero virtual time.
         metrics.causes.record(lost_key, 0);
         raws.push(Raw {
-            domain: seeds[idx].clone(),
+            domain: syms[idx],
             ns_names: Vec::new(),
             ns_ips: Vec::new(),
             apex_ips: Vec::new(),
@@ -506,11 +524,12 @@ fn lost_shard_output(
     (raws, tally, metrics)
 }
 
-/// The sweep engine. Owns the prototype resolver, the worker-count knob
-/// and the shared NS-target cache; create once, call
-/// [`OpenIntelScanner::sweep_frame`] per measurement day.
+/// The sweep engine. Owns the measurement vantage (client address and root
+/// hints), the worker-count knob and the shared NS-target cache; create
+/// once, call [`OpenIntelScanner::sweep_frame`] per measurement day.
 pub struct OpenIntelScanner {
-    resolver: IterativeResolver,
+    client_ip: Ipv4Addr,
+    roots: Vec<RootHint>,
     opts: SweepOptions,
     ns_cache: NsCache,
     interner: Arc<Interner>,
@@ -531,7 +550,8 @@ impl OpenIntelScanner {
             .clone()
             .unwrap_or_else(|| Arc::new(Interner::new()));
         OpenIntelScanner {
-            resolver: IterativeResolver::new(world.scanner_ip(), world.root_hints()),
+            client_ip: world.scanner_ip(),
+            roots: world.root_hints(),
             opts,
             ns_cache: NsCache::new(),
             interner,
@@ -558,17 +578,16 @@ impl OpenIntelScanner {
     /// Run one full sweep at the world's current date, producing the
     /// native columnar frame.
     ///
-    /// Publishes today's TLD zones, clears resolver caches and rebinds
-    /// the NS cache to the day (a new measurement day re-observes
-    /// everything), interns the seed list ([`World::seed_names`]: the
-    /// registry's zone file, shared out of band as in paper §2) in
-    /// zone-snapshot order — the symbol-determinism anchor —, warms a
-    /// prototype resolver on the TLD cuts, then fans the seed list out
-    /// over the worker pool and merges shard outputs deterministically.
+    /// Publishes today's TLD zones, rebinds the NS cache to the day (a
+    /// new measurement day re-observes everything), interns the seed list
+    /// ([`World::seed_names`]: the registry's zone file, shared out of
+    /// band as in paper §2) in zone-snapshot order — the
+    /// symbol-determinism anchor —, primes a fresh resolver on the TLD
+    /// cuts and freezes it, then fans the seed list out over the worker
+    /// pool and merges shard outputs deterministically.
     pub fn sweep_frame(&mut self, world: &mut World) -> SweepFrame {
         let date = world.today();
         world.publish_tld_zones();
-        self.resolver.clear_cache();
         self.ns_cache.begin_sweep(date);
         let seeds = world.seed_names();
 
@@ -576,9 +595,10 @@ impl OpenIntelScanner {
         // zone-snapshot order, before any worker exists — domain symbols
         // are a pure function of the zone snapshot, never of sharding or
         // salvage.
-        for seed in &seeds {
-            self.interner.intern_name(seed);
-        }
+        let syms: Vec<Sym> = {
+            let mut symbols = self.interner.writer();
+            seeds.iter().map(|seed| symbols.intern_name(seed)).collect()
+        };
 
         let mut stats = SweepStats {
             seeded: seeds.len() as u64,
@@ -586,16 +606,17 @@ impl OpenIntelScanner {
         };
 
         // Warmup: prime one resolver on the TLD cuts, serially, before any
-        // worker exists. Every per-domain resolver forks from this primed
-        // snapshot, so per-domain state is identical for any sharding.
+        // worker exists, then freeze it. Every domain resolves on an
+        // overlay over this frozen base, so per-domain state is identical
+        // for any sharding.
         //
         // Walking each TLD's NS query plants the TLD cut (from the root's
-        // referral) in the prototype's cut cache, so per-domain forks
-        // start one referral deep instead of at the root. Where a TLD
-        // zone publishes an apex NS RRset we additionally resolve the
-        // server addresses and seed the cut with the complete rotation;
-        // zones that answer NoData at the apex keep the referral glue.
-        let mut primed = self.resolver.fork();
+        // referral) in the primed cut cache, so every domain starts one
+        // referral deep instead of at the root. Where a TLD zone publishes
+        // an apex NS RRset we additionally resolve the server addresses
+        // and seed the cut with the complete rotation; zones that answer
+        // NoData at the apex keep the referral glue.
+        let mut primed = IterativeResolver::new(self.client_ip, self.roots.clone());
         let mut total = Tally::default();
         let mut total_metrics = SweepMetrics::default();
         {
@@ -634,6 +655,7 @@ impl OpenIntelScanner {
             total_metrics.net.merge(&lane.take_obs());
             total_metrics.resolver.merge(&primed.take_obs());
         }
+        let primed = primed.freeze();
 
         // Fan out: contiguous shards, one scoped worker each, merged back
         // in shard order (= zone-snapshot order). Each worker carries its
@@ -655,18 +677,26 @@ impl OpenIntelScanner {
         };
         let ctx_ref = &ctx;
         let seeds_ref = &seeds;
+        let syms_ref = &syms;
         let run_range = |range: std::ops::Range<usize>| {
             let mut tally = Tally::default();
             let mut metrics = SweepMetrics::default();
             let mut raws = Vec::with_capacity(range.len());
+            let mut resolver = IterativeResolver::overlay(ctx_ref.primed);
+            let deps = SharedDeps::new(ctx_ref);
             for idx in range {
                 raws.push(measure_domain(
                     &seeds_ref[idx],
-                    ctx_ref,
+                    syms_ref[idx],
+                    &mut resolver,
+                    &deps,
                     &mut tally,
                     &mut metrics,
                 ));
             }
+            let (deps_tally, deps_metrics) = deps.acc.into_inner();
+            tally.merge(&deps_tally);
+            metrics.merge(&deps_metrics);
             (raws, tally, metrics)
         };
         let run_range = &run_range;
@@ -705,7 +735,7 @@ impl OpenIntelScanner {
                         }
                         Err(_) => {
                             stats.shards_lost += 1;
-                            shard_outputs.push(lost_shard_output(range, seeds_ref));
+                            shard_outputs.push(lost_shard_output(range, syms_ref));
                         }
                     }
                 }
@@ -775,22 +805,23 @@ impl OpenIntelScanner {
         // the columnar write. Runs sequentially over merged records in
         // zone-snapshot order — symbol determinism rule 2: NS host names
         // and countries first seen this sweep are interned here, never
-        // from inside a worker.
+        // from inside a worker, under one interner lock.
         let geo = world.geo().snapshot_at(date);
         let topo = world.network().topology();
+        let mut symbols = self.interner.writer();
         let mut builder = FrameBuilder::new(date);
         builder.reserve(raw.len());
         for r in raw {
-            builder.begin_record(self.interner.intern_name(&r.domain));
+            builder.begin_record(r.domain);
             for ns in &r.ns_names {
-                builder.push_ns_name(self.interner.intern_name(ns));
+                builder.push_ns_name(symbols.intern_name(ns));
             }
             for &ip in &r.ns_ips {
-                let country = self.interner.intern_country(geo.and_then(|g| g.lookup(ip)));
+                let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
                 builder.push_ns_addr(ip, country, topo.asn_of(ip));
             }
             for &ip in &r.apex_ips {
-                let country = self.interner.intern_country(geo.and_then(|g| g.lookup(ip)));
+                let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
                 builder.push_apex_addr(ip, country, topo.asn_of(ip));
             }
             builder.end_record();
@@ -801,7 +832,7 @@ impl OpenIntelScanner {
     /// Total queries the scanner has sent since construction (summed over
     /// all sweeps, warmup and cache fills included).
     pub fn queries_sent(&self) -> u64 {
-        self.total_queries + self.resolver.queries_sent()
+        self.total_queries
     }
 }
 

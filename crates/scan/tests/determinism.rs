@@ -6,9 +6,12 @@
 //! wall-clock time only.
 
 use proptest::prelude::*;
+use ruwhere_authdns::{IterativeResolver, Resolution, ResolveError, ResolverObs, ResolverStats};
+use ruwhere_dns::{Name, RType};
 use ruwhere_netsim::fault::{FaultWindow, LinkFault, ServerFault, ServerFaultMode};
-use ruwhere_netsim::SimTime;
+use ruwhere_netsim::{NetObs, NetStats, SimTime};
 use ruwhere_scan::{OpenIntelScanner, SweepFrame, SweepOptions};
+use ruwhere_types::DomainName;
 use ruwhere_world::{ConflictEvent, FaultTarget, InfraFault, World, WorldConfig};
 use std::net::Ipv4Addr;
 
@@ -164,4 +167,101 @@ fn more_workers_than_useful_is_still_identical() {
     assert_eq!(serial_dump, wide_dump);
     assert_eq!(serial, wide);
     assert_eq!(serial.metrics.render_json(), wide.metrics.render_json());
+}
+
+/// Everything one domain's measurement leaves behind: the answers, the
+/// resolver's counters and observability, and the lane's.
+#[derive(Debug, PartialEq)]
+struct DomainRun {
+    ns: Result<Resolution, ResolveError>,
+    targets: Vec<Result<Resolution, ResolveError>>,
+    apex: Result<Resolution, ResolveError>,
+    queries: u64,
+    stats: ResolverStats,
+    obs: ResolverObs,
+    net: NetStats,
+    net_obs: NetObs,
+    elapsed_us: u64,
+}
+
+/// Measure `domain` the way a sweep worker does: reset the overlay, then
+/// resolve the NS set, each NS target and the apex on the domain's lane.
+fn measure(world: &World, resolver: &mut IterativeResolver, domain: &DomainName) -> DomainRun {
+    let mut lane = world
+        .network()
+        .lane(format_args!("{}/{}", world.today(), domain));
+    resolver.reset();
+    let qname = Name::from(domain);
+    let ns = resolver.resolve(&mut lane, &qname, RType::Ns);
+    let targets = match &ns {
+        Ok(res) => res
+            .ns_targets()
+            .iter()
+            .map(|t| resolver.resolve(&mut lane, t, RType::A))
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    let apex = resolver.resolve(&mut lane, &qname, RType::A);
+    DomainRun {
+        ns,
+        targets,
+        apex,
+        queries: resolver.queries_sent(),
+        stats: resolver.stats(),
+        obs: resolver.take_obs(),
+        net: lane.stats(),
+        net_obs: lane.take_obs(),
+        elapsed_us: lane.elapsed_us(),
+    }
+}
+
+/// A worker's overlay is reused for every domain of its shard. Under a
+/// fault plan that leaves timeouts, penalty boxes and half-walked cuts in
+/// the overlay, a reset must still give each domain exactly what a fresh
+/// overlay gives it — the same answers, counters and observability — or
+/// a domain's measurement would depend on the domains its worker measured
+/// before.
+#[test]
+fn a_reused_overlay_measures_like_a_fresh_one() {
+    let mut world = World::new(WorldConfig::tiny());
+    world.network_mut().loss_rate = 0.15;
+    // Flap the first name-server box of four hosting providers (provider
+    // ids 3..=6; 0 and 1 are the root and the TLD operator).
+    let plan = world.network_mut().faults_mut();
+    for provider in 3..7u8 {
+        plan.add_server_fault(ServerFault {
+            addr: Ipv4Addr::new(20, provider, 128, 1),
+            port: None,
+            mode: ServerFaultMode::Flapping { period_us: 750_000 },
+            window: FaultWindow::from(SimTime::ZERO),
+        });
+    }
+    world.publish_tld_zones();
+    let seeds = world.seed_names();
+
+    // Prime on a few domains of its own, so the frozen base carries cuts,
+    // answers, SRTT and (cleared) penalties.
+    let mut primed = IterativeResolver::new(world.scanner_ip(), world.root_hints());
+    let mut warmup = world.network().lane(format_args!("warmup"));
+    for d in seeds.iter().rev().take(8) {
+        let _ = primed.resolve(&mut warmup, &Name::from(d), RType::Ns);
+    }
+    assert!(primed.obs().penalty_entries > 0, "warmup saw no penalty");
+    let base = primed.freeze();
+
+    let mut reused = IterativeResolver::overlay(&base);
+    let (mut answered, mut timeouts, mut penalties) = (0, 0, 0);
+    for d in seeds.iter().take(40) {
+        let fresh = measure(&world, &mut IterativeResolver::overlay(&base), d);
+        let again = measure(&world, &mut reused, d);
+        assert_eq!(
+            again, fresh,
+            "{d}: the reused overlay remembered earlier domains"
+        );
+        answered += u32::from(fresh.apex.is_ok());
+        timeouts += fresh.stats.timeouts;
+        penalties += fresh.obs.penalty_entries;
+    }
+    assert!(answered > 20, "only {answered} of 40 domains answered");
+    assert!(timeouts > 0 && penalties > 0, "the fault plan never bit");
 }

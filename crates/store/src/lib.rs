@@ -35,4 +35,4 @@ pub use checkpoint::{
 pub use frame::{AddrColumns, AddrsView, FrameBuilder, FrameFixture, RecordView, SweepFrame};
 pub use metrics::{fail_key, keys, SweepMetrics};
 pub use stats::{Completeness, SweepStats};
-pub use sym::{CountrySym, Interner, InternerSnap, Sym, SymSet, TldSym};
+pub use sym::{CountrySym, Interner, InternerSnap, InternerWriter, Sym, SymSet, TldSym};

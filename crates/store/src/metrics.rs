@@ -67,7 +67,7 @@ pub struct SweepMetrics {
     /// fault-window occupancy) folded over every measurement lane.
     pub net: NetObs,
     /// Resolver-level aggregates (SRTT, penalty-box churn, cache hits)
-    /// folded over every per-domain fork.
+    /// folded over every domain's resolution.
     pub resolver: ResolverObs,
     /// Pipeline-level counters and per-cause latency histograms (see
     /// [`keys`] and [`fail_key`]).

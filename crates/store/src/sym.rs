@@ -25,8 +25,7 @@
 //! worker counts.
 
 use ruwhere_types::sync::{read, write};
-use ruwhere_types::{Country, DomainName};
-use std::collections::HashMap;
+use ruwhere_types::{Country, DomainName, FastMap};
 use std::fmt::Write;
 use std::sync::RwLock;
 
@@ -71,16 +70,16 @@ impl CountrySym {
 #[derive(Debug, Default)]
 struct Inner {
     names: Vec<DomainName>,
-    name_ids: HashMap<DomainName, u32>,
+    name_ids: FastMap<DomainName, u32>,
     /// TLD of each interned name, parallel to `names`.
     name_tlds: Vec<TldSym>,
     tlds: Vec<String>,
-    tld_ids: HashMap<String, u32>,
+    tld_ids: FastMap<String, u32>,
     /// Whether each TLD is a Russian ccTLD (`ru` / `xn--p1ai`), parallel
     /// to `tlds` — precomputed so per-record classification is a bit load.
     tld_russian: Vec<bool>,
     countries: Vec<Country>,
-    country_ids: HashMap<Country, u32>,
+    country_ids: FastMap<Country, u32>,
 }
 
 impl Inner {
@@ -208,6 +207,16 @@ impl Interner {
         }
     }
 
+    /// A write guard with the interning operations — take one per pass
+    /// (a sweep's seed pass, its frame build) instead of re-locking per
+    /// name or country. Symbols come out exactly as from the one-call
+    /// methods, in call order.
+    pub fn writer(&self) -> InternerWriter<'_> {
+        InternerWriter {
+            inner: write(&self.inner),
+        }
+    }
+
     /// Canonical text listing of every symbol table, one entry per line in
     /// symbol order. Two interners fed the same sequence produce identical
     /// dumps — the byte-identity oracle the determinism tests compare.
@@ -250,6 +259,23 @@ impl Clone for Interner {
                 country_ids: src.country_ids.clone(),
             }),
         }
+    }
+}
+
+/// A write guard over the symbol tables, from [`Interner::writer`].
+pub struct InternerWriter<'a> {
+    inner: std::sync::RwLockWriteGuard<'a, Inner>,
+}
+
+impl InternerWriter<'_> {
+    /// [`Interner::intern_name`] under the held lock.
+    pub fn intern_name(&mut self, name: &DomainName) -> Sym {
+        self.inner.intern_name(name)
+    }
+
+    /// [`Interner::intern_country`] under the held lock.
+    pub fn intern_country(&mut self, country: Option<Country>) -> CountrySym {
+        self.inner.intern_country(country)
     }
 }
 
@@ -377,6 +403,26 @@ mod tests {
         assert_eq!(i.name(a), d("alpha.ru"));
         assert_eq!(i.name_sym(&d("beta.com")), Some(b));
         assert_eq!(i.name_sym(&d("gamma.su")), None);
+    }
+
+    #[test]
+    fn a_held_writer_numbers_like_one_call_per_name() {
+        let names = [d("alpha.ru"), d("beta.com"), d("alpha.ru"), d("gamma.su")];
+        let countries = [
+            Some(Country::RU),
+            None,
+            Some(Country::US),
+            Some(Country::RU),
+        ];
+        let one_by_one = Interner::new();
+        let held = Interner::new();
+        let mut w = held.writer();
+        for (n, &c) in names.iter().zip(&countries) {
+            assert_eq!(w.intern_name(n), one_by_one.intern_name(n));
+            assert_eq!(w.intern_country(c), one_by_one.intern_country(c));
+        }
+        drop(w);
+        assert_eq!(held.dump(), one_by_one.dump());
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   IDNA awareness (`.рф` ⇄ `xn--p1ai`).
 //! * [`SeedTree`] — hierarchical deterministic seed derivation so that every
 //!   simulation and measurement run is bit-reproducible.
+//! * [`hash`] — the process-seeded fast hasher behind the sweep path's
+//!   hash maps ([`FastMap`]).
 //! * [`sync`] — poison-tolerant `std::sync` lock acquisition, shared by
 //!   every crate that locks.
 
@@ -30,6 +32,7 @@ pub mod asn;
 pub mod country;
 pub mod date;
 pub mod domain;
+pub mod hash;
 pub mod period;
 pub mod punycode;
 pub mod seed;
@@ -39,5 +42,6 @@ pub use asn::Asn;
 pub use country::Country;
 pub use date::{Date, DateRange, STUDY_END, STUDY_START};
 pub use domain::{DomainName, DomainParseError};
+pub use hash::{FastMap, FastSet};
 pub use period::{Period, CERT_WINDOW_END, CERT_WINDOW_START, CONFLICT_START, SANCTIONS_EFFECT};
 pub use seed::SeedTree;
