@@ -39,6 +39,11 @@
 //! of days in the fixture's daily window (unset means the whole window).
 //! A bad flag value or a bad `RUWHERE_BENCH_DAYS` exits with a usage
 //! message and code 2 before any work starts.
+//!
+//! A run that completes ends with `repro: peak RSS <n> MB` on stderr: the
+//! process's high-water resident set (`VmHWM` in `/proc/self/status`, in
+//! MiB), omitted where that file does not exist. Stdout carries only the
+//! artifacts.
 
 use ruwhere_core::figures;
 use ruwhere_core::{run_study, try_run_study, StudyConfig, StudyResults};
@@ -247,7 +252,27 @@ fn run_geolag_ablation(scale: usize) {
 }
 
 fn main() {
-    let args = parse_args();
+    run(parse_args());
+    if let Some(kib) = peak_rss_kib() {
+        eprintln!("repro: peak RSS {:.1} MB", kib as f64 / 1024.0);
+    }
+}
+
+/// This process's high-water resident set size in KiB, from `VmHWM` in
+/// `/proc/self/status`; `None` where that file or line is missing.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()
+}
+
+fn run(args: Args) {
     if args.resume && args.checkpoint_dir.is_none() {
         usage("--resume requires --checkpoint-dir DIR (or RUWHERE_CHECKPOINT_DIR)");
     }

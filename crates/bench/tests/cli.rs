@@ -56,3 +56,26 @@ fn bench_days_must_be_a_positive_integer() {
         );
     }
 }
+
+#[test]
+fn peak_rss_is_reported_on_stderr_only() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let metrics = dir.join("cli-rss-metrics.json");
+    let out = repro(
+        &["--metrics", metrics.to_str().expect("utf-8 path")],
+        Some("1"),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("peak RSS"));
+    if !std::path::Path::new("/proc/self/status").exists() {
+        return;
+    }
+    let mb: f64 = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("repro: peak RSS "))
+        .and_then(|v| v.strip_suffix(" MB"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no peak RSS line in:\n{stderr}"));
+    assert!(mb > 0.0, "peak RSS {mb} MB");
+}

@@ -68,7 +68,7 @@ impl CaIssuanceAnalysis {
             *per_day
                 .entry(r.date)
                 .or_default()
-                .entry(r.issuer_org.clone())
+                .entry(r.issuer_org.to_string())
                 .or_default() += 1;
         }
         CaIssuanceAnalysis { per_day }
@@ -195,7 +195,7 @@ mod tests {
         CertRecord {
             date,
             issuer_org: org.into(),
-            issuer_cn: format!("{org} CA"),
+            issuer_cn: format!("{org} CA").into(),
             serial: 1,
             domains: vec!["x.ru".parse().unwrap()],
             not_after: date.add_days(90),

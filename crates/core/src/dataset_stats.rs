@@ -6,16 +6,16 @@
 
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SymSet};
-use ruwhere_types::{Asn, DomainName};
+use ruwhere_types::Asn;
 use std::collections::BTreeSet;
 
 /// Accumulates unique names and networks across all sweeps.
 ///
 /// One instance must be fed frames from **one** interner (the engine
-/// contract) — the symbol seen-set below pre-filters on that assumption.
+/// contract): a name's symbol stands for the name, so counting distinct
+/// symbols counts distinct names.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetStats {
-    unique_domains: BTreeSet<DomainName>,
     hosting_asns: BTreeSet<Asn>,
     dns_asns: BTreeSet<Asn>,
     sweeps: u64,
@@ -25,9 +25,7 @@ pub struct DatasetStats {
     servfails: u64,
     lame: u64,
     retries_spent: u64,
-    /// Domain symbols already folded into `unique_domains`: an O(1) bitset
-    /// pre-filter so the steady state (every domain seen on day one) skips
-    /// the tree insert entirely.
+    /// Domain symbols ever observed; its length is the unique-name count.
     seen_syms: SymSet,
 }
 
@@ -39,7 +37,7 @@ impl DatasetStats {
 
     /// Unique domain names ever observed (paper: 11.7 M).
     pub fn unique_domains(&self) -> usize {
-        self.unique_domains.len()
+        self.seen_syms.len()
     }
 
     /// Unique apex-hosting ASNs (paper: 13.3 k).
@@ -101,12 +99,9 @@ impl FrameObserver for DatasetStats {
         self.retries_spent += frame.stats.retries_spent;
     }
 
-    fn observe_record(&mut self, rec: &RecordView<'_>, snap: &InternerSnap<'_>) {
+    fn observe_record(&mut self, rec: &RecordView<'_>, _snap: &InternerSnap<'_>) {
         self.records += 1;
-        let sym = rec.domain_sym();
-        if self.seen_syms.insert(sym) {
-            self.unique_domains.insert(snap.name(sym).clone());
-        }
+        self.seen_syms.insert(rec.domain_sym());
         for asn in rec.apex_addrs().asns().iter().flatten() {
             self.hosting_asns.insert(*asn);
         }

@@ -63,9 +63,9 @@ impl RevocationAnalysis {
                 continue;
             }
             let row = rows
-                .entry(r.issuer_org.clone())
+                .entry(r.issuer_org.to_string())
                 .or_insert_with(|| RevocationRow {
-                    org: r.issuer_org.clone(),
+                    org: r.issuer_org.to_string(),
                     ..RevocationRow::default()
                 });
             let sanctioned = r.domains.iter().any(|d| sanctions.is_sanctioned(d, as_of));
@@ -121,7 +121,7 @@ mod tests {
         CertRecord {
             date: Date::from_ymd(2022, 1, 10),
             issuer_org: org.into(),
-            issuer_cn: format!("{org} CA"),
+            issuer_cn: format!("{org} CA").into(),
             serial,
             domains: vec![domain.parse().unwrap()],
             not_after,

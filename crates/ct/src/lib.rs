@@ -25,7 +25,7 @@
 //! let mut log = CtLog::new("example-log");
 //! for i in 0..10u32 {
 //!     let d = format!("site{i}.ru").parse().unwrap();
-//!     let cert = ca.issue(&d, vec![], 0, Date::from_ymd(2022, 1, 1), vec![]).unwrap();
+//!     let cert = ca.issue(&d, vec![], 0, Date::from_ymd(2022, 1, 1)).unwrap();
 //!     log.append(cert, Date::from_ymd(2022, 1, 1));
 //! }
 //! let sth = log.sth();

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use ruwhere_ct::ctlog::{verify_consistency, verify_inclusion};
 use ruwhere_ct::{Certificate, CtLog, DistinguishedName};
 use ruwhere_types::{Country, Date};
+use std::sync::Arc;
 
 fn cert(i: u64) -> Certificate {
     Certificate {
@@ -13,11 +14,11 @@ fn cert(i: u64) -> Certificate {
             common_name: "P1".into(),
             country: Country::US,
         },
-        subject_cn: format!("prop-{i}.ru"),
+        subject_cn: format!("prop-{i}.ru").parse().unwrap(),
         san: vec![],
         not_before: Date::from_ymd(2022, 1, 1),
         not_after: Date::from_ymd(2022, 4, 1),
-        chain_orgs: vec![],
+        chain_orgs: Arc::from([]),
         ct_logged: true,
     }
 }

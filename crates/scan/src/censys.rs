@@ -5,6 +5,7 @@ use ruwhere_ct::CtLog;
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::{ChainSummary, World, TLS_PORT};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// How a certificate is matched to the study TLDs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,13 +24,14 @@ pub struct CertRecord {
     /// CT log timestamp (issuance date in our pipeline).
     pub date: Date,
     /// Issuer Organization from the Issuer DN — the paper's aggregation
-    /// key (§4.1).
-    pub issuer_org: String,
-    /// Issuer Common Name (the brand).
-    pub issuer_cn: String,
+    /// key (§4.1). Shared with the certificate's issuer.
+    pub issuer_org: Arc<str>,
+    /// Issuer Common Name (the brand). Shared with the certificate's
+    /// issuer.
+    pub issuer_cn: Arc<str>,
     /// Issuer-scoped serial.
     pub serial: u64,
-    /// Covered domains (CN + SANs that parse as names).
+    /// Covered domains (CN + SANs, deduplicated).
     pub domains: Vec<DomainName>,
     /// Validity end.
     pub not_after: Date,
@@ -64,13 +66,13 @@ impl CertDataset {
                 if !matched {
                     continue;
                 }
-                if !seen.insert((e.cert.issuer.organization.clone(), e.cert.serial)) {
+                if !seen.insert((&*e.cert.issuer.organization, e.cert.serial)) {
                     continue;
                 }
                 records.push(CertRecord {
                     date: e.timestamp,
-                    issuer_org: e.cert.issuer.organization.clone(),
-                    issuer_cn: e.cert.issuer.common_name.clone(),
+                    issuer_org: Arc::clone(&e.cert.issuer.organization),
+                    issuer_cn: Arc::clone(&e.cert.issuer.common_name),
                     serial: e.cert.serial,
                     domains: e.cert.covered_domains(),
                     not_after: e.cert.not_after,
@@ -248,7 +250,7 @@ mod tests {
         )
         .records
         .iter()
-        .filter(|r| r.issuer_org == "Russian Trusted Root CA")
+        .filter(|r| &*r.issuer_org == "Russian Trusted Root CA")
         .count();
         assert_eq!(in_ct, 0, "Russian CA must be absent from CT");
     }

@@ -40,10 +40,10 @@ impl ChainSummary {
     /// Build from a full certificate.
     pub fn from_certificate(cert: &Certificate) -> Self {
         ChainSummary {
-            subject_cn: cert.subject_cn.clone(),
+            subject_cn: cert.subject_cn.as_str().to_owned(),
             san: cert.san.clone(),
-            issuer_org: cert.issuer.organization.clone(),
-            chain_orgs: cert.chain_orgs.clone(),
+            issuer_org: cert.issuer.organization.to_string(),
+            chain_orgs: cert.chain_orgs.to_vec(),
             serial: cert.serial,
             not_before: cert.not_before,
             not_after: cert.not_after,
@@ -113,9 +113,10 @@ impl ChainSummary {
     }
 }
 
-/// Shared map of endpoint address → currently served chain. The world
-/// driver updates it as domains renew or switch certificates.
-pub type ServingMap = Arc<RwLock<HashMap<Ipv4Addr, ChainSummary>>>;
+/// Shared map of endpoint address → currently served certificate. The
+/// world driver updates it as domains renew or switch certificates; an
+/// entry shares the certificate the CT logs hold.
+pub type ServingMap = Arc<RwLock<HashMap<Ipv4Addr, Arc<Certificate>>>>;
 
 /// The per-address TLS banner service.
 pub struct TlsEndpoint {
@@ -138,7 +139,10 @@ impl Service for TlsEndpoint {
         _now: SimTime,
         reply: &mut Vec<u8>,
     ) -> bool {
-        let Some(chain) = read(&self.serving).get(&self.addr).map(|c| c.to_banner()) else {
+        let Some(chain) = read(&self.serving)
+            .get(&self.addr)
+            .map(|c| ChainSummary::from_certificate(c).to_banner())
+        else {
             return false;
         };
         reply.extend_from_slice(&chain);
@@ -153,7 +157,9 @@ impl Service for TlsEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_ct::CertificateAuthority;
     use ruwhere_types::sync::write;
+    use ruwhere_types::Country;
 
     fn summary() -> ChainSummary {
         ChainSummary {
@@ -210,17 +216,24 @@ mod tests {
         // Nothing served yet: silent (no TLS on this box).
         assert!(probe(&ep).is_none());
 
-        write(&serving).insert(addr, summary());
+        let cert = |org: &str| {
+            let mut ca = CertificateAuthority::new(org, Country::US, &["R3"], true, 90);
+            let subject = "example.ru".parse().unwrap();
+            Arc::new(
+                ca.issue(&subject, vec![], 0, Date::from_ymd(2022, 1, 15))
+                    .unwrap(),
+            )
+        };
+        let served = cert("Let's Encrypt");
+        write(&serving).insert(addr, Arc::clone(&served));
         let banner = probe(&ep).unwrap();
         assert_eq!(
-            ChainSummary::from_banner(&banner).unwrap().issuer_org,
-            "Let's Encrypt"
+            ChainSummary::from_banner(&banner).unwrap(),
+            ChainSummary::from_certificate(&served)
         );
 
         // Certificate rotation is visible immediately.
-        let mut rotated = summary();
-        rotated.issuer_org = "Russian Trusted Root CA".into();
-        write(&serving).insert(addr, rotated);
+        write(&serving).insert(addr, cert("Russian Trusted Root CA"));
         let banner = probe(&ep).unwrap();
         assert_eq!(
             ChainSummary::from_banner(&banner).unwrap().issuer_org,

@@ -7,13 +7,13 @@ use crate::catalog::{
 use crate::config::WorldConfig;
 use crate::domain_state::{DnsPlan, DomainState, HostingPlan, TlsProfile};
 use crate::timeline::{ConflictEvent, FaultTarget, InfraFault, Timeline};
-use crate::tls::{ChainSummary, ServingMap, TlsEndpoint, TLS_PORT};
+use crate::tls::{ServingMap, TlsEndpoint, TLS_PORT};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::Rng;
 use ruwhere_authdns::{AuthServer, RootHint, SharedZoneSet, ZoneSet};
 use ruwhere_ct::revocation::RevocationReason;
-use ruwhere_ct::{CaPolicy, CertificateAuthority, CtLog, OcspResponder};
+use ruwhere_ct::{CaPolicy, Certificate, CertificateAuthority, CtLog, OcspResponder};
 use ruwhere_dns::{Name, RData, Record, SoaData, Zone};
 use ruwhere_geo::{GeoDbBuilder, LongitudinalGeoDb};
 use ruwhere_netsim::{
@@ -249,7 +249,15 @@ impl World {
             issue_carry: vec![0.0; ca_specs.len()],
             cas: ca_specs
                 .iter()
-                .map(|s| {
+                .enumerate()
+                .map(|(i, s)| {
+                    // The state CA's chain ends in its own root; every other
+                    // CA chains to a root named after it.
+                    let root = if CaId(i as u16) == caid::RUSSIAN {
+                        s.org.to_owned()
+                    } else {
+                        format!("{} Root", s.org)
+                    };
                     CertificateAuthority::new(
                         s.org,
                         s.country,
@@ -257,6 +265,7 @@ impl World {
                         s.logs_to_ct,
                         s.validity_days,
                     )
+                    .with_chain(&[&root])
                 })
                 .collect(),
             ca_specs,
@@ -1408,50 +1417,40 @@ impl World {
             return;
         };
         for t in targets {
-            let (cn, san, ips, sanctioned): (String, Vec<DomainName>, Vec<Ipv4Addr>, bool) =
-                match &t {
-                    RussianCaTarget::Domain(name) => {
-                        let Some(d) = self.domains.get(name).filter(|d| d.tls.is_some()) else {
-                            continue;
-                        };
-                        let mut ips = vec![d.hosting.primary_ip];
-                        if let Some((_, ip)) = d.hosting.secondary {
-                            ips.push(ip);
-                        }
-                        (
-                            name.as_str().to_owned(),
-                            vec![name.clone()],
-                            ips,
-                            d.sanctioned,
-                        )
+            let (subject, san, ips, sanctioned) = match &t {
+                RussianCaTarget::Domain(name) => {
+                    let Some(d) = self.domains.get(name).filter(|d| d.tls.is_some()) else {
+                        continue;
+                    };
+                    let mut ips = vec![d.hosting.primary_ip];
+                    if let Some((_, ip)) = d.hosting.secondary {
+                        ips.push(ip);
                     }
-                    RussianCaTarget::ExtraSite(i) => {
-                        let (name, ip) = &self.extra_sites[*i];
-                        let san = DomainName::parse(name).ok().into_iter().collect();
-                        (name.clone(), san, vec![*ip], false)
-                    }
-                };
-            let subject = match DomainName::parse(&cn) {
-                Ok(d) => d,
-                Err(_) => continue,
+                    (name.clone(), vec![name.clone()], ips, d.sanctioned)
+                }
+                RussianCaTarget::ExtraSite(i) => {
+                    let (name, ip) = &self.extra_sites[*i];
+                    let Ok(name) = DomainName::parse(name) else {
+                        continue;
+                    };
+                    (name.clone(), vec![name], vec![*ip], false)
+                }
             };
             let ca_i = caid::RUSSIAN.0 as usize;
-            let chain = vec!["Russian Trusted Root CA".to_owned()];
-            if let Some(cert) = self.cas[ca_i].issue(&subject, san, 0, date, chain) {
+            if let Some(cert) = self.cas[ca_i].issue(&subject, san, 0, date) {
                 // Not CT-logged (logs_to_ct = false) — visible to the
                 // IP-wide scan only, via the served chain.
-                let summary = ChainSummary::from_certificate(&cert);
-                let mut serving = write(&self.serving);
-                for ip in ips {
-                    serving.insert(ip, summary.clone());
-                }
-                drop(serving);
                 self.issued_index.push(IssuedCert {
                     ca: caid::RUSSIAN,
                     serial: cert.serial,
                     domain: subject,
                     sanctioned,
                 });
+                let cert = Arc::new(cert);
+                let mut serving = write(&self.serving);
+                for ip in ips {
+                    serving.insert(ip, Arc::clone(&cert));
+                }
             }
         }
     }
@@ -1852,12 +1851,12 @@ impl World {
             name.clone(),
             name.prepend("www").unwrap_or_else(|_| name.clone()),
         ];
-        let chain = vec![format!("{} Root", self.ca_specs[i].org)];
-        let cert = self.cas[i].issue(name, san, brand, date, chain);
+        let cert = self.cas[i].issue(name, san, brand, date);
         if force {
             self.cas[i].policy = saved_policy;
         }
         let Some(cert) = cert else { return };
+        let cert = Arc::new(cert);
 
         let sanctioned = self
             .domains
@@ -1866,7 +1865,7 @@ impl World {
             .unwrap_or(false);
         if cert.ct_logged {
             for log in &mut self.ct_logs {
-                log.append(cert.clone(), date);
+                log.append(Arc::clone(&cert), date);
             }
         }
         self.issued_index.push(IssuedCert {
@@ -1882,18 +1881,17 @@ impl World {
         // without a TLS endpoint get the certificate (it exists in CT) but
         // never serve it.
         if let Some(d) = self.domains.get(name).filter(|d| d.tls.is_some()) {
-            let summary = ChainSummary::from_certificate(&cert);
             let mut serving = write(&self.serving);
-            let keeps_russian = |ip: &std::net::Ipv4Addr, s: &HashMap<Ipv4Addr, ChainSummary>| {
+            let keeps_russian = |ip: &Ipv4Addr, s: &HashMap<Ipv4Addr, Arc<Certificate>>| {
                 s.get(ip)
                     .is_some_and(|c| c.chain_contains_org("Russian Trusted Root CA"))
             };
             if !keeps_russian(&d.hosting.primary_ip, &serving) {
-                serving.insert(d.hosting.primary_ip, summary.clone());
+                serving.insert(d.hosting.primary_ip, Arc::clone(&cert));
             }
             if let Some((_, ip)) = d.hosting.secondary {
                 if !keeps_russian(&ip, &serving) {
-                    serving.insert(ip, summary);
+                    serving.insert(ip, Arc::clone(&cert));
                 }
             }
         }

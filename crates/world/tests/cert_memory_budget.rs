@@ -1,0 +1,91 @@
+//! Memory budget of the world's certificate state.
+//!
+//! Certificates are the world state that grows fastest with the study
+//! window: every issuance adds a certificate, its entries in both CT logs,
+//! an issuance-index row and possibly a served chain. A counting global
+//! allocator tracks live heap bytes, and the test compares two copies of
+//! one world advanced over the same days: one that issues certificates and
+//! one whose certificate window starts after the end. The difference,
+//! divided by the number of CT-logged certificates, is the live heap each
+//! certificate costs. This file holds a single test so nothing else
+//! allocates in its binary while it measures.
+
+use ruwhere_types::Date;
+use ruwhere_world::{World, WorldConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
+
+/// Live heap bytes: requested sizes allocated minus sizes freed.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Tracks live bytes, then forwards every call unchanged to [`System`].
+struct Counting;
+
+// SAFETY: each method forwards its arguments to `System` untouched, so the
+// `GlobalAlloc` contract holds exactly as it does for `System`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Upper bound on live heap bytes per CT-logged certificate in the tiny
+/// world advanced to 2022-04-01. With a deep copy of every certificate in
+/// each log, and issuer strings, chain and served chain summaries copied
+/// per certificate, it measured 1085 bytes. One certificate shared by both
+/// logs and the serving map, with issuer strings and chain shared per CA
+/// brand, brought it to 458; the bound is that count rounded up.
+const MAX_LIVE_BYTES_PER_CERT: f64 = 500.0;
+
+/// Live heap bytes a world holds after advancing to `end`, and its CT log
+/// size.
+fn advanced_world_bytes(cfg: WorldConfig, end: Date) -> (i64, u64) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut world = World::new(cfg);
+    world.advance_to(end);
+    let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let logged = world.ct_log().size();
+    drop(world);
+    (bytes, logged)
+}
+
+#[test]
+fn certificate_state_stays_within_budget() {
+    let end = Date::from_ymd(2022, 4, 1);
+    let with_certs = WorldConfig::tiny();
+    let mut without_certs = with_certs.clone();
+    without_certs.cert_start = without_certs.end.succ();
+
+    let (bytes, logged) = advanced_world_bytes(with_certs, end);
+    let (baseline, none) = advanced_world_bytes(without_certs, end);
+    assert_eq!(none, 0, "the control world issued certificates");
+    assert!(logged > 1_000, "only {logged} certificates logged");
+
+    let per_cert = (bytes - baseline) as f64 / logged as f64;
+    println!(
+        "{bytes} - {baseline} live bytes over {logged} logged certificates = {per_cert:.0} per certificate"
+    );
+    assert!(
+        per_cert < MAX_LIVE_BYTES_PER_CERT,
+        "{per_cert:.0} live bytes per certificate (budget {MAX_LIVE_BYTES_PER_CERT})"
+    );
+}

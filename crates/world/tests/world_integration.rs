@@ -2,9 +2,11 @@
 //! window, and observe it through the network the way a scanner would.
 
 use ruwhere_authdns::IterativeResolver;
+use ruwhere_ct::hash::hex;
 use ruwhere_dns::{Name, RType};
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::{ConflictEvent, DnsPlan, World, WorldConfig};
+use std::sync::Arc;
 
 fn tiny_world() -> World {
     World::new(WorldConfig::tiny())
@@ -160,7 +162,7 @@ fn certificates_flow_into_ct_log_and_endpoints() {
         .ct_log()
         .entries()
         .iter()
-        .filter(|e| e.cert.issuer.organization == "Russian Trusted Root CA")
+        .filter(|e| &*e.cert.issuer.organization == "Russian Trusted Root CA")
         .count();
     assert_eq!(russian, 0);
 
@@ -173,6 +175,40 @@ fn certificates_flow_into_ct_log_and_endpoints() {
 }
 
 #[test]
+fn ct_logs_share_certificates_and_keep_their_roots() {
+    let mut w = tiny_world();
+    w.advance_to(Date::from_ymd(2022, 4, 1));
+    let [argon, xenon] = w.ct_logs() else {
+        panic!("CAs submit to two logs");
+    };
+    // Both logs hold the same certificates and so the same Merkle tree;
+    // only the signatures, which bind the log identity, differ. The
+    // values pin the leaf encoding: a certificate's fingerprint hashes
+    // the same bytes however its fields are stored.
+    let root = "d0537e579aef548587e76cb1edc91a3b27118163116987614401bdd07cbc732d";
+    for (log, signature) in [
+        (
+            argon,
+            "3e4a0f07391e12a90d588bfdd9eea19faecb64c709dc5130660700280d9df17d",
+        ),
+        (
+            xenon,
+            "5bf671845bd6a26c2f5cab99a5a3c99491592ec1a21bea30ad1ce5d4558bd557",
+        ),
+    ] {
+        let sth = log.sth();
+        assert_eq!(sth.tree_size, 1142, "{}", log.name());
+        assert_eq!(hex(&sth.root), root, "{}", log.name());
+        assert_eq!(hex(&sth.signature), signature, "{}", log.name());
+    }
+    // One allocation per certificate, whichever log it is read from.
+    for (a, b) in argon.entries().iter().zip(xenon.entries()) {
+        assert!(Arc::ptr_eq(&a.cert, &b.cert));
+        assert_eq!(a.timestamp, b.timestamp);
+    }
+}
+
+#[test]
 fn ca_stops_are_enforced() {
     let mut w = tiny_world();
     w.advance_to(Date::from_ymd(2022, 4, 30));
@@ -181,10 +217,10 @@ fn ca_stops_are_enforced() {
     let mut last_digicert_regular = None;
     let mut last_le = None;
     for e in w.ct_log().entries() {
-        if e.cert.issuer.organization == "Let's Encrypt" {
+        if &*e.cert.issuer.organization == "Let's Encrypt" {
             last_le = Some(e.timestamp);
         }
-        if e.cert.issuer.organization == "DigiCert"
+        if &*e.cert.issuer.organization == "DigiCert"
             && e.cert.issuer.common_name.starts_with("DigiCert")
         {
             last_digicert_regular = Some(e.timestamp);
@@ -243,7 +279,7 @@ fn russian_ca_certs_are_served_but_not_logged() {
         w.ct_log()
             .entries()
             .iter()
-            .filter(|e| e.cert.issuer.organization == "Russian Trusted Root CA")
+            .filter(|e| &*e.cert.issuer.organization == "Russian Trusted Root CA")
             .count(),
         0
     );
