@@ -65,11 +65,15 @@ impl CaIssuanceAnalysis {
     pub fn new(ds: &CertDataset) -> Self {
         let mut per_day: BTreeMap<Date, BTreeMap<String, u64>> = BTreeMap::new();
         for r in &ds.records {
-            *per_day
-                .entry(r.date)
-                .or_default()
-                .entry(r.issuer_org.to_string())
-                .or_default() += 1;
+            let orgs = per_day.entry(r.date).or_default();
+            // Probe by `&str` first: the key is allocated once per
+            // organization and day, not once per certificate.
+            match orgs.get_mut(&*r.issuer_org) {
+                Some(n) => *n += 1,
+                None => {
+                    orgs.insert(r.issuer_org.to_string(), 1);
+                }
+            }
         }
         CaIssuanceAnalysis { per_day }
     }

@@ -5,7 +5,7 @@
 //! > hosted domain apexes or authoritative DNS infrastructure."
 
 use crate::engine::FrameObserver;
-use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SymSet};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SweepStats, SymSet};
 use ruwhere_types::Asn;
 use std::collections::BTreeSet;
 
@@ -21,10 +21,8 @@ pub struct DatasetStats {
     sweeps: u64,
     records: u64,
     partial_sweeps: u64,
-    timeouts: u64,
-    servfails: u64,
-    lame: u64,
-    retries_spent: u64,
+    /// Every sweep's counters, summed.
+    totals: SweepStats,
     /// Domain symbols ever observed; its length is the unique-name count.
     seen_syms: SymSet,
 }
@@ -65,25 +63,31 @@ impl DatasetStats {
         self.partial_sweeps
     }
 
+    /// DNS queries across all sweeps, warmups and NS-cache fills
+    /// included.
+    pub fn queries(&self) -> u64 {
+        self.totals.queries
+    }
+
     /// Query timeouts across all sweeps.
     pub fn timeouts(&self) -> u64 {
-        self.timeouts
+        self.totals.timeouts
     }
 
     /// SERVFAIL answers across all sweeps.
     pub fn servfails(&self) -> u64 {
-        self.servfails
+        self.totals.servfails
     }
 
     /// Lame answers across all sweeps.
     pub fn lame(&self) -> u64 {
-        self.lame
+        self.totals.lame
     }
 
     /// Failed exchanges charged to resolver retry budgets — the study's
     /// total wasted-query bill.
     pub fn retries_spent(&self) -> u64 {
-        self.retries_spent
+        self.totals.retries_spent
     }
 }
 
@@ -93,10 +97,7 @@ impl FrameObserver for DatasetStats {
         if frame.is_partial() {
             self.partial_sweeps += 1;
         }
-        self.timeouts += frame.stats.timeouts;
-        self.servfails += frame.stats.servfails;
-        self.lame += frame.stats.lame;
-        self.retries_spent += frame.stats.retries_spent;
+        self.totals.merge(&frame.stats);
     }
 
     fn observe_record(&mut self, rec: &RecordView<'_>, _snap: &InternerSnap<'_>) {
@@ -114,7 +115,7 @@ impl FrameObserver for DatasetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_store::{Completeness, FrameFixture, Interner, SweepStats};
+    use ruwhere_store::{Completeness, FrameFixture, Interner};
     use ruwhere_types::Date;
 
     /// One frame of `(domain, apex ASN, NS ASN)` records.
@@ -153,6 +154,7 @@ mod tests {
                 Date::from_ymd(2022, 1, 2),
                 &[("a.ru", 1, 11), ("c.ru", 3, 12)],
                 SweepStats {
+                    queries: 40,
                     timeouts: 5,
                     servfails: 2,
                     lame: 1,
@@ -169,6 +171,7 @@ mod tests {
         assert_eq!(stats.sweeps(), 2);
         assert_eq!(stats.records(), 4);
         assert_eq!(stats.partial_sweeps(), 1);
+        assert_eq!(stats.queries(), 40);
         assert_eq!(stats.timeouts(), 5);
         assert_eq!(stats.servfails(), 2);
         assert_eq!(stats.lame(), 1);

@@ -328,10 +328,6 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
     let mut scans_pending = cfg.ip_scans.clone();
     scans_pending.sort();
 
-    // Queries accounted by replayed checkpoints (their sweeps ran in the
-    // interrupted process); added to the live scanner's own count so
-    // `total_queries` matches an uninterrupted run exactly.
-    let mut replayed_queries: u64 = 0;
     let sweeps_run = cfg
         .stop_after_sweeps
         .map_or(sweep_dates.len(), |n| n.min(sweep_dates.len()));
@@ -369,7 +365,6 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                 // the next live sweep publishes its own day.
                 ck.interner.replay(&interner)?;
                 world.restore_net_clock_us(ck.net_clock_us);
-                replayed_queries += ck.frame.stats.queries;
                 ck.frame.clone()
             }
             None => {
@@ -416,7 +411,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                 "[study] {date}  sweep {}/{}  queries so far: {}",
                 i + 1,
                 sweep_dates.len(),
-                replayed_queries + scanner.queries_sent()
+                dataset.queries()
             );
         }
     }
@@ -448,9 +443,9 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         russian_ca,
         ip_scans,
         sanctions,
+        total_queries: dataset.queries(),
         dataset,
         transitions,
-        total_queries: replayed_queries + scanner.queries_sent(),
         sweeps_run,
     })
 }

@@ -40,6 +40,20 @@ impl RevocationRow {
     pub fn sanctioned_rate(&self) -> f64 {
         100.0 * self.sanctioned_revoked as f64 / self.sanctioned_issued.max(1) as f64
     }
+
+    /// Count one certificate of this CA.
+    fn count(&mut self, sanctioned: bool, revoked: bool) {
+        self.issued += 1;
+        if revoked {
+            self.revoked += 1;
+        }
+        if sanctioned {
+            self.sanctioned_issued += 1;
+            if revoked {
+                self.sanctioned_revoked += 1;
+            }
+        }
+    }
 }
 
 /// The full revocation analysis.
@@ -62,24 +76,21 @@ impl RevocationAnalysis {
             if r.not_after <= VALIDITY_CUTOFF {
                 continue;
             }
-            let row = rows
-                .entry(r.issuer_org.to_string())
-                .or_insert_with(|| RevocationRow {
-                    org: r.issuer_org.to_string(),
-                    ..RevocationRow::default()
-                });
             let sanctioned = r.domains.iter().any(|d| sanctions.is_sanctioned(d, as_of));
             let revoked = ocsp
                 .crl(&r.issuer_org)
                 .is_some_and(|crl| crl.is_revoked(r.serial, as_of));
-            row.issued += 1;
-            if revoked {
-                row.revoked += 1;
-            }
-            if sanctioned {
-                row.sanctioned_issued += 1;
-                if revoked {
-                    row.sanctioned_revoked += 1;
+            // Probe by `&str` first: an organization's key and row name are
+            // allocated once, not once per certificate.
+            match rows.get_mut(&*r.issuer_org) {
+                Some(row) => row.count(sanctioned, revoked),
+                None => {
+                    let mut row = RevocationRow {
+                        org: r.issuer_org.to_string(),
+                        ..RevocationRow::default()
+                    };
+                    row.count(sanctioned, revoked);
+                    rows.insert(row.org.clone(), row);
                 }
             }
         }

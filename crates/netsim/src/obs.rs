@@ -207,11 +207,6 @@ impl NetObs {
         self.fault_occupied_us += other.fault_occupied_us;
         self.links.merge(&other.links);
     }
-
-    /// Total packets dropped in flight (all causes).
-    pub fn total_drops(&self) -> u64 {
-        self.loss_drops + self.fault_drops
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +231,6 @@ mod tests {
         assert_eq!(ab, ba, "merge must commute");
 
         assert_eq!(ab.delay_us.count(), 2);
-        assert_eq!(ab.total_drops(), 2);
         assert_eq!(ab.loss_drops, 1);
         assert_eq!(ab.fault_drops, 1);
         assert_eq!(ab.fault_blackholes, 2);

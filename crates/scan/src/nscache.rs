@@ -17,16 +17,17 @@
 //!    overlay over the warmup-primed resolver base — a pure function of
 //!    the sweep-start snapshot, no matter which worker computes it or
 //!    when.
-//! 2. *Costs are charged exactly once.* The computing worker (and only
-//!    it) accounts the entry's query/latency cost, so summed sweep
-//!    counters do not depend on the worker count.
+//! 2. *Costs are charged exactly once.* The cache knows nothing of
+//!    costs: the compute closure runs only on the worker that fills the
+//!    entry, and it charges the entry's query/latency cost into that
+//!    worker's own ledger, so summed sweep counters do not depend on the
+//!    worker count.
 //!
 //! The cache is keyed by sweep date and cleared on date change: a daily
 //! measurement pipeline must re-observe everything each day (OpenINTEL
 //! semantics), so yesterday's addresses must never satisfy today's sweep.
 
 use ruwhere_dns::{Name, NameSlice};
-use ruwhere_netsim::{NetObs, NetStats};
 use ruwhere_types::hash::FastState;
 use ruwhere_types::sync::lock;
 use ruwhere_types::{Date, DomainName, FastMap};
@@ -41,34 +42,6 @@ const SHARDS: usize = 16;
 /// shard's table takes its bucket from, below the top seven it keeps as
 /// tags, so names that share a shard still spread over its buckets.
 const SHARD_SHIFT: u32 = 52;
-
-/// The measurement cost of computing one cache entry, charged to the
-/// worker that computed it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LookupCost {
-    /// Queries the entry's resolution spent.
-    pub queries: u64,
-    /// Virtual time the entry's lane consumed, in microseconds.
-    pub virtual_us: u64,
-    /// Per-cause failure counters (timeouts).
-    pub timeouts: u64,
-    /// SERVFAIL answers.
-    pub servfails: u64,
-    /// Lame answers.
-    pub lame: u64,
-    /// Failed exchanges charged to retry budgets.
-    pub retries_spent: u64,
-    /// Transport-level counters of the entry's lane.
-    pub net: NetStats,
-    /// The lane's end instant in microseconds (for sweep wall-clock).
-    pub lane_end_us: u64,
-    /// Transport observability of the entry's lane. Charged into the
-    /// sweep's [`SweepMetrics`](crate::SweepMetrics) exactly once,
-    /// alongside the scalar cost.
-    pub net_obs: NetObs,
-    /// Resolver observability of the entry's resolution.
-    pub resolver_obs: ruwhere_authdns::ResolverObs,
-}
 
 /// One computed entry: the host's spelling and its resolved addresses.
 #[derive(Debug, Clone)]
@@ -90,9 +63,8 @@ pub struct CacheHit {
     /// The resolved NS-target addresses, shared with the cache: a hit
     /// copies nothing.
     pub ips: Arc<[Ipv4Addr]>,
-    /// `Some(cost)` iff this call computed the entry (a miss); the caller
-    /// must account the cost into its sweep counters exactly then.
-    pub computed: Option<LookupCost>,
+    /// Whether this call computed the entry (a miss) rather than read it.
+    pub computed: bool,
 }
 
 /// The shared NS-target A cache. One per scanner; lives across sweeps but
@@ -160,7 +132,7 @@ impl NsCache {
     /// a hit nor a miss.
     pub fn get_or_compute<F>(&self, name: &NameSlice, compute: F) -> Option<CacheHit>
     where
-        F: FnOnce(&DomainName) -> (Vec<Ipv4Addr>, LookupCost),
+        F: FnOnce(&DomainName) -> Vec<Ipv4Addr>,
     {
         let mut host = None;
         let entry = {
@@ -180,7 +152,7 @@ impl NsCache {
             return Some(CacheHit {
                 host: v.host.clone(),
                 ips: Arc::clone(&v.ips),
-                computed: None,
+                computed: false,
             });
         }
         // Only names with a spelling get an entry; an empty one left by a
@@ -189,7 +161,7 @@ impl NsCache {
             Some(host) => host,
             None => name.to_domain_name()?,
         };
-        let (ips, cost) = compute(&host);
+        let ips = compute(&host);
         let value = CacheValue {
             host,
             ips: ips.into(),
@@ -198,7 +170,7 @@ impl NsCache {
         Some(CacheHit {
             host: value.host,
             ips: value.ips,
-            computed: Some(cost),
+            computed: true,
         })
     }
 
@@ -232,18 +204,10 @@ mod tests {
         let mut cache = NsCache::new();
         cache.begin_sweep(Date::from_ymd(2022, 3, 1));
         let first = cache
-            .get_or_compute(&name("ns1.hoster.ru"), |_| {
-                (
-                    vec![ip(1)],
-                    LookupCost {
-                        queries: 3,
-                        ..LookupCost::default()
-                    },
-                )
-            })
+            .get_or_compute(&name("ns1.hoster.ru"), |_| vec![ip(1)])
             .unwrap();
         assert_eq!(*first.ips, [ip(1)]);
-        assert!(first.computed.is_some(), "first lookup must compute");
+        assert!(first.computed, "first lookup must compute");
         let second = cache
             .get_or_compute(&name("ns1.hoster.ru"), |_| {
                 panic!("cached entry recomputed")
@@ -254,16 +218,14 @@ mod tests {
             Arc::ptr_eq(&first.ips, &second.ips),
             "a hit shares the entry"
         );
-        assert!(second.computed.is_none(), "second lookup must hit");
+        assert!(!second.computed, "second lookup must hit");
     }
 
     #[test]
     fn never_serves_across_a_day_boundary() {
         let mut cache = NsCache::new();
         cache.begin_sweep(Date::from_ymd(2022, 3, 1));
-        cache.get_or_compute(&name("ns1.hoster.ru"), |_| {
-            (vec![ip(1)], LookupCost::default())
-        });
+        cache.get_or_compute(&name("ns1.hoster.ru"), |_| vec![ip(1)]);
         assert_eq!(
             cache.peek(&name("ns1.hoster.ru")).as_deref(),
             Some(&[ip(1)][..])
@@ -275,11 +237,9 @@ mod tests {
         assert!(cache.is_empty(), "day boundary must clear the cache");
         assert_eq!(cache.peek(&name("ns1.hoster.ru")), None);
         let relookup = cache
-            .get_or_compute(&name("ns1.hoster.ru"), |_| {
-                (vec![ip(2)], LookupCost::default())
-            })
+            .get_or_compute(&name("ns1.hoster.ru"), |_| vec![ip(2)])
             .unwrap();
-        assert!(relookup.computed.is_some(), "new day must recompute");
+        assert!(relookup.computed, "new day must recompute");
         assert_eq!(*relookup.ips, [ip(2)]);
     }
 
@@ -288,9 +248,7 @@ mod tests {
         let mut cache = NsCache::new();
         let d = Date::from_ymd(2022, 3, 1);
         cache.begin_sweep(d);
-        cache.get_or_compute(&name("ns1.hoster.ru"), |_| {
-            (vec![ip(1)], LookupCost::default())
-        });
+        cache.get_or_compute(&name("ns1.hoster.ru"), |_| vec![ip(1)]);
         cache.begin_sweep(d);
         assert_eq!(cache.len(), 1, "same-date rebind keeps entries");
         assert_eq!(cache.date(), Some(d));
@@ -314,7 +272,7 @@ mod tests {
                         let hit = cache
                             .get_or_compute(n, |_| {
                                 computes.fetch_add(1, Ordering::SeqCst);
-                                (vec![ip(9)], LookupCost::default())
+                                vec![ip(9)]
                             })
                             .unwrap();
                         assert_eq!(*hit.ips, [ip(9)]);
@@ -351,10 +309,10 @@ mod tests {
         let hit = cache
             .get_or_compute(&name("ns1.hoster.ru"), |host| {
                 assert_eq!(host.as_str(), "ns1.hoster.ru");
-                (vec![ip(3)], LookupCost::default())
+                vec![ip(3)]
             })
             .unwrap();
         assert_eq!(hit.host.as_str(), "ns1.hoster.ru");
-        assert!(hit.computed.is_some(), "a spelled name computes");
+        assert!(hit.computed, "a spelled name computes");
     }
 }

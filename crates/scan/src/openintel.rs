@@ -43,13 +43,16 @@
 //!    is computed once per sweep, on its own lane keyed by `(date,
 //!    ns-name)` from a freshly reset overlay of its own (the lookup runs
 //!    nested inside a domain's walk), and its query cost is charged
-//!    exactly once. Which worker computes is scheduling-dependent; the
-//!    value and the summed counters are not.
+//!    exactly once, by the computing worker. Which worker computes is
+//!    scheduling-dependent; the value and the summed counters are not.
 //!
-//! Counters merge associatively (`virtual_elapsed_us` is the sum of all
-//! lane times — the aggregate latency cost of the measurement), salvage
-//! classification runs post-merge on the merged counters, and the
-//! network's global clock advances to the deterministic maximum lane end.
+//! Every lane's cost — the warmup's, each NS-target fill's and each
+//! domain's — is charged through one function into a ledger of
+//! [`SweepStats`] plus transport counters and metrics. Ledgers merge
+//! associatively (`virtual_elapsed_us` is the sum of all lane times — the
+//! aggregate latency cost of the measurement), salvage classification
+//! runs post-merge on the merged counters, and the network's global clock
+//! advances to the deterministic maximum lane end.
 //!
 //! # The columnar data plane
 //!
@@ -63,14 +66,14 @@
 //! post-merge frame-build pass, under one interner lock.
 
 use crate::error::ScanError;
-use crate::nscache::{CacheHit, LookupCost, NsCache};
+use crate::nscache::{CacheHit, NsCache};
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
     IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase, Resolution, ResolveError,
     RootHint,
 };
 use ruwhere_dns::{Name, NameSlice, RData, RType, Record};
-use ruwhere_netsim::{NetStats, Network, SimTime};
+use ruwhere_netsim::{Lane, NetStats, Network, SimTime};
 use ruwhere_obs::Recorder;
 use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
 use ruwhere_store::{FrameBuilder, Interner, SweepFrame, Sym};
@@ -220,49 +223,52 @@ struct Raw {
     apex_ips: Vec<Ipv4Addr>,
 }
 
-/// Per-worker counter accumulator; merged associatively post-join, so
-/// totals are independent of how domains were sharded.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    ns_failures: u64,
-    apex_failures: u64,
-    queries: u64,
-    virtual_us: u64,
-    timeouts: u64,
-    servfails: u64,
-    lame: u64,
-    retries_spent: u64,
-    ns_cache_hits: u64,
-    ns_cache_misses: u64,
+/// A share of one sweep's cost — the warmup's, or one worker's: the sweep
+/// counters, the lanes' transport counters and latest end instant, and
+/// the observability section. Ledgers merge associatively post-join, so
+/// the totals are independent of how domains were sharded.
+#[derive(Default)]
+struct Ledger {
+    stats: SweepStats,
     net: NetStats,
-    max_lane_end_us: u64,
+    lane_end_us: u64,
+    metrics: SweepMetrics,
 }
 
-impl Tally {
-    fn merge(&mut self, other: &Tally) {
-        self.ns_failures += other.ns_failures;
-        self.apex_failures += other.apex_failures;
-        self.queries += other.queries;
-        self.virtual_us += other.virtual_us;
-        self.timeouts += other.timeouts;
-        self.servfails += other.servfails;
-        self.lame += other.lame;
-        self.retries_spent += other.retries_spent;
-        self.ns_cache_hits += other.ns_cache_hits;
-        self.ns_cache_misses += other.ns_cache_misses;
+impl Ledger {
+    fn merge(&mut self, other: &Ledger) {
+        self.stats.merge(&other.stats);
         self.net.merge(other.net);
-        self.max_lane_end_us = self.max_lane_end_us.max(other.max_lane_end_us);
+        self.lane_end_us = self.lane_end_us.max(other.lane_end_us);
+        self.metrics.merge(&other.metrics);
     }
 
-    fn charge_cost(&mut self, cost: &LookupCost) {
-        self.queries += cost.queries;
-        self.virtual_us += cost.virtual_us;
-        self.timeouts += cost.timeouts;
-        self.servfails += cost.servfails;
-        self.lame += cost.lame;
-        self.retries_spent += cost.retries_spent;
-        self.net.merge(cost.net);
-        self.max_lane_end_us = self.max_lane_end_us.max(cost.lane_end_us);
+    /// Lend the ledger's observability aggregates to a just-opened `lane`
+    /// and a just-reset `resolver`, which record straight into them:
+    /// threading one accumulator through every lane avoids a per-domain
+    /// histogram allocation and merge, and every record is a commutative
+    /// integer fold, so the totals are byte-identical either way.
+    fn lend(&mut self, lane: &mut Lane<'_>, resolver: &mut IterativeResolver) {
+        lane.install_obs(std::mem::take(&mut self.metrics.net));
+        resolver.install_obs(std::mem::take(&mut self.metrics.resolver));
+    }
+
+    /// Charge everything `lane` and `resolver` spent since the
+    /// [`lend`](Self::lend) that must precede this call, and take the lent
+    /// aggregates back. The one place a lane's and a resolver's counters
+    /// become sweep totals.
+    fn charge(&mut self, lane: &mut Lane<'_>, resolver: &mut IterativeResolver) {
+        let causes = resolver.stats();
+        self.stats.queries += resolver.queries_sent();
+        self.stats.timeouts += causes.timeouts;
+        self.stats.servfails += causes.servfails;
+        self.stats.lame += causes.lame;
+        self.stats.retries_spent += causes.retries_spent;
+        self.stats.virtual_elapsed_us += lane.elapsed_us();
+        self.lane_end_us = self.lane_end_us.max(lane.now().as_micros());
+        self.net.merge(lane.stats());
+        self.metrics.net = lane.take_obs();
+        self.metrics.resolver = resolver.take_obs();
     }
 }
 
@@ -281,14 +287,14 @@ struct SweepCtx<'a> {
 /// routes the resolver's internal out-of-bailiwick NS-target A lookups
 /// through the shared sweep cache, so each hoster name server resolves
 /// exactly once per sweep instead of once per customer domain. A miss
-/// resolves on the worker's second overlay (the domain's own is mid-walk),
-/// and hit/miss counts and miss costs accumulate here across the worker's
-/// domains, folded into its shard totals once at the end — every field
-/// merges commutatively, so the totals are the same as per-domain folds.
+/// resolves on the worker's second overlay (the domain's own is mid-walk)
+/// and charges the worker's second ledger (the domain's own has its
+/// aggregates lent to the domain's lane); hit/miss counts land there too,
+/// and it folds into the worker's shard totals once at the end.
 struct SharedDeps<'a> {
     ctx: &'a SweepCtx<'a>,
     ns_resolver: RefCell<IterativeResolver>,
-    acc: RefCell<(Tally, SweepMetrics)>,
+    ledger: RefCell<Ledger>,
 }
 
 impl<'a> SharedDeps<'a> {
@@ -296,27 +302,28 @@ impl<'a> SharedDeps<'a> {
         SharedDeps {
             ctx,
             ns_resolver: RefCell::new(IterativeResolver::overlay(ctx.primed)),
-            acc: RefCell::default(),
+            ledger: RefCell::default(),
         }
     }
 
     /// Look `name` up in the shared cache and count the hit or miss; a
-    /// miss also charges its cost and observability into the worker's
-    /// accumulator. `None` for a name with no hostname spelling.
+    /// miss also charges its cost into this ledger. `None` for a name with
+    /// no hostname spelling.
     fn lookup(&self, name: &NameSlice) -> Option<CacheHit> {
         let hit = self.ctx.cache.get_or_compute(name, |ns| {
-            resolve_ns_target(self.ctx, &mut self.ns_resolver.borrow_mut(), name, ns)
+            resolve_ns_target(
+                self.ctx,
+                &mut self.ns_resolver.borrow_mut(),
+                &mut self.ledger.borrow_mut(),
+                name,
+                ns,
+            )
         })?;
-        let mut acc = self.acc.borrow_mut();
-        let (tally, metrics) = &mut *acc;
-        match &hit.computed {
-            Some(cost) => {
-                tally.ns_cache_misses += 1;
-                tally.charge_cost(cost);
-                metrics.net.merge(&cost.net_obs);
-                metrics.resolver.merge(&cost.resolver_obs);
-            }
-            None => tally.ns_cache_hits += 1,
+        let stats = &mut self.ledger.borrow_mut().stats;
+        if hit.computed {
+            stats.ns_cache_misses += 1;
+        } else {
+            stats.ns_cache_hits += 1;
         }
         Some(hit)
     }
@@ -366,48 +373,37 @@ fn resolve_with_retry<T: ruwhere_netsim::Transport>(
 /// Resolve one NS-target host (`name`, spelled `ns`) to addresses on its
 /// own `(date, ns)` lane with a freshly reset overlay — a pure function of
 /// the sweep-start snapshot, so the cached value is identical no matter
-/// which worker computes it.
+/// which worker computes it — and charge its cost to `ledger`.
 fn resolve_ns_target(
     ctx: &SweepCtx<'_>,
     resolver: &mut IterativeResolver,
+    ledger: &mut Ledger,
     name: &NameSlice,
     ns: &DomainName,
-) -> (Vec<Ipv4Addr>, LookupCost) {
+) -> Vec<Ipv4Addr> {
     let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
     resolver.reset();
+    ledger.lend(&mut lane, resolver);
     let ips = match resolve_with_retry(resolver, &mut lane, name, RType::A, &NoDependencyCache) {
         Ok(res) => res.addresses(),
         Err(_) => Vec::new(),
     };
-    let causes = resolver.stats();
-    let cost = LookupCost {
-        queries: resolver.queries_sent(),
-        virtual_us: lane.elapsed_us(),
-        timeouts: causes.timeouts,
-        servfails: causes.servfails,
-        lame: causes.lame,
-        retries_spent: causes.retries_spent,
-        net: lane.stats(),
-        lane_end_us: lane.now().as_micros(),
-        net_obs: lane.take_obs(),
-        resolver_obs: resolver.take_obs(),
-    };
-    (ips, cost)
+    ledger.charge(&mut lane, resolver);
+    ips
 }
 
 /// Measure one domain: NS set, NS-target addresses (through the shared
 /// cache), apex A — all on the domain's own `(date, domain)` lane with the
-/// worker's overlay `resolver`, reset first. Failure latencies are
-/// recorded per cause into the worker's metric section; the span clock is
-/// the lane's virtual time, so the recorded values are as deterministic as
-/// the measurement itself.
+/// worker's overlay `resolver`, reset first, charged to `ledger`. Failure
+/// latencies are recorded per cause into the ledger's metric section; the
+/// span clock is the lane's virtual time, so the recorded values are as
+/// deterministic as the measurement itself.
 fn measure_domain(
     domain: &DomainName,
     sym: Sym,
     resolver: &mut IterativeResolver,
     deps: &SharedDeps<'_>,
-    tally: &mut Tally,
-    metrics: &mut SweepMetrics,
+    ledger: &mut Ledger,
 ) -> Raw {
     let ctx = deps.ctx;
     if let Some(inject) = ctx.panic_inject {
@@ -415,13 +411,7 @@ fn measure_domain(
     }
     let mut lane = ctx.net.lane(format_args!("{}/{}", ctx.date, domain));
     resolver.reset();
-    // Thread the worker's accumulators through this domain's lane and
-    // resolver: records land directly in the running totals, avoiding a
-    // per-domain histogram allocation + merge. Every record is a
-    // commutative integer fold, so the totals are byte-identical to
-    // the merge-per-domain formulation.
-    lane.install_obs(std::mem::take(&mut metrics.net));
-    resolver.install_obs(std::mem::take(&mut metrics.resolver));
+    ledger.lend(&mut lane, resolver);
     let qname = Name::from(domain);
 
     let ns_span = Recorder::span(lane.elapsed_us());
@@ -431,7 +421,7 @@ fn measure_domain(
         Ok(_) => &[],
         Err(e) => {
             let key = fail_key(ScanError::from(*e).category());
-            ns_span.end(&mut metrics.causes, key, lane.elapsed_us());
+            ns_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
             &[]
         }
     };
@@ -443,9 +433,8 @@ fn measure_domain(
         let RData::Ns(name) = &r.data else {
             continue;
         };
-        // `metrics.net`/`.resolver` are installed in the lane and resolver
-        // right now, so a miss is charged into the worker's deps
-        // accumulator, folded in when the shard ends.
+        // A miss is charged to the deps ledger: this one's aggregates
+        // are lent to the domain's lane and resolver right now.
         let Some(hit) = deps.lookup(name) else {
             continue;
         };
@@ -455,7 +444,7 @@ fn measure_domain(
     ns_ips.sort_unstable();
     ns_ips.dedup();
     if ns_names.is_empty() {
-        tally.ns_failures += 1;
+        ledger.stats.ns_failures += 1;
     }
 
     let apex_span = Recorder::span(lane.elapsed_us());
@@ -463,27 +452,17 @@ fn measure_domain(
         Ok(res) => res.addresses(),
         Err(e) => {
             let key = fail_key(ScanError::from(e).category());
-            apex_span.end(&mut metrics.causes, key, lane.elapsed_us());
+            apex_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
             Vec::new()
         }
     };
     if apex_ips.is_empty() {
-        tally.apex_failures += 1;
+        ledger.stats.apex_failures += 1;
     }
 
-    tally.queries += resolver.queries_sent();
-    let causes = resolver.stats();
-    tally.timeouts += causes.timeouts;
-    tally.servfails += causes.servfails;
-    tally.lame += causes.lame;
-    tally.retries_spent += causes.retries_spent;
-    tally.virtual_us += lane.elapsed_us();
-    tally.max_lane_end_us = tally.max_lane_end_us.max(lane.now().as_micros());
-    tally.net.merge(lane.stats());
-    metrics.net = lane.take_obs();
-    metrics.resolver = resolver.take_obs();
+    ledger.charge(&mut lane, resolver);
     if !ns_names.is_empty() {
-        metrics.causes.record(keys::OK_US, lane.elapsed_us());
+        ledger.metrics.causes.record(keys::OK_US, lane.elapsed_us());
     }
 
     Raw {
@@ -499,20 +478,16 @@ fn measure_domain(
 /// under the `worker_lost` cause, feeding the same per-cause salvage
 /// path an outage day uses. Whatever the dead worker had measured is
 /// gone — the gap is explicit, never silently half-reported.
-fn lost_shard_output(
-    range: std::ops::Range<usize>,
-    syms: &[Sym],
-) -> (Vec<Raw>, Tally, SweepMetrics) {
-    let mut tally = Tally::default();
-    let mut metrics = SweepMetrics::default();
+fn lost_shard_output(range: std::ops::Range<usize>, syms: &[Sym]) -> (Vec<Raw>, Ledger) {
+    let mut ledger = Ledger::default();
     let mut raws = Vec::with_capacity(range.len());
     let lost_key = fail_key(ScanError::WorkerLost.category());
     for idx in range {
-        tally.ns_failures += 1;
-        tally.apex_failures += 1;
+        ledger.stats.ns_failures += 1;
+        ledger.stats.apex_failures += 1;
         // No lane ran for this record: the loss is an accounting
         // event, recorded at zero virtual time.
-        metrics.causes.record(lost_key, 0);
+        ledger.metrics.causes.record(lost_key, 0);
         raws.push(Raw {
             domain: syms[idx],
             ns_names: Vec::new(),
@@ -520,8 +495,11 @@ fn lost_shard_output(
             apex_ips: Vec::new(),
         });
     }
-    metrics.causes.add(keys::DOMAINS_LOST, raws.len() as u64);
-    (raws, tally, metrics)
+    ledger
+        .metrics
+        .causes
+        .add(keys::DOMAINS_LOST, raws.len() as u64);
+    (raws, ledger)
 }
 
 /// The sweep engine. Owns the measurement vantage (client address and root
@@ -600,11 +578,6 @@ impl OpenIntelScanner {
             seeds.iter().map(|seed| symbols.intern_name(seed)).collect()
         };
 
-        let mut stats = SweepStats {
-            seeded: seeds.len() as u64,
-            ..SweepStats::default()
-        };
-
         // Warmup: prime one resolver on the TLD cuts, serially, before any
         // worker exists, then freeze it. Every domain resolves on an
         // overlay over this frozen base, so per-domain state is identical
@@ -617,11 +590,11 @@ impl OpenIntelScanner {
         // and seed the cut with the complete rotation; zones that answer
         // NoData at the apex keep the referral glue.
         let mut primed = IterativeResolver::new(self.client_ip, self.roots.clone());
-        let mut total = Tally::default();
-        let mut total_metrics = SweepMetrics::default();
+        let mut total = Ledger::default();
         {
             let net = world.network();
             let mut lane = net.lane(format_args!("{date}/warmup"));
+            total.lend(&mut lane, &mut primed);
             let mut tlds: Vec<&str> = seeds.iter().map(|d| d.tld()).collect();
             tlds.sort_unstable();
             tlds.dedup();
@@ -643,24 +616,15 @@ impl OpenIntelScanner {
                 addrs.dedup();
                 primed.seed_cut(tld_name, addrs);
             }
-            let causes = primed.stats();
-            total.queries = primed.queries_sent();
-            total.timeouts = causes.timeouts;
-            total.servfails = causes.servfails;
-            total.lame = causes.lame;
-            total.retries_spent = causes.retries_spent;
-            total.virtual_us = lane.elapsed_us();
-            total.max_lane_end_us = lane.now().as_micros();
-            total.net = lane.stats();
-            total_metrics.net.merge(&lane.take_obs());
-            total_metrics.resolver.merge(&primed.take_obs());
+            total.charge(&mut lane, &mut primed);
         }
         let primed = primed.freeze();
 
         // Fan out: contiguous shards, one scoped worker each, merged back
         // in shard order (= zone-snapshot order). Each worker carries its
-        // own tally AND its own metric section; both merge associatively,
-        // so the merged metrics are byte-identical for any worker count.
+        // own ledger (counters AND metric section); ledgers merge
+        // associatively, so the merged totals are byte-identical for any
+        // worker count.
         //
         // Workers are panic-isolated: a panicked shard is detected at the
         // supervised join (no `.expect` abort), retried once inline, and
@@ -679,8 +643,7 @@ impl OpenIntelScanner {
         let seeds_ref = &seeds;
         let syms_ref = &syms;
         let run_range = |range: std::ops::Range<usize>| {
-            let mut tally = Tally::default();
-            let mut metrics = SweepMetrics::default();
+            let mut ledger = Ledger::default();
             let mut raws = Vec::with_capacity(range.len());
             let mut resolver = IterativeResolver::overlay(ctx_ref.primed);
             let deps = SharedDeps::new(ctx_ref);
@@ -690,17 +653,14 @@ impl OpenIntelScanner {
                     syms_ref[idx],
                     &mut resolver,
                     &deps,
-                    &mut tally,
-                    &mut metrics,
+                    &mut ledger,
                 ));
             }
-            let (deps_tally, deps_metrics) = deps.acc.into_inner();
-            tally.merge(&deps_tally);
-            metrics.merge(&deps_metrics);
-            (raws, tally, metrics)
+            ledger.merge(&deps.ledger.into_inner());
+            (raws, ledger)
         };
         let run_range = &run_range;
-        type ShardResult = Result<(Vec<Raw>, Tally, SweepMetrics), std::ops::Range<usize>>;
+        type ShardResult = Result<(Vec<Raw>, Ledger), std::ops::Range<usize>>;
         let joined: Vec<ShardResult> = std::thread::scope(|s| {
             let handles: Vec<_> = plan
                 .ranges()
@@ -714,8 +674,7 @@ impl OpenIntelScanner {
                 .collect()
         });
 
-        let mut shard_outputs: Vec<(Vec<Raw>, Tally, SweepMetrics)> =
-            Vec::with_capacity(joined.len());
+        let mut shard_outputs: Vec<(Vec<Raw>, Ledger)> = Vec::with_capacity(joined.len());
         for res in joined {
             match res {
                 Ok(out) => shard_outputs.push(out),
@@ -730,11 +689,11 @@ impl OpenIntelScanner {
                     }));
                     match retried {
                         Ok(out) => {
-                            stats.shards_retried += 1;
+                            total.stats.shards_retried += 1;
                             shard_outputs.push(out);
                         }
                         Err(_) => {
-                            stats.shards_lost += 1;
+                            total.stats.shards_lost += 1;
                             shard_outputs.push(lost_shard_output(range, syms_ref));
                         }
                     }
@@ -743,31 +702,26 @@ impl OpenIntelScanner {
         }
 
         let mut raw: Vec<Raw> = Vec::with_capacity(seeds.len());
-        for (raws, tally, metrics) in shard_outputs {
-            total.merge(&tally);
-            total_metrics.merge(&metrics);
+        for (raws, ledger) in shard_outputs {
+            total.merge(&ledger);
             raw.extend(raws);
         }
-
-        stats.ns_failures = total.ns_failures;
-        stats.apex_failures = total.apex_failures;
-        stats.queries = total.queries;
-        stats.virtual_elapsed_us = total.virtual_us;
-        stats.timeouts = total.timeouts;
-        stats.servfails = total.servfails;
-        stats.lame = total.lame;
-        stats.retries_spent = total.retries_spent;
-        stats.ns_cache_hits = total.ns_cache_hits;
-        stats.ns_cache_misses = total.ns_cache_misses;
-        self.total_queries += total.queries;
+        total.stats.seeded = seeds.len() as u64;
+        let Ledger {
+            mut stats,
+            net,
+            lane_end_us,
+            metrics: mut total_metrics,
+        } = total;
+        self.total_queries += stats.queries;
 
         // The world's clock advances to the deterministic end of the
         // slowest lane, and the lanes' transport counters fold into the
         // network's globals.
         world
             .network_mut()
-            .advance_to_time(SimTime::ZERO.plus_us(total.max_lane_end_us));
-        world.network_mut().absorb_lane_stats(total.net);
+            .advance_to_time(SimTime::ZERO.plus_us(lane_end_us));
+        world.network_mut().absorb_lane_stats(net);
 
         // Gap salvage: a day where most NS resolutions failed is not a
         // usable full snapshot (the real pipeline records such days as

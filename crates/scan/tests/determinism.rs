@@ -11,6 +11,7 @@ use ruwhere_dns::{Name, RType};
 use ruwhere_netsim::fault::{FaultWindow, LinkFault, ServerFault, ServerFaultMode};
 use ruwhere_netsim::{NetObs, NetStats, SimTime};
 use ruwhere_scan::{OpenIntelScanner, SweepFrame, SweepOptions};
+use ruwhere_store::checkpoint::fnv1a64;
 use ruwhere_types::DomainName;
 use ruwhere_world::{ConflictEvent, FaultTarget, InfraFault, World, WorldConfig};
 use std::net::Ipv4Addr;
@@ -169,6 +170,49 @@ fn more_workers_than_useful_is_still_identical() {
     assert_eq!(serial.metrics.render_json(), wide.metrics.render_json());
 }
 
+/// The tiny world at 15 % background loss with the first name-server box
+/// of four hosting providers flapping (provider ids 3..=6; 0 and 1 are
+/// the root and the TLD operator): timeouts, retries and penalty boxes
+/// on every layer of a sweep.
+fn flapping_hoster_world() -> World {
+    let mut world = World::new(WorldConfig::tiny());
+    world.network_mut().loss_rate = 0.15;
+    let plan = world.network_mut().faults_mut();
+    for provider in 3..7u8 {
+        plan.add_server_fault(ServerFault {
+            addr: Ipv4Addr::new(20, provider, 128, 1),
+            port: None,
+            mode: ServerFaultMode::Flapping { period_us: 750_000 },
+            window: FaultWindow::from(SimTime::ZERO),
+        });
+    }
+    world
+}
+
+/// A faulted sweep's counters and metric section, pinned. The warmup,
+/// every NS-target fill and every domain charge the sweep's totals; a
+/// charge site that counted a lane twice or dropped one would move these
+/// figures while every worker count still agreed with every other.
+#[test]
+fn faulted_sweep_counters_are_pinned() {
+    let mut world = flapping_hoster_world();
+    let mut scanner = OpenIntelScanner::with_options(&world, SweepOptions::new().workers(1));
+    let frame = scanner.sweep_frame(&mut world);
+    assert_eq!(
+        format!("{:?}", frame.stats),
+        "SweepStats { seeded: 525, ns_failures: 17, apex_failures: 24, queries: 2025, \
+         virtual_elapsed_us: 2121105148, timeouts: 241, servfails: 0, lame: 0, \
+         retries_spent: 241, ns_cache_hits: 1291, ns_cache_misses: 100, shards_retried: 0, \
+         shards_lost: 0, completeness: Full }"
+    );
+    assert_eq!(
+        fnv1a64(frame.metrics.render_json().as_bytes()),
+        0xaa71_80b0_2479_5cbc,
+        "the sweep's metric section moved"
+    );
+    assert_eq!(scanner.queries_sent(), frame.stats.queries);
+}
+
 /// Everything one domain's measurement leaves behind: the answers, the
 /// resolver's counters and observability, and the lane's.
 #[derive(Debug, PartialEq)]
@@ -223,19 +267,7 @@ fn measure(world: &World, resolver: &mut IterativeResolver, domain: &DomainName)
 /// before.
 #[test]
 fn a_reused_overlay_measures_like_a_fresh_one() {
-    let mut world = World::new(WorldConfig::tiny());
-    world.network_mut().loss_rate = 0.15;
-    // Flap the first name-server box of four hosting providers (provider
-    // ids 3..=6; 0 and 1 are the root and the TLD operator).
-    let plan = world.network_mut().faults_mut();
-    for provider in 3..7u8 {
-        plan.add_server_fault(ServerFault {
-            addr: Ipv4Addr::new(20, provider, 128, 1),
-            port: None,
-            mode: ServerFaultMode::Flapping { period_us: 750_000 },
-            window: FaultWindow::from(SimTime::ZERO),
-        });
-    }
+    let mut world = flapping_hoster_world();
     world.publish_tld_zones();
     let seeds = world.seed_names();
 

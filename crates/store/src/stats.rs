@@ -59,3 +59,78 @@ pub struct SweepStats {
     /// Whether the sweep is full or a salvaged partial.
     pub completeness: Completeness,
 }
+
+impl SweepStats {
+    /// Add every counter of `other` into `self` (commutative and
+    /// associative, so per-worker and per-day totals fold in any order).
+    /// `completeness` is left alone: it is a verdict on one sweep, set by
+    /// its salvage pass, not a count.
+    pub fn merge(&mut self, other: &SweepStats) {
+        self.seeded += other.seeded;
+        self.ns_failures += other.ns_failures;
+        self.apex_failures += other.apex_failures;
+        self.queries += other.queries;
+        self.virtual_elapsed_us += other.virtual_elapsed_us;
+        self.timeouts += other.timeouts;
+        self.servfails += other.servfails;
+        self.lame += other.lame;
+        self.retries_spent += other.retries_spent;
+        self.ns_cache_hits += other.ns_cache_hits;
+        self.ns_cache_misses += other.ns_cache_misses;
+        self.shards_retried += other.shards_retried;
+        self.shards_lost += other.shards_lost;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Stats whose counters are all distinct multiples of `k`.
+    fn sample(k: u64, completeness: Completeness) -> SweepStats {
+        SweepStats {
+            seeded: k,
+            ns_failures: 2 * k,
+            apex_failures: 3 * k,
+            queries: 4 * k,
+            virtual_elapsed_us: 5 * k,
+            timeouts: 6 * k,
+            servfails: 7 * k,
+            lame: 8 * k,
+            retries_spent: 9 * k,
+            ns_cache_hits: 10 * k,
+            ns_cache_misses: 11 * k,
+            shards_retried: 12 * k,
+            shards_lost: 13 * k,
+            completeness,
+        }
+    }
+
+    #[test]
+    fn merge_adds_every_counter_in_any_order_and_keeps_completeness() {
+        let (a, b, c) = (
+            sample(1, Completeness::Partial),
+            sample(10, Completeness::Full),
+            sample(100, Completeness::Partial),
+        );
+        let mut abc = a;
+        abc.merge(&b);
+        abc.merge(&c);
+        // Every counter is the sum: sample(111) differs from it only in
+        // the completeness verdict, which stays `a`'s.
+        assert_eq!(abc, sample(111, Completeness::Partial));
+
+        let mut cba = sample(100, Completeness::Full);
+        cba.merge(&b);
+        cba.merge(&a);
+        assert_eq!(cba, sample(111, Completeness::Full));
+        assert_eq!(
+            SweepStats {
+                completeness: Completeness::Partial,
+                ..cba
+            },
+            abc,
+            "merge order must not matter"
+        );
+    }
+}
