@@ -22,7 +22,8 @@ use ruwhere_scan::{
 };
 use ruwhere_store::checkpoint::fnv1a64;
 use ruwhere_store::{
-    CheckpointDir, CheckpointError, DayCheckpoint, Interner, InternerDelta, SweepFrame, TableSizes,
+    CheckpointDir, CheckpointError, DayCheckpoint, Interner, InternerDelta, Replay, SweepFrame,
+    TableSizes,
 };
 use ruwhere_types::{Date, CERT_WINDOW_END, CERT_WINDOW_START};
 use ruwhere_world::{World, WorldConfig};
@@ -248,10 +249,12 @@ pub fn run_study(cfg: &StudyConfig) -> StudyResults {
 /// With a checkpoint directory, each study day is written as a
 /// checksummed segment after its sweep (frame + interner delta + network
 /// clock — see `ruwhere_store::checkpoint`). With `resume`, the longest
-/// valid prefix of segments is *replayed* instead of re-measured: the
-/// world advances through the same dates (re-running scheduled IP scans,
-/// which are deterministic, but not zone publishes, which nothing on a
-/// replayed day reads), the interner is re-primed delta by delta in
+/// valid prefix of segments is *replayed* instead of re-measured, one
+/// segment per study day, so resume holds one decoded day at a time
+/// (quarantine reports print when the replay ends). The world advances
+/// through the same dates (re-running scheduled IP scans, which are
+/// deterministic, but not zone publishes, which nothing on a replayed
+/// day reads), the interner is re-primed delta by delta in
 /// original order (preserving the seeds-first symbol-assignment
 /// invariant), the network clock is restored day by day (fault windows
 /// anchor to the absolute clock), and every observer sees the
@@ -264,28 +267,12 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         None => None,
     };
     let fingerprint = cfg.fingerprint();
-    let mut replayed: Vec<DayCheckpoint> = Vec::new();
+    // With `resume`, the valid checkpoint prefix is streamed one day per
+    // study day; the live path starts at the first day it does not yield.
+    let mut replay = None;
     if let Some(store) = &store {
         if cfg.resume {
-            let outcome = store.load(fingerprint)?;
-            for q in &outcome.quarantined {
-                eprintln!(
-                    "[study] quarantined damaged checkpoint segment {}: {}{}",
-                    q.original.display(),
-                    q.reason,
-                    q.moved_to
-                        .as_ref()
-                        .map(|m| format!(" (moved to {})", m.display()))
-                        .unwrap_or_default(),
-                );
-            }
-            replayed = outcome.days;
-            if cfg.verbose && !replayed.is_empty() {
-                eprintln!(
-                    "[study] resuming: replaying {} checkpointed day(s)",
-                    replayed.len()
-                );
-            }
+            replay = Some(store.replay(fingerprint)?);
         } else if store.has_segments()? {
             return Err(StudyError::InvalidConfig(format!(
                 "checkpoint directory {} already contains segments; \
@@ -346,7 +333,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         // the timeline installs the fault into the network, the sweep
         // mostly times out, and the scanner salvages it as a partial
         // sweep. The dip emerges mechanically.
-        let frame = match replayed.get(i) {
+        let frame = match replay.as_mut().and_then(Iterator::next).transpose()? {
             Some(ck) => {
                 if ck.date != date {
                     return Err(StudyError::Checkpoint(CheckpointError::ChainBroken {
@@ -365,24 +352,30 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                 // the next live sweep publishes its own day.
                 ck.interner.replay(&interner)?;
                 world.restore_net_clock_us(ck.net_clock_us);
-                ck.frame.clone()
+                ck.frame
             }
             None => {
+                if let Some(replay) = replay.take() {
+                    report_replay(&replay, cfg.verbose);
+                }
+                // Nothing here reads a frame's metrics, so the frame is
+                // stripped once and moved through its checkpoint.
                 let base = TableSizes::of(&interner);
-                let frame = scanner.sweep_frame(&mut world);
-                if let Some(store) = &store {
-                    store.write_day(
-                        &DayCheckpoint {
+                let frame = scanner.sweep_frame(&mut world).strip_metrics();
+                match &store {
+                    Some(store) => {
+                        let ck = DayCheckpoint {
                             day_index: i as u32,
                             date,
                             net_clock_us: world.network().now().as_micros(),
                             interner: InternerDelta::capture(&interner, base),
-                            frame: frame.clone().strip_metrics(),
-                        },
-                        fingerprint,
-                    )?;
+                            frame,
+                        };
+                        store.write_day(&ck, fingerprint)?;
+                        ck.frame
+                    }
+                    None => frame,
                 }
-                frame
             }
         };
         // One walk over the frame feeds every series (the old design made
@@ -402,9 +395,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
             ],
         );
         if cfg.retain.contains(&date) || first == Some(date) || last == Some(date) {
-            // Movement analysis only needs the columns; the observability
-            // payload is rendered per sweep, not re-read later.
-            retained.insert(date, frame.strip_metrics());
+            retained.insert(date, frame);
         }
         if cfg.verbose && i % 25 == 0 {
             eprintln!(
@@ -414,6 +405,10 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                 dataset.queries()
             );
         }
+    }
+
+    if let Some(replay) = &replay {
+        report_replay(replay, cfg.verbose);
     }
 
     // Certificate analyses over the paper's window.
@@ -448,6 +443,28 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         transitions,
         sweeps_run,
     })
+}
+
+/// Report how a resume's replay ended: every quarantined segment, and
+/// with `verbose` the number of days replayed.
+fn report_replay(replay: &Replay<'_>, verbose: bool) {
+    for q in replay.quarantined() {
+        eprintln!(
+            "[study] quarantined damaged checkpoint segment {}: {}{}",
+            q.original.display(),
+            q.reason,
+            q.moved_to
+                .as_ref()
+                .map(|m| format!(" (moved to {})", m.display()))
+                .unwrap_or_default(),
+        );
+    }
+    if verbose && replay.days() > 0 {
+        eprintln!(
+            "[study] resumed: replayed {} checkpointed day(s)",
+            replay.days()
+        );
+    }
 }
 
 #[cfg(test)]

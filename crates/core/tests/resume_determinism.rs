@@ -186,6 +186,43 @@ fn corrupted_segment_is_quarantined_and_resume_still_matches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A day damaged on two resumes is quarantined twice, and the second
+/// quarantine keeps the first damaged copy instead of overwriting it.
+#[test]
+fn repeated_damage_keeps_every_quarantined_copy() {
+    let dir = tmp_dir("requarantine");
+    let mut interrupted = shrunk_config(1);
+    interrupted.checkpoint_dir = Some(dir.clone());
+    interrupted.stop_after_sweeps = Some(3);
+    try_run_study(&interrupted).expect("interrupted run");
+
+    let victim = dir.join("day-000001.ckpt");
+    let damage = |bit: u8| {
+        let mut bytes = std::fs::read(&victim).expect("read segment");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= bit;
+        std::fs::write(&victim, &bytes).expect("rewrite segment");
+        bytes
+    };
+    let first = damage(0x04);
+    let mut resumed = shrunk_config(1);
+    resumed.checkpoint_dir = Some(dir.clone());
+    resumed.resume = true;
+    resumed.stop_after_sweeps = Some(3);
+    try_run_study(&resumed).expect("first resume");
+
+    let second = damage(0x08);
+    resumed.stop_after_sweeps = None;
+    let full = try_run_study(&resumed).expect("second resume");
+    assert_matches_baseline(&full, "day 1 damaged twice");
+
+    let read = |name: &str| std::fs::read(dir.join(name)).expect("quarantined copy");
+    assert_eq!(read("day-000001.ckpt.quarantined"), first);
+    assert_eq!(read("day-000001.ckpt.1.quarantined"), second);
+    assert_eq!(segment_count(&dir), 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Refusing to clobber: pointing a non-resume checkpointed run at a
 /// directory that already holds segments is a typed validation error.
 #[test]

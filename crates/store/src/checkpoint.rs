@@ -35,17 +35,24 @@
 //! directory from a differently-configured study →
 //! [`CheckpointError::ConfigMismatch`].
 //!
-//! # Quarantine policy
+//! # Replay and quarantine policy
 //!
-//! [`CheckpointDir::load`] walks segments in day order and keeps the
-//! longest valid prefix. The first damaged segment — and every segment
-//! after it, since interner deltas chain — is **quarantined**: renamed
-//! aside to `<name>.quarantined` and reported in the
-//! [`LoadOutcome`], so a resumed run re-measures from the last valid day
-//! instead of panicking (or worse, trusting corrupt bytes). Writes are
-//! atomic (temp file + fsync + rename), so a crash mid-write leaves a
-//! stray `.tmp` the loader ignores, never a half-segment under the real
-//! name.
+//! [`CheckpointDir::replay`] streams the longest valid prefix: each step
+//! reads, checksums, decodes and validates one segment against the chain
+//! so far, so a resume holds one decoded day at a time however long the
+//! study ran. The first damaged segment — and every segment after it,
+//! since interner deltas chain — is **quarantined**: renamed aside to the
+//! first free `<name>.quarantined` (then `<name>.1.quarantined`, …, so a
+//! day damaged on two resumes keeps both copies) and reported in
+//! [`Replay::quarantined`], so a resumed run re-measures from the last
+//! valid day instead of panicking (or worse, trusting corrupt bytes).
+//! [`CheckpointDir::load`] is the same walk collected into a
+//! [`LoadOutcome`]. Writes are atomic (temp file + fsync + rename), so a
+//! crash mid-write leaves a stray `.tmp` the reader ignores, never a
+//! half-segment under the real name.
+//!
+//! Checksums are CRC-32 (IEEE), computed slicing-by-8: eight table
+//! lookups per eight bytes, about four times the bytewise speed.
 
 use crate::frame::{AddrColumns, SweepFrame};
 use crate::stats::{Completeness, SweepStats};
@@ -160,10 +167,13 @@ fn malformed(section: &'static str, detail: impl Into<String>) -> CheckpointErro
 
 // --- checksums ----------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time — the build carries no checksum dependency.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) slicing-by-8 tables, built
+/// at compile time — the build carries no checksum dependency.
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[k][b]`
+/// is `CRC32_TABLES[0][b]` advanced through `k` more zero bytes, so
+/// eight table lookups fold eight input bytes at once.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -176,17 +186,41 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes` — the per-section integrity check.
+/// CRC-32 (IEEE) of `bytes` — the per-section integrity check. Folds
+/// eight bytes per step (slicing-by-8), then the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -733,7 +767,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(DayCheckpoint, u64), CheckpointEr
 // --- the checkpoint directory ------------------------------------------
 
 /// One quarantined (or unreadable) segment, as reported by
-/// [`CheckpointDir::load`].
+/// [`Replay::quarantined`] and [`CheckpointDir::load`].
 #[derive(Debug, Clone)]
 pub struct QuarantinedSegment {
     /// The segment's original path.
@@ -755,7 +789,7 @@ pub struct LoadOutcome {
 }
 
 /// A directory of day segments (`day-000000.ckpt`, `day-000001.ckpt`, …)
-/// with atomic writes and quarantine-on-load.
+/// with atomic writes and quarantine-on-read.
 #[derive(Debug, Clone)]
 pub struct CheckpointDir {
     dir: PathBuf,
@@ -829,96 +863,183 @@ impl CheckpointDir {
         Ok(())
     }
 
-    fn quarantine(&self, path: &Path, reason: String, out: &mut Vec<QuarantinedSegment>) {
-        let target = {
-            let mut name = path.file_name().unwrap_or_default().to_os_string();
-            name.push(".");
-            name.push(QUARANTINE_SUFFIX);
-            path.with_file_name(name)
+    /// Rename `path` aside to the first free `<name>.quarantined`,
+    /// `<name>.1.quarantined`, `<name>.2.quarantined`, … — a day damaged
+    /// on two resumes keeps both damaged copies.
+    fn quarantine(&self, path: &Path, reason: String) -> QuarantinedSegment {
+        let name = path.file_name().unwrap_or_default();
+        let mut n = 0u32;
+        let target = loop {
+            let mut candidate = name.to_os_string();
+            if n > 0 {
+                candidate.push(format!(".{n}"));
+            }
+            candidate.push(".");
+            candidate.push(QUARANTINE_SUFFIX);
+            let candidate = path.with_file_name(candidate);
+            if std::fs::symlink_metadata(&candidate).is_err() {
+                break candidate;
+            }
+            n += 1;
         };
         let (moved_to, reason) = match std::fs::rename(path, &target) {
             Ok(()) => (Some(target), reason),
             Err(e) => (None, format!("{reason} (quarantine rename failed: {e})")),
         };
-        out.push(QuarantinedSegment {
+        QuarantinedSegment {
             original: path.to_path_buf(),
             moved_to,
             reason,
-        });
+        }
     }
 
-    /// Scan the directory and salvage the longest valid day prefix.
+    /// Stream the longest valid day prefix, one segment per step.
     ///
-    /// Segments are validated in day order: magic, checksums, version,
-    /// the day-index chain (0, 1, 2, … with strictly increasing dates)
-    /// and the interner-size chain (each delta's `base` must equal the
-    /// previous delta's `post`). The first segment that fails — and
-    /// every later one, which depends on its symbols — is renamed aside
-    /// and reported in [`LoadOutcome::quarantined`].
+    /// Each [`Iterator::next`] reads, decodes and validates the next
+    /// segment in day order — magic, checksums, version, the day-index
+    /// chain (0, 1, 2, … with strictly increasing dates) and the
+    /// interner-size chain (each delta's `base` must equal the previous
+    /// delta's `post`) — so a caller that drops each day before pulling
+    /// the next holds one decoded day at a time, however long the study.
+    /// The first segment that fails — and every later one, which depends
+    /// on its symbols — is renamed aside and reported in
+    /// [`Replay::quarantined`], and the walk ends. A replay dropped before
+    /// it ends leaves the segments it has not reached untouched.
     ///
     /// A structurally valid segment carrying a different config
-    /// fingerprint is a hard [`CheckpointError::ConfigMismatch`]: the
-    /// caller pointed at the wrong directory, and silently re-measuring
-    /// it would destroy someone else's checkpoints.
+    /// fingerprint yields a hard [`CheckpointError::ConfigMismatch`] and
+    /// ends the walk with nothing renamed: the caller pointed at the
+    /// wrong directory, and silently re-measuring it would destroy
+    /// someone else's checkpoints. Listing the directory is the only
+    /// work done before the first step.
+    pub fn replay(&self, fingerprint: u64) -> Result<Replay<'_>, CheckpointError> {
+        Ok(Replay {
+            store: self,
+            fingerprint,
+            files: self.segment_files()?.into_iter(),
+            chain: TableSizes::default(),
+            last_date: None,
+            days: 0,
+            quarantined: Vec::new(),
+        })
+    }
+
+    /// Collect a whole [`replay`](CheckpointDir::replay): every valid day
+    /// at once, plus the quarantine report. Holds the full study in
+    /// memory; a resume streams the chain instead.
     pub fn load(&self, fingerprint: u64) -> Result<LoadOutcome, CheckpointError> {
-        let files = self.segment_files()?;
-        let mut outcome = LoadOutcome::default();
-        let mut chain = TableSizes::default();
-        let mut last_date: Option<Date> = None;
-        let mut files = files.into_iter();
-        for (idx, path) in files.by_ref() {
-            let expected = outcome.days.len() as u32;
-            let fail = |detail: String| detail;
-            let reason: String = if idx != expected {
-                fail(format!("expected day {expected}, found day {idx}"))
-            } else {
-                match std::fs::read(&path) {
-                    Err(e) => fail(format!("unreadable: {e}")),
-                    Ok(bytes) => match decode_segment(&bytes) {
-                        Err(e) => fail(e.to_string()),
-                        Ok((ck, found)) => {
-                            if found != fingerprint {
-                                return Err(CheckpointError::ConfigMismatch {
-                                    expected: fingerprint,
-                                    found,
-                                });
-                            }
-                            if ck.day_index != idx {
-                                fail(format!(
-                                    "file is day {idx} but segment says day {}",
-                                    ck.day_index
-                                ))
-                            } else if ck.interner.base != chain {
-                                fail(format!(
-                                    "interner chain: segment expects base ({}), \
-                                     previous segments end at ({chain})",
-                                    ck.interner.base
-                                ))
-                            } else if last_date.is_some_and(|d| ck.date <= d) {
-                                fail("dates not strictly increasing".to_string())
-                            } else {
-                                chain = ck.interner.post;
-                                last_date = Some(ck.date);
-                                outcome.days.push(ck);
-                                continue;
-                            }
-                        }
-                    },
-                }
-            };
-            // This segment is unusable; so is everything after it (their
-            // interner deltas chain through it).
-            self.quarantine(&path, reason, &mut outcome.quarantined);
-            for (later_idx, later_path) in files.by_ref() {
-                self.quarantine(
-                    &later_path,
-                    format!("follows quarantined segment (day {later_idx})"),
-                    &mut outcome.quarantined,
-                );
-            }
-            break;
+        let mut replay = self.replay(fingerprint)?;
+        let days = replay.by_ref().collect::<Result<Vec<_>, _>>()?;
+        Ok(LoadOutcome {
+            days,
+            quarantined: replay.quarantined,
+        })
+    }
+}
+
+/// A streaming walk over a checkpoint directory's valid day prefix (see
+/// [`CheckpointDir::replay`]). Yields `Ok(day)` per valid segment, in day
+/// order; an `Err` is a hard [`CheckpointError::ConfigMismatch`]. Either
+/// a hard error or the first damaged segment ends the walk.
+#[derive(Debug)]
+pub struct Replay<'a> {
+    store: &'a CheckpointDir,
+    fingerprint: u64,
+    files: std::vec::IntoIter<(u32, PathBuf)>,
+    /// The interner sizes the previous day ended at.
+    chain: TableSizes,
+    last_date: Option<Date>,
+    /// Days yielded so far — also the index the next segment must carry.
+    days: u32,
+    quarantined: Vec<QuarantinedSegment>,
+}
+
+impl Replay<'_> {
+    /// Days yielded so far.
+    pub fn days(&self) -> u32 {
+        self.days
+    }
+
+    /// Segments set aside (damaged, or downstream of damage). Empty until
+    /// the walk reaches a damaged segment.
+    pub fn quarantined(&self) -> &[QuarantinedSegment] {
+        &self.quarantined
+    }
+
+    /// Read and validate the segment at `path` against the chain so far:
+    /// `Ok(Ok(day))` continues it, `Ok(Err(reason))` is damage to
+    /// quarantine, `Err` is a hard error.
+    fn read(
+        &self,
+        idx: u32,
+        path: &Path,
+    ) -> Result<Result<DayCheckpoint, String>, CheckpointError> {
+        let expected = self.days;
+        if idx != expected {
+            return Ok(Err(format!("expected day {expected}, found day {idx}")));
         }
-        Ok(outcome)
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) => return Ok(Err(format!("unreadable: {e}"))),
+        };
+        let (ck, found) = match decode_segment(&bytes) {
+            Ok(decoded) => decoded,
+            Err(e) => return Ok(Err(e.to_string())),
+        };
+        if found != self.fingerprint {
+            return Err(CheckpointError::ConfigMismatch {
+                expected: self.fingerprint,
+                found,
+            });
+        }
+        Ok(if ck.day_index != idx {
+            Err(format!(
+                "file is day {idx} but segment says day {}",
+                ck.day_index
+            ))
+        } else if ck.interner.base != self.chain {
+            Err(format!(
+                "interner chain: segment expects base ({}), \
+                 previous segments end at ({})",
+                ck.interner.base, self.chain
+            ))
+        } else if self.last_date.is_some_and(|d| ck.date <= d) {
+            Err("dates not strictly increasing".to_string())
+        } else {
+            Ok(ck)
+        })
+    }
+}
+
+impl Iterator for Replay<'_> {
+    type Item = Result<DayCheckpoint, CheckpointError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (idx, path) = self.files.next()?;
+        let reason = match self.read(idx, &path) {
+            Ok(Ok(ck)) => {
+                self.chain = ck.interner.post;
+                self.last_date = Some(ck.date);
+                self.days += 1;
+                return Some(Ok(ck));
+            }
+            Ok(Err(reason)) => reason,
+            Err(e) => {
+                // A hard error ends the walk with the rest untouched.
+                self.files = Vec::new().into_iter();
+                return Some(Err(e));
+            }
+        };
+        // This segment is unusable; so is everything after it (their
+        // interner deltas chain through it).
+        self.quarantined.push(self.store.quarantine(&path, reason));
+        for (later_idx, later_path) in self.files.by_ref() {
+            self.quarantined.push(self.store.quarantine(
+                &later_path,
+                format!("follows quarantined segment (day {later_idx})"),
+            ));
+        }
+        None
     }
 }
 
@@ -1123,6 +1244,192 @@ mod tests {
         let err = CheckpointDir::open(file.join("sub")).expect_err("must fail");
         assert!(matches!(err, CheckpointError::Io { .. }));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Damage a segment in place: flip one bit mid-file.
+    fn flip_mid_bit(path: &Path) {
+        let mut bytes = std::fs::read(path).expect("read victim");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(path, &bytes).expect("rewrite victim");
+    }
+
+    /// File names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The days and quarantine report of a full replay walk.
+    fn walk(store: &CheckpointDir, fp: u64) -> (Vec<DayCheckpoint>, Vec<QuarantinedSegment>) {
+        let mut replay = store.replay(fp).expect("replay");
+        let days = replay.by_ref().map(|d| d.expect("no hard error")).collect();
+        assert!(replay.next().is_none(), "an ended replay stays ended");
+        (days, replay.quarantined().to_vec())
+    }
+
+    #[test]
+    fn replay_yields_what_load_returns() {
+        for tag in ["clean", "tail", "gap"] {
+            let mut outcomes = Vec::new();
+            for reader in ["replay", "load"] {
+                let dir = tmp_dir(&format!("replay-{tag}-{reader}"));
+                let store = CheckpointDir::open(&dir).expect("open");
+                let written = write_chain(&store, 5, 7);
+                match tag {
+                    "tail" => flip_mid_bit(&store.segment_path(3)),
+                    "gap" => std::fs::remove_file(store.segment_path(2)).expect("remove day 2"),
+                    _ => {}
+                }
+                let (days, quarantined) = if reader == "replay" {
+                    walk(&store, 7)
+                } else {
+                    let out = store.load(7).expect("load");
+                    (out.days, out.quarantined)
+                };
+                let reasons: Vec<String> = quarantined.iter().map(|q| q.reason.clone()).collect();
+                for q in &quarantined {
+                    assert!(q.moved_to.as_ref().is_some_and(|m| m.exists()));
+                    assert!(!q.original.exists());
+                }
+                assert_eq!(days, written[..days.len()], "{tag}/{reader}");
+                outcomes.push((days, reasons, listing(&dir)));
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            assert_eq!(outcomes[0], outcomes[1], "{tag}: replay and load disagree");
+            let (days, reasons, _) = &outcomes[0];
+            match tag {
+                "clean" => assert!(days.len() == 5 && reasons.is_empty()),
+                "tail" => {
+                    assert_eq!(days.len(), 3);
+                    assert_eq!(reasons.len(), 2);
+                    assert!(reasons[0].contains("checksum"), "{reasons:?}");
+                    assert!(reasons[1].contains("follows"), "{reasons:?}");
+                }
+                _ => {
+                    assert_eq!(days.len(), 2);
+                    assert_eq!(reasons.len(), 2);
+                    assert!(reasons[0].contains("expected day 2, found day 3"));
+                    assert!(reasons[1].contains("follows"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_fingerprint_mismatch_renames_nothing() {
+        let dir = tmp_dir("replay-fp");
+        let store = CheckpointDir::open(&dir).expect("open");
+        let written = write_chain(&store, 4, 7);
+        // Day 2 comes from another study; day 3 is damaged.
+        store.write_day(&written[2], 8).expect("foreign day");
+        flip_mid_bit(&store.segment_path(3));
+        let before = listing(&dir);
+
+        // A mismatch on the first segment fails at once.
+        let mut replay = store.replay(9).expect("replay");
+        assert!(matches!(
+            replay.next(),
+            Some(Err(CheckpointError::ConfigMismatch {
+                expected: 9,
+                found: 7
+            }))
+        ));
+        assert!(replay.next().is_none());
+        assert!(replay.quarantined().is_empty());
+
+        // Mid-chain, it ends the walk before the damaged day is reached.
+        let mut replay = store.replay(7).expect("replay");
+        assert_eq!(
+            replay.next().map(Result::ok),
+            Some(Some(written[0].clone()))
+        );
+        assert_eq!(
+            replay.next().map(Result::ok),
+            Some(Some(written[1].clone()))
+        );
+        assert!(matches!(
+            replay.next(),
+            Some(Err(CheckpointError::ConfigMismatch {
+                expected: 7,
+                found: 8
+            }))
+        ));
+        assert!(replay.next().is_none());
+        assert!(replay.quarantined().is_empty());
+        assert_eq!(replay.days(), 2);
+        assert_eq!(listing(&dir), before, "nothing renamed or written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quarantine_keeps_every_damaged_copy() {
+        let dir = tmp_dir("requarantine");
+        let store = CheckpointDir::open(&dir).expect("open");
+        let written = write_chain(&store, 2, 7);
+        let mut copies = Vec::new();
+        for round in 0..3u8 {
+            store.write_day(&written[1], 7).expect("rewrite day 1");
+            let path = store.segment_path(1);
+            let mut bytes = std::fs::read(&path).expect("read");
+            bytes[20] ^= 1 << round;
+            std::fs::write(&path, &bytes).expect("damage");
+            copies.push(bytes);
+            let out = store.load(7).expect("load");
+            assert_eq!(out.days.len(), 1);
+            assert_eq!(out.quarantined.len(), 1);
+        }
+        let names = ["", ".1", ".2"].map(|n| dir.join(format!("day-000001.ckpt{n}.quarantined")));
+        for (name, bytes) in names.iter().zip(&copies) {
+            assert_eq!(&std::fs::read(name).expect("quarantined copy"), bytes);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The bytewise CRC-32 the slicing-by-8 [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_bytewise_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..72u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_equals_bytewise_on_random_buffers(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod sym;
 
 pub use checkpoint::{
     decode_segment, encode_segment, CheckpointDir, CheckpointError, DayCheckpoint, InternerDelta,
-    LoadOutcome, QuarantinedSegment, TableSizes,
+    LoadOutcome, QuarantinedSegment, Replay, TableSizes,
 };
 pub use frame::{AddrColumns, AddrsView, FrameBuilder, FrameFixture, RecordView, SweepFrame};
 pub use metrics::{fail_key, keys, SweepMetrics};
