@@ -52,16 +52,6 @@ impl AsnShareSeries {
         set.len()
     }
 
-    /// The top `n` ASNs by count on the final observed date.
-    pub fn top_asns(&self, n: usize) -> Vec<Asn> {
-        let Some(last) = self.days.values().next_back() else {
-            return Vec::new();
-        };
-        let mut v: Vec<(&Asn, &u64)> = last.iter().collect();
-        v.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-        v.into_iter().take(n).map(|(a, _)| *a).collect()
-    }
-
     /// Observed dates in order.
     pub fn dates(&self) -> impl Iterator<Item = Date> + '_ {
         self.days.keys().copied()
@@ -165,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn top_asns_on_last_date() {
+    fn observed_dates_are_listed_in_order() {
         let i = Interner::new();
         let mut s = AsnShareSeries::new();
         s.observe(
@@ -184,7 +174,9 @@ mod tests {
             ),
             &i,
         );
-        assert_eq!(s.top_asns(1), vec![Asn(2)]);
-        assert_eq!(s.dates().count(), 2);
+        assert_eq!(
+            s.dates().collect::<Vec<_>>(),
+            [Date::from_ymd(2022, 3, 1), Date::from_ymd(2022, 4, 1)]
+        );
     }
 }

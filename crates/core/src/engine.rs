@@ -111,13 +111,6 @@ impl AnalysisEngine {
     pub fn observer_dispatches(&self) -> u64 {
         self.observer_dispatches
     }
-
-    /// Fold counters from another engine (used when merging study stats).
-    pub fn absorb(&mut self, other: &AnalysisEngine) {
-        self.frames += other.frames;
-        self.record_visits += other.record_visits;
-        self.observer_dispatches += other.observer_dispatches;
-    }
 }
 
 #[cfg(test)]
@@ -168,11 +161,6 @@ mod tests {
         assert_eq!(engine.frames(), 1);
         assert_eq!(engine.record_visits(), 3, "one visit per record, shared");
         assert_eq!(engine.observer_dispatches(), 6);
-
-        let mut total = AnalysisEngine::new();
-        total.absorb(&engine);
-        total.absorb(&engine);
-        assert_eq!(total.record_visits(), 6);
     }
 
     #[test]

@@ -63,10 +63,6 @@ pub struct StudyConfig {
     /// analysis observers), and sweep live from the first missing day.
     /// Without this flag a non-empty checkpoint directory is refused.
     pub resume: bool,
-    /// Stop after processing this many study days (crash-harness knob:
-    /// simulates an interrupted run that wrote only a prefix of its
-    /// checkpoints). The analyses still finalize over what was processed.
-    pub stop_after_sweeps: Option<usize>,
 }
 
 impl StudyConfig {
@@ -96,7 +92,6 @@ impl StudyConfig {
             verbose: false,
             checkpoint_dir: None,
             resume: false,
-            stop_after_sweeps: None,
         }
     }
 
@@ -315,10 +310,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
     let mut scans_pending = cfg.ip_scans.clone();
     scans_pending.sort();
 
-    let sweeps_run = cfg
-        .stop_after_sweeps
-        .map_or(sweep_dates.len(), |n| n.min(sweep_dates.len()));
-    for (i, &date) in sweep_dates.iter().enumerate().take(sweeps_run) {
+    for (i, &date) in sweep_dates.iter().enumerate() {
         world.advance_to(date);
         // Run any IP scans scheduled on or before this sweep date. These
         // re-run during replay too — they are a deterministic function of
@@ -441,7 +433,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         total_queries: dataset.queries(),
         dataset,
         transitions,
-        sweeps_run,
+        sweeps_run: sweep_dates.len(),
     })
 }
 

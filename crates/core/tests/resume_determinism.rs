@@ -5,8 +5,11 @@
 //! interruption. The uninterrupted baseline runs at 1 worker; resumed
 //! runs draw 1, 2 or 4 (the workers-1-vs-N half of the contract).
 //!
-//! The in-process interruption knob is `StudyConfig::stop_after_sweeps`;
-//! the SIGKILL version of the same assertion lives in the crash harness
+//! An interruption is simulated the way a crash leaves one: a complete
+//! checkpoint chain cut to its first k segments. Segments are written
+//! atomically and day i's bytes depend only on days up to i, so the cut
+//! chain is exactly what a run killed after day k would have left. The
+//! SIGKILL version of the same assertion lives in the crash harness
 //! (`crates/bench/tests/crash_recovery.rs`).
 
 use proptest::prelude::*;
@@ -92,6 +95,59 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A complete checkpoint chain: each segment's file name and bytes, in
+/// day order.
+type Chain = Vec<(String, Vec<u8>)>;
+
+/// Complete chains of the shrunk study written at 1, 2 and 4 workers,
+/// each by a run that matched the baseline.
+fn chains() -> &'static [Chain; 3] {
+    static CHAINS: OnceLock<[Chain; 3]> = OnceLock::new();
+    CHAINS.get_or_init(|| {
+        [1usize, 2, 4].map(|workers| {
+            let dir = tmp_dir(&format!("chain-{workers}"));
+            let mut cfg = shrunk_config(workers);
+            cfg.checkpoint_dir = Some(dir.clone());
+            let r = try_run_study(&cfg).expect("checkpointed study");
+            assert_matches_baseline(&r, &format!("checkpointed at {workers} workers"));
+            let mut chain: Chain = std::fs::read_dir(&dir)
+                .expect("read chain")
+                .map(|e| {
+                    let e = e.expect("dir entry");
+                    let bytes = std::fs::read(e.path()).expect("read segment");
+                    (e.file_name().to_string_lossy().into_owned(), bytes)
+                })
+                .collect();
+            chain.sort();
+            let _ = std::fs::remove_dir_all(&dir);
+            chain
+        })
+    })
+}
+
+/// A fresh directory holding the first `k` segments of the chain written
+/// at `pool[w_idx]` workers: what a run killed after day `k` leaves.
+fn truncated_copy(tag: &str, k: usize, w_idx: usize) -> PathBuf {
+    let dir = tmp_dir(tag);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (name, bytes) in &chains()[w_idx][..k] {
+        std::fs::write(dir.join(name), bytes).expect("write segment");
+    }
+    dir
+}
+
+/// The chain's bytes do not depend on the worker count, segment by
+/// segment.
+#[test]
+fn complete_chains_are_byte_identical_across_worker_counts() {
+    let [one, two, four] = chains();
+    assert_eq!(one.len(), 5, "one segment per study day");
+    for (i, seg) in one.iter().enumerate() {
+        assert_eq!(&two[i], seg, "segment {} at 2 workers", seg.0);
+        assert_eq!(&four[i], seg, "segment {} at 4 workers", seg.0);
+    }
+}
+
 fn segment_count(dir: &PathBuf) -> usize {
     std::fs::read_dir(dir)
         .map(|entries| {
@@ -106,9 +162,9 @@ fn segment_count(dir: &PathBuf) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Interrupt after 0–4 of the 5 study days at one worker count,
-    /// resume at another: report-level output is byte-identical to the
-    /// uninterrupted 1-worker baseline.
+    /// Interrupt after 0–4 of the 5 study days of a chain written at one
+    /// worker count, resume at another: report-level output is
+    /// byte-identical to the uninterrupted 1-worker baseline.
     #[test]
     fn interrupted_resumed_run_is_byte_identical(
         stop in 0usize..5,
@@ -117,13 +173,7 @@ proptest! {
     ) {
         let pool = [1usize, 2, 4];
         let (w_int, w_res) = (pool[w_interrupt_idx], pool[w_resume_idx]);
-        let dir = tmp_dir(&format!("prop-{stop}-{w_int}-{w_res}"));
-
-        let mut interrupted = shrunk_config(w_int);
-        interrupted.checkpoint_dir = Some(dir.clone());
-        interrupted.stop_after_sweeps = Some(stop);
-        let partial = try_run_study(&interrupted).expect("interrupted run");
-        prop_assert_eq!(partial.sweeps_run, stop);
+        let dir = truncated_copy(&format!("prop-{stop}-{w_int}-{w_res}"), stop, w_interrupt_idx);
         prop_assert_eq!(segment_count(&dir), stop);
 
         let mut resumed = shrunk_config(w_res);
@@ -139,31 +189,12 @@ proptest! {
     }
 }
 
-/// Stopping after zero days runs none: no segment is written and no
-/// frame is observed.
-#[test]
-fn stop_after_zero_sweeps_runs_no_day() {
-    let dir = tmp_dir("stop-zero");
-    let mut cfg = shrunk_config(1);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.stop_after_sweeps = Some(0);
-    let r = try_run_study(&cfg).expect("zero-day run");
-    assert_eq!(r.sweeps_run, 0);
-    assert_eq!(segment_count(&dir), 0);
-    assert_eq!(r.analysis.frames(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A corrupted mid-chain segment is quarantined (typed, reported), the
 /// valid prefix is salvaged, and the resumed run — re-measuring from the
 /// first quarantined day — still matches the baseline byte-for-byte.
 #[test]
 fn corrupted_segment_is_quarantined_and_resume_still_matches() {
-    let dir = tmp_dir("corrupt");
-    let mut interrupted = shrunk_config(2);
-    interrupted.checkpoint_dir = Some(dir.clone());
-    interrupted.stop_after_sweeps = Some(3);
-    try_run_study(&interrupted).expect("interrupted run");
+    let dir = truncated_copy("corrupt", 3, 1);
 
     // Flip one bit in the middle segment of days 0..3.
     let victim = dir.join("day-000001.ckpt");
@@ -190,11 +221,7 @@ fn corrupted_segment_is_quarantined_and_resume_still_matches() {
 /// quarantine keeps the first damaged copy instead of overwriting it.
 #[test]
 fn repeated_damage_keeps_every_quarantined_copy() {
-    let dir = tmp_dir("requarantine");
-    let mut interrupted = shrunk_config(1);
-    interrupted.checkpoint_dir = Some(dir.clone());
-    interrupted.stop_after_sweeps = Some(3);
-    try_run_study(&interrupted).expect("interrupted run");
+    let dir = truncated_copy("requarantine", 3, 0);
 
     let victim = dir.join("day-000001.ckpt");
     let damage = |bit: u8| {
@@ -208,11 +235,9 @@ fn repeated_damage_keeps_every_quarantined_copy() {
     let mut resumed = shrunk_config(1);
     resumed.checkpoint_dir = Some(dir.clone());
     resumed.resume = true;
-    resumed.stop_after_sweeps = Some(3);
     try_run_study(&resumed).expect("first resume");
 
     let second = damage(0x08);
-    resumed.stop_after_sweeps = None;
     let full = try_run_study(&resumed).expect("second resume");
     assert_matches_baseline(&full, "day 1 damaged twice");
 
@@ -227,12 +252,7 @@ fn repeated_damage_keeps_every_quarantined_copy() {
 /// directory that already holds segments is a typed validation error.
 #[test]
 fn non_resume_run_refuses_nonempty_directory() {
-    let dir = tmp_dir("clobber");
-    let mut first = shrunk_config(1);
-    first.checkpoint_dir = Some(dir.clone());
-    first.stop_after_sweeps = Some(1);
-    try_run_study(&first).expect("first run");
-
+    let dir = truncated_copy("clobber", 1, 0);
     let mut second = shrunk_config(1);
     second.checkpoint_dir = Some(dir.clone());
     match try_run_study(&second) {
@@ -254,12 +274,7 @@ fn non_resume_run_refuses_nonempty_directory() {
 /// mismatch — the directory is not silently re-measured or clobbered.
 #[test]
 fn mismatched_config_is_a_hard_error() {
-    let dir = tmp_dir("mismatch");
-    let mut first = shrunk_config(1);
-    first.checkpoint_dir = Some(dir.clone());
-    first.stop_after_sweeps = Some(1);
-    try_run_study(&first).expect("first run");
-
+    let dir = truncated_copy("mismatch", 1, 0);
     let mut other = shrunk_config(1);
     other.world.seed ^= 1;
     other.checkpoint_dir = Some(dir.clone());

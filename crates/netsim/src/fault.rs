@@ -20,10 +20,9 @@
 //!
 //! All stochastic draws (link-fault loss) are pure functions of the network
 //! seed, the packet sequence number and the fault index, so a run with a
-//! fault plan is exactly as reproducible as one without. The legacy
-//! `Network::loss_rate` knob is retained as a convenience; semantically it
-//! compiles down to the trivial plan [`FaultPlan::uniform_loss`] — one
-//! always-on whole-Internet link fault.
+//! fault plan is exactly as reproducible as one without. Uniform background
+//! loss on every datagram is not a fault: it is the one uniform-loss model,
+//! `Network::loss_rate`.
 
 use crate::ip::Ipv4Net;
 use crate::sim::SimTime;
@@ -156,21 +155,6 @@ impl FaultPlan {
     /// An empty plan (no faults).
     pub fn new() -> Self {
         FaultPlan::default()
-    }
-
-    /// The trivial plan the legacy `loss_rate` knob corresponds to: one
-    /// always-on link fault covering the entire address space.
-    pub fn uniform_loss(rate: f64) -> Self {
-        let mut plan = FaultPlan::new();
-        if rate > 0.0 {
-            plan.add_link_fault(LinkFault {
-                prefix: Ipv4Net::new(Ipv4Addr::UNSPECIFIED, 0).expect("/0 is valid"),
-                extra_loss: rate,
-                extra_latency_us: 0,
-                window: FaultWindow::always(),
-            });
-        }
-        plan
     }
 
     /// Whether the plan has no faults at all (fast path for the hot loop).
@@ -342,20 +326,5 @@ mod tests {
         assert!(plan.link_faults().is_empty());
         plan.clear();
         assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn uniform_loss_is_whole_internet_always_on() {
-        let plan = FaultPlan::uniform_loss(0.25);
-        let faults: Vec<_> = plan
-            .active_link_faults(
-                Ipv4Addr::new(1, 2, 3, 4),
-                Ipv4Addr::new(5, 6, 7, 8),
-                SimTime(0),
-            )
-            .collect();
-        assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].1.extra_loss, 0.25);
-        assert!(FaultPlan::uniform_loss(0.0).is_empty());
     }
 }

@@ -146,12 +146,9 @@ pub struct Network {
     services: FastMap<(Ipv4Addr, u16), Box<dyn Service>>,
     now: SimTime,
     seq: u64,
-    /// Uniform packet loss probability in [0, 1).
-    ///
-    /// Legacy convenience knob: semantically it compiles down to the trivial
-    /// fault plan [`FaultPlan::uniform_loss`] — one always-on link fault
-    /// covering the whole address space. Scheduled or localised faults go in
-    /// [`faults_mut`](Network::faults_mut) instead.
+    /// Uniform packet loss probability in [0, 1): independent background
+    /// loss on every datagram, the one uniform-loss model. Scheduled or
+    /// localised faults go in [`faults_mut`](Network::faults_mut) instead.
     pub loss_rate: f64,
     faults: FaultPlan,
     stats: NetStats,
@@ -981,37 +978,5 @@ mod tests {
         assert_eq!(again, Err(NetError::Timeout));
         assert_eq!(count.load(Ordering::SeqCst), 0, "a late request was served");
         assert_eq!(net.stats().unreachable, 0);
-    }
-
-    #[test]
-    fn uniform_loss_plan_matches_loss_rate_semantics() {
-        use crate::fault::FaultPlan;
-        // The legacy knob and the trivial plan are the same model: uniform
-        // independent loss on every datagram. Streams differ (different seed
-        // children) but behaviour must be statistically indistinguishable.
-        let run = |knob: f64, plan: f64| {
-            let mut net = network();
-            net.loss_rate = knob;
-            net.set_fault_plan(FaultPlan::uniform_loss(plan));
-            net.bind(SERVER, 53, Box::new(Echo));
-            let mut ok = 0u64;
-            for _ in 0..300 {
-                if net
-                    .request(CLIENT, (SERVER, 53), b"q", 200_000, 3, &mut Vec::new())
-                    .is_ok()
-                {
-                    ok += 1;
-                }
-            }
-            (ok, net.stats().dropped)
-        };
-        let (ok_knob, dropped_knob) = run(0.3, 0.0);
-        let (ok_plan, dropped_plan) = run(0.0, 0.3);
-        assert!(dropped_knob > 0 && dropped_plan > 0);
-        let diff = ok_knob.abs_diff(ok_plan);
-        assert!(
-            diff < 30,
-            "knob {ok_knob} vs plan {ok_plan} diverge too far"
-        );
     }
 }

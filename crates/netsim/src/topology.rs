@@ -83,13 +83,6 @@ impl Topology {
         self.ases.get(&asn)
     }
 
-    /// Country of the AS originating `ip`.
-    pub fn country_of(&self, ip: Ipv4Addr) -> Option<Country> {
-        self.asn_of(ip)
-            .and_then(|a| self.as_info(a))
-            .map(|i| i.country)
-    }
-
     /// All announced prefixes with their origin AS.
     pub fn prefixes(&self) -> &[(Ipv4Net, Asn)] {
         &self.prefixes
@@ -184,10 +177,6 @@ mod tests {
             Some(Asn::CLOUDFLARE)
         );
         assert_eq!(t.asn_of("8.8.8.8".parse().unwrap()), None);
-        assert_eq!(
-            t.country_of("194.85.1.1".parse().unwrap()),
-            Some(Country::RU)
-        );
     }
 
     #[test]

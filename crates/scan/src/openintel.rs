@@ -202,9 +202,10 @@ impl SweepOptions {
     /// Crash-injection knob: make the worker measuring any domain whose
     /// name contains `marker` panic, at most `times` times over the
     /// scanner's lifetime (an empty marker matches every domain). Drives
-    /// the panic-isolation tests and the crash harness; panicked shards
-    /// are retried once by the supervisor and degrade into a gap-aware
-    /// partial sweep if lost for good — the study never aborts.
+    /// the panic-isolation tests; the crash harness
+    /// (`crates/bench/tests/crash_recovery.rs`) SIGKILLs `repro` instead.
+    /// Panicked shards are retried once by the supervisor and degrade into
+    /// a gap-aware partial sweep if lost for good — the study never aborts.
     pub fn inject_worker_panic(mut self, marker: &str, times: u32) -> Self {
         self.panic_inject = Some(PanicInject {
             marker: marker.to_owned(),

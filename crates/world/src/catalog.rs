@@ -8,7 +8,7 @@
 //! values. Unnamed tail providers ("RU hosting #7") fill the remaining
 //! share so that totals are consistent.
 
-use ruwhere_types::{Asn, Country, Date, CONFLICT_START, STUDY_END, STUDY_START};
+use ruwhere_types::{Asn, Country, Date, Period, CONFLICT_START, STUDY_END, STUDY_START};
 
 /// Index into the provider table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -161,6 +161,17 @@ pub struct CaSpec {
     pub logs_to_ct: bool,
     /// Validity period in days.
     pub validity_days: u32,
+}
+
+impl CaSpec {
+    /// Share of daily Russian-TLD issuance in `period`.
+    pub fn share(&self, period: Period) -> f64 {
+        match period {
+            Period::PreConflict => self.share_pre_conflict,
+            Period::PreSanctions => self.share_pre_sanctions,
+            Period::PostSanctions => self.share_post_sanctions,
+        }
+    }
 }
 
 /// Number of exotic long-tail TLDs used by vanity NS names (the paper

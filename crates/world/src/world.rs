@@ -167,8 +167,6 @@ pub struct World {
     domains: BTreeMap<DomainName, DomainState>,
     plan_members: Vec<MemberSet>,
     hosting_members: Vec<MemberSet>,
-    vanity_own_members: MemberSet,
-    vanity_exotic_members: MemberSet,
     tls_pool: MemberSet,
     namegen: NameGenerator,
     extra_sites: Vec<(String, Ipv4Addr)>,
@@ -279,8 +277,6 @@ impl World {
             domains: BTreeMap::new(),
             plan_members: vec![MemberSet::default(); plans.len()],
             hosting_members: vec![MemberSet::default(); providers.len()],
-            vanity_own_members: MemberSet::default(),
-            vanity_exotic_members: MemberSet::default(),
             tls_pool: MemberSet::default(),
             extra_sites: Vec::new(),
             portfolio: Vec::new(),
@@ -340,8 +336,8 @@ impl World {
     fn settle_to_targets(&mut self) {
         let start = self.cfg.start;
         for _ in 0..8 {
-            self.rebalance_hosting(start);
-            self.rebalance_plans(start);
+            self.rebalance(start, Pool::Hosting);
+            self.rebalance(start, Pool::Plans);
         }
     }
 
@@ -618,56 +614,65 @@ impl World {
             .collect();
 
         if parent.tld() == "ru" || parent.tld() == "xn--p1ai" {
-            let reg = if parent.tld() == "ru" { 0 } else { 1 };
             self.namegen.reserve(parent.clone());
-            let _ =
-                self.registries[reg].register(parent.clone(), self.cfg.start.add_days(-400), 30);
-            let _ = self.registries[reg].set_delegation(parent, Delegation { nameservers, glue });
+            let registered = self.cfg.start.add_days(-400);
+            let reg = self.registry_mut(parent);
+            let _ = reg.register(parent.clone(), registered, 30);
+            let _ = reg.set_delegation(parent, Delegation { nameservers, glue });
         } else {
-            // External TLD: add delegation + glue directly to the TLD zone.
-            let tld: Name = parent.tld().parse().expect("valid tld");
-            let mut g = write(&self.gtld_zones);
-            if let Some(zone) = g.get_mut(&tld) {
-                let owner = Name::from(parent);
-                zone.remove(&owner, None);
-                for t in &nameservers {
-                    zone.add(Record::new(owner.clone(), 86_400, RData::Ns(Name::from(t))));
-                }
-                for (host, addrs) in &glue {
-                    let howner = Name::from(host);
-                    zone.remove(&howner, None);
-                    for a in addrs {
-                        zone.add(Record::new(howner.clone(), 86_400, RData::A(*a)));
-                    }
-                }
+            self.delegate_in_gtld(parent, &nameservers, &glue);
+        }
+    }
+
+    /// Delegate `parent` to `ns` in its external TLD zone and replace the
+    /// address records of every `glue` host. An empty `ns` with empty glue
+    /// addresses clears the delegation.
+    fn delegate_in_gtld(
+        &self,
+        parent: &DomainName,
+        ns: &[DomainName],
+        glue: &BTreeMap<DomainName, Vec<Ipv4Addr>>,
+    ) {
+        let tld: Name = parent.tld().parse().expect("valid tld");
+        let mut g = write(&self.gtld_zones);
+        let Some(zone) = g.get_mut(&tld) else {
+            return;
+        };
+        let owner = Name::from(parent);
+        zone.remove(&owner, None);
+        for t in ns {
+            zone.add(Record::new(owner.clone(), 86_400, RData::Ns(Name::from(t))));
+        }
+        for (host, addrs) in glue {
+            let howner = Name::from(host);
+            zone.remove(&howner, None);
+            for a in addrs {
+                zone.add(Record::new(howner.clone(), 86_400, RData::A(*a)));
             }
         }
+    }
+
+    /// The registry (`.ru` or `.рф`) that holds `name`.
+    fn registry_mut(&mut self, name: &DomainName) -> &mut Registry {
+        &mut self.registries[if name.tld() == "ru" { 0 } else { 1 }]
     }
 
     /// Sample a provider id from the hosting-share table at `date`,
     /// optionally restricted to Russian or non-Russian providers.
     fn sample_hosting(&mut self, date: Date, russia: Option<bool>) -> ProviderId {
-        let mut total = 0.0;
         let mut weights: Vec<(ProviderId, f64)> = Vec::with_capacity(self.hosting_shares.len());
-        for (pid_, sched) in &self.hosting_shares {
-            let is_ru = self.providers[pid_.0 as usize].country.is_russia();
-            if let Some(want_ru) = russia {
-                if is_ru != want_ru {
-                    continue;
-                }
-            }
-            let w = sched.at(date).max(0.0);
-            weights.push((*pid_, w));
-            total += w;
+        weights.extend(
+            self.hosting_shares
+                .iter()
+                .filter(|(p, _)| {
+                    russia.is_none_or(|ru| self.providers[p.0 as usize].country.is_russia() == ru)
+                })
+                .map(|(p, sched)| (*p, sched.at(date).max(0.0))),
+        );
+        match weighted_index(&mut self.rng, weights.iter().map(|(_, w)| *w)) {
+            Some(i) => weights[i].0,
+            None => weights.last().map_or(pid::REG_RU, |(p, _)| *p),
         }
-        let mut x = self.rng.random_range(0.0..total.max(f64::MIN_POSITIVE));
-        for (pid_, w) in &weights {
-            x -= w;
-            if x <= 0.0 {
-                return *pid_;
-            }
-        }
-        weights.last().map(|(p, _)| *p).unwrap_or(pid::REG_RU)
     }
 
     /// Sample a managed DNS plan at `date`.
@@ -677,37 +682,13 @@ impl World {
             .iter()
             .map(|p| p.share.at(date).max(0.0))
             .collect();
-        let total: f64 = weights.iter().sum();
-        let mut x = self.rng.random_range(0.0..total.max(f64::MIN_POSITIVE));
-        for (i, w) in weights.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        0
+        weighted_index(&mut self.rng, weights.iter().copied()).unwrap_or(0)
     }
 
     fn sample_ca(&mut self, date: Date) -> CaId {
         let period = Period::of(date);
-        let weights: Vec<f64> = self
-            .ca_specs
-            .iter()
-            .map(|s| match period {
-                Period::PreConflict => s.share_pre_conflict,
-                Period::PreSanctions => s.share_pre_sanctions,
-                Period::PostSanctions => s.share_post_sanctions,
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let mut x = self.rng.random_range(0.0..total.max(f64::MIN_POSITIVE));
-        for (i, w) in weights.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return CaId(i as u16);
-            }
-        }
-        caid::LETS_ENCRYPT
+        let shares = self.ca_specs.iter().map(|s| s.share(period));
+        weighted_index(&mut self.rng, shares).map_or(caid::LETS_ENCRYPT, |i| CaId(i as u16))
     }
 
     /// Create and fully wire a new domain. Returns its name.
@@ -778,21 +759,15 @@ impl World {
             registered,
         };
 
-        // Registry entry.
-        let reg_idx = if name.tld() == "ru" { 0 } else { 1 };
-        let _ = self.registries[reg_idx].register(name.clone(), registered, 30);
-
+        let _ = self
+            .registry_mut(&name)
+            .register(name.clone(), registered, 30);
         self.install_domain(&state);
 
         // Membership bookkeeping.
         self.hosting_members[primary.0 as usize].add(name.clone());
         if let Some((sec, _)) = state.hosting.secondary {
             self.hosting_members[sec.0 as usize].add(name.clone());
-        }
-        match &state.dns {
-            DnsPlan::Managed(p) => self.plan_members[p.0 as usize].add(name.clone()),
-            DnsPlan::VanityOwn => self.vanity_own_members.add(name.clone()),
-            DnsPlan::VanityExotic(_) => self.vanity_exotic_members.add(name.clone()),
         }
         if state.tls.is_some() {
             self.tls_pool.add(name.clone());
@@ -802,7 +777,9 @@ impl World {
     }
 
     /// Write the domain's zone, delegation, and TLS endpoints into the
-    /// infrastructure, according to its current state.
+    /// infrastructure, according to its current state, and list a managed
+    /// domain among its plan's members. [`World::uninstall_dns`] undoes
+    /// the DNS half.
     fn install_domain(&mut self, state: &DomainState) {
         let owner = Name::from(&state.name);
         let (ns_names, glue, zone_home): (
@@ -831,9 +808,7 @@ impl World {
                 (vec![ns1, ns2], glue, ZoneHome::SelfHosted)
             }
             DnsPlan::VanityExotic(i) => {
-                let tld = catalog::exotic_tld(*i as usize);
-                let sld = state.name.labels().next().expect("non-empty");
-                let parent: DomainName = format!("{sld}-dns.{tld}").parse().expect("valid name");
+                let parent = exotic_parent(&state.name, *i);
                 let ns1 = parent.prepend("ns1").expect("valid label");
                 (vec![ns1], BTreeMap::new(), ZoneHome::ExoticVanity(parent))
             }
@@ -862,6 +837,7 @@ impl World {
         match zone_home {
             ZoneHome::Plan(plan_i) => {
                 write(&self.plan_zone_sets[plan_i]).insert(zone);
+                self.plan_members[plan_i].add(state.name.clone());
             }
             ZoneHome::SelfHosted => {
                 // AuthServer at the web IP, serving just this zone.
@@ -876,7 +852,7 @@ impl World {
             ZoneHome::ExoticVanity(parent) => {
                 // Serve both the parent vanity zone and the domain zone at
                 // the web IP; delegate the parent in its exotic TLD zone.
-                let ns1 = parent.prepend("ns1").expect("valid label");
+                let ns1 = ns_names[0].clone();
                 let mut pzone = Zone::new(
                     Name::from(&parent),
                     Self::plan_soa(&Name::from(&ns1)),
@@ -900,26 +876,13 @@ impl World {
                     DNS_PORT,
                     Box::new(AuthServer::new(zs)),
                 );
-                let tld: Name = parent.tld().parse().expect("valid tld");
-                let mut g = write(&self.gtld_zones);
-                if let Some(tzone) = g.get_mut(&tld) {
-                    let powner = Name::from(&parent);
-                    tzone.remove(&powner, None);
-                    tzone.add(Record::new(powner, 86_400, RData::Ns(Name::from(&ns1))));
-                    let nowner = Name::from(&ns1);
-                    tzone.remove(&nowner, None);
-                    tzone.add(Record::new(
-                        nowner,
-                        86_400,
-                        RData::A(state.hosting.primary_ip),
-                    ));
-                }
+                let glue = [(ns1.clone(), vec![state.hosting.primary_ip])].into();
+                self.delegate_in_gtld(&parent, &[ns1], &glue);
             }
         }
 
         // Registry delegation.
-        let reg_idx = if state.name.tld() == "ru" { 0 } else { 1 };
-        let _ = self.registries[reg_idx].set_delegation(
+        let _ = self.registry_mut(&state.name).set_delegation(
             &state.name,
             Delegation {
                 nameservers: ns_names,
@@ -947,38 +910,33 @@ impl World {
         }
     }
 
+    /// Take the domain's DNS out of service: drop a managed zone and its
+    /// plan membership, or unbind a vanity server and clear an exotic
+    /// parent's gTLD delegation.
+    fn uninstall_dns(&mut self, state: &DomainState) {
+        match &state.dns {
+            DnsPlan::Managed(p) => {
+                write(&self.plan_zone_sets[p.0 as usize]).remove(&Name::from(&state.name));
+                self.plan_members[p.0 as usize].remove(&state.name);
+            }
+            DnsPlan::VanityOwn => {
+                self.net.unbind(state.hosting.primary_ip, DNS_PORT);
+            }
+            DnsPlan::VanityExotic(i) => {
+                self.net.unbind(state.hosting.primary_ip, DNS_PORT);
+                let parent = exotic_parent(&state.name, *i);
+                let ns1 = parent.prepend("ns1").expect("valid label");
+                self.delegate_in_gtld(&parent, &[], &[(ns1, Vec::new())].into());
+            }
+        }
+    }
+
     /// Tear a domain out of the infrastructure (expiry / deletion).
     fn remove_domain(&mut self, name: &DomainName) {
         let Some(state) = self.domains.remove(name) else {
             return;
         };
-        let owner = Name::from(name);
-        match &state.dns {
-            DnsPlan::Managed(p) => {
-                write(&self.plan_zone_sets[p.0 as usize]).remove(&owner);
-                self.plan_members[p.0 as usize].remove(name);
-            }
-            DnsPlan::VanityOwn => {
-                self.net.unbind(state.hosting.primary_ip, DNS_PORT);
-                self.vanity_own_members.remove(name);
-            }
-            DnsPlan::VanityExotic(i) => {
-                self.net.unbind(state.hosting.primary_ip, DNS_PORT);
-                self.vanity_exotic_members.remove(name);
-                let tld = catalog::exotic_tld(*i as usize);
-                let sld = name.labels().next().expect("non-empty");
-                if let Ok(parent) = format!("{sld}-dns.{tld}").parse::<DomainName>() {
-                    let tldname: Name = parent.tld().parse().expect("valid");
-                    let mut g = write(&self.gtld_zones);
-                    if let Some(tzone) = g.get_mut(&tldname) {
-                        tzone.remove(&Name::from(&parent), None);
-                        if let Ok(ns1) = parent.prepend("ns1") {
-                            tzone.remove(&Name::from(&ns1), None);
-                        }
-                    }
-                }
-            }
-        }
+        self.uninstall_dns(&state);
         self.hosting_members[state.hosting.primary.0 as usize].remove(name);
         if let Some((sec, ip)) = state.hosting.secondary {
             self.hosting_members[sec.0 as usize].remove(name);
@@ -990,8 +948,7 @@ impl World {
             write(&self.serving).remove(&state.hosting.primary_ip);
             self.tls_pool.remove(name);
         }
-        let reg_idx = if name.tld() == "ru" { 0 } else { 1 };
-        let _ = self.registries[reg_idx].delete(name);
+        let _ = self.registry_mut(name).delete(name);
     }
 
     /// Initial population at `cfg.start`.
@@ -1174,8 +1131,8 @@ impl World {
         }
         self.apply_scripted_moves(date);
         self.churn(date);
-        self.rebalance_hosting(date);
-        self.rebalance_plans(date);
+        self.rebalance(date, Pool::Hosting);
+        self.rebalance(date, Pool::Plans);
         if date >= self.cfg.cert_start {
             self.issue_certificates(date);
             self.issue_sanctioned_certificates(date);
@@ -1530,15 +1487,35 @@ impl World {
         (mean + sd * z).round().clamp(0.0, n as f64) as usize
     }
 
-    /// Move domains between hosting providers toward the share targets.
-    fn rebalance_hosting(&mut self, date: Date) {
-        let pop = self.domains.len().max(1);
-        let mut deficits: Vec<(ProviderId, f64)> = Vec::new();
+    /// Move domains in `pool` from members above their share target to
+    /// members below it. A member over target by more than one domain
+    /// offers up to its surplus, capped at 8 % of its domains but at least
+    /// 24; each offered domain moves to an under-target member drawn in
+    /// proportion to its deficit.
+    fn rebalance(&mut self, date: Date, pool: Pool) {
+        let pop = self.domains.len().max(1) as f64;
+        let targets: Vec<(usize, f64)> = match pool {
+            Pool::Hosting => self
+                .hosting_shares
+                .iter()
+                .map(|(p, sched)| (p.0 as usize, sched.at(date)))
+                .collect(),
+            Pool::Plans => self
+                .plans
+                .iter()
+                .enumerate()
+                .map(|(i, plan)| (i, plan.share.at(date)))
+                .collect(),
+        };
+        let mut deficits: Vec<(usize, f64)> = Vec::new();
         let mut surplus_pool: Vec<DomainName> = Vec::new();
-        for (pid_, sched) in self.hosting_shares.clone() {
-            let target = sched.at(date) * pop as f64;
-            let actual = self.hosting_members[pid_.0 as usize].len() as f64;
-            let gap = actual - target;
+        for (slot, share) in targets {
+            let members = match pool {
+                Pool::Hosting => &self.hosting_members[slot],
+                Pool::Plans => &self.plan_members[slot],
+            };
+            let actual = members.len() as f64;
+            let gap = actual - share * pop;
             let cap = (actual * 0.08).max(24.0);
             if gap > 1.0 {
                 let k = gap.min(cap).round() as usize;
@@ -1546,92 +1523,50 @@ impl World {
                 let mut guard = 0;
                 while picked < k && guard < k * 4 {
                     guard += 1;
-                    let Some(name) = self.hosting_members[pid_.0 as usize]
-                        .sample(&mut self.rng)
-                        .cloned()
-                    else {
+                    let Some(name) = members.sample(&mut self.rng).cloned() else {
                         break;
                     };
-                    let ok = self.domains.get(&name).is_some_and(|d| {
-                        !d.sanctioned && d.hosting.primary == pid_ && d.hosting.secondary.is_none()
-                    }) && !self.portfolio.contains(&name);
-                    if ok && !surplus_pool.contains(&name) {
+                    if self.may_rebalance(pool, slot, &name) && !surplus_pool.contains(&name) {
                         surplus_pool.push(name);
                         picked += 1;
                     }
                 }
             } else if gap < -1.0 {
-                deficits.push((pid_, -gap));
+                deficits.push((slot, -gap));
             }
         }
-        let total_deficit: f64 = deficits.iter().map(|(_, d)| d).sum();
-        if total_deficit <= 0.0 {
+        if deficits.is_empty() {
             return;
         }
         for name in surplus_pool {
-            let mut x = self.rng.random_range(0.0..total_deficit);
-            let mut dest = deficits[0].0;
-            for (p, d) in &deficits {
-                x -= d;
-                if x <= 0.0 {
-                    dest = *p;
-                    break;
-                }
+            let i = weighted_index(&mut self.rng, deficits.iter().map(|(_, d)| *d));
+            let dest = deficits[i.unwrap_or(0)].0;
+            match pool {
+                Pool::Hosting => self.move_hosting(&name, ProviderId(dest as u16)),
+                Pool::Plans => self.move_plan(&name, dest),
             }
-            self.move_hosting(&name, dest);
         }
     }
 
-    /// Move domains between managed DNS plans toward the share targets.
-    fn rebalance_plans(&mut self, date: Date) {
-        let pop = self.domains.len().max(1);
-        let mut deficits: Vec<(usize, f64)> = Vec::new();
-        let mut surplus_pool: Vec<DomainName> = Vec::new();
-        for i in 0..self.plans.len() {
-            let target = self.plans[i].share.at(date) * pop as f64;
-            let actual = self.plan_members[i].len() as f64;
-            let gap = actual - target;
-            let cap = (actual * 0.08).max(24.0);
-            if gap > 1.0 {
-                let k = gap.min(cap).round() as usize;
-                let mut picked = 0;
-                let mut guard = 0;
-                while picked < k && guard < k * 4 {
-                    guard += 1;
-                    let Some(name) = self.plan_members[i].sample(&mut self.rng).cloned() else {
-                        break;
-                    };
-                    if self.domains.get(&name).is_some_and(|d| !d.sanctioned)
-                        && !surplus_pool.contains(&name)
-                    {
-                        surplus_pool.push(name);
-                        picked += 1;
+    /// Whether the rebalancer may move `name` out of member `slot` of
+    /// `pool`. Sanctioned domains move only by script; for hosting, neither
+    /// may split-hosted domains nor the scripted parking portfolio.
+    fn may_rebalance(&self, pool: Pool, slot: usize, name: &DomainName) -> bool {
+        self.domains.get(name).is_some_and(|d| {
+            !d.sanctioned
+                && match pool {
+                    Pool::Hosting => {
+                        d.hosting.primary.0 as usize == slot
+                            && d.hosting.secondary.is_none()
+                            && !self.portfolio.contains(name)
                     }
+                    Pool::Plans => true,
                 }
-            } else if gap < -1.0 {
-                deficits.push((i, -gap));
-            }
-        }
-        let total_deficit: f64 = deficits.iter().map(|(_, d)| d).sum();
-        if total_deficit <= 0.0 {
-            return;
-        }
-        for name in surplus_pool {
-            let mut x = self.rng.random_range(0.0..total_deficit);
-            let mut dest = deficits[0].0;
-            for (p, d) in &deficits {
-                x -= d;
-                if x <= 0.0 {
-                    dest = *p;
-                    break;
-                }
-            }
-            self.move_plan(&name, dest);
-        }
+        })
     }
 
     /// Re-home a domain's web hosting (and TLS endpoint) to `to`.
-    pub fn move_hosting(&mut self, name: &DomainName, to: ProviderId) {
+    fn move_hosting(&mut self, name: &DomainName, to: ProviderId) {
         let Some(state) = self.domains.get(name).cloned() else {
             return;
         };
@@ -1656,10 +1591,9 @@ impl World {
                     }
                 }
             }
-            DnsPlan::VanityOwn | DnsPlan::VanityExotic(_) => {
-                // Vanity DNS rides on the web IP: re-install from scratch.
-                self.net.unbind(old_ip, DNS_PORT);
-            }
+            // Vanity DNS rides on the web IP: re-installed from scratch
+            // at the new address below.
+            DnsPlan::VanityOwn | DnsPlan::VanityExotic(_) => self.uninstall_dns(&state),
         }
 
         // TLS endpoint moves with the address.
@@ -1687,32 +1621,17 @@ impl World {
         self.domains.insert(name.clone(), new_state);
     }
 
-    /// Switch a domain's managed DNS plan.
-    pub fn move_plan(&mut self, name: &DomainName, to_plan: usize) {
+    /// Switch a domain to managed DNS plan `to_plan`.
+    fn move_plan(&mut self, name: &DomainName, to_plan: usize) {
         let Some(state) = self.domains.get(name).cloned() else {
             return;
         };
-        let owner = Name::from(name);
-        match &state.dns {
-            DnsPlan::Managed(p) => {
-                if p.0 as usize == to_plan {
-                    return;
-                }
-                write(&self.plan_zone_sets[p.0 as usize]).remove(&owner);
-                self.plan_members[p.0 as usize].remove(name);
-            }
-            DnsPlan::VanityOwn => {
-                self.net.unbind(state.hosting.primary_ip, DNS_PORT);
-                self.vanity_own_members.remove(name);
-            }
-            DnsPlan::VanityExotic(_) => {
-                self.net.unbind(state.hosting.primary_ip, DNS_PORT);
-                self.vanity_exotic_members.remove(name);
-            }
+        if state.dns == DnsPlan::Managed(PlanId(to_plan as u16)) {
+            return;
         }
+        self.uninstall_dns(&state);
         let mut new_state = state;
         new_state.dns = DnsPlan::Managed(PlanId(to_plan as u16));
-        self.plan_members[to_plan].add(name.clone());
         self.install_domain(&new_state);
         self.domains.insert(name.clone(), new_state);
     }
@@ -1730,11 +1649,7 @@ impl World {
             if CaId(i as u16) == caid::RUSSIAN {
                 continue;
             }
-            let spec_share = match period {
-                Period::PreConflict => self.ca_specs[i].share_pre_conflict,
-                Period::PreSanctions => self.ca_specs[i].share_pre_sanctions,
-                Period::PostSanctions => self.ca_specs[i].share_post_sanctions,
-            };
+            let spec_share = self.ca_specs[i].share(period);
             let stopped = self.ca_specs[i].stop_date.is_some_and(|d| date >= d);
             let mut n = if stopped {
                 0
@@ -2003,21 +1918,16 @@ impl World {
         // 1. Membership lists agree with domain states.
         let mut hosting_counts = vec![0usize; self.providers.len()];
         let mut plan_counts = vec![0usize; self.plans.len()];
-        let mut vanity_own = 0usize;
-        let mut vanity_exotic = 0usize;
         for (name, state) in &self.domains {
             hosting_counts[state.hosting.primary.0 as usize] += 1;
             if let Some((sec, _)) = state.hosting.secondary {
                 hosting_counts[sec.0 as usize] += 1;
             }
-            match &state.dns {
-                DnsPlan::Managed(p) => plan_counts[p.0 as usize] += 1,
-                DnsPlan::VanityOwn => vanity_own += 1,
-                DnsPlan::VanityExotic(_) => vanity_exotic += 1,
+            if let DnsPlan::Managed(p) = &state.dns {
+                plan_counts[p.0 as usize] += 1;
             }
             // 2. Registry entry exists.
-            let reg = &self.registries[if name.tld() == "ru" { 0 } else { 1 }];
-            if reg.get(name).is_none() {
+            if !self.registries.iter().any(|r| r.is_registered(name)) {
                 problems.push(format!("{name}: missing registry entry"));
             }
             // 3. TLS domains have bound endpoints.
@@ -2052,18 +1962,6 @@ impl World {
                 ));
             }
         }
-        if self.vanity_own_members.len() != vanity_own {
-            problems.push(format!(
-                "vanity-own members = {}, states say {vanity_own}",
-                self.vanity_own_members.len()
-            ));
-        }
-        if self.vanity_exotic_members.len() != vanity_exotic {
-            problems.push(format!(
-                "vanity-exotic members = {}, states say {vanity_exotic}",
-                self.vanity_exotic_members.len()
-            ));
-        }
         // 5. Serving map points at addresses that are actually bound.
         for ip in read(&self.serving).keys() {
             if !self.net.is_bound(*ip, TLS_PORT) {
@@ -2078,6 +1976,38 @@ enum ZoneHome {
     Plan(usize),
     SelfHosted,
     ExoticVanity(DomainName),
+}
+
+/// A population the background rebalancer drifts toward its share
+/// targets ([`World::rebalance`]).
+#[derive(Clone, Copy)]
+enum Pool {
+    /// Web hosting providers: `hosting_shares` over `hosting_members`.
+    Hosting,
+    /// Managed DNS plans: each plan's share over `plan_members`.
+    Plans,
+}
+
+/// Draw an index with probability proportional to `weights`, or `None`
+/// when the draw rounds past the last weight.
+fn weighted_index(
+    rng: &mut StdRng,
+    mut weights: impl Iterator<Item = f64> + Clone,
+) -> Option<usize> {
+    let total: f64 = weights.clone().sum();
+    let mut x = rng.random_range(0.0..total.max(f64::MIN_POSITIVE));
+    weights.position(|w| {
+        x -= w;
+        x <= 0.0
+    })
+}
+
+/// The `<sld>-dns.<tld>` parent whose `ns1` serves a domain on exotic
+/// vanity DNS with exotic TLD `i`.
+fn exotic_parent(name: &DomainName, i: u16) -> DomainName {
+    let sld = name.labels().next().expect("non-empty");
+    let tld = catalog::exotic_tld(i as usize);
+    format!("{sld}-dns.{tld}").parse().expect("valid name")
 }
 
 /// Port-43 WHOIS over the registry database (see
@@ -2263,8 +2193,7 @@ mod tests {
             DnsPlan::Managed(PlanId(5))
         ));
         // Registry delegation now lists plan 5's name servers.
-        let reg = &w.registries[if name.tld() == "ru" { 0 } else { 1 }];
-        let delegation = &reg.get(&name).unwrap().delegation;
+        let delegation = w.registry_mut(&name).get(&name).unwrap().delegation.clone();
         let plan5_hosts: Vec<DomainName> = w
             .ns_hosts
             .iter()
@@ -2296,11 +2225,71 @@ mod tests {
                 .get(&Name::from(&name))
                 .is_none());
         }
-        let reg = &w.registries[if name.tld() == "ru" { 0 } else { 1 }];
-        assert!(reg.get(&name).is_none());
+        assert!(w.registry_mut(&name).get(&name).is_none());
         // Removing again is a no-op.
         w.remove_domain(&name);
         assert_eq!(w.population(), pop - 1);
+    }
+
+    /// The exotic parent of `name`, which must be on exotic vanity DNS.
+    fn parent_of(w: &World, name: &DomainName) -> DomainName {
+        match w.domain_state(name).map(|s| &s.dns) {
+            Some(DnsPlan::VanityExotic(i)) => exotic_parent(name, *i),
+            other => panic!("{name} is not on exotic vanity DNS: {other:?}"),
+        }
+    }
+
+    /// Owners the gTLD zone holds for `parent` and for `parent`'s `ns1`.
+    fn gtld_owners(w: &World, parent: &DomainName) -> Vec<Name> {
+        let owners = [
+            Name::from(parent),
+            Name::from(&parent.prepend("ns1").unwrap()),
+        ];
+        let g = read(&w.gtld_zones);
+        let zone = g.get(&parent.tld().parse().unwrap()).expect("TLD zone");
+        let mut held: Vec<Name> = zone
+            .iter()
+            .map(|r| r.name.clone())
+            .filter(|n| owners.contains(n))
+            .collect();
+        held.dedup();
+        held
+    }
+
+    #[test]
+    fn exotic_vanity_teardown_clears_the_gtld_delegation() {
+        let mut w = World::new(WorldConfig::tiny());
+        let exotic: Vec<DomainName> = w
+            .seed_names()
+            .into_iter()
+            .filter(|n| {
+                w.domain_state(n)
+                    .is_some_and(|s| matches!(s.dns, DnsPlan::VanityExotic(_)))
+            })
+            .take(2)
+            .collect();
+        assert_eq!(exotic.len(), 2, "the tiny world has exotic vanity domains");
+        let parents: Vec<DomainName> = exotic.iter().map(|n| parent_of(&w, n)).collect();
+        for parent in &parents {
+            assert_eq!(
+                gtld_owners(&w, parent).len(),
+                2,
+                "{parent} delegated with glue"
+            );
+        }
+
+        w.move_plan(&exotic[0], 0);
+        assert_eq!(
+            w.domain_state(&exotic[0]).unwrap().dns,
+            DnsPlan::Managed(PlanId(0))
+        );
+        assert_eq!(gtld_owners(&w, &parents[0]), Vec::<Name>::new());
+        assert_eq!(w.check_invariants(), Vec::<String>::new());
+
+        w.remove_domain(&exotic[1]);
+        assert!(w.domain_state(&exotic[1]).is_none());
+        assert_eq!(gtld_owners(&w, &parents[1]), Vec::<Name>::new());
+        assert_eq!(w.check_invariants(), Vec::<String>::new());
     }
 
     #[test]
