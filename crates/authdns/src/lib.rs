@@ -19,6 +19,9 @@
 //!   ([`ResolverStats`]) for the measurement layer. A primed resolver
 //!   [freezes](IterativeResolver::freeze) into a shared [`PrimedBase`]
 //!   that per-worker [overlays](IterativeResolver::overlay) read through.
+//!   [`IterativeResolver::resolve_into`] hands an answer's records to a
+//!   sink as [`AnswerRecord`]s, read in place from the reply, for answers
+//!   only the caller reads (the sweep's per-domain queries).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +30,7 @@ pub mod resolver;
 pub mod server;
 
 pub use resolver::{
-    IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase, Resolution, ResolveError,
-    ResolverObs, ResolverStats, RootHint, TraceEvent,
+    AnswerRecord, IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase, Resolution,
+    ResolveError, ResolverObs, ResolverStats, RootHint, TraceEvent,
 };
 pub use server::{AuthServer, ServerBehavior, SharedZoneSet, ZoneSet};

@@ -71,6 +71,61 @@ impl Resolution {
             _ => Vec::new(),
         }
     }
+
+    /// How the walk that produced this resolution ended.
+    fn answer(&self) -> Answer {
+        match self {
+            Resolution::Records(r) => Answer::Records(r.len()),
+            Resolution::NxDomain => Answer::NxDomain,
+            Resolution::NoData => Answer::NoData,
+        }
+    }
+}
+
+/// One record of an answer that [`IterativeResolver::resolve_into`]
+/// hands to its sink: read in place from the reply buffer, or borrowed
+/// from the answer cache. Neither is copied.
+#[derive(Debug, Clone, Copy)]
+pub enum AnswerRecord<'a> {
+    /// A record of the reply that answered, valid for the sink call.
+    View(RecordView<'a>),
+    /// A record of a cached answer.
+    Cached(&'a Record),
+}
+
+impl AnswerRecord<'_> {
+    /// The address of an A record.
+    pub fn a(&self) -> Option<Ipv4Addr> {
+        match self {
+            AnswerRecord::View(r) => r.a(),
+            AnswerRecord::Cached(r) => match r.data {
+                RData::A(ip) => Some(ip),
+                _ => None,
+            },
+        }
+    }
+
+    /// The target of an NS record, lowercased: copied into `buf` from a
+    /// reply, borrowed from a cached record.
+    pub fn ns_target<'b>(&'b self, buf: &'b mut [u8; MAX_NAME_LEN]) -> Option<&'b NameSlice> {
+        match self {
+            AnswerRecord::View(r) if r.rtype() == RType::Ns => {
+                Some(r.target()?.lowercase_into(buf))
+            }
+            AnswerRecord::Cached(Record {
+                data: RData::Ns(n), ..
+            }) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// Copy the record out into an owned [`Record`].
+    pub fn to_record(&self) -> Record {
+        match self {
+            AnswerRecord::View(r) => r.to_record(),
+            AnswerRecord::Cached(r) => (*r).clone(),
+        }
+    }
 }
 
 /// One step in a resolution trace (for diagnostics and the
@@ -392,6 +447,16 @@ impl QuestionKey {
     }
 }
 
+/// How a resolution ended, once its answer records went to a sink.
+enum Answer {
+    /// A positive answer of this many records, CNAME chain included.
+    Records(usize),
+    /// Authoritative denial.
+    NxDomain,
+    /// The name exists without records of the queried type.
+    NoData,
+}
+
 /// Classification of one query exchange.
 enum QueryOutcome<'r> {
     /// A usable response (NoError or NXDOMAIN, not truncated, not lame),
@@ -656,15 +721,77 @@ impl IterativeResolver {
         let mut budget = self.query_budget;
         let mut retries = self.retry_budget;
         let result = self.resolve_inner(net, name, rtype, &mut budget, &mut retries, 0, deps);
+        self.record_done(&result.as_ref().map(Resolution::answer).map_err(|e| *e));
+        result
+    }
+
+    /// [`resolve_with_cache`](Self::resolve_with_cache), with the answer
+    /// records handed to `sink` in answer order instead of returned: read
+    /// in place from the reply, so nothing is copied out. For an answer
+    /// only its caller reads, like a sweep's per-domain queries.
+    ///
+    /// A cached answer is served from the cache and fed to the sink. A
+    /// positive answer that arrives is not cached; a denial, an empty
+    /// answer and a non-transient error are, as by `resolve_with_cache`.
+    /// The records of a CNAME chain arrive hop by hop, so a chain whose
+    /// later hop fails returns `Err` after some records went to the sink:
+    /// the caller drops what it collected then. Nested NS-target lookups
+    /// still go through the cached, owned path.
+    pub fn resolve_into<T: Transport>(
+        &mut self,
+        net: &mut T,
+        name: &NameSlice,
+        rtype: RType,
+        deps: &dyn NsDependencyCache,
+        sink: &mut dyn FnMut(AnswerRecord<'_>),
+    ) -> Result<(), ResolveError> {
+        let key = QuestionKey::new(name, rtype);
+        let result = if let Some(cached) = self.cached_answer(key.as_bytes()).cloned() {
+            self.obs.answer_cache_hits += 1;
+            cached.map(|res| {
+                if let Resolution::Records(records) = &res {
+                    records.iter().for_each(|r| sink(AnswerRecord::Cached(r)));
+                }
+                res.answer()
+            })
+        } else {
+            let mut budget = self.query_budget;
+            let mut retries = self.retry_budget;
+            let result = self.walk(net, name, rtype, &mut budget, &mut retries, 0, deps, sink);
+            match &result {
+                Ok(Answer::Records(_)) => {}
+                Ok(Answer::NxDomain) => self.cache_answer(&key, Ok(Resolution::NxDomain)),
+                Ok(Answer::NoData) => self.cache_answer(&key, Ok(Resolution::NoData)),
+                Err(e) => self.cache_answer(&key, Err(*e)),
+            }
+            result
+        };
+        self.record_done(&result);
+        result.map(|_| ())
+    }
+
+    /// Record the trace's terminal event for `result`.
+    fn record_done(&mut self, result: &Result<Answer, ResolveError>) {
         self.record(|| TraceEvent::Done {
-            outcome: match &result {
-                Ok(Resolution::Records(r)) => format!("answer ({} records)", r.len()),
-                Ok(Resolution::NxDomain) => "NXDOMAIN".to_owned(),
-                Ok(Resolution::NoData) => "NODATA".to_owned(),
+            outcome: match result {
+                Ok(Answer::Records(n)) => format!("answer ({n} records)"),
+                Ok(Answer::NxDomain) => "NXDOMAIN".to_owned(),
+                Ok(Answer::NoData) => "NODATA".to_owned(),
                 Err(e) => format!("error: {e}"),
             },
         });
-        result
+    }
+
+    /// Cache `result` under `key`, unless it is a transient failure:
+    /// timeouts and SERVFAILs may clear within the sweep, and budget
+    /// exhaustion is a property of one call's budget, not of the name.
+    fn cache_answer(&mut self, key: &QuestionKey, result: Result<Resolution, ResolveError>) {
+        if !matches!(
+            result,
+            Err(ResolveError::Timeout | ResolveError::ServFail | ResolveError::BudgetExhausted)
+        ) {
+            self.own.answers.insert(key.as_bytes().into(), result);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -687,10 +814,38 @@ impl IterativeResolver {
             self.obs.answer_cache_hits += 1;
             return cached;
         }
-        // The walk reads replies in place from the reply buffer and sorts
-        // candidates in the server buffer, so it owns both while it runs.
-        // A nested walk (an out-of-bailiwick NS lookup) finds them empty
-        // and grows its own; whichever walk finishes last keeps its pair.
+        let mut chain = Vec::new();
+        let result = self
+            .walk(net, name, rtype, budget, retries, depth, deps, &mut |r| {
+                chain.push(r.to_record())
+            })
+            .map(|answer| match answer {
+                Answer::Records(_) => Resolution::Records(chain.into()),
+                Answer::NxDomain => Resolution::NxDomain,
+                Answer::NoData => Resolution::NoData,
+            });
+        self.cache_answer(&key, result.clone());
+        result
+    }
+
+    /// [`resolve_uncached`](Self::resolve_uncached) with the reply and
+    /// server buffers lent to it. The walk reads replies in place from the
+    /// reply buffer and sorts candidates in the server buffer, so it owns
+    /// both while it runs. A nested walk (an out-of-bailiwick NS lookup)
+    /// finds them empty and grows its own; whichever walk finishes last
+    /// keeps its pair.
+    #[allow(clippy::too_many_arguments)]
+    fn walk<T: Transport>(
+        &mut self,
+        net: &mut T,
+        name: &NameSlice,
+        rtype: RType,
+        budget: &mut u32,
+        retries: &mut u32,
+        depth: u32,
+        deps: &dyn NsDependencyCache,
+        sink: &mut dyn FnMut(AnswerRecord<'_>),
+    ) -> Result<Answer, ResolveError> {
         let mut reply = std::mem::take(&mut self.reply);
         let mut servers = std::mem::take(&mut self.servers);
         let result = self.resolve_uncached(
@@ -701,22 +856,12 @@ impl IterativeResolver {
             retries,
             depth,
             deps,
+            sink,
             &mut reply,
             &mut servers,
         );
         self.reply = reply;
         self.servers = servers;
-        // Cache everything except transient failures: timeouts and
-        // SERVFAILs may clear within the sweep, and budget exhaustion is a
-        // property of this call's budget, not of the name.
-        if !matches!(
-            result,
-            Err(ResolveError::Timeout | ResolveError::ServFail | ResolveError::BudgetExhausted)
-        ) {
-            self.own
-                .answers
-                .insert(key.as_bytes().into(), result.clone());
-        }
         result
     }
 
@@ -864,8 +1009,9 @@ impl IterativeResolver {
 
     /// One resolution walk: from the deepest cached cut, follow referrals
     /// and CNAMEs until an answer, reading every reply in place from
-    /// `reply` and sorting candidates in `servers`. Only the records of a
-    /// positive answer and each new cut are copied out.
+    /// `reply` and sorting candidates in `servers`. The records of each
+    /// positive answer go to `sink` as they arrive; only each new cut and
+    /// a CNAME target are copied out.
     #[allow(clippy::too_many_arguments)]
     fn resolve_uncached<T: Transport>(
         &mut self,
@@ -876,12 +1022,14 @@ impl IterativeResolver {
         retries: &mut u32,
         depth: u32,
         deps: &dyn NsDependencyCache,
+        sink: &mut dyn FnMut(AnswerRecord<'_>),
         reply: &mut Vec<u8>,
         servers: &mut Vec<Ipv4Addr>,
-    ) -> Result<Resolution, ResolveError> {
+    ) -> Result<Answer, ResolveError> {
         // The CNAME target being chased, once there is one.
         let mut alias: Option<Name> = None;
-        let mut chain: Vec<Record> = Vec::new();
+        // Answer records handed to the sink so far, over every hop.
+        let mut delivered = 0usize;
         self.starting_servers(qname, servers);
         let mut saw_refusal = false;
         let mut saw_timeout = false;
@@ -927,15 +1075,18 @@ impl IterativeResolver {
             let flags = msg.flags();
 
             if flags.rcode == Rcode::NxDomain {
-                return Ok(Resolution::NxDomain);
+                return Ok(Answer::NxDomain);
             }
 
             // Positive answer?
             if msg.answers().len() > 0 {
                 let has_final = msg.answers().any(|r| r.rtype() == rtype);
-                chain.extend(msg.answers().map(|r| r.to_record()));
+                for r in msg.answers() {
+                    sink(AnswerRecord::View(r));
+                }
+                delivered += msg.answers().len();
                 if has_final {
-                    return Ok(Resolution::Records(chain.into()));
+                    return Ok(Answer::Records(delivered));
                 }
                 // Pure CNAME response: chase the last target.
                 if let Some(target) = msg
@@ -944,7 +1095,7 @@ impl IterativeResolver {
                     .last()
                     .and_then(|r| r.target())
                 {
-                    if chain.len() > 16 {
+                    if delivered > 16 {
                         return Err(ResolveError::BudgetExhausted);
                     }
                     let target = target.to_name();
@@ -955,7 +1106,7 @@ impl IterativeResolver {
                     alias = Some(target);
                     continue;
                 }
-                return Ok(Resolution::Records(chain.into()));
+                return Ok(Answer::Records(delivered));
             }
 
             // Referral?
@@ -965,13 +1116,13 @@ impl IterativeResolver {
                 // neither answer, referral, nor authoritative denial, yet
                 // not lame-shaped either (send_query screens those out).
                 return if flags.aa {
-                    Ok(Resolution::NoData)
+                    Ok(Answer::NoData)
                 } else {
                     Err(ResolveError::BadResponse)
                 };
             };
             if flags.aa {
-                return Ok(Resolution::NoData);
+                return Ok(Answer::NoData);
             }
             let targets = msg.authorities().filter(is_ns).filter_map(|r| r.target());
             // Bailiwick check: only accept glue whose owner is one of the
@@ -1057,11 +1208,15 @@ mod tests {
     const HOSTER_DNS_IP: Ipv4Addr = Ipv4Addr::new(194, 85, 61, 20);
     const HOSTER_DNS2_IP: Ipv4Addr = Ipv4Addr::new(194, 85, 61, 21);
     const WEB_IP: Ipv4Addr = Ipv4Addr::new(194, 85, 90, 10);
+    /// Routed, but no server listens there.
+    const DEAD_IP: Ipv4Addr = Ipv4Addr::new(194, 85, 61, 99);
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(130, 89, 1, 1);
 
     /// Build a three-level hierarchy: root → ru/com → example.ru served by
     /// ns1.hoster.ru (in-bailiwick of .ru with glue) and ns2.hoster.com
-    /// (out-of-bailiwick, requiring a separate resolution).
+    /// (out-of-bailiwick, requiring a separate resolution). hoster.ru
+    /// holds two cross-zone aliases: www.hoster.ru → example.ru, and
+    /// broken.hoster.ru → www.dead.com, whose only server is dead.
     fn build_world() -> (Network, IterativeResolver) {
         let mut topo = Topology::new(SeedTree::new(11).child("topo"));
         for (asn, org, cc) in [
@@ -1139,6 +1294,12 @@ mod tests {
             3600,
             RData::Ns(name("ns1.hoster.ru")),
         ));
+        com.add(Record::new(
+            name("dead.com"),
+            3600,
+            RData::Ns(name("ns.dead.com")),
+        ));
+        com.add(Record::new(name("ns.dead.com"), 3600, RData::A(DEAD_IP)));
         net.bind(
             COM_TLD_IP,
             53,
@@ -1168,6 +1329,16 @@ mod tests {
             name("ns1.hoster.ru"),
             300,
             RData::A(HOSTER_DNS_IP),
+        ));
+        hoster_ru.add(Record::new(
+            name("www.hoster.ru"),
+            300,
+            RData::Cname(name("example.ru")),
+        ));
+        hoster_ru.add(Record::new(
+            name("broken.hoster.ru"),
+            300,
+            RData::Cname(name("www.dead.com")),
         ));
         let mut hoster_com = Zone::new(name("hoster.com"), soa("ns1.hoster.ru"), 3600);
         hoster_com.add(Record::new(
@@ -1359,6 +1530,111 @@ mod tests {
             .resolve(&mut net, &name("www.example.ru"), RType::A)
             .unwrap();
         assert_eq!(first.queries_sent(), 1);
+    }
+
+    /// `resolve_into` for `qname`/`rtype`, each record copied out.
+    fn streamed(
+        r: &mut IterativeResolver,
+        net: &mut Network,
+        qname: &str,
+        rtype: RType,
+    ) -> (Result<(), ResolveError>, Vec<Record>) {
+        let mut got = Vec::new();
+        let result = r.resolve_into(net, &name(qname), rtype, &NoDependencyCache, &mut |rec| {
+            got.push(rec.to_record())
+        });
+        (result, got)
+    }
+
+    #[test]
+    fn a_streamed_cname_chain_arrives_hop_by_hop_in_chain_order() {
+        let (mut net, mut owned) = build_world();
+        let want = owned.resolve(&mut net, &name("www.hoster.ru"), RType::A);
+        let (mut net, mut r) = build_world();
+        let (result, got) = streamed(&mut r, &mut net, "www.hoster.ru", RType::A);
+        result.unwrap();
+        // The alias leaves hoster.ru's zone, so each hop is its own reply.
+        assert_eq!(
+            got,
+            [
+                Record::new(name("www.hoster.ru"), 300, RData::Cname(name("example.ru"))),
+                Record::new(name("example.ru"), 300, RData::A(WEB_IP)),
+            ]
+        );
+        assert_eq!(Ok(Resolution::Records(got.into())), want);
+        assert_eq!(r.queries_sent(), owned.queries_sent());
+        // A positive answer that streamed is not cached: asking again
+        // walks again, from the cached cuts.
+        let sent = r.queries_sent();
+        streamed(&mut r, &mut net, "www.hoster.ru", RType::A)
+            .0
+            .unwrap();
+        assert_eq!(r.queries_sent(), sent + 2);
+        assert_eq!(r.obs().answer_cache_hits, 0);
+    }
+
+    #[test]
+    fn a_chain_whose_second_hop_fails_errs_after_partial_delivery() {
+        let (mut net, mut r) = build_world();
+        let (result, got) = streamed(&mut r, &mut net, "broken.hoster.ru", RType::A);
+        assert_eq!(result, Err(ResolveError::Timeout));
+        assert_eq!(
+            got,
+            [Record::new(
+                name("broken.hoster.ru"),
+                300,
+                RData::Cname(name("www.dead.com"))
+            )]
+        );
+        let (mut net, mut owned) = build_world();
+        let want = owned.resolve(&mut net, &name("broken.hoster.ru"), RType::A);
+        assert_eq!(want, Err(ResolveError::Timeout));
+        assert_eq!(r.stats(), owned.stats());
+    }
+
+    #[test]
+    fn an_answer_in_the_primed_base_is_fed_as_cached() {
+        let (mut net, mut primed) = build_world();
+        for rtype in [RType::A, RType::Ns] {
+            primed
+                .resolve(&mut net, &name("example.ru"), rtype)
+                .unwrap();
+        }
+        let mut fresh = IterativeResolver::new(CLIENT_IP, primed.roots.to_vec());
+        let mut r = IterativeResolver::overlay(&primed.freeze());
+        let mut got = Vec::new();
+        r.resolve_into(
+            &mut net,
+            &name("example.ru"),
+            RType::A,
+            &NoDependencyCache,
+            &mut |rec| got.push((matches!(rec, AnswerRecord::Cached(_)), rec.a())),
+        )
+        .unwrap();
+        assert_eq!(got, [(true, Some(WEB_IP))]);
+        assert_eq!(r.queries_sent(), 0);
+        assert_eq!(r.obs().answer_cache_hits, 1);
+        // NS targets read alike from the cache and from a reply.
+        let targets = |r: &mut IterativeResolver, net: &mut Network| {
+            let mut names = Vec::new();
+            r.resolve_into(
+                net,
+                &name("example.ru"),
+                RType::Ns,
+                &NoDependencyCache,
+                &mut |rec| {
+                    let mut buf = [0u8; MAX_NAME_LEN];
+                    names.extend(rec.ns_target(&mut buf).map(|n| n.to_string()));
+                },
+            )
+            .unwrap();
+            names
+        };
+        let cached = targets(&mut r, &mut net);
+        assert_eq!(r.obs().answer_cache_hits, 2);
+        assert_eq!(cached, ["ns1.hoster.ru.", "ns2.hoster.com."]);
+        assert_eq!(targets(&mut fresh, &mut net), cached);
+        assert!(fresh.queries_sent() > 0);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 
 use ruwhere_dns::zone::Lookup;
 use ruwhere_dns::{
-    Flags, Message, MessageView, Name, NameSlice, RData, Rcode, Record, WireError, Zone,
-    MAX_NAME_LEN,
+    Flags, MessageView, Name, NameSlice, RData, Rcode, Record, WireError, Zone, MAX_NAME_LEN,
 };
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
@@ -106,19 +105,9 @@ impl AuthServer {
         Arc::clone(&self.behavior)
     }
 
-    /// Answer `query` against the zone set: the reply [`Service::handle`]
-    /// sends for it, decoded. Fails only if the query or the reply does
-    /// not encode.
-    pub fn answer(zones: &ZoneSet, query: &Message) -> Result<Message, WireError> {
-        let query = query.encode()?;
-        let mut reply = Vec::new();
-        Self::encode_answer(zones, &MessageView::parse(&query)?, &mut reply)?;
-        Message::decode(&reply)
-    }
-
     /// Encode the authoritative reply to `query` into `out` straight from
     /// the records the zones hold: nothing is cloned and no reply
-    /// [`Message`] is built.
+    /// [`Message`](ruwhere_dns::Message) is built.
     fn encode_answer(
         zones: &ZoneSet,
         query: &MessageView<'_>,
@@ -259,8 +248,22 @@ pub fn shared_zones<I: IntoIterator<Item = Zone>>(zones: I) -> SharedZoneSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_dns::{RData, RType, Record, SoaData};
+    use ruwhere_dns::{Message, RData, RType, Record, SoaData};
     use ruwhere_types::sync::write;
+
+    /// Answer `query` against `zones`: the reply [`Service::handle`]
+    /// sends for it, decoded.
+    fn answer(zones: &SharedZoneSet, query: &Message) -> Message {
+        let query = query.encode().unwrap();
+        let mut reply = Vec::new();
+        AuthServer::encode_answer(
+            &read(zones),
+            &MessageView::parse(&query).unwrap(),
+            &mut reply,
+        )
+        .unwrap();
+        Message::decode(&reply).unwrap()
+    }
 
     /// The service's reply to `query`, if any.
     fn serve(srv: &AuthServer, query: &[u8]) -> Option<Vec<u8>> {
@@ -327,7 +330,7 @@ mod tests {
     fn answer_a_query() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("example.ru"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
+        let resp = answer(&zones, &q);
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert!(resp.flags.aa);
         assert_eq!(resp.answers.len(), 1);
@@ -337,7 +340,7 @@ mod tests {
     fn answer_cname_chases_in_zone() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("www.example.ru"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
+        let resp = answer(&zones, &q);
         // CNAME plus the chased A record.
         assert_eq!(resp.answers.len(), 2);
         assert_eq!(resp.answers[0].data.rtype(), RType::Cname);
@@ -348,12 +351,12 @@ mod tests {
     fn answer_nxdomain_and_nodata() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("missing.example.ru"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
+        let resp = answer(&zones, &q);
         assert_eq!(resp.flags.rcode, Rcode::NxDomain);
         assert_eq!(resp.authorities.len(), 1, "negative answers carry the SOA");
 
         let q = Message::query(1, name("example.ru"), RType::Mx);
-        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
+        let resp = answer(&zones, &q);
         assert_eq!(resp.flags.rcode, Rcode::NoError);
         assert!(resp.answers.is_empty());
         assert_eq!(resp.authorities.len(), 1);
@@ -363,7 +366,7 @@ mod tests {
     fn answer_refused_outside_authority() {
         let zones = shared_zones([example_zone()]);
         let q = Message::query(1, name("example.com"), RType::A);
-        let resp = AuthServer::answer(&read(&zones), &q).unwrap();
+        let resp = answer(&zones, &q);
         assert_eq!(resp.flags.rcode, Rcode::Refused);
     }
 

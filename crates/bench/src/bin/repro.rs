@@ -38,7 +38,10 @@
 //! `RUWHERE_BENCH_DAYS`, when set, must be a positive integer: the number
 //! of days in the fixture's daily window (unset means the whole window).
 //! A bad flag value or a bad `RUWHERE_BENCH_DAYS` exits with a usage
-//! message and code 2 before any work starts.
+//! message and code 2 before any work starts. An output path that cannot
+//! be written exits with `error: <path>: <io error>` and code 2; `--out`'s
+//! directory is created and probed before the study runs, so a bad one
+//! fails at once.
 //!
 //! A run that completes ends with `repro: peak RSS <n> MB` on stderr: the
 //! process's high-water resident set (`VmHWM` in `/proc/self/status`, in
@@ -49,7 +52,7 @@ use ruwhere_core::figures;
 use ruwhere_core::{run_study, try_run_study, StudyConfig, StudyResults};
 use ruwhere_types::Date;
 use ruwhere_world::WorldConfig;
-use std::io::Write;
+use std::path::Path;
 
 struct Args {
     scale: usize,
@@ -151,16 +154,36 @@ fn run_study_checkpointed(mut cfg: StudyConfig, args: &Args) -> StudyResults {
     }
 }
 
+/// Print `error: <path>: <err>` and exit with code 2.
+fn io_failure(path: &Path, err: std::io::Error) -> ! {
+    eprintln!("error: {}: {err}", path.display());
+    std::process::exit(2);
+}
+
+/// Write `contents` to `path`, or exit through [`io_failure`].
+fn write_or_exit(path: &Path, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| io_failure(path, e));
+}
+
+/// Create `dir` and check that a file can be written in it, or exit
+/// through [`io_failure`]: `--out` then fails before the study runs.
+fn prepare_out_dir(dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| io_failure(dir, e));
+    let probe = dir.join(".repro-probe");
+    write_or_exit(&probe, "");
+    std::fs::remove_file(&probe).unwrap_or_else(|e| io_failure(&probe, e));
+}
+
 /// Metrics-export mode: sweep the fixture world and write the run-level
 /// `METRICS_sweep.json`. Worker count comes from `RUWHERE_WORKERS`
 /// (default: available parallelism); the exported bytes do not depend on
 /// it.
-fn run_metrics_export(out: &std::path::Path, days: Option<i32>) {
+fn run_metrics_export(out: &Path, days: Option<i32>) {
     let workers = ruwhere_scan::available_workers();
     eprintln!("metrics: sweeping the fixture with {workers} workers…");
     let (metrics, days) = ruwhere_bench::collect_sweep_metrics(workers, days);
     let json = ruwhere_bench::render_metrics_json(&metrics, days);
-    std::fs::write(out, &json).expect("write metrics artifact");
+    write_or_exit(out, &json);
     eprintln!(
         "wrote {} ({} days, {} delivered-packet samples, {} SRTT samples)",
         out.display(),
@@ -176,7 +199,7 @@ fn run_metrics_export(out: &std::path::Path, days: Option<i32>) {
 /// determinism contract makes the bytes independent of the worker count
 /// (`RUWHERE_WORKERS` honored) — CI renders a 1-worker and a 4-worker
 /// report and compares them with `cmp`.
-fn run_report_export(out: &std::path::Path, days: Option<i32>, args: &Args) {
+fn run_report_export(out: &Path, days: Option<i32>, args: &Args) {
     let cfg = ruwhere_bench::fixture_config_for_days(days);
     eprintln!(
         "report: running the pinned fixture study with {} workers…",
@@ -184,7 +207,7 @@ fn run_report_export(out: &std::path::Path, days: Option<i32>, args: &Args) {
     );
     let results = run_study_checkpointed(cfg, args);
     let text = ruwhere_bench::render_report(&results);
-    std::fs::write(out, &text).expect("write report artifact");
+    write_or_exit(out, &text);
     eprintln!(
         "wrote {} ({} sections, {} bytes)",
         out.display(),
@@ -292,6 +315,9 @@ fn run(args: Args) {
         run_geolag_ablation(args.scale.max(1000));
         return;
     }
+    if let Some(dir) = &args.out {
+        prepare_out_dir(dir);
+    }
     let mut world = WorldConfig::paper_scale(args.scale);
     if !args.full {
         // The condensed window still covers: all of the cert analysis
@@ -328,11 +354,8 @@ fn run(args: Args) {
     }
 
     if let Some(dir) = &args.out {
-        std::fs::create_dir_all(dir).expect("create output dir");
         for (id, text) in &artifacts {
-            let path = dir.join(format!("{id}.txt"));
-            let mut f = std::fs::File::create(&path).expect("create artifact file");
-            f.write_all(text.as_bytes()).expect("write artifact");
+            write_or_exit(&dir.join(format!("{id}.txt")), text);
         }
         // Plottable figures: TSV + gnuplot script pairs.
         use ruwhere_core::{gnuplot_script, PlotSpec};
@@ -360,12 +383,11 @@ fn run(args: Args) {
         ];
         for (i, (series, spec)) in plots.iter().enumerate() {
             let base = format!("fig{}", i + 1);
-            std::fs::write(dir.join(format!("{base}.tsv")), series.render()).expect("write tsv");
-            std::fs::write(
-                dir.join(format!("{base}.gnuplot")),
+            write_or_exit(&dir.join(format!("{base}.tsv")), series.render());
+            write_or_exit(
+                &dir.join(format!("{base}.gnuplot")),
                 gnuplot_script(series, &format!("{base}.tsv"), spec),
-            )
-            .expect("write gnuplot script");
+            );
         }
         eprintln!(
             "wrote {} artifacts + {} plot scripts to {}",

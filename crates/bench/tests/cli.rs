@@ -79,3 +79,49 @@ fn peak_rss_is_reported_on_stderr_only() {
         .unwrap_or_else(|| panic!("no peak RSS line in:\n{stderr}"));
     assert!(mb > 0.0, "peak RSS {mb} MB");
 }
+
+/// A path below a regular file, which no write can create.
+fn unwritable(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let file = dir.join("cli-regular-file");
+    std::fs::write(&file, "not a directory").expect("write a regular file");
+    file.join(name)
+}
+
+fn assert_io_error(out: &Output, path: &std::path::Path) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    let want = format!("error: {}: ", path.display());
+    assert!(stderr.contains(&want), "missing {want:?} in:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "repro panicked:\n{stderr}");
+}
+
+#[test]
+fn unwritable_artifact_files_exit_2_without_a_panic() {
+    for flag in ["--metrics", "--report"] {
+        let path = unwritable("artifact.txt");
+        let out = repro(&[flag, path.to_str().expect("utf-8 path")], Some("1"));
+        assert_io_error(&out, &path);
+    }
+}
+
+#[test]
+fn an_unwritable_out_dir_fails_before_the_study_runs() {
+    let path = unwritable("out");
+    let out = repro(
+        &[
+            "--scale",
+            "5000",
+            "--out",
+            path.to_str().expect("utf-8 path"),
+        ],
+        None,
+    );
+    assert_io_error(&out, &path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("study complete"),
+        "the study ran:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "artifacts were printed");
+}

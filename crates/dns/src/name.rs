@@ -66,6 +66,62 @@ impl NameSlice {
         unsafe { &*(wire as *const [u8] as *const NameSlice) }
     }
 
+    /// Borrow flat wire labels (length-prefixed, lowercase, leftmost
+    /// first, no terminal zero octet) as a name, after checking that they
+    /// are exactly that: `None` for a label of length 0 or over 63, an
+    /// uppercase byte, a length octet that runs past the end, or a name
+    /// over [`MAX_NAME_LEN`]. [`wire`](Self::wire) gives such bytes back.
+    pub fn try_from_wire(wire: &[u8]) -> Option<&NameSlice> {
+        if wire.len() >= MAX_NAME_LEN || wire.iter().any(u8::is_ascii_uppercase) {
+            return None;
+        }
+        let mut at = 0;
+        while at < wire.len() {
+            let len = wire[at] as usize;
+            if len == 0 || len > MAX_LABEL_LEN {
+                return None;
+            }
+            at += 1 + len;
+        }
+        (at == wire.len()).then(|| NameSlice::from_wire(wire))
+    }
+
+    /// Build a name from presentation labels into `buf` and borrow it from
+    /// there: [`Name::from_labels`] without the allocation. Each label is
+    /// lowercased and validated for length and ASCII content.
+    pub fn from_labels_into<I, S>(
+        labels: I,
+        buf: &mut [u8; MAX_NAME_LEN],
+    ) -> Result<&NameSlice, WireError>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<[u8]>,
+    {
+        let mut wire_len = 1usize; // terminal zero octet
+        for l in labels {
+            let l = l.as_ref();
+            if l.is_empty() || l.len() > MAX_LABEL_LEN {
+                return Err(WireError::NameTooLong);
+            }
+            if !l.iter().all(|b| b.is_ascii() && *b != b'.') {
+                return Err(WireError::BadLabel);
+            }
+            // Past the limit, keep validating (a later bad label still
+            // decides the error) but stop writing.
+            let at = wire_len - 1;
+            wire_len += 1 + l.len();
+            if wire_len <= MAX_NAME_LEN {
+                buf[at] = l.len() as u8;
+                buf[at + 1..wire_len - 1].copy_from_slice(l);
+                buf[at + 1..wire_len - 1].make_ascii_lowercase();
+            }
+        }
+        if wire_len > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong);
+        }
+        Ok(NameSlice::from_wire(&buf[..wire_len - 1]))
+    }
+
     /// The flat wire labels: length-prefixed, lowercase, leftmost first,
     /// without the terminal zero octet.
     pub fn wire(&self) -> &[u8] {
@@ -200,32 +256,8 @@ impl Name {
         I: IntoIterator<Item = S>,
         S: AsRef<[u8]>,
     {
-        let mut out = [0u8; MAX_NAME_LEN];
-        let mut wire_len = 1usize; // terminal zero octet
-        for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() || l.len() > MAX_LABEL_LEN {
-                return Err(WireError::NameTooLong);
-            }
-            if !l.iter().all(|b| b.is_ascii() && *b != b'.') {
-                return Err(WireError::BadLabel);
-            }
-            // Past the limit, keep validating (a later bad label still
-            // decides the error) but stop writing.
-            let at = wire_len - 1;
-            wire_len += 1 + l.len();
-            if wire_len <= MAX_NAME_LEN {
-                out[at] = l.len() as u8;
-                out[at + 1..wire_len - 1].copy_from_slice(l);
-                out[at + 1..wire_len - 1].make_ascii_lowercase();
-            }
-        }
-        if wire_len > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong);
-        }
-        Ok(Name {
-            wire: out[..wire_len - 1].into(),
-        })
+        let mut buf = [0u8; MAX_NAME_LEN];
+        NameSlice::from_labels_into(labels, &mut buf).map(ToOwned::to_owned)
     }
 
     /// Take ownership of flat wire labels a decoder has validated and
@@ -459,6 +491,41 @@ mod tests {
         let l = b"a".repeat(63);
         assert!(Name::from_labels([&l[..], &l[..], &l[..], &l[..]]).is_err());
         assert!(Name::from_labels([b"".as_slice()]).is_err());
+    }
+
+    #[test]
+    fn labels_build_on_the_stack_as_they_build_owned() {
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let slice = NameSlice::from_labels_into(["Www", "Example", "RU"], &mut buf).unwrap();
+        assert_eq!(
+            slice,
+            &*Name::from_labels(["www", "example", "ru"]).unwrap()
+        );
+        let l = b"a".repeat(63);
+        let mut buf = [0u8; MAX_NAME_LEN];
+        assert_eq!(
+            NameSlice::from_labels_into([&l[..], &l[..], &l[..], &l[..]], &mut buf),
+            Err(WireError::NameTooLong)
+        );
+        let mut buf = [0u8; MAX_NAME_LEN];
+        assert!(
+            NameSlice::from_labels_into(std::iter::empty::<&str>(), &mut buf)
+                .unwrap()
+                .is_root()
+        );
+    }
+
+    #[test]
+    fn only_flat_lowercase_labels_borrow_as_a_name() {
+        let n: Name = "ns1.example.ru".parse().unwrap();
+        assert_eq!(NameSlice::try_from_wire(n.wire()), Some(&*n));
+        assert!(NameSlice::try_from_wire(&[]).unwrap().is_root());
+        for bad in [&b"\x03NS1\x02ru"[..], b"\x00", b"\x04abc", b"\x40"] {
+            assert_eq!(NameSlice::try_from_wire(bad), None, "{bad:?}");
+        }
+        let long = [&[63u8][..], &[b'a'; 63]].concat().repeat(4);
+        assert_eq!(NameSlice::try_from_wire(&long), None);
+        assert!(NameSlice::try_from_wire(&long[..192]).is_some());
     }
 
     #[test]

@@ -69,10 +69,10 @@ use crate::error::ScanError;
 use crate::nscache::{CacheHit, NsCache};
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
-    IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase, Resolution, ResolveError,
-    RootHint,
+    AnswerRecord, IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase,
+    ResolveError, RootHint,
 };
-use ruwhere_dns::{Name, NameSlice, RData, RType, Record};
+use ruwhere_dns::{Name, NameSlice, RType, MAX_NAME_LEN};
 use ruwhere_netsim::{Lane, NetStats, Network, SimTime};
 use ruwhere_obs::Recorder;
 use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
@@ -215,13 +215,77 @@ impl SweepOptions {
     }
 }
 
-/// Raw (pre-annotation) resolution output for one domain.
-struct Raw {
-    /// The seed's symbol, assigned by the serial seed pass.
-    domain: Sym,
+/// One worker's raw (pre-annotation) measurements, as flat columns in
+/// seed order: per domain its symbol and where its NS host names, NS
+/// addresses and apex addresses end in their columns. Each column grows
+/// to its size once, however many domains the worker measures.
+#[derive(Default)]
+struct ShardOut {
+    /// Each seed's symbol, assigned by the serial seed pass.
+    domains: Vec<Sym>,
+    /// Per domain, the end of its run in `ns_names`, `ns_ips` and
+    /// `apex_ips`; each run starts where the previous domain's ended.
+    ends: Vec<[usize; 3]>,
     ns_names: Vec<DomainName>,
+    /// Sorted and deduplicated within each domain's run.
     ns_ips: Vec<Ipv4Addr>,
     apex_ips: Vec<Ipv4Addr>,
+}
+
+impl ShardOut {
+    /// Close the current domain's runs.
+    fn end_domain(&mut self, domain: Sym) {
+        self.domains.push(domain);
+        self.ends
+            .push([self.ns_names.len(), self.ns_ips.len(), self.apex_ips.len()]);
+    }
+
+    /// The measured domains in order: each symbol with its NS host names,
+    /// NS addresses and apex addresses.
+    #[allow(clippy::type_complexity)]
+    fn domains(&self) -> impl Iterator<Item = (Sym, &[DomainName], &[Ipv4Addr], &[Ipv4Addr])> + '_ {
+        let starts = std::iter::once([0; 3]).chain(self.ends.iter().copied());
+        self.domains
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&sym, (s, e))| {
+                (
+                    sym,
+                    &self.ns_names[s[0]..e[0]],
+                    &self.ns_ips[s[1]..e[1]],
+                    &self.apex_ips[s[2]..e[2]],
+                )
+            })
+    }
+}
+
+/// Keep an A record's address.
+fn take_a(rec: AnswerRecord<'_>, out: &mut Vec<Ipv4Addr>) {
+    out.extend(rec.a());
+}
+
+/// Keep an NS record's target as wire bytes: its flat labels, then a
+/// zero octet that ends it.
+fn take_ns(rec: AnswerRecord<'_>, out: &mut Vec<u8>) {
+    let mut buf = [0u8; MAX_NAME_LEN];
+    if let Some(target) = rec.ns_target(&mut buf) {
+        out.extend_from_slice(target.wire());
+        out.push(0);
+    }
+}
+
+/// The names [`take_ns`] kept in `wire`, in order.
+fn kept_names(wire: &[u8]) -> impl Iterator<Item = &NameSlice> {
+    let mut rest = wire;
+    std::iter::from_fn(move || {
+        let mut end = 0;
+        while *rest.get(end)? != 0 {
+            end += 1 + rest[end] as usize;
+        }
+        let name = NameSlice::try_from_wire(&rest[..end]).expect("kept from a validated name");
+        rest = &rest[end + 1..];
+        Some(name)
+    })
 }
 
 /// A share of one sweep's cost — the warmup's, or one worker's: the sweep
@@ -356,16 +420,30 @@ impl NsDependencyCache for SharedDeps<'_> {
 /// consumed sequence. Persistent failures (NXDOMAIN, lame delegations,
 /// dead server sets) are negative-cached by the resolver, so retrying
 /// them is a free no-op and we don't special-case them here.
-fn resolve_with_retry<T: ruwhere_netsim::Transport>(
+///
+/// The answer's records go to `out` through `take` as they arrive. An
+/// attempt that fails takes back whatever it had delivered, so on `Err`
+/// `out` holds what it held before.
+fn resolve_with_retry<T: ruwhere_netsim::Transport, V>(
     resolver: &mut IterativeResolver,
     lane: &mut T,
     qname: &NameSlice,
     rtype: RType,
     deps: &dyn NsDependencyCache,
-) -> Result<Resolution, ResolveError> {
-    match resolver.resolve_with_cache(lane, qname, rtype, deps) {
+    out: &mut Vec<V>,
+    take: fn(AnswerRecord<'_>, &mut Vec<V>),
+) -> Result<(), ResolveError> {
+    let mark = out.len();
+    let mut attempt = |out: &mut Vec<V>| {
+        let result = resolver.resolve_into(lane, qname, rtype, deps, &mut |rec| take(rec, out));
+        if result.is_err() {
+            out.truncate(mark);
+        }
+        result
+    };
+    match attempt(out) {
         Err(ResolveError::Timeout | ResolveError::ServFail | ResolveError::BudgetExhausted) => {
-            resolver.resolve_with_cache(lane, qname, rtype, deps)
+            attempt(out)
         }
         r => r,
     }
@@ -385,27 +463,39 @@ fn resolve_ns_target(
     let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
     resolver.reset();
     ledger.lend(&mut lane, resolver);
-    let ips = match resolve_with_retry(resolver, &mut lane, name, RType::A, &NoDependencyCache) {
-        Ok(res) => res.addresses(),
-        Err(_) => Vec::new(),
-    };
+    let mut ips = Vec::new();
+    // A failure leaves `ips` empty.
+    let _ = resolve_with_retry(
+        resolver,
+        &mut lane,
+        name,
+        RType::A,
+        &NoDependencyCache,
+        &mut ips,
+        take_a,
+    );
     ledger.charge(&mut lane, resolver);
     ips
 }
 
-/// Measure one domain: NS set, NS-target addresses (through the shared
-/// cache), apex A — all on the domain's own `(date, domain)` lane with the
-/// worker's overlay `resolver`, reset first, charged to `ledger`. Failure
-/// latencies are recorded per cause into the ledger's metric section; the
-/// span clock is the lane's virtual time, so the recorded values are as
-/// deterministic as the measurement itself.
+/// Measure one domain into `out`: NS set, NS-target addresses (through
+/// the shared cache), apex A — all on the domain's own `(date, domain)`
+/// lane with the worker's overlay `resolver`, reset first, charged to
+/// `ledger`. Answers are read in place from the replies into `out`'s
+/// columns, with the NS targets staged as wire bytes in `targets` until
+/// the NS walk has returned. Failure latencies are recorded per cause
+/// into the ledger's metric section; the span clock is the lane's
+/// virtual time, so the recorded values are as deterministic as the
+/// measurement itself.
 fn measure_domain(
     domain: &DomainName,
     sym: Sym,
     resolver: &mut IterativeResolver,
     deps: &SharedDeps<'_>,
     ledger: &mut Ledger,
-) -> Raw {
+    targets: &mut Vec<u8>,
+    out: &mut ShardOut,
+) {
     let ctx = deps.ctx;
     if let Some(inject) = ctx.panic_inject {
         inject.maybe_panic(domain);
@@ -413,94 +503,105 @@ fn measure_domain(
     let mut lane = ctx.net.lane(format_args!("{}/{}", ctx.date, domain));
     resolver.reset();
     ledger.lend(&mut lane, resolver);
-    let qname = Name::from(domain);
+    let mut qbuf = [0u8; MAX_NAME_LEN];
+    let qname = NameSlice::from_labels_into(domain.labels(), &mut qbuf)
+        .expect("DomainName invariants imply a valid wire name");
 
     let ns_span = Recorder::span(lane.elapsed_us());
-    let ns_answer = resolve_with_retry(resolver, &mut lane, &qname, RType::Ns, deps);
-    let ns_records: &[Record] = match &ns_answer {
-        Ok(Resolution::Records(records)) => records,
-        Ok(_) => &[],
-        Err(e) => {
-            let key = fail_key(ScanError::from(*e).category());
-            ns_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
-            &[]
-        }
-    };
+    targets.clear();
+    if let Err(e) = resolve_with_retry(
+        resolver,
+        &mut lane,
+        qname,
+        RType::Ns,
+        deps,
+        targets,
+        take_ns,
+    ) {
+        let key = fail_key(ScanError::from(e).category());
+        ns_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
+    }
     // NS hosts with a hostname spelling, each looked up (and spelled) once
-    // per sweep through the shared cache.
-    let mut ns_names: Vec<DomainName> = Vec::with_capacity(ns_records.len());
-    let mut ns_ips: Vec<Ipv4Addr> = Vec::new();
-    for r in ns_records {
-        let RData::Ns(name) = &r.data else {
-            continue;
-        };
+    // per sweep through the shared cache, in answer order, once the walk
+    // is over: a lookup fills the cache, so none may run for a walk that
+    // later fails.
+    let ns_names_start = out.ns_names.len();
+    let ns_ips_start = out.ns_ips.len();
+    for name in kept_names(targets) {
         // A miss is charged to the deps ledger: this one's aggregates
         // are lent to the domain's lane and resolver right now.
         let Some(hit) = deps.lookup(name) else {
             continue;
         };
-        ns_names.push(hit.host);
-        ns_ips.extend_from_slice(&hit.ips);
+        out.ns_names.push(hit.host);
+        out.ns_ips.extend_from_slice(&hit.ips);
     }
-    ns_ips.sort_unstable();
-    ns_ips.dedup();
-    if ns_names.is_empty() {
+    sort_dedup_from(&mut out.ns_ips, ns_ips_start);
+    let found_ns = out.ns_names.len() > ns_names_start;
+    if !found_ns {
         ledger.stats.ns_failures += 1;
     }
 
     let apex_span = Recorder::span(lane.elapsed_us());
-    let apex_ips = match resolve_with_retry(resolver, &mut lane, &qname, RType::A, deps) {
-        Ok(res) => res.addresses(),
-        Err(e) => {
-            let key = fail_key(ScanError::from(e).category());
-            apex_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
-            Vec::new()
-        }
-    };
-    if apex_ips.is_empty() {
+    let apex_start = out.apex_ips.len();
+    if let Err(e) = resolve_with_retry(
+        resolver,
+        &mut lane,
+        qname,
+        RType::A,
+        deps,
+        &mut out.apex_ips,
+        take_a,
+    ) {
+        let key = fail_key(ScanError::from(e).category());
+        apex_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
+    }
+    if out.apex_ips.len() == apex_start {
         ledger.stats.apex_failures += 1;
     }
 
     ledger.charge(&mut lane, resolver);
-    if !ns_names.is_empty() {
+    if found_ns {
         ledger.metrics.causes.record(keys::OK_US, lane.elapsed_us());
     }
+    out.end_domain(sym);
+}
 
-    Raw {
-        domain: sym,
-        ns_names,
-        ns_ips,
-        apex_ips,
+/// Sort `v[start..]` and drop its repeats, in place.
+fn sort_dedup_from(v: &mut Vec<Ipv4Addr>, start: usize) {
+    v[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..v.len() {
+        if kept == start || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
     }
+    v.truncate(kept);
 }
 
 /// Degrade a twice-panicked shard into gap records: every domain in the
-/// range becomes an empty [`Raw`] counted as an NS *and* apex failure
+/// range becomes an empty record counted as an NS *and* apex failure
 /// under the `worker_lost` cause, feeding the same per-cause salvage
 /// path an outage day uses. Whatever the dead worker had measured is
 /// gone — the gap is explicit, never silently half-reported.
-fn lost_shard_output(range: std::ops::Range<usize>, syms: &[Sym]) -> (Vec<Raw>, Ledger) {
+fn lost_shard_output(range: std::ops::Range<usize>, syms: &[Sym]) -> (ShardOut, Ledger) {
     let mut ledger = Ledger::default();
-    let mut raws = Vec::with_capacity(range.len());
+    let mut out = ShardOut::default();
     let lost_key = fail_key(ScanError::WorkerLost.category());
-    for idx in range {
+    for &sym in &syms[range] {
         ledger.stats.ns_failures += 1;
         ledger.stats.apex_failures += 1;
         // No lane ran for this record: the loss is an accounting
         // event, recorded at zero virtual time.
         ledger.metrics.causes.record(lost_key, 0);
-        raws.push(Raw {
-            domain: syms[idx],
-            ns_names: Vec::new(),
-            ns_ips: Vec::new(),
-            apex_ips: Vec::new(),
-        });
+        out.end_domain(sym);
     }
     ledger
         .metrics
         .causes
-        .add(keys::DOMAINS_LOST, raws.len() as u64);
-    (raws, ledger)
+        .add(keys::DOMAINS_LOST, out.domains.len() as u64);
+    (out, ledger)
 }
 
 /// The sweep engine. Owns the measurement vantage (client address and root
@@ -645,23 +746,28 @@ impl OpenIntelScanner {
         let syms_ref = &syms;
         let run_range = |range: std::ops::Range<usize>| {
             let mut ledger = Ledger::default();
-            let mut raws = Vec::with_capacity(range.len());
+            let mut out = ShardOut::default();
+            out.domains.reserve(range.len());
+            out.ends.reserve(range.len());
+            let mut targets = Vec::new();
             let mut resolver = IterativeResolver::overlay(ctx_ref.primed);
             let deps = SharedDeps::new(ctx_ref);
             for idx in range {
-                raws.push(measure_domain(
+                measure_domain(
                     &seeds_ref[idx],
                     syms_ref[idx],
                     &mut resolver,
                     &deps,
                     &mut ledger,
-                ));
+                    &mut targets,
+                    &mut out,
+                );
             }
             ledger.merge(&deps.ledger.into_inner());
-            (raws, ledger)
+            (out, ledger)
         };
         let run_range = &run_range;
-        type ShardResult = Result<(Vec<Raw>, Ledger), std::ops::Range<usize>>;
+        type ShardResult = Result<(ShardOut, Ledger), std::ops::Range<usize>>;
         let joined: Vec<ShardResult> = std::thread::scope(|s| {
             let handles: Vec<_> = plan
                 .ranges()
@@ -675,7 +781,7 @@ impl OpenIntelScanner {
                 .collect()
         });
 
-        let mut shard_outputs: Vec<(Vec<Raw>, Ledger)> = Vec::with_capacity(joined.len());
+        let mut shard_outputs: Vec<(ShardOut, Ledger)> = Vec::with_capacity(joined.len());
         for res in joined {
             match res {
                 Ok(out) => shard_outputs.push(out),
@@ -702,10 +808,8 @@ impl OpenIntelScanner {
             }
         }
 
-        let mut raw: Vec<Raw> = Vec::with_capacity(seeds.len());
-        for (raws, ledger) in shard_outputs {
-            total.merge(&ledger);
-            raw.extend(raws);
+        for (_, ledger) in &shard_outputs {
+            total.merge(ledger);
         }
         total.stats.seeded = seeds.len() as u64;
         let Ledger {
@@ -724,13 +828,6 @@ impl OpenIntelScanner {
             .advance_to_time(SimTime::ZERO.plus_us(lane_end_us));
         world.network_mut().absorb_lane_stats(net);
 
-        // Gap salvage: a day where most NS resolutions failed is not a
-        // usable full snapshot (the real pipeline records such days as
-        // gaps, cf. the 2021-03-22 .ru outage in Figure 1). Keep whatever
-        // actually measured, drop the rest, and flag the sweep partial so
-        // downstream analyses can impute rather than misread the dip as
-        // mass domain deletion. Runs post-merge on merged counters, so the
-        // classification is worker-count-independent too.
         // Integer parts-per-million: the exported metric file carries no
         // floats.
         if let Some(ppm) = (stats.ns_failures * 1_000_000).checked_div(stats.seeded) {
@@ -746,18 +843,22 @@ impl OpenIntelScanner {
                 .causes
                 .add(keys::SHARDS_LOST, stats.shards_lost);
         }
-        if stats.seeded > 0 && stats.ns_failures as f64 / stats.seeded as f64 > PARTIAL_THRESHOLD {
+        // Gap salvage: a day where most NS resolutions failed is not a
+        // usable full snapshot (the real pipeline records such days as
+        // gaps, cf. the 2021-03-22 .ru outage in Figure 1). Keep whatever
+        // actually measured, drop the rest (in the frame build below), and
+        // flag the sweep partial so downstream analyses can impute rather
+        // than misread the dip as mass domain deletion. Decided on merged
+        // counters, so the classification is worker-count-independent too.
+        let partial =
+            stats.seeded > 0 && stats.ns_failures as f64 / stats.seeded as f64 > PARTIAL_THRESHOLD;
+        if partial {
             stats.completeness = Completeness::Partial;
-            let before = raw.len();
-            raw.retain(|r| !r.ns_ips.is_empty() || !r.apex_ips.is_empty());
             total_metrics.causes.incr(keys::SALVAGE_PARTIAL);
-            total_metrics
-                .causes
-                .add(keys::SALVAGE_DROPPED, (before - raw.len()) as u64);
         }
 
         // Frame build: annotation pass (immutable world reads) fused with
-        // the columnar write. Runs sequentially over merged records in
+        // the columnar write. Runs sequentially over the shards' columns in
         // zone-snapshot order — symbol determinism rule 2: NS host names
         // and countries first seen this sweep are interned here, never
         // from inside a worker, under one interner lock.
@@ -765,21 +866,31 @@ impl OpenIntelScanner {
         let topo = world.network().topology();
         let mut symbols = self.interner.writer();
         let mut builder = FrameBuilder::new(date);
-        builder.reserve(raw.len());
-        for r in raw {
-            builder.begin_record(r.domain);
-            for ns in &r.ns_names {
-                builder.push_ns_name(symbols.intern_name(ns));
+        builder.reserve(seeds.len());
+        let mut dropped = 0u64;
+        for (out, _) in &shard_outputs {
+            for (domain, ns_names, ns_ips, apex_ips) in out.domains() {
+                if partial && ns_ips.is_empty() && apex_ips.is_empty() {
+                    dropped += 1;
+                    continue;
+                }
+                builder.begin_record(domain);
+                for ns in ns_names {
+                    builder.push_ns_name(symbols.intern_name(ns));
+                }
+                for &ip in ns_ips {
+                    let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
+                    builder.push_ns_addr(ip, country, topo.asn_of(ip));
+                }
+                for &ip in apex_ips {
+                    let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
+                    builder.push_apex_addr(ip, country, topo.asn_of(ip));
+                }
+                builder.end_record();
             }
-            for &ip in &r.ns_ips {
-                let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
-                builder.push_ns_addr(ip, country, topo.asn_of(ip));
-            }
-            for &ip in &r.apex_ips {
-                let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
-                builder.push_apex_addr(ip, country, topo.asn_of(ip));
-            }
-            builder.end_record();
+        }
+        if partial {
+            total_metrics.causes.add(keys::SALVAGE_DROPPED, dropped);
         }
         builder.finish(stats, total_metrics)
     }

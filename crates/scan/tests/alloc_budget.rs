@@ -55,9 +55,12 @@ static GLOBAL: Counting = Counting;
 /// cached answers brought it from 33.8 to 8.96. One reset overlay per
 /// worker over a frozen primed resolver, instead of a copy of the primed
 /// resolver per domain, plus seed symbols carried to the frame build and
-/// one NS-cache accumulator per worker, brought it from 8.96 to 5.7; the
-/// bound is that count rounded up.
-const MAX_ALLOCATIONS_PER_QUERY: f64 = 6.0;
+/// one NS-cache accumulator per worker, brought it from 8.96 to 5.7.
+/// Per-domain answers read in place from the reply into the worker's flat
+/// output columns, with no owned records between, and query names built
+/// on the stack, brought it from 5.7 (9 070 allocations for 1 579
+/// queries) to 0.8 (1 252); the bound is that count rounded up.
+const MAX_ALLOCATIONS_PER_QUERY: f64 = 1.0;
 
 #[test]
 fn sweep_allocations_per_query_stay_within_budget() {

@@ -6,8 +6,10 @@
 //! wall-clock time only.
 
 use proptest::prelude::*;
-use ruwhere_authdns::{IterativeResolver, Resolution, ResolveError, ResolverObs, ResolverStats};
-use ruwhere_dns::{Name, RType};
+use ruwhere_authdns::{
+    IterativeResolver, NoDependencyCache, Resolution, ResolveError, ResolverObs, ResolverStats,
+};
+use ruwhere_dns::{Name, RType, Record};
 use ruwhere_netsim::fault::{FaultWindow, LinkFault, ServerFault, ServerFaultMode};
 use ruwhere_netsim::{NetObs, NetStats, SimTime};
 use ruwhere_scan::{OpenIntelScanner, SweepFrame, SweepOptions};
@@ -296,4 +298,97 @@ fn a_reused_overlay_measures_like_a_fresh_one() {
     }
     assert!(answered > 20, "only {answered} of 40 domains answered");
     assert!(timeouts > 0 && penalties > 0, "the fault plan never bit");
+}
+
+/// One resolution and the resolver's counters right after it.
+#[derive(Debug, PartialEq)]
+struct Answered {
+    records: Result<Vec<Record>, ResolveError>,
+    queries: u64,
+    stats: ResolverStats,
+    obs: ResolverObs,
+    elapsed_us: u64,
+}
+
+/// Resolve `domain`'s NS set, then its apex, on a fresh overlay over
+/// `base` and the domain's own lane, through the streamed path
+/// (`resolve_into`) or the owned one (`resolve_with_cache`).
+fn answer_both(
+    world: &World,
+    base: &std::sync::Arc<ruwhere_authdns::PrimedBase>,
+    domain: &DomainName,
+    streamed: bool,
+) -> [Answered; 2] {
+    let mut resolver = IterativeResolver::overlay(base);
+    let mut lane = world
+        .network()
+        .lane(format_args!("{}/{}", world.today(), domain));
+    let qname = Name::from(domain);
+    [RType::Ns, RType::A].map(|rtype| {
+        let records = if streamed {
+            let mut got = Vec::new();
+            resolver
+                .resolve_into(&mut lane, &qname, rtype, &NoDependencyCache, &mut |r| {
+                    got.push(r.to_record())
+                })
+                .map(|()| got)
+        } else {
+            resolver
+                .resolve_with_cache(&mut lane, &qname, rtype, &NoDependencyCache)
+                .map(|res| match res {
+                    Resolution::Records(r) => r.to_vec(),
+                    Resolution::NxDomain | Resolution::NoData => Vec::new(),
+                })
+        };
+        Answered {
+            records,
+            queries: resolver.queries_sent(),
+            stats: resolver.stats(),
+            obs: resolver.obs().clone(),
+            elapsed_us: lane.elapsed_us(),
+        }
+    })
+}
+
+/// The sweep reads each per-domain answer in place through a sink; the
+/// owned path returns it as records. For every seed of the tiny world,
+/// healthy and under the flapping fault plan, both must yield the same
+/// records in the same order at the same cost: queries, failure counters
+/// and observability (answer-cache hits included).
+#[test]
+fn streamed_answers_match_owned_answers() {
+    for (label, mut world) in [
+        ("healthy", World::new(WorldConfig::tiny())),
+        ("flapping", flapping_hoster_world()),
+    ] {
+        world.publish_tld_zones();
+        let seeds = world.seed_names();
+        // The base holds a few domains' NS answers, so those arrive from
+        // the cache.
+        let mut primed = IterativeResolver::new(world.scanner_ip(), world.root_hints());
+        let mut warmup = world.network().lane(format_args!("warmup"));
+        for d in seeds.iter().take(8) {
+            let _ = primed.resolve(&mut warmup, &Name::from(d), RType::Ns);
+        }
+        let base = primed.freeze();
+
+        let (mut records, mut cached, mut failed) = (0, 0, 0);
+        for d in &seeds {
+            let owned = answer_both(&world, &base, d, false);
+            let streamed = answer_both(&world, &base, d, true);
+            assert_eq!(streamed, owned, "{label} {d}: the streamed path diverged");
+            for a in &owned {
+                match &a.records {
+                    Ok(r) => records += r.len(),
+                    Err(_) => failed += 1,
+                }
+            }
+            cached += owned[1].obs.answer_cache_hits;
+        }
+        assert!(records > seeds.len() * 2, "{label}: only {records} records");
+        assert!(cached >= 8, "{label}: the cached path never ran");
+        if label == "flapping" {
+            assert!(failed > 0, "the fault plan never bit");
+        }
+    }
 }
