@@ -39,9 +39,10 @@
 //! of days in the fixture's daily window (unset means the whole window).
 //! A bad flag value or a bad `RUWHERE_BENCH_DAYS` exits with a usage
 //! message and code 2 before any work starts. An output path that cannot
-//! be written exits with `error: <path>: <io error>` and code 2; `--out`'s
-//! directory is created and probed before the study runs, so a bad one
-//! fails at once.
+//! be written exits with `error: <path>: <io error>` and code 2. The
+//! `--metrics` and `--report` files are created, and `--out`'s directory
+//! is created and probed, before any sweep runs, so a bad path fails at
+//! once.
 //!
 //! A run that completes ends with `repro: peak RSS <n> MB` on stderr: the
 //! process's high-water resident set (`VmHWM` in `/proc/self/status`, in
@@ -163,6 +164,13 @@ fn io_failure(path: &Path, err: std::io::Error) -> ! {
 /// Write `contents` to `path`, or exit through [`io_failure`].
 fn write_or_exit(path: &Path, contents: impl AsRef<[u8]>) {
     std::fs::write(path, contents).unwrap_or_else(|e| io_failure(path, e));
+}
+
+/// Create (or truncate) the artifact file at `path`, or exit through
+/// [`io_failure`]: an unwritable `--metrics` or `--report` path then fails
+/// before any sweep runs.
+fn create_or_exit(path: &Path) {
+    std::fs::File::create(path).unwrap_or_else(|e| io_failure(path, e));
 }
 
 /// Create `dir` and check that a file can be written in it, or exit
@@ -300,8 +308,11 @@ fn run(args: Args) {
         usage("--resume requires --checkpoint-dir DIR (or RUWHERE_CHECKPOINT_DIR)");
     }
     let days = ruwhere_bench::bench_days().unwrap_or_else(|e| usage(&e));
-    // Artifact modes compose: --metrics and --report run in that order,
-    // then exit.
+    // Artifact modes compose: both files are created first, then
+    // --metrics and --report run in that order, then exit.
+    for path in [&args.metrics, &args.report].into_iter().flatten() {
+        create_or_exit(path);
+    }
     if let Some(m) = &args.metrics {
         run_metrics_export(m, days);
     }

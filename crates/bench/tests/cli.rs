@@ -102,6 +102,12 @@ fn unwritable_artifact_files_exit_2_without_a_panic() {
         let path = unwritable("artifact.txt");
         let out = repro(&[flag, path.to_str().expect("utf-8 path")], Some("1"));
         assert_io_error(&out, &path);
+        // The file is created before any work: neither mode got as far as
+        // announcing its sweep or study.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for started in ["running the pinned fixture study", "sweeping the fixture"] {
+            assert!(!stderr.contains(started), "{flag} ran first:\n{stderr}");
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame};
-use ruwhere_types::{Asn, Date};
+use ruwhere_types::{Asn, Date, FastMap};
 use std::collections::BTreeMap;
 
 /// Longitudinal per-ASN share accumulator.
@@ -17,8 +17,11 @@ use std::collections::BTreeMap;
 pub struct AsnShareSeries {
     days: BTreeMap<Date, BTreeMap<Asn, u64>>,
     totals: BTreeMap<Date, u64>,
-    scratch: BTreeMap<Asn, u64>,
+    /// Per-frame domain counts; ordered once at `end_frame`.
+    scratch: FastMap<Asn, u64>,
     scratch_total: u64,
+    /// The current record's distinct ASNs, reused across records.
+    record_asns: Vec<Asn>,
 }
 
 impl AsnShareSeries {
@@ -75,17 +78,19 @@ impl FrameObserver for AsnShareSeries {
             return;
         }
         self.scratch_total += 1;
-        let mut asns: Vec<Asn> = apex.asns().iter().filter_map(|a| *a).collect();
-        asns.sort_unstable();
-        asns.dedup();
-        for a in asns {
+        self.record_asns.clear();
+        for &a in apex.asns().iter().flatten() {
+            if !self.record_asns.contains(&a) {
+                self.record_asns.push(a);
+            }
+        }
+        for &a in &self.record_asns {
             *self.scratch.entry(a).or_default() += 1;
         }
     }
 
     fn end_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.days
-            .insert(frame.date, std::mem::take(&mut self.scratch));
+        self.days.insert(frame.date, self.scratch.drain().collect());
         self.totals.insert(frame.date, self.scratch_total);
     }
 }

@@ -68,10 +68,10 @@ impl CaIssuanceAnalysis {
             let orgs = per_day.entry(r.date).or_default();
             // Probe by `&str` first: the key is allocated once per
             // organization and day, not once per certificate.
-            match orgs.get_mut(&*r.issuer_org) {
+            match orgs.get_mut(r.issuer_org()) {
                 Some(n) => *n += 1,
                 None => {
-                    orgs.insert(r.issuer_org.to_string(), 1);
+                    orgs.insert(r.issuer_org().to_owned(), 1);
                 }
             }
         }
@@ -193,16 +193,29 @@ impl CaIssuanceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_ct::{Certificate, DistinguishedName};
     use ruwhere_scan::CertRecord;
+    use ruwhere_types::Country;
+    use std::sync::Arc;
 
     fn record(date: Date, org: &str) -> CertRecord {
+        let cert = Certificate {
+            serial: 1,
+            issuer: DistinguishedName {
+                organization: org.into(),
+                common_name: format!("{org} CA").into(),
+                country: Country::US,
+            },
+            subject_cn: "x.ru".parse().unwrap(),
+            san: Vec::new(),
+            not_before: date,
+            not_after: date.add_days(90),
+            chain_orgs: Arc::from([]),
+            ct_logged: true,
+        };
         CertRecord {
             date,
-            issuer_org: org.into(),
-            issuer_cn: format!("{org} CA").into(),
-            serial: 1,
-            domains: vec!["x.ru".parse().unwrap()],
-            not_after: date.add_days(90),
+            cert: Arc::new(cert),
         }
     }
 

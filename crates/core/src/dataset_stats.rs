@@ -6,8 +6,7 @@
 
 use crate::engine::FrameObserver;
 use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SweepStats, SymSet};
-use ruwhere_types::Asn;
-use std::collections::BTreeSet;
+use ruwhere_types::{Asn, FastSet};
 
 /// Accumulates unique names and networks across all sweeps.
 ///
@@ -16,8 +15,8 @@ use std::collections::BTreeSet;
 /// symbols counts distinct names.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetStats {
-    hosting_asns: BTreeSet<Asn>,
-    dns_asns: BTreeSet<Asn>,
+    hosting_asns: FastSet<Asn>,
+    dns_asns: FastSet<Asn>,
     sweeps: u64,
     records: u64,
     partial_sweeps: u64,

@@ -73,20 +73,22 @@ impl RevocationAnalysis {
     ) -> Self {
         let mut rows: BTreeMap<String, RevocationRow> = BTreeMap::new();
         for r in &ds.records {
-            if r.not_after <= VALIDITY_CUTOFF {
+            let cert = &r.cert;
+            if cert.not_after <= VALIDITY_CUTOFF {
                 continue;
             }
-            let sanctioned = r.domains.iter().any(|d| sanctions.is_sanctioned(d, as_of));
+            let sanctioned = cert.names().any(|d| sanctions.is_sanctioned(d, as_of));
+            let org = r.issuer_org();
             let revoked = ocsp
-                .crl(&r.issuer_org)
-                .is_some_and(|crl| crl.is_revoked(r.serial, as_of));
+                .crl(org)
+                .is_some_and(|crl| crl.is_revoked(cert.serial, as_of));
             // Probe by `&str` first: an organization's key and row name are
             // allocated once, not once per certificate.
-            match rows.get_mut(&*r.issuer_org) {
+            match rows.get_mut(org) {
                 Some(row) => row.count(sanctioned, revoked),
                 None => {
                     let mut row = RevocationRow {
-                        org: r.issuer_org.to_string(),
+                        org: org.to_owned(),
                         ..RevocationRow::default()
                     };
                     row.count(sanctioned, revoked);
@@ -125,17 +127,30 @@ impl RevocationAnalysis {
 mod tests {
     use super::*;
     use ruwhere_ct::revocation::RevocationReason;
+    use ruwhere_ct::{Certificate, DistinguishedName};
     use ruwhere_registry::SanctionSource;
     use ruwhere_scan::CertRecord;
+    use ruwhere_types::Country;
+    use std::sync::Arc;
 
     fn record(org: &str, serial: u64, domain: &str, not_after: Date) -> CertRecord {
+        let cert = Certificate {
+            serial,
+            issuer: DistinguishedName {
+                organization: org.into(),
+                common_name: format!("{org} CA").into(),
+                country: Country::US,
+            },
+            subject_cn: domain.parse().unwrap(),
+            san: Vec::new(),
+            not_before: Date::from_ymd(2022, 1, 10),
+            not_after,
+            chain_orgs: Arc::from([]),
+            ct_logged: true,
+        };
         CertRecord {
             date: Date::from_ymd(2022, 1, 10),
-            issuer_org: org.into(),
-            issuer_cn: format!("{org} CA").into(),
-            serial,
-            domains: vec![domain.parse().unwrap()],
-            not_after,
+            cert: Arc::new(cert),
         }
     }
 

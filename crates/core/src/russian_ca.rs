@@ -44,19 +44,16 @@ impl RussianCaAnalysis {
         as_of: Date,
     ) -> Self {
         let mut russian_serials: BTreeSet<u64> = BTreeSet::new();
-        let mut other_serials: BTreeSet<(String, u64)> = BTreeSet::new();
+        let mut other_serials: BTreeSet<(&str, u64)> = BTreeSet::new();
         let mut covered: BTreeSet<DomainName> = BTreeSet::new();
-        for (_, chain) in &scan.endpoints {
-            if chain.chain_contains_org(RUSSIAN_CA_ORG) {
-                russian_serials.insert(chain.serial);
-                if let Ok(d) = DomainName::parse(&chain.subject_cn) {
-                    covered.insert(d);
-                }
-                for d in &chain.san {
-                    covered.insert(d.clone());
-                }
+        for e in scan.endpoints() {
+            if e.chain_contains_org(RUSSIAN_CA_ORG) {
+                russian_serials.insert(e.serial());
+                // The scan stored each name in normalized form, so every
+                // one parses.
+                covered.extend(e.names().filter_map(|n| DomainName::parse(n).ok()));
             } else {
-                other_serials.insert((chain.issuer_org.clone(), chain.serial));
+                other_serials.insert((e.issuer_org(), e.serial()));
             }
         }
 
@@ -72,7 +69,7 @@ impl RussianCaAnalysis {
         let in_ct = ct
             .records
             .iter()
-            .filter(|r| &*r.issuer_org == RUSSIAN_CA_ORG)
+            .filter(|r| r.issuer_org() == RUSSIAN_CA_ORG)
             .count();
 
         RussianCaAnalysis {
@@ -100,54 +97,47 @@ impl RussianCaAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_ct::{Certificate, DistinguishedName};
     use ruwhere_registry::SanctionSource;
-    use ruwhere_world::ChainSummary;
+    use ruwhere_types::Country;
 
-    fn chain(cn: &str, issuer: &str, chain_orgs: &[&str], serial: u64) -> ChainSummary {
-        ChainSummary {
-            subject_cn: cn.into(),
-            san: DomainName::parse(cn).ok().into_iter().collect(),
-            issuer_org: issuer.into(),
-            chain_orgs: chain_orgs.iter().map(|s| (*s).to_string()).collect(),
+    /// The banner of a certificate for `cn` (also its one SAN).
+    fn banner(cn: &str, issuer: &str, chain_orgs: &[&str], serial: u64) -> Vec<u8> {
+        let cn: DomainName = cn.parse().unwrap();
+        let cert = Certificate {
             serial,
+            issuer: DistinguishedName {
+                organization: issuer.into(),
+                common_name: format!("{issuer} CA").into(),
+                country: Country::RU,
+            },
+            subject_cn: cn.clone(),
+            san: vec![cn],
             not_before: Date::from_ymd(2022, 3, 10),
             not_after: Date::from_ymd(2023, 3, 10),
-        }
+            chain_orgs: chain_orgs.iter().map(|s| (*s).to_string()).collect(),
+            ct_logged: false,
+        };
+        let mut out = Vec::new();
+        ruwhere_world::write_banner(&cert, &mut out);
+        out
     }
 
     #[test]
     fn analysis_counts() {
-        let snap = IpScanSnapshot {
-            date: Date::from_ymd(2022, 5, 15),
-            endpoints: vec![
-                (
-                    "10.0.0.1".parse().unwrap(),
-                    chain("bank.ru", RUSSIAN_CA_ORG, &[RUSSIAN_CA_ORG], 1),
-                ),
-                (
-                    "10.0.0.2".parse().unwrap(),
-                    chain("site.ru", RUSSIAN_CA_ORG, &[RUSSIAN_CA_ORG], 2),
-                ),
-                (
-                    "10.0.0.3".parse().unwrap(),
-                    chain("corp.com", RUSSIAN_CA_ORG, &[RUSSIAN_CA_ORG], 3),
-                ),
-                (
-                    "10.0.0.4".parse().unwrap(),
-                    chain("пример.рф", RUSSIAN_CA_ORG, &[RUSSIAN_CA_ORG], 4),
-                ),
-                (
-                    "10.0.0.5".parse().unwrap(),
-                    chain("ord.ru", "Let's Encrypt", &["ISRG"], 99),
-                ),
-                // Duplicate serial from a second endpoint: counted once.
-                (
-                    "10.0.0.6".parse().unwrap(),
-                    chain("bank.ru", RUSSIAN_CA_ORG, &[RUSSIAN_CA_ORG], 1),
-                ),
-            ],
-            failures: Vec::new(),
-        };
+        let mut snap = IpScanSnapshot::new(Date::from_ymd(2022, 5, 15));
+        for (addr, cn, issuer, chain, serial) in [
+            ("10.0.0.1", "bank.ru", RUSSIAN_CA_ORG, RUSSIAN_CA_ORG, 1),
+            ("10.0.0.2", "site.ru", RUSSIAN_CA_ORG, RUSSIAN_CA_ORG, 2),
+            ("10.0.0.3", "corp.com", RUSSIAN_CA_ORG, RUSSIAN_CA_ORG, 3),
+            ("10.0.0.4", "пример.рф", RUSSIAN_CA_ORG, RUSSIAN_CA_ORG, 4),
+            ("10.0.0.5", "ord.ru", "Let's Encrypt", "ISRG", 99),
+            // Duplicate serial from a second endpoint: counted once.
+            ("10.0.0.6", "bank.ru", RUSSIAN_CA_ORG, RUSSIAN_CA_ORG, 1),
+        ] {
+            let b = banner(cn, issuer, &[chain], serial);
+            assert!(snap.push_banner(addr.parse().unwrap(), &b));
+        }
         let mut sanctions = SanctionsList::new();
         sanctions.add(
             "bank.ru".parse().unwrap(),

@@ -88,10 +88,12 @@ impl FrameObserver for TldDependencySeries {
 pub struct TldUsageSeries {
     days: BTreeMap<Date, BTreeMap<String, u64>>,
     totals: BTreeMap<Date, u64>,
-    /// Per-frame counts keyed by TLD symbol; resolved to strings once at
-    /// `end_frame` instead of once per record.
-    scratch: BTreeMap<TldSym, u64>,
+    /// Per-frame domain counts indexed by TLD symbol; resolved to strings
+    /// once at `end_frame` instead of once per record.
+    scratch: Vec<u64>,
     scratch_total: u64,
+    /// The current record's distinct TLDs, reused across records.
+    record_tlds: Vec<TldSym>,
 }
 
 impl TldUsageSeries {
@@ -134,7 +136,7 @@ impl TldUsageSeries {
 
 impl FrameObserver for TldUsageSeries {
     fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.scratch.clear();
+        self.scratch.fill(0);
         self.scratch_total = 0;
     }
 
@@ -144,23 +146,29 @@ impl FrameObserver for TldUsageSeries {
             return;
         }
         self.scratch_total += 1;
-        let mut tlds: Vec<TldSym> = ns.iter().map(|&n| snap.tld_of(n)).collect();
-        tlds.sort_unstable();
-        tlds.dedup();
-        for t in tlds {
-            *self.scratch.entry(t).or_default() += 1;
+        self.record_tlds.clear();
+        for &n in ns {
+            let t = snap.tld_of(n);
+            if !self.record_tlds.contains(&t) {
+                self.record_tlds.push(t);
+            }
+        }
+        for t in &self.record_tlds {
+            if self.scratch.len() <= t.index() {
+                self.scratch.resize(t.index() + 1, 0);
+            }
+            self.scratch[t.index()] += 1;
         }
     }
 
     fn end_frame(&mut self, frame: &SweepFrame, snap: &InternerSnap<'_>) {
-        let counts: BTreeMap<String, u64> = self
-            .scratch
-            .iter()
-            .map(|(&t, &n)| (snap.tld(t).to_owned(), n))
+        let counts: BTreeMap<String, u64> = (0u32..)
+            .zip(&self.scratch)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(t, &n)| (snap.tld(TldSym(t)).to_owned(), n))
             .collect();
         self.days.insert(frame.date, counts);
         self.totals.insert(frame.date, self.scratch_total);
-        self.scratch.clear();
     }
 }
 

@@ -84,22 +84,16 @@ impl Certificate {
         sha256(&data)
     }
 
-    /// All domains this certificate covers: subject CN plus SANs,
-    /// deduplicated.
-    pub fn covered_domains(&self) -> Vec<DomainName> {
-        let mut out = vec![self.subject_cn.clone()];
-        for s in &self.san {
-            if !out.contains(s) {
-                out.push(s.clone());
-            }
-        }
-        out
+    /// The names this certificate covers: the subject CN, then each SAN.
+    /// A SAN that repeats the CN (the usual case) appears twice.
+    pub fn names(&self) -> impl Iterator<Item = &DomainName> {
+        std::iter::once(&self.subject_cn).chain(&self.san)
     }
 
     /// The paper's match rule (footnote 6): the certificate "matches" if
     /// either CN or any SAN is under `.ru` or `.рф`.
     pub fn matches_russian_tld(&self) -> bool {
-        self.subject_cn.is_russian_cctld() || self.san.iter().any(|d| d.is_russian_cctld())
+        self.names().any(DomainName::is_russian_cctld)
     }
 
     /// Stricter CN-only matching (used by the ablation bench).
@@ -162,10 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn covered_domains_dedup() {
+    fn names_and_coverage() {
         let c = cert("example.ru", &["example.ru", "www.example.ru"]);
-        let covered = c.covered_domains();
-        assert_eq!(covered.len(), 2);
+        let names: Vec<&str> = c.names().map(DomainName::as_str).collect();
+        assert_eq!(names, ["example.ru", "example.ru", "www.example.ru"]);
         assert!(c.covers(&"example.ru".parse().unwrap()));
         assert!(c.covers(&"www.example.ru".parse().unwrap()));
         assert!(!c.covers(&"other.ru".parse().unwrap()));

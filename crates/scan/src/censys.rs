@@ -1,9 +1,9 @@
 //! Censys-style certificate datasets: CT-log indexing and IP-wide scans.
 
-use crate::error::ScanError;
-use ruwhere_ct::CtLog;
+use ruwhere_ct::{Certificate, CtLog};
 use ruwhere_types::{Date, DomainName};
-use ruwhere_world::{ChainSummary, World, TLS_PORT};
+use ruwhere_world::{Banner, World, TLS_PORT};
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -18,23 +18,23 @@ pub enum MatchRule {
     CnOnly,
 }
 
-/// One indexed certificate.
+/// One indexed certificate: the logged certificate itself, shared with
+/// the CT logs, and its log date. Issuer, serial, validity and covered
+/// names are read through the certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertRecord {
     /// CT log timestamp (issuance date in our pipeline).
     pub date: Date,
+    /// The logged certificate.
+    pub cert: Arc<Certificate>,
+}
+
+impl CertRecord {
     /// Issuer Organization from the Issuer DN — the paper's aggregation
-    /// key (§4.1). Shared with the certificate's issuer.
-    pub issuer_org: Arc<str>,
-    /// Issuer Common Name (the brand). Shared with the certificate's
-    /// issuer.
-    pub issuer_cn: Arc<str>,
-    /// Issuer-scoped serial.
-    pub serial: u64,
-    /// Covered domains (CN + SANs, deduplicated).
-    pub domains: Vec<DomainName>,
-    /// Validity end.
-    pub not_after: Date,
+    /// key (§4.1).
+    pub fn issuer_org(&self) -> &str {
+        &self.cert.issuer.organization
+    }
 }
 
 /// The indexed certificate dataset for an analysis window.
@@ -55,31 +55,32 @@ impl CertDataset {
     /// to more than one (by issuer organization + serial) — what Censys
     /// does when merging the public log ecosystem.
     pub fn from_logs(logs: &[CtLog], from: Date, to: Date, rule: MatchRule) -> Self {
-        let mut seen = std::collections::HashSet::new();
         let mut records = Vec::new();
+        // Serials seen, per organization: a set of 8-byte keys per issuer
+        // holds a third of what one set of (organization, serial) keys does.
+        let mut seen: HashMap<&str, HashSet<u64>> = HashMap::new();
         for log in logs {
             for e in log.entries_between(from, to) {
                 let matched = match rule {
                     MatchRule::CnOrSan => e.cert.matches_russian_tld(),
                     MatchRule::CnOnly => e.cert.matches_russian_tld_cn_only(),
                 };
-                if !matched {
-                    continue;
+                let org = &*e.cert.issuer.organization;
+                if matched && seen.entry(org).or_default().insert(e.cert.serial) {
+                    records.push(CertRecord {
+                        date: e.timestamp,
+                        cert: Arc::clone(&e.cert),
+                    });
                 }
-                if !seen.insert((&*e.cert.issuer.organization, e.cert.serial)) {
-                    continue;
-                }
-                records.push(CertRecord {
-                    date: e.timestamp,
-                    issuer_org: Arc::clone(&e.cert.issuer.organization),
-                    issuer_cn: Arc::clone(&e.cert.issuer.common_name),
-                    serial: e.cert.serial,
-                    domains: e.cert.covered_domains(),
-                    not_after: e.cert.not_after,
-                });
             }
         }
-        records.sort_by_key(|r| r.date);
+        drop(seen);
+        // Logs append in date order, so the stable sort (and its scratch
+        // buffer) is needed only when several logs interleave.
+        if !records.is_sorted_by_key(|r| r.date) {
+            records.sort_by_key(|r| r.date);
+        }
+        records.shrink_to_fit();
         CertDataset { records }
     }
 
@@ -94,26 +95,170 @@ impl CertDataset {
     }
 }
 
-/// One IP-wide TLS scan result.
+/// One IP-wide TLS scan, stored as columns: per responding endpoint only
+/// what §4.3 reads — the address, the serial, the issuer and chain as ids
+/// into per-scan organization tables, and the covered names.
 #[derive(Debug, Clone)]
 pub struct IpScanSnapshot {
     /// Scan date.
     pub date: Date,
-    /// Responding endpoints with the chains they presented.
-    pub endpoints: Vec<(Ipv4Addr, ChainSummary)>,
-    /// Probes that yielded no usable chain, each with its failure cause.
-    /// The old scanner folded everything into one `silent` counter; a
-    /// timeout (the box is gone) and an unparsable banner (the box
-    /// answered garbage) are different findings — see
-    /// [`IpScanSnapshot::silent`] for the legacy aggregate.
-    pub failures: Vec<(Ipv4Addr, ScanError)>,
+    addrs: Vec<Ipv4Addr>,
+    serials: Vec<u64>,
+    /// Per endpoint, the issuer organization's index in `orgs`.
+    issuer_ids: Vec<u32>,
+    /// Per endpoint, its chain's index in `chains`.
+    chain_ids: Vec<u32>,
+    /// Per endpoint, the end of its names in `names`.
+    name_ends: Vec<u32>,
+    /// Every endpoint's covered names (CN when it is a domain name, then
+    /// the SANs; each once), each followed by a newline.
+    names: String,
+    /// The scan's distinct organizations.
+    orgs: Vec<Box<str>>,
+    /// The scan's distinct chains above the issuer, as indices into
+    /// `orgs`.
+    chains: Vec<Box<[u32]>>,
 }
 
 impl IpScanSnapshot {
-    /// Probes that got no usable TLS response (all causes) — the legacy
-    /// `silent` aggregate.
-    pub fn silent(&self) -> u64 {
-        self.failures.len() as u64
+    /// An empty scan dated `date`.
+    pub fn new(date: Date) -> Self {
+        IpScanSnapshot {
+            date,
+            addrs: Vec::new(),
+            serials: Vec::new(),
+            issuer_ids: Vec::new(),
+            chain_ids: Vec::new(),
+            name_ends: Vec::new(),
+            names: String::new(),
+            orgs: Vec::new(),
+            chains: Vec::new(),
+        }
+    }
+
+    /// Record the endpoint at `addr` from the banner it presented. Returns
+    /// `false`, recording nothing, when the banner does not parse.
+    pub fn push_banner(&mut self, addr: Ipv4Addr, banner: &[u8]) -> bool {
+        let Some(b) = Banner::parse(banner) else {
+            return false;
+        };
+        let start = self.names.len();
+        let cn = DomainName::parse(&b.subject_cn()).ok();
+        for name in cn.into_iter().chain(b.san()) {
+            let name = name.as_str();
+            if !self.names[start..]
+                .split_terminator('\n')
+                .any(|n| n == name)
+            {
+                self.names.push_str(name);
+                self.names.push('\n');
+            }
+        }
+        let issuer = self.org_id(&b.issuer_org());
+        let chain = self.chain_id(&b);
+        self.addrs.push(addr);
+        self.serials.push(b.serial());
+        self.issuer_ids.push(issuer);
+        self.chain_ids.push(chain);
+        self.name_ends.push(offset(self.names.len()));
+        true
+    }
+
+    /// The index of `org` in the organization table, added if new.
+    fn org_id(&mut self, org: &str) -> u32 {
+        match self.orgs.iter().position(|o| **o == *org) {
+            Some(i) => offset(i),
+            None => {
+                self.orgs.push(org.into());
+                offset(self.orgs.len() - 1)
+            }
+        }
+    }
+
+    /// The index of `b`'s chain in the chain table, added if new.
+    fn chain_id(&mut self, b: &Banner<'_>) -> u32 {
+        let ids: Vec<u32> = b.chain_orgs().map(|o| self.org_id(&o)).collect();
+        match self.chains.iter().position(|c| **c == *ids) {
+            Some(i) => offset(i),
+            None => {
+                self.chains.push(ids.into());
+                offset(self.chains.len() - 1)
+            }
+        }
+    }
+
+    /// Release the columns' spare capacity once the scan is complete.
+    fn shrink_to_fit(&mut self) {
+        self.addrs.shrink_to_fit();
+        self.serials.shrink_to_fit();
+        self.issuer_ids.shrink_to_fit();
+        self.chain_ids.shrink_to_fit();
+        self.name_ends.shrink_to_fit();
+        self.names.shrink_to_fit();
+    }
+
+    /// Responding endpoints.
+    pub fn len(&self) -> usize {
+        self.addrs.len()
+    }
+
+    /// Whether no endpoint responded.
+    pub fn is_empty(&self) -> bool {
+        self.addrs.is_empty()
+    }
+
+    /// The responding endpoints, in probe order.
+    pub fn endpoints(&self) -> impl ExactSizeIterator<Item = ScanEndpoint<'_>> {
+        (0..self.len()).map(move |i| ScanEndpoint { scan: self, i })
+    }
+}
+
+/// A column offset or table index as stored; the columns of one scan stay
+/// far below 4 GiB.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("scan column exceeds u32 offsets")
+}
+
+/// One responding endpoint of an [`IpScanSnapshot`], read from its
+/// columns.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanEndpoint<'a> {
+    scan: &'a IpScanSnapshot,
+    i: usize,
+}
+
+impl<'a> ScanEndpoint<'a> {
+    /// The endpoint's address.
+    pub fn addr(&self) -> Ipv4Addr {
+        self.scan.addrs[self.i]
+    }
+
+    /// The served certificate's issuer-scoped serial.
+    pub fn serial(&self) -> u64 {
+        self.scan.serials[self.i]
+    }
+
+    /// The served certificate's issuer organization.
+    pub fn issuer_org(&self) -> &'a str {
+        &self.scan.orgs[self.scan.issuer_ids[self.i] as usize]
+    }
+
+    /// Whether `org` is the issuer or any organization up the presented
+    /// chain.
+    pub fn chain_contains_org(&self, org: &str) -> bool {
+        let chain = &self.scan.chains[self.scan.chain_ids[self.i] as usize];
+        self.issuer_org() == org || chain.iter().any(|&o| &*self.scan.orgs[o as usize] == org)
+    }
+
+    /// The covered names: the CN when it is a domain name, then the SANs,
+    /// each once, in the normalized form of [`DomainName::as_str`].
+    pub fn names(&self) -> impl Iterator<Item = &'a str> {
+        let start = match self.i {
+            0 => 0,
+            i => self.scan.name_ends[i - 1] as usize,
+        };
+        let end = self.scan.name_ends[self.i] as usize;
+        self.scan.names[start..end].split_terminator('\n')
     }
 }
 
@@ -138,41 +283,32 @@ impl IpScanner {
         self.probes_sent
     }
 
-    /// Probe all TLS endpoints at the world's current date.
+    /// Probe all TLS endpoints at the world's current date. An endpoint
+    /// that does not answer, or answers with an unparsable banner, is left
+    /// out of the snapshot.
     ///
     /// Takes `&mut self`: the scanner accumulates run-to-run state (the
     /// probe total).
     pub fn scan(&mut self, world: &mut World) -> IpScanSnapshot {
-        let date = world.today();
+        let mut snap = IpScanSnapshot::new(world.today());
         let targets = world.network().bound_endpoints(TLS_PORT);
-        let mut endpoints = Vec::new();
-        let mut failures = Vec::new();
         let mut banner = Vec::new();
         for addr in targets {
             self.probes_sent += 1;
-            match world.network_mut().request(
+            let answered = world.network_mut().request(
                 self.src,
                 (addr, TLS_PORT),
                 b"CLIENT-HELLO",
                 1_500_000,
                 2,
                 &mut banner,
-            ) {
-                Ok(()) => match ChainSummary::from_banner(&banner) {
-                    Some(chain) => endpoints.push((addr, chain)),
-                    None => failures.push((
-                        addr,
-                        ScanError::BadPayload("unparsable TLS banner".to_owned()),
-                    )),
-                },
-                Err(e) => failures.push((addr, ScanError::from(e))),
+            );
+            if answered.is_ok() {
+                snap.push_banner(addr, &banner);
             }
         }
-        IpScanSnapshot {
-            date,
-            endpoints,
-            failures,
-        }
+        snap.shrink_to_fit();
+        snap
     }
 }
 
@@ -194,7 +330,7 @@ mod tests {
         assert!(ds
             .records
             .iter()
-            .all(|r| r.domains.iter().any(|d| d.is_russian_cctld())));
+            .all(|r| r.cert.names().any(DomainName::is_russian_cctld)));
         // In our generator CN == a Russian name, so CnOnly equals CnOrSan.
         let cn_only = CertDataset::from_log(world.ct_log(), from, to, MatchRule::CnOnly);
         assert_eq!(cn_only.len(), ds.len());
@@ -229,17 +365,17 @@ mod tests {
         world.advance_to(Date::from_ymd(2022, 4, 20));
         let mut scanner = IpScanner::new(&world);
         let snap = scanner.scan(&mut world);
-        assert!(!snap.endpoints.is_empty(), "no TLS endpoints responded");
+        assert!(!snap.is_empty(), "no TLS endpoints responded");
         assert_eq!(
             scanner.probes_sent(),
-            snap.endpoints.len() as u64 + snap.silent()
+            world.network().bound_endpoints(TLS_PORT).len() as u64
         );
+        assert!(snap.len() as u64 <= scanner.probes_sent());
 
         // The scan must see Russian Trusted Root CA chains that CT lacks.
         let russian_served = snap
-            .endpoints
-            .iter()
-            .filter(|(_, c)| c.chain_contains_org("Russian Trusted Root CA"))
+            .endpoints()
+            .filter(|e| e.chain_contains_org("Russian Trusted Root CA"))
             .count();
         assert!(russian_served > 0, "IP scan missed the Russian CA");
         let in_ct = CertDataset::from_log(
@@ -250,9 +386,57 @@ mod tests {
         )
         .records
         .iter()
-        .filter(|r| &*r.issuer_org == "Russian Trusted Root CA")
+        .filter(|r| r.issuer_org() == "Russian Trusted Root CA")
         .count();
         assert_eq!(in_ct, 0, "Russian CA must be absent from CT");
+    }
+
+    #[test]
+    fn snapshot_columns_read_back_each_endpoint() {
+        use ruwhere_ct::CertificateAuthority;
+        use ruwhere_types::Country;
+        let date = Date::from_ymd(2022, 4, 20);
+        let mut le = CertificateAuthority::new("Let's Encrypt", Country::US, &["R3"], true, 90)
+            .with_chain(&["ISRG"]);
+        let mut ru = CertificateAuthority::new(
+            "Russian Trusted Root CA",
+            Country::RU,
+            &["Russian Trusted Sub CA"],
+            false,
+            365,
+        )
+        .with_chain(&["Russian Trusted Root CA"]);
+        let issue = |ca: &mut CertificateAuthority, name: &str| {
+            let name: DomainName = name.parse().unwrap();
+            let san = vec![name.clone(), name.prepend("www").unwrap()];
+            let mut out = Vec::new();
+            ruwhere_world::write_banner(&ca.issue(&name, san, 0, date).unwrap(), &mut out);
+            out
+        };
+        let mut snap = IpScanSnapshot::new(date);
+        let a: Ipv4Addr = "10.0.0.1".parse().unwrap();
+        let b: Ipv4Addr = "10.0.0.2".parse().unwrap();
+        assert!(snap.push_banner(a, &issue(&mut le, "shop.ru")));
+        assert!(!snap.push_banner(b, b"HTTP/1.1 400 Bad Request\n"));
+        assert!(snap.push_banner(b, &issue(&mut ru, "bank.ru")));
+        assert!(snap.push_banner(a, &issue(&mut le, "blog.ru")));
+
+        let eps: Vec<_> = snap.endpoints().collect();
+        assert_eq!(eps.len(), 3);
+        assert_eq!((eps[0].addr(), eps[1].addr()), (a, b));
+        assert_eq!(eps[0].issuer_org(), "Let's Encrypt");
+        assert!(eps[0].chain_contains_org("ISRG"));
+        assert!(
+            eps[0].chain_contains_org("Let's Encrypt"),
+            "issuer itself counts"
+        );
+        assert!(!eps[0].chain_contains_org("Russian Trusted Root CA"));
+        assert!(eps[1].chain_contains_org("Russian Trusted Root CA"));
+        assert_eq!(eps[2].serial(), eps[0].serial() + 1);
+        // The CN repeats the first SAN; each name is stored once.
+        let names: Vec<_> = eps[1].names().collect();
+        assert_eq!(names, ["bank.ru", "www.bank.ru"]);
+        assert_eq!(eps[2].names().count(), 2);
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! The one failure vocabulary of the measurement layer.
 //!
-//! Every scanner in this crate used to fail in its own dialect: the zone
-//! transfer client had `XfrError`, the WHOIS client returned `Option`
-//! (conflating "no such object" with "the wire ate the query"), and the
-//! IP-wide TLS scan folded every failure into one `silent` counter.
-//! [`ScanError`] replaces all three with a single cause-specific enum
-//! whose variants line up with the per-cause counters of
-//! [`SweepStats`](crate::SweepStats), so a failure observed by any
-//! scanner aggregates into the same vocabulary the sweep engine already
-//! reports.
+//! The DNS sweep and the WHOIS client fail in one cause-specific enum,
+//! [`ScanError`], whose variants line up with the per-cause counters of
+//! [`SweepStats`](crate::SweepStats), so a failure observed by either
+//! aggregates into the same vocabulary the sweep engine already reports.
+//! The IP-wide TLS scan keeps only the endpoints that answered with a
+//! chain; its probe total is [`IpScanner::probes_sent`](crate::IpScanner::probes_sent).
 
 use ruwhere_authdns::ResolveError;
 use ruwhere_netsim::NetError;
@@ -35,8 +32,8 @@ pub enum ScanError {
     NoNameservers,
     /// The measurement vantage has no route to the target.
     Unreachable,
-    /// The peer answered, but the payload was malformed (bad frame, bad
-    /// zone text, unparsable TLS banner, non-UTF-8 WHOIS reply).
+    /// The peer answered, but the payload was malformed (bad frame,
+    /// non-UTF-8 WHOIS reply).
     BadPayload(String),
     /// The service answered authoritatively that the object does not
     /// exist (WHOIS: unregistered domain). Not an infrastructure failure.

@@ -13,12 +13,13 @@
 //! Both scanners observe the world exclusively through the network and
 //! public datasets; neither reads simulation ground truth.
 //!
-//! Both pipelines share one failure vocabulary ([`ScanError`], variants
-//! aligned with the per-cause counters of [`SweepStats`]) and one run
-//! shape: `&mut self` plus the world in, a dated snapshot out
-//! ([`OpenIntelScanner::sweep_frame`], [`IpScanner::scan`]). The daily
-//! sweep additionally embeds a deterministic observability section
-//! ([`SweepMetrics`]) that is byte-identical for any worker count.
+//! Both pipelines share one run shape: `&mut self` plus the world in, a
+//! dated columnar snapshot out ([`OpenIntelScanner::sweep_frame`],
+//! [`IpScanner::scan`]). The DNS sweep and the WHOIS client share one
+//! failure vocabulary ([`ScanError`], variants aligned with the per-cause
+//! counters of [`SweepStats`]). The daily sweep additionally embeds a
+//! deterministic observability section ([`SweepMetrics`]) that is
+//! byte-identical for any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,7 @@ pub mod openintel;
 pub mod shard;
 pub mod whois;
 
-pub use censys::{CertDataset, CertRecord, IpScanSnapshot, IpScanner, MatchRule};
+pub use censys::{CertDataset, CertRecord, IpScanSnapshot, IpScanner, MatchRule, ScanEndpoint};
 pub use error::ScanError;
 pub use nscache::NsCache;
 pub use openintel::{

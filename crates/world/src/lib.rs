@@ -40,5 +40,5 @@ pub use catalog::{CaId, ProviderId};
 pub use config::WorldConfig;
 pub use domain_state::{DnsPlan, DomainState, HostingPlan};
 pub use timeline::{ConflictEvent, FaultTarget, InfraFault, Timeline};
-pub use tls::{ChainSummary, TlsEndpoint, TLS_PORT};
+pub use tls::{write_banner, Banner, TlsEndpoint, TLS_PORT};
 pub use world::World;

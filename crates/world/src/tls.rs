@@ -3,113 +3,157 @@
 //! We do not simulate the TLS handshake cryptography — the measurement
 //! only needs the certificate chain a server *presents*. The endpoint
 //! service answers any probe with a compact textual banner carrying the
-//! served certificate's identifying fields; `ruwhere-scan` parses it back
-//! into a [`ChainSummary`].
+//! served certificate's identifying fields ([`write_banner`]);
+//! `ruwhere-scan` reads it back in place through [`Banner`].
 
 use ruwhere_ct::Certificate;
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
 use ruwhere_types::{Date, DomainName};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock};
 
 /// The port the Censys-style sweep probes.
 pub const TLS_PORT: u16 = 443;
 
-/// The certificate-chain information visible in a banner grab.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainSummary {
-    /// Leaf subject common name.
-    pub subject_cn: String,
-    /// Subject alternative names.
-    pub san: Vec<DomainName>,
-    /// Leaf issuer organization.
-    pub issuer_org: String,
-    /// Organizations up the chain (roots last).
-    pub chain_orgs: Vec<String>,
-    /// Issuer-scoped serial.
-    pub serial: u64,
-    /// Validity start.
-    pub not_before: Date,
-    /// Validity end.
-    pub not_after: Date,
+/// The banner's first line.
+const BANNER_MAGIC: &str = "RUTLS/1";
+
+/// Append `cert`'s banner to `out`: one `key:value` line per field after
+/// the magic line, with `\` and newlines escaped in the free-text fields.
+pub fn write_banner(cert: &Certificate, out: &mut Vec<u8>) {
+    let esc = |out: &mut Vec<u8>, key: &str, s: &str| {
+        out.extend_from_slice(key.as_bytes());
+        for b in s.bytes() {
+            match b {
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                _ => out.push(b),
+            }
+        }
+        out.push(b'\n');
+    };
+    out.extend_from_slice(BANNER_MAGIC.as_bytes());
+    out.push(b'\n');
+    esc(out, "cn:", cert.subject_cn.as_str());
+    for s in &cert.san {
+        out.extend_from_slice(b"san:");
+        out.extend_from_slice(s.as_str().as_bytes());
+        out.push(b'\n');
+    }
+    esc(out, "issuer:", &cert.issuer.organization);
+    for o in cert.chain_orgs.iter() {
+        esc(out, "chain:", o);
+    }
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "serial:{}\nnb:{}\nna:{}\n",
+        cert.serial, cert.not_before, cert.not_after
+    );
 }
 
-impl ChainSummary {
-    /// Build from a full certificate.
-    pub fn from_certificate(cert: &Certificate) -> Self {
-        ChainSummary {
-            subject_cn: cert.subject_cn.as_str().to_owned(),
-            san: cert.san.clone(),
-            issuer_org: cert.issuer.organization.to_string(),
-            chain_orgs: cert.chain_orgs.to_vec(),
-            serial: cert.serial,
-            not_before: cert.not_before,
-            not_after: cert.not_after,
-        }
+/// Undo the banner's escaping, borrowing when there is nothing to undo.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if s.contains('\\') {
+        Cow::Owned(s.replace("\\n", "\n").replace("\\\\", "\\"))
+    } else {
+        Cow::Borrowed(s)
     }
+}
 
-    /// Whether any organization in the presented chain matches `org`.
-    pub fn chain_contains_org(&self, org: &str) -> bool {
-        self.issuer_org == org || self.chain_orgs.iter().any(|o| o == org)
-    }
+/// A banner read in place: [`Banner::parse`] checks every line once, and
+/// the accessors hand out the fields from the probe's reply bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Banner<'a> {
+    /// The whole banner, magic line included.
+    text: &'a str,
+    subject_cn: &'a str,
+    issuer_org: &'a str,
+    serial: u64,
+}
 
-    /// Serialize to the banner wire format (line-oriented, fields escaped).
-    pub fn to_banner(&self) -> Vec<u8> {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('\n', "\\n");
-        let mut out = String::from("RUTLS/1\n");
-        out.push_str(&format!("cn:{}\n", esc(&self.subject_cn)));
-        for s in &self.san {
-            out.push_str(&format!("san:{}\n", s));
-        }
-        out.push_str(&format!("issuer:{}\n", esc(&self.issuer_org)));
-        for o in &self.chain_orgs {
-            out.push_str(&format!("chain:{}\n", esc(o)));
-        }
-        out.push_str(&format!("serial:{}\n", self.serial));
-        out.push_str(&format!("nb:{}\n", self.not_before));
-        out.push_str(&format!("na:{}\n", self.not_after));
-        out.into_bytes()
-    }
-
-    /// Parse the banner wire format; `None` for anything malformed.
-    pub fn from_banner(data: &[u8]) -> Option<Self> {
+impl<'a> Banner<'a> {
+    /// Parse a banner; `None` for anything malformed: a wrong magic line,
+    /// an unknown key, a line without `:`, a SAN that is not a domain
+    /// name, an unparsable serial or date, or a missing CN, issuer, serial
+    /// or validity date. A repeated single-valued key keeps its last value.
+    pub fn parse(data: &'a [u8]) -> Option<Self> {
         let text = std::str::from_utf8(data).ok()?;
         let mut lines = text.lines();
-        if lines.next()? != "RUTLS/1" {
+        if lines.next()? != BANNER_MAGIC {
             return None;
         }
-        let unesc = |s: &str| s.replace("\\n", "\n").replace("\\\\", "\\");
-        let mut cn = None;
-        let mut san = Vec::new();
-        let mut issuer = None;
-        let mut chain = Vec::new();
-        let mut serial = None;
-        let mut nb = None;
-        let mut na = None;
+        let (mut cn, mut issuer, mut serial) = (None, None, None);
+        // The validity dates are checked but not kept: no reader needs them.
+        let (mut nb, mut na) = (false, false);
         for line in lines {
             let (key, value) = line.split_once(':')?;
             match key {
-                "cn" => cn = Some(unesc(value)),
-                "san" => san.push(value.parse().ok()?),
-                "issuer" => issuer = Some(unesc(value)),
-                "chain" => chain.push(unesc(value)),
+                "cn" => cn = Some(value),
+                "san" => {
+                    DomainName::parse(value).ok()?;
+                }
+                "issuer" => issuer = Some(value),
+                "chain" => {}
                 "serial" => serial = Some(value.parse().ok()?),
-                "nb" => nb = Some(value.parse().ok()?),
-                "na" => na = Some(value.parse().ok()?),
+                "nb" => {
+                    value.parse::<Date>().ok()?;
+                    nb = true;
+                }
+                "na" => {
+                    value.parse::<Date>().ok()?;
+                    na = true;
+                }
                 _ => return None,
             }
         }
-        Some(ChainSummary {
+        if !(nb && na) {
+            return None;
+        }
+        Some(Banner {
+            text,
             subject_cn: cn?,
-            san,
             issuer_org: issuer?,
-            chain_orgs: chain,
             serial: serial?,
-            not_before: nb?,
-            not_after: na?,
         })
+    }
+
+    /// The values of every `key` line, in order, as sent.
+    fn values(&self, key: &'static str) -> impl Iterator<Item = &'a str> + 'a {
+        self.text.lines().skip(1).filter_map(move |line| {
+            let (k, v) = line.split_once(':')?;
+            (k == key).then_some(v)
+        })
+    }
+
+    /// Leaf subject common name.
+    pub fn subject_cn(&self) -> Cow<'a, str> {
+        unescape(self.subject_cn)
+    }
+
+    /// Subject alternative names, in order.
+    pub fn san(&self) -> impl Iterator<Item = DomainName> + 'a {
+        // `parse` checked that every value is a domain name.
+        self.values("san").filter_map(|v| DomainName::parse(v).ok())
+    }
+
+    /// Leaf issuer organization.
+    pub fn issuer_org(&self) -> Cow<'a, str> {
+        unescape(self.issuer_org)
+    }
+
+    /// Organizations up the chain (roots last).
+    pub fn chain_orgs(&self) -> impl Iterator<Item = Cow<'a, str>> + 'a {
+        self.values("chain").map(unescape)
+    }
+
+    /// Issuer-scoped serial.
+    pub fn serial(&self) -> u64 {
+        self.serial
     }
 }
 
@@ -139,14 +183,13 @@ impl Service for TlsEndpoint {
         _now: SimTime,
         reply: &mut Vec<u8>,
     ) -> bool {
-        let Some(chain) = read(&self.serving)
-            .get(&self.addr)
-            .map(|c| ChainSummary::from_certificate(c).to_banner())
-        else {
-            return false;
-        };
-        reply.extend_from_slice(&chain);
-        true
+        match read(&self.serving).get(&self.addr) {
+            Some(cert) => {
+                write_banner(cert, reply);
+                true
+            }
+            None => false,
+        }
     }
 
     fn processing_us(&self) -> u64 {
@@ -157,48 +200,78 @@ impl Service for TlsEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_ct::CertificateAuthority;
+    use ruwhere_ct::{CertificateAuthority, DistinguishedName};
     use ruwhere_types::sync::write;
     use ruwhere_types::Country;
 
-    fn summary() -> ChainSummary {
-        ChainSummary {
-            subject_cn: "example.ru".into(),
+    fn cert(org: &str, chain: &[&str]) -> Certificate {
+        Certificate {
+            serial: 12345,
+            issuer: DistinguishedName {
+                organization: org.into(),
+                common_name: "R3".into(),
+                country: Country::US,
+            },
+            subject_cn: "example.ru".parse().unwrap(),
             san: vec![
                 "example.ru".parse().unwrap(),
                 "www.example.ru".parse().unwrap(),
             ],
-            issuer_org: "Let's Encrypt".into(),
-            chain_orgs: vec!["Internet Security Research Group".into()],
-            serial: 12345,
             not_before: Date::from_ymd(2022, 1, 15),
             not_after: Date::from_ymd(2022, 4, 15),
+            chain_orgs: chain.iter().map(|o| (*o).to_owned()).collect(),
+            ct_logged: true,
         }
+    }
+
+    fn banner(cert: &Certificate) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_banner(cert, &mut out);
+        out
+    }
+
+    #[test]
+    fn banner_bytes_are_pinned() {
+        let c = cert("Let's Encrypt", &["Internet Security Research Group"]);
+        assert_eq!(
+            String::from_utf8(banner(&c)).unwrap(),
+            "RUTLS/1\ncn:example.ru\nsan:example.ru\nsan:www.example.ru\n\
+             issuer:Let's Encrypt\nchain:Internet Security Research Group\n\
+             serial:12345\nnb:2022-01-15\nna:2022-04-15\n"
+        );
     }
 
     #[test]
     fn banner_roundtrip() {
-        let s = summary();
-        let banner = s.to_banner();
-        assert_eq!(ChainSummary::from_banner(&banner).unwrap(), s);
+        let c = cert("Let's Encrypt", &["Internet Security Research Group"]);
+        let bytes = banner(&c);
+        let b = Banner::parse(&bytes).unwrap();
+        assert_eq!(b.subject_cn(), c.subject_cn.as_str());
+        assert_eq!(b.san().collect::<Vec<_>>(), c.san);
+        assert_eq!(b.issuer_org(), &*c.issuer.organization);
+        assert_eq!(b.chain_orgs().collect::<Vec<_>>(), *c.chain_orgs);
+        assert_eq!(b.serial(), c.serial);
     }
 
     #[test]
     fn banner_roundtrip_with_escapes() {
-        let mut s = summary();
-        s.subject_cn = "weird\nname\\with stuff".into();
-        s.chain_orgs = vec!["Org\nWith\nNewlines".into()];
-        let banner = s.to_banner();
-        assert_eq!(ChainSummary::from_banner(&banner).unwrap(), s);
+        let c = cert("Weird\nOrg\\with stuff", &["Org\nWith\nNewlines"]);
+        let bytes = banner(&c);
+        let b = Banner::parse(&bytes).unwrap();
+        assert_eq!(b.issuer_org(), "Weird\nOrg\\with stuff");
+        assert_eq!(b.chain_orgs().collect::<Vec<_>>(), ["Org\nWith\nNewlines"]);
     }
 
     #[test]
     fn malformed_banners_rejected() {
-        assert!(ChainSummary::from_banner(b"").is_none());
-        assert!(ChainSummary::from_banner(b"HTTP/1.1 200 OK\n").is_none());
-        assert!(ChainSummary::from_banner(b"RUTLS/1\ncn:x\n").is_none()); // missing fields
-        assert!(ChainSummary::from_banner(b"RUTLS/1\nbogus:x\n").is_none());
-        assert!(ChainSummary::from_banner(&[0xFF, 0xFE]).is_none());
+        assert!(Banner::parse(b"").is_none());
+        assert!(Banner::parse(b"HTTP/1.1 200 OK\n").is_none());
+        assert!(Banner::parse(b"RUTLS/1\ncn:x\n").is_none()); // missing fields
+        assert!(Banner::parse(b"RUTLS/1\nbogus:x\n").is_none());
+        assert!(Banner::parse(&[0xFF, 0xFE]).is_none());
+        let mut bad_san = banner(&cert("Let's Encrypt", &[]));
+        bad_san.extend_from_slice(b"san:not..a.name\n");
+        assert!(Banner::parse(&bad_san).is_none());
     }
 
     #[test]
@@ -226,27 +299,14 @@ mod tests {
         };
         let served = cert("Let's Encrypt");
         write(&serving).insert(addr, Arc::clone(&served));
-        let banner = probe(&ep).unwrap();
-        assert_eq!(
-            ChainSummary::from_banner(&banner).unwrap(),
-            ChainSummary::from_certificate(&served)
-        );
+        assert_eq!(probe(&ep).unwrap(), banner(&served));
 
         // Certificate rotation is visible immediately.
         write(&serving).insert(addr, cert("Russian Trusted Root CA"));
-        let banner = probe(&ep).unwrap();
+        let bytes = probe(&ep).unwrap();
         assert_eq!(
-            ChainSummary::from_banner(&banner).unwrap().issuer_org,
+            Banner::parse(&bytes).unwrap().issuer_org(),
             "Russian Trusted Root CA"
         );
-    }
-
-    #[test]
-    fn chain_org_matching() {
-        let mut s = summary();
-        s.chain_orgs.push("Russian Trusted Root CA".into());
-        assert!(s.chain_contains_org("Russian Trusted Root CA"));
-        assert!(s.chain_contains_org("Let's Encrypt"));
-        assert!(!s.chain_contains_org("DigiCert"));
     }
 }
