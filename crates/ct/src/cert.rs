@@ -11,7 +11,7 @@
 //! CN is the same [`DomainName`] as the SAN it names, and the CT logs hold
 //! the certificate itself behind an `Arc` (see [`crate::ctlog::CtEntry`]).
 
-use crate::hash::{sha256, Digest};
+use crate::hash::{Digest, Sha256};
 use ruwhere_types::{Country, Date, DomainName};
 use std::fmt;
 use std::sync::Arc;
@@ -68,20 +68,21 @@ impl Certificate {
     /// Deterministic certificate fingerprint (stand-in for the SHA-256 of
     /// the DER encoding).
     pub fn fingerprint(&self) -> Digest {
-        let mut data = Vec::new();
-        data.extend_from_slice(&self.serial.to_be_bytes());
-        data.extend_from_slice(self.issuer.organization.as_bytes());
-        data.push(0);
-        data.extend_from_slice(self.issuer.common_name.as_bytes());
-        data.push(0);
-        data.extend_from_slice(self.subject_cn.as_str().as_bytes());
+        // These bytes are part of every CT leaf: changing them moves every
+        // Merkle root and signed tree head.
+        let mut h = Sha256::new();
+        h.update(&self.serial.to_be_bytes())
+            .update(self.issuer.organization.as_bytes())
+            .update(&[0])
+            .update(self.issuer.common_name.as_bytes())
+            .update(&[0])
+            .update(self.subject_cn.as_str().as_bytes());
         for s in &self.san {
-            data.push(0);
-            data.extend_from_slice(s.as_str().as_bytes());
+            h.update(&[0]).update(s.as_str().as_bytes());
         }
-        data.extend_from_slice(&self.not_before.days_since_epoch().to_be_bytes());
-        data.extend_from_slice(&self.not_after.days_since_epoch().to_be_bytes());
-        sha256(&data)
+        h.update(&self.not_before.days_since_epoch().to_be_bytes())
+            .update(&self.not_after.days_since_epoch().to_be_bytes());
+        h.finalize()
     }
 
     /// The names this certificate covers: the subject CN, then each SAN.

@@ -4,6 +4,13 @@
 //! inclusion proofs, and consistency proofs (generation *and* verification).
 //! The Censys-style indexer in `ruwhere-scan` reads entries out of logs; a
 //! monitor can verify that the log operator never rewrote history.
+//!
+//! The log stores its entries and nothing else: appending is a push and
+//! hashes nothing. Every leaf hash is derived from its entry when a reader
+//! asks for it, as `SHA-256(0x00 ‖ fingerprint ‖ timestamp)` with the
+//! timestamp's day number big-endian, so a root or proof costs one leaf
+//! hash per leaf it covers. The study reads entries only; roots and
+//! proofs are read by monitors, the tests and the `ct_forensics` example.
 
 use crate::cert::Certificate;
 use crate::hash::{sha256, Digest, Sha256};
@@ -54,10 +61,12 @@ pub struct ConsistencyProof {
     pub path: Vec<Digest>,
 }
 
-fn leaf_hash(data: &[u8]) -> Digest {
+/// RFC 6962 leaf hash of `entry`, streamed without a buffer.
+fn leaf_hash(entry: &CtEntry) -> Digest {
     let mut h = Sha256::new();
-    h.update(&[0x00]);
-    h.update(data);
+    h.update(&[0x00])
+        .update(&entry.cert.fingerprint())
+        .update(&entry.timestamp.days_since_epoch().to_be_bytes());
     h.finalize()
 }
 
@@ -74,7 +83,6 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
 pub struct CtLog {
     name: String,
     entries: Vec<CtEntry>,
-    leaves: Vec<Digest>,
 }
 
 impl CtLog {
@@ -83,7 +91,6 @@ impl CtLog {
         CtLog {
             name: name.to_owned(),
             entries: Vec::new(),
-            leaves: Vec::new(),
         }
     }
 
@@ -92,22 +99,21 @@ impl CtLog {
         &self.name
     }
 
-    /// Append a certificate; returns its leaf index. Pass an
-    /// `Arc<Certificate>` to share one certificate between logs.
+    /// Append a certificate; returns its leaf index (the first append
+    /// returns 0). Pass an `Arc<Certificate>` to share one certificate
+    /// between logs.
     pub fn append(&mut self, cert: impl Into<Arc<Certificate>>, timestamp: Date) -> u64 {
-        let cert = cert.into();
-        let fp = cert.fingerprint();
-        let mut leaf_data = Vec::with_capacity(40);
-        leaf_data.extend_from_slice(&fp);
-        leaf_data.extend_from_slice(&timestamp.days_since_epoch().to_be_bytes());
-        self.leaves.push(leaf_hash(&leaf_data));
-        self.entries.push(CtEntry { cert, timestamp });
-        self.leaves.len() as u64
+        let index = self.size();
+        self.entries.push(CtEntry {
+            cert: cert.into(),
+            timestamp,
+        });
+        index
     }
 
     /// Current number of entries.
     pub fn size(&self) -> u64 {
-        self.leaves.len() as u64
+        self.entries.len() as u64
     }
 
     /// All entries (index order == append order).
@@ -126,7 +132,7 @@ impl CtLog {
         debug_assert!(lo <= hi);
         match hi - lo {
             0 => sha256(b""), // MTH of the empty tree
-            1 => self.leaves[lo],
+            1 => leaf_hash(&self.entries[lo]),
             n => {
                 let k = largest_power_of_two_below(n as u64) as usize;
                 node_hash(&self.mth(lo, lo + k), &self.mth(lo + k, hi))
@@ -147,20 +153,20 @@ impl CtLog {
     /// Signed tree head for a historical size.
     pub fn sth_at(&self, size: u64) -> Option<SignedTreeHead> {
         let root = self.root_at(size)?;
-        let mut sig_input = Vec::new();
-        sig_input.extend_from_slice(self.name.as_bytes());
-        sig_input.extend_from_slice(&size.to_be_bytes());
-        sig_input.extend_from_slice(&root);
+        let mut sig = Sha256::new();
+        sig.update(self.name.as_bytes())
+            .update(&size.to_be_bytes())
+            .update(&root);
         Some(SignedTreeHead {
             tree_size: size,
             root,
-            signature: sha256(&sig_input),
+            signature: sig.finalize(),
         })
     }
 
-    /// The leaf hash at `index`.
+    /// The leaf hash at `index`, derived from its entry.
     pub fn leaf_at(&self, index: u64) -> Option<Digest> {
-        self.leaves.get(index as usize).copied()
+        self.entries.get(index as usize).map(leaf_hash)
     }
 
     /// RFC 6962 §2.1.1 audit path for `leaf_index` in the tree of
@@ -345,6 +351,55 @@ mod tests {
             log.append(cert(i), Date::from_ymd(2022, 1, 1).add_days(i as i32 % 90));
         }
         log
+    }
+
+    #[test]
+    fn append_returns_the_leaf_index() {
+        let mut log = CtLog::new("t");
+        let day = Date::from_ymd(2022, 1, 1);
+        assert_eq!(log.append(cert(0), day), 0);
+        assert_eq!(log.append(cert(1), day), 1);
+        assert_eq!(log.append(cert(2), day), 2);
+        assert_eq!(log.size(), 3);
+    }
+
+    #[test]
+    fn leaves_follow_rfc6962_over_entries() {
+        // Rebuild each leaf from the entry's fields in one buffer and one
+        // one-shot hash, apart from the streaming hashers the log uses.
+        let mut log = CtLog::new("t");
+        for i in 0..12u64 {
+            let mut c = cert(i);
+            // Names long enough that a fingerprint spans two blocks.
+            for k in 0..i % 3 {
+                c.san.push(
+                    format!("www{k}.a-long-subdomain-label.site{i}.ru")
+                        .parse()
+                        .unwrap(),
+                );
+            }
+            log.append(c, Date::from_ymd(2022, 1, 1).add_days(i as i32));
+        }
+        for (i, e) in log.entries().iter().enumerate() {
+            let c = &e.cert;
+            let mut fp_input = c.serial.to_be_bytes().to_vec();
+            fp_input.extend_from_slice(c.issuer.organization.as_bytes());
+            fp_input.push(0);
+            fp_input.extend_from_slice(c.issuer.common_name.as_bytes());
+            fp_input.push(0);
+            fp_input.extend_from_slice(c.subject_cn.as_str().as_bytes());
+            for s in &c.san {
+                fp_input.push(0);
+                fp_input.extend_from_slice(s.as_str().as_bytes());
+            }
+            fp_input.extend_from_slice(&c.not_before.days_since_epoch().to_be_bytes());
+            fp_input.extend_from_slice(&c.not_after.days_since_epoch().to_be_bytes());
+            let mut leaf_input = vec![0x00];
+            leaf_input.extend_from_slice(&sha256(&fp_input));
+            leaf_input.extend_from_slice(&e.timestamp.days_since_epoch().to_be_bytes());
+            assert_eq!(log.leaf_at(i as u64), Some(sha256(&leaf_input)), "leaf {i}");
+        }
+        assert_eq!(log.leaf_at(12), None);
     }
 
     #[test]

@@ -55,43 +55,42 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return self;
             }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
+            let block = self.buf;
             self.compress(&block);
-            data = &data[64..];
+            self.buf_len = 0;
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            self.compress(block.try_into().expect("64-byte chunk"));
         }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
         self
     }
 
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> Digest {
+        // Padding, written in place: 0x80, zeros, then the 8-byte
+        // big-endian bit length in the last block's final 8 bytes. A
+        // buffer with fewer than 8 bytes free after the 0x80 takes a
+        // second block.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Manually append the length to avoid update() touching total_len
-        // correctness (it already counted the padding, which is fine — the
-        // length below was captured first).
         let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -215,6 +214,26 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundary_known_answers() {
+        // SHA-256 of `len` bytes of 0xA5, from an independent
+        // implementation. At 55 and 119 bytes the padding still fits the
+        // last data block, at 56 and 120 it takes one more block, and 63
+        // and 64 sit on either side of a block edge.
+        let lengths = [55, 56, 63, 64, 119, 120];
+        let digests = [
+            "26ee0116778740a66fe2ba10ea063748b27306acc99188ec812746d4e8d70083",
+            "4cf71e2b0aa0fcc0c271f68353026a77b8e50153632a8e4a73833cd64080e92e",
+            "a1942663a5b8b93dffc9c4ff5f62c71a1c021d1fcc1e470dd46172abace1bca5",
+            "bb626e5577021df95ea17eb6339e75904855b80087e40660931c4a89b302f74a",
+            "d4f197a1127980fe239c189bab09428d00de243c790ea7cad66f03928d992c89",
+            "2065fa2ca0929999a6887714ef1af9d994cd93ab5ea165d4b426d7dc34f1e226",
+        ];
+        for (len, want) in lengths.into_iter().zip(digests) {
+            assert_eq!(hex(&sha256(&vec![0xA5u8; len])), want, "len {len}");
         }
     }
 }

@@ -55,32 +55,36 @@ impl CertDataset {
     /// to more than one (by issuer organization + serial) — what Censys
     /// does when merging the public log ecosystem.
     pub fn from_logs(logs: &[CtLog], from: Date, to: Date, rule: MatchRule) -> Self {
-        let mut records = Vec::new();
-        // Serials seen, per organization: a set of 8-byte keys per issuer
-        // holds a third of what one set of (organization, serial) keys does.
+        let window = || logs.iter().flat_map(|log| log.entries_between(from, to));
+        // First pass: mark the entries to keep. Serials seen, per
+        // organization: a set of 8-byte keys per issuer holds a third of
+        // what one set of (organization, serial) keys does.
         let mut seen: HashMap<&str, HashSet<u64>> = HashMap::new();
-        for log in logs {
-            for e in log.entries_between(from, to) {
+        let keep: Vec<bool> = window()
+            .map(|e| {
                 let matched = match rule {
                     MatchRule::CnOrSan => e.cert.matches_russian_tld(),
                     MatchRule::CnOnly => e.cert.matches_russian_tld_cn_only(),
                 };
                 let org = &*e.cert.issuer.organization;
-                if matched && seen.entry(org).or_default().insert(e.cert.serial) {
-                    records.push(CertRecord {
-                        date: e.timestamp,
-                        cert: Arc::clone(&e.cert),
-                    });
-                }
-            }
-        }
+                matched && seen.entry(org).or_default().insert(e.cert.serial)
+            })
+            .collect();
         drop(seen);
+        // Second pass: fill a vector sized to the count, so no regrowth
+        // holds two buffers at once, after the serial sets are freed.
+        let mut records = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+        for (e, _) in window().zip(&keep).filter(|(_, &k)| k) {
+            records.push(CertRecord {
+                date: e.timestamp,
+                cert: Arc::clone(&e.cert),
+            });
+        }
         // Logs append in date order, so the stable sort (and its scratch
         // buffer) is needed only when several logs interleave.
         if !records.is_sorted_by_key(|r| r.date) {
             records.sort_by_key(|r| r.date);
         }
-        records.shrink_to_fit();
         CertDataset { records }
     }
 
