@@ -705,34 +705,31 @@ impl IterativeResolver {
         name: &NameSlice,
         rtype: RType,
     ) -> Result<Resolution, ResolveError> {
-        self.resolve_with_cache(net, name, rtype, &NoDependencyCache)
-    }
-
-    /// [`resolve`](Self::resolve), with NS-target dependency lookups routed
-    /// through `deps` (the parallel sweep engine's shared read-through
-    /// cache).
-    pub fn resolve_with_cache<T: Transport>(
-        &mut self,
-        net: &mut T,
-        name: &NameSlice,
-        rtype: RType,
-        deps: &dyn NsDependencyCache,
-    ) -> Result<Resolution, ResolveError> {
         let mut budget = self.query_budget;
         let mut retries = self.retry_budget;
-        let result = self.resolve_inner(net, name, rtype, &mut budget, &mut retries, 0, deps);
+        let result = self.resolve_inner(
+            net,
+            name,
+            rtype,
+            &mut budget,
+            &mut retries,
+            0,
+            &NoDependencyCache,
+        );
         self.record_done(&result.as_ref().map(Resolution::answer).map_err(|e| *e));
         result
     }
 
-    /// [`resolve_with_cache`](Self::resolve_with_cache), with the answer
-    /// records handed to `sink` in answer order instead of returned: read
-    /// in place from the reply, so nothing is copied out. For an answer
-    /// only its caller reads, like a sweep's per-domain queries.
+    /// [`resolve`](Self::resolve), with NS-target dependency lookups routed
+    /// through `deps` (the parallel sweep engine's shared read-through
+    /// cache) and the answer records handed to `sink` in answer order
+    /// instead of returned: read in place from the reply, so nothing is
+    /// copied out. For an answer only its caller reads, like a sweep's
+    /// per-domain queries.
     ///
     /// A cached answer is served from the cache and fed to the sink. A
     /// positive answer that arrives is not cached; a denial, an empty
-    /// answer and a non-transient error are, as by `resolve_with_cache`.
+    /// answer and a non-transient error are, as by `resolve`.
     /// The records of a CNAME chain arrive hop by hop, so a chain whose
     /// later hop fails returns `Err` after some records went to the sink:
     /// the caller drops what it collected then. Nested NS-target lookups

@@ -7,8 +7,8 @@
 //!   expiration, deletion) and delegation data (NS sets plus glue).
 //! * [`Registry::zone_snapshot`] — the daily zone file, as a
 //!   [`ruwhere_dns::Zone`] with a date-derived SOA serial; after the first
-//!   publish, [`Registry::publish_changes`] keeps a published zone and a
-//!   WHOIS copy current by editing only the names that changed.
+//!   publish, [`Registry::publish_changes`] keeps the published zone
+//!   current by editing only the names that changed.
 //! * [`sanctions`] — dated US OFAC SDN / UK sanctions-list entries
 //!   (107 unique domains in the paper, §2).
 //! * [`namegen`] — deterministic synthetic domain-name generation for

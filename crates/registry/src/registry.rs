@@ -65,10 +65,12 @@ pub struct Registry {
     /// Cumulative count of every name ever registered (the paper reports
     /// 11.7 M unique names over the study window against ~5 M live).
     ever_registered: u64,
-    /// Names whose registration changed since the last publish, in the
-    /// order they were touched (repeats allowed). `None` until the first
-    /// publish starts recording, so building a registry records nothing.
-    changes: Option<Vec<DomainName>>,
+    /// Names whose registration changed since the last publish, each
+    /// with the glue hosts of the delegation it had at that publish (the
+    /// glue owners the served zone still holds for it). `None` until the
+    /// first publish starts recording, so building a registry records
+    /// nothing.
+    changes: Option<BTreeMap<DomainName, Vec<DomainName>>>,
 }
 
 impl Registry {
@@ -106,7 +108,7 @@ impl Registry {
         if self.domains.contains_key(&name) {
             return Err(RegistryError::AlreadyRegistered);
         }
-        self.touch(&name);
+        touch(&mut self.changes, &name, None);
         self.domains.insert(
             name,
             Registration {
@@ -125,10 +127,9 @@ impl Registry {
             .domains
             .get_mut(name)
             .ok_or(RegistryError::NotRegistered)?;
+        touch(&mut self.changes, name, Some(reg));
         reg.expires = reg.expires.add_days((365 * years) as i32);
-        let expires = reg.expires;
-        self.touch(name);
-        Ok(expires)
+        Ok(reg.expires)
     }
 
     /// Delete `name` immediately (registrant action).
@@ -137,7 +138,7 @@ impl Registry {
             .domains
             .remove(name)
             .ok_or(RegistryError::NotRegistered)?;
-        self.touch(name);
+        touch(&mut self.changes, name, Some(&reg));
         Ok(reg)
     }
 
@@ -161,16 +162,9 @@ impl Registry {
             .domains
             .get_mut(name)
             .ok_or(RegistryError::NotRegistered)?;
+        touch(&mut self.changes, name, Some(reg));
         reg.delegation = delegation;
-        self.touch(name);
         Ok(())
-    }
-
-    /// Note that `name`'s registration changed, once recording is on.
-    fn touch(&mut self, name: &DomainName) {
-        if let Some(changes) = &mut self.changes {
-            changes.push(name.clone());
-        }
     }
 
     /// The registration record for `name`.
@@ -208,8 +202,8 @@ impl Registry {
             .map(|(n, _)| n.clone())
             .collect();
         for n in &expired {
-            self.domains.remove(n);
-            self.touch(n);
+            let reg = self.domains.remove(n);
+            touch(&mut self.changes, n, reg.as_ref());
         }
         expired
     }
@@ -236,45 +230,54 @@ impl Registry {
     }
 
     /// Start recording the names each change touches. The first publish
-    /// calls this after installing [`zone_snapshot`](Self::zone_snapshot)
-    /// and a copy of the registry; later publishes then go through
+    /// calls this after installing [`zone_snapshot`](Self::zone_snapshot);
+    /// later publishes then go through
     /// [`publish_changes`](Self::publish_changes).
     pub fn record_changes(&mut self) {
-        self.changes.get_or_insert_with(Vec::new);
+        self.changes.get_or_insert_with(BTreeMap::new);
     }
 
-    /// Bring a publication up to date with this registry as of `date`, in
-    /// O(changes): stamp `zone`'s serial and, for every name touched since
-    /// the last publish, replace that name's NS and glue records in `zone`
-    /// and its entry in `published`.
+    /// Bring a published zone up to date with this registry as of `date`,
+    /// in O(changes): stamp `zone`'s serial and, for every name touched
+    /// since the last publish, replace that name's NS and glue records.
     ///
-    /// `zone` and `published` must be this registry as of the last
-    /// publish: its [`zone_snapshot`](Self::zone_snapshot) and a copy of
-    /// it, both kept current by earlier calls. The copy also supplies each
-    /// name's old delegation, whose glue must go. Afterwards `zone` equals
-    /// `self.zone_snapshot(date)` and `published` answers every lookup as
-    /// `self` does. Recording must have been started with
-    /// [`record_changes`](Self::record_changes).
-    pub fn publish_changes(&mut self, date: Date, zone: &mut Zone, published: &mut Registry) {
+    /// `zone` must be this registry's zone as of the last publish: its
+    /// [`zone_snapshot`](Self::zone_snapshot), kept current by earlier
+    /// calls. Each touched name's old glue owners come from what the
+    /// registry recorded at the name's first touch. Afterwards `zone`
+    /// equals `self.zone_snapshot(date)`. Recording must have been started
+    /// with [`record_changes`](Self::record_changes).
+    pub fn publish_changes(&mut self, date: Date, zone: &mut Zone) {
         zone.set_serial(zone_serial(date));
-        let mut names = self.changes.take().unwrap_or_default();
-        names.sort_unstable();
-        names.dedup();
-        for name in &names {
+        let changes = self.changes.replace(BTreeMap::new()).unwrap_or_default();
+        for (name, old_glue) in &changes {
             zone.remove(&Name::from(name), None);
-            if let Some(old) = published.domains.remove(name) {
-                for host in old.delegation.glue.keys() {
-                    zone.remove(&Name::from(host), None);
-                }
+            for host in old_glue {
+                zone.remove(&Name::from(host), None);
             }
             if let Some(reg) = self.domains.get(name) {
                 add_delegation(zone, name, &reg.delegation);
-                published.domains.insert(name.clone(), reg.clone());
             }
         }
-        published.ever_registered = self.ever_registered;
-        names.clear();
-        self.changes = Some(names);
+    }
+}
+
+/// Note in `changes`, once recording is on, that `name` is changing from
+/// `current` (`None` when unregistered). Only the first touch after a
+/// publish keeps its glue hosts: they are the glue owners the published
+/// zone holds for `name`.
+fn touch(
+    changes: &mut Option<BTreeMap<DomainName, Vec<DomainName>>>,
+    name: &DomainName,
+    current: Option<&Registration>,
+) {
+    if let Some(changes) = changes {
+        if !changes.contains_key(name) {
+            let glue = current.map_or_else(Vec::new, |reg| {
+                reg.delegation.glue.keys().cloned().collect()
+            });
+            changes.insert(name.clone(), glue);
+        }
     }
 }
 

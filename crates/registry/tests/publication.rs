@@ -1,10 +1,10 @@
-//! Publication oracle: a zone and a WHOIS copy kept current with
-//! `Registry::publish_changes` must equal what a full rebuild gives —
-//! `zone_snapshot(date)` for the zone, the live registry for WHOIS — after
-//! every publish, whatever sequence of registry changes came before.
+//! Publication oracle: a zone kept current with
+//! `Registry::publish_changes` must equal what a full rebuild gives,
+//! `zone_snapshot(date)`, after every publish, whatever sequence of
+//! registry changes came before.
 
 use proptest::prelude::*;
-use ruwhere_registry::{whois, Delegation, Registry};
+use ruwhere_registry::{Delegation, Registry};
 use ruwhere_types::{Date, DomainName};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -108,20 +108,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Assert that the published zone and WHOIS copy match the live registry.
-fn check(live: &Registry, zone: &ruwhere_dns::Zone, published: &Registry, date: Date) {
+/// Assert that the published zone matches the live registry.
+fn check(live: &Registry, zone: &ruwhere_dns::Zone, date: Date) {
     let snapshot = live.zone_snapshot(date);
     assert_eq!(zone, &snapshot);
     assert_eq!(zone.to_text(), snapshot.to_text());
-    for name in NAMES {
-        assert_eq!(
-            whois::respond(std::slice::from_ref(published), name),
-            whois::respond(std::slice::from_ref(live), name),
-            "{name}"
-        );
-    }
-    assert_eq!(published.count(), live.count());
-    assert_eq!(published.ever_registered(), live.ever_registered());
 }
 
 proptest! {
@@ -162,20 +153,19 @@ proptest! {
             apply(&mut live, op, date);
         }
         let mut zone = live.zone_snapshot(date);
-        let mut published = live.clone();
         live.record_changes();
-        check(&live, &zone, &published, date);
+        check(&live, &zone, date);
 
         for op in &after {
             if let Op::Publish { days } = *op {
                 date = date.add_days(days);
-                live.publish_changes(date, &mut zone, &mut published);
-                check(&live, &zone, &published, date);
+                live.publish_changes(date, &mut zone);
+                check(&live, &zone, date);
             } else {
                 apply(&mut live, op, date);
             }
         }
-        live.publish_changes(date, &mut zone, &mut published);
-        check(&live, &zone, &published, date);
+        live.publish_changes(date, &mut zone);
+        check(&live, &zone, date);
     }
 }

@@ -90,8 +90,8 @@ mod tests {
 
     #[test]
     fn lookup_matches_registry_facts() {
+        // WHOIS answers from the live registries: no zone publish needed.
         let mut world = World::new(WorldConfig::tiny());
-        world.publish_tld_zones();
         let client = WhoisClient::new(&world);
 
         let name = world.seed_names()[0].clone();
@@ -117,7 +117,6 @@ mod tests {
         // Advance so churn registers some new names after the start.
         let t0 = world.today();
         world.advance_to(t0.add_days(45));
-        world.publish_tld_zones();
         let client = WhoisClient::new(&world);
 
         // Find one old and (if churn produced one) one new domain.

@@ -312,7 +312,7 @@ struct Answered {
 
 /// Resolve `domain`'s NS set, then its apex, on a fresh overlay over
 /// `base` and the domain's own lane, through the streamed path
-/// (`resolve_into`) or the owned one (`resolve_with_cache`).
+/// (`resolve_into`) or the owned one (`resolve`).
 fn answer_both(
     world: &World,
     base: &std::sync::Arc<ruwhere_authdns::PrimedBase>,
@@ -334,7 +334,7 @@ fn answer_both(
                 .map(|()| got)
         } else {
             resolver
-                .resolve_with_cache(&mut lane, &qname, rtype, &NoDependencyCache)
+                .resolve(&mut lane, &qname, rtype)
                 .map(|res| match res {
                     Resolution::Records(r) => r.to_vec(),
                     Resolution::NxDomain | Resolution::NoData => Vec::new(),

@@ -1,6 +1,6 @@
 //! Per-domain ground-truth state.
 
-use crate::catalog::{CaId, PlanId, ProviderId};
+use crate::catalog::{PlanId, ProviderId};
 use ruwhere_types::{Date, DomainName};
 use std::net::Ipv4Addr;
 
@@ -29,21 +29,6 @@ pub struct HostingPlan {
     pub secondary: Option<(ProviderId, Ipv4Addr)>,
 }
 
-/// Per-domain TLS behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TlsProfile {
-    /// Preferred CA.
-    pub ca: CaId,
-    /// Next scheduled (re)issuance date.
-    pub next_issue: Date,
-    /// Certificates obtained per renewal event (real operators issue
-    /// several: apex, www, staging; the paper's per-day volume implies
-    /// multiple certificates per domain per cycle).
-    pub certs_per_renewal: u8,
-    /// Serial + CA of the certificate currently served by the endpoint.
-    pub serving: Option<(CaId, u64)>,
-}
-
 /// Ground truth for one registered domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainState {
@@ -53,8 +38,9 @@ pub struct DomainState {
     pub hosting: HostingPlan,
     /// DNS arrangement.
     pub dns: DnsPlan,
-    /// TLS behaviour (None = plain-HTTP site, invisible to §4).
-    pub tls: Option<TlsProfile>,
+    /// Whether the site serves TLS (false = plain-HTTP site, invisible
+    /// to §4).
+    pub tls: bool,
     /// Whether this domain is on a sanctions list.
     pub sanctioned: bool,
     /// Registration date (needed to distinguish "newly registered" from
@@ -77,12 +63,7 @@ mod tests {
                 secondary: None,
             },
             dns: DnsPlan::Managed(PlanId(0)),
-            tls: Some(TlsProfile {
-                ca: CaId(0),
-                next_issue: Date::from_ymd(2022, 1, 1),
-                certs_per_renewal: 2,
-                serving: None,
-            }),
+            tls: true,
             sanctioned: false,
             registered: Date::from_ymd(2019, 5, 1),
         };

@@ -5,7 +5,7 @@ use crate::catalog::{
     ProviderSpec, VANITY_EXOTIC_SHARE, VANITY_OWN_SHARE,
 };
 use crate::config::WorldConfig;
-use crate::domain_state::{DnsPlan, DomainState, HostingPlan, TlsProfile};
+use crate::domain_state::{DnsPlan, DomainState, HostingPlan};
 use crate::timeline::{ConflictEvent, FaultTarget, InfraFault, Timeline};
 use crate::tls::{ServingMap, TlsEndpoint, TLS_PORT};
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ use ruwhere_types::sync::{read, write};
 use ruwhere_types::{Date, DomainName, Period, SeedTree, CONFLICT_START};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// DNS port.
 const DNS_PORT: u16 = 53;
@@ -86,15 +86,6 @@ impl MemberSet {
     }
 }
 
-/// An issued-certificate index row (for revocation sweeps and Table 2).
-#[derive(Debug, Clone)]
-struct IssuedCert {
-    ca: CaId,
-    serial: u64,
-    domain: DomainName,
-    sanctioned: bool,
-}
-
 /// One NS host's live state.
 #[derive(Debug, Clone)]
 struct NsHost {
@@ -139,7 +130,9 @@ pub struct World {
     infra_home: HashMap<DomainName, usize>,
 
     net: Network,
-    registries: Vec<Registry>, // [0]=.ru, [1]=.рф
+    /// `[0]` = `.ru`, `[1]` = `.рф`; shared with the WHOIS service, which
+    /// answers from the live registries.
+    registries: Arc<RwLock<Vec<Registry>>>,
     ripn_zones: SharedZoneSet,
     gtld_zones: SharedZoneSet,
     root_zone: SharedZoneSet,
@@ -150,13 +143,11 @@ pub struct World {
 
     sanctions: SanctionsList,
     scripted_moves: Vec<ScriptedMove>,
-    whois_state: Arc<RwLock<Vec<Registry>>>,
 
     cas: Vec<CertificateAuthority>,
     ca_specs: Vec<CaSpec>,
     ct_logs: Vec<CtLog>,
     ocsp: OcspResponder,
-    issued_index: Vec<IssuedCert>,
     pending_revocations: BTreeMap<Date, Vec<(CaId, u64)>>,
     issue_carry: Vec<f64>,
     russian_ca_queue: BTreeMap<Date, Vec<RussianCaTarget>>,
@@ -169,7 +160,7 @@ pub struct World {
     hosting_members: Vec<MemberSet>,
     tls_pool: MemberSet,
     namegen: NameGenerator,
-    extra_sites: Vec<(String, Ipv4Addr)>,
+    extra_sites: Vec<(DomainName, Ipv4Addr)>,
     /// The Amazon↔Sedo parking portfolio (§3.2): moved by script, pinned
     /// against the background rebalancer.
     portfolio: Vec<DomainName>,
@@ -269,7 +260,6 @@ impl World {
             ca_specs,
             ct_logs: vec![CtLog::new("ruwhere-argon"), CtLog::new("ruwhere-xenon")],
             ocsp: OcspResponder::new(),
-            issued_index: Vec::new(),
             pending_revocations: BTreeMap::new(),
             russian_ca_queue: BTreeMap::new(),
             serving: Arc::new(RwLock::new(HashMap::new())),
@@ -282,11 +272,10 @@ impl World {
             portfolio: Vec::new(),
             scripted_moves: Vec::new(),
             sanctions: SanctionsList::new(),
-            whois_state: Arc::new(RwLock::new(Vec::new())),
-            registries: vec![
+            registries: Arc::new(RwLock::new(vec![
                 Registry::new("ru".parse().expect("static")),
                 Registry::new("рф".parse().expect("static")),
-            ],
+            ])),
             ripn_zones: Arc::new(RwLock::new(ZoneSet::new())),
             gtld_zones: Arc::new(RwLock::new(ZoneSet::new())),
             root_zone: Arc::new(RwLock::new(ZoneSet::new())),
@@ -396,9 +385,9 @@ impl World {
         }]
     }
 
-    /// The `.ru` and `.рф` registries.
-    pub fn registries(&self) -> &[Registry] {
-        &self.registries
+    /// The `.ru` and `.рф` registries, read-locked.
+    pub fn registries(&self) -> RwLockReadGuard<'_, Vec<Registry>> {
+        read(&self.registries)
     }
 
     /// The sanctions list.
@@ -447,8 +436,7 @@ impl World {
     /// Names of all live domains under the study ccTLDs, the zone-file seed
     /// list for a sweep (sorted for determinism).
     pub fn seed_names(&self) -> Vec<DomainName> {
-        let mut v: Vec<DomainName> = self
-            .registries
+        let mut v: Vec<DomainName> = read(&self.registries)
             .iter()
             .flat_map(|r| r.iter().map(|(n, _)| n.clone()))
             .collect();
@@ -539,7 +527,7 @@ impl World {
             self.ripn_ip,
             WHOIS_PORT,
             Box::new(WhoisService {
-                state: Arc::clone(&self.whois_state),
+                registries: Arc::clone(&self.registries),
             }),
         );
 
@@ -616,7 +604,8 @@ impl World {
         if parent.tld() == "ru" || parent.tld() == "xn--p1ai" {
             self.namegen.reserve(parent.clone());
             let registered = self.cfg.start.add_days(-400);
-            let reg = self.registry_mut(parent);
+            let mut registries = write(&self.registries);
+            let reg = &mut registries[registry_index(parent)];
             let _ = reg.register(parent.clone(), registered, 30);
             let _ = reg.set_delegation(parent, Delegation { nameservers, glue });
         } else {
@@ -650,11 +639,6 @@ impl World {
                 zone.add(Record::new(howner.clone(), 86_400, RData::A(*a)));
             }
         }
-    }
-
-    /// The registry (`.ru` or `.рф`) that holds `name`.
-    fn registry_mut(&mut self, name: &DomainName) -> &mut Registry {
-        &mut self.registries[if name.tld() == "ru" { 0 } else { 1 }]
     }
 
     /// Sample a provider id from the hosting-share table at `date`,
@@ -735,16 +719,14 @@ impl World {
             }
         });
 
-        let tls = if self.rng.random_bool(0.80) {
-            Some(TlsProfile {
-                ca: self.sample_ca(date),
-                next_issue: date,
-                certs_per_renewal: self.rng.random_range(1..=4),
-                serving: None,
-            })
-        } else {
-            None
-        };
+        let tls = self.rng.random_bool(0.80);
+        if tls {
+            // Draws whose values nothing reads: they keep the behaviour
+            // stream, and with it every pinned figure, where it was when a
+            // TLS domain drew a preferred CA and a renewal batch size.
+            self.sample_ca(date);
+            self.rng.random_range(1..=4);
+        }
 
         let state = DomainState {
             name: name.clone(),
@@ -759,9 +741,8 @@ impl World {
             registered,
         };
 
-        let _ = self
-            .registry_mut(&name)
-            .register(name.clone(), registered, 30);
+        let _ =
+            write(&self.registries)[registry_index(&name)].register(name.clone(), registered, 30);
         self.install_domain(&state);
 
         // Membership bookkeeping.
@@ -769,7 +750,7 @@ impl World {
         if let Some((sec, _)) = state.hosting.secondary {
             self.hosting_members[sec.0 as usize].add(name.clone());
         }
-        if state.tls.is_some() {
+        if state.tls {
             self.tls_pool.add(name.clone());
         }
         self.domains.insert(name.clone(), state);
@@ -882,7 +863,7 @@ impl World {
         }
 
         // Registry delegation.
-        let _ = self.registry_mut(&state.name).set_delegation(
+        let _ = write(&self.registries)[registry_index(&state.name)].set_delegation(
             &state.name,
             Delegation {
                 nameservers: ns_names,
@@ -891,7 +872,7 @@ impl World {
         );
 
         // TLS endpoints.
-        if state.tls.is_some() {
+        if state.tls {
             self.net.bind(
                 state.hosting.primary_ip,
                 TLS_PORT,
@@ -943,12 +924,12 @@ impl World {
             self.net.unbind(ip, TLS_PORT);
             write(&self.serving).remove(&ip);
         }
-        if state.tls.is_some() {
+        if state.tls {
             self.net.unbind(state.hosting.primary_ip, TLS_PORT);
             write(&self.serving).remove(&state.hosting.primary_ip);
             self.tls_pool.remove(name);
         }
-        let _ = self.registry_mut(name).delete(name);
+        let _ = write(&self.registries)[registry_index(name)].delete(name);
     }
 
     /// Initial population at `cfg.start`.
@@ -1098,7 +1079,9 @@ impl World {
     fn build_extra_sites(&mut self) {
         for i in 0..self.cfg.extra_russian_sites {
             let tld = ["com", "net", "org", "su"][i % 4];
-            let name = format!("russian-affiliate-{i:02}.{tld}");
+            let name: DomainName = format!("russian-affiliate-{i:02}.{tld}")
+                .parse()
+                .expect("static pattern");
             let host = ProviderId(pid::RU_GENERIC_BASE + (i as u16 % pid::RU_GENERIC_COUNT));
             let ip = self.web_alloc[host.0 as usize].alloc().expect("space");
             self.net.bind(
@@ -1293,17 +1276,22 @@ impl World {
         cutoff.is_some_and(|d| date >= d)
     }
 
+    /// Revoke every certificate `ca` issued to a sanctioned domain. The
+    /// CAs with a revoke-all event CT-log every certificate, and sanctioned
+    /// domains are never churned, so log 0's entries whose CN is a live
+    /// sanctioned domain are exactly those certificates, in issuance order.
     fn revoke_all_sanctioned(&mut self, ca: CaId, date: Date) {
-        let serials: Vec<u64> = self
-            .issued_index
-            .iter()
-            .filter(|c| c.ca == ca && c.sanctioned)
-            .map(|c| c.serial)
-            .collect();
-        let org = self.ca_specs[ca.0 as usize].org.to_owned();
-        let crl = self.ocsp.crl_mut(&org);
-        for s in serials {
-            crl.revoke(s, date, RevocationReason::PrivilegeWithdrawn);
+        let org = self.ca_specs[ca.0 as usize].org;
+        let crl = self.ocsp.crl_mut(org);
+        for e in self.ct_logs[0].entries() {
+            if &*e.cert.issuer.organization == org
+                && self
+                    .domains
+                    .get(&e.cert.subject_cn)
+                    .is_some_and(|d| d.sanctioned)
+            {
+                crl.revoke(e.cert.serial, date, RevocationReason::PrivilegeWithdrawn);
+            }
         }
     }
 
@@ -1317,7 +1305,7 @@ impl World {
         let sanctioned_targets: Vec<DomainName> = self
             .domains
             .values()
-            .filter(|d| d.sanctioned && d.tls.is_some())
+            .filter(|d| d.sanctioned && d.tls)
             .map(|d| d.name.clone())
             .collect();
         let sanctioned_total = self.domains.values().filter(|d| d.sanctioned).count();
@@ -1374,35 +1362,26 @@ impl World {
             return;
         };
         for t in targets {
-            let (subject, san, ips, sanctioned) = match &t {
+            let (subject, ips) = match &t {
                 RussianCaTarget::Domain(name) => {
-                    let Some(d) = self.domains.get(name).filter(|d| d.tls.is_some()) else {
+                    let Some(d) = self.domains.get(name).filter(|d| d.tls) else {
                         continue;
                     };
                     let mut ips = vec![d.hosting.primary_ip];
                     if let Some((_, ip)) = d.hosting.secondary {
                         ips.push(ip);
                     }
-                    (name.clone(), vec![name.clone()], ips, d.sanctioned)
+                    (name.clone(), ips)
                 }
                 RussianCaTarget::ExtraSite(i) => {
                     let (name, ip) = &self.extra_sites[*i];
-                    let Ok(name) = DomainName::parse(name) else {
-                        continue;
-                    };
-                    (name.clone(), vec![name], vec![*ip], false)
+                    (name.clone(), vec![*ip])
                 }
             };
             let ca_i = caid::RUSSIAN.0 as usize;
-            if let Some(cert) = self.cas[ca_i].issue(&subject, san, 0, date) {
+            if let Some(cert) = self.cas[ca_i].issue(&subject, vec![subject.clone()], 0, date) {
                 // Not CT-logged (logs_to_ct = false) — visible to the
                 // IP-wide scan only, via the served chain.
-                self.issued_index.push(IssuedCert {
-                    ca: caid::RUSSIAN,
-                    serial: cert.serial,
-                    domain: subject,
-                    sanctioned,
-                });
                 let cert = Arc::new(cert);
                 let mut serving = write(&self.serving);
                 for ip in ips {
@@ -1597,7 +1576,7 @@ impl World {
         }
 
         // TLS endpoint moves with the address.
-        if state.tls.is_some() {
+        if state.tls {
             self.net.unbind(old_ip, TLS_PORT);
             let chain = write(&self.serving).remove(&old_ip);
             if let Some(chain) = chain {
@@ -1773,29 +1752,18 @@ impl World {
         let Some(cert) = cert else { return };
         let cert = Arc::new(cert);
 
-        let sanctioned = self
-            .domains
-            .get(name)
-            .map(|d| d.sanctioned)
-            .unwrap_or(false);
         if cert.ct_logged {
             for log in &mut self.ct_logs {
                 log.append(Arc::clone(&cert), date);
             }
         }
-        self.issued_index.push(IssuedCert {
-            ca,
-            serial: cert.serial,
-            domain: name.clone(),
-            sanctioned,
-        });
         // Serve the fresh certificate — unless the endpoint already serves
         // a Russian Trusted Root CA chain (its operator deliberately
         // switched to the state CA; later background issuance must not
         // silently revert what the IP scan should observe, §4.3). Domains
         // without a TLS endpoint get the certificate (it exists in CT) but
         // never serve it.
-        if let Some(d) = self.domains.get(name).filter(|d| d.tls.is_some()) {
+        if let Some(d) = self.domains.get(name).filter(|d| d.tls) {
             let mut serving = write(&self.serving);
             let keeps_russian = |ip: &Ipv4Addr, s: &HashMap<Ipv4Addr, Arc<Certificate>>| {
                 s.get(ip)
@@ -1844,38 +1812,34 @@ impl World {
         self.geo.add_snapshot(effective, db);
     }
 
-    /// Publish today's TLD zones into the RIPN server and refresh the
-    /// WHOIS database, so both serve the registries as of today until the
-    /// next publish.
+    /// Publish today's TLD zones into the RIPN server, so it serves the
+    /// registries as of today until the next publish. (WHOIS needs no
+    /// publish: it answers from the live registries.)
     ///
-    /// The first publish installs full [`Registry::zone_snapshot`]s and a
-    /// copy of the registries for WHOIS, and starts the registries
-    /// recording what they touch. Every later publish edits the served
-    /// zones and the WHOIS copy in place
+    /// The first publish installs full [`Registry::zone_snapshot`]s and
+    /// starts the registries recording what they touch. Every later
+    /// publish edits the served zones in place
     /// ([`Registry::publish_changes`]), at a cost that grows with the
     /// names changed since the last publish, not with the population.
     ///
     /// A measurement sweep (`OpenIntelScanner::sweep_frame`) publishes on
     /// its own; call this only before talking to the RIPN servers
-    /// directly (a bare resolver or WHOIS).
+    /// directly (a bare resolver).
     pub fn publish_tld_zones(&mut self) {
         let mut zones = write(&self.ripn_zones);
-        let mut whois = write(&self.whois_state);
-        if whois.is_empty() {
+        let mut registries = write(&self.registries);
+        if zones.is_empty() {
             // The first publish: nothing is served yet.
-            for r in &self.registries {
+            for r in registries.iter_mut() {
                 zones.insert(r.zone_snapshot(self.today));
+                r.record_changes();
             }
-            *whois = self.registries.clone();
-            self.registries
-                .iter_mut()
-                .for_each(Registry::record_changes);
         } else {
-            for (live, published) in self.registries.iter_mut().zip(whois.iter_mut()) {
+            for r in registries.iter_mut() {
                 let zone = zones
-                    .get_mut(&Name::from(live.tld()))
+                    .get_mut(&Name::from(r.tld()))
                     .expect("the first publish installed every TLD zone");
-                live.publish_changes(self.today, zone, published);
+                r.publish_changes(self.today, zone);
             }
         }
     }
@@ -1896,16 +1860,8 @@ impl World {
         }
     }
 
-    /// Enumerate (CA, serial, domain, sanctioned) issuance rows for
-    /// ground-truth validation in tests.
-    pub fn issued_certificates(&self) -> impl Iterator<Item = (CaId, u64, &DomainName, bool)> {
-        self.issued_index
-            .iter()
-            .map(|c| (c.ca, c.serial, &c.domain, c.sanctioned))
-    }
-
     /// The extra non-RU-TLD Russian-affiliated sites (name, address).
-    pub fn extra_sites(&self) -> &[(String, Ipv4Addr)] {
+    pub fn extra_sites(&self) -> &[(DomainName, Ipv4Addr)] {
         &self.extra_sites
     }
 
@@ -1914,6 +1870,7 @@ impl World {
     /// after evolution to catch bookkeeping regressions.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
+        let registries = read(&self.registries);
 
         // 1. Membership lists agree with domain states.
         let mut hosting_counts = vec![0usize; self.providers.len()];
@@ -1927,11 +1884,11 @@ impl World {
                 plan_counts[p.0 as usize] += 1;
             }
             // 2. Registry entry exists.
-            if !self.registries.iter().any(|r| r.is_registered(name)) {
+            if !registries.iter().any(|r| r.is_registered(name)) {
                 problems.push(format!("{name}: missing registry entry"));
             }
             // 3. TLS domains have bound endpoints.
-            if state.tls.is_some() && !self.net.is_bound(state.hosting.primary_ip, TLS_PORT) {
+            if state.tls && !self.net.is_bound(state.hosting.primary_ip, TLS_PORT) {
                 problems.push(format!("{name}: TLS endpoint not bound"));
             }
             // 4. Managed domains have their zone in the plan's zone set.
@@ -2002,6 +1959,16 @@ fn weighted_index(
     })
 }
 
+/// Index into `World::registries` of the registry (`.ru` or `.рф`) that
+/// holds `name`.
+fn registry_index(name: &DomainName) -> usize {
+    if name.tld() == "ru" {
+        0
+    } else {
+        1
+    }
+}
+
 /// The `<sld>-dns.<tld>` parent whose `ns1` serves a domain on exotic
 /// vanity DNS with exotic TLD `i`.
 fn exotic_parent(name: &DomainName, i: u16) -> DomainName {
@@ -2010,10 +1977,10 @@ fn exotic_parent(name: &DomainName, i: u16) -> DomainName {
     format!("{sld}-dns.{tld}").parse().expect("valid name")
 }
 
-/// Port-43 WHOIS over the registry database (see
+/// Port-43 WHOIS over the live registry database (see
 /// [`ruwhere_registry::whois`] for the protocol).
 struct WhoisService {
-    state: Arc<RwLock<Vec<Registry>>>,
+    registries: Arc<RwLock<Vec<Registry>>>,
 }
 
 impl ruwhere_netsim::Service for WhoisService {
@@ -2028,7 +1995,7 @@ impl ruwhere_netsim::Service for WhoisService {
             return false;
         };
         reply.extend_from_slice(
-            ruwhere_registry::whois::respond(&read(&self.state), query).as_bytes(),
+            ruwhere_registry::whois::respond(&read(&self.registries), query).as_bytes(),
         );
         true
     }
@@ -2141,9 +2108,8 @@ mod tests {
             .seed_names()
             .into_iter()
             .find(|n| {
-                w.domain_state(n).is_some_and(|s| {
-                    matches!(s.dns, DnsPlan::Managed(_)) && s.tls.is_some() && !s.sanctioned
-                })
+                w.domain_state(n)
+                    .is_some_and(|s| matches!(s.dns, DnsPlan::Managed(_)) && s.tls && !s.sanctioned)
             })
             .expect("suitable domain exists");
         let old_ip = w.domain_state(&name).unwrap().hosting.primary_ip;
@@ -2193,7 +2159,11 @@ mod tests {
             DnsPlan::Managed(PlanId(5))
         ));
         // Registry delegation now lists plan 5's name servers.
-        let delegation = w.registry_mut(&name).get(&name).unwrap().delegation.clone();
+        let delegation = w.registries()[registry_index(&name)]
+            .get(&name)
+            .unwrap()
+            .delegation
+            .clone();
         let plan5_hosts: Vec<DomainName> = w
             .ns_hosts
             .iter()
@@ -2211,7 +2181,7 @@ mod tests {
             .into_iter()
             .find(|n| {
                 w.domain_state(n)
-                    .is_some_and(|s| matches!(s.dns, DnsPlan::Managed(_)) && s.tls.is_some())
+                    .is_some_and(|s| matches!(s.dns, DnsPlan::Managed(_)) && s.tls)
             })
             .unwrap();
         let state = w.domain_state(&name).unwrap().clone();
@@ -2225,7 +2195,7 @@ mod tests {
                 .get(&Name::from(&name))
                 .is_none());
         }
-        assert!(w.registry_mut(&name).get(&name).is_none());
+        assert!(w.registries()[registry_index(&name)].get(&name).is_none());
         // Removing again is a no-op.
         w.remove_domain(&name);
         assert_eq!(w.population(), pop - 1);

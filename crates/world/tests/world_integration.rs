@@ -3,9 +3,11 @@
 
 use ruwhere_authdns::IterativeResolver;
 use ruwhere_ct::hash::hex;
+use ruwhere_ct::revocation::RevocationReason;
 use ruwhere_dns::{Name, RType};
 use ruwhere_types::{Date, DomainName};
-use ruwhere_world::{ConflictEvent, DnsPlan, World, WorldConfig};
+use ruwhere_world::{Banner, ConflictEvent, DnsPlan, World, WorldConfig, TLS_PORT};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn tiny_world() -> World {
@@ -233,6 +235,20 @@ fn ca_stops_are_enforced() {
     assert!(last_le.unwrap() > Date::from_ymd(2022, 4, 15));
 }
 
+/// The (serial, CN) of every certificate `org` CT-logged in `w`'s log 0.
+fn logged_by<'w>(w: &'w World, org: &'w str) -> impl Iterator<Item = (u64, &'w DomainName)> {
+    w.ct_log()
+        .entries()
+        .iter()
+        .filter(move |e| &*e.cert.issuer.organization == org)
+        .map(|e| (e.cert.serial, &e.cert.subject_cn))
+}
+
+/// Whether `name` is on the sanctions list at any date.
+fn listed(w: &World, name: &DomainName) -> bool {
+    w.sanctions().iter().any(|(d, _, _)| d == name)
+}
+
 #[test]
 fn sanctioned_revocation_sweeps_happen() {
     let mut w = tiny_world();
@@ -242,11 +258,11 @@ fn sanctioned_revocation_sweeps_happen() {
 
     // Every sanctioned DigiCert/Sectigo certificate is revoked.
     for org in ["DigiCert", "Sectigo"] {
-        let issued: Vec<u64> = w
-            .issued_certificates()
-            .filter(|(ca, _, _, sanctioned)| *sanctioned && w.ca_specs()[ca.0 as usize].org == org)
-            .map(|(_, serial, _, _)| serial)
+        let issued: Vec<u64> = logged_by(&w, org)
+            .filter(|(_, cn)| listed(&w, cn))
+            .map(|(serial, _)| serial)
             .collect();
+        assert!(!issued.is_empty(), "{org} issued no sanctioned certificate");
         let crl = w.ocsp().crl(org);
         for s in &issued {
             assert!(
@@ -258,31 +274,69 @@ fn sanctioned_revocation_sweeps_happen() {
 }
 
 #[test]
+fn sanctioned_revocation_spares_other_certificates() {
+    let mut w = tiny_world();
+    w.advance_to(Date::from_ymd(2022, 4, 1));
+    for org in ["DigiCert", "Sectigo"] {
+        let sanctioned: BTreeSet<u64> = logged_by(&w, org)
+            .filter(|(_, cn)| listed(&w, cn))
+            .map(|(serial, _)| serial)
+            .collect();
+        let withdrawn: Vec<u64> = w
+            .ocsp()
+            .crl(org)
+            .expect("the sweep wrote a CRL")
+            .iter()
+            .filter(|(_, e)| e.reason == RevocationReason::PrivilegeWithdrawn)
+            .map(|(serial, _)| serial)
+            .collect();
+        assert!(!withdrawn.is_empty(), "{org} withdrew nothing");
+        for s in withdrawn {
+            assert!(
+                sanctioned.contains(&s),
+                "{org} serial {s} withdrawn without a sanctioned CN in CT"
+            );
+        }
+    }
+}
+
+#[test]
 fn russian_ca_certs_are_served_but_not_logged() {
     let mut w = tiny_world();
     w.advance_to(Date::from_ymd(2022, 5, 1));
-    let russian_issued: Vec<_> = w
-        .issued_certificates()
-        .filter(|(ca, _, _, _)| w.ca_specs()[ca.0 as usize].org == "Russian Trusted Root CA")
-        .map(|(_, s, d, sanc)| (s, d.clone(), sanc))
-        .collect();
+    // Grab every TLS endpoint's banner, as the IP-wide scan does.
+    let mut russian_cns: Vec<DomainName> = Vec::new();
+    let mut reply = Vec::new();
+    for addr in w.network().bound_endpoints(TLS_PORT) {
+        let src = w.scanner_ip();
+        if w.network_mut()
+            .request(
+                src,
+                (addr, TLS_PORT),
+                b"CLIENT-HELLO",
+                1_500_000,
+                4,
+                &mut reply,
+            )
+            .is_err()
+        {
+            continue;
+        }
+        let banner = Banner::parse(&reply).expect("endpoints serve well-formed banners");
+        if banner.issuer_org() == "Russian Trusted Root CA" {
+            russian_cns.push(banner.subject_cn().parse().expect("CN is a domain name"));
+        }
+    }
     assert!(
-        !russian_issued.is_empty(),
-        "Russian CA should have issued by May"
+        !russian_cns.is_empty(),
+        "Russian CA should be served by May"
     );
     assert!(
-        russian_issued.iter().any(|(_, _, sanc)| *sanc),
+        russian_cns.iter().any(|cn| listed(&w, cn)),
         "some Russian CA certs secure sanctioned domains"
     );
     // None in CT.
-    assert_eq!(
-        w.ct_log()
-            .entries()
-            .iter()
-            .filter(|e| &*e.cert.issuer.organization == "Russian Trusted Root CA")
-            .count(),
-        0
-    );
+    assert_eq!(logged_by(&w, "Russian Trusted Root CA").count(), 0);
 }
 
 #[test]

@@ -85,7 +85,6 @@ fn main() {
         if !arrivals.is_empty() {
             let mut world = World::new(cfg.world.clone());
             world.advance_to(cfg.world.end);
-            world.publish_tld_zones();
             let whois = WhoisClient::new(&world);
             let total_arrivals = arrivals.len();
             let classified =
