@@ -64,14 +64,16 @@ impl CaIssuanceAnalysis {
     /// Build from an indexed dataset.
     pub fn new(ds: &CertDataset) -> Self {
         let mut per_day: BTreeMap<Date, BTreeMap<String, u64>> = BTreeMap::new();
+        let certs = ds.certs();
         for r in &ds.records {
             let orgs = per_day.entry(r.date).or_default();
+            let org = certs.get(r.cert).issuer_org();
             // Probe by `&str` first: the key is allocated once per
             // organization and day, not once per certificate.
-            match orgs.get_mut(r.issuer_org()) {
+            match orgs.get_mut(org) {
                 Some(n) => *n += 1,
                 None => {
-                    orgs.insert(r.issuer_org().to_owned(), 1);
+                    orgs.insert(org.to_owned(), 1);
                 }
             }
         }
@@ -193,50 +195,42 @@ impl CaIssuanceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_ct::{Certificate, DistinguishedName};
-    use ruwhere_scan::CertRecord;
-    use ruwhere_types::Country;
-    use std::sync::Arc;
-
-    fn record(date: Date, org: &str) -> CertRecord {
-        let cert = Certificate {
-            serial: 1,
-            issuer: DistinguishedName {
-                organization: org.into(),
-                common_name: format!("{org} CA").into(),
-                country: Country::US,
-            },
-            subject_cn: "x.ru".parse().unwrap(),
-            san: Vec::new(),
-            not_before: date,
-            not_after: date.add_days(90),
-            chain_orgs: Arc::from([]),
-            ct_logged: true,
-        };
-        CertRecord {
-            date,
-            cert: Arc::new(cert),
-        }
-    }
+    use ruwhere_ct::{CertificateAuthority, CtLog};
+    use ruwhere_scan::MatchRule;
+    use ruwhere_types::sync::write;
+    use ruwhere_types::{Country, DomainName};
 
     fn dataset() -> CertDataset {
-        let mut records = Vec::new();
+        let log = CtLog::new("t");
+        let mut certs = write(log.store());
+        let mut le = CertificateAuthority::new("Let's Encrypt", Country::US, &[], true, 90);
+        let mut digicert = CertificateAuthority::new("DigiCert", Country::US, &[], true, 90);
+        let name: DomainName = "x.ru".parse().unwrap();
+        let mut issue = |ca: &mut CertificateAuthority, day, n| {
+            for _ in 0..n {
+                ca.issue(&mut certs, &name, &[], 0, day).unwrap();
+            }
+        };
         // Pre-conflict: LE dominates, DigiCert issues until Feb 20.
         for day in Date::from_ymd(2022, 1, 1).to(Date::from_ymd(2022, 2, 23)) {
-            for _ in 0..9 {
-                records.push(record(day, "Let's Encrypt"));
-            }
+            issue(&mut le, day, 9);
             if day <= Date::from_ymd(2022, 2, 20) {
-                records.push(record(day, "DigiCert"));
+                issue(&mut digicert, day, 1);
             }
         }
         // After: LE only, slightly lower volume.
         for day in Date::from_ymd(2022, 2, 24).to(Date::from_ymd(2022, 5, 15)) {
-            for _ in 0..8 {
-                records.push(record(day, "Let's Encrypt"));
-            }
+            issue(&mut le, day, 8);
         }
-        CertDataset { records }
+        drop(certs);
+        let ds = CertDataset::from_log(
+            &log,
+            Date::from_ymd(2022, 1, 1),
+            Date::from_ymd(2022, 5, 15),
+            MatchRule::CnOrSan,
+        );
+        assert_eq!(ds.len(), 9 * 54 + 51 + 8 * 81);
+        ds
     }
 
     #[test]

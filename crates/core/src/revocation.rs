@@ -5,11 +5,11 @@
 //! > … all CAs have significantly higher revocation rates for sanctioned
 //! > domains than other .ru and .рф domains." — §4.2
 
-use ruwhere_ct::OcspResponder;
+use ruwhere_ct::{CertName, OcspResponder};
 use ruwhere_registry::SanctionsList;
 use ruwhere_scan::CertDataset;
 use ruwhere_types::Date;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Validity cutoff: certificates whose validity ended on or before this
 /// date are excluded (paper: February 25, 2022).
@@ -72,16 +72,28 @@ impl RevocationAnalysis {
         as_of: Date,
     ) -> Self {
         let mut rows: BTreeMap<String, RevocationRow> = BTreeMap::new();
+        // A `www.` name over a certificate's CN is not stored: it is
+        // sanctioned when its text is listed, that is when the CN is one
+        // of these.
+        let www_listed: BTreeSet<&str> = sanctions
+            .sanctioned_at(as_of)
+            .into_iter()
+            .filter_map(|d| d.as_str().strip_prefix("www."))
+            .collect();
+        let certs = ds.certs();
         for r in &ds.records {
-            let cert = &r.cert;
-            if cert.not_after <= VALIDITY_CUTOFF {
+            let cert = certs.get(r.cert);
+            if cert.not_after() <= VALIDITY_CUTOFF {
                 continue;
             }
-            let sanctioned = cert.names().any(|d| sanctions.is_sanctioned(d, as_of));
-            let org = r.issuer_org();
+            let sanctioned = cert.names().any(|n| match n {
+                CertName::Name(d) => sanctions.is_sanctioned(d, as_of),
+                CertName::Www(cn) => www_listed.contains(cn.as_str()),
+            });
+            let org = cert.issuer_org();
             let revoked = ocsp
                 .crl(org)
-                .is_some_and(|crl| crl.is_revoked(cert.serial, as_of));
+                .is_some_and(|crl| crl.is_revoked(cert.serial(), as_of));
             // Probe by `&str` first: an organization's key and row name are
             // allocated once, not once per certificate.
             match rows.get_mut(org) {
@@ -127,43 +139,31 @@ impl RevocationAnalysis {
 mod tests {
     use super::*;
     use ruwhere_ct::revocation::RevocationReason;
-    use ruwhere_ct::{Certificate, DistinguishedName};
+    use ruwhere_ct::{CertificateAuthority, CtLog};
     use ruwhere_registry::SanctionSource;
-    use ruwhere_scan::CertRecord;
-    use ruwhere_types::Country;
-    use std::sync::Arc;
-
-    fn record(org: &str, serial: u64, domain: &str, not_after: Date) -> CertRecord {
-        let cert = Certificate {
-            serial,
-            issuer: DistinguishedName {
-                organization: org.into(),
-                common_name: format!("{org} CA").into(),
-                country: Country::US,
-            },
-            subject_cn: domain.parse().unwrap(),
-            san: Vec::new(),
-            not_before: Date::from_ymd(2022, 1, 10),
-            not_after,
-            chain_orgs: Arc::from([]),
-            ct_logged: true,
-        };
-        CertRecord {
-            date: Date::from_ymd(2022, 1, 10),
-            cert: Arc::new(cert),
-        }
-    }
+    use ruwhere_scan::MatchRule;
+    use ruwhere_types::sync::write;
+    use ruwhere_types::{Country, DomainName};
 
     fn setup() -> (CertDataset, OcspResponder, SanctionsList) {
-        let ds = CertDataset {
-            records: vec![
-                record("DigiCert", 1, "bank.ru", Date::from_ymd(2022, 12, 1)),
-                record("DigiCert", 2, "shop.ru", Date::from_ymd(2022, 12, 1)),
-                record("DigiCert", 3, "old.ru", Date::from_ymd(2022, 2, 1)), // expired: excluded
-                record("Let's Encrypt", 1, "bank.ru", Date::from_ymd(2022, 4, 1)),
-                record("Let's Encrypt", 2, "blog.ru", Date::from_ymd(2022, 4, 1)),
-            ],
+        let log = CtLog::new("t");
+        let mut certs = write(log.store());
+        let issued = Date::from_ymd(2022, 1, 10);
+        let mut issue = |ca: &mut CertificateAuthority, domain: &str, not_after: Date| {
+            let domain: DomainName = domain.parse().unwrap();
+            ca.validity_days = (not_after - issued) as u32;
+            ca.issue(&mut certs, &domain, &[], 0, issued).unwrap();
         };
+        // Serials 1, 2, 3 and 1, 2 in issuance order.
+        let mut digicert = CertificateAuthority::new("DigiCert", Country::US, &[], true, 0);
+        issue(&mut digicert, "bank.ru", Date::from_ymd(2022, 12, 1));
+        issue(&mut digicert, "shop.ru", Date::from_ymd(2022, 12, 1));
+        issue(&mut digicert, "old.ru", Date::from_ymd(2022, 2, 1)); // expired: excluded
+        let mut le = CertificateAuthority::new("Let's Encrypt", Country::US, &[], true, 0);
+        issue(&mut le, "bank.ru", Date::from_ymd(2022, 4, 1));
+        issue(&mut le, "blog.ru", Date::from_ymd(2022, 4, 1));
+        drop(certs);
+        let ds = CertDataset::from_log(&log, issued, issued, MatchRule::CnOrSan);
         let mut ocsp = OcspResponder::new();
         ocsp.register_issuer("DigiCert", 3);
         ocsp.register_issuer("Let's Encrypt", 2);
@@ -215,5 +215,31 @@ mod tests {
         // Before the revocation date nothing is revoked.
         let a = RevocationAnalysis::new(&ds, &ocsp, &sanctions, Date::from_ymd(2022, 3, 1));
         assert_eq!(a.rows()["DigiCert"].revoked, 0);
+    }
+
+    #[test]
+    fn a_listed_www_name_marks_its_certificate_sanctioned() {
+        let log = CtLog::new("t");
+        let day = Date::from_ymd(2022, 3, 1);
+        let mut ca = CertificateAuthority::new("Sectigo", Country::US, &[], true, 90);
+        for name in ["shop.ru", "bank.ru"] {
+            let cn: DomainName = name.parse().unwrap();
+            let san = [cn.clone(), cn.prepend("www").unwrap()];
+            ca.issue(&mut write(log.store()), &cn, &san, 0, day)
+                .unwrap();
+        }
+        let ds = CertDataset::from_log(&log, day, day, MatchRule::CnOrSan);
+        let mut sanctions = SanctionsList::new();
+        sanctions.add(
+            "www.bank.ru".parse().unwrap(),
+            SanctionSource::UkSanctions,
+            day,
+        );
+        let row = |as_of| {
+            RevocationAnalysis::new(&ds, &OcspResponder::new(), &sanctions, as_of).rows()["Sectigo"]
+                .clone()
+        };
+        assert_eq!(row(day).sanctioned_issued, 1);
+        assert_eq!(row(day.add_days(-1)).sanctioned_issued, 0, "not listed yet");
     }
 }

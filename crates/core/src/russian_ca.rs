@@ -66,10 +66,11 @@ impl RussianCaAnalysis {
             }
         }
 
+        let certs = ct.certs();
         let in_ct = ct
             .records
             .iter()
-            .filter(|r| r.issuer_org() == RUSSIAN_CA_ORG)
+            .filter(|r| certs.get(r.cert).issuer_org() == RUSSIAN_CA_ORG)
             .count();
 
         RussianCaAnalysis {
@@ -97,29 +98,26 @@ impl RussianCaAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_ct::{Certificate, DistinguishedName};
+    use ruwhere_ct::{CertStore, CertificateAuthority};
     use ruwhere_registry::SanctionSource;
     use ruwhere_types::Country;
 
     /// The banner of a certificate for `cn` (also its one SAN).
     fn banner(cn: &str, issuer: &str, chain_orgs: &[&str], serial: u64) -> Vec<u8> {
         let cn: DomainName = cn.parse().unwrap();
-        let cert = Certificate {
-            serial,
-            issuer: DistinguishedName {
-                organization: issuer.into(),
-                common_name: format!("{issuer} CA").into(),
-                country: Country::RU,
-            },
-            subject_cn: cn.clone(),
-            san: vec![cn],
-            not_before: Date::from_ymd(2022, 3, 10),
-            not_after: Date::from_ymd(2023, 3, 10),
-            chain_orgs: chain_orgs.iter().map(|s| (*s).to_string()).collect(),
-            ct_logged: false,
-        };
+        let mut ca =
+            CertificateAuthority::new(issuer, Country::RU, &[], false, 365).with_chain(chain_orgs);
+        let mut certs = CertStore::new();
+        let day = Date::from_ymd(2022, 3, 10);
+        // Serials count from 1: issue the ones before `serial` first.
+        for _ in 1..serial {
+            ca.issue(&mut certs, &cn, &[], 0, day);
+        }
+        let id = ca
+            .issue(&mut certs, &cn, std::slice::from_ref(&cn), 0, day)
+            .unwrap();
         let mut out = Vec::new();
-        ruwhere_world::write_banner(&cert, &mut out);
+        ruwhere_world::write_banner(certs.get(id), &mut out);
         out
     }
 

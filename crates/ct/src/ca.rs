@@ -1,6 +1,6 @@
 //! Certificate authorities and their issuance policies.
 
-use crate::cert::{Certificate, DistinguishedName};
+use crate::cert::{CertId, CertStore, DistinguishedName};
 use ruwhere_types::{Country, Date, DomainName};
 use std::sync::Arc;
 
@@ -18,7 +18,8 @@ pub enum CaPolicy {
 /// A certificate authority.
 ///
 /// The CA builds its issuer names (one per brand) and its chain once;
-/// every certificate it issues shares them.
+/// every certificate it issues shares them, and a [`CertStore`] keeps each
+/// brand once.
 #[derive(Debug, Clone)]
 pub struct CertificateAuthority {
     /// Issuer DN per issuing brand. DigiCert issues under RapidSSL and
@@ -81,34 +82,37 @@ impl CertificateAuthority {
         self
     }
 
-    /// Issue a certificate for `subject` (CN) with `san`, under brand index
-    /// `brand_idx` (wrapped into range), effective `date`.
+    /// Issue a certificate for `subject` (CN) with `san` into `certs`,
+    /// under brand index `brand_idx` (wrapped into range), effective
+    /// `date`. A CA that logs to CT submits it too: it gets an entry in
+    /// the store's CT entry column, stamped `date`.
     ///
     /// Returns `None` if the CA's policy is [`CaPolicy::Suspended`] and the
     /// request names a Russian-TLD domain.
     pub fn issue(
         &mut self,
+        certs: &mut CertStore,
         subject: &DomainName,
-        san: Vec<DomainName>,
+        san: &[DomainName],
         brand_idx: usize,
         date: Date,
-    ) -> Option<Certificate> {
+    ) -> Option<CertId> {
         let is_russian = subject.is_russian_cctld() || san.iter().any(|d| d.is_russian_cctld());
         if self.policy == CaPolicy::Suspended && is_russian {
             return None;
         }
         let serial = self.next_serial;
         self.next_serial += 1;
-        Some(Certificate {
+        Some(certs.push(
             serial,
-            issuer: self.issuers[brand_idx % self.issuers.len()].clone(),
-            subject_cn: subject.clone(),
+            &self.issuers[brand_idx % self.issuers.len()],
+            &self.chain_orgs,
+            subject,
             san,
-            not_before: date,
-            not_after: date.add_days(self.validity_days as i32),
-            chain_orgs: Arc::clone(&self.chain_orgs),
-            ct_logged: self.logs_to_ct,
-        })
+            date,
+            date.add_days(self.validity_days as i32),
+            self.logs_to_ct,
+        ))
     }
 
     /// Serial that will be assigned next (== 1 + number issued).
@@ -132,48 +136,53 @@ mod tests {
     #[test]
     fn issuance_basics() {
         let mut ca = lets_encrypt();
-        let c = ca
-            .issue(
-                &d("example.ru"),
-                vec![d("www.example.ru")],
-                0,
-                Date::from_ymd(2022, 1, 10),
-            )
+        let mut certs = CertStore::new();
+        let day = Date::from_ymd(2022, 1, 10);
+        let id = ca
+            .issue(&mut certs, &d("example.ru"), &[d("www.example.ru")], 0, day)
             .unwrap();
-        assert_eq!(c.serial, 1);
-        assert_eq!(&*c.issuer.organization, "Let's Encrypt");
-        assert_eq!(&*c.issuer.common_name, "R3");
-        assert_eq!(c.not_after - c.not_before, 90);
-        assert!(c.ct_logged);
+        let c = certs.get(id);
+        assert_eq!(c.serial(), 1);
+        assert_eq!(c.issuer_org(), "Let's Encrypt");
+        assert_eq!(&*c.issuer().common_name, "R3");
+        assert_eq!(c.not_before(), day);
+        assert_eq!(c.not_after() - c.not_before(), 90);
+        assert!(c.ct_logged());
         assert!(c.matches_russian_tld());
         assert_eq!(ca.issued_count(), 1);
+        assert_eq!(certs.entries()[0].cert, id);
+        assert_eq!(certs.entries()[0].timestamp, day);
 
-        let c2 = ca
-            .issue(&d("example.ru"), vec![], 1, Date::from_ymd(2022, 1, 11))
+        let id2 = ca
+            .issue(&mut certs, &d("example.ru"), &[], 1, day.succ())
             .unwrap();
-        assert_eq!(c2.serial, 2);
-        assert_eq!(&*c2.issuer.common_name, "E1");
+        assert_eq!(certs.get(id2).serial(), 2);
+        assert_eq!(&*certs.get(id2).issuer().common_name, "E1");
     }
 
     #[test]
     fn suspension_blocks_russian_only() {
         let mut ca = lets_encrypt();
+        let mut certs = CertStore::new();
         ca.policy = CaPolicy::Suspended;
+        let day = Date::from_ymd(2022, 3, 1);
         assert!(ca
-            .issue(&d("example.ru"), vec![], 0, Date::from_ymd(2022, 3, 1),)
+            .issue(&mut certs, &d("example.ru"), &[], 0, day)
             .is_none());
         // SAN-based Russian match is also blocked.
         assert!(ca
             .issue(
+                &mut certs,
                 &d("example.com"),
-                vec![d("shop.example.ru")],
+                &[d("shop.example.ru")],
                 0,
-                Date::from_ymd(2022, 3, 1),
+                day
             )
             .is_none());
+        assert!(certs.is_empty());
         // Non-Russian issuance continues.
         assert!(ca
-            .issue(&d("example.com"), vec![], 0, Date::from_ymd(2022, 3, 1),)
+            .issue(&mut certs, &d("example.com"), &[], 0, day)
             .is_some());
     }
 
@@ -187,47 +196,52 @@ mod tests {
             365,
         )
         .with_chain(&["Russian Trusted Root CA"]);
-        let c = russian_ca
+        let mut certs = CertStore::new();
+        let id = russian_ca
             .issue(
+                &mut certs,
                 &d("sanctioned-bank.ru"),
-                vec![],
+                &[],
                 0,
                 Date::from_ymd(2022, 3, 10),
             )
             .unwrap();
-        assert!(!c.ct_logged);
+        let c = certs.get(id);
+        assert!(!c.ct_logged());
+        assert!(certs.entries().is_empty(), "nothing submitted to CT");
         assert!(c.chain_contains_org("Russian Trusted Root CA"));
-        assert_eq!(c.not_after - c.not_before, 365);
+        assert_eq!(c.not_after() - c.not_before(), 365);
     }
 
     #[test]
     fn brandless_ca_uses_org() {
         let mut ca = CertificateAuthority::new("cPanel", Country::US, &[], true, 90);
-        let c = ca
-            .issue(&d("x.ru"), vec![], 7, Date::from_ymd(2022, 1, 1))
+        let mut certs = CertStore::new();
+        let id = ca
+            .issue(&mut certs, &d("x.ru"), &[], 7, Date::from_ymd(2022, 1, 1))
             .unwrap();
-        assert_eq!(&*c.issuer.common_name, "cPanel");
+        assert_eq!(&*certs.get(id).issuer().common_name, "cPanel");
     }
 
     #[test]
     fn one_brand_shares_its_issuer_and_chain() {
         let mut ca = lets_encrypt().with_chain(&["ISRG Root X1"]);
+        let mut certs = CertStore::new();
         let date = Date::from_ymd(2022, 1, 10);
-        let a = ca.issue(&d("a.ru"), vec![], 0, date).unwrap();
-        let b = ca.issue(&d("b.ru"), vec![], 2, date).unwrap();
-        let other_brand = ca.issue(&d("c.ru"), vec![], 1, date).unwrap();
-        // Brand 2 wraps to brand 0: one allocation per issuer string.
-        assert!(Arc::ptr_eq(&a.issuer.organization, &b.issuer.organization));
-        assert!(Arc::ptr_eq(&a.issuer.common_name, &b.issuer.common_name));
-        assert!(Arc::ptr_eq(&a.chain_orgs, &b.chain_orgs));
+        let mut issue = |name, brand| ca.issue(&mut certs, &d(name), &[], brand, date).unwrap();
+        let (a, b, other_brand) = (issue("a.ru", 0), issue("b.ru", 2), issue("c.ru", 1));
+        let (a, b, other_brand) = (certs.get(a), certs.get(b), certs.get(other_brand));
+        // Brand 2 wraps to brand 0: one DN and chain per brand.
+        assert!(std::ptr::eq(a.issuer(), b.issuer()));
+        assert!(std::ptr::eq(a.chain_orgs(), b.chain_orgs()));
         // A second brand has its own common name but the CA's organization.
         assert!(!Arc::ptr_eq(
-            &a.issuer.common_name,
-            &other_brand.issuer.common_name
+            &a.issuer().common_name,
+            &other_brand.issuer().common_name
         ));
         assert!(Arc::ptr_eq(
-            &a.issuer.organization,
-            &other_brand.issuer.organization
+            &a.issuer().organization,
+            &other_brand.issuer().organization
         ));
     }
 }

@@ -5,24 +5,27 @@
 //! The Censys-style indexer in `ruwhere-scan` reads entries out of logs; a
 //! monitor can verify that the log operator never rewrote history.
 //!
-//! The log stores its entries and nothing else: appending is a push and
-//! hashes nothing. Every leaf hash is derived from its entry when a reader
-//! asks for it, as `SHA-256(0x00 ‖ fingerprint ‖ timestamp)` with the
-//! timestamp's day number big-endian, so a root or proof costs one leaf
-//! hash per leaf it covers. The study reads entries only; roots and
-//! proofs are read by monitors, the tests and the `ct_forensics` example.
+//! A log is a name over a [`CertStore`]'s entry column: a CA that logs to
+//! CT appends the entry as it issues, and every log over the same store
+//! holds the same entries, so two such logs differ only in name and
+//! signature. Appending hashes nothing. Every leaf hash is derived from
+//! its entry when a reader asks for it, as
+//! `SHA-256(0x00 ‖ fingerprint ‖ timestamp)` with the timestamp's day
+//! number big-endian, so a root or proof costs one leaf hash per leaf it
+//! covers. The study reads entries only; roots and proofs are read by
+//! monitors, the tests and the `ct_forensics` example.
 
-use crate::cert::Certificate;
+use crate::cert::{CertId, CertStore, SharedCertStore};
 use crate::hash::{sha256, Digest, Sha256};
+use ruwhere_types::sync::read;
 use ruwhere_types::Date;
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 
-/// One appended entry: the certificate and its log timestamp.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One logged certificate: its row in the store and its log timestamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtEntry {
-    /// The logged certificate. Every log a certificate is submitted to
-    /// holds the same allocation.
-    pub cert: Arc<Certificate>,
+    /// The logged certificate.
+    pub cert: CertId,
     /// Submission date.
     pub timestamp: Date,
 }
@@ -62,10 +65,10 @@ pub struct ConsistencyProof {
 }
 
 /// RFC 6962 leaf hash of `entry`, streamed without a buffer.
-fn leaf_hash(entry: &CtEntry) -> Digest {
+fn leaf_hash(certs: &CertStore, entry: &CtEntry) -> Digest {
     let mut h = Sha256::new();
     h.update(&[0x00])
-        .update(&entry.cert.fingerprint())
+        .update(&certs.get(entry.cert).fingerprint())
         .update(&entry.timestamp.days_since_epoch().to_be_bytes());
     h.finalize()
 }
@@ -78,19 +81,24 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
     h.finalize()
 }
 
-/// The log.
+/// The log: a name over a certificate store's entry column.
 #[derive(Debug, Clone, Default)]
 pub struct CtLog {
     name: String,
-    entries: Vec<CtEntry>,
+    certs: SharedCertStore,
 }
 
 impl CtLog {
-    /// New empty log.
+    /// New empty log over a store of its own.
     pub fn new(name: &str) -> Self {
+        Self::over(name, &SharedCertStore::default())
+    }
+
+    /// A log named `name` over `certs`' entry column.
+    pub fn over(name: &str, certs: &SharedCertStore) -> Self {
         CtLog {
             name: name.to_owned(),
-            entries: Vec::new(),
+            certs: Arc::clone(certs),
         }
     }
 
@@ -99,50 +107,29 @@ impl CtLog {
         &self.name
     }
 
-    /// Append a certificate; returns its leaf index (the first append
-    /// returns 0). Pass an `Arc<Certificate>` to share one certificate
-    /// between logs.
-    pub fn append(&mut self, cert: impl Into<Arc<Certificate>>, timestamp: Date) -> u64 {
-        let index = self.size();
-        self.entries.push(CtEntry {
-            cert: cert.into(),
-            timestamp,
-        });
-        index
+    /// The store whose entry column this log is; issue into it (through a
+    /// CA that logs to CT) to append.
+    pub fn store(&self) -> &SharedCertStore {
+        &self.certs
+    }
+
+    /// The store, read-locked: the entries are
+    /// [`CertStore::entries`] (index order == append order) and each
+    /// entry's certificate is [`CertStore::get`].
+    pub fn certs(&self) -> RwLockReadGuard<'_, CertStore> {
+        read(&self.certs)
     }
 
     /// Current number of entries.
     pub fn size(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    /// All entries (index order == append order).
-    pub fn entries(&self) -> &[CtEntry] {
-        &self.entries
-    }
-
-    /// Entries whose timestamp is within `[from, to]`.
-    pub fn entries_between(&self, from: Date, to: Date) -> impl Iterator<Item = &CtEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.timestamp >= from && e.timestamp <= to)
-    }
-
-    fn mth(&self, lo: usize, hi: usize) -> Digest {
-        debug_assert!(lo <= hi);
-        match hi - lo {
-            0 => sha256(b""), // MTH of the empty tree
-            1 => leaf_hash(&self.entries[lo]),
-            n => {
-                let k = largest_power_of_two_below(n as u64) as usize;
-                node_hash(&self.mth(lo, lo + k), &self.mth(lo + k, hi))
-            }
-        }
+        Tree(&self.certs()).size()
     }
 
     /// Merkle root over the first `size` leaves.
     pub fn root_at(&self, size: u64) -> Option<Digest> {
-        (size <= self.size()).then(|| self.mth(0, size as usize))
+        let certs = self.certs();
+        let tree = Tree(&certs);
+        (size <= tree.size()).then(|| tree.mth(0, size as usize))
     }
 
     /// Current signed tree head.
@@ -166,22 +153,63 @@ impl CtLog {
 
     /// The leaf hash at `index`, derived from its entry.
     pub fn leaf_at(&self, index: u64) -> Option<Digest> {
-        self.entries.get(index as usize).map(leaf_hash)
+        let certs = self.certs();
+        let entry = certs.entries().get(index as usize)?;
+        Some(leaf_hash(&certs, entry))
     }
 
     /// RFC 6962 §2.1.1 audit path for `leaf_index` in the tree of
     /// `tree_size` leaves.
     pub fn inclusion_proof(&self, leaf_index: u64, tree_size: u64) -> Option<InclusionProof> {
-        if leaf_index >= tree_size || tree_size > self.size() {
+        let certs = self.certs();
+        let tree = Tree(&certs);
+        if leaf_index >= tree_size || tree_size > tree.size() {
             return None;
         }
         let mut path = Vec::new();
-        self.audit_path(leaf_index as usize, 0, tree_size as usize, &mut path);
+        tree.audit_path(leaf_index as usize, 0, tree_size as usize, &mut path);
         Some(InclusionProof {
             leaf_index,
             tree_size,
             audit_path: path,
         })
+    }
+
+    /// RFC 6962 §2.1.2 consistency proof between two historical sizes.
+    pub fn consistency_proof(&self, old_size: u64, new_size: u64) -> Option<ConsistencyProof> {
+        let certs = self.certs();
+        let tree = Tree(&certs);
+        if old_size == 0 || old_size > new_size || new_size > tree.size() {
+            return None;
+        }
+        let mut path = Vec::new();
+        tree.subproof(old_size as usize, 0, new_size as usize, true, &mut path);
+        Some(ConsistencyProof {
+            old_size,
+            new_size,
+            path,
+        })
+    }
+}
+
+/// The Merkle tree over a store's entry column, read under one lock.
+struct Tree<'a>(&'a CertStore);
+
+impl Tree<'_> {
+    fn size(&self) -> u64 {
+        self.0.entries().len() as u64
+    }
+
+    fn mth(&self, lo: usize, hi: usize) -> Digest {
+        debug_assert!(lo <= hi);
+        match hi - lo {
+            0 => sha256(b""), // MTH of the empty tree
+            1 => leaf_hash(self.0, &self.0.entries()[lo]),
+            n => {
+                let k = largest_power_of_two_below(n as u64) as usize;
+                node_hash(&self.mth(lo, lo + k), &self.mth(lo + k, hi))
+            }
+        }
     }
 
     fn audit_path(&self, m: usize, lo: usize, hi: usize, out: &mut Vec<Digest>) {
@@ -197,20 +225,6 @@ impl CtLog {
             self.audit_path(m - k, lo + k, hi, out);
             out.push(self.mth(lo, lo + k));
         }
-    }
-
-    /// RFC 6962 §2.1.2 consistency proof between two historical sizes.
-    pub fn consistency_proof(&self, old_size: u64, new_size: u64) -> Option<ConsistencyProof> {
-        if old_size == 0 || old_size > new_size || new_size > self.size() {
-            return None;
-        }
-        let mut path = Vec::new();
-        self.subproof(old_size as usize, 0, new_size as usize, true, &mut path);
-        Some(ConsistencyProof {
-            old_size,
-            new_size,
-            path,
-        })
     }
 
     fn subproof(&self, m: usize, lo: usize, hi: usize, complete: bool, out: &mut Vec<Digest>) {
@@ -325,78 +339,89 @@ pub fn verify_consistency(old_root: &Digest, new_root: &Digest, proof: &Consiste
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cert::DistinguishedName;
-    use ruwhere_types::Country;
+    use crate::CertificateAuthority;
+    use ruwhere_types::sync::write;
+    use ruwhere_types::{Country, DomainName};
 
-    fn cert(i: u64) -> Certificate {
-        Certificate {
-            serial: i,
-            issuer: DistinguishedName {
-                organization: "Let's Encrypt".into(),
-                common_name: "R3".into(),
-                country: Country::US,
-            },
-            subject_cn: format!("site{i}.ru").parse().unwrap(),
-            san: vec![],
-            not_before: Date::from_ymd(2022, 1, 1),
-            not_after: Date::from_ymd(2022, 4, 1),
-            chain_orgs: Arc::from([]),
-            ct_logged: true,
+    fn lets_encrypt() -> CertificateAuthority {
+        CertificateAuthority::new("Let's Encrypt", Country::US, &["R3"], true, 90)
+    }
+
+    /// Issue `site{i}.ru` for each `i` in `ids` into `log`'s store, on day
+    /// `i % 90` of 2022.
+    fn issue(log: &CtLog, ca: &mut CertificateAuthority, ids: std::ops::Range<u64>) {
+        let mut certs = write(log.store());
+        for i in ids {
+            let name: DomainName = format!("site{i}.ru").parse().unwrap();
+            let day = Date::from_ymd(2022, 1, 1).add_days(i as i32 % 90);
+            ca.issue(&mut certs, &name, &[], 0, day).unwrap();
         }
     }
 
     fn log_of(n: u64) -> CtLog {
-        let mut log = CtLog::new("test-log");
-        for i in 0..n {
-            log.append(cert(i), Date::from_ymd(2022, 1, 1).add_days(i as i32 % 90));
-        }
+        let log = CtLog::new("test-log");
+        issue(&log, &mut lets_encrypt(), 0..n);
         log
     }
 
     #[test]
-    fn append_returns_the_leaf_index() {
-        let mut log = CtLog::new("t");
-        let day = Date::from_ymd(2022, 1, 1);
-        assert_eq!(log.append(cert(0), day), 0);
-        assert_eq!(log.append(cert(1), day), 1);
-        assert_eq!(log.append(cert(2), day), 2);
-        assert_eq!(log.size(), 3);
+    fn logs_over_one_store_share_its_entries() {
+        let argon = CtLog::new("argon");
+        let xenon = CtLog::over("xenon", argon.store());
+        issue(&argon, &mut lets_encrypt(), 0..3);
+        assert_eq!((argon.size(), xenon.size()), (3, 3));
+        let cert = argon.certs().entries()[2].cert;
+        assert_eq!(xenon.certs().get(cert).subject_cn().as_str(), "site2.ru");
+        // A CA that does not log adds rows but no entries.
+        let mut unlogged = CertificateAuthority::new("Quiet CA", Country::US, &[], false, 90);
+        issue(&argon, &mut unlogged, 3..5);
+        assert_eq!(argon.certs().len(), 5);
+        assert_eq!(xenon.size(), 3);
     }
 
     #[test]
     fn leaves_follow_rfc6962_over_entries() {
-        // Rebuild each leaf from the entry's fields in one buffer and one
-        // one-shot hash, apart from the streaming hashers the log uses.
-        let mut log = CtLog::new("t");
+        // Rebuild each leaf from the fields as issued, in one buffer and
+        // one one-shot hash, apart from the streaming hashers the log uses.
+        let log = CtLog::new("t");
+        let mut ca = lets_encrypt();
+        let mut issued = Vec::new();
         for i in 0..12u64 {
-            let mut c = cert(i);
-            // Names long enough that a fingerprint spans two blocks.
-            for k in 0..i % 3 {
-                c.san.push(
+            let cn: DomainName = format!("site{i}.ru").parse().unwrap();
+            // Names long enough that a fingerprint spans two blocks, and
+            // the usual CN-first and `www.`-last SANs the store keeps as
+            // flags.
+            let mut san: Vec<DomainName> = (0..i % 3)
+                .map(|k| {
                     format!("www{k}.a-long-subdomain-label.site{i}.ru")
                         .parse()
-                        .unwrap(),
-                );
+                        .unwrap()
+                })
+                .collect();
+            if i % 2 == 0 {
+                san.insert(0, cn.clone());
             }
-            log.append(c, Date::from_ymd(2022, 1, 1).add_days(i as i32));
+            if i % 4 < 2 {
+                san.push(cn.prepend("www").unwrap());
+            }
+            let day = Date::from_ymd(2022, 1, 1).add_days(i as i32);
+            ca.issue(&mut write(log.store()), &cn, &san, 0, day)
+                .unwrap();
+            issued.push((i + 1, cn, san, day));
         }
-        for (i, e) in log.entries().iter().enumerate() {
-            let c = &e.cert;
-            let mut fp_input = c.serial.to_be_bytes().to_vec();
-            fp_input.extend_from_slice(c.issuer.organization.as_bytes());
-            fp_input.push(0);
-            fp_input.extend_from_slice(c.issuer.common_name.as_bytes());
-            fp_input.push(0);
-            fp_input.extend_from_slice(c.subject_cn.as_str().as_bytes());
-            for s in &c.san {
+        for (i, (serial, cn, san, day)) in issued.iter().enumerate() {
+            let mut fp_input = serial.to_be_bytes().to_vec();
+            fp_input.extend_from_slice(b"Let's Encrypt\0R3\0");
+            fp_input.extend_from_slice(cn.as_str().as_bytes());
+            for s in san {
                 fp_input.push(0);
                 fp_input.extend_from_slice(s.as_str().as_bytes());
             }
-            fp_input.extend_from_slice(&c.not_before.days_since_epoch().to_be_bytes());
-            fp_input.extend_from_slice(&c.not_after.days_since_epoch().to_be_bytes());
+            fp_input.extend_from_slice(&day.days_since_epoch().to_be_bytes());
+            fp_input.extend_from_slice(&day.add_days(90).days_since_epoch().to_be_bytes());
             let mut leaf_input = vec![0x00];
             leaf_input.extend_from_slice(&sha256(&fp_input));
-            leaf_input.extend_from_slice(&e.timestamp.days_since_epoch().to_be_bytes());
+            leaf_input.extend_from_slice(&day.days_since_epoch().to_be_bytes());
             assert_eq!(log.leaf_at(i as u64), Some(sha256(&leaf_input)), "leaf {i}");
         }
         assert_eq!(log.leaf_at(12), None);
@@ -473,10 +498,8 @@ mod tests {
     fn consistency_detects_rewritten_history() {
         // Two logs that diverge at entry 5.
         let honest = log_of(20);
-        let mut forked = log_of(5);
-        for i in 100..115u64 {
-            forked.append(cert(i), Date::from_ymd(2022, 2, 1));
-        }
+        let forked = log_of(5);
+        issue(&forked, &mut lets_encrypt(), 100..115);
         let proof = forked.consistency_proof(5, 20).unwrap();
         let old_root = honest.root_at(5).unwrap(); // same first 5 entries
         let new_root_forked = forked.root_at(20).unwrap();
@@ -521,23 +544,10 @@ mod tests {
     }
 
     #[test]
-    fn entries_between() {
-        let log = log_of(10);
-        let n = log
-            .entries_between(Date::from_ymd(2022, 1, 3), Date::from_ymd(2022, 1, 5))
-            .count();
-        assert_eq!(n, 3);
-        assert_eq!(log.entries().len(), 10);
-    }
-
-    #[test]
     fn sth_signature_binds_identity() {
-        let a = log_of(5).sth();
-        let mut other = CtLog::new("other-log");
-        for i in 0..5 {
-            other.append(cert(i), Date::from_ymd(2022, 1, 1).add_days(i as i32));
-        }
-        let b = other.sth();
+        let log = log_of(5);
+        let a = log.sth();
+        let b = CtLog::over("other-log", log.store()).sth();
         assert_eq!(a.root, b.root, "same contents, same root");
         assert_ne!(a.signature, b.signature, "different log identity");
     }

@@ -121,11 +121,14 @@ impl OcspResponder {
             .or_insert_with(|| Crl::new(issuer_org));
     }
 
-    /// Mutable access to an issuer's CRL (created on demand).
+    /// Mutable access to an issuer's CRL (created on demand; the key is
+    /// allocated only then).
     pub fn crl_mut(&mut self, issuer_org: &str) -> &mut Crl {
-        self.crls
-            .entry(issuer_org.to_owned())
-            .or_insert_with(|| Crl::new(issuer_org))
+        if !self.crls.contains_key(issuer_org) {
+            self.crls
+                .insert(issuer_org.to_owned(), Crl::new(issuer_org));
+        }
+        self.crls.get_mut(issuer_org).expect("inserted above")
     }
 
     /// Read access to an issuer's CRL.

@@ -2,35 +2,21 @@
 
 use proptest::prelude::*;
 use ruwhere_ct::ctlog::{verify_consistency, verify_inclusion};
-use ruwhere_ct::{Certificate, CtLog, DistinguishedName};
-use ruwhere_types::{Country, Date};
-use std::sync::Arc;
+use ruwhere_ct::{CertificateAuthority, CtLog};
+use ruwhere_types::sync::write;
+use ruwhere_types::{Country, Date, DomainName};
 
-fn cert(i: u64) -> Certificate {
-    Certificate {
-        serial: i,
-        issuer: DistinguishedName {
-            organization: "Prop CA".into(),
-            common_name: "P1".into(),
-            country: Country::US,
-        },
-        subject_cn: format!("prop-{i}.ru").parse().unwrap(),
-        san: vec![],
-        not_before: Date::from_ymd(2022, 1, 1),
-        not_after: Date::from_ymd(2022, 4, 1),
-        chain_orgs: Arc::from([]),
-        ct_logged: true,
-    }
-}
-
+/// A log of `n` entries, `prop-{i}.ru` issued on day `i % 60` of 2022.
 fn log_of(n: u64) -> CtLog {
-    let mut log = CtLog::new("prop");
+    let mut ca = CertificateAuthority::new("Prop CA", Country::US, &["P1"], true, 90);
+    let log = CtLog::new("prop");
+    let mut certs = write(log.store());
     for i in 0..n {
-        log.append(
-            cert(i),
-            Date::from_ymd(2022, 1, 1).add_days((i % 60) as i32),
-        );
+        let name: DomainName = format!("prop-{i}.ru").parse().unwrap();
+        let day = Date::from_ymd(2022, 1, 1).add_days((i % 60) as i32);
+        ca.issue(&mut certs, &name, &[], 0, day).unwrap();
     }
+    drop(certs);
     log
 }
 

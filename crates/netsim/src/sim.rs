@@ -14,7 +14,7 @@
 
 use crate::fault::FaultPlan;
 use crate::obs::NetObs;
-use crate::topology::Topology;
+use crate::topology::{self, PairPath, Topology};
 use ruwhere_types::{Asn, FastMap, SeedTree};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -290,6 +290,7 @@ impl Network {
     fn open_lane(&self, stream: SeedTree, draws: Draws, seq: u64) -> Lane<'_> {
         Lane {
             net: self,
+            asns: AsnMemo::default(),
             pkt: stream.child("pkt"),
             loss: stream.child("loss"),
             linkfault: stream.child("linkfault"),
@@ -374,6 +375,8 @@ enum Draws {
 /// a timeout and is never delivered.
 pub struct Lane<'a> {
     net: &'a Network,
+    /// Addresses this lane has sent to or from, with their origin AS.
+    asns: AsnMemo,
     /// The lane stream's children for packet ids, uniform loss and
     /// link-fault loss, derived once when the lane opens.
     pkt: SeedTree,
@@ -459,14 +462,14 @@ impl Lane<'_> {
         let Path {
             from: a,
             to: b,
-            base_us,
+            pair,
         } = path?;
         let packet_id = match self.draws {
             Draws::Keyed => self.pkt.child_idx(seq).seed(),
             Draws::Global => seq,
         };
-        let lat = base_us
-            + self.net.topo.jitter_us(a, b, packet_id)
+        let lat = pair.base_us
+            + topology::jitter_us(pair.there, packet_id)
             + self.net.faults.extra_latency_us(from, to, at);
         let uniform_loss = self.uniformly_lost(seq);
         if uniform_loss || self.fault_lost(seq, from, to, at) {
@@ -543,13 +546,13 @@ fn unit(h: u64) -> f64 {
 }
 
 /// One direction of a request's AS-level path: the AS pair a datagram
-/// crosses and the pair's base latency. Latency is symmetric, so the
-/// reply leg reuses it.
+/// crosses and the pair's path constants, oriented this way. Latency is
+/// symmetric, so the reply leg reuses it.
 #[derive(Debug, Clone, Copy)]
 struct Path {
     from: Asn,
     to: Asn,
-    base_us: u64,
+    pair: PairPath,
 }
 
 impl Path {
@@ -557,8 +560,46 @@ impl Path {
         Path {
             from: self.to,
             to: self.from,
-            base_us: self.base_us,
+            pair: self.pair.reversed(),
         }
+    }
+}
+
+/// A lane's memo of origin ASes by address, with each AS's position in
+/// the topology. A lane borrows its network, so the routing table cannot
+/// change while the memo lives. A full memo overwrites its slots in turn.
+#[derive(Debug)]
+struct AsnMemo {
+    slots: [(Ipv4Addr, Asn, u32); 8],
+    len: usize,
+    next: usize,
+}
+
+impl Default for AsnMemo {
+    fn default() -> Self {
+        AsnMemo {
+            slots: [(Ipv4Addr::UNSPECIFIED, Asn::default(), 0); 8],
+            len: 0,
+            next: 0,
+        }
+    }
+}
+
+impl AsnMemo {
+    /// The origin AS of `ip` and its position, looked up in `topo` on
+    /// first sight; an unrouted address is not remembered.
+    fn asn_of(&mut self, topo: &Topology, ip: Ipv4Addr) -> Option<(Asn, u32)> {
+        if let Some(&(_, asn, i)) = self.slots[..self.len].iter().find(|(a, ..)| *a == ip) {
+            return Some((asn, i));
+        }
+        let asn = topo.asn_of(ip)?;
+        let i = topo
+            .as_index(asn)
+            .expect("only registered ASes announce prefixes");
+        self.slots[self.next] = (ip, asn, i);
+        self.next = (self.next + 1) % self.slots.len();
+        self.len = (self.len + 1).min(self.slots.len());
+        Some((asn, i))
     }
 }
 
@@ -586,13 +627,13 @@ impl Transport for Lane<'_> {
         reply: &mut Vec<u8>,
     ) -> Result<(), NetError> {
         let topo = &self.net.topo;
-        let Some(from) = topo.asn_of(src_ip) else {
+        let Some((from, from_i)) = self.asns.asn_of(topo, src_ip) else {
             return Err(NetError::NoRoute);
         };
-        let path = topo.asn_of(dst.0).map(|to| Path {
+        let path = self.asns.asn_of(topo, dst.0).map(|(to, to_i)| Path {
             from,
             to,
-            base_us: topo.latency_us(from, to),
+            pair: topo.path(from_i, to_i),
         });
         let req = Request {
             src_ip,

@@ -20,11 +20,43 @@ pub struct AsInfo {
     pub country: Country,
 }
 
+/// The constants of the path between two ASes, oriented from the first
+/// to the second: what [`Topology::latency_us`] and
+/// [`Topology::jitter_us`] derive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PairPath {
+    /// The pair's one-way base latency, the same both ways.
+    pub base_us: u64,
+    /// The node each packet's jitter draw hangs off, this way.
+    pub there: SeedTree,
+    /// The same for the reverse direction.
+    pub back: SeedTree,
+}
+
+impl PairPath {
+    /// The same path in the other direction.
+    pub fn reversed(self) -> PairPath {
+        PairPath {
+            base_us: self.base_us,
+            there: self.back,
+            back: self.there,
+        }
+    }
+}
+
 /// The AS-level map of the simulated Internet.
 #[derive(Debug, Clone)]
 pub struct Topology {
     seed: SeedTree,
-    ases: FastMap<Asn, AsInfo>,
+    /// Registered ASes, in registration order.
+    ases: Vec<AsInfo>,
+    /// Each registered AS's position in `ases`.
+    index: FastMap<Asn, u32>,
+    /// The path constants of every pair of registered ASes, filled as each
+    /// registers (registration facts never change after that): row `i`,
+    /// from `i * (i + 1) / 2`, holds the pairs `(i, 0..=i)` oriented from
+    /// `ases[i]`.
+    paths: Vec<PairPath>,
     fib: RoutingTable<Asn>,
     prefixes: Vec<(Ipv4Net, Asn)>,
 }
@@ -34,7 +66,9 @@ impl Topology {
     pub fn new(seed: SeedTree) -> Self {
         Topology {
             seed,
-            ases: FastMap::default(),
+            ases: Vec::new(),
+            index: FastMap::default(),
+            paths: Vec::new(),
             fib: RoutingTable::new(),
             prefixes: Vec::new(),
         }
@@ -42,11 +76,42 @@ impl Topology {
 
     /// Register an AS. Returns `false` if it already exists.
     pub fn add_as(&mut self, info: AsInfo) -> bool {
-        if self.ases.contains_key(&info.asn) {
+        if self.index.contains_key(&info.asn) {
             return false;
         }
-        self.ases.insert(info.asn, info);
+        let i = self.ases.len();
+        self.index
+            .insert(info.asn, u32::try_from(i).expect("AS count fits u32"));
+        self.ases.push(info);
+        let asn = self.ases[i].asn;
+        // Grow by the row alone: the table is sized once per AS, not doubled.
+        self.paths.reserve_exact(i + 1);
+        for j in 0..=i {
+            let other = self.ases[j].asn;
+            let path = PairPath {
+                base_us: self.latency_us(asn, other),
+                there: self.jitter_node(asn, other),
+                back: self.jitter_node(other, asn),
+            };
+            self.paths.push(path);
+        }
         true
+    }
+
+    /// The position of registered AS `asn`, which [`Topology::path`] takes.
+    pub(crate) fn as_index(&self, asn: Asn) -> Option<u32> {
+        self.index.get(&asn).copied()
+    }
+
+    /// The path constants from the AS at position `a` to the one at `b`.
+    pub(crate) fn path(&self, a: u32, b: u32) -> PairPath {
+        let (hi, lo) = (a.max(b) as usize, a.min(b) as usize);
+        let path = self.paths[hi * (hi + 1) / 2 + lo];
+        if a as usize == hi {
+            path
+        } else {
+            path.reversed()
+        }
     }
 
     /// Announce `net` as originated by `asn` (which must be registered).
@@ -54,7 +119,7 @@ impl Topology {
     /// "IP address reconfiguration" mechanism behind the Netnod/RU-CENTER
     /// event of 2022-03-03 (paper §3.2).
     pub fn announce(&mut self, net: Ipv4Net, asn: Asn) -> bool {
-        if !self.ases.contains_key(&asn) {
+        if !self.index.contains_key(&asn) {
             return false;
         }
         if let Some(old) = self.fib.insert(net, asn) {
@@ -80,7 +145,7 @@ impl Topology {
 
     /// AS registration info.
     pub fn as_info(&self, asn: Asn) -> Option<&AsInfo> {
-        self.ases.get(&asn)
+        self.index.get(&asn).map(|&i| &self.ases[i as usize])
     }
 
     /// All announced prefixes with their origin AS.
@@ -132,13 +197,20 @@ impl Topology {
     /// Deterministic per-packet jitter in microseconds, derived from packet
     /// identity so retransmissions of the same logical packet differ.
     pub fn jitter_us(&self, a: Asn, b: Asn, packet_id: u64) -> u64 {
-        let node = self
-            .seed
+        jitter_us(self.jitter_node(a, b), packet_id)
+    }
+
+    /// The per-pair node [`jitter_us`](Topology::jitter_us) draws from.
+    fn jitter_node(&self, a: Asn, b: Asn) -> SeedTree {
+        self.seed
             .child("jitter")
             .child_idx(u64::from(a.value()) << 32 | u64::from(b.value()))
-            .child_idx(packet_id);
-        node.seed() % 2_000
     }
+}
+
+/// Packet `packet_id`'s jitter on the path whose jitter node is `node`.
+pub(crate) fn jitter_us(node: SeedTree, packet_id: u64) -> u64 {
+    node.child_idx(packet_id).seed() % 2_000
 }
 
 #[cfg(test)]
@@ -247,6 +319,26 @@ mod tests {
             t.latency_us(Asn::AMAZON, Asn::RU_CENTER),
             topo().latency_us(Asn::AMAZON, Asn::RU_CENTER)
         );
+    }
+
+    #[test]
+    fn path_table_matches_the_derivations() {
+        let t = topo();
+        let ases = [Asn::AMAZON, Asn::CLOUDFLARE, Asn::RU_CENTER];
+        // One entry per unordered pair, self-pairs included.
+        assert_eq!(t.paths.len(), 6);
+        for a in ases {
+            for b in ases {
+                let (ia, ib) = (t.as_index(a).unwrap(), t.as_index(b).unwrap());
+                let path = t.path(ia, ib);
+                assert_eq!(path.base_us, t.latency_us(a, b));
+                for packet in [0, 1, 77, u64::MAX] {
+                    assert_eq!(jitter_us(path.there, packet), t.jitter_us(a, b, packet));
+                    assert_eq!(jitter_us(path.back, packet), t.jitter_us(b, a, packet));
+                }
+            }
+        }
+        assert_eq!(t.as_index(Asn(64512)), None);
     }
 
     #[test]

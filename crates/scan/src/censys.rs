@@ -1,11 +1,12 @@
 //! Censys-style certificate datasets: CT-log indexing and IP-wide scans.
 
-use ruwhere_ct::{Certificate, CtLog};
+use ruwhere_ct::{CertId, CertStore, CtLog, SharedCertStore};
+use ruwhere_types::sync::read;
 use ruwhere_types::{Date, DomainName};
 use ruwhere_world::{Banner, World, TLS_PORT};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 
 /// How a certificate is matched to the study TLDs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,28 +19,22 @@ pub enum MatchRule {
     CnOnly,
 }
 
-/// One indexed certificate: the logged certificate itself, shared with
-/// the CT logs, and its log date. Issuer, serial, validity and covered
-/// names are read through the certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One indexed certificate: its row in the dataset's store and its log
+/// date. Issuer, serial, validity and covered names are read through the
+/// store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CertRecord {
     /// CT log timestamp (issuance date in our pipeline).
     pub date: Date,
     /// The logged certificate.
-    pub cert: Arc<Certificate>,
+    pub cert: CertId,
 }
 
-impl CertRecord {
-    /// Issuer Organization from the Issuer DN — the paper's aggregation
-    /// key (§4.1).
-    pub fn issuer_org(&self) -> &str {
-        &self.cert.issuer.organization
-    }
-}
-
-/// The indexed certificate dataset for an analysis window.
+/// The indexed certificate dataset for an analysis window: records over
+/// the certificate store the indexed logs share.
 #[derive(Debug, Clone, Default)]
 pub struct CertDataset {
+    certs: SharedCertStore,
     /// Matched certificates, log order.
     pub records: Vec<CertRecord>,
 }
@@ -54,38 +49,71 @@ impl CertDataset {
     /// Index several logs, deduplicating certificates that were submitted
     /// to more than one (by issuer organization + serial) — what Censys
     /// does when merging the public log ecosystem.
+    ///
+    /// # Panics
+    /// If the logs are not all over one certificate store, as the logs of
+    /// one world are.
     pub fn from_logs(logs: &[CtLog], from: Date, to: Date, rule: MatchRule) -> Self {
-        let window = || logs.iter().flat_map(|log| log.entries_between(from, to));
+        let Some(first) = logs.first() else {
+            return Self::default();
+        };
+        assert!(
+            logs.iter().all(|l| Arc::ptr_eq(l.store(), first.store())),
+            "the indexed logs must share one certificate store"
+        );
+        let certs = first.certs();
+        // Logs over one store share one entry column, so every log after
+        // the first repeats its entries and the dedup below would drop
+        // them all: one pass over the column marks the same records.
+        let window = || {
+            certs
+                .entries()
+                .iter()
+                .filter(move |e| e.timestamp >= from && e.timestamp <= to)
+        };
         // First pass: mark the entries to keep. Serials seen, per
         // organization: a set of 8-byte keys per issuer holds a third of
         // what one set of (organization, serial) keys does.
         let mut seen: HashMap<&str, HashSet<u64>> = HashMap::new();
         let keep: Vec<bool> = window()
             .map(|e| {
+                let cert = certs.get(e.cert);
                 let matched = match rule {
-                    MatchRule::CnOrSan => e.cert.matches_russian_tld(),
-                    MatchRule::CnOnly => e.cert.matches_russian_tld_cn_only(),
+                    MatchRule::CnOrSan => cert.matches_russian_tld(),
+                    MatchRule::CnOnly => cert.matches_russian_tld_cn_only(),
                 };
-                let org = &*e.cert.issuer.organization;
-                matched && seen.entry(org).or_default().insert(e.cert.serial)
+                matched
+                    && seen
+                        .entry(cert.issuer_org())
+                        .or_default()
+                        .insert(cert.serial())
             })
             .collect();
         drop(seen);
         // Second pass: fill a vector sized to the count, so no regrowth
-        // holds two buffers at once, after the serial sets are freed.
+        // holds two buffers at once, after the serial sets are freed. The
+        // column is in submission order, which is date order for the
+        // world's CAs; sort (stably) only when it is not.
         let mut records = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
         for (e, _) in window().zip(&keep).filter(|(_, &k)| k) {
             records.push(CertRecord {
                 date: e.timestamp,
-                cert: Arc::clone(&e.cert),
+                cert: e.cert,
             });
         }
-        // Logs append in date order, so the stable sort (and its scratch
-        // buffer) is needed only when several logs interleave.
         if !records.is_sorted_by_key(|r| r.date) {
             records.sort_by_key(|r| r.date);
         }
-        CertDataset { records }
+        drop(certs);
+        CertDataset {
+            certs: Arc::clone(first.store()),
+            records,
+        }
+    }
+
+    /// The store the records are rows of, read-locked.
+    pub fn certs(&self) -> RwLockReadGuard<'_, CertStore> {
+        read(&self.certs)
     }
 
     /// Number of records.
@@ -331,10 +359,11 @@ mod tests {
         let ds = CertDataset::from_log(world.ct_log(), from, to, MatchRule::CnOrSan);
         assert!(!ds.is_empty());
         assert!(ds.records.iter().all(|r| r.date >= from && r.date <= to));
+        let certs = ds.certs();
         assert!(ds
             .records
             .iter()
-            .all(|r| r.cert.names().any(DomainName::is_russian_cctld)));
+            .all(|r| certs.get(r.cert).names().any(|n| n.is_russian_cctld())));
         // In our generator CN == a Russian name, so CnOnly equals CnOrSan.
         let cn_only = CertDataset::from_log(world.ct_log(), from, to, MatchRule::CnOnly);
         assert_eq!(cn_only.len(), ds.len());
@@ -382,16 +411,18 @@ mod tests {
             .filter(|e| e.chain_contains_org("Russian Trusted Root CA"))
             .count();
         assert!(russian_served > 0, "IP scan missed the Russian CA");
-        let in_ct = CertDataset::from_log(
+        let ds = CertDataset::from_log(
             world.ct_log(),
             Date::from_ymd(2022, 1, 1),
             Date::from_ymd(2022, 5, 25),
             MatchRule::CnOrSan,
-        )
-        .records
-        .iter()
-        .filter(|r| r.issuer_org() == "Russian Trusted Root CA")
-        .count();
+        );
+        let certs = ds.certs();
+        let in_ct = ds
+            .records
+            .iter()
+            .filter(|r| certs.get(r.cert).issuer_org() == "Russian Trusted Root CA")
+            .count();
         assert_eq!(in_ct, 0, "Russian CA must be absent from CT");
     }
 
@@ -410,11 +441,13 @@ mod tests {
             365,
         )
         .with_chain(&["Russian Trusted Root CA"]);
-        let issue = |ca: &mut CertificateAuthority, name: &str| {
+        let mut certs = ruwhere_ct::CertStore::new();
+        let mut issue = |ca: &mut CertificateAuthority, name: &str| {
             let name: DomainName = name.parse().unwrap();
-            let san = vec![name.clone(), name.prepend("www").unwrap()];
+            let san = [name.clone(), name.prepend("www").unwrap()];
+            let id = ca.issue(&mut certs, &name, &san, 0, date).unwrap();
             let mut out = Vec::new();
-            ruwhere_world::write_banner(&ca.issue(&name, san, 0, date).unwrap(), &mut out);
+            ruwhere_world::write_banner(certs.get(id), &mut out);
             out
         };
         let mut snap = IpScanSnapshot::new(date);

@@ -6,7 +6,7 @@
 //! served certificate's identifying fields ([`write_banner`]);
 //! `ruwhere-scan` reads it back in place through [`Banner`].
 
-use ruwhere_ct::Certificate;
+use ruwhere_ct::{CertId, CertView, SharedCertStore};
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
 use ruwhere_types::{Date, DomainName};
@@ -24,7 +24,7 @@ const BANNER_MAGIC: &str = "RUTLS/1";
 
 /// Append `cert`'s banner to `out`: one `key:value` line per field after
 /// the magic line, with `\` and newlines escaped in the free-text fields.
-pub fn write_banner(cert: &Certificate, out: &mut Vec<u8>) {
+pub fn write_banner(cert: CertView<'_>, out: &mut Vec<u8>) {
     let esc = |out: &mut Vec<u8>, key: &str, s: &str| {
         out.extend_from_slice(key.as_bytes());
         for b in s.bytes() {
@@ -38,21 +38,25 @@ pub fn write_banner(cert: &Certificate, out: &mut Vec<u8>) {
     };
     out.extend_from_slice(BANNER_MAGIC.as_bytes());
     out.push(b'\n');
-    esc(out, "cn:", cert.subject_cn.as_str());
-    for s in &cert.san {
+    esc(out, "cn:", cert.subject_cn().as_str());
+    for s in cert.san() {
         out.extend_from_slice(b"san:");
-        out.extend_from_slice(s.as_str().as_bytes());
+        for part in s.parts() {
+            out.extend_from_slice(part.as_bytes());
+        }
         out.push(b'\n');
     }
-    esc(out, "issuer:", &cert.issuer.organization);
-    for o in cert.chain_orgs.iter() {
+    esc(out, "issuer:", cert.issuer_org());
+    for o in cert.chain_orgs() {
         esc(out, "chain:", o);
     }
     // Writing into a `Vec` cannot fail.
     let _ = write!(
         out,
         "serial:{}\nnb:{}\nna:{}\n",
-        cert.serial, cert.not_before, cert.not_after
+        cert.serial(),
+        cert.not_before(),
+        cert.not_after()
     );
 }
 
@@ -157,10 +161,29 @@ impl<'a> Banner<'a> {
     }
 }
 
-/// Shared map of endpoint address → currently served certificate. The
-/// world driver updates it as domains renew or switch certificates; an
-/// entry shares the certificate the CT logs hold.
-pub type ServingMap = Arc<RwLock<HashMap<Ipv4Addr, Arc<Certificate>>>>;
+/// What the TLS endpoints serve: the world's certificate store and, per
+/// endpoint address, the row of the certificate it presents. The world
+/// updates the index as domains renew or switch certificates.
+#[derive(Debug, Default)]
+pub struct Serving {
+    /// The store every served certificate is a row of.
+    pub(crate) certs: SharedCertStore,
+    /// Endpoint address → served certificate, a row of `certs`.
+    pub(crate) index: RwLock<HashMap<Ipv4Addr, CertId>>,
+}
+
+impl Serving {
+    /// Nothing served yet, over `certs`.
+    pub fn new(certs: &SharedCertStore) -> Self {
+        Serving {
+            certs: Arc::clone(certs),
+            index: RwLock::default(),
+        }
+    }
+}
+
+/// The serving state, shared by every TLS endpoint.
+pub type ServingMap = Arc<Serving>;
 
 /// The per-address TLS banner service.
 pub struct TlsEndpoint {
@@ -169,7 +192,7 @@ pub struct TlsEndpoint {
 }
 
 impl TlsEndpoint {
-    /// Endpoint at `addr` serving whatever `serving[addr]` currently holds.
+    /// Endpoint at `addr` serving whatever `serving`'s index holds for it.
     pub fn new(serving: ServingMap, addr: Ipv4Addr) -> Self {
         TlsEndpoint { serving, addr }
     }
@@ -183,9 +206,12 @@ impl Service for TlsEndpoint {
         _now: SimTime,
         reply: &mut Vec<u8>,
     ) -> bool {
-        match read(&self.serving).get(&self.addr) {
-            Some(cert) => {
-                write_banner(cert, reply);
+        // The store first, then the index: the order the world's writers
+        // take them in.
+        let certs = read(&self.serving.certs);
+        match read(&self.serving.index).get(&self.addr) {
+            Some(&cert) => {
+                write_banner(certs.get(cert), reply);
                 true
             }
             None => false,
@@ -200,31 +226,22 @@ impl Service for TlsEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_ct::{CertificateAuthority, DistinguishedName};
+    use ruwhere_ct::{CertStore, CertificateAuthority};
     use ruwhere_types::sync::write;
     use ruwhere_types::Country;
 
-    fn cert(org: &str, chain: &[&str]) -> Certificate {
-        Certificate {
-            serial: 12345,
-            issuer: DistinguishedName {
-                organization: org.into(),
-                common_name: "R3".into(),
-                country: Country::US,
-            },
-            subject_cn: "example.ru".parse().unwrap(),
-            san: vec![
-                "example.ru".parse().unwrap(),
-                "www.example.ru".parse().unwrap(),
-            ],
-            not_before: Date::from_ymd(2022, 1, 15),
-            not_after: Date::from_ymd(2022, 4, 15),
-            chain_orgs: chain.iter().map(|o| (*o).to_owned()).collect(),
-            ct_logged: true,
-        }
+    /// Issue `example.ru` (SANs: itself and `www.`) from `org` with
+    /// `chain` into `certs`, on 2022-01-15 for 90 days.
+    fn issue(certs: &mut CertStore, org: &str, chain: &[&str]) -> CertId {
+        let mut ca =
+            CertificateAuthority::new(org, Country::US, &["R3"], true, 90).with_chain(chain);
+        let cn: DomainName = "example.ru".parse().unwrap();
+        let san = [cn.clone(), cn.prepend("www").unwrap()];
+        ca.issue(certs, &cn, &san, 0, Date::from_ymd(2022, 1, 15))
+            .unwrap()
     }
 
-    fn banner(cert: &Certificate) -> Vec<u8> {
+    fn banner(cert: CertView<'_>) -> Vec<u8> {
         let mut out = Vec::new();
         write_banner(cert, &mut out);
         out
@@ -232,31 +249,48 @@ mod tests {
 
     #[test]
     fn banner_bytes_are_pinned() {
-        let c = cert("Let's Encrypt", &["Internet Security Research Group"]);
+        let mut certs = CertStore::new();
+        let id = issue(
+            &mut certs,
+            "Let's Encrypt",
+            &["Internet Security Research Group"],
+        );
         assert_eq!(
-            String::from_utf8(banner(&c)).unwrap(),
+            String::from_utf8(banner(certs.get(id))).unwrap(),
             "RUTLS/1\ncn:example.ru\nsan:example.ru\nsan:www.example.ru\n\
              issuer:Let's Encrypt\nchain:Internet Security Research Group\n\
-             serial:12345\nnb:2022-01-15\nna:2022-04-15\n"
+             serial:1\nnb:2022-01-15\nna:2022-04-15\n"
         );
     }
 
     #[test]
     fn banner_roundtrip() {
-        let c = cert("Let's Encrypt", &["Internet Security Research Group"]);
-        let bytes = banner(&c);
+        let mut certs = CertStore::new();
+        let id = issue(
+            &mut certs,
+            "Let's Encrypt",
+            &["Internet Security Research Group"],
+        );
+        let c = certs.get(id);
+        let bytes = banner(c);
         let b = Banner::parse(&bytes).unwrap();
-        assert_eq!(b.subject_cn(), c.subject_cn.as_str());
-        assert_eq!(b.san().collect::<Vec<_>>(), c.san);
-        assert_eq!(b.issuer_org(), &*c.issuer.organization);
-        assert_eq!(b.chain_orgs().collect::<Vec<_>>(), *c.chain_orgs);
-        assert_eq!(b.serial(), c.serial);
+        assert_eq!(b.subject_cn(), c.subject_cn().as_str());
+        let san: Vec<String> = b.san().map(|d| d.to_string()).collect();
+        assert_eq!(san, c.san().map(|n| n.parts().concat()).collect::<Vec<_>>());
+        assert_eq!(b.issuer_org(), c.issuer_org());
+        assert_eq!(b.chain_orgs().collect::<Vec<_>>(), c.chain_orgs());
+        assert_eq!(b.serial(), c.serial());
     }
 
     #[test]
     fn banner_roundtrip_with_escapes() {
-        let c = cert("Weird\nOrg\\with stuff", &["Org\nWith\nNewlines"]);
-        let bytes = banner(&c);
+        let mut certs = CertStore::new();
+        let id = issue(
+            &mut certs,
+            "Weird\nOrg\\with stuff",
+            &["Org\nWith\nNewlines"],
+        );
+        let bytes = banner(certs.get(id));
         let b = Banner::parse(&bytes).unwrap();
         assert_eq!(b.issuer_org(), "Weird\nOrg\\with stuff");
         assert_eq!(b.chain_orgs().collect::<Vec<_>>(), ["Org\nWith\nNewlines"]);
@@ -269,14 +303,16 @@ mod tests {
         assert!(Banner::parse(b"RUTLS/1\ncn:x\n").is_none()); // missing fields
         assert!(Banner::parse(b"RUTLS/1\nbogus:x\n").is_none());
         assert!(Banner::parse(&[0xFF, 0xFE]).is_none());
-        let mut bad_san = banner(&cert("Let's Encrypt", &[]));
+        let mut certs = CertStore::new();
+        let id = issue(&mut certs, "Let's Encrypt", &[]);
+        let mut bad_san = banner(certs.get(id));
         bad_san.extend_from_slice(b"san:not..a.name\n");
         assert!(Banner::parse(&bad_san).is_none());
     }
 
     #[test]
     fn endpoint_serves_current_chain() {
-        let serving: ServingMap = Arc::new(RwLock::new(HashMap::new()));
+        let serving: ServingMap = Arc::default();
         let addr: Ipv4Addr = "198.51.100.7".parse().unwrap();
         let ep = TlsEndpoint::new(Arc::clone(&serving), addr);
         let src = ("10.0.0.1".parse().unwrap(), 55555);
@@ -289,20 +325,16 @@ mod tests {
         // Nothing served yet: silent (no TLS on this box).
         assert!(probe(&ep).is_none());
 
-        let cert = |org: &str| {
-            let mut ca = CertificateAuthority::new(org, Country::US, &["R3"], true, 90);
-            let subject = "example.ru".parse().unwrap();
-            Arc::new(
-                ca.issue(&subject, vec![], 0, Date::from_ymd(2022, 1, 15))
-                    .unwrap(),
-            )
-        };
-        let served = cert("Let's Encrypt");
-        write(&serving).insert(addr, Arc::clone(&served));
-        assert_eq!(probe(&ep).unwrap(), banner(&served));
+        let served = issue(&mut write(&serving.certs), "Let's Encrypt", &[]);
+        write(&serving.index).insert(addr, served);
+        assert_eq!(
+            probe(&ep).unwrap(),
+            banner(read(&serving.certs).get(served))
+        );
 
         // Certificate rotation is visible immediately.
-        write(&serving).insert(addr, cert("Russian Trusted Root CA"));
+        let russian = issue(&mut write(&serving.certs), "Russian Trusted Root CA", &[]);
+        write(&serving.index).insert(addr, russian);
         let bytes = probe(&ep).unwrap();
         assert_eq!(
             Banner::parse(&bytes).unwrap().issuer_org(),

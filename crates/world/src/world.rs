@@ -7,13 +7,13 @@ use crate::catalog::{
 use crate::config::WorldConfig;
 use crate::domain_state::{DnsPlan, DomainState, HostingPlan};
 use crate::timeline::{ConflictEvent, FaultTarget, InfraFault, Timeline};
-use crate::tls::{ServingMap, TlsEndpoint, TLS_PORT};
+use crate::tls::{Serving, ServingMap, TlsEndpoint, TLS_PORT};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::Rng;
 use ruwhere_authdns::{AuthServer, RootHint, SharedZoneSet, ZoneSet};
 use ruwhere_ct::revocation::RevocationReason;
-use ruwhere_ct::{CaPolicy, Certificate, CertificateAuthority, CtLog, OcspResponder};
+use ruwhere_ct::{CaPolicy, CertId, CertificateAuthority, CtLog, OcspResponder, SharedCertStore};
 use ruwhere_dns::{Name, RData, Record, SoaData, Zone};
 use ruwhere_geo::{GeoDbBuilder, LongitudinalGeoDb};
 use ruwhere_netsim::{
@@ -146,6 +146,9 @@ pub struct World {
 
     cas: Vec<CertificateAuthority>,
     ca_specs: Vec<CaSpec>,
+    /// Every certificate issued, CT-logged or not: the store both CT logs
+    /// are over and the serving map serves from.
+    certs: SharedCertStore,
     ct_logs: Vec<CtLog>,
     ocsp: OcspResponder,
     pending_revocations: BTreeMap<Date, Vec<(CaId, u64)>>,
@@ -232,6 +235,7 @@ impl World {
             }
         }
 
+        let certs = SharedCertStore::default();
         let mut world = World {
             rng: seed.child("behave").rng(),
             namegen: NameGenerator::new(seed.child("names")),
@@ -258,11 +262,15 @@ impl World {
                 })
                 .collect(),
             ca_specs,
-            ct_logs: vec![CtLog::new("ruwhere-argon"), CtLog::new("ruwhere-xenon")],
+            ct_logs: vec![
+                CtLog::over("ruwhere-argon", &certs),
+                CtLog::over("ruwhere-xenon", &certs),
+            ],
             ocsp: OcspResponder::new(),
             pending_revocations: BTreeMap::new(),
             russian_ca_queue: BTreeMap::new(),
-            serving: Arc::new(RwLock::new(HashMap::new())),
+            serving: Arc::new(Serving::new(&certs)),
+            certs,
             geo: LongitudinalGeoDb::new(),
             domains: BTreeMap::new(),
             plan_members: vec![MemberSet::default(); plans.len()],
@@ -402,7 +410,8 @@ impl World {
     }
 
     /// All CT logs. Real CAs submit to several independent logs for SCT
-    /// diversity; indexers deduplicate across them.
+    /// diversity; indexers deduplicate across them. The world's logs are
+    /// over one certificate store, so they hold the same entries.
     pub fn ct_logs(&self) -> &[CtLog] {
         &self.ct_logs
     }
@@ -922,11 +931,11 @@ impl World {
         if let Some((sec, ip)) = state.hosting.secondary {
             self.hosting_members[sec.0 as usize].remove(name);
             self.net.unbind(ip, TLS_PORT);
-            write(&self.serving).remove(&ip);
+            write(&self.serving.index).remove(&ip);
         }
         if state.tls {
             self.net.unbind(state.hosting.primary_ip, TLS_PORT);
-            write(&self.serving).remove(&state.hosting.primary_ip);
+            write(&self.serving.index).remove(&state.hosting.primary_ip);
             self.tls_pool.remove(name);
         }
         let _ = write(&self.registries)[registry_index(name)].delete(name);
@@ -1277,20 +1286,20 @@ impl World {
     }
 
     /// Revoke every certificate `ca` issued to a sanctioned domain. The
-    /// CAs with a revoke-all event CT-log every certificate, and sanctioned
-    /// domains are never churned, so log 0's entries whose CN is a live
-    /// sanctioned domain are exactly those certificates, in issuance order.
+    /// store holds every issuance, and sanctioned domains are never
+    /// churned, so the rows whose CN is a live sanctioned domain are
+    /// exactly those certificates.
     fn revoke_all_sanctioned(&mut self, ca: CaId, date: Date) {
         let org = self.ca_specs[ca.0 as usize].org;
         let crl = self.ocsp.crl_mut(org);
-        for e in self.ct_logs[0].entries() {
-            if &*e.cert.issuer.organization == org
+        for cert in read(&self.certs).iter() {
+            if cert.issuer_org() == org
                 && self
                     .domains
-                    .get(&e.cert.subject_cn)
+                    .get(cert.subject_cn())
                     .is_some_and(|d| d.sanctioned)
             {
-                crl.revoke(e.cert.serial, date, RevocationReason::PrivilegeWithdrawn);
+                crl.revoke(cert.serial(), date, RevocationReason::PrivilegeWithdrawn);
             }
         }
     }
@@ -1379,13 +1388,14 @@ impl World {
                 }
             };
             let ca_i = caid::RUSSIAN.0 as usize;
-            if let Some(cert) = self.cas[ca_i].issue(&subject, vec![subject.clone()], 0, date) {
+            let mut certs = write(&self.certs);
+            let san = std::slice::from_ref(&subject);
+            if let Some(cert) = self.cas[ca_i].issue(&mut certs, &subject, san, 0, date) {
                 // Not CT-logged (logs_to_ct = false) — visible to the
                 // IP-wide scan only, via the served chain.
-                let cert = Arc::new(cert);
-                let mut serving = write(&self.serving);
+                let mut serving = write(&self.serving.index);
                 for ip in ips {
-                    serving.insert(ip, Arc::clone(&cert));
+                    serving.insert(ip, cert);
                 }
             }
         }
@@ -1578,10 +1588,11 @@ impl World {
         // TLS endpoint moves with the address.
         if state.tls {
             self.net.unbind(old_ip, TLS_PORT);
-            let chain = write(&self.serving).remove(&old_ip);
-            if let Some(chain) = chain {
-                write(&self.serving).insert(new_ip, chain);
+            let mut index = write(&self.serving.index);
+            if let Some(cert) = index.remove(&old_ip) {
+                index.insert(new_ip, cert);
             }
+            drop(index);
             self.net.bind(
                 new_ip,
                 TLS_PORT,
@@ -1741,22 +1752,19 @@ impl World {
         if force {
             self.cas[i].policy = CaPolicy::Issuing;
         }
-        let san = vec![
+        let san = [
             name.clone(),
             name.prepend("www").unwrap_or_else(|_| name.clone()),
         ];
-        let cert = self.cas[i].issue(name, san, brand, date);
+        // Issuing appends the CT entry every log over the store shares.
+        let mut certs = write(&self.certs);
+        let cert = self.cas[i].issue(&mut certs, name, &san, brand, date);
         if force {
             self.cas[i].policy = saved_policy;
         }
         let Some(cert) = cert else { return };
-        let cert = Arc::new(cert);
+        let serial = certs.get(cert).serial();
 
-        if cert.ct_logged {
-            for log in &mut self.ct_logs {
-                log.append(Arc::clone(&cert), date);
-            }
-        }
         // Serve the fresh certificate — unless the endpoint already serves
         // a Russian Trusted Root CA chain (its operator deliberately
         // switched to the state CA; later background issuance must not
@@ -1764,20 +1772,21 @@ impl World {
         // without a TLS endpoint get the certificate (it exists in CT) but
         // never serve it.
         if let Some(d) = self.domains.get(name).filter(|d| d.tls) {
-            let mut serving = write(&self.serving);
-            let keeps_russian = |ip: &Ipv4Addr, s: &HashMap<Ipv4Addr, Arc<Certificate>>| {
+            let mut serving = write(&self.serving.index);
+            let keeps_russian = |ip: &Ipv4Addr, s: &HashMap<Ipv4Addr, CertId>| {
                 s.get(ip)
-                    .is_some_and(|c| c.chain_contains_org("Russian Trusted Root CA"))
+                    .is_some_and(|&c| certs.get(c).chain_contains_org("Russian Trusted Root CA"))
             };
             if !keeps_russian(&d.hosting.primary_ip, &serving) {
-                serving.insert(d.hosting.primary_ip, Arc::clone(&cert));
+                serving.insert(d.hosting.primary_ip, cert);
             }
             if let Some((_, ip)) = d.hosting.secondary {
                 if !keeps_russian(&ip, &serving) {
-                    serving.insert(ip, Arc::clone(&cert));
+                    serving.insert(ip, cert);
                 }
             }
         }
+        drop(certs);
         // Background revocation.
         let rate = self.ca_specs[i].background_revocation_rate;
         if rate > 0.0 && self.rng.random_bool(rate.min(1.0)) {
@@ -1785,7 +1794,7 @@ impl World {
             self.pending_revocations
                 .entry(when)
                 .or_default()
-                .push((ca, cert.serial));
+                .push((ca, serial));
         }
     }
 
@@ -1797,13 +1806,13 @@ impl World {
             .collect();
         self.pending_revocations.retain(|d, _| *d > date);
         for (ca, serial) in due {
-            let org = self.ca_specs[ca.0 as usize].org.to_owned();
+            let org = self.ca_specs[ca.0 as usize].org;
             let reason = if self.rng.random_bool(0.5) {
                 RevocationReason::CessationOfOperation
             } else {
                 RevocationReason::Superseded
             };
-            self.ocsp.crl_mut(&org).revoke(serial, date, reason);
+            self.ocsp.crl_mut(org).revoke(serial, date, reason);
         }
     }
 
@@ -1858,11 +1867,6 @@ impl World {
             let max = self.cas[i].issued_count();
             self.ocsp.register_issuer(spec.org, max);
         }
-    }
-
-    /// The extra non-RU-TLD Russian-affiliated sites (name, address).
-    pub fn extra_sites(&self) -> &[(DomainName, Ipv4Addr)] {
-        &self.extra_sites
     }
 
     /// Verify internal cross-structure consistency; returns the list of
@@ -1920,7 +1924,7 @@ impl World {
             }
         }
         // 5. Serving map points at addresses that are actually bound.
-        for ip in read(&self.serving).keys() {
+        for ip in read(&self.serving.index).keys() {
             if !self.net.is_bound(*ip, TLS_PORT) {
                 problems.push(format!("serving map entry {ip} has no bound endpoint"));
             }

@@ -43,6 +43,7 @@ fn main() {
     // Spot-check an inclusion proof for the first post-conflict entry.
     let idx = world
         .ct_log()
+        .certs()
         .entries()
         .iter()
         .position(|e| e.timestamp >= CONFLICT_START)
