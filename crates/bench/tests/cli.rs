@@ -131,3 +131,66 @@ fn an_unwritable_out_dir_fails_before_the_study_runs() {
     );
     assert!(out.stdout.is_empty(), "artifacts were printed");
 }
+
+/// Sections of a version-1 segment, each `len | body | crc`: a meta that
+/// names format version 1, then interner and frame bodies this build
+/// never reaches.
+fn version_1_segment() -> Vec<u8> {
+    use ruwhere_store::checkpoint::{crc32, SEGMENT_MAGIC};
+    let mut meta = Vec::new();
+    meta.extend_from_slice(&1u32.to_le_bytes());
+    meta.extend_from_slice(&0u64.to_le_bytes());
+    meta.extend_from_slice(&0u32.to_le_bytes());
+    meta.extend_from_slice(&19_000i32.to_le_bytes());
+    meta.extend_from_slice(&0u64.to_le_bytes());
+    let mut out = SEGMENT_MAGIC.to_vec();
+    for body in [meta, vec![0; 32], vec![0; 64]] {
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+    }
+    out
+}
+
+/// A chain in another segment format is not damage: `--resume` exits 2
+/// naming the version, and renames nothing.
+#[test]
+fn resuming_a_chain_in_another_format_exits_2_and_renames_nothing() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-version-1");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let segment = dir.join("day-000000.ckpt");
+    std::fs::write(&segment, version_1_segment()).expect("write segment");
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    let out = repro(
+        &[
+            "--scale",
+            "5000",
+            "--checkpoint-dir",
+            dir.to_str().expect("utf-8 path"),
+            "--resume",
+        ],
+        None,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("unsupported segment version 1"),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "repro panicked:\n{stderr}");
+    assert_eq!(listing(), before, "nothing renamed or written");
+    assert_eq!(
+        std::fs::read(&segment).expect("segment"),
+        version_1_segment()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -242,11 +242,13 @@ pub fn run_study(cfg: &StudyConfig) -> StudyResults {
 /// [`StudyConfig::checkpoint_dir`] is set.
 ///
 /// With a checkpoint directory, each study day is written as a
-/// checksummed segment after its sweep (frame + interner delta + network
-/// clock — see `ruwhere_store::checkpoint`). With `resume`, the longest
-/// valid prefix of segments is *replayed* instead of re-measured, one
-/// segment per study day, so resume holds one decoded day at a time
-/// (quarantine reports print when the replay ends). The world advances
+/// checksummed segment after its sweep (the frame as an edit script over
+/// the day before, interner delta, network clock — see
+/// `ruwhere_store::checkpoint`). With `resume`, the longest valid prefix
+/// of segments is *replayed* instead of re-measured, one segment per
+/// study day, each frame rebuilt from the day before, so resume holds two
+/// decoded days at a time (quarantine reports print when the replay
+/// ends). The world advances
 /// through the same dates (re-running scheduled IP scans, which are
 /// deterministic, but not zone publishes, which nothing on a replayed
 /// day reads), the interner is re-primed delta by delta in
@@ -399,9 +401,12 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
         }
     }
 
-    if let Some(replay) = &replay {
-        report_replay(replay, cfg.verbose);
+    if let Some(replay) = replay {
+        report_replay(&replay, cfg.verbose);
     }
+    // The replay and the writer each hold a base frame; nothing past the
+    // day loop reads them.
+    drop(store);
 
     // Certificate analyses over the paper's window.
     world.finalize_ocsp();

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use ruwhere_core::experiments::{try_run_study, StudyConfig, StudyError, StudyResults};
 use ruwhere_core::figures;
 use ruwhere_core::AnalysisEngine;
-use ruwhere_store::{CheckpointError, SweepFrame};
+use ruwhere_store::{decode_segment, CheckpointError, SweepFrame};
 use ruwhere_types::Date;
 use ruwhere_world::WorldConfig;
 use std::collections::BTreeMap;
@@ -185,8 +185,109 @@ proptest! {
             &format!("stop={stop} workers {w_int}->{w_res}"),
         );
         prop_assert_eq!(segment_count(&dir), 5, "resume must complete the chain");
+        assert_chain_is_uninterrupted(&dir, &format!("stop={stop} workers {w_int}->{w_res}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The segments in `dir`, by file name, in day order.
+fn read_chain(dir: &PathBuf) -> Chain {
+    let mut chain: Chain = std::fs::read_dir(dir)
+        .expect("read chain")
+        .filter_map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.ends_with(".ckpt")
+                .then(|| (name, std::fs::read(e.path()).expect("read segment")))
+        })
+        .collect();
+    chain.sort();
+    chain
+}
+
+/// Assert the segments in `dir` are byte-for-byte the uninterrupted
+/// chain, segment by segment.
+fn assert_chain_is_uninterrupted(dir: &PathBuf, context: &str) {
+    let got = read_chain(dir);
+    let want = &chains()[0];
+    assert_eq!(got.len(), want.len(), "{context}: segment count");
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            g == w,
+            "{context}: segment {} differs from the uninterrupted chain",
+            w.0
+        );
+    }
+}
+
+/// A run resumed after any number of days writes the rest of the chain
+/// exactly as the uninterrupted run wrote it: each day after the first
+/// is scripted over the day before, whether that day was measured or
+/// replayed.
+#[test]
+fn resumed_chains_are_byte_identical_at_every_stop() {
+    for stop in 0..=5 {
+        let dir = truncated_copy(&format!("chain-stop-{stop}"), stop, 0);
+        let mut resumed = shrunk_config(1);
+        resumed.checkpoint_dir = Some(dir.clone());
+        resumed.resume = true;
+        let full = try_run_study(&resumed).expect("resumed run");
+        assert_matches_baseline(&full, &format!("stop={stop}"));
+        assert_chain_is_uninterrupted(&dir, &format!("stop={stop}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every segment after day 0 is an edit script over the day before: it
+/// cannot be decoded alone.
+#[test]
+fn segments_after_day_0_are_scripts_over_the_day_before() {
+    let chain = &chains()[0];
+    let mut base: Option<SweepFrame> = None;
+    for (i, (name, bytes)) in chain.iter().enumerate() {
+        let alone = decode_segment(bytes, None);
+        if i == 0 {
+            assert!(alone.is_ok(), "{name} is a keyframe");
+        } else {
+            assert!(
+                matches!(alone, Err(CheckpointError::ChainBroken { .. })),
+                "{name} needs its base"
+            );
+        }
+        let (day, _) = decode_segment(bytes, base.as_ref()).expect("decodes over its base");
+        base = Some(day.frame);
+    }
+}
+
+/// A damaged delta mid-chain is quarantined with every segment after it,
+/// and the resumed run re-measures from there: the report matches the
+/// baseline and the rewritten chain is the uninterrupted one.
+#[test]
+fn a_damaged_mid_chain_delta_quarantines_itself_and_what_follows() {
+    let dir = truncated_copy("corrupt-delta", 5, 0);
+    let victim = dir.join("day-000002.ckpt");
+    let mut bytes = std::fs::read(&victim).expect("read segment");
+    assert!(
+        decode_segment(&bytes, None).is_err(),
+        "day 2 is a script over day 1"
+    );
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&victim, &bytes).expect("rewrite segment");
+
+    let mut resumed = shrunk_config(1);
+    resumed.checkpoint_dir = Some(dir.clone());
+    resumed.resume = true;
+    let full = try_run_study(&resumed).expect("resume after corruption");
+    assert_matches_baseline(&full, "corrupted delta on day 2");
+    for day in 2..5 {
+        let aside = dir.join(format!("day-{day:06}.ckpt.quarantined"));
+        assert!(aside.exists(), "day {day} quarantined");
+    }
+    assert!(!dir.join("day-000001.ckpt.quarantined").exists());
+    assert_eq!(segment_count(&dir), 5);
+    assert_chain_is_uninterrupted(&dir, "after re-measuring days 2-4");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A corrupted mid-chain segment is quarantined (typed, reported), the

@@ -1,6 +1,6 @@
 //! Certificate authorities and their issuance policies.
 
-use crate::cert::{CertId, CertStore, DistinguishedName};
+use crate::cert::{CertId, CertStore, DistinguishedName, San};
 use ruwhere_types::{Country, Date, DomainName};
 use std::sync::Arc;
 
@@ -97,7 +97,34 @@ impl CertificateAuthority {
         brand_idx: usize,
         date: Date,
     ) -> Option<CertId> {
-        let is_russian = subject.is_russian_cctld() || san.iter().any(|d| d.is_russian_cctld());
+        self.issue_as(certs, subject, San::Names(san), brand_idx, date)
+    }
+
+    /// [`issue`](Self::issue) with the SAN list `subject`, then `www.` over
+    /// `subject`, without building the `www.` name: the store records
+    /// that shape as row flags. The caller makes sure `www.` over
+    /// `subject` is short enough to be a name.
+    pub fn issue_cn_and_www(
+        &mut self,
+        certs: &mut CertStore,
+        subject: &DomainName,
+        brand_idx: usize,
+        date: Date,
+    ) -> Option<CertId> {
+        self.issue_as(certs, subject, San::CnAndWww, brand_idx, date)
+    }
+
+    fn issue_as(
+        &mut self,
+        certs: &mut CertStore,
+        subject: &DomainName,
+        san: San<'_>,
+        brand_idx: usize,
+        date: Date,
+    ) -> Option<CertId> {
+        // `www.` over the CN is Russian exactly when the CN is.
+        let is_russian = subject.is_russian_cctld()
+            || matches!(san, San::Names(names) if names.iter().any(|d| d.is_russian_cctld()));
         if self.policy == CaPolicy::Suspended && is_russian {
             return None;
         }
@@ -131,6 +158,33 @@ mod tests {
 
     fn lets_encrypt() -> CertificateAuthority {
         CertificateAuthority::new("Let's Encrypt", Country::US, &["R3", "E1"], true, 90)
+    }
+
+    #[test]
+    fn the_www_shape_issues_what_the_spelled_out_list_does() {
+        let day = Date::from_ymd(2022, 1, 10);
+        let (mut spelled, mut shaped) = (lets_encrypt(), lets_encrypt());
+        let (mut a, mut b) = (CertStore::new(), CertStore::new());
+        for name in ["example.ru", "example.com"] {
+            let cn = d(name);
+            let san = [cn.clone(), cn.prepend("www").unwrap()];
+            let x = spelled.issue(&mut a, &cn, &san, 0, day).unwrap();
+            let y = shaped.issue_cn_and_www(&mut b, &cn, 0, day).unwrap();
+            let (x, y) = (a.get(x), b.get(y));
+            assert_eq!(x.fingerprint(), y.fingerprint());
+            let names =
+                |c: &crate::CertView<'_>| c.san().map(|n| n.parts().concat()).collect::<Vec<_>>();
+            assert_eq!(names(&x), names(&y));
+            assert_eq!(names(&y), [name.to_string(), format!("www.{name}")]);
+        }
+        // Suspension sees the `www.` name's TLD through the CN.
+        shaped.policy = CaPolicy::Suspended;
+        assert!(shaped
+            .issue_cn_and_www(&mut b, &d("x.ru"), 0, day)
+            .is_none());
+        assert!(shaped
+            .issue_cn_and_www(&mut b, &d("x.com"), 0, day)
+            .is_some());
     }
 
     #[test]

@@ -69,6 +69,15 @@ const SAN_CN_FIRST: u8 = 2;
 /// Row flag: the SAN list ends with `www.` over the CN.
 const SAN_WWW_LAST: u8 = 4;
 
+/// A certificate's SAN list, as [`CertStore::push`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum San<'a> {
+    /// These names, in order.
+    Names(&'a [DomainName]),
+    /// The CN, then `www.` over the CN.
+    CnAndWww,
+}
+
 /// One issuance, 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Row {
@@ -112,7 +121,7 @@ impl CertStore {
         issuer: &DistinguishedName,
         chain_orgs: &Arc<[String]>,
         subject: &DomainName,
-        san: &[DomainName],
+        san: San<'_>,
         not_before: Date,
         not_after: Date,
         logged: bool,
@@ -121,7 +130,13 @@ impl CertStore {
             CertId(u32::try_from(self.rows.len()).expect("certificate store exceeds u32 rows"));
         let brand = self.brand_id(issuer, chain_orgs);
         let mut flags = if logged { LOGGED } else { 0 };
-        let mut rest = san;
+        let mut rest = match san {
+            San::Names(names) => names,
+            San::CnAndWww => {
+                flags |= SAN_CN_FIRST | SAN_WWW_LAST;
+                &[]
+            }
+        };
         if let Some((first, tail)) = rest.split_first() {
             if first == subject {
                 flags |= SAN_CN_FIRST;
@@ -561,7 +576,7 @@ mod tests {
             let nb = Date::from_ymd(1970, 1, 1).add_days(not_before);
             let na = nb.add_days(validity);
             let mut store = CertStore::new();
-            let id = store.push(serial, &issuer, &Arc::from([]), &cn, &san, nb, na, logged);
+            let id = store.push(serial, &issuer, &Arc::from([]), &cn, San::Names(&san), nb, na, logged);
 
             let mut bytes = serial.to_be_bytes().to_vec();
             bytes.extend_from_slice(org.as_bytes());

@@ -6,7 +6,8 @@
 //! — a length-prefixed, CRC32-checksummed binary file carrying everything
 //! needed to replay that day without re-measuring it:
 //!
-//! - the sweep's metrics-stripped [`SweepFrame`] (columns + stats),
+//! - the sweep's metrics-stripped [`SweepFrame`]: its stats whole, its
+//!   columns as an edit script over the previous day's frame,
 //! - the [`Interner`] *delta* the sweep appended (new names and
 //!   countries, with before/after table sizes so the symbol chain can be
 //!   verified segment to segment),
@@ -25,27 +26,65 @@
 //! │ body         …                          │
 //! │ CRC32(body)  u32 LE                     │
 //! └─────────────────────────────────────────┘
+//! meta      version u32 (= 2) · fingerprint u64 · day index u32 · date i32
+//!           · network clock µs u64 · has base u8 · base rows u32
+//! interner  base and post table sizes (3 × u32 each) · names · countries
+//! frame     date i32 · rows, NS names, NS addrs, apex addrs (u32 each)
+//!           · 13 stats u64 · completeness u8 · script ops to the end
+//! op        0 copy u32 n   the next n base rows are unchanged
+//!           1 skip u32 n   the next n base rows left
+//!           2 row          one literal row: domain u32, then its NS names,
+//!                          NS addrs and apex addrs, each a u32 count and
+//!                          its entries (a name is a u32 symbol; an addr
+//!                          is ip, country and ASN, u32 each)
 //! ```
 //!
-//! Every failure mode of durable storage maps to a typed
-//! [`CheckpointError`], never a panic: truncation (torn write, short
-//! read) → [`CheckpointError::Truncated`], bit corruption →
-//! [`CheckpointError::BadChecksum`], a foreign or stale file →
-//! [`CheckpointError::BadMagic`] / [`CheckpointError::BadVersion`], a
-//! directory from a differently-configured study →
-//! [`CheckpointError::ConfigMismatch`].
+//! Every integer is little-endian. Every failure mode of durable storage
+//! maps to a typed [`CheckpointError`], never a panic: truncation (torn
+//! write, short read) → [`CheckpointError::Truncated`], bit corruption →
+//! [`CheckpointError::BadChecksum`], a foreign file →
+//! [`CheckpointError::BadMagic`], a chain in another format →
+//! [`CheckpointError::BadVersion`], a directory from a
+//! differently-configured study → [`CheckpointError::ConfigMismatch`].
+//!
+//! # Frames as edit scripts
+//!
+//! The paper re-resolves every name every day, so consecutive frames are
+//! nearly identical: a frame section is a script over a **base** frame,
+//! and the base is the previous day's frame. A **keyframe** is the same
+//! script over the empty frame (all literal rows). Rows are matched by
+//! domain symbol; an unchanged row is copied, a changed one is a skip plus
+//! a literal, and so is a row that moved, so correctness never depends on
+//! row order. Each segment still carries its own stats, completeness
+//! flag, interner delta and network clock whole.
+//!
+//! [`CheckpointDir::write_day`] scripts a segment over the last frame the
+//! directory wrote, or the last frame a [`Replay`] over it yielded, when
+//! the segment is that frame's next day, and writes a keyframe otherwise
+//! (day 0, or a day written out of order). So a resumed run writes the
+//! same bytes as an uninterrupted one. The meta section records whether
+//! the segment has a base and the base's row count; a base of any other
+//! length is a [`CheckpointError::ChainBroken`]. Every copy and skip is
+//! bounds-checked against the base, and the script must consume the whole
+//! base and land on the declared column lengths, or the segment is
+//! [`CheckpointError::Malformed`].
 //!
 //! # Replay and quarantine policy
 //!
 //! [`CheckpointDir::replay`] streams the longest valid prefix: each step
-//! reads, checksums, decodes and validates one segment against the chain
-//! so far, so a resume holds one decoded day at a time however long the
-//! study ran. The first damaged segment — and every segment after it,
-//! since interner deltas chain — is **quarantined**: renamed aside to the
+//! reads, checksums and validates one segment against the chain so far,
+//! and rebuilds its frame from the day before. The walk keeps that one
+//! base frame, so with a caller that drops each day before pulling the
+//! next it holds two days at a time however long the study ran. The first
+//! damaged segment — and every segment after it, since interner deltas
+//! and frame scripts chain — is **quarantined**: renamed aside to the
 //! first free `<name>.quarantined` (then `<name>.1.quarantined`, …, so a
 //! day damaged on two resumes keeps both copies) and reported in
 //! [`Replay::quarantined`], so a resumed run re-measures from the last
-//! valid day instead of panicking (or worse, trusting corrupt bytes).
+//! valid day instead of panicking (or worse, trusting corrupt bytes). A
+//! segment from another study ([`CheckpointError::ConfigMismatch`]) or in
+//! another format version ([`CheckpointError::BadVersion`]) is not damage:
+//! it ends the walk as a hard error with nothing renamed.
 //! [`CheckpointDir::load`] is the same walk collected into a
 //! [`LoadOutcome`]. Writes are atomic (temp file + fsync + rename), so a
 //! crash mid-write leaves a stray `.tmp` the reader ignores, never a
@@ -58,17 +97,23 @@ use crate::frame::{AddrColumns, SweepFrame};
 use crate::stats::{Completeness, SweepStats};
 use crate::sym::{CountrySym, Interner, Sym};
 use crate::SweepMetrics;
-use ruwhere_types::{Asn, Country, Date, DomainName};
+use ruwhere_types::sync::lock;
+use ruwhere_types::{Asn, Country, Date, DomainName, FastMap};
 use std::fmt;
 use std::io::Write as _;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
-/// Magic bytes opening every day segment ("RUW checkpoint, format 1").
+/// Magic bytes opening every day segment, whatever its format version
+/// (which the meta section carries).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"RUWCKPT1";
 
-/// Current segment format version (stored in the meta section).
-pub const SEGMENT_VERSION: u32 = 1;
+/// Current segment format version (stored in the meta section). Version
+/// 2 stores each frame as an edit script over the day before; version 1
+/// stored every frame whole.
+pub const SEGMENT_VERSION: u32 = 2;
 
 /// File-name extension quarantined segments are renamed to.
 pub const QUARANTINE_SUFFIX: &str = "quarantined";
@@ -86,7 +131,8 @@ pub enum CheckpointError {
     },
     /// The file does not start with [`SEGMENT_MAGIC`].
     BadMagic,
-    /// The segment declares a format version this build cannot read.
+    /// The segment declares a format version this build cannot read: a
+    /// chain in another format, not damage.
     BadVersion(u32),
     /// The file ends before a declared length — a torn or truncated
     /// write.
@@ -323,10 +369,16 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn push_section(out: &mut Vec<u8>, body: &[u8]) {
-    put_u32(out, body.len() as u32);
-    out.extend_from_slice(body);
-    put_u32(out, crc32(body));
+/// Append one `len | body | crc` section whose body `write` appends.
+fn push_section(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    write(out);
+    let body = at + 4..out.len();
+    let len = body.len() as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[body]);
+    put_u32(out, crc);
 }
 
 /// Read one `len | body | crc` section, verifying length and checksum.
@@ -462,61 +514,185 @@ pub struct DayCheckpoint {
     pub frame: SweepFrame,
 }
 
-fn encode_meta(ck: &DayCheckpoint, fingerprint: u64) -> Vec<u8> {
-    let mut b = Vec::with_capacity(40);
-    put_u32(&mut b, SEGMENT_VERSION);
-    put_u64(&mut b, fingerprint);
-    put_u32(&mut b, ck.day_index);
-    put_i32(&mut b, ck.date.days_since_epoch());
-    put_u64(&mut b, ck.net_clock_us);
-    b
+/// A decoded meta section.
+struct Meta {
+    fingerprint: u64,
+    day_index: u32,
+    date: Date,
+    net_clock_us: u64,
+    /// The row count of the frame the script runs over; `None` for a
+    /// keyframe.
+    base_rows: Option<u32>,
 }
 
-fn encode_interner(d: &InternerDelta) -> Vec<u8> {
-    let mut b = Vec::new();
+/// Meta body length: version, fingerprint, day index, date, clock, base
+/// flag and base rows.
+const META_LEN: usize = 4 + 8 + 4 + 4 + 8 + 1 + 4;
+
+fn encode_meta(b: &mut Vec<u8>, ck: &DayCheckpoint, fingerprint: u64, base_rows: Option<u32>) {
+    put_u32(b, SEGMENT_VERSION);
+    put_u64(b, fingerprint);
+    put_u32(b, ck.day_index);
+    put_i32(b, ck.date.days_since_epoch());
+    put_u64(b, ck.net_clock_us);
+    put_u8(b, u8::from(base_rows.is_some()));
+    put_u32(b, base_rows.unwrap_or(0));
+}
+
+fn interner_len(d: &InternerDelta) -> usize {
+    let names: usize = d.names.iter().map(|n| 2 + n.as_str().len()).sum();
+    let countries: usize = d.countries.iter().map(|c| 2 + c.code().len()).sum();
+    6 * 4 + 4 + names + 4 + countries
+}
+
+fn encode_interner(b: &mut Vec<u8>, d: &InternerDelta) {
     for s in [d.base, d.post] {
-        put_u32(&mut b, s.names);
-        put_u32(&mut b, s.tlds);
-        put_u32(&mut b, s.countries);
+        put_u32(b, s.names);
+        put_u32(b, s.tlds);
+        put_u32(b, s.countries);
     }
-    put_u32(&mut b, d.names.len() as u32);
+    put_u32(b, d.names.len() as u32);
     for n in &d.names {
-        put_str(&mut b, n.as_ref());
+        put_str(b, n.as_ref());
     }
-    put_u32(&mut b, d.countries.len() as u32);
+    put_u32(b, d.countries.len() as u32);
     for c in &d.countries {
-        put_str(&mut b, c.code());
+        put_str(b, c.code());
     }
-    b
 }
 
-fn encode_addrs(b: &mut Vec<u8>, cols: &AddrColumns) {
-    put_u32(b, cols.ips.len() as u32);
-    for i in 0..cols.ips.len() {
+/// One step of a frame script (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// The next n base rows are unchanged.
+    Copy(u32),
+    /// The next n base rows left.
+    Skip(u32),
+    /// Row i of the new frame, written out whole.
+    Row(u32),
+}
+
+const OP_COPY: u8 = 0;
+const OP_SKIP: u8 = 1;
+const OP_ROW: u8 = 2;
+
+/// Append `op`, merging it into the last op when both copy or both skip.
+fn push_op(ops: &mut Vec<Op>, op: Op) {
+    match (ops.last_mut(), op) {
+        (Some(Op::Copy(n)), Op::Copy(m)) | (Some(Op::Skip(n)), Op::Skip(m)) => *n += m,
+        _ => ops.push(op),
+    }
+}
+
+/// Record `i`'s half-open range of a data column.
+fn span(offsets: &[u32], i: usize) -> Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
+fn same_addrs(a: &AddrColumns, ra: Range<usize>, b: &AddrColumns, rb: Range<usize>) -> bool {
+    a.ips[ra.clone()] == b.ips[rb.clone()]
+        && a.countries[ra.clone()] == b.countries[rb.clone()]
+        && a.asns[ra] == b.asns[rb]
+}
+
+/// Whether row `i` of `a` and row `j` of `b` are the same record.
+fn same_row(a: &SweepFrame, i: usize, b: &SweepFrame, j: usize) -> bool {
+    a.domains[i] == b.domains[j]
+        && a.ns_names[span(&a.ns_name_offsets, i)] == b.ns_names[span(&b.ns_name_offsets, j)]
+        && same_addrs(
+            &a.ns_addrs,
+            span(&a.ns_addr_offsets, i),
+            &b.ns_addrs,
+            span(&b.ns_addr_offsets, j),
+        )
+        && same_addrs(
+            &a.apex_addrs,
+            span(&a.apex_addr_offsets, i),
+            &b.apex_addrs,
+            span(&b.apex_addr_offsets, j),
+        )
+}
+
+/// The script that rebuilds `frame` from `base`, or from the empty frame.
+/// Rows are matched by domain symbol, walking both frames forward: the
+/// base rows before a match are skipped, a matched row is copied when it
+/// is unchanged, and every other row is a literal.
+fn script(frame: &SweepFrame, base: Option<&SweepFrame>) -> Vec<Op> {
+    let Some(base) = base else {
+        return (0..frame.len() as u32).map(Op::Row).collect();
+    };
+    let at: FastMap<Sym, u32> = base
+        .domains
+        .iter()
+        .enumerate()
+        .map(|(j, &d)| (d, j as u32))
+        .collect();
+    let mut ops = Vec::new();
+    // The first base row not yet copied or skipped.
+    let mut next = 0u32;
+    for (i, d) in frame.domains.iter().enumerate() {
+        match at.get(d) {
+            Some(&j) if j >= next => {
+                if j > next {
+                    push_op(&mut ops, Op::Skip(j - next));
+                }
+                if same_row(frame, i, base, j as usize) {
+                    push_op(&mut ops, Op::Copy(1));
+                } else {
+                    push_op(&mut ops, Op::Skip(1));
+                    push_op(&mut ops, Op::Row(i as u32));
+                }
+                next = j + 1;
+            }
+            _ => push_op(&mut ops, Op::Row(i as u32)),
+        }
+    }
+    let rows = base.len() as u32;
+    if next < rows {
+        push_op(&mut ops, Op::Skip(rows - next));
+    }
+    ops
+}
+
+/// Frame body bytes before the script: date, four lengths, 13 stats and
+/// the completeness tag.
+const FRAME_HEAD_LEN: usize = 4 + 4 * 4 + 13 * 8 + 1;
+
+fn frame_len(f: &SweepFrame, ops: &[Op]) -> usize {
+    let op_len = |op: &Op| match *op {
+        Op::Copy(_) | Op::Skip(_) => 1 + 4,
+        Op::Row(i) => {
+            let i = i as usize;
+            1 + 4
+                + 4 * (1 + span(&f.ns_name_offsets, i).len())
+                + 4
+                + 12 * span(&f.ns_addr_offsets, i).len()
+                + 4
+                + 12 * span(&f.apex_addr_offsets, i).len()
+        }
+    };
+    FRAME_HEAD_LEN + ops.iter().map(op_len).sum::<usize>()
+}
+
+fn encode_addrs(b: &mut Vec<u8>, cols: &AddrColumns, range: Range<usize>) {
+    put_u32(b, range.len() as u32);
+    for i in range {
         put_u32(b, u32::from(cols.ips[i]));
         put_u32(b, cols.countries[i].0);
         put_u32(b, cols.asns[i].map(|a| a.0).unwrap_or(u32::MAX));
     }
 }
 
-fn encode_frame(f: &SweepFrame) -> Vec<u8> {
-    let mut b = Vec::new();
-    put_i32(&mut b, f.date.days_since_epoch());
-    put_u32(&mut b, f.domains.len() as u32);
-    for d in &f.domains {
-        put_u32(&mut b, d.0);
+fn encode_frame(b: &mut Vec<u8>, f: &SweepFrame, ops: &[Op]) {
+    put_i32(b, f.date.days_since_epoch());
+    for len in [
+        f.domains.len(),
+        f.ns_names.len(),
+        f.ns_addrs.ips.len(),
+        f.apex_addrs.ips.len(),
+    ] {
+        put_u32(b, len as u32);
     }
-    for offsets in [&f.ns_name_offsets, &f.ns_addr_offsets, &f.apex_addr_offsets] {
-        for &o in offsets.iter() {
-            put_u32(&mut b, o);
-        }
-    }
-    put_u32(&mut b, f.ns_names.len() as u32);
-    for s in &f.ns_names {
-        put_u32(&mut b, s.0);
-    }
-    encode_addrs(&mut b, &f.ns_addrs);
-    encode_addrs(&mut b, &f.apex_addrs);
     let st = &f.stats;
     for v in [
         st.seeded,
@@ -533,25 +709,58 @@ fn encode_frame(f: &SweepFrame) -> Vec<u8> {
         st.shards_retried,
         st.shards_lost,
     ] {
-        put_u64(&mut b, v);
+        put_u64(b, v);
     }
     put_u8(
-        &mut b,
+        b,
         match st.completeness {
             Completeness::Full => 0,
             Completeness::Partial => 1,
         },
     );
-    b
+    for &op in ops {
+        match op {
+            Op::Copy(n) => {
+                put_u8(b, OP_COPY);
+                put_u32(b, n);
+            }
+            Op::Skip(n) => {
+                put_u8(b, OP_SKIP);
+                put_u32(b, n);
+            }
+            Op::Row(i) => {
+                let i = i as usize;
+                put_u8(b, OP_ROW);
+                put_u32(b, f.domains[i].0);
+                let names = &f.ns_names[span(&f.ns_name_offsets, i)];
+                put_u32(b, names.len() as u32);
+                for s in names {
+                    put_u32(b, s.0);
+                }
+                encode_addrs(b, &f.ns_addrs, span(&f.ns_addr_offsets, i));
+                encode_addrs(b, &f.apex_addrs, span(&f.apex_addr_offsets, i));
+            }
+        }
+    }
 }
 
-/// Serialise a day checkpoint to segment bytes.
-pub fn encode_segment(ck: &DayCheckpoint, fingerprint: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
+/// Serialise a day checkpoint to segment bytes, its frame scripted over
+/// `base` (the previous day's frame), or as a keyframe when `base` is
+/// `None`. The segment is written into one buffer of its exact size.
+pub fn encode_segment(ck: &DayCheckpoint, fingerprint: u64, base: Option<&SweepFrame>) -> Vec<u8> {
+    let ops = script(&ck.frame, base);
+    let len = SEGMENT_MAGIC.len()
+        + 3 * 8
+        + META_LEN
+        + interner_len(&ck.interner)
+        + frame_len(&ck.frame, &ops);
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(SEGMENT_MAGIC);
-    push_section(&mut out, &encode_meta(ck, fingerprint));
-    push_section(&mut out, &encode_interner(&ck.interner));
-    push_section(&mut out, &encode_frame(&ck.frame));
+    let base_rows = base.map(|f| f.len() as u32);
+    push_section(&mut out, |b| encode_meta(b, ck, fingerprint, base_rows));
+    push_section(&mut out, |b| encode_interner(b, &ck.interner));
+    push_section(&mut out, |b| encode_frame(b, &ck.frame, &ops));
+    debug_assert_eq!(out.len(), len, "segment size estimate");
     out
 }
 
@@ -564,7 +773,7 @@ fn decode_date(days: i32, section: &'static str) -> Result<Date, CheckpointError
     Ok(Date::from_days(days))
 }
 
-fn decode_meta(body: &[u8]) -> Result<(u64, u32, Date, u64), CheckpointError> {
+fn decode_meta(body: &[u8]) -> Result<Meta, CheckpointError> {
     let r = &mut Reader::new(body);
     let map = |_| malformed("meta", "short body");
     let version = r.u32().map_err(map)?;
@@ -575,10 +784,26 @@ fn decode_meta(body: &[u8]) -> Result<(u64, u32, Date, u64), CheckpointError> {
     let day_index = r.u32().map_err(map)?;
     let date = decode_date(r.i32().map_err(map)?, "meta")?;
     let net_clock_us = r.u64().map_err(map)?;
+    let base_rows = match (r.u8().map_err(map)?, r.u32().map_err(map)?) {
+        (0, 0) => None,
+        (1, rows) => Some(rows),
+        (flag, rows) => {
+            return Err(malformed(
+                "meta",
+                format!("bad base flag {flag} with {rows} base rows"),
+            ))
+        }
+    };
     if !r.done() {
         return Err(malformed("meta", "trailing bytes"));
     }
-    Ok((fingerprint, day_index, date, net_clock_us))
+    Ok(Meta {
+        fingerprint,
+        day_index,
+        date,
+        net_clock_us,
+        base_rows,
+    })
 }
 
 fn decode_interner(body: &[u8]) -> Result<InternerDelta, CheckpointError> {
@@ -625,68 +850,97 @@ fn decode_interner(body: &[u8]) -> Result<InternerDelta, CheckpointError> {
     })
 }
 
-fn decode_addrs(r: &mut Reader<'_>, body_len: usize) -> Result<AddrColumns, CheckpointError> {
-    const S: &str = "frame";
-    let map = |_| malformed(S, "short body");
-    let len = r.u32().map_err(map)? as usize;
-    let mut cols = AddrColumns::default();
-    cols.ips.reserve(len.min(body_len / 12));
-    for _ in 0..len {
-        let ip = Ipv4Addr::from(r.u32().map_err(map)?);
-        let country = CountrySym(r.u32().map_err(map)?);
-        let asn = match r.u32().map_err(map)? {
-            u32::MAX => None,
-            v => Some(Asn(v)),
-        };
-        cols.ips.push(ip);
-        cols.countries.push(country);
-        cols.asns.push(asn);
+/// An empty address table with room for `len` entries.
+fn addrs_with_capacity(len: usize) -> AddrColumns {
+    AddrColumns {
+        ips: Vec::with_capacity(len),
+        countries: Vec::with_capacity(len),
+        asns: Vec::with_capacity(len),
     }
-    Ok(cols)
 }
 
-fn check_offsets(offsets: &[u32], records: usize, len: usize) -> Result<(), CheckpointError> {
-    const S: &str = "frame";
-    if offsets.len() != records + 1 {
-        return Err(malformed(S, "offset column length mismatch"));
+/// An offset column holding only its leading 0, with room for `rows`.
+fn offsets_with_capacity(rows: usize) -> Vec<u32> {
+    let mut v = Vec::with_capacity(rows + 1);
+    v.push(0);
+    v
+}
+
+/// Append one literal row's addresses, then its closing offset.
+fn decode_addrs(
+    r: &mut Reader<'_>,
+    cols: &mut AddrColumns,
+    offsets: &mut Vec<u32>,
+) -> Result<(), CheckpointError> {
+    let map = |_| malformed("frame", "short body");
+    let len = r.u32().map_err(map)?;
+    for _ in 0..len {
+        cols.ips.push(Ipv4Addr::from(r.u32().map_err(map)?));
+        cols.countries.push(CountrySym(r.u32().map_err(map)?));
+        cols.asns.push(match r.u32().map_err(map)? {
+            u32::MAX => None,
+            v => Some(Asn(v)),
+        });
     }
-    if offsets.first() != Some(&0) || offsets.last().copied() != Some(len as u32) {
-        return Err(malformed(S, "offset column endpoints mismatch"));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(malformed(S, "offsets not monotonic"));
-    }
+    offsets.push(cols.ips.len() as u32);
     Ok(())
 }
 
-fn decode_frame(body: &[u8]) -> Result<SweepFrame, CheckpointError> {
+/// Append one literal row.
+fn decode_row(r: &mut Reader<'_>, f: &mut SweepFrame) -> Result<(), CheckpointError> {
+    let map = |_| malformed("frame", "short body");
+    f.domains.push(Sym(r.u32().map_err(map)?));
+    for _ in 0..r.u32().map_err(map)? {
+        f.ns_names.push(Sym(r.u32().map_err(map)?));
+    }
+    f.ns_name_offsets.push(f.ns_names.len() as u32);
+    decode_addrs(r, &mut f.ns_addrs, &mut f.ns_addr_offsets)?;
+    decode_addrs(r, &mut f.apex_addrs, &mut f.apex_addr_offsets)
+}
+
+/// Append `src`'s offsets for `rows`, shifted to continue `dst`, and
+/// return the data range they delimit in `src`.
+fn copy_offsets(dst: &mut Vec<u32>, src: &[u32], rows: Range<usize>) -> Range<usize> {
+    let (start, end) = (src[rows.start], src[rows.end]);
+    let at = dst.last().copied().unwrap_or(0);
+    dst.extend(
+        src[rows.start + 1..=rows.end]
+            .iter()
+            .map(|&o| o - start + at),
+    );
+    start as usize..end as usize
+}
+
+fn copy_addrs(dst: &mut AddrColumns, src: &AddrColumns, range: Range<usize>) {
+    dst.ips.extend_from_slice(&src.ips[range.clone()]);
+    dst.countries
+        .extend_from_slice(&src.countries[range.clone()]);
+    dst.asns.extend_from_slice(&src.asns[range]);
+}
+
+/// Append base rows `rows` unchanged.
+fn copy_rows(f: &mut SweepFrame, base: &SweepFrame, rows: Range<usize>) {
+    f.domains.extend_from_slice(&base.domains[rows.clone()]);
+    let names = copy_offsets(&mut f.ns_name_offsets, &base.ns_name_offsets, rows.clone());
+    f.ns_names.extend_from_slice(&base.ns_names[names]);
+    let ns = copy_offsets(&mut f.ns_addr_offsets, &base.ns_addr_offsets, rows.clone());
+    copy_addrs(&mut f.ns_addrs, &base.ns_addrs, ns);
+    let apex = copy_offsets(&mut f.apex_addr_offsets, &base.apex_addr_offsets, rows);
+    copy_addrs(&mut f.apex_addrs, &base.apex_addrs, apex);
+}
+
+/// Rebuild a frame from its section body and the base its script runs
+/// over (`None` for a keyframe). `base` must be a well-formed frame, as
+/// every built or decoded one is; the body may be anything.
+fn decode_frame(body: &[u8], base: Option<&SweepFrame>) -> Result<SweepFrame, CheckpointError> {
     const S: &str = "frame";
     let r = &mut Reader::new(body);
     let map = |_| malformed(S, "short body");
     let date = decode_date(r.i32().map_err(map)?, S)?;
-    let n = r.u32().map_err(map)? as usize;
-    let read_syms = |r: &mut Reader<'_>, count: usize| -> Result<Vec<Sym>, CheckpointError> {
-        let mut v = Vec::with_capacity(count.min(body.len() / 4));
-        for _ in 0..count {
-            v.push(Sym(r.u32().map_err(map)?));
-        }
-        Ok(v)
-    };
-    let read_offsets = |r: &mut Reader<'_>| -> Result<Vec<u32>, CheckpointError> {
-        let mut v = Vec::with_capacity((n + 1).min(body.len() / 4));
-        for _ in 0..n + 1 {
-            v.push(r.u32().map_err(map)?);
-        }
-        Ok(v)
-    };
-    let domains = read_syms(r, n)?;
-    let ns_name_offsets = read_offsets(r)?;
-    let ns_addr_offsets = read_offsets(r)?;
-    let apex_addr_offsets = read_offsets(r)?;
-    let n_ns_names = r.u32().map_err(map)? as usize;
-    let ns_names = read_syms(r, n_ns_names)?;
-    let ns_addrs = decode_addrs(r, body.len())?;
-    let apex_addrs = decode_addrs(r, body.len())?;
+    let mut lens = [0usize; 4];
+    for len in &mut lens {
+        *len = r.u32().map_err(map)? as usize;
+    }
     let mut stats = [0u64; 13];
     for v in &mut stats {
         *v = r.u64().map_err(map)?;
@@ -696,21 +950,28 @@ fn decode_frame(body: &[u8]) -> Result<SweepFrame, CheckpointError> {
         1 => Completeness::Partial,
         v => return Err(malformed(S, format!("bad completeness tag {v}"))),
     };
-    if !r.done() {
-        return Err(malformed(S, "trailing bytes"));
-    }
-    check_offsets(&ns_name_offsets, n, ns_names.len())?;
-    check_offsets(&ns_addr_offsets, n, ns_addrs.ips.len())?;
-    check_offsets(&apex_addr_offsets, n, apex_addrs.ips.len())?;
-    Ok(SweepFrame {
+    // Reserve the declared lengths, but no more than the base and the
+    // body could supply, so a bad length cannot ask for a huge buffer.
+    let room = |declared: usize, in_base: usize| declared.min(in_base + body.len());
+    let (rows_in_base, names_in_base, ns_in_base, apex_in_base) = base.map_or((0, 0, 0, 0), |b| {
+        (
+            b.len(),
+            b.ns_names.len(),
+            b.ns_addrs.ips.len(),
+            b.apex_addrs.ips.len(),
+        )
+    });
+    let [rows, names, ns, apex] = lens;
+    let rows_room = room(rows, rows_in_base);
+    let mut f = SweepFrame {
         date,
-        domains,
-        ns_name_offsets,
-        ns_names,
-        ns_addr_offsets,
-        ns_addrs,
-        apex_addr_offsets,
-        apex_addrs,
+        domains: Vec::with_capacity(rows_room),
+        ns_name_offsets: offsets_with_capacity(rows_room),
+        ns_names: Vec::with_capacity(room(names, names_in_base)),
+        ns_addr_offsets: offsets_with_capacity(rows_room),
+        ns_addrs: addrs_with_capacity(room(ns, ns_in_base)),
+        apex_addr_offsets: offsets_with_capacity(rows_room),
+        apex_addrs: addrs_with_capacity(room(apex, apex_in_base)),
         stats: SweepStats {
             seeded: stats[0],
             ns_failures: stats[1],
@@ -728,14 +989,58 @@ fn decode_frame(body: &[u8]) -> Result<SweepFrame, CheckpointError> {
             completeness,
         },
         metrics: SweepMetrics::new(),
-    })
+    };
+    // The first base row not yet copied or skipped.
+    let mut next = 0usize;
+    while !r.done() {
+        let op = r.u8().map_err(map)?;
+        if op == OP_ROW {
+            decode_row(r, &mut f)?;
+            continue;
+        }
+        if op != OP_COPY && op != OP_SKIP {
+            return Err(malformed(S, format!("bad script op {op}")));
+        }
+        let n = r.u32().map_err(map)? as usize;
+        let end = next + n;
+        if n == 0 || end > rows_in_base {
+            return Err(malformed(
+                S,
+                format!(
+                    "{} of {n} rows at base row {next} passes the base's end ({rows_in_base} rows)",
+                    if op == OP_COPY { "copy" } else { "skip" }
+                ),
+            ));
+        }
+        if let (OP_COPY, Some(base)) = (op, base) {
+            copy_rows(&mut f, base, next..end);
+        }
+        next = end;
+    }
+    if next != rows_in_base {
+        return Err(malformed(
+            S,
+            format!("script consumed {next} of the base's {rows_in_base} rows"),
+        ));
+    }
+    if [
+        f.len(),
+        f.ns_names.len(),
+        f.ns_addrs.ips.len(),
+        f.apex_addrs.ips.len(),
+    ] != lens
+    {
+        return Err(malformed(
+            S,
+            "rebuilt columns disagree with the declared lengths",
+        ));
+    }
+    Ok(f)
 }
 
-/// Parse segment bytes back into a day checkpoint and the fingerprint it
-/// was written under. Returns a typed error for every corruption mode —
-/// truncation at any byte offset, any flipped bit, foreign files — and
-/// never panics.
-pub fn decode_segment(bytes: &[u8]) -> Result<(DayCheckpoint, u64), CheckpointError> {
+/// Check a segment's magic and section checksums and decode its meta,
+/// returning the interner and frame bodies undecoded.
+fn open_segment(bytes: &[u8]) -> Result<(Meta, &[u8], &[u8]), CheckpointError> {
     let r = &mut Reader::new(bytes);
     if r.take(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
         return Err(CheckpointError::BadMagic);
@@ -746,22 +1051,59 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(DayCheckpoint, u64), CheckpointEr
     if !r.done() {
         return Err(malformed("frame", "trailing bytes after last section"));
     }
-    let (fingerprint, day_index, date, net_clock_us) = decode_meta(meta)?;
-    let interner = decode_interner(interner)?;
-    let frame = decode_frame(frame)?;
-    if frame.date != date {
+    Ok((decode_meta(meta)?, interner, frame))
+}
+
+/// Finish decoding an opened segment from its decoded interner delta and
+/// its frame body, the frame rebuilt over `base` when the segment has
+/// one.
+fn finish_segment(
+    meta: &Meta,
+    interner: InternerDelta,
+    frame: &[u8],
+    base: Option<&SweepFrame>,
+) -> Result<DayCheckpoint, CheckpointError> {
+    let base = match (meta.base_rows, base) {
+        (None, _) => None,
+        (Some(rows), Some(b)) if b.len() == rows as usize => Some(b),
+        (Some(rows), b) => {
+            return Err(CheckpointError::ChainBroken {
+                detail: format!(
+                    "segment is a script over a {rows}-row frame, but {}",
+                    b.map_or("no base frame was given".to_string(), |b| format!(
+                        "the base frame has {} rows",
+                        b.len()
+                    ))
+                ),
+            })
+        }
+    };
+    let frame = decode_frame(frame, base)?;
+    if frame.date != meta.date {
         return Err(malformed("frame", "frame date disagrees with meta date"));
     }
-    Ok((
-        DayCheckpoint {
-            day_index,
-            date,
-            net_clock_us,
-            interner,
-            frame,
-        },
-        fingerprint,
-    ))
+    Ok(DayCheckpoint {
+        day_index: meta.day_index,
+        date: meta.date,
+        net_clock_us: meta.net_clock_us,
+        interner,
+        frame,
+    })
+}
+
+/// Parse segment bytes back into a day checkpoint and the fingerprint it
+/// was written under, rebuilding the frame over `base` (the previous
+/// day's frame) when the segment is scripted over one. Returns a typed
+/// error for every corruption mode — truncation at any byte offset, any
+/// flipped bit, foreign files, a base of the wrong length — and never
+/// panics.
+pub fn decode_segment(
+    bytes: &[u8],
+    base: Option<&SweepFrame>,
+) -> Result<(DayCheckpoint, u64), CheckpointError> {
+    let (meta, interner, frame) = open_segment(bytes)?;
+    let day = finish_segment(&meta, decode_interner(interner)?, frame, base)?;
+    Ok((day, meta.fingerprint))
 }
 
 // --- the checkpoint directory ------------------------------------------
@@ -790,9 +1132,13 @@ pub struct LoadOutcome {
 
 /// A directory of day segments (`day-000000.ckpt`, `day-000001.ckpt`, …)
 /// with atomic writes and quarantine-on-read.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CheckpointDir {
     dir: PathBuf,
+    /// The frame the next day's segment is scripted over, with its day
+    /// index: the last frame written, or the last one a finished
+    /// [`Replay`] over this directory yielded.
+    base: Mutex<Option<(u32, SweepFrame)>>,
 }
 
 impl CheckpointDir {
@@ -806,7 +1152,10 @@ impl CheckpointDir {
         let probe = dir.join(".ruwhere-probe");
         std::fs::write(&probe, b"probe").map_err(|e| io_err(&probe, e))?;
         std::fs::remove_file(&probe).map_err(|e| io_err(&probe, e))?;
-        Ok(CheckpointDir { dir })
+        Ok(CheckpointDir {
+            dir,
+            base: Mutex::new(None),
+        })
     }
 
     /// The directory path.
@@ -819,8 +1168,9 @@ impl CheckpointDir {
         self.dir.join(format!("day-{day_index:06}.ckpt"))
     }
 
-    /// Day-segment files present, sorted by day index.
-    fn segment_files(&self) -> Result<Vec<(u32, PathBuf)>, CheckpointError> {
+    /// Day indices of the segment files present, sorted; each file is at
+    /// [`segment_path`](CheckpointDir::segment_path).
+    fn segment_files(&self) -> Result<Vec<u32>, CheckpointError> {
         let mut files = Vec::new();
         let entries = std::fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
         for entry in entries {
@@ -835,9 +1185,9 @@ impl CheckpointDir {
             else {
                 continue;
             };
-            files.push((idx, entry.path()));
+            files.push(idx);
         }
-        files.sort_unstable_by_key(|(idx, _)| *idx);
+        files.sort_unstable();
         Ok(files)
     }
 
@@ -850,16 +1200,29 @@ impl CheckpointDir {
     /// fsync, rename into place. A crash at any point leaves either the
     /// previous state or the complete new segment — never a torn file
     /// under the segment name.
+    ///
+    /// The frame is scripted over the directory's base frame when `ck` is
+    /// that frame's next day, and written as a keyframe otherwise; then
+    /// `ck`'s frame becomes the base.
     pub fn write_day(&self, ck: &DayCheckpoint, fingerprint: u64) -> Result<(), CheckpointError> {
-        let bytes = encode_segment(ck, fingerprint);
+        let mut base = lock(&self.base);
         let path = self.segment_path(ck.day_index);
         let tmp = path.with_extension("ckpt.tmp");
         {
+            let over = base
+                .as_ref()
+                .filter(|(day, _)| ck.day_index.checked_sub(1) == Some(*day))
+                .map(|(_, frame)| frame);
+            let bytes = encode_segment(ck, fingerprint, over);
             let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
             f.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
             f.sync_all().map_err(|e| io_err(&tmp, e))?;
         }
         std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        // Drop the old base before copying the new one, so the writer
+        // never holds two.
+        *base = None;
+        *base = Some((ck.day_index, ck.frame.clone()));
         Ok(())
     }
 
@@ -897,28 +1260,35 @@ impl CheckpointDir {
     ///
     /// Each [`Iterator::next`] reads, decodes and validates the next
     /// segment in day order — magic, checksums, version, the day-index
-    /// chain (0, 1, 2, … with strictly increasing dates) and the
+    /// chain (0, 1, 2, … with strictly increasing dates), the
     /// interner-size chain (each delta's `base` must equal the previous
-    /// delta's `post`) — so a caller that drops each day before pulling
-    /// the next holds one decoded day at a time, however long the study.
-    /// The first segment that fails — and every later one, which depends
-    /// on its symbols — is renamed aside and reported in
-    /// [`Replay::quarantined`], and the walk ends. A replay dropped before
-    /// it ends leaves the segments it has not reached untouched.
+    /// delta's `post`) and the frame script against the previous day's
+    /// frame — so a caller that drops each day before pulling the next
+    /// holds two days at a time (the one it holds and the walk's base),
+    /// however long the study. The first segment that fails — and every
+    /// later one, which depends on its symbols and its frame — is renamed
+    /// aside and reported in [`Replay::quarantined`], and the walk ends.
+    /// A replay dropped before it ends leaves the segments it has not
+    /// reached untouched. When the walk ends, the last frame it yielded
+    /// becomes the base [`write_day`](CheckpointDir::write_day) scripts
+    /// the next day over.
     ///
     /// A structurally valid segment carrying a different config
     /// fingerprint yields a hard [`CheckpointError::ConfigMismatch`] and
     /// ends the walk with nothing renamed: the caller pointed at the
     /// wrong directory, and silently re-measuring it would destroy
-    /// someone else's checkpoints. Listing the directory is the only
-    /// work done before the first step.
+    /// someone else's checkpoints. A segment in another format version
+    /// is a hard [`CheckpointError::BadVersion`] the same way: the chain
+    /// is not damaged, this build just cannot read it. Listing the
+    /// directory is the only work done before the first step.
     pub fn replay(&self, fingerprint: u64) -> Result<Replay<'_>, CheckpointError> {
         Ok(Replay {
             store: self,
             fingerprint,
             files: self.segment_files()?.into_iter(),
             chain: TableSizes::default(),
-            last_date: None,
+            base: None,
+            ended: false,
             days: 0,
             quarantined: Vec::new(),
         })
@@ -939,16 +1309,22 @@ impl CheckpointDir {
 
 /// A streaming walk over a checkpoint directory's valid day prefix (see
 /// [`CheckpointDir::replay`]). Yields `Ok(day)` per valid segment, in day
-/// order; an `Err` is a hard [`CheckpointError::ConfigMismatch`]. Either
-/// a hard error or the first damaged segment ends the walk.
+/// order; an `Err` is a hard [`CheckpointError::ConfigMismatch`] or
+/// [`CheckpointError::BadVersion`]. Either a hard error or the first
+/// damaged segment ends the walk.
 #[derive(Debug)]
 pub struct Replay<'a> {
     store: &'a CheckpointDir,
     fingerprint: u64,
-    files: std::vec::IntoIter<(u32, PathBuf)>,
+    /// Day indices of the segments not reached yet.
+    files: std::vec::IntoIter<u32>,
     /// The interner sizes the previous day ended at.
     chain: TableSizes,
-    last_date: Option<Date>,
+    /// The previous day's frame, which the next segment's script runs
+    /// over.
+    base: Option<SweepFrame>,
+    /// Whether the walk has ended.
+    ended: bool,
     /// Days yielded so far — also the index the next segment must carry.
     days: u32,
     quarantined: Vec<QuarantinedSegment>,
@@ -982,16 +1358,29 @@ impl Replay<'_> {
             Ok(bytes) => bytes,
             Err(e) => return Ok(Err(format!("unreadable: {e}"))),
         };
-        let (ck, found) = match decode_segment(&bytes) {
-            Ok(decoded) => decoded,
+        let (meta, interner, frame) = match open_segment(&bytes) {
+            Ok(opened) => opened,
+            Err(e @ CheckpointError::BadVersion(_)) => return Err(e),
             Err(e) => return Ok(Err(e.to_string())),
         };
-        if found != self.fingerprint {
+        if meta.fingerprint != self.fingerprint {
             return Err(CheckpointError::ConfigMismatch {
                 expected: self.fingerprint,
-                found,
+                found: meta.fingerprint,
             });
         }
+        let interner = match decode_interner(interner) {
+            Ok(delta) => delta,
+            Err(e) => return Ok(Err(e.to_string())),
+        };
+        // Keep only the frame section's bytes through the rebuild, which
+        // holds two frames already.
+        let frame = frame.to_vec();
+        drop(bytes);
+        let ck = match finish_segment(&meta, interner, &frame, self.base.as_ref()) {
+            Ok(ck) => ck,
+            Err(e) => return Ok(Err(e.to_string())),
+        };
         Ok(if ck.day_index != idx {
             Err(format!(
                 "file is day {idx} but segment says day {}",
@@ -1003,11 +1392,20 @@ impl Replay<'_> {
                  previous segments end at ({})",
                 ck.interner.base, self.chain
             ))
-        } else if self.last_date.is_some_and(|d| ck.date <= d) {
+        } else if self.base.as_ref().is_some_and(|f| ck.date <= f.date) {
             Err("dates not strictly increasing".to_string())
         } else {
             Ok(ck)
         })
+    }
+
+    /// End the walk, once: the last frame yielded becomes the directory's
+    /// base, which the next day written is scripted over.
+    fn end(&mut self) {
+        if !std::mem::replace(&mut self.ended, true) {
+            let base = self.base.take().map(|frame| (self.days - 1, frame));
+            *lock(&self.store.base) = base;
+        }
     }
 }
 
@@ -1015,30 +1413,40 @@ impl Iterator for Replay<'_> {
     type Item = Result<DayCheckpoint, CheckpointError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (idx, path) = self.files.next()?;
+        let Some(idx) = self.files.next() else {
+            self.end();
+            return None;
+        };
+        let path = self.store.segment_path(idx);
         let reason = match self.read(idx, &path) {
             Ok(Ok(ck)) => {
                 self.chain = ck.interner.post;
-                self.last_date = Some(ck.date);
                 self.days += 1;
+                // The next script runs over this frame. Drop the old base
+                // before copying, so the walk never holds two.
+                self.base = None;
+                self.base = Some(ck.frame.clone());
                 return Some(Ok(ck));
             }
             Ok(Err(reason)) => reason,
             Err(e) => {
                 // A hard error ends the walk with the rest untouched.
                 self.files = Vec::new().into_iter();
+                self.base = None;
+                self.ended = true;
                 return Some(Err(e));
             }
         };
         // This segment is unusable; so is everything after it (their
-        // interner deltas chain through it).
+        // interner deltas and frame scripts chain through it).
         self.quarantined.push(self.store.quarantine(&path, reason));
-        for (later_idx, later_path) in self.files.by_ref() {
+        for later in self.files.by_ref() {
             self.quarantined.push(self.store.quarantine(
-                &later_path,
-                format!("follows quarantined segment (day {later_idx})"),
+                &self.store.segment_path(later),
+                format!("follows quarantined segment (day {later})"),
             ));
         }
+        self.end();
         None
     }
 }
@@ -1091,24 +1499,25 @@ mod tests {
                 names: vec![d(&format!("a{index}.ru")), d(&format!("b{index}.com"))],
                 countries: vec![Country::RU],
             },
-            frame: sample_frame(date, &[0, 1, 2]),
+            // Odd days swap record 1 for another domain.
+            frame: sample_frame(date, &[0, 1 + 10 * (index % 2), 2]),
         }
     }
 
     #[test]
     fn segment_round_trips() {
         let ck = sample_day(3, TableSizes::default());
-        let bytes = encode_segment(&ck, 0xDEAD_BEEF);
-        let (back, fp) = decode_segment(&bytes).expect("round trip");
+        let bytes = encode_segment(&ck, 0xDEAD_BEEF, None);
+        let (back, fp) = decode_segment(&bytes, None).expect("round trip");
         assert_eq!(back, ck);
         assert_eq!(fp, 0xDEAD_BEEF);
     }
 
     #[test]
     fn truncation_is_typed_never_a_panic() {
-        let bytes = encode_segment(&sample_day(0, TableSizes::default()), 1);
+        let bytes = encode_segment(&sample_day(0, TableSizes::default()), 1, None);
         for cut in 0..bytes.len() {
-            let err = decode_segment(&bytes[..cut]).expect_err("truncated must fail");
+            let err = decode_segment(&bytes[..cut], None).expect_err("truncated must fail");
             assert!(
                 matches!(
                     err,
@@ -1123,13 +1532,13 @@ mod tests {
 
     #[test]
     fn bit_corruption_is_detected() {
-        let bytes = encode_segment(&sample_day(0, TableSizes::default()), 1);
+        let bytes = encode_segment(&sample_day(0, TableSizes::default()), 1, None);
         // Flip one bit in each region: magic, a length, a body, a CRC.
         for &pos in &[0usize, 9, 30, bytes.len() - 2] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x10;
             assert!(
-                decode_segment(&bad).is_err(),
+                decode_segment(&bad, None).is_err(),
                 "flip at {pos} went undetected"
             );
         }
@@ -1388,6 +1797,162 @@ mod tests {
             assert_eq!(&std::fs::read(name).expect("quarantined copy"), bytes);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A frame with one record per `(domain, apex octet)` pair.
+    fn frame_of(date: Date, rows: &[(u32, u8)]) -> SweepFrame {
+        let mut b = FrameBuilder::new(date);
+        for &(s, apex) in rows {
+            b.begin_record(Sym(s));
+            b.push_ns_name(Sym(s + 100));
+            b.push_ns_addr(
+                Ipv4Addr::new(10, 0, 0, s as u8),
+                CountrySym(0),
+                Some(Asn(7)),
+            );
+            b.push_apex_addr(Ipv4Addr::new(10, 0, 1, apex), CountrySym::NONE, None);
+            b.end_record();
+        }
+        b.finish(SweepStats::default(), SweepMetrics::new())
+    }
+
+    #[test]
+    fn scripts_rebuild_any_frame_over_any_base() {
+        let date = Date::from_ymd(2022, 3, 2);
+        let base = frame_of(date.pred(), &[(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+        // Row 1 changes, row 2 leaves, row 9 arrives, row 4 moves first.
+        let next = frame_of(date, &[(4, 4), (0, 0), (1, 7), (3, 3), (9, 9)]);
+        let mut ck = sample_day(1, TableSizes::default());
+        ck.date = date;
+        ck.frame = next;
+        let ops = script(&ck.frame, Some(&base));
+        assert_eq!(
+            ops,
+            [
+                Op::Skip(4),
+                Op::Copy(1),
+                Op::Row(1),
+                Op::Row(2),
+                Op::Row(3),
+                Op::Row(4)
+            ]
+        );
+        for over in [None, Some(&base), Some(&ck.frame)] {
+            let bytes = encode_segment(&ck, 5, over);
+            let (back, _) = decode_segment(&bytes, over).expect("round trip");
+            assert_eq!(back, ck);
+        }
+        // An unchanged frame is one copy.
+        let same = encode_segment(&ck, 5, Some(&ck.frame));
+        let key = encode_segment(&ck, 5, None);
+        assert!(same.len() < key.len());
+        assert_eq!(script(&ck.frame, Some(&ck.frame)), [Op::Copy(5)]);
+
+        // A script needs a base of the recorded length.
+        let bytes = encode_segment(&ck, 5, Some(&base));
+        for wrong in [None, Some(&frame_of(date, &[(0, 0)]))] {
+            let err = decode_segment(&bytes, wrong).expect_err("wrong base");
+            assert!(matches!(err, CheckpointError::ChainBroken { .. }), "{err}");
+        }
+    }
+
+    /// What a version-1 build wrote: the same magic and sections, a
+    /// version-1 meta, every checksum valid.
+    fn version_1_segment(day_index: u32) -> Vec<u8> {
+        let mut out = SEGMENT_MAGIC.to_vec();
+        push_section(&mut out, |b| {
+            put_u32(b, 1);
+            put_u64(b, 7);
+            put_u32(b, day_index);
+            put_i32(
+                b,
+                Date::from_ymd(2022, 3, 1).days_since_epoch() + day_index as i32,
+            );
+            put_u64(b, 1_000_000);
+        });
+        push_section(&mut out, |b| b.extend_from_slice(&[0; 32]));
+        push_section(&mut out, |b| b.extend_from_slice(&[0; 64]));
+        out
+    }
+
+    #[test]
+    fn a_chain_in_another_version_is_a_hard_error() {
+        let dir = tmp_dir("version");
+        let store = CheckpointDir::open(&dir).expect("open");
+        for day in 0..3 {
+            std::fs::write(store.segment_path(day), version_1_segment(day)).expect("write");
+        }
+        assert!(matches!(
+            decode_segment(&version_1_segment(0), None),
+            Err(CheckpointError::BadVersion(1))
+        ));
+        let before = listing(&dir);
+        for _ in 0..2 {
+            let mut replay = store.replay(7).expect("replay");
+            assert!(matches!(
+                replay.next(),
+                Some(Err(CheckpointError::BadVersion(1)))
+            ));
+            assert!(replay.next().is_none());
+            assert!(replay.quarantined().is_empty());
+            assert!(matches!(store.load(7), Err(CheckpointError::BadVersion(1))));
+        }
+        assert_eq!(listing(&dir), before, "nothing renamed or written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Whether the segment at `path` is scripted over a base.
+    fn has_base(path: &Path) -> bool {
+        let bytes = std::fs::read(path).expect("read segment");
+        let (meta, _, _) = open_segment(&bytes).expect("open segment");
+        meta.base_rows.is_some()
+    }
+
+    #[test]
+    fn successors_are_scripted_and_anything_else_is_a_keyframe() {
+        let dir = tmp_dir("keyframes");
+        let store = CheckpointDir::open(&dir).expect("open");
+        let written = write_chain(&store, 3, 7);
+        let kinds: Vec<bool> = (0..3).map(|d| has_base(&store.segment_path(d))).collect();
+        assert_eq!(kinds, [false, true, true]);
+        // Rewriting day 1 after day 2 is out of order: a keyframe.
+        store.write_day(&written[1], 7).expect("rewrite");
+        assert!(!has_base(&store.segment_path(1)));
+        // A fresh handle has no base until a replay over it ends.
+        let fresh = CheckpointDir::open(&dir).expect("reopen");
+        fresh.write_day(&written[2], 7).expect("rewrite");
+        assert!(!has_base(&fresh.segment_path(2)));
+        let (days, _) = walk(&fresh, 7);
+        assert_eq!(days, written);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_writer_writes_the_uninterrupted_chain() {
+        let full_dir = tmp_dir("resume-full");
+        let full = CheckpointDir::open(&full_dir).expect("open");
+        let written = write_chain(&full, 5, 7);
+        for stop in 0..5 {
+            let dir = tmp_dir(&format!("resume-{stop}"));
+            let first = CheckpointDir::open(&dir).expect("open");
+            for ck in &written[..stop] {
+                first.write_day(ck, 7).expect("write");
+            }
+            drop(first);
+            // A new process: replay what is there, then write the rest.
+            let resumed = CheckpointDir::open(&dir).expect("reopen");
+            let (days, _) = walk(&resumed, 7);
+            assert_eq!(days.len(), stop);
+            for ck in &written[stop..] {
+                resumed.write_day(ck, 7).expect("write");
+            }
+            for day in 0..5 {
+                let read = |s: &CheckpointDir| std::fs::read(s.segment_path(day)).expect("read");
+                assert_eq!(read(&resumed), read(&full), "stop {stop}, day {day}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&full_dir);
     }
 
     /// The bytewise CRC-32 the slicing-by-8 [`crc32`] must equal.

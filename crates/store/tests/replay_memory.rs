@@ -1,12 +1,15 @@
 //! Memory of a resume's checkpoint reader.
 //!
-//! A resume replays a study's day segments in order. Streamed through
+//! A resume replays a study's day segments in order, rebuilding each
+//! day's frame from the day before. Streamed through
 //! [`CheckpointDir::replay`], a caller that drops each day before pulling
-//! the next holds one decoded day at a time, however long the study ran;
-//! [`CheckpointDir::load`] holds every day at once. A counting global
-//! allocator tracks live and peak heap bytes while a 40-day synthetic
-//! chain is walked both ways. This file holds a single test so nothing
-//! else allocates in its binary while it measures.
+//! the next holds two decoded days at a time (its own and the walk's
+//! base), however long the study ran; [`CheckpointDir::load`] holds every
+//! day at once. A counting global allocator tracks live and peak heap
+//! bytes while two 40-day synthetic chains are walked both ways: one
+//! whose records never change, and one where each day changes, inserts
+//! and removes a few percent of its rows. This file holds a single test
+//! so nothing else allocates in its binary while it measures.
 
 use ruwhere_store::checkpoint::{decode_segment, DayCheckpoint, InternerDelta, TableSizes};
 use ruwhere_store::{CheckpointDir, CountrySym, FrameBuilder, SweepMetrics, SweepStats, Sym};
@@ -71,32 +74,71 @@ const RECORDS: u32 = 2_000;
 /// New names each day appends to the interner.
 const NEW_NAMES: u32 = 200;
 
-/// Day `index` of the synthetic chain: `RECORDS` domains with two NS
-/// names, two NS addresses and one apex address each, and `NEW_NAMES`
+/// Append record `r` of the synthetic chain, its apex address moved by
+/// `apex_shift`.
+fn push_record(b: &mut FrameBuilder, r: u32, apex_shift: u32) {
+    b.begin_record(Sym(r));
+    for k in 0..2 {
+        b.push_ns_name(Sym(RECORDS + (r + k) % 97));
+        b.push_ns_addr(
+            Ipv4Addr::from(0x0A00_0000 + r * 2 + k),
+            CountrySym(0),
+            Some(Asn(64_500 + k)),
+        );
+    }
+    b.push_apex_addr(
+        Ipv4Addr::from(0x1400_0000 + r + (apex_shift << 16)),
+        CountrySym(0),
+        None,
+    );
+    b.end_record();
+}
+
+/// Day `index` of the steady synthetic chain: `RECORDS` domains with two
+/// NS names, two NS addresses and one apex address each, and `NEW_NAMES`
 /// interner names.
 fn day(index: u32) -> DayCheckpoint {
-    let date = Date::from_ymd(2022, 1, 1).add_days(index as i32);
+    let mut b = FrameBuilder::new(date_of(index));
+    for r in 0..RECORDS {
+        push_record(&mut b, r, 0);
+    }
+    with_frame(index, b)
+}
+
+/// Day `index` of the churning chain: the steady chain's records, except
+/// that each day 2 % of them are missing (and return the next day), 2.5 %
+/// move their apex address, and 10 brand-new domains appear for one day
+/// only.
+fn churn_day(index: u32) -> DayCheckpoint {
+    let mut b = FrameBuilder::new(date_of(index));
+    for r in 0..RECORDS {
+        if !(r + index).is_multiple_of(50) {
+            push_record(&mut b, r, (r * 7 + index) / 40);
+        }
+        if r % 200 == 100 {
+            push_record(&mut b, 2 * RECORDS + index * 10 + r / 200, 0);
+        }
+    }
+    with_frame(index, b)
+}
+
+fn date_of(index: u32) -> Date {
+    Date::from_ymd(2022, 1, 1).add_days(index as i32)
+}
+
+/// Day `index`'s checkpoint around the frame `b` holds, with `NEW_NAMES`
+/// interner names.
+fn with_frame(index: u32, b: FrameBuilder) -> DayCheckpoint {
+    let date = date_of(index);
     let base = TableSizes {
         names: index * NEW_NAMES,
         ..TableSizes::default()
     };
-    let mut b = FrameBuilder::new(date);
-    for r in 0..RECORDS {
-        b.begin_record(Sym(r));
-        for k in 0..2 {
-            b.push_ns_name(Sym(RECORDS + (r + k) % 97));
-            b.push_ns_addr(
-                Ipv4Addr::from(0x0A00_0000 + r * 2 + k),
-                CountrySym(0),
-                Some(Asn(64_500 + k)),
-            );
-        }
-        b.push_apex_addr(Ipv4Addr::from(0x1400_0000 + r), CountrySym(0), None);
-        b.end_record();
-    }
-    let stats = SweepStats {
-        seeded: RECORDS as u64,
-        queries: 3 * RECORDS as u64,
+    let mut frame = b.finish(SweepStats::default(), SweepMetrics::new());
+    let records = frame.len() as u64;
+    frame.stats = SweepStats {
+        seeded: records,
+        queries: 3 * records,
         ..SweepStats::default()
     };
     DayCheckpoint {
@@ -118,28 +160,37 @@ fn day(index: u32) -> DayCheckpoint {
                 .collect(),
             countries: Vec::new(),
         },
-        frame: b.finish(stats, SweepMetrics::new()),
+        frame,
     }
 }
 
-#[test]
-fn replay_holds_one_day_at_a_time() {
-    let dir = std::env::temp_dir().join(format!("ruwhere-replay-memory-{}", std::process::id()));
+/// Write the chain `make` draws, then walk it streamed and collected.
+/// Returns the largest live heap of one decoded day, the streamed walk's
+/// peak and what the collected walk holds.
+fn measure(tag: &str, make: fn(u32) -> DayCheckpoint) -> (i64, i64, i64) {
+    let dir = std::env::temp_dir().join(format!(
+        "ruwhere-replay-memory-{tag}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointDir::open(&dir).expect("open");
     for i in 0..DAYS {
-        store.write_day(&day(i), 7).expect("write");
+        store.write_day(&make(i), 7).expect("write");
     }
 
-    // The live heap of one decoded day, largest over the chain.
+    // The live heap of one decoded day, largest over the chain. Each day
+    // is rebuilt over the day before.
     let mut one_day = 0;
+    let mut prev: Option<DayCheckpoint> = None;
     for i in 0..DAYS {
         let bytes = std::fs::read(store.segment_path(i)).expect("read");
         let before = live();
-        let decoded = decode_segment(&bytes).expect("decode");
+        let (decoded, _) = decode_segment(&bytes, prev.as_ref().map(|d| &d.frame)).expect("decode");
         one_day = one_day.max(live() - before);
-        drop(decoded);
+        assert_eq!(decoded, make(i), "{tag}: day {i} rebuilt");
+        prev = Some(decoded);
     }
+    drop(prev);
 
     // Streamed: each day is dropped before the next is pulled.
     let before = live();
@@ -154,6 +205,7 @@ fn replay_holds_one_day_at_a_time() {
     assert!(replay.quarantined().is_empty());
     drop(replay);
     let replay_peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(walked, DAYS);
 
     // Collected: every day at once.
     let before = live();
@@ -161,21 +213,31 @@ fn replay_holds_one_day_at_a_time() {
     let load_held = live() - before;
     assert_eq!(outcome.days.len(), DAYS as usize);
     drop(outcome);
-
-    println!(
-        "one decoded day {one_day} B; replay peak {replay_peak} B ({:.2} days); \
-         load holds {load_held} B ({:.1} days) for {DAYS} days",
-        replay_peak as f64 / one_day as f64,
-        load_held as f64 / one_day as f64,
-    );
-    assert_eq!(walked, DAYS);
-    assert!(
-        replay_peak < 2 * one_day,
-        "replay peaked at {replay_peak} live bytes, over two decoded days ({one_day} each)"
-    );
-    assert!(
-        load_held > i64::from(DAYS - 1) * one_day,
-        "load held {load_held} live bytes, less than the {DAYS}-day chain"
-    );
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+    (one_day, replay_peak, load_held)
+}
+
+#[test]
+fn replay_holds_two_days_at_a_time() {
+    for (tag, make) in [
+        ("steady", day as fn(u32) -> DayCheckpoint),
+        ("churn", churn_day),
+    ] {
+        let (one_day, replay_peak, load_held) = measure(tag, make);
+        println!(
+            "{tag}: one decoded day {one_day} B; replay peak {replay_peak} B ({:.2} days); \
+             load holds {load_held} B ({:.1} days) for {DAYS} days",
+            replay_peak as f64 / one_day as f64,
+            load_held as f64 / one_day as f64,
+        );
+        assert!(
+            replay_peak < 2 * one_day,
+            "{tag}: replay peaked at {replay_peak} live bytes, over two decoded days ({one_day} each)"
+        );
+        assert!(
+            load_held > i64::from(DAYS - 1) * one_day,
+            "{tag}: load held {load_held} live bytes, less than the {DAYS}-day chain"
+        );
+    }
 }

@@ -21,6 +21,7 @@ use ruwhere_netsim::{
     Topology,
 };
 use ruwhere_registry::{Delegation, NameGenerator, Registry, SanctionSource, SanctionsList};
+use ruwhere_types::domain::MAX_NAME_LEN;
 use ruwhere_types::sync::{read, write};
 use ruwhere_types::{Date, DomainName, Period, SeedTree, CONFLICT_START};
 use std::collections::{BTreeMap, HashMap};
@@ -1752,13 +1753,16 @@ impl World {
         if force {
             self.cas[i].policy = CaPolicy::Issuing;
         }
-        let san = [
-            name.clone(),
-            name.prepend("www").unwrap_or_else(|_| name.clone()),
-        ];
         // Issuing appends the CT entry every log over the store shares.
         let mut certs = write(&self.certs);
-        let cert = self.cas[i].issue(&mut certs, name, &san, brand, date);
+        // The SAN list is the name, then `www.` over it — or the name
+        // twice where `www.` would make it longer than a name may be.
+        let cert = if name.as_str().len() + "www.".len() <= MAX_NAME_LEN {
+            self.cas[i].issue_cn_and_www(&mut certs, name, brand, date)
+        } else {
+            let san = [name.clone(), name.clone()];
+            self.cas[i].issue(&mut certs, name, &san, brand, date)
+        };
         if force {
             self.cas[i].policy = saved_policy;
         }
