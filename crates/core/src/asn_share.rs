@@ -3,10 +3,61 @@
 //! For each date and each ASN, the fraction of Russian Federation domains
 //! whose apex A records resolve into that ASN.
 
-use crate::engine::FrameObserver;
-use ruwhere_store::{InternerSnap, RecordView, SweepFrame};
+use crate::engine::{FrameCodes, FrameObserver};
+use ruwhere_store::{InternerSnap, SweepFrame};
 use ruwhere_types::{Asn, Date, FastMap};
 use std::collections::BTreeMap;
+
+/// Dense ids for ASNs, assigned in first-seen order. A direct-mapped
+/// front of recent ASNs answers a repeat with a multiply and a compare;
+/// only an ASN missing from it is hashed. A frame holds a few dozen
+/// distinct ASNs over thousands of addresses, so nearly every lookup is a
+/// repeat.
+#[derive(Debug, Clone)]
+pub(crate) struct AsnIds {
+    ids: FastMap<Asn, u32>,
+    /// The ASN of each id.
+    asns: Vec<Asn>,
+    /// `1 << RECENT_BITS` slots of (ASN widened to `u64`, its id);
+    /// `u64::MAX` marks an empty slot, since no ASN widens to it.
+    recent: Vec<(u64, u32)>,
+}
+
+/// Address bits of [`AsnIds`]'s front.
+const RECENT_BITS: u32 = 8;
+
+impl Default for AsnIds {
+    fn default() -> AsnIds {
+        AsnIds {
+            ids: FastMap::default(),
+            asns: Vec::new(),
+            recent: vec![(u64::MAX, 0); 1 << RECENT_BITS],
+        }
+    }
+}
+
+impl AsnIds {
+    /// The id of `asn`, assigning the next one if it is new.
+    pub(crate) fn id(&mut self, asn: Asn) -> u32 {
+        let slot = (asn.0.wrapping_mul(0x9e37_79b9) >> (32 - RECENT_BITS)) as usize;
+        let (key, id) = self.recent[slot];
+        if key == u64::from(asn.0) {
+            return id;
+        }
+        let next = self.asns.len() as u32;
+        let id = *self.ids.entry(asn).or_insert(next);
+        if id == next {
+            self.asns.push(asn);
+        }
+        self.recent[slot] = (u64::from(asn.0), id);
+        id
+    }
+
+    /// Distinct ASNs seen.
+    pub(crate) fn len(&self) -> usize {
+        self.asns.len()
+    }
+}
 
 /// Longitudinal per-ASN share accumulator.
 ///
@@ -17,11 +68,13 @@ use std::collections::BTreeMap;
 pub struct AsnShareSeries {
     days: BTreeMap<Date, BTreeMap<Asn, u64>>,
     totals: BTreeMap<Date, u64>,
-    /// Per-frame domain counts; ordered once at `end_frame`.
-    scratch: FastMap<Asn, u64>,
-    scratch_total: u64,
-    /// The current record's distinct ASNs, reused across records.
-    record_asns: Vec<Asn>,
+    ids: AsnIds,
+    /// Per ASN id: the number of the last record counted into it (records
+    /// number from 1 across frames, so a record's repeats of one ASN count
+    /// once) and its domain count in the current frame.
+    scratch: Vec<(u64, u64)>,
+    /// Records with apex addresses folded so far.
+    records: u64,
 }
 
 impl AsnShareSeries {
@@ -67,31 +120,35 @@ impl AsnShareSeries {
 }
 
 impl FrameObserver for AsnShareSeries {
-    fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.scratch.clear();
-        self.scratch_total = 0;
-    }
-
-    fn observe_record(&mut self, rec: &RecordView<'_>, _snap: &InternerSnap<'_>) {
-        let apex = rec.apex_addrs();
-        if apex.is_empty() {
-            return;
-        }
-        self.scratch_total += 1;
-        self.record_asns.clear();
-        for &a in apex.asns().iter().flatten() {
-            if !self.record_asns.contains(&a) {
-                self.record_asns.push(a);
+    fn fold(&mut self, frame: &SweepFrame, _codes: &FrameCodes, _snap: &InternerSnap<'_>) {
+        let mut total = 0u64;
+        for w in frame.apex_addr_offsets.windows(2) {
+            if w[0] == w[1] {
+                continue;
+            }
+            total += 1;
+            self.records += 1;
+            for &asn in frame.apex_addrs.asns[w[0] as usize..w[1] as usize]
+                .iter()
+                .flatten()
+            {
+                let id = self.ids.id(asn) as usize;
+                if id == self.scratch.len() {
+                    self.scratch.push((0, 0));
+                }
+                let (last, count) = &mut self.scratch[id];
+                if *last != self.records {
+                    *last = self.records;
+                    *count += 1;
+                }
             }
         }
-        for &a in &self.record_asns {
-            *self.scratch.entry(a).or_default() += 1;
-        }
-    }
-
-    fn end_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.days.insert(frame.date, self.scratch.drain().collect());
-        self.totals.insert(frame.date, self.scratch_total);
+        let counts = (self.ids.asns.iter().zip(&mut self.scratch))
+            .filter(|(_, (_, n))| *n > 0)
+            .map(|(&asn, (_, n))| (asn, std::mem::take(n)))
+            .collect();
+        self.days.insert(frame.date, counts);
+        self.totals.insert(frame.date, total);
     }
 }
 
@@ -111,6 +168,23 @@ mod tests {
             }
         }
         f.finish(SweepStats::default())
+    }
+
+    #[test]
+    fn asn_ids_survive_collisions_in_the_front() {
+        // Far more ASNs than front slots, so most lookups evict another.
+        let mut ids = AsnIds::default();
+        let asns: Vec<Asn> = (0..2_000u32).map(|i| Asn(i * 7919)).collect();
+        for round in 0..2 {
+            for (i, &a) in asns.iter().enumerate() {
+                assert_eq!(ids.id(a) as usize, i, "round {round}");
+            }
+            for (i, &a) in asns.iter().enumerate().rev() {
+                assert_eq!(ids.id(a) as usize, i, "round {round}, reversed");
+            }
+        }
+        assert_eq!(ids.len(), asns.len());
+        assert_eq!(ids.id(Asn(u32::MAX)) as usize, asns.len());
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! > the Russian Federation. Name service is similarly labeled based on
 //! > geolocating the authoritative name servers for the domain." — §3.1
 
-use crate::engine::FrameObserver;
-use ruwhere_store::{CountrySym, InternerSnap, RecordView, SweepFrame, Sym};
-use ruwhere_types::Date;
+use crate::engine::{FrameCodes, FrameObserver};
+use ruwhere_store::{CountrySym, InternerSnap, SweepFrame, SymSet};
+use ruwhere_types::{Date, DomainName};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The three-way label (plus `Unknown` for domains that did not resolve or
-/// geolocate at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// geolocate at all). Labels order as declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Composition {
     /// All addresses geolocate to the Russian Federation.
     Full,
@@ -46,27 +46,22 @@ impl Composition {
                 other += 1;
             }
         }
-        match (russian, other) {
-            (0, 0) => Composition::Unknown,
-            (_, 0) => Composition::Full,
-            (0, _) => Composition::Non,
-            _ => Composition::Partial,
-        }
+        Composition::from_counts(russian, other)
     }
-}
 
-/// Classify one frame record under `kind` (shared by the composition and
-/// transition observers so both use the exact same rule).
-pub fn classify_record_view(
-    kind: InfraKind,
-    rec: &RecordView<'_>,
-    snap: &InternerSnap<'_>,
-) -> Composition {
-    let addrs = match kind {
-        InfraKind::NameServers => rec.ns_addrs(),
-        InfraKind::Hosting => rec.apex_addrs(),
-    };
-    Composition::classify_syms(addrs.countries(), snap)
+    /// The label of a set holding `russian` Russian and `other` non-Russian
+    /// members (none of either is [`Composition::Unknown`]).
+    pub(crate) fn from_counts(russian: usize, other: usize) -> Composition {
+        // Indexed by 2 × (any Russian) + (any other): a load, not a branch
+        // the per-record data would mispredict.
+        const BY_PRESENCE: [Composition; 4] = [
+            Composition::Unknown,
+            Composition::Non,
+            Composition::Full,
+            Composition::Partial,
+        ];
+        BY_PRESENCE[2 * usize::from(russian > 0) + usize::from(other > 0)]
+    }
 }
 
 /// Which infrastructure the composition describes.
@@ -117,50 +112,86 @@ impl CompositionCounts {
         100.0 * self.non as f64 / self.known().max(1) as f64
     }
 
-    fn bump(&mut self, c: Composition) {
-        match c {
-            Composition::Full => self.full += 1,
-            Composition::Partial => self.partial += 1,
-            Composition::Non => self.non += 1,
-            Composition::Unknown => self.unknown += 1,
+    /// Counts of each label in `labels`.
+    pub(crate) fn tally(labels: &[Composition]) -> CompositionCounts {
+        // One compare-and-count pass per label: no branch on the labels
+        // for the per-record data to mispredict, as a match per label has.
+        let count = |label| labels.iter().filter(|&&c| c == label).count() as u64;
+        let (full, partial, non) = (
+            count(Composition::Full),
+            count(Composition::Partial),
+            count(Composition::Non),
+        );
+        CompositionCounts {
+            full,
+            partial,
+            non,
+            unknown: labels.len() as u64 - full - partial - non,
         }
     }
 }
 
-/// Domain filter for a composition series.
+/// The domains sanctioned as of each frame's date (Figure 5's growing
+/// denominator), as a set of symbols kept from frame to frame.
 #[derive(Debug, Clone)]
-enum Filter {
-    /// Whole population.
-    All,
-    /// Domains sanctioned as of each sweep's date (Figure 5's growing
-    /// denominator).
-    Sanctions(ruwhere_registry::SanctionsList),
+struct SanctionFilter {
+    /// Every listed name with its first listing date, in date order.
+    listed: Vec<(Date, DomainName)>,
+    /// Symbols of the names listed by the last fold's date that are
+    /// interned.
+    accepted: SymSet,
+    /// `(names listed, names interned)` when `accepted` was resolved: the
+    /// set can change only when more names are listed by a frame's date
+    /// or when the interner has grown, since a listed name may be
+    /// interned only on a later day.
+    key: Option<(usize, usize)>,
+    /// The current frame's labels of accepted records, reused.
+    labels: Vec<Composition>,
 }
 
-impl Filter {
-    /// Resolve the filter for one frame into sorted symbols. `None`
-    /// accepts everything. Names absent from the interner cannot occur in
-    /// any record of the frame, so dropping them is exact.
-    fn resolve(&self, date: Date, snap: &InternerSnap<'_>) -> Option<Vec<Sym>> {
-        let mut syms: Vec<Sym> = match self {
-            Filter::All => return None,
-            Filter::Sanctions(list) => list
-                .sanctioned_at(date)
-                .into_iter()
-                .filter_map(|d| snap.name_sym(d))
-                .collect(),
-        };
-        syms.sort_unstable();
-        Some(syms)
+impl SanctionFilter {
+    fn new(list: &ruwhere_registry::SanctionsList) -> SanctionFilter {
+        let mut listed: Vec<(Date, DomainName)> = list
+            .iter()
+            .map(|(name, date, _)| (date, name.clone()))
+            .collect();
+        listed.sort_by_key(|&(date, _)| date);
+        SanctionFilter {
+            listed,
+            accepted: SymSet::new(),
+            key: None,
+            labels: Vec::new(),
+        }
     }
-}
 
-/// Per-frame scratch for the observer hooks (reset at `begin_frame`).
-#[derive(Debug, Clone, Default)]
-struct FrameScratch {
-    counts: CompositionCounts,
-    /// Sorted accepted symbols; `None` means no filtering.
-    filter: Option<Vec<Sym>>,
+    /// Counts of `codes` over the records of `frame` whose domain is
+    /// listed on or before the frame's date.
+    fn tally(
+        &mut self,
+        frame: &SweepFrame,
+        codes: &[Composition],
+        snap: &InternerSnap<'_>,
+    ) -> CompositionCounts {
+        let listed = self.listed.partition_point(|&(d, _)| d <= frame.date);
+        let key = Some((listed, snap.names_len()));
+        if self.key != key {
+            // Names absent from the interner cannot occur in any record of
+            // a frame it built, so leaving them out is exact.
+            self.accepted.clear();
+            for (_, name) in &self.listed[..listed] {
+                if let Some(sym) = snap.name_sym(name) {
+                    self.accepted.insert(sym);
+                }
+            }
+            self.key = key;
+        }
+        let accepted = &self.accepted;
+        let kept = frame.domains.iter().zip(codes);
+        let kept = kept.filter(|(&sym, _)| accepted.contains(sym));
+        self.labels.clear();
+        self.labels.extend(kept.map(|(_, &c)| c));
+        CompositionCounts::tally(&self.labels)
+    }
 }
 
 /// A longitudinal composition accumulator. Feed it one [`SweepFrame`] per
@@ -168,13 +199,13 @@ struct FrameScratch {
 #[derive(Debug, Clone)]
 pub struct CompositionSeries {
     kind: InfraKind,
-    filter: Filter,
+    /// `None` counts the whole population.
+    filter: Option<SanctionFilter>,
     days: BTreeMap<Date, CompositionCounts>,
     /// Dates whose sweep was salvaged as partial (outage days). Raw counts
     /// for these days are kept — the Figure-1 dip must stay visible — but
     /// [`CompositionSeries::imputed_at`] can substitute a recent full day.
     partial_days: BTreeSet<Date>,
-    scratch: FrameScratch,
 }
 
 impl CompositionSeries {
@@ -182,10 +213,9 @@ impl CompositionSeries {
     pub fn new(kind: InfraKind) -> Self {
         CompositionSeries {
             kind,
-            filter: Filter::All,
+            filter: None,
             days: BTreeMap::new(),
             partial_days: BTreeSet::new(),
-            scratch: FrameScratch::default(),
         }
     }
 
@@ -194,10 +224,9 @@ impl CompositionSeries {
     pub fn sanctioned(kind: InfraKind, list: ruwhere_registry::SanctionsList) -> Self {
         CompositionSeries {
             kind,
-            filter: Filter::Sanctions(list),
+            filter: Some(SanctionFilter::new(&list)),
             days: BTreeMap::new(),
             partial_days: BTreeSet::new(),
-            scratch: FrameScratch::default(),
         }
     }
 
@@ -259,30 +288,18 @@ impl CompositionSeries {
 }
 
 impl FrameObserver for CompositionSeries {
-    fn begin_frame(&mut self, frame: &SweepFrame, snap: &InternerSnap<'_>) {
-        self.scratch.counts = CompositionCounts::default();
-        self.scratch.filter = self.filter.resolve(frame.date, snap);
-    }
-
-    fn observe_record(&mut self, rec: &RecordView<'_>, snap: &InternerSnap<'_>) {
-        if let Some(accepted) = &self.scratch.filter {
-            if accepted.binary_search(&rec.domain_sym()).is_err() {
-                return;
-            }
-        }
-        self.scratch
-            .counts
-            .bump(classify_record_view(self.kind, rec, snap));
-    }
-
-    fn end_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.days.insert(frame.date, self.scratch.counts);
+    fn fold(&mut self, frame: &SweepFrame, codes: &FrameCodes, snap: &InternerSnap<'_>) {
+        let codes = codes.of_kind(self.kind);
+        let counts = match &mut self.filter {
+            None => CompositionCounts::tally(codes),
+            Some(filter) => filter.tally(frame, codes, snap),
+        };
+        self.days.insert(frame.date, counts);
         if frame.is_partial() {
             self.partial_days.insert(frame.date);
         } else {
             self.partial_days.remove(&frame.date);
         }
-        self.scratch.filter = None;
     }
 }
 

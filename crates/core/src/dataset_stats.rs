@@ -4,9 +4,9 @@
 //! > and 13.3 k and 9.5 k unique networks (AS numbers) that, respectively,
 //! > hosted domain apexes or authoritative DNS infrastructure."
 
-use crate::engine::FrameObserver;
-use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SweepStats, SymSet};
-use ruwhere_types::{Asn, FastSet};
+use crate::asn_share::AsnIds;
+use crate::engine::{FrameCodes, FrameObserver};
+use ruwhere_store::{InternerSnap, SweepFrame, SweepStats, SymSet};
 
 /// Accumulates unique names and networks across all sweeps.
 ///
@@ -15,8 +15,8 @@ use ruwhere_types::{Asn, FastSet};
 /// symbols counts distinct names.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetStats {
-    hosting_asns: FastSet<Asn>,
-    dns_asns: FastSet<Asn>,
+    hosting_asns: AsnIds,
+    dns_asns: AsnIds,
     sweeps: u64,
     records: u64,
     partial_sweeps: u64,
@@ -91,22 +91,21 @@ impl DatasetStats {
 }
 
 impl FrameObserver for DatasetStats {
-    fn begin_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {
+    fn fold(&mut self, frame: &SweepFrame, _codes: &FrameCodes, _snap: &InternerSnap<'_>) {
         self.sweeps += 1;
         if frame.is_partial() {
             self.partial_sweeps += 1;
         }
         self.totals.merge(&frame.stats);
-    }
-
-    fn observe_record(&mut self, rec: &RecordView<'_>, _snap: &InternerSnap<'_>) {
-        self.records += 1;
-        self.seen_syms.insert(rec.domain_sym());
-        for asn in rec.apex_addrs().asns().iter().flatten() {
-            self.hosting_asns.insert(*asn);
+        self.records += frame.len() as u64;
+        for &sym in &frame.domains {
+            self.seen_syms.insert(sym);
         }
-        for asn in rec.ns_addrs().asns().iter().flatten() {
-            self.dns_asns.insert(*asn);
+        for &asn in frame.apex_addrs.asns.iter().flatten() {
+            self.hosting_asns.id(asn);
+        }
+        for &asn in frame.ns_addrs.asns.iter().flatten() {
+            self.dns_asns.id(asn);
         }
     }
 }
@@ -115,7 +114,7 @@ impl FrameObserver for DatasetStats {
 mod tests {
     use super::*;
     use ruwhere_store::{Completeness, FrameFixture, Interner};
-    use ruwhere_types::Date;
+    use ruwhere_types::{Asn, Date};
 
     /// One frame of `(domain, apex ASN, NS ASN)` records.
     fn sweep(

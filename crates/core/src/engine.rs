@@ -1,11 +1,16 @@
 //! Single-pass analysis engine over columnar sweep frames.
 //!
-//! Each series implements [`FrameObserver`], and [`AnalysisEngine`]
-//! makes **one** walk per [`SweepFrame`], dispatching every record view
-//! to all registered observers under a single interner snapshot — one
-//! record visit per record, however many series ride the walk. A lone
-//! series (a test, an example) folds a frame through the provided
-//! [`FrameObserver::observe`] instead.
+//! Each series implements [`FrameObserver`]: a pure fold of one whole
+//! [`SweepFrame`] into the series' per-date state. [`AnalysisEngine`]
+//! classifies each frame **once** — every record's name-server and
+//! hosting [`Composition`], into a reused [`FrameCodes`] block — and then
+//! hands the frame, its codes and one interner snapshot to every
+//! registered series. The composition series count codes, the transition
+//! flows compare them across frames, and the TLD, ASN and dataset series
+//! walk the frame's own columns; no series classifies a record again, and
+//! nothing is dispatched per record. A lone series (a test, an example)
+//! folds a frame through the provided [`FrameObserver::observe`], which
+//! builds the codes itself.
 //!
 //! # Contract
 //!
@@ -13,53 +18,90 @@
 //!   come from **one** [`Interner`] — symbols are only comparable within
 //!   the interner that assigned them. `run_study` threads a single
 //!   `Arc<Interner>` from the scanner through every observer.
-//! * `begin_frame` → `observe_record`×n → `end_frame` is called in that
-//!   order, records in frame (zone-snapshot) order, so observers may
-//!   keep per-frame scratch without further synchronisation.
+//! * `codes` holds one entry per record of `frame`, in frame
+//!   (zone-snapshot) order, classified under `snap`.
 //!
-//! The engine also counts record visits and observer dispatches; `repro
-//! --report` prints them and `studybench` reports them as
-//! `core.record_visits` and `core.observer_dispatches`.
+//! The engine also counts its work: `repro --report` prints the counts
+//! and `studybench` reports them as `core.record_visits` (one per record
+//! per frame) and `core.observer_dispatches` (one per series per frame).
 
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame};
+use crate::composition::{Composition, InfraKind};
+use ruwhere_store::{CountrySym, Interner, InternerSnap, SweepFrame};
 
-/// Per-record hooks a series implements to join the single-pass walk.
-///
-/// Only [`observe_record`] is required; the frame-boundary hooks default
-/// to no-ops for observers without per-frame scratch.
-///
-/// [`observe_record`]: FrameObserver::observe_record
-pub trait FrameObserver {
-    /// Called once before the record walk of each frame.
-    fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {}
+/// One frame's classification: each record's name-server and hosting
+/// [`Composition`], in frame order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FrameCodes {
+    ns: Vec<Composition>,
+    hosting: Vec<Composition>,
+}
 
-    /// Called for every record of the frame, in frame order.
-    fn observe_record(&mut self, rec: &RecordView<'_>, snap: &InternerSnap<'_>);
+impl FrameCodes {
+    /// Classify every record of `frame` under `snap`.
+    pub fn of(frame: &SweepFrame, snap: &InternerSnap<'_>) -> FrameCodes {
+        let mut codes = FrameCodes::default();
+        codes.classify(frame, snap);
+        codes
+    }
 
-    /// Called once after the record walk of each frame.
-    fn end_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {}
-
-    /// Fold one whole frame into this observer alone: `begin_frame`, every
-    /// record, `end_frame`. `interner` must be the interner that built
-    /// `frame`, and every frame one observer sees must come from that same
-    /// interner (see the module docs).
-    fn observe(&mut self, frame: &SweepFrame, interner: &Interner) {
-        let snap = interner.snapshot();
-        self.begin_frame(frame, &snap);
-        for rec in frame.records() {
-            self.observe_record(&rec, &snap);
+    /// Reclassify into the existing columns (their capacity is reused).
+    fn classify(&mut self, frame: &SweepFrame, snap: &InternerSnap<'_>) {
+        fn column(
+            out: &mut Vec<Composition>,
+            offsets: &[u32],
+            countries: &[CountrySym],
+            snap: &InternerSnap<'_>,
+        ) {
+            out.clear();
+            out.extend(offsets.windows(2).map(|w| {
+                Composition::classify_syms(&countries[w[0] as usize..w[1] as usize], snap)
+            }));
         }
-        self.end_frame(frame, &snap);
+        let (ns, apex) = (&frame.ns_addrs, &frame.apex_addrs);
+        column(&mut self.ns, &frame.ns_addr_offsets, &ns.countries, snap);
+        column(
+            &mut self.hosting,
+            &frame.apex_addr_offsets,
+            &apex.countries,
+            snap,
+        );
+    }
+
+    /// The codes of `kind`, one per record in frame order.
+    pub fn of_kind(&self, kind: InfraKind) -> &[Composition] {
+        match kind {
+            InfraKind::NameServers => &self.ns,
+            InfraKind::Hosting => &self.hosting,
+        }
     }
 }
 
-/// Drives all observers through a frame in one record walk, counting
+/// A series that folds whole frames: the per-frame hook of the
+/// single-pass walk.
+pub trait FrameObserver {
+    /// Fold one frame into this series. `codes` is the frame's
+    /// classification under `snap` (see the module docs).
+    fn fold(&mut self, frame: &SweepFrame, codes: &FrameCodes, snap: &InternerSnap<'_>);
+
+    /// Fold one whole frame into this observer alone, classifying it
+    /// first. `interner` must be the interner that built `frame`, and
+    /// every frame one observer sees must come from that same interner
+    /// (see the module docs).
+    fn observe(&mut self, frame: &SweepFrame, interner: &Interner) {
+        let snap = interner.snapshot();
+        self.fold(frame, &FrameCodes::of(frame, &snap), &snap);
+    }
+}
+
+/// Classifies each frame once and folds it into every observer, counting
 /// the work it does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisEngine {
     frames: u64,
     record_visits: u64,
     observer_dispatches: u64,
+    /// The current frame's classification, reused across frames.
+    codes: FrameCodes,
 }
 
 impl AnalysisEngine {
@@ -68,9 +110,9 @@ impl AnalysisEngine {
         AnalysisEngine::default()
     }
 
-    /// Walk `frame` once, dispatching each record to every observer.
+    /// Classify `frame` once, then fold it into every observer.
     ///
-    /// Takes one interner snapshot for the whole walk; `interner` must be
+    /// Takes one interner snapshot for the whole frame; `interner` must be
     /// the interner that built `frame` (see the module docs).
     pub fn observe_frame(
         &mut self,
@@ -79,19 +121,12 @@ impl AnalysisEngine {
         observers: &mut [&mut dyn FrameObserver],
     ) {
         let snap = interner.snapshot();
+        self.codes.classify(frame, &snap);
         self.frames += 1;
+        self.record_visits += frame.len() as u64;
+        self.observer_dispatches += observers.len() as u64;
         for obs in observers.iter_mut() {
-            obs.begin_frame(frame, &snap);
-        }
-        for rec in frame.records() {
-            self.record_visits += 1;
-            self.observer_dispatches += observers.len() as u64;
-            for obs in observers.iter_mut() {
-                obs.observe_record(&rec, &snap);
-            }
-        }
-        for obs in observers.iter_mut() {
-            obs.end_frame(frame, &snap);
+            obs.fold(frame, &self.codes, &snap);
         }
     }
 
@@ -100,14 +135,13 @@ impl AnalysisEngine {
         self.frames
     }
 
-    /// Records visited so far — one per record per frame, *not* per
-    /// observer. The multi-pass baseline visits `observers × records`.
+    /// Records classified so far — one per record per frame, however many
+    /// series fold the frame.
     pub fn record_visits(&self) -> u64 {
         self.record_visits
     }
 
-    /// Observer dispatches so far (`record_visits × observers`): the same
-    /// per-record work the old design did, minus the extra walks.
+    /// Observer folds so far: one per series per frame.
     pub fn observer_dispatches(&self) -> u64 {
         self.observer_dispatches
     }
@@ -117,37 +151,36 @@ impl AnalysisEngine {
 mod tests {
     use super::*;
     use ruwhere_store::{FrameFixture, SweepStats};
-    use ruwhere_types::Date;
+    use ruwhere_types::{Country, Date};
 
+    /// Counts folds and the records and NS codes it was handed.
     #[derive(Default)]
     struct Counter {
-        begins: u32,
-        records: u32,
-        ends: u32,
+        folds: u32,
+        records: usize,
+        full_ns: usize,
     }
 
     impl FrameObserver for Counter {
-        fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-            self.begins += 1;
-        }
-        fn observe_record(&mut self, _rec: &RecordView<'_>, _snap: &InternerSnap<'_>) {
-            self.records += 1;
-        }
-        fn end_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-            self.ends += 1;
+        fn fold(&mut self, frame: &SweepFrame, codes: &FrameCodes, _snap: &InternerSnap<'_>) {
+            self.folds += 1;
+            self.records += frame.len();
+            let ns = codes.of_kind(InfraKind::NameServers);
+            self.full_ns += ns.iter().filter(|&&c| c == Composition::Full).count();
         }
     }
 
     fn three_records(interner: &Interner) -> SweepFrame {
         let mut f = FrameFixture::new(Date::from_ymd(2022, 3, 1), interner);
         for name in ["a.ru", "b.ru", "c.ru"] {
-            f.domain(name);
+            f.domain(name)
+                .ns_addr([10, 0, 0, 1].into(), Some(Country::RU), None);
         }
         f.finish(SweepStats::default())
     }
 
     #[test]
-    fn one_walk_dispatches_to_all_observers() {
+    fn one_classification_folds_into_all_observers() {
         let interner = Interner::new();
         let frame = three_records(&interner);
 
@@ -156,11 +189,11 @@ mod tests {
         engine.observe_frame(&frame, &interner, &mut [&mut x, &mut y]);
 
         for c in [&x, &y] {
-            assert_eq!((c.begins, c.records, c.ends), (1, 3, 1));
+            assert_eq!((c.folds, c.records, c.full_ns), (1, 3, 3));
         }
         assert_eq!(engine.frames(), 1);
         assert_eq!(engine.record_visits(), 3, "one visit per record, shared");
-        assert_eq!(engine.observer_dispatches(), 6);
+        assert_eq!(engine.observer_dispatches(), 2, "one fold per series");
     }
 
     #[test]
@@ -170,6 +203,22 @@ mod tests {
         let mut c = Counter::default();
         c.observe(&frame, &interner);
         c.observe(&frame, &interner);
-        assert_eq!((c.begins, c.records, c.ends), (2, 6, 2));
+        assert_eq!((c.folds, c.records, c.full_ns), (2, 6, 6));
+    }
+
+    #[test]
+    fn codes_hold_one_entry_per_record_and_kind() {
+        let interner = Interner::new();
+        let mut f = FrameFixture::new(Date::from_ymd(2022, 3, 1), &interner);
+        f.domain("a.ru")
+            .ns_addr([10, 0, 0, 1].into(), Some(Country::RU), None)
+            .ns_addr([10, 0, 0, 2].into(), Some(Country::SE), None)
+            .apex_addr([10, 0, 1, 1].into(), Some(Country::US), None);
+        f.domain("b.ru");
+        let frame = f.finish(SweepStats::default());
+        let codes = FrameCodes::of(&frame, &interner.snapshot());
+        use Composition::*;
+        assert_eq!(codes.of_kind(InfraKind::NameServers), [Partial, Unknown]);
+        assert_eq!(codes.of_kind(InfraKind::Hosting), [Non, Unknown]);
     }
 }

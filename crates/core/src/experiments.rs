@@ -372,8 +372,7 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                 }
             }
         };
-        // One walk over the frame feeds every series (the old design made
-        // eight passes over cloned row data here).
+        // One classification of the frame feeds every series' fold.
         engine.observe_frame(
             &frame,
             &interner,
@@ -404,8 +403,12 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
     if let Some(replay) = replay {
         report_replay(&replay, cfg.verbose);
     }
-    // The replay and the writer each hold a base frame; nothing past the
-    // day loop reads them.
+    // One directory sync makes the chain's names durable (each day's
+    // segment bytes were synced as written). The replay and the writer
+    // each hold a base frame; nothing past the day loop reads them.
+    if let Some(store) = &store {
+        store.sync()?;
+    }
     drop(store);
 
     // Certificate analyses over the paper's window.

@@ -39,7 +39,7 @@ pub use asn_share::AsnShareSeries;
 pub use ca_issuance::{CaIssuanceAnalysis, IssuanceTimeline, PeriodTable};
 pub use composition::{Composition, CompositionCounts, CompositionSeries, InfraKind};
 pub use dataset_stats::DatasetStats;
-pub use engine::{AnalysisEngine, FrameObserver};
+pub use engine::{AnalysisEngine, FrameCodes, FrameObserver};
 pub use experiments::{run_study, try_run_study, StudyConfig, StudyError, StudyResults};
 pub use movement::{Movement, MovementReport};
 pub use plots::{gnuplot_script, PlotSpec};

@@ -7,8 +7,8 @@
 //! > we consider it partial, otherwise we consider it non Russian." — §3.1
 
 use crate::composition::{Composition, CompositionCounts};
-use crate::engine::FrameObserver;
-use ruwhere_store::{InternerSnap, RecordView, SweepFrame, TldSym};
+use crate::engine::{FrameCodes, FrameObserver};
+use ruwhere_store::{InternerSnap, SweepFrame, TldSym};
 use ruwhere_types::Date;
 use std::collections::BTreeMap;
 
@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default)]
 pub struct TldDependencySeries {
     days: BTreeMap<Date, CompositionCounts>,
-    scratch: CompositionCounts,
+    /// The current frame's label per record, reused.
+    labels: Vec<Composition>,
 }
 
 impl TldDependencySeries {
@@ -49,35 +50,19 @@ impl TldDependencySeries {
 }
 
 impl FrameObserver for TldDependencySeries {
-    fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.scratch = CompositionCounts::default();
-    }
-
-    fn observe_record(&mut self, rec: &RecordView<'_>, snap: &InternerSnap<'_>) {
-        let (mut ru, mut other) = (0usize, 0usize);
-        for &ns in rec.ns_name_syms() {
-            if snap.tld_is_russian(snap.tld_of(ns)) {
-                ru += 1;
-            } else {
-                other += 1;
-            }
-        }
-        let c = match (ru, other) {
-            (0, 0) => Composition::Unknown,
-            (_, 0) => Composition::Full,
-            (0, _) => Composition::Non,
-            _ => Composition::Partial,
-        };
-        match c {
-            Composition::Full => self.scratch.full += 1,
-            Composition::Partial => self.scratch.partial += 1,
-            Composition::Non => self.scratch.non += 1,
-            Composition::Unknown => self.scratch.unknown += 1,
-        }
-    }
-
-    fn end_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.days.insert(frame.date, self.scratch);
+    fn fold(&mut self, frame: &SweepFrame, _codes: &FrameCodes, snap: &InternerSnap<'_>) {
+        self.labels.clear();
+        self.labels
+            .extend(frame.ns_name_offsets.windows(2).map(|w| {
+                let ns = &frame.ns_names[w[0] as usize..w[1] as usize];
+                let ru = ns
+                    .iter()
+                    .filter(|&&n| snap.tld_is_russian(snap.tld_of(n)))
+                    .count();
+                Composition::from_counts(ru, ns.len() - ru)
+            }));
+        self.days
+            .insert(frame.date, CompositionCounts::tally(&self.labels));
     }
 }
 
@@ -86,14 +71,19 @@ impl FrameObserver for TldDependencySeries {
 /// more than 100 % because domains use multiple TLDs).
 #[derive(Debug, Clone, Default)]
 pub struct TldUsageSeries {
-    days: BTreeMap<Date, BTreeMap<String, u64>>,
+    /// date → (TLD, domains) for every TLD in use that day, in symbol
+    /// order.
+    days: BTreeMap<Date, Vec<(TldSym, u64)>>,
     totals: BTreeMap<Date, u64>,
-    /// Per-frame domain counts indexed by TLD symbol; resolved to strings
-    /// once at `end_frame` instead of once per record.
-    scratch: Vec<u64>,
-    scratch_total: u64,
-    /// The current record's distinct TLDs, reused across records.
-    record_tlds: Vec<TldSym>,
+    /// Each TLD symbol's string, copied from the interner once, so the
+    /// readouts need no interner.
+    tlds: Vec<String>,
+    /// Per TLD symbol: the number of the last record counted into it
+    /// (records number from 1 across frames, so a record's repeats of one
+    /// TLD count once) and its domain count in the current frame.
+    scratch: Vec<(u64, u64)>,
+    /// Records with name servers folded so far.
+    records: u64,
 }
 
 impl TldUsageSeries {
@@ -104,11 +94,11 @@ impl TldUsageSeries {
 
     /// Distinct TLDs ever observed (the paper counts 270).
     pub fn distinct_tlds(&self) -> usize {
-        let mut set = std::collections::BTreeSet::new();
-        for m in self.days.values() {
-            set.extend(m.keys().cloned());
+        let mut seen = vec![false; self.tlds.len()];
+        for &(t, _) in self.days.values().flatten() {
+            seen[t.index()] = true;
         }
-        set.len()
+        seen.into_iter().filter(|&s| s).count()
     }
 
     /// The top `n` TLDs by usage on the final observed date.
@@ -116,8 +106,11 @@ impl TldUsageSeries {
         let Some(last) = self.days.values().next_back() else {
             return Vec::new();
         };
-        let mut v: Vec<(&String, &u64)> = last.iter().collect();
-        v.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+        let mut v: Vec<(&String, u64)> = last
+            .iter()
+            .map(|&(t, n)| (&self.tlds[t.index()], n))
+            .collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v.into_iter().take(n).map(|(t, _)| t.clone()).collect()
     }
 
@@ -125,7 +118,11 @@ impl TldUsageSeries {
     pub fn share(&self, date: Date, tld: &str) -> Option<f64> {
         let counts = self.days.get(&date)?;
         let total = *self.totals.get(&date)? as f64;
-        Some(100.0 * *counts.get(tld).unwrap_or(&0) as f64 / total.max(1.0))
+        let n = counts
+            .iter()
+            .find(|&&(t, _)| self.tlds[t.index()] == tld)
+            .map_or(0, |&(_, n)| n);
+        Some(100.0 * n as f64 / total.max(1.0))
     }
 
     /// All observed dates in order.
@@ -135,40 +132,38 @@ impl TldUsageSeries {
 }
 
 impl FrameObserver for TldUsageSeries {
-    fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.scratch.fill(0);
-        self.scratch_total = 0;
-    }
-
-    fn observe_record(&mut self, rec: &RecordView<'_>, snap: &InternerSnap<'_>) {
-        let ns = rec.ns_name_syms();
-        if ns.is_empty() {
-            return;
-        }
-        self.scratch_total += 1;
-        self.record_tlds.clear();
-        for &n in ns {
-            let t = snap.tld_of(n);
-            if !self.record_tlds.contains(&t) {
-                self.record_tlds.push(t);
+    fn fold(&mut self, frame: &SweepFrame, _codes: &FrameCodes, snap: &InternerSnap<'_>) {
+        let mut total = 0u64;
+        for w in frame.ns_name_offsets.windows(2) {
+            let ns = &frame.ns_names[w[0] as usize..w[1] as usize];
+            if ns.is_empty() {
+                continue;
+            }
+            total += 1;
+            self.records += 1;
+            for &n in ns {
+                let t = snap.tld_of(n).index();
+                if self.scratch.len() <= t {
+                    self.scratch.resize(t + 1, (0, 0));
+                }
+                let (last, count) = &mut self.scratch[t];
+                if *last != self.records {
+                    *last = self.records;
+                    *count += 1;
+                }
             }
         }
-        for t in &self.record_tlds {
-            if self.scratch.len() <= t.index() {
-                self.scratch.resize(t.index() + 1, 0);
-            }
-            self.scratch[t.index()] += 1;
+        while self.tlds.len() < self.scratch.len() {
+            let t = TldSym(self.tlds.len() as u32);
+            self.tlds.push(snap.tld(t).to_owned());
         }
-    }
-
-    fn end_frame(&mut self, frame: &SweepFrame, snap: &InternerSnap<'_>) {
-        let counts: BTreeMap<String, u64> = (0u32..)
-            .zip(&self.scratch)
-            .filter(|&(_, &n)| n > 0)
-            .map(|(t, &n)| (snap.tld(TldSym(t)).to_owned(), n))
+        let counts = (0u32..)
+            .zip(&mut self.scratch)
+            .filter(|(_, (_, n))| *n > 0)
+            .map(|(t, (_, n))| (TldSym(t), std::mem::take(n)))
             .collect();
         self.days.insert(frame.date, counts);
-        self.totals.insert(frame.date, self.scratch_total);
+        self.totals.insert(frame.date, total);
     }
 }
 

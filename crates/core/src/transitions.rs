@@ -6,64 +6,46 @@
 //! "many domains with name servers partially outside Russia clearly
 //! transition towards fully Russian" and the Netnod attribution in §3.2.
 
-use crate::composition::{classify_record_view, Composition, InfraKind};
-use crate::engine::FrameObserver;
-use ruwhere_store::{InternerSnap, RecordView, SweepFrame, Sym};
+use crate::composition::{Composition, InfraKind};
+use crate::engine::{FrameCodes, FrameObserver};
+use ruwhere_store::{InternerSnap, SweepFrame};
 use ruwhere_types::Date;
 use std::collections::BTreeMap;
 
 /// A directed composition transition.
 pub type Transition = (Composition, Composition);
 
-/// Sentinel in `prev_codes` for "not present in the previous sweep".
-const ABSENT: u8 = u8::MAX;
-
 /// Per-date transition counts plus appearance/disappearance tallies.
 ///
 /// Cross-sweep state is symbol-indexed, so one instance must see frames
 /// from **one** interner (the engine contract).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TransitionFlows {
-    kind_series: Option<InfraKind>,
-    /// Previous sweep's composition code per domain symbol ([`ABSENT`] if
-    /// the domain was not in that sweep), indexed by `Sym`.
-    prev_codes: Vec<u8>,
-    /// Symbols present in the previous sweep (for O(prev) clearing and the
-    /// disappearance count).
-    prev_syms: Vec<Sym>,
-    prev_date: Option<Date>,
+    kind: InfraKind,
+    /// Per domain symbol: the number of the last frame it appeared in
+    /// (frames number from 1, so 0 is never) and its composition there.
+    last_seen: Vec<(u32, Composition)>,
+    /// Frames folded so far.
+    frames: u32,
+    /// Records in the previous frame.
+    prev_len: u64,
     /// date → (from, to) → count; only changed domains are recorded.
-    flows: BTreeMap<Date, BTreeMap<(u8, u8), u64>>,
+    flows: BTreeMap<Date, BTreeMap<Transition, u64>>,
     appeared: BTreeMap<Date, u64>,
     disappeared: BTreeMap<Date, u64>,
-    /// Per-frame scratch: `(sym, code)` per record of the current frame.
-    cur: Vec<(Sym, u8)>,
-}
-
-fn code(c: Composition) -> u8 {
-    match c {
-        Composition::Full => 0,
-        Composition::Partial => 1,
-        Composition::Non => 2,
-        Composition::Unknown => 3,
-    }
-}
-
-fn uncode(v: u8) -> Composition {
-    match v {
-        0 => Composition::Full,
-        1 => Composition::Partial,
-        2 => Composition::Non,
-        _ => Composition::Unknown,
-    }
 }
 
 impl TransitionFlows {
     /// Track transitions of `kind`.
     pub fn new(kind: InfraKind) -> Self {
         TransitionFlows {
-            kind_series: Some(kind),
-            ..Self::default()
+            kind,
+            last_seen: Vec::new(),
+            frames: 0,
+            prev_len: 0,
+            flows: BTreeMap::new(),
+            appeared: BTreeMap::new(),
+            disappeared: BTreeMap::new(),
         }
     }
 
@@ -71,7 +53,7 @@ impl TransitionFlows {
     pub fn count(&self, date: Date, from: Composition, to: Composition) -> u64 {
         self.flows
             .get(&date)
-            .and_then(|m| m.get(&(code(from), code(to))))
+            .and_then(|m| m.get(&(from, to)))
             .copied()
             .unwrap_or(0)
     }
@@ -81,10 +63,7 @@ impl TransitionFlows {
         let Some(m) = self.flows.get(&date) else {
             return Vec::new();
         };
-        let mut v: Vec<(Transition, u64)> = m
-            .iter()
-            .map(|(&(f, t), &n)| ((uncode(f), uncode(t)), n))
-            .collect();
+        let mut v: Vec<(Transition, u64)> = m.iter().map(|(&t, &n)| (t, n)).collect();
         v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         v
     }
@@ -94,17 +73,14 @@ impl TransitionFlows {
     pub fn peak(&self, from: Composition, to: Composition) -> Option<(Date, u64)> {
         self.flows
             .iter()
-            .map(|(d, m)| (*d, m.get(&(code(from), code(to))).copied().unwrap_or(0)))
+            .map(|(d, m)| (*d, m.get(&(from, to)).copied().unwrap_or(0)))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .filter(|(_, n)| *n > 0)
     }
 
     /// Total transitions of `from → to` across all dates.
     pub fn total(&self, from: Composition, to: Composition) -> u64 {
-        self.flows
-            .values()
-            .filter_map(|m| m.get(&(code(from), code(to))))
-            .sum()
+        self.flows.values().filter_map(|m| m.get(&(from, to))).sum()
     }
 
     /// New domains appearing on `date` (registrations since last sweep).
@@ -124,56 +100,34 @@ impl TransitionFlows {
 }
 
 impl FrameObserver for TransitionFlows {
-    fn begin_frame(&mut self, _frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        self.cur.clear();
-    }
-
-    fn observe_record(&mut self, rec: &RecordView<'_>, snap: &InternerSnap<'_>) {
-        let kind = self.kind_series.unwrap_or(InfraKind::NameServers);
-        self.cur.push((
-            rec.domain_sym(),
-            code(classify_record_view(kind, rec, snap)),
-        ));
-    }
-
-    fn end_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {
-        if self.prev_date.is_some() {
-            let mut flows: BTreeMap<(u8, u8), u64> = BTreeMap::new();
-            let mut appeared = 0u64;
-            let mut matched = 0u64;
-            for &(sym, now) in &self.cur {
-                let before = self.prev_codes.get(sym.index()).copied().unwrap_or(ABSENT);
-                if before == ABSENT {
-                    appeared += 1;
-                } else {
-                    matched += 1;
-                    if before != now {
-                        *flows.entry((before, now)).or_default() += 1;
-                    }
-                }
+    fn fold(&mut self, frame: &SweepFrame, codes: &FrameCodes, _snap: &InternerSnap<'_>) {
+        let prev = self.frames;
+        self.frames += 1;
+        let mut flows: BTreeMap<Transition, u64> = BTreeMap::new();
+        let mut appeared = 0u64;
+        for (&sym, &to) in frame.domains.iter().zip(codes.of_kind(self.kind)) {
+            if self.last_seen.len() <= sym.index() {
+                self.last_seen
+                    .resize(sym.index() + 1, (0, Composition::Unknown));
             }
+            let (frame_no, from) =
+                std::mem::replace(&mut self.last_seen[sym.index()], (self.frames, to));
+            if frame_no != prev || prev == 0 {
+                appeared += 1;
+            } else if from != to {
+                *flows.entry((from, to)).or_default() += 1;
+            }
+        }
+        if prev > 0 {
             // Each sweep holds one record per domain, so the previous
             // domains not matched by the current sweep are exactly the
             // disappearances.
-            let disappeared = self.prev_syms.len() as u64 - matched;
+            let matched = frame.len() as u64 - appeared;
             self.flows.insert(frame.date, flows);
             self.appeared.insert(frame.date, appeared);
-            self.disappeared.insert(frame.date, disappeared);
+            self.disappeared.insert(frame.date, self.prev_len - matched);
         }
-
-        for &sym in &self.prev_syms {
-            self.prev_codes[sym.index()] = ABSENT;
-        }
-        self.prev_syms.clear();
-        for &(sym, now) in &self.cur {
-            if self.prev_codes.len() <= sym.index() {
-                self.prev_codes.resize(sym.index() + 1, ABSENT);
-            }
-            self.prev_codes[sym.index()] = now;
-            self.prev_syms.push(sym);
-        }
-        self.prev_date = Some(frame.date);
-        self.cur.clear();
+        self.prev_len = frame.len() as u64;
     }
 }
 

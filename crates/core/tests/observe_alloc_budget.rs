@@ -1,11 +1,13 @@
 //! Allocation budget of the analysis walk.
 //!
-//! Every study day walks one frame through the eight observers of
-//! `try_run_study`, so an allocation per record and observer is paid
-//! once per domain-day. A counting global allocator makes the count
-//! exact: once the observers' scratch has grown to a frame's size, walking
-//! a frame ten times larger must not allocate more. This file holds a
-//! single test so nothing else allocates in its binary while it measures.
+//! Every study day classifies one frame and folds it into the eight
+//! series of `try_run_study`, so an allocation per record is paid once
+//! per domain-day. A counting global allocator makes the count exact:
+//! once the series' scratch has grown to a frame's size, folding a frame
+//! ten times larger must not allocate more, and no fold may allocate more
+//! than [`CEILING`] times: the per-day entries the series keep. This file
+//! holds a single test so nothing else allocates in its binary while it
+//! measures.
 
 use ruwhere_core::{
     AnalysisEngine, AsnShareSeries, CompositionSeries, DatasetStats, FrameObserver, InfraKind,
@@ -50,6 +52,10 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Allocations one walk of the eight series may make, at most: the
+/// measured figure (the per-day entries of the series' date-keyed maps).
+const CEILING: u64 = 5;
 
 const TLDS: [&str; 5] = ["ru", "com", "net", "org", "pro"];
 
@@ -124,7 +130,7 @@ fn walk_allocations_do_not_grow_with_records() {
         engine.observe_frame(frame, &interner, all);
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
-    // Warm-up: every observer's scratch reaches the large frame's size.
+    // Warm-up: every series' scratch reaches the large frame's size.
     walk(&frames[0]);
     walk(&frames[1]);
 
@@ -137,5 +143,10 @@ fn walk_allocations_do_not_grow_with_records() {
     assert!(
         large_allocs <= small_allocs,
         "walking {large} records made {large_allocs} allocations, {small} made {small_allocs}"
+    );
+    assert!(
+        small_allocs.max(large_allocs) <= CEILING,
+        "a walk made {} allocations, over the ceiling of {CEILING}",
+        small_allocs.max(large_allocs)
     );
 }

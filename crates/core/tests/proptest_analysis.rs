@@ -3,9 +3,9 @@
 //! up, and movement accounting must conserve domains.
 
 use proptest::prelude::*;
-use ruwhere_core::composition::{classify_record_view, Composition, CompositionSeries, InfraKind};
+use ruwhere_core::composition::{Composition, CompositionSeries, InfraKind};
 use ruwhere_core::movement::{Movement, MovementReport};
-use ruwhere_core::{AsnShareSeries, FrameObserver};
+use ruwhere_core::{AsnShareSeries, FrameCodes, FrameObserver};
 use ruwhere_store::{FrameFixture, Interner, SweepFrame, SweepStats};
 use ruwhere_types::{Asn, Country, Date};
 use std::net::Ipv4Addr;
@@ -89,6 +89,7 @@ proptest! {
         let interner = Interner::new();
         let sweep = frame(&interner, Date::from_ymd(2022, 3, 1), &specs);
         let snap = interner.snapshot();
+        let codes = FrameCodes::of(&sweep, &snap);
         for rec in sweep.records() {
             let countries: Vec<Option<Country>> = rec
                 .ns_addrs()
@@ -104,7 +105,7 @@ proptest! {
                 (0, _) => Composition::Non,
                 _ => Composition::Partial,
             };
-            prop_assert_eq!(classify_record_view(InfraKind::NameServers, &rec, &snap), expected);
+            prop_assert_eq!(codes.of_kind(InfraKind::NameServers)[rec.index()], expected);
         }
     }
 

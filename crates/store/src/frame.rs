@@ -12,7 +12,7 @@
 //! - **One allocation per column per sweep** instead of four `Vec`s and a
 //!   handful of owned strings per record — retaining a frame for movement
 //!   analysis costs a few flat buffers.
-//! - **Symbol-level analysis**: every per-record hook sees `u32` symbols,
+//! - **Symbol-level analysis**: every series folds `u32` symbol columns,
 //!   so the eight study analyses compare integers and index dense arrays
 //!   where they used to hash owned [`DomainName`]s.
 //!

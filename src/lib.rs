@@ -44,9 +44,9 @@ pub use ruwhere_world as world;
 pub mod prelude {
     pub use ruwhere_core::{
         figures, run_study, AnalysisEngine, AsnShareSeries, CaIssuanceAnalysis, Composition,
-        CompositionSeries, FrameObserver, InfraKind, MovementReport, RevocationAnalysis,
-        RussianCaAnalysis, Series, StudyConfig, StudyResults, Table, TldDependencySeries,
-        TldUsageSeries,
+        CompositionSeries, FrameCodes, FrameObserver, InfraKind, MovementReport,
+        RevocationAnalysis, RussianCaAnalysis, Series, StudyConfig, StudyResults, Table,
+        TldDependencySeries, TldUsageSeries,
     };
     pub use ruwhere_scan::{
         CertDataset, IpScanner, MatchRule, OpenIntelScanner, ScanError, SweepMetrics, SweepOptions,
