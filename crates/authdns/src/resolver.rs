@@ -1180,7 +1180,6 @@ mod tests {
     use ruwhere_dns::{RData, Record, SoaData, Zone};
     use ruwhere_netsim::fault::{FaultWindow, ServerFault, ServerFaultMode};
     use ruwhere_netsim::{AsInfo, Network, Topology};
-    use ruwhere_types::sync::write;
     use ruwhere_types::{Asn, Country, SeedTree};
 
     fn name(s: &str) -> Name {
@@ -1365,11 +1364,7 @@ mod tests {
     /// servers, so server-selection behaviour (fallback, penalty box) is
     /// observable. Returns the network, resolver, and the second server's
     /// behavior handle.
-    fn build_two_ns_world() -> (
-        Network,
-        IterativeResolver,
-        std::sync::Arc<std::sync::RwLock<ServerBehavior>>,
-    ) {
+    fn build_two_ns_world() -> (Network, IterativeResolver, crate::server::BehaviorHandle) {
         let (mut net, resolver) = build_world();
         // Give example.ru a second, glued, in-bailiwick NS.
         let mut ru = Zone::new(name("ru"), soa("a.dns.ripn.net"), 86400);
@@ -1667,7 +1662,7 @@ mod tests {
         let (mut net, mut r) = build_world();
         let zones = shared_zones([]);
         let srv = AuthServer::new(zones);
-        *write(&srv.behavior_handle()) = ServerBehavior::Refused;
+        srv.behavior_handle().set(ServerBehavior::Refused);
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         let err = r
             .resolve(&mut net, &name("example.ru"), RType::A)
@@ -1689,7 +1684,7 @@ mod tests {
     fn servfail_surfaces_as_servfail() {
         let (mut net, mut r) = build_world();
         let srv = AuthServer::new(shared_zones([]));
-        *write(&srv.behavior_handle()) = ServerBehavior::ServFail;
+        srv.behavior_handle().set(ServerBehavior::ServFail);
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         let err = r
             .resolve(&mut net, &name("example.ru"), RType::A)
@@ -1702,7 +1697,7 @@ mod tests {
     fn lame_surfaces_as_lame() {
         let (mut net, mut r) = build_world();
         let srv = AuthServer::new(shared_zones([]));
-        *write(&srv.behavior_handle()) = ServerBehavior::Lame;
+        srv.behavior_handle().set(ServerBehavior::Lame);
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         let err = r
             .resolve(&mut net, &name("example.ru"), RType::A)
@@ -1722,7 +1717,7 @@ mod tests {
         ] {
             let (mut net, mut r, _h2) = build_two_ns_world();
             let srv = AuthServer::new(shared_zones([]));
-            *write(&srv.behavior_handle()) = bad;
+            srv.behavior_handle().set(bad);
             net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
             let res = r.resolve(&mut net, &name("example.ru"), RType::A).unwrap();
             assert_eq!(res.addresses(), vec![WEB_IP], "no fallback past {bad:?}");
@@ -1733,7 +1728,7 @@ mod tests {
     fn truncated_reply_counts_and_fails_alone() {
         let (mut net, mut r) = build_world();
         let srv = AuthServer::new(shared_zones([]));
-        *write(&srv.behavior_handle()) = ServerBehavior::Truncated;
+        srv.behavior_handle().set(ServerBehavior::Truncated);
         net.bind(HOSTER_DNS_IP, 53, Box::new(srv));
         assert!(r.resolve(&mut net, &name("example.ru"), RType::A).is_err());
         assert!(r.stats().truncated > 0);
@@ -1760,7 +1755,7 @@ mod tests {
         // health state in play.
         let run = || {
             let (mut net, mut r, h2) = build_two_ns_world();
-            *write(&h2) = ServerBehavior::Silent;
+            h2.set(ServerBehavior::Silent);
             for _ in 0..4 {
                 r.clear_cache();
                 let _ = r.resolve(&mut net, &name("example.ru"), RType::A);

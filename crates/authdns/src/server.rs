@@ -2,17 +2,18 @@
 
 use ruwhere_dns::zone::Lookup;
 use ruwhere_dns::{
-    Flags, MessageView, Name, NameSlice, RData, Rcode, Record, WireError, Zone, MAX_NAME_LEN,
+    Flags, MessageView, Name, NameSlice, RData, RType, Rcode, Record, WireError, Zone, MAX_NAME_LEN,
 };
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::sync::read;
 use ruwhere_types::FastMap;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A set of zones served by one operator, keyed by origin. Serving only
 /// probes exact origins, so the index is hashed.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ZoneSet {
     zones: FastMap<Name, Zone>,
 }
@@ -28,11 +29,6 @@ impl ZoneSet {
         self.zones.insert(zone.origin().clone(), zone);
     }
 
-    /// Remove the zone with `origin`.
-    pub fn remove(&mut self, origin: &Name) -> Option<Zone> {
-        self.zones.remove(origin)
-    }
-
     /// Number of zones.
     pub fn len(&self) -> usize {
         self.zones.len()
@@ -44,12 +40,12 @@ impl ZoneSet {
     }
 
     /// Direct access to a zone by origin.
-    pub fn get(&self, origin: &Name) -> Option<&Zone> {
+    pub fn get(&self, origin: &NameSlice) -> Option<&Zone> {
         self.zones.get(origin)
     }
 
     /// Mutable access to a zone by origin.
-    pub fn get_mut(&mut self, origin: &Name) -> Option<&mut Zone> {
+    pub fn get_mut(&mut self, origin: &NameSlice) -> Option<&mut Zone> {
         self.zones.get_mut(origin)
     }
 
@@ -60,14 +56,46 @@ impl ZoneSet {
     }
 }
 
+impl Authority for ZoneSet {
+    fn encode_answer(
+        &self,
+        query: &MessageView<'_>,
+        qname: &NameSlice,
+        qtype: RType,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
+        match self.find_best(qname) {
+            Some(zone) => encode_zone_answer(zone, query, qname, qtype, out),
+            None => refuse(query, out),
+        }
+    }
+}
+
 /// Shared, mutable zone storage: the world driver updates zones while the
 /// network holds the serving side.
 pub type SharedZoneSet = Arc<RwLock<ZoneSet>>;
+
+/// The data an [`AuthServer`] answers from: a [`ZoneSet`], or a managed
+/// DNS plan's [`PlanZones`](crate::PlanZones).
+pub trait Authority: Send + Sync + 'static {
+    /// Encode into `out` the authoritative reply to `query`, whose first
+    /// question asks for `qtype` at `qname` (lowercased): an answer from
+    /// the deepest origin at or above `qname`, or `REFUSED` when no
+    /// origin covers it.
+    fn encode_answer(
+        &self,
+        query: &MessageView<'_>,
+        qname: &NameSlice,
+        qtype: RType,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError>;
+}
 
 /// How the server responds — the observable modes of provider behaviour
 /// during the 2022 disengagements, plus the degraded modes the
 /// fault-injection layer exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ServerBehavior {
     /// Answer authoritatively from the zone set.
     Normal,
@@ -85,94 +113,64 @@ pub enum ServerBehavior {
     Lame,
 }
 
-/// The authoritative DNS service bound into the simulated network.
-pub struct AuthServer {
-    zones: SharedZoneSet,
-    behavior: Arc<RwLock<ServerBehavior>>,
+impl ServerBehavior {
+    /// Every behaviour, indexed by its `repr(u8)` code.
+    const ALL: [ServerBehavior; 6] = [
+        ServerBehavior::Normal,
+        ServerBehavior::Refused,
+        ServerBehavior::Silent,
+        ServerBehavior::ServFail,
+        ServerBehavior::Truncated,
+        ServerBehavior::Lame,
+    ];
 }
 
-impl AuthServer {
+/// A shared switch for one server's [`ServerBehavior`], starting at
+/// [`ServerBehavior::Normal`]. It is one atomic byte, so the server reads
+/// it on every query without taking a lock; the byte publishes no other
+/// data, so its loads and stores are `Relaxed`.
+#[derive(Debug, Clone, Default)]
+pub struct BehaviorHandle(Arc<AtomicU8>);
+
+impl BehaviorHandle {
+    /// The current behaviour.
+    pub fn get(&self) -> ServerBehavior {
+        ServerBehavior::ALL[usize::from(self.0.load(Ordering::Relaxed))]
+    }
+
+    /// Switch to `behavior` from the next query on.
+    pub fn set(&self, behavior: ServerBehavior) {
+        self.0.store(behavior as u8, Ordering::Relaxed);
+    }
+}
+
+/// The authoritative DNS service bound into the simulated network,
+/// answering from a shared [`Authority`] — a [`ZoneSet`] unless stated.
+pub struct AuthServer<A = ZoneSet> {
+    zones: Arc<RwLock<A>>,
+    behavior: BehaviorHandle,
+}
+
+impl<A: Authority> AuthServer<A> {
     /// New server over `zones` with [`ServerBehavior::Normal`].
-    pub fn new(zones: SharedZoneSet) -> Self {
+    pub fn new(zones: Arc<RwLock<A>>) -> Self {
         AuthServer {
             zones,
-            behavior: Arc::new(RwLock::new(ServerBehavior::Normal)),
+            behavior: BehaviorHandle::default(),
         }
     }
 
     /// Handle to flip behaviour later (provider exits mid-simulation).
-    pub fn behavior_handle(&self) -> Arc<RwLock<ServerBehavior>> {
-        Arc::clone(&self.behavior)
-    }
-
-    /// Encode the authoritative reply to `query` into `out` straight from
-    /// the records the zones hold: nothing is cloned and no reply
-    /// [`Message`](ruwhere_dns::Message) is built.
-    fn encode_answer(
-        zones: &ZoneSet,
-        query: &MessageView<'_>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), WireError> {
-        let Some(q) = query.questions().next() else {
-            return reply(query, Rcode::FormErr, false, NO_RECORDS, out);
-        };
-        let mut buf = [0u8; MAX_NAME_LEN];
-        let qname = q.name.lowercase_into(&mut buf);
-        let Some(zone) = zones.find_best(qname) else {
-            return reply(query, Rcode::Refused, false, NO_RECORDS, out);
-        };
-        match zone.lookup(qname, q.rtype) {
-            Lookup::Answer(records) => {
-                reply(query, Rcode::NoError, true, [&records, &[], &[]], out)
-            }
-            Lookup::Cname(cname) => {
-                // Chase in-zone as far as possible, like real servers do.
-                let mut chain = vec![cname];
-                let mut next = cname;
-                for _ in 0..8 {
-                    let RData::Cname(target) = &next.data else {
-                        unreachable!("Lookup::Cname holds a CNAME");
-                    };
-                    match zone.lookup(target, q.rtype) {
-                        Lookup::Answer(records) => {
-                            chain.extend(records.iter().copied());
-                            break;
-                        }
-                        Lookup::Cname(cname) => {
-                            chain.push(cname);
-                            next = cname;
-                        }
-                        _ => break,
-                    }
-                }
-                reply(query, Rcode::NoError, true, [&chain, &[], &[]], out)
-            }
-            Lookup::Delegation { ns, glue } => {
-                reply(query, Rcode::NoError, false, [&[], &ns, &glue], out)
-            }
-            Lookup::NoData => reply(
-                query,
-                Rcode::NoError,
-                true,
-                [&[], &[zone.soa_record()], &[]],
-                out,
-            ),
-            Lookup::NxDomain => reply(
-                query,
-                Rcode::NxDomain,
-                true,
-                [&[], &[zone.soa_record()], &[]],
-                out,
-            ),
-            Lookup::OutOfZone => reply(query, Rcode::Refused, false, NO_RECORDS, out),
-        }
+    pub fn behavior_handle(&self) -> BehaviorHandle {
+        self.behavior.clone()
     }
 
     /// The full request path (behaviour gate, parse, answer, encode into
-    /// `out`) — needs only shared access: zones and behaviour live behind
-    /// their own locks. Returns whether a reply was written.
+    /// `out`) — needs only shared access: the zones live behind their own
+    /// lock and the behaviour is atomic. Returns whether a reply was
+    /// written.
     fn respond(&self, payload: &[u8], out: &mut Vec<u8>) -> bool {
-        let behavior = *read(&self.behavior);
+        let behavior = self.behavior.get();
         if behavior == ServerBehavior::Silent {
             return false;
         }
@@ -194,11 +192,86 @@ impl AuthServer {
             }
             ServerBehavior::Lame => reply(&query, Rcode::NoError, false, NO_RECORDS, out),
             ServerBehavior::Normal | ServerBehavior::Silent => {
-                Self::encode_answer(&read(&self.zones), &query, out)
+                encode_answer(&*read(&self.zones), &query, out)
             }
         }
         .is_ok()
     }
+}
+
+/// Encode the authoritative reply to `query` from `zones` into `out`:
+/// `FORMERR` for a query without a question, else the answer to its
+/// first question.
+fn encode_answer<A: Authority>(
+    zones: &A,
+    query: &MessageView<'_>,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let Some(q) = query.questions().next() else {
+        return reply(query, Rcode::FormErr, false, NO_RECORDS, out);
+    };
+    let mut buf = [0u8; MAX_NAME_LEN];
+    zones.encode_answer(query, q.name.lowercase_into(&mut buf), q.rtype, out)
+}
+
+/// Encode the reply to `query` for `qtype` at `qname` from `zone`,
+/// straight from the records the zone holds: nothing is cloned and no
+/// reply [`Message`](ruwhere_dns::Message) is built.
+pub(crate) fn encode_zone_answer(
+    zone: &Zone,
+    query: &MessageView<'_>,
+    qname: &NameSlice,
+    qtype: RType,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    match zone.lookup(qname, qtype) {
+        Lookup::Answer(records) => reply(query, Rcode::NoError, true, [&records, &[], &[]], out),
+        Lookup::Cname(cname) => {
+            // Chase in-zone as far as possible, like real servers do.
+            let mut chain = vec![cname];
+            let mut next = cname;
+            for _ in 0..8 {
+                let RData::Cname(target) = &next.data else {
+                    unreachable!("Lookup::Cname holds a CNAME");
+                };
+                match zone.lookup(target, qtype) {
+                    Lookup::Answer(records) => {
+                        chain.extend(records.iter().copied());
+                        break;
+                    }
+                    Lookup::Cname(cname) => {
+                        chain.push(cname);
+                        next = cname;
+                    }
+                    _ => break,
+                }
+            }
+            reply(query, Rcode::NoError, true, [&chain, &[], &[]], out)
+        }
+        Lookup::Delegation { ns, glue } => {
+            reply(query, Rcode::NoError, false, [&[], &ns, &glue], out)
+        }
+        Lookup::NoData => reply(
+            query,
+            Rcode::NoError,
+            true,
+            [&[], &[zone.soa_record()], &[]],
+            out,
+        ),
+        Lookup::NxDomain => reply(
+            query,
+            Rcode::NxDomain,
+            true,
+            [&[], &[zone.soa_record()], &[]],
+            out,
+        ),
+        Lookup::OutOfZone => refuse(query, out),
+    }
+}
+
+/// Encode the `REFUSED` reply to a question outside every origin.
+pub(crate) fn refuse(query: &MessageView<'_>, out: &mut Vec<u8>) -> Result<(), WireError> {
+    reply(query, Rcode::Refused, false, NO_RECORDS, out)
 }
 
 /// Empty answer, authority and additional sections.
@@ -220,7 +293,7 @@ fn reply(
     query.encode_reply(flags, sections, out)
 }
 
-impl Service for AuthServer {
+impl<A: Authority> Service for AuthServer<A> {
     fn handle(
         &self,
         payload: &[u8],
@@ -256,8 +329,8 @@ mod tests {
     fn answer(zones: &SharedZoneSet, query: &Message) -> Message {
         let query = query.encode().unwrap();
         let mut reply = Vec::new();
-        AuthServer::encode_answer(
-            &read(zones),
+        encode_answer(
+            &*read(zones),
             &MessageView::parse(&query).unwrap(),
             &mut reply,
         )
@@ -382,28 +455,28 @@ mod tests {
         let out = serve(&srv, &q).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::NoError);
 
-        *write(&behavior) = ServerBehavior::Refused;
+        behavior.set(ServerBehavior::Refused);
         let out = serve(&srv, &q).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::Refused);
 
-        *write(&behavior) = ServerBehavior::ServFail;
+        behavior.set(ServerBehavior::ServFail);
         let out = serve(&srv, &q).unwrap();
         assert_eq!(Message::decode(&out).unwrap().flags.rcode, Rcode::ServFail);
 
-        *write(&behavior) = ServerBehavior::Truncated;
+        behavior.set(ServerBehavior::Truncated);
         let out = serve(&srv, &q).unwrap();
         let m = Message::decode(&out).unwrap();
         assert!(m.flags.tc);
         assert!(m.answers.is_empty());
 
-        *write(&behavior) = ServerBehavior::Lame;
+        behavior.set(ServerBehavior::Lame);
         let out = serve(&srv, &q).unwrap();
         let m = Message::decode(&out).unwrap();
         assert_eq!(m.flags.rcode, Rcode::NoError);
         assert!(!m.flags.aa);
         assert!(m.answers.is_empty() && m.authorities.is_empty());
 
-        *write(&behavior) = ServerBehavior::Silent;
+        behavior.set(ServerBehavior::Silent);
         assert!(serve(&srv, &q).is_none());
     }
 

@@ -51,7 +51,7 @@ pub mod zone;
 
 pub use message::{Flags, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameSlice, MAX_NAME_LEN};
-pub use rdata::{RData, RType, Record, SoaData, CLASS_IN};
+pub use rdata::{encode_record, RData, RType, Record, SoaData, CLASS_IN};
 pub use view::{MessageView, NameView, QuestionView, Questions, RecordView, Records};
 pub use wire::{WireError, MAX_MESSAGE_SIZE};
 pub use zone::Zone;

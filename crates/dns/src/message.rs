@@ -4,7 +4,6 @@ use crate::name::{Name, NameSlice};
 use crate::rdata::{RType, Record, CLASS_IN};
 use crate::view::MessageView;
 use crate::wire::{Encoder, WireError};
-use std::borrow::Borrow;
 use std::fmt;
 
 /// Operation code (header OPCODE field). We only speak standard queries.
@@ -225,15 +224,18 @@ impl Message {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut out = Vec::new();
         let sections = [&self.answers, &self.authorities, &self.additionals];
+        let [an, ns, ar] = sections.map(Vec::len);
         encode_message(
             &mut out,
             self.id,
             self.flags,
-            self.questions.len(),
-            sections.map(Vec::as_slice),
+            [self.questions.len(), an, ns, ar],
             |enc| {
                 for q in &self.questions {
                     put_question(enc, &q.name, q.rtype);
+                }
+                for r in sections.into_iter().flatten() {
+                    r.encode(enc);
                 }
             },
         )?;
@@ -248,7 +250,7 @@ impl Message {
         rtype: RType,
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
-        encode_message(out, id, Flags::query(), 1, [&[] as &[Record]; 3], |enc| {
+        encode_message(out, id, Flags::query(), [1, 0, 0, 0], |enc| {
             put_question(enc, name, rtype)
         })
     }
@@ -264,28 +266,23 @@ impl Message {
     }
 }
 
-/// Encode a message into `out`: the header, `qdcount` questions written
-/// by `questions`, then the answer, authority and additional sections in
-/// that order.
-pub(crate) fn encode_message<R: Borrow<Record>>(
+/// Encode a message into `out`: the header, whose question, answer,
+/// authority and additional counts are `counts`, then the entries `body`
+/// writes, which must be that many, in that order.
+pub(crate) fn encode_message(
     out: &mut Vec<u8>,
     id: u16,
     flags: Flags,
-    qdcount: usize,
-    sections: [&[R]; 3],
-    questions: impl FnOnce(&mut Encoder<'_>),
+    counts: [usize; 4],
+    body: impl FnOnce(&mut Encoder<'_>),
 ) -> Result<(), WireError> {
     let mut e = Encoder::new(out);
     e.put_u16(id);
     e.put_u16(flags.encode());
-    e.put_u16(qdcount as u16);
-    for section in sections {
-        e.put_u16(section.len() as u16);
+    for count in counts {
+        e.put_u16(count as u16);
     }
-    questions(&mut e);
-    for r in sections.into_iter().flatten() {
-        r.borrow().encode(&mut e);
-    }
+    body(&mut e);
     e.finish()
 }
 

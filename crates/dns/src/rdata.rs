@@ -1,6 +1,6 @@
 //! Resource records and RDATA.
 
-use crate::name::Name;
+use crate::name::{Name, NameSlice};
 use crate::wire::Encoder;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -100,6 +100,19 @@ pub struct SoaData {
     pub minimum: u32,
 }
 
+impl SoaData {
+    /// Encode as SOA RDATA, compressing both names.
+    pub fn encode(&self, enc: &mut Encoder<'_>) {
+        self.mname.encode(enc);
+        self.rname.encode(enc);
+        enc.put_u32(self.serial);
+        enc.put_u32(self.refresh);
+        enc.put_u32(self.retry);
+        enc.put_u32(self.expire);
+        enc.put_u32(self.minimum);
+    }
+}
+
 /// Typed RDATA.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RData {
@@ -145,15 +158,7 @@ impl RData {
             RData::A(ip) => enc.put_slice(&ip.octets()),
             RData::Aaaa(ip) => enc.put_slice(&ip.octets()),
             RData::Ns(n) | RData::Cname(n) => n.encode(enc),
-            RData::Soa(soa) => {
-                soa.mname.encode(enc);
-                soa.rname.encode(enc);
-                enc.put_u32(soa.serial);
-                enc.put_u32(soa.refresh);
-                enc.put_u32(soa.retry);
-                enc.put_u32(soa.expire);
-                enc.put_u32(soa.minimum);
-            }
+            RData::Soa(soa) => soa.encode(enc),
             RData::Mx(pref, n) => {
                 enc.put_u16(*pref);
                 n.encode(enc);
@@ -196,17 +201,34 @@ impl Record {
 
     /// Encode the full record (owner, type, class, TTL, RDLENGTH, RDATA).
     pub fn encode(&self, enc: &mut Encoder<'_>) {
-        self.name.encode(enc);
-        enc.put_u16(self.data.rtype().code());
-        enc.put_u16(CLASS_IN);
-        enc.put_u32(self.ttl);
-        let len_at = enc.position();
-        enc.put_u16(0);
-        let start = enc.position();
-        self.data.encode(enc);
-        let rdlen = enc.position() - start;
-        enc.patch_u16(len_at, rdlen as u16);
+        encode_record(enc, &self.name, self.ttl, self.data.rtype(), |enc| {
+            self.data.encode(enc)
+        });
     }
+}
+
+/// Encode one record from its parts: `owner`, `rtype`, class IN, `ttl`,
+/// then the RDLENGTH of the RDATA `rdata` writes, and that RDATA.
+/// [`Record::encode`] is this over a record's fields; a server holding
+/// its data in another shape encodes the same bytes without building a
+/// [`Record`].
+pub fn encode_record(
+    enc: &mut Encoder<'_>,
+    owner: &NameSlice,
+    ttl: u32,
+    rtype: RType,
+    rdata: impl FnOnce(&mut Encoder<'_>),
+) {
+    owner.encode(enc);
+    enc.put_u16(rtype.code());
+    enc.put_u16(CLASS_IN);
+    enc.put_u32(ttl);
+    let len_at = enc.position();
+    enc.put_u16(0);
+    let start = enc.position();
+    rdata(enc);
+    let rdlen = enc.position() - start;
+    enc.patch_u16(len_at, rdlen as u16);
 }
 
 impl fmt::Display for Record {

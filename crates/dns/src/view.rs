@@ -15,7 +15,7 @@
 use crate::message::{encode_message, put_question, Flags, Message, Question};
 use crate::name::{Name, NameSlice, MAX_NAME_LEN};
 use crate::rdata::{RData, RType, Record, SoaData};
-use crate::wire::{WireError, MAX_POINTER_HOPS};
+use crate::wire::{Encoder, WireError, MAX_POINTER_HOPS};
 use std::borrow::Borrow;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -139,12 +139,32 @@ impl<'a> MessageView<'a> {
         sections: [&[R]; 3],
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
+        self.encode_reply_with(flags, sections.map(<[R]>::len), out, |enc| {
+            for r in sections.into_iter().flatten() {
+                r.borrow().encode(enc);
+            }
+        })
+    }
+
+    /// [`encode_reply`](Self::encode_reply) for a server that holds no
+    /// [`Record`]s: `records` writes the answer, authority and additional
+    /// records itself (with [`encode_record`](crate::encode_record)),
+    /// exactly `counts` of them, section by section.
+    pub fn encode_reply_with(
+        &self,
+        flags: Flags,
+        counts: [usize; 3],
+        out: &mut Vec<u8>,
+        records: impl FnOnce(&mut Encoder<'_>),
+    ) -> Result<(), WireError> {
         let questions = self.questions();
-        encode_message(out, self.id, flags, questions.len(), sections, |enc| {
+        let [an, ns, ar] = counts;
+        encode_message(out, self.id, flags, [questions.len(), an, ns, ar], |enc| {
             let mut buf = [0u8; MAX_NAME_LEN];
             for q in questions {
                 put_question(enc, q.name.lowercase_into(&mut buf), q.rtype);
             }
+            records(enc);
         })
     }
 }

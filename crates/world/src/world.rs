@@ -11,7 +11,9 @@ use crate::tls::{Serving, ServingMap, TlsEndpoint, TLS_PORT};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::Rng;
-use ruwhere_authdns::{AuthServer, RootHint, SharedZoneSet, ZoneSet};
+use ruwhere_authdns::{
+    AuthServer, PlanTemplate, PlanZones, RootHint, Row, SharedPlanZones, SharedZoneSet, ZoneSet,
+};
 use ruwhere_ct::revocation::RevocationReason;
 use ruwhere_ct::{CaPolicy, CertId, CertificateAuthority, CtLog, OcspResponder, SharedCertStore};
 use ruwhere_dns::{Name, RData, Record, SoaData, Zone};
@@ -36,8 +38,9 @@ const WHOIS_PORT: u16 = ruwhere_registry::WHOIS_PORT;
 /// different CAs", §4.2).
 const SANCTIONED_DAILY_ISSUE: f64 = 0.012;
 
-/// A set with O(1) add / remove / uniform sampling, used for plan and
-/// hosting membership.
+/// A set with O(1) add / remove / uniform sampling, used for hosting and
+/// TLS-pool membership. Plan membership is the plans' row order, which
+/// adds and removes the same way.
 #[derive(Debug, Default, Clone)]
 pub struct MemberSet {
     items: Vec<DomainName>,
@@ -124,7 +127,10 @@ pub struct World {
     hosting_shares: Vec<(ProviderId, catalog::ShareSchedule)>,
 
     plans: Vec<DnsPlanSpec>,
-    plan_zone_sets: Vec<SharedZoneSet>,
+    /// Each plan's served data: one row per managed customer, in plan
+    /// membership order (the rebalancer draws from it), and the infra
+    /// zones homed on the plan.
+    plan_zone_sets: Vec<SharedPlanZones>,
     ns_hosts: Vec<NsHost>,
     /// infra parent domain → (home plan, zone-set owner) for NS-host A
     /// records.
@@ -160,7 +166,6 @@ pub struct World {
     geo: LongitudinalGeoDb,
 
     domains: BTreeMap<DomainName, DomainState>,
-    plan_members: Vec<MemberSet>,
     hosting_members: Vec<MemberSet>,
     tls_pool: MemberSet,
     namegen: NameGenerator,
@@ -212,7 +217,7 @@ impl World {
 
         // --- NS hosts & per-plan zone sets ---
         let mut ns_hosts: Vec<NsHost> = Vec::new();
-        let mut plan_zone_sets: Vec<SharedZoneSet> = Vec::new();
+        let mut plan_zone_sets: Vec<SharedPlanZones> = Vec::new();
         let mut infra_home: HashMap<DomainName, usize> = HashMap::new();
         let name_to_pid: HashMap<&str, usize> = providers
             .iter()
@@ -220,7 +225,7 @@ impl World {
             .map(|(i, p)| (p.name, i))
             .collect();
         for (plan_i, plan) in plans.iter().enumerate() {
-            plan_zone_sets.push(Arc::new(RwLock::new(ZoneSet::new())));
+            let mut hosts = Vec::with_capacity(plan.ns.len());
             for h in &plan.ns {
                 let host: DomainName = h.host.parse().expect("catalog host names are valid");
                 let op = *name_to_pid
@@ -228,12 +233,15 @@ impl World {
                     .expect("catalog operator exists");
                 let ip = infra_alloc[op].alloc().expect("infra space");
                 infra_home.entry(host.registrable()).or_insert(plan_i);
+                hosts.push(Name::from(&host));
                 ns_hosts.push(NsHost {
                     name: host,
                     ip,
                     plan: plan_i,
                 });
             }
+            let template = Self::plan_template(hosts);
+            plan_zone_sets.push(Arc::new(RwLock::new(PlanZones::new(template))));
         }
 
         let certs = SharedCertStore::default();
@@ -274,7 +282,6 @@ impl World {
             certs,
             geo: LongitudinalGeoDb::new(),
             domains: BTreeMap::new(),
-            plan_members: vec![MemberSet::default(); plans.len()],
             hosting_members: vec![MemberSet::default(); providers.len()],
             tls_pool: MemberSet::default(),
             extra_sites: Vec::new(),
@@ -470,6 +477,18 @@ impl World {
         }
     }
 
+    /// What every customer zone on a plan served by `ns` shares: the SOA
+    /// naming the first host, one NS record per host, and the TTLs.
+    fn plan_template(ns: Vec<Name>) -> PlanTemplate {
+        PlanTemplate {
+            soa: Self::plan_soa(&ns[0]),
+            soa_ttl: 3_600,
+            ns,
+            ns_ttl: 3_600,
+            a_ttl: 300,
+        }
+    }
+
     /// Stand up root, TLD and plan infra DNS.
     fn build_dns_infrastructure(&mut self) {
         // Root zone: delegate ru / xn--p1ai to RIPN and every other TLD to
@@ -579,7 +598,7 @@ impl World {
                 ));
             }
         }
-        write(&self.plan_zone_sets[home]).insert(zone);
+        write(&self.plan_zone_sets[home]).zones_mut().insert(zone);
     }
 
     /// Register the infra domain in its registry (`.ru`) or external TLD
@@ -768,11 +787,10 @@ impl World {
     }
 
     /// Write the domain's zone, delegation, and TLS endpoints into the
-    /// infrastructure, according to its current state, and list a managed
-    /// domain among its plan's members. [`World::uninstall_dns`] undoes
-    /// the DNS half.
+    /// infrastructure, according to its current state: a managed domain
+    /// becomes a row of its plan, the end of the plan's member list.
+    /// [`World::uninstall_dns`] undoes the DNS half.
     fn install_domain(&mut self, state: &DomainState) {
-        let owner = Name::from(&state.name);
         let (ns_names, glue, zone_home): (
             Vec<DomainName>,
             BTreeMap<DomainName, Vec<Ipv4Addr>>,
@@ -805,33 +823,25 @@ impl World {
             }
         };
 
-        // The domain's own zone: apex A (+ optional secondary) + NS set.
-        let mname = Name::from(&ns_names[0]);
-        let mut zone = Zone::new(owner.clone(), Self::plan_soa(&mname), 3_600);
-        zone.add(Record::new(
-            owner.clone(),
-            300,
-            RData::A(state.hosting.primary_ip),
-        ));
-        if let Some((_, ip)) = state.hosting.secondary {
-            zone.add(Record::new(owner.clone(), 300, RData::A(ip)));
-        }
-        for n in &ns_names {
-            zone.add(Record::new(owner.clone(), 3_600, RData::Ns(Name::from(n))));
-        }
-        for (host, addrs) in &glue {
-            for a in addrs {
-                zone.add(Record::new(Name::from(host), 3_600, RData::A(*a)));
-            }
-        }
-
         match zone_home {
             ZoneHome::Plan(plan_i) => {
-                write(&self.plan_zone_sets[plan_i]).insert(zone);
-                self.plan_members[plan_i].add(state.name.clone());
+                // A row shadows a plan zone at the same origin. None can
+                // clash: the `.ru`/`.рф` infra domains are reserved in
+                // the name generator and registered before any customer.
+                assert!(
+                    !self.infra_home.contains_key(&state.name),
+                    "{} is a name-server domain",
+                    state.name
+                );
+                write(&self.plan_zone_sets[plan_i]).insert_row(Row {
+                    name: state.name.clone(),
+                    primary: state.hosting.primary_ip,
+                    secondary: state.hosting.secondary.map(|(_, ip)| ip),
+                });
             }
             ZoneHome::SelfHosted => {
                 // AuthServer at the web IP, serving just this zone.
+                let zone = Self::own_zone(state, &ns_names, &glue);
                 let zs: SharedZoneSet = Arc::new(RwLock::new(ZoneSet::new()));
                 write(&zs).insert(zone);
                 self.net.bind(
@@ -843,6 +853,7 @@ impl World {
             ZoneHome::ExoticVanity(parent) => {
                 // Serve both the parent vanity zone and the domain zone at
                 // the web IP; delegate the parent in its exotic TLD zone.
+                let zone = Self::own_zone(state, &ns_names, &glue);
                 let ns1 = ns_names[0].clone();
                 let mut pzone = Zone::new(
                     Name::from(&parent),
@@ -901,14 +912,13 @@ impl World {
         }
     }
 
-    /// Take the domain's DNS out of service: drop a managed zone and its
-    /// plan membership, or unbind a vanity server and clear an exotic
-    /// parent's gTLD delegation.
+    /// Take the domain's DNS out of service: drop a managed domain's plan
+    /// row (the plan's last row takes its place), or unbind a vanity
+    /// server and clear an exotic parent's gTLD delegation.
     fn uninstall_dns(&mut self, state: &DomainState) {
         match &state.dns {
             DnsPlan::Managed(p) => {
-                write(&self.plan_zone_sets[p.0 as usize]).remove(&Name::from(&state.name));
-                self.plan_members[p.0 as usize].remove(&state.name);
+                write(&self.plan_zone_sets[p.0 as usize]).remove_row(&state.name);
             }
             DnsPlan::VanityOwn => {
                 self.net.unbind(state.hosting.primary_ip, DNS_PORT);
@@ -920,6 +930,36 @@ impl World {
                 self.delegate_in_gtld(&parent, &[], &[(ns1, Vec::new())].into());
             }
         }
+    }
+
+    /// A vanity domain's own zone: the SOA naming its first name server,
+    /// the apex A record(s), one NS record per name server and the
+    /// in-zone glue.
+    fn own_zone(
+        state: &DomainState,
+        ns_names: &[DomainName],
+        glue: &BTreeMap<DomainName, Vec<Ipv4Addr>>,
+    ) -> Zone {
+        let owner = Name::from(&state.name);
+        let mname = Name::from(&ns_names[0]);
+        let mut zone = Zone::new(owner.clone(), Self::plan_soa(&mname), 3_600);
+        zone.add(Record::new(
+            owner.clone(),
+            300,
+            RData::A(state.hosting.primary_ip),
+        ));
+        if let Some((_, ip)) = state.hosting.secondary {
+            zone.add(Record::new(owner.clone(), 300, RData::A(ip)));
+        }
+        for n in ns_names {
+            zone.add(Record::new(owner.clone(), 3_600, RData::Ns(Name::from(n))));
+        }
+        for (host, addrs) in glue {
+            for a in addrs {
+                zone.add(Record::new(Name::from(host), 3_600, RData::A(*a)));
+            }
+        }
+        zone
     }
 
     /// Tear a domain out of the infrastructure (expiry / deletion).
@@ -1500,11 +1540,7 @@ impl World {
         let mut deficits: Vec<(usize, f64)> = Vec::new();
         let mut surplus_pool: Vec<DomainName> = Vec::new();
         for (slot, share) in targets {
-            let members = match pool {
-                Pool::Hosting => &self.hosting_members[slot],
-                Pool::Plans => &self.plan_members[slot],
-            };
-            let actual = members.len() as f64;
+            let actual = self.member_count(pool, slot) as f64;
             let gap = actual - share * pop;
             let cap = (actual * 0.08).max(24.0);
             if gap > 1.0 {
@@ -1513,7 +1549,7 @@ impl World {
                 let mut guard = 0;
                 while picked < k && guard < k * 4 {
                     guard += 1;
-                    let Some(name) = members.sample(&mut self.rng).cloned() else {
+                    let Some(name) = self.sample_member(pool, slot) else {
                         break;
                     };
                     if self.may_rebalance(pool, slot, &name) && !surplus_pool.contains(&name) {
@@ -1535,6 +1571,25 @@ impl World {
                 Pool::Hosting => self.move_hosting(&name, ProviderId(dest as u16)),
                 Pool::Plans => self.move_plan(&name, dest),
             }
+        }
+    }
+
+    /// Number of domains in member `slot` of `pool`.
+    fn member_count(&self, pool: Pool, slot: usize) -> usize {
+        match pool {
+            Pool::Hosting => self.hosting_members[slot].len(),
+            Pool::Plans => read(&self.plan_zone_sets[slot]).rows().len(),
+        }
+    }
+
+    /// A domain drawn uniformly from member `slot` of `pool`.
+    fn sample_member(&mut self, pool: Pool, slot: usize) -> Option<DomainName> {
+        match pool {
+            Pool::Hosting => self.hosting_members[slot].sample(&mut self.rng).cloned(),
+            Pool::Plans => read(&self.plan_zone_sets[slot])
+                .rows()
+                .choose(&mut self.rng)
+                .map(|row| row.name.clone()),
         }
     }
 
@@ -1568,18 +1623,14 @@ impl World {
             .expect("address space");
         let old_ip = state.hosting.primary_ip;
 
-        // Update zone A record wherever the domain's zone lives.
+        // Re-address the apex wherever the domain's DNS lives.
         match &state.dns {
             DnsPlan::Managed(p) => {
-                let mut zs = write(&self.plan_zone_sets[p.0 as usize]);
-                if let Some(zone) = zs.get_mut(&Name::from(name)) {
-                    let owner = Name::from(name);
-                    zone.remove(&owner, Some(ruwhere_dns::RType::A));
-                    zone.add(Record::new(owner, 300, RData::A(new_ip)));
-                    if let Some((_, ip)) = state.hosting.secondary {
-                        zone.add(Record::new(Name::from(name), 300, RData::A(ip)));
-                    }
-                }
+                write(&self.plan_zone_sets[p.0 as usize]).set_addresses(
+                    name,
+                    new_ip,
+                    state.hosting.secondary.map(|(_, ip)| ip),
+                );
             }
             // Vanity DNS rides on the web IP: re-installed from scratch
             // at the new address below.
@@ -1899,13 +1950,21 @@ impl World {
             if state.tls && !self.net.is_bound(state.hosting.primary_ip, TLS_PORT) {
                 problems.push(format!("{name}: TLS endpoint not bound"));
             }
-            // 4. Managed domains have their zone in the plan's zone set.
+            // 4. Managed domains have a row in their plan, addressed as
+            //    their hosting says.
             if let DnsPlan::Managed(p) = &state.dns {
-                if read(&self.plan_zone_sets[p.0 as usize])
-                    .get(&Name::from(name))
-                    .is_none()
-                {
-                    problems.push(format!("{name}: zone missing from plan set"));
+                let plan = read(&self.plan_zone_sets[p.0 as usize]);
+                let want = (
+                    state.hosting.primary_ip,
+                    state.hosting.secondary.map(|(_, ip)| ip),
+                );
+                match plan.row(name) {
+                    None => problems.push(format!("{name}: row missing from its plan")),
+                    Some(row) if (row.primary, row.secondary) != want => problems.push(format!(
+                        "{name}: plan row serves {:?}, hosting says {want:?}",
+                        (row.primary, row.secondary)
+                    )),
+                    Some(_) => {}
                 }
             }
         }
@@ -1918,11 +1977,13 @@ impl World {
                 ));
             }
         }
+        // With every managed domain's row present (4), equal counts mean
+        // no plan holds an orphan row.
         for (i, expected) in plan_counts.iter().enumerate() {
-            let actual = self.plan_members[i].len();
+            let actual = read(&self.plan_zone_sets[i]).rows().len();
             if actual != *expected {
                 problems.push(format!(
-                    "plan members[{}] = {actual}, states say {expected}",
+                    "plan rows[{}] = {actual}, states say {expected}",
                     self.plans[i].name
                 ));
             }
@@ -1949,7 +2010,7 @@ enum ZoneHome {
 enum Pool {
     /// Web hosting providers: `hosting_shares` over `hosting_members`.
     Hosting,
-    /// Managed DNS plans: each plan's share over `plan_members`.
+    /// Managed DNS plans: each plan's share over its customer rows.
     Plans,
 }
 
@@ -2128,17 +2189,14 @@ mod tests {
         // Old TLS endpoint unbound, new one bound.
         assert!(!w.network().is_bound(old_ip, TLS_PORT));
         assert!(w.network().is_bound(state.hosting.primary_ip, TLS_PORT));
-        // The zone now answers with the new address.
+        // The plan row now serves the new address.
         if let DnsPlan::Managed(p) = state.dns {
-            let zs = read(&w.plan_zone_sets[p.0 as usize]);
-            let zone = zs.get(&Name::from(&name)).expect("zone present");
-            match zone.lookup(&Name::from(&name), ruwhere_dns::RType::A) {
-                ruwhere_dns::zone::Lookup::Answer(recs) => {
-                    assert_eq!(recs.len(), 1);
-                    assert_eq!(recs[0].data, RData::A(state.hosting.primary_ip));
-                }
-                other => panic!("expected answer, got {other:?}"),
-            }
+            let plan = read(&w.plan_zone_sets[p.0 as usize]);
+            let row = plan.row(&name).expect("row present");
+            assert_eq!(
+                (row.primary, row.secondary),
+                (state.hosting.primary_ip, None)
+            );
         }
         // Idempotent move to the same provider is a no-op.
         let ip_before = state.hosting.primary_ip;
@@ -2147,7 +2205,7 @@ mod tests {
     }
 
     #[test]
-    fn move_plan_moves_zone_between_sets() {
+    fn move_plan_moves_the_row_between_plans() {
         let mut w = World::new(WorldConfig::tiny());
         let name = w
             .seed_names()
@@ -2157,11 +2215,14 @@ mod tests {
                     .is_some_and(|s| matches!(s.dns, DnsPlan::Managed(PlanId(0))) && !s.sanctioned)
             })
             .expect("plan-0 domain exists");
-        let owner = Name::from(&name);
-        assert!(read(&w.plan_zone_sets[0]).get(&owner).is_some());
+        assert!(read(&w.plan_zone_sets[0]).row(&name).is_some());
+        let plan5_rows = read(&w.plan_zone_sets[5]).rows().len();
         w.move_plan(&name, 5);
-        assert!(read(&w.plan_zone_sets[0]).get(&owner).is_none());
-        assert!(read(&w.plan_zone_sets[5]).get(&owner).is_some());
+        assert!(read(&w.plan_zone_sets[0]).row(&name).is_none());
+        let plan5 = read(&w.plan_zone_sets[5]);
+        assert_eq!(plan5.rows().len(), plan5_rows + 1);
+        assert_eq!(plan5.rows().last().unwrap().name, name, "joins at the end");
+        drop(plan5);
         assert!(matches!(
             w.domain_state(&name).unwrap().dns,
             DnsPlan::Managed(PlanId(5))
@@ -2199,9 +2260,7 @@ mod tests {
         assert!(w.domain_state(&name).is_none());
         assert!(!w.network().is_bound(state.hosting.primary_ip, TLS_PORT));
         if let DnsPlan::Managed(p) = state.dns {
-            assert!(read(&w.plan_zone_sets[p.0 as usize])
-                .get(&Name::from(&name))
-                .is_none());
+            assert!(read(&w.plan_zone_sets[p.0 as usize]).row(&name).is_none());
         }
         assert!(w.registries()[registry_index(&name)].get(&name).is_none());
         // Removing again is a no-op.
@@ -2224,7 +2283,9 @@ mod tests {
             Name::from(&parent.prepend("ns1").unwrap()),
         ];
         let g = read(&w.gtld_zones);
-        let zone = g.get(&parent.tld().parse().unwrap()).expect("TLD zone");
+        let zone = g
+            .get(&parent.tld().parse::<Name>().unwrap())
+            .expect("TLD zone");
         let mut held: Vec<Name> = zone
             .iter()
             .map(|r| r.name.clone())
@@ -2287,5 +2348,144 @@ mod tests {
             w.domain_state(&member).unwrap().hosting.primary,
             pid::SERVEREL
         );
+    }
+
+    #[test]
+    fn check_invariants_reports_corrupt_plan_rows() {
+        let w = World::new(WorldConfig::tiny());
+        assert_eq!(w.check_invariants(), Vec::<String>::new());
+        let (name, plan) = w
+            .domains
+            .iter()
+            .find_map(|(n, s)| match s.dns {
+                DnsPlan::Managed(p) => Some((n.clone(), p.0 as usize)),
+                _ => None,
+            })
+            .expect("a managed domain");
+        let row = read(&w.plan_zone_sets[plan]).row(&name).unwrap().clone();
+
+        // A row serving other addresses than the domain's hosting.
+        write(&w.plan_zone_sets[plan]).set_addresses(&name, row.primary, Some(row.primary));
+        let problems = w.check_invariants();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with(&format!("{name}: plan row serves")));
+        write(&w.plan_zone_sets[plan]).insert_row(row.clone());
+        assert_eq!(w.check_invariants(), Vec::<String>::new());
+
+        // A missing row, which also leaves the plan a row short.
+        write(&w.plan_zone_sets[plan]).remove_row(&name);
+        let problems = w.check_invariants();
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert_eq!(problems[0], format!("{name}: row missing from its plan"));
+        assert!(problems[1].starts_with("plan rows["));
+
+        // The same row in another plan: an orphan there.
+        let other = (plan + 1) % w.plans.len();
+        write(&w.plan_zone_sets[plan]).insert_row(row.clone());
+        write(&w.plan_zone_sets[other]).insert_row(row);
+        let problems = w.check_invariants();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with(&format!("plan rows[{}]", w.plans[other].name)));
+    }
+
+    /// `name`'s question, its letters alternately upper- and lowercase.
+    fn mixed_case_query(id: u16, name: &Name, rtype: ruwhere_dns::RType) -> Vec<u8> {
+        let mut wire = ruwhere_dns::Message::query(id, name.clone(), rtype)
+            .encode()
+            .unwrap();
+        // The question name starts after the 12-byte header; length
+        // octets are below 64, so only letters change.
+        for (i, b) in wire[12..12 + name.wire_len()].iter_mut().enumerate() {
+            if i % 2 == 0 {
+                b.make_ascii_uppercase();
+            }
+        }
+        wire
+    }
+
+    #[test]
+    fn plan_rows_answer_byte_for_byte_like_whole_zones() {
+        use ruwhere_dns::{Message, RType};
+        use ruwhere_netsim::Service;
+
+        // More split hosting than the paper's 0.19 %, so that rows with a
+        // secondary address are common.
+        let mut cfg = WorldConfig::tiny();
+        cfg.hosting_part_ru_at_start = 0.2;
+        let mut w = World::new(cfg);
+        w.advance_to(Date::from_ymd(2022, 3, 20));
+        // Explicit moves on top of the churn and rebalancing.
+        let managed: Vec<DomainName> = w
+            .domains
+            .iter()
+            .filter(|(_, s)| matches!(s.dns, DnsPlan::Managed(_)) && !s.sanctioned)
+            .map(|(n, _)| n.clone())
+            .collect();
+        for (i, name) in managed.iter().take(40).enumerate() {
+            if i % 2 == 0 {
+                w.move_plan(name, i % w.plans.len());
+            } else {
+                w.move_hosting(name, pid::SERVEREL);
+            }
+        }
+        assert_eq!(w.check_invariants(), Vec::<String>::new());
+
+        let types = [
+            RType::A,
+            RType::Ns,
+            RType::Soa,
+            RType::Mx,
+            RType::Aaaa,
+            RType::Txt,
+            RType::Ds,
+            RType::Cname,
+        ];
+        let src = ("10.0.0.1".parse().unwrap(), 40_000);
+        let (mut compared, mut split) = (0, 0);
+        for plan in 0..w.plans.len() {
+            // The plan as whole zones, built from the domain states the
+            // way customer zones were built before they became rows.
+            let ns: Vec<DomainName> = w
+                .ns_hosts
+                .iter()
+                .filter(|h| h.plan == plan)
+                .map(|h| h.name.clone())
+                .collect();
+            let mut reference = read(&w.plan_zone_sets[plan]).zones().clone();
+            let mut names: Vec<Name> = w.ns_hosts.iter().map(|h| Name::from(&h.name)).collect();
+            names.extend(w.infra_home.keys().map(Name::from));
+            names.extend(["ru", "example.com", "no-such-name.ru"].map(|n| n.parse().unwrap()));
+            for state in w.domains.values() {
+                if state.dns == DnsPlan::Managed(PlanId(plan as u16)) {
+                    reference.insert(World::own_zone(state, &ns, &BTreeMap::new()));
+                    split += usize::from(state.hosting.secondary.is_some());
+                }
+                names.push(Name::from(&state.name));
+                names.push(Name::from(&state.name.prepend("www").unwrap()));
+                names.push(Name::from(
+                    &state.name.prepend("a").unwrap().prepend("b").unwrap(),
+                ));
+            }
+            let rows = AuthServer::new(Arc::clone(&w.plan_zone_sets[plan]));
+            let zones = AuthServer::new(Arc::new(RwLock::new(reference)));
+            let serve = |srv: &dyn Service, q: &[u8]| {
+                let mut out = Vec::new();
+                srv.handle(q, src, SimTime::ZERO, &mut out).then_some(out)
+            };
+            for (i, name) in names.iter().enumerate() {
+                for (t, &rtype) in types.iter().enumerate() {
+                    let id = (i * types.len() + t) as u16;
+                    let plain = Message::query(id, name.clone(), rtype).encode().unwrap();
+                    for q in [plain, mixed_case_query(id, name, rtype)] {
+                        let want = serve(&zones, &q);
+                        assert!(want.is_some(), "{name} {rtype}: no reference reply");
+                        assert_eq!(serve(&rows, &q), want, "plan {plan}: {name} {rtype}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(split > 10, "only {split} managed domains hosted split");
+        assert!(compared > 100_000, "only {compared} replies compared");
     }
 }
