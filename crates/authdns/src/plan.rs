@@ -171,21 +171,25 @@ impl PlanZones {
         match qtype {
             RType::A if at_apex => {
                 let count = 1 + usize::from(row.secondary.is_some());
-                query.encode_reply_with(flags(Rcode::NoError), [count, 0, 0], out, |enc| {
+                query.encode_reply_with(qname, flags(Rcode::NoError), [count, 0, 0], out, |enc| {
                     for ip in std::iter::once(row.primary).chain(row.secondary) {
                         encode_record(enc, owner, t.a_ttl, RType::A, |e| e.put_slice(&ip.octets()));
                     }
                 })
             }
-            RType::Ns if at_apex => {
-                query.encode_reply_with(flags(Rcode::NoError), [t.ns.len(), 0, 0], out, |enc| {
+            RType::Ns if at_apex => query.encode_reply_with(
+                qname,
+                flags(Rcode::NoError),
+                [t.ns.len(), 0, 0],
+                out,
+                |enc| {
                     for host in &t.ns {
                         encode_record(enc, owner, t.ns_ttl, RType::Ns, |e| host.encode(e));
                     }
-                })
-            }
+                },
+            ),
             RType::Soa if at_apex => {
-                query.encode_reply_with(flags(Rcode::NoError), [1, 0, 0], out, |enc| {
+                query.encode_reply_with(qname, flags(Rcode::NoError), [1, 0, 0], out, |enc| {
                     t.encode_soa(enc, owner)
                 })
             }
@@ -197,8 +201,9 @@ impl PlanZones {
                 } else {
                     Rcode::NxDomain
                 };
-                query
-                    .encode_reply_with(flags(rcode), [0, 1, 0], out, |enc| t.encode_soa(enc, owner))
+                query.encode_reply_with(qname, flags(rcode), [0, 1, 0], out, |enc| {
+                    t.encode_soa(enc, owner)
+                })
             }
         }
     }
@@ -223,7 +228,7 @@ impl Authority for PlanZones {
                 return encode_zone_answer(zone, query, qname, qtype, out);
             }
         }
-        refuse(query, out)
+        refuse(query, qname, out)
     }
 }
 

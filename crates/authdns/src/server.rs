@@ -66,7 +66,7 @@ impl Authority for ZoneSet {
     ) -> Result<(), WireError> {
         match self.find_best(qname) {
             Some(zone) => encode_zone_answer(zone, query, qname, qtype, out),
-            None => refuse(query, out),
+            None => refuse(query, qname, out),
         }
     }
 }
@@ -177,41 +177,36 @@ impl<A: Authority> AuthServer<A> {
         let Ok(query) = MessageView::parse(payload) else {
             return false;
         };
-        if query.is_response() || query.questions().len() == 0 {
+        let Some(q) = query.questions().next() else {
+            return false;
+        };
+        if query.is_response() {
             return false;
         }
+        // Lowercased once: the answer is looked up by it and the reply
+        // echoes it.
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let qname = q.name.lowercase_into(&mut buf);
+        let query = &query;
         match behavior {
-            ServerBehavior::Refused => reply(&query, Rcode::Refused, false, NO_RECORDS, out),
-            ServerBehavior::ServFail => reply(&query, Rcode::ServFail, false, NO_RECORDS, out),
+            ServerBehavior::Refused => reply(query, qname, Rcode::Refused, false, NO_RECORDS, out),
+            ServerBehavior::ServFail => {
+                reply(query, qname, Rcode::ServFail, false, NO_RECORDS, out)
+            }
             ServerBehavior::Truncated => {
                 let flags = Flags {
                     tc: true,
                     ..Flags::response_to(query.flags(), Rcode::NoError)
                 };
-                query.encode_reply(flags, NO_RECORDS, out)
+                query.encode_reply(qname, flags, NO_RECORDS, out)
             }
-            ServerBehavior::Lame => reply(&query, Rcode::NoError, false, NO_RECORDS, out),
+            ServerBehavior::Lame => reply(query, qname, Rcode::NoError, false, NO_RECORDS, out),
             ServerBehavior::Normal | ServerBehavior::Silent => {
-                encode_answer(&*read(&self.zones), &query, out)
+                read(&self.zones).encode_answer(query, qname, q.rtype, out)
             }
         }
         .is_ok()
     }
-}
-
-/// Encode the authoritative reply to `query` from `zones` into `out`:
-/// `FORMERR` for a query without a question, else the answer to its
-/// first question.
-fn encode_answer<A: Authority>(
-    zones: &A,
-    query: &MessageView<'_>,
-    out: &mut Vec<u8>,
-) -> Result<(), WireError> {
-    let Some(q) = query.questions().next() else {
-        return reply(query, Rcode::FormErr, false, NO_RECORDS, out);
-    };
-    let mut buf = [0u8; MAX_NAME_LEN];
-    zones.encode_answer(query, q.name.lowercase_into(&mut buf), q.rtype, out)
 }
 
 /// Encode the reply to `query` for `qtype` at `qname` from `zone`,
@@ -224,8 +219,10 @@ pub(crate) fn encode_zone_answer(
     qtype: RType,
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
+    let respond =
+        |rcode, aa, sections, out: &mut Vec<u8>| reply(query, qname, rcode, aa, sections, out);
     match zone.lookup(qname, qtype) {
-        Lookup::Answer(records) => reply(query, Rcode::NoError, true, [&records, &[], &[]], out),
+        Lookup::Answer(records) => respond(Rcode::NoError, true, [&records, &[], &[]], out),
         Lookup::Cname(cname) => {
             // Chase in-zone as far as possible, like real servers do.
             let mut chain = vec![cname];
@@ -246,41 +243,33 @@ pub(crate) fn encode_zone_answer(
                     _ => break,
                 }
             }
-            reply(query, Rcode::NoError, true, [&chain, &[], &[]], out)
+            respond(Rcode::NoError, true, [&chain, &[], &[]], out)
         }
-        Lookup::Delegation { ns, glue } => {
-            reply(query, Rcode::NoError, false, [&[], &ns, &glue], out)
-        }
-        Lookup::NoData => reply(
-            query,
-            Rcode::NoError,
-            true,
-            [&[], &[zone.soa_record()], &[]],
-            out,
-        ),
-        Lookup::NxDomain => reply(
-            query,
-            Rcode::NxDomain,
-            true,
-            [&[], &[zone.soa_record()], &[]],
-            out,
-        ),
-        Lookup::OutOfZone => refuse(query, out),
+        Lookup::Delegation { ns, glue } => respond(Rcode::NoError, false, [&[], &ns, &glue], out),
+        Lookup::NoData => respond(Rcode::NoError, true, [&[], &[zone.soa_record()], &[]], out),
+        Lookup::NxDomain => respond(Rcode::NxDomain, true, [&[], &[zone.soa_record()], &[]], out),
+        Lookup::OutOfZone => refuse(query, qname, out),
     }
 }
 
 /// Encode the `REFUSED` reply to a question outside every origin.
-pub(crate) fn refuse(query: &MessageView<'_>, out: &mut Vec<u8>) -> Result<(), WireError> {
-    reply(query, Rcode::Refused, false, NO_RECORDS, out)
+pub(crate) fn refuse(
+    query: &MessageView<'_>,
+    qname: &NameSlice,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    reply(query, qname, Rcode::Refused, false, NO_RECORDS, out)
 }
 
 /// Empty answer, authority and additional sections.
 const NO_RECORDS: [&[&Record]; 3] = [&[], &[], &[]];
 
-/// Encode into `out` a reply to `query` echoing its id and questions, with
-/// `rcode`, the AA bit and the answer, authority and additional sections.
+/// Encode into `out` a reply to `query`, whose first question's name is
+/// `qname` lowercased, echoing its id and questions, with `rcode`, the AA
+/// bit and the answer, authority and additional sections.
 fn reply(
     query: &MessageView<'_>,
+    qname: &NameSlice,
     rcode: Rcode,
     aa: bool,
     sections: [&[&Record]; 3],
@@ -290,7 +279,7 @@ fn reply(
         aa,
         ..Flags::response_to(query.flags(), rcode)
     };
-    query.encode_reply(flags, sections, out)
+    query.encode_reply(qname, flags, sections, out)
 }
 
 impl<A: Authority> Service for AuthServer<A> {
@@ -329,12 +318,7 @@ mod tests {
     fn answer(zones: &SharedZoneSet, query: &Message) -> Message {
         let query = query.encode().unwrap();
         let mut reply = Vec::new();
-        encode_answer(
-            &*read(zones),
-            &MessageView::parse(&query).unwrap(),
-            &mut reply,
-        )
-        .unwrap();
+        assert!(AuthServer::new(Arc::clone(zones)).respond(&query, &mut reply));
         Message::decode(&reply).unwrap()
     }
 

@@ -130,16 +130,20 @@ impl<'a> MessageView<'a> {
 
     /// Encode a reply to this message into `out`: its id and its
     /// questions (names lowercased), with `flags` and the answer,
-    /// authority and additional sections. The sections may hold records
-    /// or references to records, so a server can answer straight from
-    /// the zone it holds. On `Err` the contents of `out` are unspecified.
+    /// authority and additional sections. `qname` is the first question's
+    /// name as [`NameView::lowercase_into`] gives it, which a server has
+    /// already lowercased to find its answer; it is echoed as it is. The
+    /// sections may hold records or references to records, so a server
+    /// can answer straight from the zone it holds. On `Err` the contents
+    /// of `out` are unspecified.
     pub fn encode_reply<R: Borrow<Record>>(
         &self,
+        qname: &NameSlice,
         flags: Flags,
         sections: [&[R]; 3],
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
-        self.encode_reply_with(flags, sections.map(<[R]>::len), out, |enc| {
+        self.encode_reply_with(qname, flags, sections.map(<[R]>::len), out, |enc| {
             for r in sections.into_iter().flatten() {
                 r.borrow().encode(enc);
             }
@@ -152,14 +156,19 @@ impl<'a> MessageView<'a> {
     /// exactly `counts` of them, section by section.
     pub fn encode_reply_with(
         &self,
+        qname: &NameSlice,
         flags: Flags,
         counts: [usize; 3],
         out: &mut Vec<u8>,
         records: impl FnOnce(&mut Encoder<'_>),
     ) -> Result<(), WireError> {
-        let questions = self.questions();
+        let mut questions = self.questions();
         let [an, ns, ar] = counts;
         encode_message(out, self.id, flags, [questions.len(), an, ns, ar], |enc| {
+            if let Some(first) = questions.next() {
+                debug_assert!(first.name == *qname, "qname is the first question's");
+                put_question(enc, qname, first.rtype);
+            }
             let mut buf = [0u8; MAX_NAME_LEN];
             for q in questions {
                 put_question(enc, q.name.lowercase_into(&mut buf), q.rtype);
@@ -639,7 +648,14 @@ mod tests {
         let buf = referral();
         let v = MessageView::parse(&buf).unwrap();
         let mut out = Vec::new();
-        v.encode_reply(v.flags(), [&[] as &[Record], &[], &[]], &mut out)
+        let mut scratch = [0u8; MAX_NAME_LEN];
+        let qname = v
+            .questions()
+            .next()
+            .unwrap()
+            .name
+            .lowercase_into(&mut scratch);
+        v.encode_reply(qname, v.flags(), [&[] as &[Record], &[], &[]], &mut out)
             .unwrap();
         let back = Message::decode(&out).unwrap();
         assert_eq!(back.id, 7);

@@ -68,5 +68,5 @@ pub use ip::{IpAllocator, Ipv4Net, PrefixParseError};
 pub use obs::{LinkObs, LinkTable, NetObs};
 pub use routing::RoutingTable;
 pub use ruwhere_obs::Histogram;
-pub use sim::{Lane, NetError, NetStats, Network, Service, SimTime, Transport};
+pub use sim::{Lane, LanePrefix, NetError, NetStats, Network, Routes, Service, SimTime, Transport};
 pub use topology::{AsInfo, Topology};

@@ -15,7 +15,7 @@
 use crate::fault::FaultPlan;
 use crate::obs::NetObs;
 use crate::topology::{self, PairPath, Topology};
-use ruwhere_types::{Asn, FastMap, SeedTree};
+use ruwhere_types::{Asn, FastMap, SeedPrefix, SeedTree};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -261,7 +261,7 @@ impl Network {
         reply: &mut Vec<u8>,
     ) -> Result<(), NetError> {
         // Only sweep lanes export observability: this lane's is dropped.
-        let mut lane = self.open_lane(self.seed, Draws::Global, self.seq);
+        let mut lane = self.open_lane(self.seed, Draws::Global, self.seq, Routes::default());
         let result = lane.request(src_ip, dst, payload, timeout_us, attempts, reply);
         let (now, seq, stats) = (lane.now, lane.seq, lane.stats);
         self.now = now;
@@ -284,13 +284,30 @@ impl Network {
     /// `lane(format_args!("{date}/{domain}"))` draws the same streams as a
     /// key string with that text, without building the string.
     pub fn lane(&self, key: fmt::Arguments<'_>) -> Lane<'_> {
-        self.open_lane(self.seed.child("lane").child_fmt(key), Draws::Keyed, 0)
+        let stream = self.seed.child("lane").child_fmt(key);
+        self.open_lane(stream, Draws::Keyed, 0, Routes::default())
     }
 
-    fn open_lane(&self, stream: SeedTree, draws: Draws, seq: u64) -> Lane<'_> {
+    /// Hash the start of many lanes' keys once: see
+    /// [`lane_with`](Network::lane_with).
+    pub fn lane_prefix(&self, key_start: fmt::Arguments<'_>) -> LanePrefix {
+        LanePrefix(self.seed.child("lane").prefix(key_start))
+    }
+
+    /// Open the lane whose key is `prefix`'s start followed by `rest`, the
+    /// same lane [`lane`](Network::lane) opens for the whole key, with the
+    /// caller's route memo: `routes` must have been filled only by lanes
+    /// of this network while its routing table stood as it stands now
+    /// (take it back with [`Lane::into_routes`]). `prefix` must come from
+    /// this network's [`lane_prefix`](Network::lane_prefix).
+    pub fn lane_with(&self, prefix: &LanePrefix, rest: &str, routes: Routes) -> Lane<'_> {
+        self.open_lane(prefix.0.child(rest), Draws::Keyed, 0, routes)
+    }
+
+    fn open_lane(&self, stream: SeedTree, draws: Draws, seq: u64, routes: Routes) -> Lane<'_> {
         Lane {
             net: self,
-            asns: AsnMemo::default(),
+            routes,
             pkt: stream.child("pkt"),
             loss: stream.child("loss"),
             linkfault: stream.child("linkfault"),
@@ -375,8 +392,9 @@ enum Draws {
 /// a timeout and is never delivered.
 pub struct Lane<'a> {
     net: &'a Network,
-    /// Addresses this lane has sent to or from, with their origin AS.
-    asns: AsnMemo,
+    /// Origin ASes of the addresses this lane, and the lanes that passed
+    /// the memo on to it, have sent to or from.
+    routes: Routes,
     /// The lane stream's children for packet ids, uniform loss and
     /// link-fault loss, derived once when the lane opens.
     pkt: SeedTree,
@@ -405,6 +423,12 @@ impl Lane<'_> {
     /// network with [`Network::absorb_lane_stats`]).
     pub fn stats(&self) -> NetStats {
         self.stats
+    }
+
+    /// Close the lane and hand back its route memo, for the next lane of
+    /// the same network snapshot.
+    pub fn into_routes(self) -> Routes {
+        self.routes
     }
 
     /// Drain this lane's observability aggregates (merge them into a
@@ -565,40 +589,32 @@ impl Path {
     }
 }
 
-/// A lane's memo of origin ASes by address, with each AS's position in
-/// the topology. A lane borrows its network, so the routing table cannot
-/// change while the memo lives. A full memo overwrites its slots in turn.
-#[derive(Debug)]
-struct AsnMemo {
-    slots: [(Ipv4Addr, Asn, u32); 8],
-    len: usize,
-    next: usize,
-}
+/// The start of lane keys shared by many lanes, hashed once: from
+/// [`Network::lane_prefix`], for [`Network::lane_with`].
+#[derive(Debug, Clone, Copy)]
+pub struct LanePrefix(SeedPrefix);
 
-impl Default for AsnMemo {
-    fn default() -> Self {
-        AsnMemo {
-            slots: [(Ipv4Addr::UNSPECIFIED, Asn::default(), 0); 8],
-            len: 0,
-            next: 0,
-        }
-    }
-}
+/// A memo of origin ASes by address, with each AS's position in the
+/// topology, that lanes fill and pass on ([`Network::lane_with`],
+/// [`Lane::into_routes`]). It holds only while the routing table it was
+/// filled from stands: a lane borrows its network, so the table cannot
+/// change under a lane, and whoever passes a memo on drops it before the
+/// network can change (a sweep worker keeps one for one sweep).
+#[derive(Debug, Default)]
+pub struct Routes(FastMap<Ipv4Addr, (Asn, u32)>);
 
-impl AsnMemo {
+impl Routes {
     /// The origin AS of `ip` and its position, looked up in `topo` on
     /// first sight; an unrouted address is not remembered.
     fn asn_of(&mut self, topo: &Topology, ip: Ipv4Addr) -> Option<(Asn, u32)> {
-        if let Some(&(_, asn, i)) = self.slots[..self.len].iter().find(|(a, ..)| *a == ip) {
-            return Some((asn, i));
+        if let Some(&hit) = self.0.get(&ip) {
+            return Some(hit);
         }
         let asn = topo.asn_of(ip)?;
         let i = topo
             .as_index(asn)
             .expect("only registered ASes announce prefixes");
-        self.slots[self.next] = (ip, asn, i);
-        self.next = (self.next + 1) % self.slots.len();
-        self.len = (self.len + 1).min(self.slots.len());
+        self.0.insert(ip, (asn, i));
         Some((asn, i))
     }
 }
@@ -627,10 +643,10 @@ impl Transport for Lane<'_> {
         reply: &mut Vec<u8>,
     ) -> Result<(), NetError> {
         let topo = &self.net.topo;
-        let Some((from, from_i)) = self.asns.asn_of(topo, src_ip) else {
+        let Some((from, from_i)) = self.routes.asn_of(topo, src_ip) else {
             return Err(NetError::NoRoute);
         };
-        let path = self.asns.asn_of(topo, dst.0).map(|(to, to_i)| Path {
+        let path = self.routes.asn_of(topo, dst.0).map(|(to, to_i)| Path {
             from,
             to,
             pair: topo.path(from_i, to_i),
@@ -852,6 +868,31 @@ mod tests {
             }
         });
         assert_eq!(count.load(Ordering::SeqCst), K * M);
+    }
+
+    #[test]
+    fn prefixed_lanes_with_a_passed_memo_equal_keyed_lanes() {
+        let mut net = network();
+        net.loss_rate = 0.3;
+        net.bind(SERVER, 53, Box::new(Echo));
+        let run = |lane: &mut Lane<'_>| {
+            let ok = (0..20)
+                .filter(|_| {
+                    lane.request(CLIENT, (SERVER, 53), b"q", 300_000, 2, &mut Vec::new())
+                        .is_ok()
+                })
+                .count();
+            (ok, lane.elapsed_us(), lane.stats())
+        };
+        let prefix = net.lane_prefix(format_args!("2022-03-04/"));
+        let mut routes = Routes::default();
+        for domain in ["a.ru", "b.ru", "c.ru"] {
+            let mut keyed = net.lane(format_args!("2022-03-04/{domain}"));
+            let mut prefixed = net.lane_with(&prefix, domain, routes);
+            assert_eq!(run(&mut prefixed), run(&mut keyed), "{domain}");
+            routes = prefixed.into_routes();
+        }
+        assert_eq!(routes.0.len(), 2, "client and server, each looked up once");
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!    [`ruwhere_netsim::Lane`] keyed by `(date, domain)` and starting at
 //!    the sweep base instant, so loss, jitter and fault windows for a
 //!    domain are a pure function of the network snapshot and the key —
-//!    never of which worker ran it or when.
+//!    never of which worker ran it or when. The key's `{date}/` start is
+//!    hashed once per sweep ([`Network::lane_prefix`]).
 //! 2. *Overlays over one frozen primed base.* A resolver resolves each
 //!    TLD's NS set once (serially, before workers start) and is then
 //!    [frozen](ruwhere_authdns::IterativeResolver::freeze) into a shared,
@@ -45,6 +46,14 @@
 //!    nested inside a domain's walk), and its query cost is charged
 //!    exactly once, by the computing worker. Which worker computes is
 //!    scheduling-dependent; the value and the summed counters are not.
+//!    Each worker asks the shared cache once per host and keeps the
+//!    answer in a host table of its own; a later lookup there counts as
+//!    the cache hit it replaces, so the hit and miss totals are those of
+//!    asking the shared cache every time.
+//!
+//! A worker's route memo, lane-key prefixes and host table live for one
+//! sweep: they are pure functions of the network snapshot, which cannot
+//! change while the workers borrow it.
 //!
 //! Every lane's cost — the warmup's, each NS-target fill's and each
 //! domain's — is charged through one function into a ledger of
@@ -66,18 +75,18 @@
 //! post-merge frame-build pass, under one interner lock.
 
 use crate::error::ScanError;
-use crate::nscache::{CacheHit, NsCache};
+use crate::nscache::NsCache;
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
     AnswerRecord, IterativeResolver, NoDependencyCache, NsDependencyCache, PrimedBase,
     ResolveError, RootHint,
 };
 use ruwhere_dns::{Name, NameSlice, RType, MAX_NAME_LEN};
-use ruwhere_netsim::{Lane, NetStats, Network, SimTime};
+use ruwhere_netsim::{Lane, LanePrefix, NetStats, Network, Routes, SimTime};
 use ruwhere_obs::Recorder;
 use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
-use ruwhere_store::{FrameBuilder, Interner, SweepFrame, Sym};
-use ruwhere_types::{Date, DomainName};
+use ruwhere_store::{CountrySym, FrameBuilder, Interner, InternerWriter, SweepFrame, Sym};
+use ruwhere_types::{Asn, DomainName, FastMap};
 use ruwhere_world::World;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -142,7 +151,7 @@ pub struct SweepOptions {
 }
 
 /// Deterministic worker-panic injection (crash-harness knob): panic
-/// inside [`measure_domain`] for domains whose name contains `marker`,
+/// inside [`Worker::measure`] for domains whose name contains `marker`,
 /// at most `budget` times across the scanner's lifetime.
 #[derive(Debug, Clone)]
 struct PanicInject {
@@ -216,47 +225,56 @@ impl SweepOptions {
 }
 
 /// One worker's raw (pre-annotation) measurements, as flat columns in
-/// seed order: per domain its symbol and where its NS host names, NS
-/// addresses and apex addresses end in their columns. Each column grows
-/// to its size once, however many domains the worker measures.
+/// seed order: per domain its symbol and where its NS hosts and apex
+/// addresses end in their columns, plus the worker's NS hosts, which the
+/// host column numbers. A domain's NS addresses are the union of its
+/// hosts'. Each column grows to its size once, however many domains the
+/// worker measures.
 #[derive(Default)]
 struct ShardOut {
     /// Each seed's symbol, assigned by the serial seed pass.
     domains: Vec<Sym>,
-    /// Per domain, the end of its run in `ns_names`, `ns_ips` and
-    /// `apex_ips`; each run starts where the previous domain's ended.
-    ends: Vec<[usize; 3]>,
-    ns_names: Vec<DomainName>,
-    /// Sorted and deduplicated within each domain's run.
-    ns_ips: Vec<Ipv4Addr>,
+    /// Per domain, the end of its run in `ns_hosts` and `apex_ips`; each
+    /// run starts where the previous domain's ended.
+    ends: Vec<[usize; 2]>,
+    /// Ids into `hosts`, in answer order.
+    ns_hosts: Vec<u32>,
     apex_ips: Vec<Ipv4Addr>,
+    /// The worker's NS hosts, by id.
+    hosts: Vec<NsHost>,
 }
 
 impl ShardOut {
     /// Close the current domain's runs.
     fn end_domain(&mut self, domain: Sym) {
         self.domains.push(domain);
-        self.ends
-            .push([self.ns_names.len(), self.ns_ips.len(), self.apex_ips.len()]);
+        self.ends.push([self.ns_hosts.len(), self.apex_ips.len()]);
     }
 
-    /// The measured domains in order: each symbol with its NS host names,
-    /// NS addresses and apex addresses.
-    #[allow(clippy::type_complexity)]
-    fn domains(&self) -> impl Iterator<Item = (Sym, &[DomainName], &[Ipv4Addr], &[Ipv4Addr])> + '_ {
-        let starts = std::iter::once([0; 3]).chain(self.ends.iter().copied());
+    /// The measured domains in order: each symbol with its NS host ids
+    /// and apex addresses.
+    fn domains(&self) -> impl Iterator<Item = (Sym, &[u32], &[Ipv4Addr])> + '_ {
+        let starts = std::iter::once([0; 2]).chain(self.ends.iter().copied());
         self.domains
             .iter()
             .zip(starts.zip(&self.ends))
-            .map(|(&sym, (s, e))| {
-                (
-                    sym,
-                    &self.ns_names[s[0]..e[0]],
-                    &self.ns_ips[s[1]..e[1]],
-                    &self.apex_ips[s[2]..e[2]],
-                )
-            })
+            .map(|(&sym, (s, e))| (sym, &self.ns_hosts[s[0]..e[0]], &self.apex_ips[s[1]..e[1]]))
     }
+}
+
+/// An NS host a worker met: its spelling and its addresses, as the shared
+/// cache holds them.
+struct NsHost {
+    name: DomainName,
+    ips: Arc<[Ipv4Addr]>,
+}
+
+/// The NS hosts a worker has met this sweep, numbered in first-sight
+/// order and found by wire name.
+#[derive(Default)]
+struct HostTable {
+    ids: FastMap<Name, u32>,
+    hosts: Vec<NsHost>,
 }
 
 /// Keep an A record's address.
@@ -339,27 +357,33 @@ impl Ledger {
 
 /// Shared, immutable per-sweep context handed to every worker: the
 /// network snapshot, the frozen warmup-primed resolver base, the shared NS
-/// cache and the sweep date.
+/// cache and the sweep's lane-key prefixes, `{date}/` for domains and
+/// `ns:{date}/` for NS hosts, each hashed once per sweep.
 struct SweepCtx<'a> {
     net: &'a Network,
     primed: &'a Arc<PrimedBase>,
     cache: &'a NsCache,
-    date: Date,
+    domain_keys: LanePrefix,
+    ns_keys: LanePrefix,
     panic_inject: Option<&'a PanicInject>,
 }
 
 /// The sweep's [`NsDependencyCache`] implementation, one per worker:
 /// routes the resolver's internal out-of-bailiwick NS-target A lookups
-/// through the shared sweep cache, so each hoster name server resolves
-/// exactly once per sweep instead of once per customer domain. A miss
-/// resolves on the worker's second overlay (the domain's own is mid-walk)
-/// and charges the worker's second ledger (the domain's own has its
-/// aggregates lent to the domain's lane); hit/miss counts land there too,
-/// and it folds into the worker's shard totals once at the end.
+/// and the domains' NS hosts through the worker's host table, which asks
+/// the shared sweep cache once per host, so each hoster name server
+/// resolves exactly once per sweep instead of once per customer domain.
+/// A miss resolves on the worker's second overlay and route memo (the
+/// domain's own are mid-walk) and charges the worker's second ledger (the
+/// domain's own has its aggregates lent to the domain's lane); hit/miss
+/// counts land there too, and it folds into the worker's shard totals
+/// once at the end.
 struct SharedDeps<'a> {
     ctx: &'a SweepCtx<'a>,
     ns_resolver: RefCell<IterativeResolver>,
     ledger: RefCell<Ledger>,
+    routes: RefCell<Routes>,
+    hosts: RefCell<HostTable>,
 }
 
 impl<'a> SharedDeps<'a> {
@@ -368,18 +392,28 @@ impl<'a> SharedDeps<'a> {
             ctx,
             ns_resolver: RefCell::new(IterativeResolver::overlay(ctx.primed)),
             ledger: RefCell::default(),
+            routes: RefCell::default(),
+            hosts: RefCell::default(),
         }
     }
 
-    /// Look `name` up in the shared cache and count the hit or miss; a
-    /// miss also charges its cost into this ledger. `None` for a name with
-    /// no hostname spelling.
-    fn lookup(&self, name: &NameSlice) -> Option<CacheHit> {
+    /// The id of NS host `name` in the worker's table, which asks the
+    /// shared cache at the host's first sight. Each call counts one cache
+    /// hit or miss, as a lookup in the shared cache would, so the totals
+    /// do not depend on the worker count; a miss also charges its cost
+    /// into this ledger. `None` for a name with no hostname spelling.
+    fn lookup(&self, name: &NameSlice) -> Option<u32> {
+        let known = self.hosts.borrow().ids.get(name).copied();
+        if let Some(id) = known {
+            self.ledger.borrow_mut().stats.ns_cache_hits += 1;
+            return Some(id);
+        }
         let hit = self.ctx.cache.get_or_compute(name, |ns| {
             resolve_ns_target(
                 self.ctx,
                 &mut self.ns_resolver.borrow_mut(),
                 &mut self.ledger.borrow_mut(),
+                &mut self.routes.borrow_mut(),
                 name,
                 ns,
             )
@@ -390,7 +424,14 @@ impl<'a> SharedDeps<'a> {
         } else {
             stats.ns_cache_hits += 1;
         }
-        Some(hit)
+        let mut table = self.hosts.borrow_mut();
+        let id = u32::try_from(table.hosts.len()).expect("host ids fit u32");
+        table.hosts.push(NsHost {
+            name: hit.host,
+            ips: hit.ips,
+        });
+        table.ids.insert(name.to_owned(), id);
+        Some(id)
     }
 }
 
@@ -398,8 +439,9 @@ impl NsDependencyCache for SharedDeps<'_> {
     fn ns_target_a(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
         // A name with no hostname spelling has no lane key: resolve it
         // inline.
-        let hit = self.lookup(name)?;
-        if hit.ips.is_empty() {
+        let id = self.lookup(name)?;
+        let ips = &self.hosts.borrow().hosts[id as usize].ips;
+        if ips.is_empty() {
             // The one-shot central resolution failed (its lane drew bad
             // loss). Don't condemn every domain behind this host to the
             // same draw — fall back to inline resolution on the calling
@@ -407,7 +449,7 @@ impl NsDependencyCache for SharedDeps<'_> {
             // retries transient failures.
             return None;
         }
-        Some(hit.ips)
+        Some(Arc::clone(ips))
     }
 }
 
@@ -450,17 +492,21 @@ fn resolve_with_retry<T: ruwhere_netsim::Transport, V>(
 }
 
 /// Resolve one NS-target host (`name`, spelled `ns`) to addresses on its
-/// own `(date, ns)` lane with a freshly reset overlay — a pure function of
-/// the sweep-start snapshot, so the cached value is identical no matter
-/// which worker computes it — and charge its cost to `ledger`.
+/// own `(date, ns)` lane, lent `routes`, with a freshly reset overlay — a
+/// pure function of the sweep-start snapshot, so the cached value is
+/// identical no matter which worker computes it — and charge its cost to
+/// `ledger`.
 fn resolve_ns_target(
     ctx: &SweepCtx<'_>,
     resolver: &mut IterativeResolver,
     ledger: &mut Ledger,
+    routes: &mut Routes,
     name: &NameSlice,
     ns: &DomainName,
 ) -> Vec<Ipv4Addr> {
-    let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
+    let mut lane = ctx
+        .net
+        .lane_with(&ctx.ns_keys, ns.as_str(), std::mem::take(routes));
     resolver.reset();
     ledger.lend(&mut lane, resolver);
     let mut ips = Vec::new();
@@ -475,110 +521,148 @@ fn resolve_ns_target(
         take_a,
     );
     ledger.charge(&mut lane, resolver);
+    *routes = lane.into_routes();
     ips
 }
 
-/// Measure one domain into `out`: NS set, NS-target addresses (through
-/// the shared cache), apex A — all on the domain's own `(date, domain)`
-/// lane with the worker's overlay `resolver`, reset first, charged to
-/// `ledger`. Answers are read in place from the replies into `out`'s
-/// columns, with the NS targets staged as wire bytes in `targets` until
-/// the NS walk has returned. Failure latencies are recorded per cause
-/// into the ledger's metric section; the span clock is the lane's
-/// virtual time, so the recorded values are as deterministic as the
-/// measurement itself.
-fn measure_domain(
-    domain: &DomainName,
-    sym: Sym,
-    resolver: &mut IterativeResolver,
-    deps: &SharedDeps<'_>,
-    ledger: &mut Ledger,
-    targets: &mut Vec<u8>,
-    out: &mut ShardOut,
-) {
-    let ctx = deps.ctx;
-    if let Some(inject) = ctx.panic_inject {
-        inject.maybe_panic(domain);
-    }
-    let mut lane = ctx.net.lane(format_args!("{}/{}", ctx.date, domain));
-    resolver.reset();
-    ledger.lend(&mut lane, resolver);
-    let mut qbuf = [0u8; MAX_NAME_LEN];
-    let qname = NameSlice::from_labels_into(domain.labels(), &mut qbuf)
-        .expect("DomainName invariants imply a valid wire name");
-
-    let ns_span = Recorder::span(lane.elapsed_us());
-    targets.clear();
-    if let Err(e) = resolve_with_retry(
-        resolver,
-        &mut lane,
-        qname,
-        RType::Ns,
-        deps,
-        targets,
-        take_ns,
-    ) {
-        let key = fail_key(ScanError::from(e).category());
-        ns_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
-    }
-    // NS hosts with a hostname spelling, each looked up (and spelled) once
-    // per sweep through the shared cache, in answer order, once the walk
-    // is over: a lookup fills the cache, so none may run for a walk that
-    // later fails.
-    let ns_names_start = out.ns_names.len();
-    let ns_ips_start = out.ns_ips.len();
-    for name in kept_names(targets) {
-        // A miss is charged to the deps ledger: this one's aggregates
-        // are lent to the domain's lane and resolver right now.
-        let Some(hit) = deps.lookup(name) else {
-            continue;
-        };
-        out.ns_names.push(hit.host);
-        out.ns_ips.extend_from_slice(&hit.ips);
-    }
-    sort_dedup_from(&mut out.ns_ips, ns_ips_start);
-    let found_ns = out.ns_names.len() > ns_names_start;
-    if !found_ns {
-        ledger.stats.ns_failures += 1;
-    }
-
-    let apex_span = Recorder::span(lane.elapsed_us());
-    let apex_start = out.apex_ips.len();
-    if let Err(e) = resolve_with_retry(
-        resolver,
-        &mut lane,
-        qname,
-        RType::A,
-        deps,
-        &mut out.apex_ips,
-        take_a,
-    ) {
-        let key = fail_key(ScanError::from(e).category());
-        apex_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
-    }
-    if out.apex_ips.len() == apex_start {
-        ledger.stats.apex_failures += 1;
-    }
-
-    ledger.charge(&mut lane, resolver);
-    if found_ns {
-        ledger.metrics.causes.record(keys::OK_US, lane.elapsed_us());
-    }
-    out.end_domain(sym);
+/// One sweep worker, with everything it keeps for exactly one sweep: its
+/// overlay resolver and ledger, the route memo every domain's lane
+/// borrows, its NS-host table (in `deps`) and its output columns. The
+/// memo and the table are pure functions of the network snapshot, which
+/// cannot change while the worker borrows it, and they go with the worker
+/// when its shard ends.
+struct Worker<'a> {
+    resolver: IterativeResolver,
+    ledger: Ledger,
+    routes: Routes,
+    /// The NS targets of the domain being measured, as wire bytes.
+    targets: Vec<u8>,
+    deps: SharedDeps<'a>,
+    out: ShardOut,
 }
 
-/// Sort `v[start..]` and drop its repeats, in place.
-fn sort_dedup_from(v: &mut Vec<Ipv4Addr>, start: usize) {
-    v[start..].sort_unstable();
-    let mut kept = start;
-    for i in start..v.len() {
-        if kept == start || v[i] != v[kept - 1] {
-            v[kept] = v[i];
-            kept += 1;
+impl<'a> Worker<'a> {
+    fn new(ctx: &'a SweepCtx<'a>) -> Self {
+        Worker {
+            resolver: IterativeResolver::overlay(ctx.primed),
+            ledger: Ledger::default(),
+            routes: Routes::default(),
+            targets: Vec::new(),
+            deps: SharedDeps::new(ctx),
+            out: ShardOut::default(),
         }
     }
-    v.truncate(kept);
+
+    /// Measure `seeds`, whose symbols are `syms`, in order: the shard's
+    /// output and its whole cost.
+    fn run(mut self, seeds: &[DomainName], syms: &[Sym]) -> (ShardOut, Ledger) {
+        self.out.domains.reserve(seeds.len());
+        self.out.ends.reserve(seeds.len());
+        for (domain, &sym) in seeds.iter().zip(syms) {
+            self.measure(domain, sym);
+        }
+        self.ledger.merge(&self.deps.ledger.into_inner());
+        self.out.hosts = self.deps.hosts.into_inner().hosts;
+        (self.out, self.ledger)
+    }
+
+    /// Measure one domain into the output columns: NS set, NS hosts
+    /// (through the host table), apex A — all on the domain's own `(date,
+    /// domain)` lane with the worker's overlay resolver, reset first,
+    /// charged to the worker's ledger. Answers are read in place from the
+    /// replies into the columns, with the NS targets staged as wire bytes
+    /// until the NS walk has returned. Failure latencies are recorded per
+    /// cause into the ledger's metric section; the span clock is the
+    /// lane's virtual time, so the recorded values are as deterministic
+    /// as the measurement itself.
+    fn measure(&mut self, domain: &DomainName, sym: Sym) {
+        let ctx = self.deps.ctx;
+        if let Some(inject) = ctx.panic_inject {
+            inject.maybe_panic(domain);
+        }
+        let mut lane = ctx.net.lane_with(
+            &ctx.domain_keys,
+            domain.as_str(),
+            std::mem::take(&mut self.routes),
+        );
+        let resolver = &mut self.resolver;
+        let ledger = &mut self.ledger;
+        let out = &mut self.out;
+        resolver.reset();
+        ledger.lend(&mut lane, resolver);
+        let mut qbuf = [0u8; MAX_NAME_LEN];
+        let qname = NameSlice::from_labels_into(domain.labels(), &mut qbuf)
+            .expect("DomainName invariants imply a valid wire name");
+
+        let ns_span = Recorder::span(lane.elapsed_us());
+        self.targets.clear();
+        if let Err(e) = resolve_with_retry(
+            resolver,
+            &mut lane,
+            qname,
+            RType::Ns,
+            &self.deps,
+            &mut self.targets,
+            take_ns,
+        ) {
+            let key = fail_key(ScanError::from(e).category());
+            ns_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
+        }
+        // NS hosts with a hostname spelling, each looked up (and spelled)
+        // once per sweep through the host table and the shared cache, in
+        // answer order, once the walk is over: a lookup fills the cache,
+        // so none may run for a walk that later fails.
+        let ns_start = out.ns_hosts.len();
+        for name in kept_names(&self.targets) {
+            // A miss is charged to the deps ledger: this one's aggregates
+            // are lent to the domain's lane and resolver right now.
+            if let Some(id) = self.deps.lookup(name) {
+                out.ns_hosts.push(id);
+            }
+        }
+        let found_ns = out.ns_hosts.len() > ns_start;
+        if !found_ns {
+            ledger.stats.ns_failures += 1;
+        }
+
+        let apex_span = Recorder::span(lane.elapsed_us());
+        let apex_start = out.apex_ips.len();
+        if let Err(e) = resolve_with_retry(
+            resolver,
+            &mut lane,
+            qname,
+            RType::A,
+            &self.deps,
+            &mut out.apex_ips,
+            take_a,
+        ) {
+            let key = fail_key(ScanError::from(e).category());
+            apex_span.end(&mut ledger.metrics.causes, key, lane.elapsed_us());
+        }
+        if out.apex_ips.len() == apex_start {
+            ledger.stats.apex_failures += 1;
+        }
+
+        ledger.charge(&mut lane, resolver);
+        if found_ns {
+            ledger.metrics.causes.record(keys::OK_US, lane.elapsed_us());
+        }
+        out.end_domain(sym);
+        self.routes = lane.into_routes();
+    }
 }
+
+/// A shard's NS host in the frame build: its symbol, interned at its
+/// first sight in record order, and where its addresses sit among the
+/// shard's address notes.
+struct HostSlot {
+    sym: Sym,
+    addrs: std::ops::Range<usize>,
+}
+
+/// An NS address in the frame build, with its country and origin AS once
+/// a record first needs them.
+type AddrNote = (Ipv4Addr, Option<(CountrySym, Option<Asn>)>);
 
 /// Degrade a twice-panicked shard into gap records: every domain in the
 /// range becomes an empty record counted as an NS *and* apex failure
@@ -734,37 +818,20 @@ impl OpenIntelScanner {
         // gap records that flow into the partial-sweep salvage path
         // below. A worker bug costs records, never the whole study.
         let plan = ShardPlan::new(seeds.len(), self.opts.workers);
+        let net = world.network();
         let ctx = SweepCtx {
-            net: world.network(),
+            net,
             primed: &primed,
             cache: &self.ns_cache,
-            date,
+            domain_keys: net.lane_prefix(format_args!("{date}/")),
+            ns_keys: net.lane_prefix(format_args!("ns:{date}/")),
             panic_inject: self.opts.panic_inject.as_ref(),
         };
         let ctx_ref = &ctx;
         let seeds_ref = &seeds;
         let syms_ref = &syms;
         let run_range = |range: std::ops::Range<usize>| {
-            let mut ledger = Ledger::default();
-            let mut out = ShardOut::default();
-            out.domains.reserve(range.len());
-            out.ends.reserve(range.len());
-            let mut targets = Vec::new();
-            let mut resolver = IterativeResolver::overlay(ctx_ref.primed);
-            let deps = SharedDeps::new(ctx_ref);
-            for idx in range {
-                measure_domain(
-                    &seeds_ref[idx],
-                    syms_ref[idx],
-                    &mut resolver,
-                    &deps,
-                    &mut ledger,
-                    &mut targets,
-                    &mut out,
-                );
-            }
-            ledger.merge(&deps.ledger.into_inner());
-            (out, ledger)
+            Worker::new(ctx_ref).run(&seeds_ref[range.clone()], &syms_ref[range])
         };
         let run_range = &run_range;
         type ShardResult = Result<(ShardOut, Ledger), std::ops::Range<usize>>;
@@ -862,29 +929,65 @@ impl OpenIntelScanner {
         // zone-snapshot order — symbol determinism rule 2: NS host names
         // and countries first seen this sweep are interned here, never
         // from inside a worker, under one interner lock.
+        //
+        // Each shard's NS host is interned at its first sight and each of
+        // its addresses annotated where a record's NS addresses first hold
+        // it. That is the first of the calls that interning every record's
+        // names, then its addresses, in order would make for that name or
+        // address, so every new symbol gets the number that order gives.
         let geo = world.geo().snapshot_at(date);
         let topo = world.network().topology();
+        let annotate = |symbols: &mut InternerWriter<'_>, ip| {
+            let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
+            (country, topo.asn_of(ip))
+        };
         let mut symbols = self.interner.writer();
         let mut builder = FrameBuilder::new(date);
         builder.reserve(seeds.len());
         let mut dropped = 0u64;
+        let mut slots: Vec<Option<HostSlot>> = Vec::new();
+        let mut notes: Vec<AddrNote> = Vec::new();
+        // A record's NS addresses, the union of its hosts', each with its
+        // note.
+        let mut ns_addrs: Vec<(Ipv4Addr, usize)> = Vec::new();
         for (out, _) in &shard_outputs {
-            for (domain, ns_names, ns_ips, apex_ips) in out.domains() {
-                if partial && ns_ips.is_empty() && apex_ips.is_empty() {
+            slots.clear();
+            slots.resize_with(out.hosts.len(), || None);
+            notes.clear();
+            for (domain, ns_hosts, apex_ips) in out.domains() {
+                let unmeasured = apex_ips.is_empty()
+                    && ns_hosts
+                        .iter()
+                        .all(|&h| out.hosts[h as usize].ips.is_empty());
+                if partial && unmeasured {
                     dropped += 1;
                     continue;
                 }
                 builder.begin_record(domain);
-                for ns in ns_names {
-                    builder.push_ns_name(symbols.intern_name(ns));
+                ns_addrs.clear();
+                for &h in ns_hosts {
+                    let host = &out.hosts[h as usize];
+                    let slot = slots[h as usize].get_or_insert_with(|| {
+                        let start = notes.len();
+                        notes.extend(host.ips.iter().map(|&ip| (ip, None)));
+                        HostSlot {
+                            sym: symbols.intern_name(&host.name),
+                            addrs: start..notes.len(),
+                        }
+                    });
+                    builder.push_ns_name(slot.sym);
+                    ns_addrs.extend(slot.addrs.clone().map(|i| (notes[i].0, i)));
                 }
-                for &ip in ns_ips {
-                    let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
-                    builder.push_ns_addr(ip, country, topo.asn_of(ip));
+                ns_addrs.sort_unstable_by_key(|a| a.0);
+                ns_addrs.dedup_by_key(|a| a.0);
+                for &(ip, i) in &ns_addrs {
+                    let note = &mut notes[i].1;
+                    let (country, asn) = *note.get_or_insert_with(|| annotate(&mut symbols, ip));
+                    builder.push_ns_addr(ip, country, asn);
                 }
                 for &ip in apex_ips {
-                    let country = symbols.intern_country(geo.and_then(|g| g.lookup(ip)));
-                    builder.push_apex_addr(ip, country, topo.asn_of(ip));
+                    let (country, asn) = annotate(&mut symbols, ip);
+                    builder.push_apex_addr(ip, country, asn);
                 }
                 builder.end_record();
             }

@@ -14,9 +14,11 @@ use ruwhere_netsim::fault::{FaultWindow, LinkFault, ServerFault, ServerFaultMode
 use ruwhere_netsim::{NetObs, NetStats, SimTime};
 use ruwhere_scan::{OpenIntelScanner, SweepFrame, SweepOptions};
 use ruwhere_store::checkpoint::fnv1a64;
+use ruwhere_store::Interner;
 use ruwhere_types::DomainName;
 use ruwhere_world::{ConflictEvent, FaultTarget, InfraFault, World, WorldConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// One measured day: the columnar frame and the interner's canonical
 /// symbol-table dump that gives its symbols meaning.
@@ -213,6 +215,85 @@ fn faulted_sweep_counters_are_pinned() {
         "the sweep's metric section moved"
     );
     assert_eq!(scanner.queries_sent(), frame.stats.queries);
+}
+
+/// Move the provider prefix that holds the most of `frame`'s NS addresses
+/// to another AS, the way the 2022-03-03 renumbering moved RU-CENTER's
+/// name servers: the same addresses, a new origin.
+fn renumber_busiest_ns_prefix(world: &mut World, frame: &SweepFrame) {
+    let topo = world.network().topology();
+    let (net, origin) = topo
+        .prefixes()
+        .iter()
+        .copied()
+        .max_by_key(|(net, _)| {
+            let held = frame.ns_addrs.ips.iter().filter(|&&ip| net.contains(ip));
+            held.count()
+        })
+        .expect("the world announces prefixes");
+    let (_, other) = topo
+        .prefixes()
+        .iter()
+        .copied()
+        .find(|&(_, asn)| asn != origin)
+        .expect("the world has more than one AS");
+    assert!(world.network_mut().topology_mut().announce(net, other));
+}
+
+/// One scanner sweeps, a day passes and a name-server prefix is
+/// renumbered, and the same scanner sweeps again (or, with
+/// `fresh_scanner`, a new one over the same symbol table). Returns the
+/// world, both frames and the symbol table's dump.
+fn sweep_across_a_renumbering(
+    workers: usize,
+    fresh_scanner: bool,
+) -> (World, SweepFrame, SweepFrame, String) {
+    let mut world = World::new(WorldConfig::tiny());
+    let interner = Arc::new(Interner::new());
+    let opts = || {
+        SweepOptions::new()
+            .workers(workers)
+            .interner(Arc::clone(&interner))
+    };
+    let mut scanner = OpenIntelScanner::with_options(&world, opts());
+    let first = scanner.sweep_frame(&mut world);
+    world.advance_to(world.today().add_days(1));
+    renumber_busiest_ns_prefix(&mut world, &first);
+    if fresh_scanner {
+        scanner = OpenIntelScanner::with_options(&world, opts());
+    }
+    let second = scanner.sweep_frame(&mut world);
+    (world, first, second, interner.dump())
+}
+
+/// Route memos, NS-host tables and their annotations live for one sweep:
+/// after a renumbering, a scanner's next sweep annotates every address
+/// with its new origin and measures exactly what a new scanner measures
+/// (a kept route memo would still time the paths to the old origin).
+#[test]
+fn no_sweep_memo_outlives_its_sweep() {
+    for workers in [1, 4] {
+        let (world, first, second, dump) = sweep_across_a_renumbering(workers, false);
+        let topo = world.network().topology();
+        for addrs in [&second.ns_addrs, &second.apex_addrs] {
+            for (&ip, &asn) in addrs.ips.iter().zip(&addrs.asns) {
+                assert_eq!(asn, topo.asn_of(ip), "{ip} at {workers} workers");
+            }
+        }
+        let moved = first
+            .ns_addrs
+            .asns
+            .iter()
+            .zip(&first.ns_addrs.ips)
+            .filter(|&(&asn, &ip)| asn != topo.asn_of(ip))
+            .count();
+        assert!(moved > 0, "the renumbering moved no measured NS address");
+
+        let (_, _, fresh, fresh_dump) = sweep_across_a_renumbering(workers, true);
+        assert_eq!(dump, fresh_dump, "{workers} workers");
+        assert_eq!(second, fresh, "{workers} workers");
+        assert_eq!(second.metrics.render_json(), fresh.metrics.render_json());
+    }
 }
 
 /// Everything one domain's measurement leaves behind: the answers, the

@@ -44,4 +44,4 @@ pub use date::{Date, DateRange, STUDY_END, STUDY_START};
 pub use domain::{DomainName, DomainParseError};
 pub use hash::{FastMap, FastSet};
 pub use period::{Period, CERT_WINDOW_END, CERT_WINDOW_START, CONFLICT_START, SANCTIONS_EFFECT};
-pub use seed::SeedTree;
+pub use seed::{SeedPrefix, SeedTree};

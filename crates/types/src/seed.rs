@@ -14,11 +14,17 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x100000001b3;
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new(seed);
-    h.update(bytes);
-    h.0
-}
+/// `FNV_PRIME` to the powers `0..=8`: FNV-1a over `k` zero bytes only
+/// multiplies by `FNV_PRIME` `k` times.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
 
 /// Streaming FNV-1a state: feeding bytes in pieces hashes exactly like
 /// feeding them at once.
@@ -82,26 +88,38 @@ impl SeedTree {
 
     /// Derive a named child node.
     pub fn child(&self, label: &str) -> SeedTree {
-        SeedTree {
-            state: splitmix64(fnv1a(self.state, label.as_bytes())),
+        SeedPrefix {
+            state: Fnv1a::new(self.state).0,
         }
+        .child(label)
     }
 
     /// Derive a named child node from a formatted label without building
     /// the string: `child_fmt(format_args!(..))` equals
     /// `child(&format!(..))`.
     pub fn child_fmt(&self, label: fmt::Arguments<'_>) -> SeedTree {
-        let mut h = Fnv1a::new(self.state);
-        fmt::write(&mut h, label).expect("the hashing writer never fails");
-        SeedTree {
-            state: splitmix64(h.0),
-        }
+        self.prefix(label).child("")
     }
 
-    /// Derive an indexed child node (e.g. per-domain, per-day).
+    /// Hash the start of a child label once, for many children whose
+    /// labels share it: `prefix(format_args!("{a}")).child(b)` equals
+    /// `child_fmt(format_args!("{a}{b}"))`.
+    pub fn prefix(&self, label: fmt::Arguments<'_>) -> SeedPrefix {
+        let mut h = Fnv1a::new(self.state);
+        fmt::write(&mut h, label).expect("the hashing writer never fails");
+        SeedPrefix { state: h.0 }
+    }
+
+    /// Derive an indexed child node (e.g. per-domain, per-day): the child
+    /// labelled by the index's eight little-endian bytes.
     pub fn child_idx(&self, index: u64) -> SeedTree {
+        // Hash the bytes up to the highest non-zero one; the zero bytes
+        // above it fold into one multiply.
+        let len = 8 - (index.leading_zeros() / 8) as usize;
+        let mut h = Fnv1a::new(self.state);
+        h.update(&index.to_le_bytes()[..len]);
         SeedTree {
-            state: splitmix64(fnv1a(self.state, &index.to_le_bytes())),
+            state: splitmix64(h.0.wrapping_mul(FNV_PRIME_POWERS[8 - len])),
         }
     }
 
@@ -113,6 +131,25 @@ impl SeedTree {
     /// A `StdRng` seeded from this node.
     pub fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.state)
+    }
+}
+
+/// A [`SeedTree`] node's hash state part-way through a child label, from
+/// [`SeedTree::prefix`]: each [`child`](SeedPrefix::child) hashes only
+/// the rest of its label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedPrefix {
+    state: u64,
+}
+
+impl SeedPrefix {
+    /// The child whose label is the prefix followed by `rest`.
+    pub fn child(&self, rest: &str) -> SeedTree {
+        let mut h = Fnv1a(self.state);
+        h.update(rest.as_bytes());
+        SeedTree {
+            state: splitmix64(h.0),
+        }
     }
 }
 
@@ -156,6 +193,16 @@ mod tests {
         assert_eq!(
             root.child(&format!("{date}/warmup")),
             root.child_fmt(format_args!("{date}/warmup"))
+        );
+        // A sweep hashes the date once and each domain after it.
+        assert_eq!(
+            root.child(&format!("{}/{}", date, domain)),
+            root.prefix(format_args!("{date}/")).child(domain.as_str())
+        );
+        assert_eq!(
+            root.child(&format!("ns:{}/{}", date, domain)),
+            root.prefix(format_args!("ns:{date}/"))
+                .child(domain.as_str())
         );
     }
 

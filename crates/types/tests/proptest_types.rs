@@ -2,9 +2,76 @@
 
 use proptest::prelude::*;
 use ruwhere_types::punycode;
-use ruwhere_types::{Date, DomainName};
+use ruwhere_types::{Date, DomainName, SeedTree};
+
+/// `SeedTree::child_idx` computed the plain way: FNV-1a over all eight
+/// little-endian bytes of the index, then the splitmix64 finalizer.
+fn child_idx_reference(seed: u64, index: u64) -> u64 {
+    const PRIME: u64 = 0x100000001b3;
+    let mut h = 0xcbf29ce484222325 ^ seed.wrapping_mul(PRIME);
+    for b in index.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    let mut z = h.wrapping_add(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn child_idx_matches_the_bytewise_hash_at_the_edges() {
+    for index in [0, 1, 255, 256, (1 << 56) - 1, 1 << 56, u64::MAX] {
+        for seed in [0, 7, u64::MAX] {
+            assert_eq!(
+                SeedTree::new(seed).child_idx(index).seed(),
+                child_idx_reference(seed, index),
+                "seed {seed}, index {index}"
+            );
+        }
+    }
+    // Pinned: every stream in the workspace hangs off these values.
+    assert_eq!(SeedTree::new(7).child_idx(0).seed(), 0x3c60b7f81135c2d6);
+    assert_eq!(SeedTree::new(7).child_idx(1).seed(), 0xa63c8c34d4dc79a3);
+    assert_eq!(
+        SeedTree::new(42).child_idx(1 << 16).seed(),
+        0x210fd4c3314bb1b0
+    );
+    assert_eq!(
+        SeedTree::new(7).child_idx(u64::MAX).seed(),
+        0x425f35a02c6377c9
+    );
+}
 
 proptest! {
+    #[test]
+    fn child_idx_matches_the_bytewise_hash(seed in any::<u64>(), raw in any::<u64>(), shift in 0u32..64) {
+        // Shifting spreads the indices over every count of high zero bytes.
+        for index in [raw, raw >> shift] {
+            prop_assert_eq!(
+                SeedTree::new(seed).child_idx(index).seed(),
+                child_idx_reference(seed, index)
+            );
+        }
+    }
+
+    #[test]
+    fn prefixed_children_equal_formatted_children(
+        seed in any::<u64>(),
+        head in "\\PC{0,12}",
+        tail in "\\PC{0,12}",
+    ) {
+        let root = SeedTree::new(seed);
+        prop_assert_eq!(
+            root.prefix(format_args!("{head}")).child(&tail),
+            root.child_fmt(format_args!("{head}{tail}"))
+        );
+        prop_assert_eq!(
+            root.prefix(format_args!("{head}")).child(&tail),
+            root.child(&format!("{head}{tail}"))
+        );
+    }
+
     #[test]
     fn date_ymd_roundtrip(days in -1_000_000i32..1_000_000) {
         let d = Date::from_days(days);
