@@ -17,9 +17,7 @@ use ruwhere_dns::wire::Encoder;
 use ruwhere_dns::{
     encode_record, Flags, MessageView, Name, NameSlice, RType, Rcode, SoaData, WireError,
 };
-use ruwhere_types::hash::FastState;
-use ruwhere_types::DomainName;
-use std::hash::{BuildHasher, Hasher};
+use ruwhere_types::{DomainName, NameList, Named};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock};
 
@@ -65,9 +63,14 @@ pub struct Row {
 #[derive(Debug)]
 pub struct PlanZones {
     template: PlanTemplate,
-    rows: Vec<Row>,
-    index: RowIndex,
+    rows: NameList<Row>,
     zones: ZoneSet,
+}
+
+impl Named for Row {
+    fn name(&self) -> &DomainName {
+        &self.name
+    }
 }
 
 /// Shared, mutable plan data: the world driver edits rows while the
@@ -79,32 +82,25 @@ impl PlanZones {
     pub fn new(template: PlanTemplate) -> Self {
         PlanZones {
             template,
-            rows: Vec::new(),
-            index: RowIndex::default(),
+            rows: NameList::default(),
             zones: ZoneSet::new(),
         }
     }
 
     /// The customer rows, in membership order.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        self.rows.items()
     }
 
     /// The row of customer `name`.
     pub fn row(&self, name: &DomainName) -> Option<&Row> {
-        let slot = self.index.find_name(&self.rows, name)?;
-        Some(&self.rows[self.index.slots[slot] as usize])
+        self.rows.get(name)
     }
 
     /// Add a customer at the end of the member list, or, if it already is
     /// a customer, replace its addresses in place.
     pub fn insert_row(&mut self, row: Row) {
-        if let Some(slot) = self.index.find_name(&self.rows, &row.name) {
-            self.rows[self.index.slots[slot] as usize] = row;
-            return;
-        }
-        self.rows.push(row);
-        self.index.insert(&self.rows);
+        self.rows.insert(row);
     }
 
     /// Re-address customer `name`; `false` if it is not a customer.
@@ -114,10 +110,9 @@ impl PlanZones {
         primary: Ipv4Addr,
         secondary: Option<Ipv4Addr>,
     ) -> bool {
-        let Some(slot) = self.index.find_name(&self.rows, name) else {
+        let Some(row) = self.rows.get_mut(name) else {
             return false;
         };
-        let row = &mut self.rows[self.index.slots[slot] as usize];
         row.primary = primary;
         row.secondary = secondary;
         true
@@ -126,18 +121,7 @@ impl PlanZones {
     /// Remove customer `name`; the last row takes its place in the member
     /// list.
     pub fn remove_row(&mut self, name: &DomainName) -> Option<Row> {
-        let slot = self.index.find_name(&self.rows, name)?;
-        let pos = self.index.slots[slot] as usize;
-        self.index.vacate(&self.rows, slot);
-        let last = self.rows.len() - 1;
-        if pos != last {
-            let moved = self
-                .index
-                .find_name(&self.rows, &self.rows[last].name)
-                .expect("every row is indexed");
-            self.index.slots[moved] = pos as u32;
-        }
-        Some(self.rows.swap_remove(pos))
+        self.rows.swap_remove(name)
     }
 
     /// The plan's zones that are not customer zones.
@@ -220,8 +204,8 @@ impl Authority for PlanZones {
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
         for origin in qname.suffixes() {
-            if let Some(slot) = self.index.find_wire(&self.rows, origin) {
-                let row = &self.rows[self.index.slots[slot] as usize];
+            if let Some(pos) = self.rows.position(origin.labels()) {
+                let row = &self.rows.items()[pos];
                 return self.encode_row_answer(row, origin, query, qname, qtype, out);
             }
             if let Some(zone) = self.zones.get(origin) {
@@ -232,114 +216,6 @@ impl Authority for PlanZones {
     }
 }
 
-/// Marks an empty [`RowIndex`] slot.
-const EMPTY: u32 = u32::MAX;
-
-/// Row positions hashed by customer name, in an open-addressed table with
-/// linear probing, so the name is held once, in its row. A name hashes
-/// label by label, the same from a [`DomainName`] as from the wire form a
-/// question carries. The table doubles past three-quarters full, and
-/// removal shifts entries back instead of leaving tombstones, so its size
-/// depends only on the row count.
-#[derive(Debug, Default)]
-struct RowIndex {
-    /// Row positions, or [`EMPTY`]; the length is zero or a power of two.
-    slots: Vec<u32>,
-    hasher: FastState,
-}
-
-impl RowIndex {
-    /// The slot where a probe for a name with `labels` starts.
-    fn home<'a>(&self, labels: impl Iterator<Item = &'a [u8]>) -> usize {
-        let mut h = self.hasher.build_hasher();
-        for label in labels {
-            h.write(label);
-        }
-        h.finish() as usize & (self.slots.len() - 1)
-    }
-
-    /// The home slot of `name`.
-    fn home_of(&self, name: &DomainName) -> usize {
-        self.home(name.labels().map(str::as_bytes))
-    }
-
-    /// The slot holding the position of the row that `is` accepts,
-    /// probing from `home`.
-    fn find(&self, rows: &[Row], mut at: usize, is: impl Fn(&DomainName) -> bool) -> Option<usize> {
-        let mask = self.slots.len() - 1;
-        loop {
-            match self.slots[at] {
-                EMPTY => return None,
-                pos if is(&rows[pos as usize].name) => return Some(at),
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// The slot holding the position of `name`'s row.
-    fn find_name(&self, rows: &[Row], name: &DomainName) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.find(rows, self.home_of(name), |n| n == name)
-    }
-
-    /// The slot holding the position of the row named `wire`.
-    fn find_wire(&self, rows: &[Row], wire: &NameSlice) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let same = |n: &DomainName| n.labels().map(str::as_bytes).eq(wire.labels());
-        self.find(rows, self.home(wire.labels()), same)
-    }
-
-    /// Index the last of `rows`, which was just appended.
-    fn insert(&mut self, rows: &[Row]) {
-        if rows.len() * 4 > self.slots.len() * 3 {
-            self.slots = vec![EMPTY; (rows.len() * 2).next_power_of_two()];
-            for pos in 0..rows.len() {
-                self.place(rows, pos);
-            }
-        } else {
-            self.place(rows, rows.len() - 1);
-        }
-    }
-
-    /// Put `pos` in the first empty slot of its name's probe run.
-    fn place(&mut self, rows: &[Row], pos: usize) {
-        let mask = self.slots.len() - 1;
-        let mut at = self.home_of(&rows[pos].name);
-        while self.slots[at] != EMPTY {
-            at = (at + 1) & mask;
-        }
-        self.slots[at] = pos as u32;
-    }
-
-    /// Empty slot `hole`, then move each later entry of the probe run
-    /// that may sit there back into it, so every entry stays reachable
-    /// from its home slot.
-    fn vacate(&mut self, rows: &[Row], mut hole: usize) {
-        let mask = self.slots.len() - 1;
-        self.slots[hole] = EMPTY;
-        let mut at = hole;
-        loop {
-            at = (at + 1) & mask;
-            let pos = self.slots[at];
-            if pos == EMPTY {
-                return;
-            }
-            let home = self.home_of(&rows[pos as usize].name);
-            // The entry may move to the hole when the hole lies on its
-            // probe path: no further from its home than where it sits.
-            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
-                self.slots[hole] = pos;
-                self.slots[at] = EMPTY;
-                hole = at;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +223,6 @@ mod tests {
     use crate::AuthServer;
     use ruwhere_dns::{Message, RData, Record, Zone};
     use ruwhere_netsim::{Service, SimTime};
-    use std::collections::BTreeMap;
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
@@ -464,39 +339,6 @@ mod tests {
             Ipv4Addr::from([10, 0, 0, 1])
         );
         assert!(!plan.set_addresses(&dn("d1.ru"), [10, 0, 0, 1].into(), None));
-    }
-
-    #[test]
-    fn index_survives_interleaved_inserts_and_removals() {
-        // A model map checks every lookup while rows come and go, through
-        // table growth and backward-shift deletion alike.
-        let mut plan = PlanZones::new(template());
-        let mut model: BTreeMap<String, u8> = BTreeMap::new();
-        let mut x: u32 = 12345;
-        for step in 0..3_000u32 {
-            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
-            let key = format!("n{}.ru", (x >> 8) % 400);
-            if (x >> 4).is_multiple_of(3) {
-                assert_eq!(
-                    plan.remove_row(&dn(&key)).is_some(),
-                    model.remove(&key).is_some(),
-                    "step {step}"
-                );
-            } else {
-                let last = (step % 250) as u8;
-                plan.insert_row(row(&key, last, false));
-                model.insert(key, last);
-            }
-            assert_eq!(plan.rows().len(), model.len());
-        }
-        for r in plan.rows() {
-            let key = r.name.as_str();
-            assert_eq!(r.primary, Ipv4Addr::from([192, 0, 2, model[key]]));
-        }
-        for i in 0..400 {
-            let key = format!("n{i}.ru");
-            assert_eq!(plan.row(&dn(&key)).is_some(), model.contains_key(&key));
-        }
     }
 
     #[test]

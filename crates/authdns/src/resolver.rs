@@ -296,6 +296,10 @@ const SRTT_DEFAULT_US: u64 = 120_000;
 const PENALTY_BASE_US: u64 = 2_000_000;
 /// Cap on the penalty exponent (base << 5 = 64 s).
 const PENALTY_MAX_SHIFT: u32 = 5;
+/// Per-query transport timeout (µs).
+const TIMEOUT_US: u64 = 2_000_000;
+/// Transport attempts per server that is not in the penalty box.
+const ATTEMPTS: u32 = 2;
 
 impl Default for ServerHealth {
     fn default() -> Self {
@@ -366,8 +370,6 @@ pub struct PrimedBase {
     roots: Arc<[RootHint]>,
     query_budget: u32,
     retry_budget: u32,
-    timeout_us: u64,
-    attempts: u32,
     penalty_box_enabled: bool,
 }
 
@@ -397,10 +399,6 @@ pub struct IterativeResolver {
     /// Max *failed* queries one `resolve` call may absorb before giving
     /// up. Bounds the cost of walking a mostly-dead NS set.
     pub retry_budget: u32,
-    /// Per-query timeout in simulated microseconds.
-    pub timeout_us: u64,
-    /// Transport attempts per server.
-    pub attempts: u32,
     /// Whether per-server health ordering and the penalty box are active.
     /// Disable to get the naive fixed-order resolver (for ablations: the
     /// flapping-server experiment measures the queries this saves).
@@ -482,8 +480,6 @@ impl IterativeResolver {
             roots: roots.into(),
             query_budget: 64,
             retry_budget: 8,
-            timeout_us: 2_000_000,
-            attempts: 2,
             penalty_box_enabled: true,
             next_id: 1,
             own: Caches::default(),
@@ -605,8 +601,6 @@ impl IterativeResolver {
             roots: self.roots,
             query_budget: self.query_budget,
             retry_budget: self.retry_budget,
-            timeout_us: self.timeout_us,
-            attempts: self.attempts,
             penalty_box_enabled: self.penalty_box_enabled,
         })
     }
@@ -621,8 +615,6 @@ impl IterativeResolver {
             roots: Arc::clone(&base.roots),
             query_budget: base.query_budget,
             retry_budget: base.retry_budget,
-            timeout_us: base.timeout_us,
-            attempts: base.attempts,
             penalty_box_enabled: base.penalty_box_enabled,
             next_id: base.next_id,
             own: Caches::default(),
@@ -943,13 +935,13 @@ impl IterativeResolver {
         // betting the query's latency budget on it.
         let penalized =
             self.penalty_box_enabled && self.health_of(server).penalized_until > net.now();
-        let attempts = if penalized { 1 } else { self.attempts };
+        let attempts = if penalized { 1 } else { ATTEMPTS };
         let t0 = net.now();
         let sent = net.request(
             self.client_ip,
             (server, 53),
             &self.query,
-            self.timeout_us,
+            TIMEOUT_US,
             attempts,
             reply,
         );

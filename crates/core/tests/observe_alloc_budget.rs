@@ -6,8 +6,8 @@
 //! once the series' scratch has grown to a frame's size, folding a frame
 //! ten times larger must not allocate more, and no fold may allocate more
 //! than [`CEILING`] times: the per-day entries the series keep. This file
-//! holds a single test so nothing else allocates in its binary while it
-//! measures.
+//! holds a single test, and the allocator counts only the test's own
+//! thread while it measures.
 
 use ruwhere_core::{
     AnalysisEngine, AsnShareSeries, CompositionSeries, DatasetStats, FrameObserver, InfraKind,
@@ -17,12 +17,26 @@ use ruwhere_registry::{SanctionSource, SanctionsList};
 use ruwhere_store::{FrameFixture, Interner, SweepFrame, SweepStats};
 use ruwhere_types::{Asn, Date};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Heap allocations (`alloc`, `alloc_zeroed` and `realloc` calls) since
-/// process start.
+/// Heap allocations (`alloc`, `alloc_zeroed` and `realloc` calls) on the
+/// test's own thread while it measures.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the test's thread: other threads of the test binary
+    /// allocate at times of their own, which would move the count.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation if this thread is measuring.
+fn count() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 /// Counts, then forwards every call unchanged to [`System`].
 struct Counting;
@@ -31,17 +45,17 @@ struct Counting;
 // `GlobalAlloc` contract holds exactly as it does for `System`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -91,6 +105,7 @@ fn frame(interner: &Interner, date: Date, n: usize) -> SweepFrame {
 
 #[test]
 fn walk_allocations_do_not_grow_with_records() {
+    MEASURING.with(|m| m.set(true));
     let (small, large) = (100, 1_000);
     let interner = Interner::new();
     let day = |d: u32| Date::from_ymd(2022, 3, d);

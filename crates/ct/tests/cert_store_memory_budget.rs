@@ -6,17 +6,32 @@
 //! a CA that logs to CT. The domain names exist before the count starts,
 //! as the world's domain state holds them. Nothing here is hashed or
 //! seeded per process, so the figure is the same on every run and the
-//! bound sits a few bytes above it. This file holds a single test so
-//! nothing else allocates in its binary while it measures.
+//! bound sits a few bytes above it. This file holds a single test, and the allocator counts only the
+//! test's own thread while it measures.
 
 use ruwhere_ct::{CertificateAuthority, CtLog};
 use ruwhere_types::sync::write;
 use ruwhere_types::{Country, Date, DomainName};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Live heap bytes: requested sizes allocated minus sizes freed.
+/// Live heap bytes: requested sizes allocated minus sizes freed, on the
+/// test's own thread while it measures.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    /// Set on the test's thread: other threads of the test binary
+    /// allocate at times of their own, which would move the figure.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Add `bytes` to the live count if this thread is measuring.
+fn count(bytes: i64) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 /// Tracks live bytes, then forwards every call unchanged to [`System`].
 struct Counting;
@@ -25,22 +40,22 @@ struct Counting;
 // `GlobalAlloc` contract holds exactly as it does for `System`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -61,6 +76,7 @@ const MAX_LIVE_BYTES_PER_ROW: f64 = 76.0;
 
 #[test]
 fn store_rows_stay_within_budget() {
+    MEASURING.with(|m| m.set(true));
     let names: Vec<DomainName> = (0..ROWS)
         .map(|i| format!("domain-{i}.ru").parse().unwrap())
         .collect();

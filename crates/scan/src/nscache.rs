@@ -1,13 +1,14 @@
-//! The shared, sharded, date-scoped read-through cache for NS-target A
-//! lookups.
+//! The shared, date-scoped read-through cache for NS-target A lookups.
 //!
 //! Thousands of domains park on the same hoster name servers; without a
 //! shared cache every worker re-resolves `ns1.reg.ru` for every customer
 //! domain in its shard. This cache computes each NS-target address set
 //! **exactly once per sweep date** — the first worker to miss holds the
-//! entry lock while it resolves, later workers block on that entry (not on
-//! the whole cache: the map is sharded by name hash) and then read the
-//! finished value.
+//! entry's cell while it resolves, later workers block on that cell (not
+//! on the whole cache: the list of entries is locked only to find or add
+//! one) and then read the finished value. Each worker asks here once per
+//! host and sweep and keeps the answer in a host table of its own, so the
+//! one list lock sees a small share of the sweep's host lookups.
 //!
 //! Two properties keep the parallel sweep byte-identical to the serial
 //! one:
@@ -27,33 +28,23 @@
 //! measurement pipeline must re-observe everything each day (OpenINTEL
 //! semantics), so yesterday's addresses must never satisfy today's sweep.
 
-use ruwhere_dns::{Name, NameSlice};
-use ruwhere_types::hash::FastState;
+use ruwhere_dns::NameSlice;
 use ruwhere_types::sync::lock;
-use ruwhere_types::{Date, DomainName, FastMap};
-use std::hash::BuildHasher;
+use ruwhere_types::{Date, DomainName, NameList, Named};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Number of independently locked map shards.
-const SHARDS: usize = 16;
-
-/// Where a name's shard index sits in its hash: above the low bits a
-/// shard's table takes its bucket from, below the top seven it keeps as
-/// tags, so names that share a shard still spread over its buckets.
-const SHARD_SHIFT: u32 = 52;
-
-/// One computed entry: the host's spelling and its resolved addresses.
-#[derive(Debug, Clone)]
-struct CacheValue {
+/// One NS host's entry: its spelling, and its addresses once computed.
+/// The cell is shared, so a lookup waits on it with the list unlocked.
+struct Entry {
     host: DomainName,
-    ips: Arc<[Ipv4Addr]>,
+    ips: Arc<OnceLock<Arc<[Ipv4Addr]>>>,
 }
 
-/// An entry cell: the per-name lock that serialises compute-once.
-#[derive(Default)]
-struct Entry {
-    slot: Mutex<Option<CacheValue>>,
+impl Named for Entry {
+    fn name(&self) -> &DomainName {
+        &self.host
+    }
 }
 
 /// Outcome of a cache lookup.
@@ -69,20 +60,18 @@ pub struct CacheHit {
 
 /// The shared NS-target A cache. One per scanner; lives across sweeps but
 /// never serves across a date boundary.
+#[derive(Default)]
 pub struct NsCache {
     date: Option<Date>,
-    /// Keyed by the NS host's wire name, so a lookup probes with the name
-    /// a referral or an answer record carries, borrowed.
-    shards: Vec<Mutex<FastMap<Name, Arc<Entry>>>>,
+    /// Found by the NS host's wire labels, so a lookup probes with the
+    /// name a referral or an answer record carries, borrowed.
+    entries: Mutex<NameList<Entry>>,
 }
 
 impl NsCache {
     /// Empty cache, bound to no date yet.
     pub fn new() -> Self {
-        NsCache {
-            date: None,
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
-        }
+        Self::default()
     }
 
     /// Bind the cache to a sweep date, clearing every entry if the date
@@ -91,9 +80,7 @@ impl NsCache {
     /// `&self` from workers).
     pub fn begin_sweep(&mut self, date: Date) {
         if self.date != Some(date) {
-            for shard in &self.shards {
-                lock(shard).clear();
-            }
+            lock(&self.entries).clear();
             self.date = Some(date);
         }
     }
@@ -105,7 +92,7 @@ impl NsCache {
 
     /// Number of cached entries (computed or in flight).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
+        lock(&self.entries).len()
     }
 
     /// Whether the cache holds no entries.
@@ -115,11 +102,9 @@ impl NsCache {
 
     /// Peek at a finished entry without computing (tests / diagnostics).
     pub fn peek(&self, name: &NameSlice) -> Option<Arc<[Ipv4Addr]>> {
-        let entry = lock(&self.shards[Self::shard_of(name)])
-            .get(name)
-            .cloned()?;
-        let slot = lock(&entry.slot);
-        slot.as_ref().map(|v| Arc::clone(&v.ips))
+        let entries = lock(&self.entries);
+        let pos = entries.position(name.labels())?;
+        entries.items()[pos].ips.get().cloned()
     }
 
     /// Read-through lookup: return the cached addresses for `name`, or
@@ -134,62 +119,38 @@ impl NsCache {
     where
         F: FnOnce(&DomainName) -> Vec<Ipv4Addr>,
     {
-        let mut host = None;
-        let entry = {
-            let mut shard = lock(&self.shards[Self::shard_of(name)]);
-            match shard.get(name) {
-                Some(entry) => Arc::clone(entry),
-                None => {
-                    host = Some(name.to_domain_name()?);
-                    Arc::clone(shard.entry(name.to_owned()).or_default())
-                }
-            }
+        let (host, cell) = {
+            let mut entries = lock(&self.entries);
+            let pos = match entries.position(name.labels()) {
+                Some(pos) => pos,
+                None => entries.insert(Entry {
+                    host: name.to_domain_name()?,
+                    ips: Arc::default(),
+                }),
+            };
+            let entry = &entries.items()[pos];
+            (entry.host.clone(), Arc::clone(&entry.ips))
         };
-        // Shard lock released: only this name's entry is held during the
-        // (potentially long) resolution below.
-        let mut slot = lock(&entry.slot);
-        if let Some(v) = slot.as_ref() {
-            return Some(CacheHit {
-                host: v.host.clone(),
-                ips: Arc::clone(&v.ips),
-                computed: false,
-            });
-        }
-        // Only names with a spelling get an entry; an empty one left by a
-        // panicked computation is spelled again here.
-        let host = match host {
-            Some(host) => host,
-            None => name.to_domain_name()?,
-        };
-        let ips = compute(&host);
-        let value = CacheValue {
-            host,
-            ips: ips.into(),
-        };
-        *slot = Some(value.clone());
+        // List lock released: only this host's cell is held during the
+        // (potentially long) resolution below. A computation that panics
+        // leaves the cell empty for the next caller to fill.
+        let mut computed = false;
+        let ips = Arc::clone(cell.get_or_init(|| {
+            computed = true;
+            compute(&host).into()
+        }));
         Some(CacheHit {
-            host: value.host,
-            ips: value.ips,
-            computed: true,
+            host,
+            ips,
+            computed,
         })
-    }
-
-    /// The shard for `name`, from the same hash its shard's table
-    /// probes with (every [`FastState`] in a process hashes alike).
-    fn shard_of(name: &NameSlice) -> usize {
-        (FastState::default().hash_one(name) >> SHARD_SHIFT) as usize % SHARDS
-    }
-}
-
-impl Default for NsCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_dns::Name;
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
@@ -286,15 +247,6 @@ mod tests {
             "one compute per unique name"
         );
         assert_eq!(cache.len(), 5);
-    }
-
-    #[test]
-    fn hosts_differing_in_one_label_use_every_shard() {
-        let mut used = [0usize; SHARDS];
-        for i in 0..256 {
-            used[NsCache::shard_of(&name(&format!("ns{i}.hoster.ru")))] += 1;
-        }
-        assert!(used.iter().all(|&n| n > 0), "shard use {used:?}");
     }
 
     #[test]

@@ -40,16 +40,17 @@
 //!    the domains its worker measured before, and the primed tables are
 //!    never copied.
 //! 3. *Exactly-once shared NS cache.* NS-target A lookups go through the
-//!    shared, sharded, date-scoped [`crate::nscache::NsCache`]; an entry
-//!    is computed once per sweep, on its own lane keyed by `(date,
+//!    shared, date-scoped [`crate::nscache::NsCache`]; an entry is
+//!    computed once per sweep, on its own lane keyed by `(date,
 //!    ns-name)` from a freshly reset overlay of its own (the lookup runs
 //!    nested inside a domain's walk), and its query cost is charged
 //!    exactly once, by the computing worker. Which worker computes is
 //!    scheduling-dependent; the value and the summed counters are not.
 //!    Each worker asks the shared cache once per host and keeps the
-//!    answer in a host table of its own; a later lookup there counts as
-//!    the cache hit it replaces, so the hit and miss totals are those of
-//!    asking the shared cache every time.
+//!    answer in a host table of its own, a [`NameList`] whose positions
+//!    are the host ids; a later lookup there counts as the cache hit it
+//!    replaces, so the hit and miss totals are those of asking the
+//!    shared cache every time.
 //!
 //! A worker's route memo, lane-key prefixes and host table live for one
 //! sweep: they are pure functions of the network snapshot, which cannot
@@ -86,7 +87,7 @@ use ruwhere_netsim::{Lane, LanePrefix, NetStats, Network, Routes, SimTime};
 use ruwhere_obs::Recorder;
 use ruwhere_store::metrics::{fail_key, keys, SweepMetrics};
 use ruwhere_store::{CountrySym, FrameBuilder, Interner, InternerWriter, SweepFrame, Sym};
-use ruwhere_types::{Asn, DomainName, FastMap};
+use ruwhere_types::{Asn, DomainName, NameList, Named};
 use ruwhere_world::World;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -269,12 +270,10 @@ struct NsHost {
     ips: Arc<[Ipv4Addr]>,
 }
 
-/// The NS hosts a worker has met this sweep, numbered in first-sight
-/// order and found by wire name.
-#[derive(Default)]
-struct HostTable {
-    ids: FastMap<Name, u32>,
-    hosts: Vec<NsHost>,
+impl Named for NsHost {
+    fn name(&self) -> &DomainName {
+        &self.name
+    }
 }
 
 /// Keep an A record's address.
@@ -383,7 +382,9 @@ struct SharedDeps<'a> {
     ns_resolver: RefCell<IterativeResolver>,
     ledger: RefCell<Ledger>,
     routes: RefCell<Routes>,
-    hosts: RefCell<HostTable>,
+    /// The NS hosts the worker has met this sweep, in first-sight order:
+    /// a host's id is its position.
+    hosts: RefCell<NameList<NsHost>>,
 }
 
 impl<'a> SharedDeps<'a> {
@@ -403,10 +404,10 @@ impl<'a> SharedDeps<'a> {
     /// do not depend on the worker count; a miss also charges its cost
     /// into this ledger. `None` for a name with no hostname spelling.
     fn lookup(&self, name: &NameSlice) -> Option<u32> {
-        let known = self.hosts.borrow().ids.get(name).copied();
+        let known = self.hosts.borrow().position(name.labels());
         if let Some(id) = known {
             self.ledger.borrow_mut().stats.ns_cache_hits += 1;
-            return Some(id);
+            return Some(id as u32);
         }
         let hit = self.ctx.cache.get_or_compute(name, |ns| {
             resolve_ns_target(
@@ -424,14 +425,11 @@ impl<'a> SharedDeps<'a> {
         } else {
             stats.ns_cache_hits += 1;
         }
-        let mut table = self.hosts.borrow_mut();
-        let id = u32::try_from(table.hosts.len()).expect("host ids fit u32");
-        table.hosts.push(NsHost {
+        let id = self.hosts.borrow_mut().insert(NsHost {
             name: hit.host,
             ips: hit.ips,
         });
-        table.ids.insert(name.to_owned(), id);
-        Some(id)
+        Some(id as u32)
     }
 }
 
@@ -440,7 +438,8 @@ impl NsDependencyCache for SharedDeps<'_> {
         // A name with no hostname spelling has no lane key: resolve it
         // inline.
         let id = self.lookup(name)?;
-        let ips = &self.hosts.borrow().hosts[id as usize].ips;
+        let hosts = self.hosts.borrow();
+        let ips = &hosts.items()[id as usize].ips;
         if ips.is_empty() {
             // The one-shot central resolution failed (its lane drew bad
             // loss). Don't condemn every domain behind this host to the
@@ -562,7 +561,7 @@ impl<'a> Worker<'a> {
             self.measure(domain, sym);
         }
         self.ledger.merge(&self.deps.ledger.into_inner());
-        self.out.hosts = self.deps.hosts.into_inner().hosts;
+        self.out.hosts = self.deps.hosts.into_inner().into_items();
         (self.out, self.ledger)
     }
 

@@ -62,8 +62,11 @@ static GLOBAL: Counting = Counting;
 /// queries) to 0.8 (1 252); the bound is that count rounded up. Worker
 /// tables that live for one sweep (a route memo, and an NS-host table
 /// holding each host's wire name once) add about one allocation per NS
-/// host per sweep: 0.87 (1 373 for the same 1 579).
-const MAX_ALLOCATIONS_PER_QUERY: f64 = 1.0;
+/// host per sweep: 0.87 (1 373 for the same 1 579). Finding hosts in a
+/// name list by their wire labels, with no owned wire name per host,
+/// brought it to 0.80 (1 271); the bound is that count rounded up to a
+/// tenth.
+const MAX_ALLOCATIONS_PER_QUERY: f64 = 0.9;
 
 #[test]
 fn sweep_allocations_per_query_stay_within_budget() {

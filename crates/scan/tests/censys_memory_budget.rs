@@ -5,17 +5,32 @@
 //! when the world is at its largest: together they set the study's
 //! live-heap peak. A counting global allocator tracks live heap bytes; the
 //! bytes a structure frees when it is dropped are the bytes it held. This
-//! file holds a single test so nothing else allocates in its binary while
-//! it measures.
+//! file holds a single test, and the allocator counts only the test's own
+//! thread while it measures.
 
 use ruwhere_scan::{CertDataset, IpScanner, MatchRule};
 use ruwhere_types::Date;
 use ruwhere_world::{World, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Live heap bytes: requested sizes allocated minus sizes freed.
+/// Live heap bytes: requested sizes allocated minus sizes freed, on the
+/// test's own thread while it measures.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    /// Set on the test's thread: other threads of the test binary
+    /// allocate at times of their own, which would move the figure.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Add `bytes` to the live count if this thread is measuring.
+fn count(bytes: i64) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 /// Tracks live bytes, then forwards every call unchanged to [`System`].
 struct Counting;
@@ -24,22 +39,22 @@ struct Counting;
 // `GlobalAlloc` contract holds exactly as it does for `System`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -74,6 +89,7 @@ fn held_bytes<T>(value: T) -> i64 {
 
 #[test]
 fn scan_snapshots_and_cert_records_stay_within_budget() {
+    MEASURING.with(|m| m.set(true));
     let end = Date::from_ymd(2022, 4, 20);
     let mut world = World::new(WorldConfig::tiny());
     world.advance_to(end);

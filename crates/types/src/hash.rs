@@ -1,7 +1,7 @@
 //! A fast, process-seeded hasher for the maps on the sweep path.
 //!
 //! Every query a sweep sends probes several hash maps: the resolver's
-//! answer, cut and health caches, the shared NS cache, the network's
+//! answer, cut and health caches, the NS-host lists, the network's
 //! service table and the served zones. std's SipHash is built to resist
 //! keys chosen by an attacker, which these maps never see — every key is
 //! a name or an address the simulation generated itself — and it costs
@@ -39,8 +39,7 @@ pub fn process_seed() -> u64 {
 }
 
 /// Builds [`FastHasher`]s that start from the [`process_seed`]. All
-/// instances in a process hash alike, so a hash taken from one can pick a
-/// shard for a map built with another.
+/// instances in a process hash alike.
 #[derive(Debug, Clone, Copy)]
 pub struct FastState {
     seed: u64,
@@ -162,31 +161,37 @@ mod tests {
     }
 
     #[test]
-    fn names_differing_in_one_label_spread_over_shards_and_buckets() {
-        // The NS cache takes its shard from bits 52..56 and a table takes
-        // its bucket from the low bits; both must spread, independently.
-        let shapes: [fn(usize) -> Vec<u8>; 3] = [
+    fn names_differing_in_one_label_spread_over_buckets() {
+        // A table takes its bucket from the low bits. `FastMap<Name, _>`
+        // hashes a name's wire form and a name list one write of its
+        // dotted spelling: names that differ in one label must spread in
+        // both.
+        let wire_shapes: [fn(usize) -> Vec<u8>; 3] = [
             |i| wire(&[&format!("ns{i}"), "hoster", "ru"]),
             |i| wire(&["ns1", &format!("hoster{i}"), "ru"]),
             |i| wire(&["www", "a-much-longer-label", &format!("h{i}"), "ru"]),
         ];
-        for shape in shapes {
-            let hashes: Vec<u64> = (0..256)
-                .map(|i| FastState::default().hash_one(&shape(i)[..]))
+        for shape in wire_shapes {
+            let buckets: BTreeSet<u64> = (0..256)
+                .map(|i| FastState::default().hash_one(&shape(i)[..]) & 255)
                 .collect();
-            let shards: BTreeSet<u64> = hashes.iter().map(|h| (h >> 52) & 15).collect();
-            assert_eq!(shards.len(), 16, "names miss NS-cache shards");
-            let buckets: BTreeSet<u64> = hashes.iter().map(|h| h & 255).collect();
             assert!(buckets.len() > 128, "{} of 256 buckets", buckets.len());
-            // Shard and bucket bits are independent: names that share a
-            // shard still spread over the buckets of that shard's table.
-            let pairs: BTreeSet<(u64, u64)> =
-                hashes.iter().map(|h| ((h >> 52) & 15, h & 15)).collect();
-            assert!(
-                pairs.len() > 128,
-                "{} of 256 shard/bucket pairs",
-                pairs.len()
-            );
+        }
+        let spelled_shapes: [fn(usize) -> String; 3] = [
+            |i| format!("ns{i}.hoster.ru"),
+            |i| format!("ns1.hoster{i}.ru"),
+            |i| format!("www.a-much-longer-label.h{i}.ru"),
+        ];
+        let s = FastState::default();
+        for shape in spelled_shapes {
+            let buckets: BTreeSet<u64> = (0..256)
+                .map(|i| {
+                    let mut h = s.build_hasher();
+                    h.write(shape(i).as_bytes());
+                    h.finish() & 255
+                })
+                .collect();
+            assert!(buckets.len() > 128, "{} of 256 buckets", buckets.len());
         }
     }
 

@@ -22,6 +22,8 @@
 //!   simulation and measurement run is bit-reproducible.
 //! * [`hash`] — the process-seeded fast hasher behind the sweep path's
 //!   hash maps ([`FastMap`]).
+//! * [`list`] — [`NameList`], named items in insertion order, found by a
+//!   [`DomainName`] or by the labels of a wire name.
 //! * [`sync`] — poison-tolerant `std::sync` lock acquisition, shared by
 //!   every crate that locks.
 
@@ -33,6 +35,7 @@ pub mod country;
 pub mod date;
 pub mod domain;
 pub mod hash;
+pub mod list;
 pub mod period;
 pub mod punycode;
 pub mod seed;
@@ -43,5 +46,6 @@ pub use country::Country;
 pub use date::{Date, DateRange, STUDY_END, STUDY_START};
 pub use domain::{DomainName, DomainParseError};
 pub use hash::{FastMap, FastSet};
+pub use list::{NameList, Named};
 pub use period::{Period, CERT_WINDOW_END, CERT_WINDOW_START, CONFLICT_START, SANCTIONS_EFFECT};
 pub use seed::{SeedPrefix, SeedTree};

@@ -25,7 +25,7 @@ use ruwhere_netsim::{
 use ruwhere_registry::{Delegation, NameGenerator, Registry, SanctionSource, SanctionsList};
 use ruwhere_types::domain::MAX_NAME_LEN;
 use ruwhere_types::sync::{read, write};
-use ruwhere_types::{Date, DomainName, Period, SeedTree, CONFLICT_START};
+use ruwhere_types::{Date, DomainName, NameList, Period, SeedTree, CONFLICT_START};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -37,58 +37,6 @@ const WHOIS_PORT: u16 = ruwhere_registry::WHOIS_PORT;
 /// Daily probability a sanctioned domain obtains a certificate ("testing
 /// different CAs", §4.2).
 const SANCTIONED_DAILY_ISSUE: f64 = 0.012;
-
-/// A set with O(1) add / remove / uniform sampling, used for hosting and
-/// TLS-pool membership. Plan membership is the plans' row order, which
-/// adds and removes the same way.
-#[derive(Debug, Default, Clone)]
-pub struct MemberSet {
-    items: Vec<DomainName>,
-    pos: HashMap<DomainName, usize>,
-}
-
-impl MemberSet {
-    /// Insert; no-op if present.
-    pub fn add(&mut self, d: DomainName) {
-        if self.pos.contains_key(&d) {
-            return;
-        }
-        self.pos.insert(d.clone(), self.items.len());
-        self.items.push(d);
-    }
-
-    /// Remove; no-op if absent.
-    pub fn remove(&mut self, d: &DomainName) {
-        if let Some(i) = self.pos.remove(d) {
-            let last = self.items.len() - 1;
-            self.items.swap_remove(i);
-            if i <= last && i < self.items.len() {
-                let moved = self.items[i].clone();
-                self.pos.insert(moved, i);
-            }
-        }
-    }
-
-    /// Current size.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Uniformly sampled member.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<&DomainName> {
-        self.items.choose(rng)
-    }
-
-    /// Slice access (iteration order is arbitrary but deterministic).
-    pub fn items(&self) -> &[DomainName] {
-        &self.items
-    }
-}
 
 /// One NS host's live state.
 #[derive(Debug, Clone)]
@@ -166,8 +114,8 @@ pub struct World {
     geo: LongitudinalGeoDb,
 
     domains: BTreeMap<DomainName, DomainState>,
-    hosting_members: Vec<MemberSet>,
-    tls_pool: MemberSet,
+    hosting_members: Vec<NameList<DomainName>>,
+    tls_pool: NameList<DomainName>,
     namegen: NameGenerator,
     extra_sites: Vec<(DomainName, Ipv4Addr)>,
     /// The Amazon↔Sedo parking portfolio (§3.2): moved by script, pinned
@@ -282,8 +230,8 @@ impl World {
             certs,
             geo: LongitudinalGeoDb::new(),
             domains: BTreeMap::new(),
-            hosting_members: vec![MemberSet::default(); providers.len()],
-            tls_pool: MemberSet::default(),
+            hosting_members: vec![NameList::default(); providers.len()],
+            tls_pool: NameList::default(),
             extra_sites: Vec::new(),
             portfolio: Vec::new(),
             scripted_moves: Vec::new(),
@@ -775,12 +723,12 @@ impl World {
         self.install_domain(&state);
 
         // Membership bookkeeping.
-        self.hosting_members[primary.0 as usize].add(name.clone());
+        self.hosting_members[primary.0 as usize].insert(name.clone());
         if let Some((sec, _)) = state.hosting.secondary {
-            self.hosting_members[sec.0 as usize].add(name.clone());
+            self.hosting_members[sec.0 as usize].insert(name.clone());
         }
         if state.tls {
-            self.tls_pool.add(name.clone());
+            self.tls_pool.insert(name.clone());
         }
         self.domains.insert(name.clone(), state);
         name
@@ -968,16 +916,16 @@ impl World {
             return;
         };
         self.uninstall_dns(&state);
-        self.hosting_members[state.hosting.primary.0 as usize].remove(name);
+        self.hosting_members[state.hosting.primary.0 as usize].swap_remove(name);
         if let Some((sec, ip)) = state.hosting.secondary {
-            self.hosting_members[sec.0 as usize].remove(name);
+            self.hosting_members[sec.0 as usize].swap_remove(name);
             self.net.unbind(ip, TLS_PORT);
             write(&self.serving.index).remove(&ip);
         }
         if state.tls {
             self.net.unbind(state.hosting.primary_ip, TLS_PORT);
             write(&self.serving.index).remove(&state.hosting.primary_ip);
-            self.tls_pool.remove(name);
+            self.tls_pool.swap_remove(name);
         }
         let _ = write(&self.registries)[registry_index(name)].delete(name);
     }
@@ -1482,7 +1430,8 @@ impl World {
             // sampling of hosting members.
             let provider = self.sample_hosting(date, None);
             let candidate = self.hosting_members[provider.0 as usize]
-                .sample(&mut self.rng)
+                .items()
+                .choose(&mut self.rng)
                 .cloned();
             if let Some(name) = candidate {
                 if self.domains.get(&name).is_some_and(|d| !d.sanctioned) {
@@ -1585,7 +1534,10 @@ impl World {
     /// A domain drawn uniformly from member `slot` of `pool`.
     fn sample_member(&mut self, pool: Pool, slot: usize) -> Option<DomainName> {
         match pool {
-            Pool::Hosting => self.hosting_members[slot].sample(&mut self.rng).cloned(),
+            Pool::Hosting => self.hosting_members[slot]
+                .items()
+                .choose(&mut self.rng)
+                .cloned(),
             Pool::Plans => read(&self.plan_zone_sets[slot])
                 .rows()
                 .choose(&mut self.rng)
@@ -1652,8 +1604,8 @@ impl World {
             );
         }
 
-        self.hosting_members[state.hosting.primary.0 as usize].remove(name);
-        self.hosting_members[to.0 as usize].add(name.clone());
+        self.hosting_members[state.hosting.primary.0 as usize].swap_remove(name);
+        self.hosting_members[to.0 as usize].insert(name.clone());
         let mut new_state = state.clone();
         new_state.hosting.primary = to;
         new_state.hosting.primary_ip = new_ip;
@@ -1717,7 +1669,7 @@ impl World {
                 }
             }
             for _ in 0..n {
-                let Some(name) = self.tls_pool.sample(&mut self.rng).cloned() else {
+                let Some(name) = self.tls_pool.items().choose(&mut self.rng).cloned() else {
                     break;
                 };
                 // Sanctions compliance: once a CA has executed its
@@ -2077,63 +2029,6 @@ impl ruwhere_netsim::Service for WhoisService {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn d(s: &str) -> DomainName {
-        s.parse().unwrap()
-    }
-
-    #[test]
-    fn member_set_add_remove_sample() {
-        let mut set = MemberSet::default();
-        assert!(set.is_empty());
-        for i in 0..50 {
-            set.add(d(&format!("m{i}.ru")));
-        }
-        assert_eq!(set.len(), 50);
-        // Duplicate adds are no-ops.
-        set.add(d("m0.ru"));
-        assert_eq!(set.len(), 50);
-        // Removal from the middle keeps positions consistent.
-        set.remove(&d("m10.ru"));
-        set.remove(&d("m49.ru")); // last element
-        set.remove(&d("m0.ru"));
-        assert_eq!(set.len(), 47);
-        set.remove(&d("not-present.ru"));
-        assert_eq!(set.len(), 47);
-        // Every remaining element is reachable by repeated sampling.
-        let mut rng = SeedTree::new(1).child("t").rng();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..5_000 {
-            seen.insert(set.sample(&mut rng).unwrap().clone());
-        }
-        assert_eq!(seen.len(), 47);
-        assert!(!seen.contains(&d("m10.ru")));
-        assert!(!seen.contains(&d("m0.ru")));
-        assert!(!seen.contains(&d("m49.ru")));
-    }
-
-    #[test]
-    fn member_set_positions_survive_interleaving() {
-        let mut set = MemberSet::default();
-        let mut model: std::collections::BTreeSet<DomainName> = Default::default();
-        let mut rng = SeedTree::new(2).child("x").rng();
-        for step in 0..2_000u32 {
-            if rng.random_bool(0.6) || model.is_empty() {
-                let name = d(&format!("x{step}.ru"));
-                set.add(name.clone());
-                model.insert(name);
-            } else {
-                let pick = set.sample(&mut rng).unwrap().clone();
-                set.remove(&pick);
-                model.remove(&pick);
-            }
-            assert_eq!(set.len(), model.len(), "diverged at step {step}");
-        }
-        let mut items: Vec<DomainName> = set.items().to_vec();
-        items.sort();
-        let expected: Vec<DomainName> = model.into_iter().collect();
-        assert_eq!(items, expected);
-    }
 
     #[test]
     fn binomial_approximation_is_sane() {

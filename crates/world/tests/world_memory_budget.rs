@@ -5,15 +5,30 @@
 //! the first TLD publish copies each delegation into the served zone. A
 //! counting global allocator tracks live heap bytes across `World::new`
 //! and the first `publish_tld_zones`; divided by the population, that is
-//! the live heap each domain costs. This file holds a single test so
-//! nothing else allocates in its binary while it measures.
+//! the live heap each domain costs. This file holds a single test, and the allocator counts only the
+//! test's own thread while it measures.
 
 use ruwhere_world::{World, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Live heap bytes: requested sizes allocated minus sizes freed.
+/// Live heap bytes: requested sizes allocated minus sizes freed, on the
+/// test's own thread while it measures.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    /// Set on the test's thread: other threads of the test binary
+    /// allocate at times of their own, which would move the figure.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Add `bytes` to the live count if this thread is measuring.
+fn count(bytes: i64) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 /// Tracks live bytes, then forwards every call unchanged to [`System`].
 struct Counting;
@@ -22,22 +37,22 @@ struct Counting;
 // `GlobalAlloc` contract holds exactly as it does for `System`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -50,14 +65,19 @@ static GLOBAL: Counting = Counting;
 /// whole zone per managed domain in its plan's zone set, and the plan's
 /// member list beside it, it measured 2 587–2 588 B over 20 runs. With
 /// each managed domain one row under its plan's template, the row order
-/// being the member list, it measured 1 727–1 729 B over 100 runs. The
-/// figure moves by a few bytes from run to run because some of the
-/// world's hash tables are seeded per process (ROADMAP item 13). The
-/// bound is the highest run plus a 16-byte margin.
-const MAX_LIVE_BYTES_PER_DOMAIN: f64 = 1_745.0;
+/// being the member list, it measured 1 727 B. With the hosting member
+/// sets and the TLS pool kept as name lists (a `u32` slot per name
+/// instead of a std hash-map entry), it measured 864 624 B, 1 672.4 B per
+/// domain, on 50 of 50 runs, counting only the test's own thread. The
+/// name lists size by their item count alone, but other tables the world
+/// builds (the network's service table, the TLS serving index) are
+/// process-seeded, so that one value is measured, not guaranteed by
+/// construction. The bound sits a few bytes above the figure.
+const MAX_LIVE_BYTES_PER_DOMAIN: f64 = 1_676.0;
 
 #[test]
 fn fresh_world_stays_within_budget() {
+    MEASURING.with(|m| m.set(true));
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     let mut world = World::new(WorldConfig::tiny());
     world.publish_tld_zones();
